@@ -18,7 +18,11 @@
 //!   capacity run (wire vs in-process gap) followed by an open-loop
 //!   offered-load sweep (seeded Poisson arrivals at fractions of the
 //!   measured capacity, bounded in-flight backpressure). Writes
-//!   `results/BENCH_wire.json`.
+//!   `results/BENCH_wire.json`. With `--before <file>` the
+//!   `closed_loop` rows of an earlier output (the parent commit's build
+//!   run on the same host) are carried along as `closed_loop_before`,
+//!   so a transport change lands with its before/after rows in one
+//!   file.
 //!
 //! The bench locates the `scale_wired` binary next to its own
 //! executable, so run it via cargo (both binaries land in the same
@@ -98,8 +102,31 @@ struct BenchOutput {
     experiment: &'static str,
     host_cores: usize,
     seed: u64,
+    /// `closed_loop` of the `--before` file, verbatim.
+    closed_loop_before: Option<Verbatim>,
     closed_loop: Vec<ClosedRun>,
     open_loop: Vec<OpenRun>,
+}
+
+/// Parsed JSON re-emitted as it was read.
+struct Verbatim(serde::Value);
+
+impl Serialize for Verbatim {
+    fn to_value(&self) -> serde::Value {
+        self.0.clone()
+    }
+}
+
+/// The `closed_loop` array of an earlier `BENCH_wire.json`.
+fn closed_loop_of(path: &str) -> Verbatim {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let serde::Value::Object(fields) =
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {path}: {e:?}"))
+    else {
+        panic!("{path} is not a JSON object");
+    };
+    let rows = fields.into_iter().find(|(k, _)| k == "closed_loop");
+    Verbatim(rows.unwrap_or_else(|| panic!("{path} has no closed_loop")).1)
 }
 
 fn host_cores() -> usize {
@@ -255,7 +282,8 @@ fn closed_cfg(n_mmps: usize) -> WireRunConfig {
     }
 }
 
-fn full() {
+fn full(before: Option<&str>) {
+    let closed_loop_before = before.map(closed_loop_of);
     println!(
         "# wire_load: multi-process deployment over sctplite/TCP, host cores={}",
         host_cores()
@@ -363,6 +391,7 @@ fn full() {
         experiment: "wire_load",
         host_cores: host_cores(),
         seed: 2015,
+        closed_loop_before,
         closed_loop,
         open_loop,
     };
@@ -377,9 +406,11 @@ fn full() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
+    let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--smoke") {
         smoke();
     } else {
-        full();
+        let before = args.iter().position(|a| a == "--before");
+        full(before.map(|i| args.get(i + 1).expect("--before <file>").as_str()));
     }
 }

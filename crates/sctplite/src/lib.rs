@@ -1,12 +1,14 @@
 //! # scale-sctplite
 //!
 //! A message-oriented, multi-stream association transport in the spirit
-//! of SCTP (which carries S1AP in real LTE deployments). Three layers:
+//! of SCTP (which carries S1AP in real LTE deployments). Its layers:
 //!
 //! * [`chunk`] — the wire format (INIT/DATA/HEARTBEAT/SHUTDOWN frames
 //!   with verification tags);
 //! * [`assoc`] — a sans-IO state machine ([`Association`]) usable from
 //!   any transport;
+//! * [`framing`] — sans-IO length-delimited framing of those frames
+//!   over a byte stream (many frames per read, one write per batch);
 //! * [`memory`] — an in-memory link with deterministic fault injection
 //!   (drop/corrupt, as netem provided in the paper's testbed);
 //! * [`tokio_transport`] — the async TCP adapter used by the runnable
@@ -21,11 +23,13 @@
 
 pub mod assoc;
 pub mod chunk;
+pub mod framing;
 pub mod memory;
 pub mod tokio_transport;
 
 pub use assoc::{AssocState, Association, Event};
 pub use chunk::{ppid, Chunk, ChunkType, Frame, SctpError, MAX_PAYLOAD};
+pub use framing::{frame_into, Deframer};
 pub use memory::{FaultInjector, MemoryLink};
 pub use tokio_transport::{
     LinkMetrics, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream, StreamEvent, TransportError,

@@ -6,16 +6,24 @@
 //! multi-stream semantics on a laptop without kernel SCTP. An optional
 //! per-link artificial delay emulates inter-DC propagation the way the
 //! paper used netem (§5.1 E4-ii).
+//!
+//! Both directions batch by what is already there, never by a timer
+//! (DESIGN.md §14.2). Receiving, one `read` takes whatever the socket
+//! holds and every complete frame in it is handled before the next
+//! `read`; sending, a split link's writer thread puts everything queued
+//! since its last write on the wire in one `write`. A lone message
+//! crosses exactly as fast as it would alone; under load the backlog is
+//! the batch, and system calls per message fall with queue depth.
 
 use crate::assoc::{Association, Event};
-use crate::chunk::{Frame, SctpError};
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::chunk::SctpError;
+use crate::framing::{frame_into, Deframer};
+use bytes::Bytes;
 use parking_lot::Mutex;
 use scale_obs::{Counter, Histogram, Registry};
+use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
@@ -62,37 +70,109 @@ impl From<SctpError> for TransportError {
     }
 }
 
-/// Length-prefix a frame into the single buffer the TCP write takes:
-/// one write per frame means a concurrent writer (the split-stream
-/// egress thread) can never interleave a length word with another
-/// frame's body.
-fn frame_to_wire(frame: &Frame) -> Bytes {
-    let body = frame.encode();
-    let mut out = BytesMut::with_capacity(4 + body.len());
-    out.put_u32(body.len() as u32);
-    out.put_slice(&body);
-    out.freeze()
+/// Receive side shared by [`SctpStream`] and [`SctpRecvHalf`]: the TCP
+/// read half, the [`Deframer`] it reads into, and the events parsed but
+/// not yet handed to the caller. One `read` takes whatever the socket
+/// holds; [`Ingress::ingest`] then runs every complete frame through
+/// the association, so the events of one read arrive together.
+struct Ingress {
+    rd: OwnedReadHalf,
+    frames: Deframer,
+    ready: VecDeque<StreamEvent>,
+    /// What ends the stream once `ready` is delivered: a clean close or
+    /// abort, or an error met after earlier frames of the same read
+    /// were already handled.
+    failed: Option<TransportError>,
 }
 
-async fn write_frame(w: &mut OwnedWriteHalf, frame: &Frame) -> Result<(), TransportError> {
-    w.write_all(&frame_to_wire(frame)).await?;
-    Ok(())
-}
-
-async fn read_frame(r: &mut OwnedReadHalf) -> Result<Frame, TransportError> {
-    let len = match r.read_u32().await {
-        Ok(n) => n as usize,
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Err(TransportError::Eof),
-        Err(e) => return Err(e.into()),
-    };
-    if len > 1 << 20 {
-        return Err(TransportError::Protocol(SctpError::Truncated(
-            "frame length implausible",
-        )));
+impl Ingress {
+    fn new(rd: OwnedReadHalf) -> Ingress {
+        Ingress {
+            rd,
+            frames: Deframer::new(),
+            ready: VecDeque::new(),
+            failed: None,
+        }
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf).await?;
-    Ok(Frame::decode(Bytes::from(buf))?)
+
+    /// Feed every complete buffered frame to `assoc`, up to the first
+    /// framing, decode or association error, and move the resulting
+    /// events to `ready`.
+    fn ingest(&mut self, assoc: &mut Association) {
+        while self.failed.is_none() {
+            match self.frames.next_frame() {
+                Ok(Some(frame)) => {
+                    if let Err(e) = assoc.handle_frame(frame) {
+                        self.failed = Some(e.into());
+                    }
+                }
+                Ok(None) => break,
+                Err(e) => self.failed = Some(e.into()),
+            }
+        }
+        while let Some(ev) = assoc.poll_event() {
+            match ev {
+                Event::Data {
+                    stream_id,
+                    ppid,
+                    payload,
+                } => self.ready.push_back(StreamEvent::Data {
+                    stream_id,
+                    ppid,
+                    payload,
+                }),
+                Event::HeartbeatAck { nonce } => {
+                    self.ready.push_back(StreamEvent::HeartbeatAck { nonce })
+                }
+                Event::Established => {}
+                // Raised by a frame handled before any failing one, so
+                // it is what the caller must see.
+                Event::Closed => self.failed = Some(TransportError::Closed),
+                Event::Aborted { reason } => self.failed = Some(TransportError::Aborted(reason)),
+            }
+        }
+    }
+
+    /// Nothing left to hand out: time to parse what the buffer holds.
+    fn idle(&self) -> bool {
+        self.ready.is_empty() && self.failed.is_none()
+    }
+
+    /// The next ready event, or what ended the stream once the events
+    /// before it are delivered; `None` means more bytes are needed.
+    fn pop(&mut self) -> Option<Result<StreamEvent, TransportError>> {
+        match self.ready.pop_front() {
+            Some(ev) => Some(Ok(ev)),
+            None => self.failed.take().map(Err),
+        }
+    }
+
+    /// One `read` into the buffer. A stream that ends between frames is
+    /// [`TransportError::Eof`]; one that ends inside a frame is an I/O
+    /// error.
+    async fn fill(&mut self) -> Result<(), TransportError> {
+        let n = self.rd.read(self.frames.space()).await?;
+        if n == 0 {
+            return Err(if self.frames.buffered() == 0 {
+                TransportError::Eof
+            } else {
+                io::Error::from(io::ErrorKind::UnexpectedEof).into()
+            });
+        }
+        self.frames.filled(n);
+        Ok(())
+    }
+}
+
+/// Append everything the association wants to transmit to `wire`,
+/// length-prefixed; returns the number of frames.
+fn drain_wire(a: &mut Association, wire: &mut Vec<u8>) -> usize {
+    let mut n = 0;
+    while let Some(f) = a.poll_egress() {
+        frame_into(&f, wire);
+        n += 1;
+    }
+    n
 }
 
 /// Link-level metric handles for one monitored association: heartbeat
@@ -144,8 +224,11 @@ impl LinkMetrics {
 /// An established sctplite association over TCP.
 pub struct SctpStream {
     assoc: Association,
-    rd: OwnedReadHalf,
+    ingress: Ingress,
     wr: OwnedWriteHalf,
+    /// Reused encode buffer: whatever the association has queued leaves
+    /// in one write.
+    wire: Vec<u8>,
     /// Artificial one-way delay applied before each send (propagation
     /// emulation, like the paper's netem setup).
     pub link_delay: Duration,
@@ -160,60 +243,49 @@ impl SctpStream {
     /// Client side: TCP connect + sctplite handshake.
     pub async fn connect(addr: &str, local_tag: u32) -> Result<SctpStream, TransportError> {
         let tcp = TcpStream::connect(addr).await?;
-        tcp.set_nodelay(true)?;
-        let (mut rd, mut wr) = tcp.into_split();
-        let mut assoc = Association::connect(local_tag, 8);
-        // Flush the INIT.
-        while let Some(f) = assoc.poll_egress() {
-            write_frame(&mut wr, &f).await?;
-        }
-        // Await INIT-ACK.
-        loop {
-            let frame = read_frame(&mut rd).await?;
-            assoc.handle_frame(frame)?;
-            while let Some(f) = assoc.poll_egress() {
-                write_frame(&mut wr, &f).await?;
-            }
-            if assoc.is_established() {
-                break;
-            }
-        }
-        // Drain the Established event.
-        while assoc.poll_event().is_some() {}
-        Ok(SctpStream {
-            assoc,
-            rd,
-            wr,
-            link_delay: Duration::ZERO,
-            metrics: None,
-            pending_pings: Vec::new(),
-        })
+        SctpStream::establish(tcp, Association::connect(local_tag, 8)).await
     }
 
     /// Server side: accept + handshake on an incoming TCP connection.
     pub async fn accept(tcp: TcpStream, local_tag: u32) -> Result<SctpStream, TransportError> {
+        SctpStream::establish(tcp, Association::listen(local_tag, 8)).await
+    }
+
+    /// Run the handshake `assoc` is set up for. Anything the peer sent
+    /// right behind its INIT-ACK is kept for the first `next_event`.
+    async fn establish(tcp: TcpStream, assoc: Association) -> Result<SctpStream, TransportError> {
         tcp.set_nodelay(true)?;
-        let (mut rd, mut wr) = tcp.into_split();
-        let mut assoc = Association::listen(local_tag, 8);
-        loop {
-            let frame = read_frame(&mut rd).await?;
-            assoc.handle_frame(frame)?;
-            while let Some(f) = assoc.poll_egress() {
-                write_frame(&mut wr, &f).await?;
-            }
-            if assoc.is_established() {
-                break;
-            }
-        }
-        while assoc.poll_event().is_some() {}
-        Ok(SctpStream {
+        let (rd, wr) = tcp.into_split();
+        let mut s = SctpStream {
             assoc,
-            rd,
+            ingress: Ingress::new(rd),
             wr,
+            wire: Vec::new(),
             link_delay: Duration::ZERO,
             metrics: None,
             pending_pings: Vec::new(),
-        })
+        };
+        loop {
+            s.ingress.ingest(&mut s.assoc);
+            s.flush().await?;
+            if s.assoc.is_established() {
+                return Ok(s);
+            }
+            if let Some(e) = s.ingress.failed.take() {
+                return Err(e);
+            }
+            s.ingress.fill().await?;
+        }
+    }
+
+    /// Write out whatever the association has queued, in one write.
+    async fn flush(&mut self) -> Result<(), TransportError> {
+        if drain_wire(&mut self.assoc, &mut self.wire) > 0 {
+            let res = self.wr.write_all(&self.wire).await;
+            self.wire.clear();
+            res?;
+        }
+        Ok(())
     }
 
     /// Observe this association: heartbeat RTTs recorded per
@@ -230,7 +302,7 @@ impl SctpStream {
     pub async fn reconnect(&mut self, addr: &str, local_tag: u32) -> Result<(), TransportError> {
         let fresh = SctpStream::connect(addr, local_tag).await?;
         self.assoc = fresh.assoc;
-        self.rd = fresh.rd;
+        self.ingress = fresh.ingress;
         self.wr = fresh.wr;
         self.pending_pings.clear();
         if let Some(m) = &self.metrics {
@@ -250,57 +322,30 @@ impl SctpStream {
             tokio::time::sleep(self.link_delay).await;
         }
         self.assoc.send(stream_id, ppid, payload)?;
-        while let Some(f) = self.assoc.poll_egress() {
-            write_frame(&mut self.wr, &f).await?;
-        }
-        Ok(())
+        self.flush().await
     }
 
     /// Receive the next association event: application data or a
     /// heartbeat ack. Clean close, abort, and raw TCP loss surface as
     /// the corresponding [`TransportError`] variants so a monitor can
-    /// tell a departed peer from a dead one.
+    /// tell a departed peer from a dead one. Events parsed ahead of an
+    /// error in the same read are delivered before it.
     pub async fn next_event(&mut self) -> Result<StreamEvent, TransportError> {
         loop {
-            // Surface any already-queued events first.
-            while let Some(ev) = self.assoc.poll_event() {
-                match ev {
-                    Event::Data {
-                        stream_id,
-                        ppid,
-                        payload,
-                    } => {
-                        return Ok(StreamEvent::Data {
-                            stream_id,
-                            ppid,
-                            payload,
-                        })
+            if self.ingress.idle() {
+                self.ingress.ingest(&mut self.assoc);
+                self.flush().await?;
+            }
+            if let Some(res) = self.ingress.pop() {
+                if let (Ok(StreamEvent::HeartbeatAck { nonce }), Some(m)) = (&res, &self.metrics) {
+                    if let Some(i) = self.pending_pings.iter().position(|(n, _)| n == nonce) {
+                        m.rtt
+                            .record_duration(self.pending_pings.swap_remove(i).1.elapsed());
                     }
-                    Event::HeartbeatAck { nonce } => {
-                        if let Some(at) = self
-                            .pending_pings
-                            .iter()
-                            .position(|(n, _)| *n == nonce)
-                            .map(|i| self.pending_pings.swap_remove(i).1)
-                        {
-                            if let Some(m) = &self.metrics {
-                                m.rtt.record_duration(at.elapsed());
-                            }
-                        }
-                        return Ok(StreamEvent::HeartbeatAck { nonce });
-                    }
-                    Event::Closed => return Err(TransportError::Closed),
-                    Event::Aborted { reason } => {
-                        return Err(TransportError::Aborted(reason))
-                    }
-                    _ => {}
                 }
+                return res;
             }
-            let frame = read_frame(&mut self.rd).await?;
-            self.assoc.handle_frame(frame)?;
-            while let Some(f) = self.assoc.poll_egress() {
-                write_frame(&mut self.wr, &f).await?;
-            }
+            self.ingress.fill().await?;
         }
     }
 
@@ -327,10 +372,7 @@ impl SctpStream {
             self.pending_pings.push((nonce, Instant::now()));
         }
         self.assoc.heartbeat(nonce)?;
-        while let Some(f) = self.assoc.poll_egress() {
-            write_frame(&mut self.wr, &f).await?;
-        }
-        Ok(())
+        self.flush().await
     }
 
     /// Graceful shutdown handshake: send SHUTDOWN and wait for the
@@ -340,9 +382,7 @@ impl SctpStream {
     /// means the peer died mid-handshake.
     pub async fn shutdown(&mut self) -> Result<(), TransportError> {
         self.assoc.shutdown();
-        while let Some(f) = self.assoc.poll_egress() {
-            write_frame(&mut self.wr, &f).await?;
-        }
+        self.flush().await?;
         loop {
             match self.next_event().await {
                 Err(TransportError::Closed) => return Ok(()),
@@ -358,33 +398,39 @@ impl SctpStream {
     /// (a reader pump per link plus a router thread that replies).
     ///
     /// Outbound frames — whether queued by the send half or generated
-    /// by the receive half (heartbeat acks, shutdown handshake) — go
-    /// through a *bounded* egress queue of `egress_capacity` frames
-    /// drained by a dedicated writer task. A full queue blocks the
-    /// sender: that is the transport's backpressure. A shedding caller
-    /// checks [`SctpSendHalf::pending`] against
-    /// [`SctpSendHalf::capacity`] *before* sending.
+    /// by the receive half (heartbeat acks, shutdown handshake) — are
+    /// appended to one *bounded* egress buffer of at most
+    /// `egress_capacity` frames, which a dedicated writer thread
+    /// empties with one write per wake-up: while it is inside a write,
+    /// senders keep appending, and the next write carries all of it.
+    /// A full buffer blocks the sender: that is the transport's
+    /// backpressure. A shedding caller checks [`SctpSendHalf::pending`]
+    /// against [`SctpSendHalf::capacity`] *before* sending.
     ///
     /// `link_delay`, attached metrics and outstanding pings do not
     /// carry over; a supervisor owns RTT bookkeeping for split links.
     pub fn into_split(self, egress_capacity: usize) -> (SctpSendHalf, SctpRecvHalf) {
-        let capacity = egress_capacity.max(1);
+        let egress = Arc::new(Egress {
+            q: StdMutex::new(EgressQueue::default()),
+            wake_writer: Condvar::new(),
+            wake_senders: Condvar::new(),
+            capacity: egress_capacity.max(1),
+        });
         let shared = Arc::new(SplitShared {
             assoc: Mutex::new(self.assoc),
-            depth: AtomicUsize::new(0),
+            egress: Arc::clone(&egress),
         });
-        let (tx, rx) = sync_channel::<Bytes>(capacity);
-        let writer_shared = Arc::clone(&shared);
         let mut wr = self.wr;
-        // Writer task: drains the egress queue onto the TCP write half,
-        // one write per frame. Exits when both halves are gone (every
-        // sender dropped) or the peer stops accepting bytes; dropping
-        // the write half then shuts down the TCP write direction.
-        tokio::spawn(async move {
-            while let Ok(bytes) = rx.recv() {
-                let res = wr.write_all(&bytes).await;
-                writer_shared.depth.fetch_sub(1, Ordering::Relaxed);
-                if res.is_err() {
+        // Writer: exits once both halves are gone and the buffer is
+        // empty, or when the peer stops accepting bytes; dropping the
+        // write half then shuts down the TCP write direction. Detached:
+        // a peer that never reads must not be able to block whoever
+        // drops the last half.
+        std::thread::spawn(move || {
+            let mut batch = Vec::new();
+            while egress.next_batch(&mut batch) {
+                if tokio::runtime::block_on(wr.write_all(&batch)).is_err() {
+                    egress.fail();
                     break;
                 }
             }
@@ -392,13 +438,11 @@ impl SctpStream {
         (
             SctpSendHalf {
                 shared: Arc::clone(&shared),
-                tx: tx.clone(),
-                capacity,
             },
             SctpRecvHalf {
                 shared,
-                rd: self.rd,
-                tx,
+                ingress: self.ingress,
+                wire: self.wire,
             },
         )
     }
@@ -408,152 +452,266 @@ impl SctpStream {
 struct SplitShared {
     /// The sans-IO state machine. Guard discipline: lock, mutate, drain
     /// egress into a local buffer, unlock — a guard is never held
-    /// across an `.await` (scale-lint's await-guard rule watches this
-    /// file).
+    /// across an `.await` or a blocking egress push (scale-lint's
+    /// await-guard rule watches this file).
     assoc: Mutex<Association>,
-    /// Frames handed to the writer task and not yet on the wire.
-    depth: AtomicUsize,
+    egress: Arc<Egress>,
 }
 
-/// Encode everything the association wants to transmit. Called with
-/// the lock held; the actual channel pushes happen after it is
-/// released.
-fn drain_wire(a: &mut Association) -> Vec<Bytes> {
-    let mut out = Vec::new();
-    while let Some(f) = a.poll_egress() {
-        out.push(frame_to_wire(&f));
+impl Drop for SplitShared {
+    /// Runs when the last half goes: lets the writer finish and exit.
+    fn drop(&mut self) {
+        let mut q = self.egress.lock();
+        q.closed = true;
+        self.egress.wake_writer.notify_one();
     }
-    out
 }
 
-/// Queue one wire buffer for the writer task, counting it in `depth`.
-/// A disconnected channel means the writer saw a TCP failure and
-/// exited — to the caller the peer is gone.
-fn enqueue(
-    tx: &SyncSender<Bytes>,
-    shared: &SplitShared,
-    bytes: Bytes,
-) -> Result<(), TransportError> {
-    shared.depth.fetch_add(1, Ordering::Relaxed);
-    tx.send(bytes).map_err(|_| {
-        shared.depth.fetch_sub(1, Ordering::Relaxed);
-        TransportError::Eof
-    })
+/// An egress buffer larger than this is freed after its write instead
+/// of being reused, so one burst does not pin its peak size.
+const WIRE_RETAIN: usize = 64 * 1024;
+
+/// The bounded egress buffer between the halves of a split stream and
+/// its writer thread.
+struct Egress {
+    q: StdMutex<EgressQueue>,
+    wake_writer: Condvar,
+    wake_senders: Condvar,
+    /// Bound on frames not yet on the wire.
+    capacity: usize,
+}
+
+#[derive(Default)]
+struct EgressQueue {
+    /// Length-prefixed frames waiting for the writer.
+    wire: Vec<u8>,
+    /// Frames in `wire`.
+    queued: usize,
+    /// Frames the writer has taken and not finished writing.
+    writing: usize,
+    /// Condvar wake-ups are system calls; these say when one is needed.
+    writer_parked: bool,
+    senders_parked: usize,
+    /// Both halves are gone: the writer drains and exits.
+    closed: bool,
+    /// The writer met a TCP failure and exited.
+    dead: bool,
+}
+
+impl Egress {
+    /// Every update leaves the queue valid, so a poisoned lock (a
+    /// sender panicked elsewhere while holding it) is recovered.
+    fn lock(&self) -> MutexGuard<'_, EgressQueue> {
+        self.q.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append `frames` encoded frames as one unit, blocking while the
+    /// bound is reached. A unit larger than the whole bound is admitted
+    /// once the buffer is empty. A dead writer means the peer is gone.
+    fn push(&self, wire: &[u8], frames: usize) -> Result<(), TransportError> {
+        if frames == 0 {
+            return Ok(());
+        }
+        let mut q = self.lock();
+        loop {
+            if q.dead {
+                return Err(TransportError::Eof);
+            }
+            let pending = q.queued + q.writing;
+            if pending == 0 || pending + frames <= self.capacity {
+                break;
+            }
+            q.senders_parked += 1;
+            q = self
+                .wake_senders
+                .wait(q)
+                .unwrap_or_else(PoisonError::into_inner);
+            q.senders_parked -= 1;
+        }
+        q.wire.extend_from_slice(wire);
+        q.queued += frames;
+        if std::mem::take(&mut q.writer_parked) {
+            self.wake_writer.notify_one();
+        }
+        Ok(())
+    }
+
+    /// Writer side: the previous batch is on the wire; block until
+    /// there is a next one and swap it into `batch`. `false` once the
+    /// halves are gone and nothing is left.
+    fn next_batch(&self, batch: &mut Vec<u8>) -> bool {
+        if batch.capacity() > WIRE_RETAIN {
+            *batch = Vec::new();
+        } else {
+            batch.clear();
+        }
+        let mut q = self.lock();
+        q.writing = 0;
+        if q.senders_parked > 0 {
+            self.wake_senders.notify_all();
+        }
+        loop {
+            if q.queued > 0 {
+                std::mem::swap(&mut q.wire, batch);
+                q.writing = std::mem::take(&mut q.queued);
+                return true;
+            }
+            if q.closed {
+                return false;
+            }
+            q.writer_parked = true;
+            q = self
+                .wake_writer
+                .wait(q)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Writer side: the TCP write failed. Nothing queued will ever
+    /// leave; fail current and future senders.
+    fn fail(&self) {
+        let mut q = self.lock();
+        q.dead = true;
+        q.wire = Vec::new();
+        q.queued = 0;
+        q.writing = 0;
+        self.wake_senders.notify_all();
+    }
 }
 
 /// The sending side of a split [`SctpStream`]. Every method is
 /// synchronous: it runs the state machine under a short lock, then
-/// pushes the encoded frames onto the bounded egress queue (blocking
-/// if the queue is full — see [`Self::pending`] to shed instead).
+/// appends the encoded frames to the bounded egress buffer (blocking
+/// if it is full — see [`Self::pending`] to shed instead).
 #[derive(Clone)]
 pub struct SctpSendHalf {
     shared: Arc<SplitShared>,
-    tx: SyncSender<Bytes>,
-    capacity: usize,
 }
 
 impl SctpSendHalf {
     /// Send one application message on `stream_id`.
     pub fn send(&self, stream_id: u16, ppid: u32, payload: Bytes) -> Result<(), TransportError> {
-        let wire = {
-            let mut a = self.shared.assoc.lock();
-            a.send(stream_id, ppid, payload)?;
-            drain_wire(&mut a)
-        };
-        self.push(wire)
+        self.send_batch(stream_id, ppid, std::iter::once(payload))
+    }
+
+    /// Send a run of application messages on `stream_id` as one egress
+    /// unit: one pass under the association lock, one append to the
+    /// egress buffer, at most one writer wake-up. Order is kept.
+    /// `payloads` is consumed under the association lock, so it should
+    /// do no more than encode.
+    pub fn send_batch(
+        &self,
+        stream_id: u16,
+        ppid: u32,
+        payloads: impl IntoIterator<Item = Bytes>,
+    ) -> Result<(), TransportError> {
+        self.transmit(|a| payloads.into_iter().try_for_each(|p| a.send(stream_id, ppid, p)))
     }
 
     /// Send a HEARTBEAT probe; the ack surfaces on the receive half.
     pub fn ping(&self, nonce: u64) -> Result<(), TransportError> {
-        let wire = {
-            let mut a = self.shared.assoc.lock();
-            a.heartbeat(nonce)?;
-            drain_wire(&mut a)
-        };
-        self.push(wire)
+        self.transmit(|a| a.heartbeat(nonce))
     }
 
     /// Begin the graceful SHUTDOWN handshake. The peer's ack completes
     /// it on the receive half (which then yields
     /// [`TransportError::Closed`]).
     pub fn shutdown_send(&self) -> Result<(), TransportError> {
-        let wire = {
-            let mut a = self.shared.assoc.lock();
+        self.transmit(|a| {
             a.shutdown();
-            drain_wire(&mut a)
-        };
-        self.push(wire)
+            Ok(())
+        })
     }
 
-    /// Frames queued for the writer task but not yet written. At
+    /// Frames handed to the egress buffer and not yet written. At
     /// [`Self::capacity`], the next send blocks — a shedding caller
     /// treats that as "link congested" and drops low-priority work
     /// instead.
     pub fn pending(&self) -> usize {
-        self.shared.depth.load(Ordering::Relaxed)
+        let q = self.shared.egress.lock();
+        q.queued + q.writing
     }
 
-    /// Bound of the egress queue chosen at split time.
+    /// Bound of the egress buffer, in frames, chosen at split time.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.shared.egress.capacity
     }
 
-    fn push(&self, wire: Vec<Bytes>) -> Result<(), TransportError> {
-        for bytes in wire {
-            enqueue(&self.tx, &self.shared, bytes)?;
-        }
-        Ok(())
+    /// Run `op` on the association and queue what it produced. Frames
+    /// accepted before `op` failed still leave.
+    fn transmit(
+        &self,
+        op: impl FnOnce(&mut Association) -> Result<(), SctpError>,
+    ) -> Result<(), TransportError> {
+        let mut wire = Vec::with_capacity(256);
+        let (res, frames) = {
+            let mut a = self.shared.assoc.lock();
+            let res = op(&mut a);
+            (res, drain_wire(&mut a, &mut wire))
+        };
+        self.shared.egress.push(&wire, frames)?;
+        Ok(res?)
     }
 }
 
 /// The receiving side of a split [`SctpStream`]. Protocol frames that
 /// demand a response (heartbeats, shutdown) are answered through the
-/// same egress queue the send half uses.
+/// same egress buffer the send half uses.
 pub struct SctpRecvHalf {
     shared: Arc<SplitShared>,
-    rd: OwnedReadHalf,
-    tx: SyncSender<Bytes>,
+    ingress: Ingress,
+    /// Reused encode buffer for those responses.
+    wire: Vec<u8>,
 }
 
 impl SctpRecvHalf {
+    /// Parse what the buffer holds under one association lock and queue
+    /// the responses it calls for.
+    fn ingest(&mut self) -> Result<(), TransportError> {
+        let frames = {
+            let mut a = self.shared.assoc.lock();
+            self.ingress.ingest(&mut a);
+            drain_wire(&mut a, &mut self.wire)
+        };
+        let res = self.shared.egress.push(&self.wire, frames);
+        self.wire.clear();
+        res
+    }
+
     /// Receive the next association event; same contract as
     /// [`SctpStream::next_event`].
     pub async fn next_event(&mut self) -> Result<StreamEvent, TransportError> {
         loop {
-            let (ev, wire) = {
-                let mut a = self.shared.assoc.lock();
-                (a.poll_event(), drain_wire(&mut a))
-            };
-            for bytes in wire {
-                enqueue(&self.tx, &self.shared, bytes)?;
+            if self.ingress.idle() {
+                self.ingest()?;
             }
-            if let Some(ev) = ev {
-                match ev {
-                    Event::Data {
-                        stream_id,
-                        ppid,
-                        payload,
-                    } => {
-                        return Ok(StreamEvent::Data {
-                            stream_id,
-                            ppid,
-                            payload,
-                        })
-                    }
-                    Event::HeartbeatAck { nonce } => {
-                        return Ok(StreamEvent::HeartbeatAck { nonce })
-                    }
-                    Event::Closed => return Err(TransportError::Closed),
-                    Event::Aborted { reason } => return Err(TransportError::Aborted(reason)),
-                    Event::Established => {}
-                }
-                continue;
+            if let Some(res) = self.ingress.pop() {
+                return res;
             }
-            let frame = read_frame(&mut self.rd).await?;
-            {
-                let mut a = self.shared.assoc.lock();
-                a.handle_frame(frame)?;
+            self.ingress.fill().await?;
+        }
+    }
+
+    /// Block until at least one event is available, then append it and
+    /// every other event already parsed from the same read to `out`.
+    /// Never waits for more than the first event, so a lone message is
+    /// delivered as promptly as by [`Self::next_event`]; under load one
+    /// call returns whatever backlog the socket held. What ends the
+    /// stream is returned by the call after the one that delivered the
+    /// events before it.
+    pub async fn next_events(&mut self, out: &mut Vec<StreamEvent>) -> Result<(), TransportError> {
+        loop {
+            if self.ingress.idle() {
+                self.ingest()?;
             }
+            if !self.ingress.ready.is_empty() {
+                out.extend(self.ingress.ready.drain(..));
+                return Ok(());
+            }
+            if let Some(e) = self.ingress.failed.take() {
+                return Err(e);
+            }
+            self.ingress.fill().await?;
         }
     }
 

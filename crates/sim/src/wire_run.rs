@@ -15,7 +15,13 @@
 //!
 //! Child processes report through stdout (the vendored serde has no
 //! `Deserialize`): the MLB prints `PORT <n>` once its listener is
-//! bound, and every role prints one `REPORT k=v ...` line at exit.
+//! bound and `READY` once every worker has linked, and every role
+//! prints one `REPORT k=v ...` line at exit.
+//!
+//! Every role loop batches by what is already there (DESIGN.md §14.2):
+//! one receive takes all the messages its read delivered, all of them
+//! are handled, and what they produced leaves as one egress unit per
+//! link. Nothing waits for a batch to fill.
 
 use crate::openloop::poisson_schedule;
 use crate::shard_driver::ScaleOutConfig;
@@ -30,14 +36,18 @@ use scale_sctplite::{
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Bounded egress queue depth per link (frames buffered toward the
-/// writer task before senders block).
+/// Bounded egress depth per link (frames not yet on the wire before
+/// senders block).
 const EGRESS_CAP: usize = 4096;
+/// Most router events handled between two flushes of the MLB's output:
+/// bounds how long a produced message can wait behind further input
+/// when input never stops arriving.
+const ROUTER_BURST: usize = 32;
 /// Router heartbeat tick toward MMP links.
 const HB_TICK: Duration = Duration::from_millis(100);
 /// Idle poll granularity of the eNB drive loop.
@@ -287,6 +297,14 @@ fn send_wire(link: &SctpSendHalf, msg: &WireMsg) -> Result<(), TransportError> {
     link.send(1, ppid::SCALE_STATE, msg.encode())
 }
 
+/// Send `msgs` in order as one egress unit and leave the vector empty.
+fn send_wire_batch(link: &SctpSendHalf, msgs: &mut Vec<WireMsg>) -> Result<(), TransportError> {
+    if msgs.is_empty() {
+        return Ok(());
+    }
+    link.send_batch(1, ppid::SCALE_STATE, msgs.drain(..).map(|m| m.encode()))
+}
+
 /// Dial `addr` with bounded retry (a respawned worker races the
 /// listener; a fresh topology races process startup).
 fn connect_retry(addr: &str, tag: u32) -> Result<SctpStream, TransportError> {
@@ -311,27 +329,64 @@ fn connect_retry(addr: &str, tag: u32) -> Result<SctpStream, TransportError> {
     }
 }
 
+/// What one blocking receive on a link produced.
+struct LinkBatch {
+    /// Decoded messages, in arrival order.
+    msgs: Vec<WireMsg>,
+    /// Heartbeat acks seen among them.
+    pongs: usize,
+    /// Payloads that were not a `WireMsg`.
+    undecodable: usize,
+}
+
+/// Block for the link's next event, then take every event the same
+/// read delivered: under load the backlog is the batch, on a quiet link
+/// the batch is one message. `Err` once the link is down and everything
+/// before that has been handed over.
+fn recv_batch(
+    who: &str,
+    rh: &mut SctpRecvHalf,
+    events: &mut Vec<StreamEvent>,
+) -> Result<LinkBatch, TransportError> {
+    tokio::runtime::block_on(rh.next_events(events))?;
+    let mut batch = LinkBatch {
+        msgs: Vec::with_capacity(events.len()),
+        pongs: 0,
+        undecodable: 0,
+    };
+    for ev in events.drain(..) {
+        match ev {
+            StreamEvent::Data { payload, .. } => match WireMsg::decode(payload) {
+                Ok(m) => batch.msgs.push(m),
+                Err(e) => {
+                    batch.undecodable += 1;
+                    eprintln!("{who}: undecodable wire message: {e}");
+                }
+            },
+            StreamEvent::HeartbeatAck { .. } => batch.pongs += 1,
+        }
+    }
+    Ok(batch)
+}
+
 enum LinkIn {
-    Msg(WireMsg),
+    Msgs(Vec<WireMsg>),
     Down,
 }
 
-/// Pump one recv half into a channel as decoded wire messages.
-/// Thread entry: owns its Sender clone so the channel lives exactly as
-/// long as the pump.
+/// Pump one recv half into a channel as batches of decoded wire
+/// messages. Thread entry: owns its Sender clone so the channel lives
+/// exactly as long as the pump.
 #[allow(clippy::needless_pass_by_value)]
-fn pump_link(mut rh: SctpRecvHalf, tx: Sender<LinkIn>) {
+fn pump_link(who: String, mut rh: SctpRecvHalf, tx: Sender<LinkIn>) {
+    let mut events = Vec::new();
     loop {
-        match tokio::runtime::block_on(rh.next_event()) {
-            Ok(StreamEvent::Data { payload, .. }) => match WireMsg::decode(payload) {
-                Ok(m) => {
-                    if tx.send(LinkIn::Msg(m)).is_err() {
-                        return;
-                    }
+        match recv_batch(&who, &mut rh, &mut events) {
+            Ok(batch) => {
+                if !batch.msgs.is_empty() && tx.send(LinkIn::Msgs(batch.msgs)).is_err() {
+                    return;
                 }
-                Err(e) => eprintln!("link: undecodable wire message: {e}"),
-            },
-            Ok(StreamEvent::HeartbeatAck { .. }) => {}
+            }
             Err(_) => {
                 let _ = tx.send(LinkIn::Down);
                 return;
@@ -406,7 +461,7 @@ pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
     };
     let (link, rh) = stream.into_split(EGRESS_CAP);
     let (tx, rx) = channel();
-    thread::spawn(move || pump_link(rh, tx));
+    thread::spawn(move || pump_link(format!("enb {cell}"), rh, tx));
 
     let mut lat = LatStore::new();
     let hello = WireMsg::Hello {
@@ -436,6 +491,7 @@ pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
     let t0 = Instant::now();
     let mut next_arrival = 0usize;
     let mut link_down = false;
+    let mut uplinks = Vec::new();
     'drive: while !emu.done() {
         if t0.elapsed() > RUN_DEADLINE {
             eprintln!(
@@ -450,22 +506,21 @@ pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
             next_arrival += 1;
         }
         // Flush drive output before blocking: admissions/arrivals
-        // above may have produced uplinks.
+        // above and the downlinks handled below may have produced
+        // uplinks; all of them leave as one egress unit.
         for ev in emu.drain() {
             match ev {
-                EmuEvent::Uplink { attach_hint, pdu } => {
-                    let up = WireMsg::Uplink {
-                        enb_id,
-                        attach_hint,
-                        pdu,
-                    };
-                    if send_wire(&link, &up).is_err() {
-                        link_down = true;
-                        break 'drive;
-                    }
-                }
+                EmuEvent::Uplink { attach_hint, pdu } => uplinks.push(WireMsg::Uplink {
+                    enb_id,
+                    attach_hint,
+                    pdu,
+                }),
                 EmuEvent::Completed { kind, elapsed } => lat.push(kind, elapsed),
             }
+        }
+        if send_wire_batch(&link, &mut uplinks).is_err() {
+            link_down = true;
+            break 'drive;
         }
         let wait = if next_arrival < schedule.len() {
             schedule[next_arrival].saturating_sub(t0.elapsed()).min(POLL)
@@ -473,21 +528,26 @@ pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
             POLL
         };
         match rx.recv_timeout(wait) {
-            Ok(LinkIn::Msg(msg)) => match msg {
-                WireMsg::ToEnb { pdu, .. } => emu.handle_downlink(pdu),
-                WireMsg::Settled { m_tmsi, active } => emu.settled(m_tmsi, active),
-                WireMsg::ProcFailed { m_tmsi } => emu.proc_failed(m_tmsi),
-                // MLB/fabric-internal traffic never reaches an eNodeB;
-                // named exhaustively so a new wire message fails to
-                // compile here instead of being silently dropped.
-                WireMsg::Hello { .. }
-                | WireMsg::Uplink { .. }
-                | WireMsg::Deliver { .. }
-                | WireMsg::Replicate { .. }
-                | WireMsg::DropCtx { .. }
-                | WireMsg::VmDown { .. }
-                | WireMsg::VmUp { .. } => {}
-            },
+            Ok(LinkIn::Msgs(msgs)) => {
+                for msg in msgs {
+                    match msg {
+                        WireMsg::ToEnb { pdu, .. } => emu.handle_downlink(pdu),
+                        WireMsg::Settled { m_tmsi, active } => emu.settled(m_tmsi, active),
+                        WireMsg::ProcFailed { m_tmsi } => emu.proc_failed(m_tmsi),
+                        // MLB/fabric-internal traffic never reaches an
+                        // eNodeB; named exhaustively so a new wire
+                        // message fails to compile here instead of
+                        // being silently dropped.
+                        WireMsg::Hello { .. }
+                        | WireMsg::Uplink { .. }
+                        | WireMsg::Deliver { .. }
+                        | WireMsg::Replicate { .. }
+                        | WireMsg::DropCtx { .. }
+                        | WireMsg::VmDown { .. }
+                        | WireMsg::VmUp { .. } => {}
+                    }
+                }
+            }
             Ok(LinkIn::Down) | Err(RecvTimeoutError::Disconnected) => {
                 link_down = true;
                 break 'drive;
@@ -556,30 +616,18 @@ pub fn run_mmp(cfg: &WireRunConfig, index: usize, addr: &str) -> i32 {
         return 2;
     }
 
+    // Handle every buffered input, then send what they produced as one
+    // egress unit.
+    let who = format!("mmp {index}");
+    let mut events = Vec::new();
     let mut out = Vec::new();
-    loop {
-        match tokio::runtime::block_on(rh.next_event()) {
-            Ok(StreamEvent::Data { payload, .. }) => {
-                match WireMsg::decode(payload) {
-                    Ok(msg) => node.handle(msg, &mut out),
-                    Err(e) => {
-                        node.errors += 1;
-                        eprintln!("mmp {index}: undecodable wire message: {e}");
-                    }
-                }
-                let mut lost = false;
-                for msg in out.drain(..) {
-                    if send_wire(&link, &msg).is_err() {
-                        lost = true;
-                        break;
-                    }
-                }
-                if lost {
-                    break;
-                }
-            }
-            Ok(StreamEvent::HeartbeatAck { .. }) => {}
-            Err(_) => break,
+    while let Ok(batch) = recv_batch(&who, &mut rh, &mut events) {
+        node.errors += batch.undecodable as u64;
+        for msg in batch.msgs {
+            node.handle(msg, &mut out);
+        }
+        if send_wire_batch(&link, &mut out).is_err() {
+            break;
         }
     }
 
@@ -614,10 +662,10 @@ enum RouterEvent {
         id: usize,
         link: SctpSendHalf,
     },
-    Msg {
+    /// Everything one receive on a link delivered, in arrival order.
+    Msgs {
         role: WireRole,
-        id: usize,
-        msg: WireMsg,
+        msgs: Vec<WireMsg>,
     },
     Pong {
         id: usize,
@@ -629,45 +677,59 @@ enum RouterEvent {
 }
 
 /// Per-accepted-link thread on the MLB: handshake (first message must
-/// be a `Hello`), then pump decoded messages to the router.
+/// be a `Hello`), then pump batches of decoded messages to the router.
+/// A peer that sends anything undecodable is not one of ours: its link
+/// is dropped, which costs the fleet nothing.
 /// Thread entry: owns its Sender clone so the channel lives exactly as
 /// long as the link.
 #[allow(clippy::needless_pass_by_value)]
 fn mlb_link_loop(sh: SctpSendHalf, mut rh: SctpRecvHalf, tx: Sender<RouterEvent>) {
-    let (role, id) = match tokio::runtime::block_on(rh.next_event()) {
-        Ok(StreamEvent::Data { payload, .. }) => match WireMsg::decode(payload) {
-            Ok(WireMsg::Hello { role, id }) => (role, id as usize),
-            Ok(_) | Err(_) => {
-                eprintln!("mlb: link did not start with Hello; dropping");
-                return;
-            }
-        },
-        _ => return,
+    let mut events = Vec::new();
+    let Ok(mut batch) = recv_batch("mlb", &mut rh, &mut events) else {
+        return;
     };
+    // The Hello may arrive with the peer's first messages behind it.
+    let (role, id) = if let (Some(&WireMsg::Hello { role, id }), 0) =
+        (batch.msgs.first(), batch.undecodable)
+    {
+        (role, id as usize)
+    } else {
+        eprintln!("mlb: link did not start with Hello; dropping");
+        return;
+    };
+    batch.msgs.remove(0);
     if tx.send(RouterEvent::Linked { role, id, link: sh }).is_err() {
         return;
     }
     loop {
-        match tokio::runtime::block_on(rh.next_event()) {
-            Ok(StreamEvent::Data { payload, .. }) => match WireMsg::decode(payload) {
-                Ok(msg) => {
-                    if tx.send(RouterEvent::Msg { role, id, msg }).is_err() {
-                        return;
-                    }
-                }
-                Err(e) => eprintln!("mlb: undecodable message from {role:?} {id}: {e}"),
-            },
-            Ok(StreamEvent::HeartbeatAck { .. }) => {
-                if role == WireRole::Mmp && tx.send(RouterEvent::Pong { id }).is_err() {
-                    return;
-                }
-            }
-            Err(_) => {
-                let _ = tx.send(RouterEvent::Down { role, id });
+        if batch.undecodable > 0 {
+            eprintln!("mlb: dropping {role:?} {id} after an undecodable message");
+            break;
+        }
+        if !batch.msgs.is_empty() {
+            let msgs = batch.msgs;
+            if tx.send(RouterEvent::Msgs { role, msgs }).is_err() {
                 return;
             }
         }
+        if role == WireRole::Mmp && batch.pongs > 0 && tx.send(RouterEvent::Pong { id }).is_err() {
+            return;
+        }
+        match recv_batch("mlb", &mut rh, &mut events) {
+            Ok(b) => batch = b,
+            Err(_) => break,
+        }
     }
+    let _ = tx.send(RouterEvent::Down { role, id });
+}
+
+/// `first`, then whatever is already queued on `rx`, at most `max`
+/// events in all. Lazy: an event is taken off the channel only when it
+/// is about to be yielded, so stopping at `max` loses nothing.
+fn burst<T>(first: T, rx: &Receiver<T>, max: usize) -> impl Iterator<Item = T> + '_ {
+    std::iter::once(first)
+        .chain(std::iter::from_fn(|| rx.try_recv().ok()))
+        .take(max)
 }
 
 struct MmpLink {
@@ -717,35 +779,45 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
     let mut enbs_closed = 0usize;
     let mut next_nonce = 1u64;
     let mut out: Vec<MlbOut> = Vec::new();
+    let mut announced_ready = false;
     let start = Instant::now();
 
-    macro_rules! dispatch {
+    // Per-link output runs, reused across flushes.
+    let mut enb_runs: Vec<Vec<WireMsg>> = (0..cfg.n_enbs).map(|_| Vec::new()).collect();
+    let mut mmp_runs: Vec<Vec<WireMsg>> = (0..cfg.n_mmps).map(|_| Vec::new()).collect();
+
+    // Send everything in `out`, grouped per link (order within a link
+    // kept), one egress unit per link. Output for a link that is not up
+    // is dropped and counted, message by message.
+    macro_rules! flush {
         () => {
             for o in out.drain(..) {
                 match o {
-                    MlbOut::Enb { enb, msg } => match enb_links.get(enb).and_then(|l| l.as_ref()) {
-                        Some(l) => {
-                            if send_wire(l, &msg).is_err() {
-                                let _ = tx.send(RouterEvent::Down {
-                                    role: WireRole::Enb,
-                                    id: enb,
-                                });
-                            }
-                        }
-                        None => mlb.stats.dropped += 1,
+                    MlbOut::Enb { enb, msg } => match enb_runs.get_mut(enb) {
+                        Some(run) if enb_links[enb].is_some() => run.push(msg),
+                        _ => mlb.stats.dropped += 1,
                     },
-                    MlbOut::Mmp { mmp, msg } => {
-                        match mmp_links.get(mmp).and_then(|l| l.as_ref()) {
-                            Some(l) => {
-                                if send_wire(&l.link, &msg).is_err() {
-                                    let _ = tx.send(RouterEvent::Down {
-                                        role: WireRole::Mmp,
-                                        id: mmp,
-                                    });
-                                }
-                            }
-                            None => mlb.stats.dropped += 1,
-                        }
+                    MlbOut::Mmp { mmp, msg } => match mmp_runs.get_mut(mmp) {
+                        Some(run) if mmp_links[mmp].is_some() => run.push(msg),
+                        _ => mlb.stats.dropped += 1,
+                    },
+                }
+            }
+            // A failed send takes the link down through the router's
+            // own queue, like a reader-side loss.
+            for (id, run) in enb_runs.iter_mut().enumerate() {
+                if let Some(l) = &enb_links[id] {
+                    if send_wire_batch(l, run).is_err() {
+                        let role = WireRole::Enb;
+                        let _ = tx.send(RouterEvent::Down { role, id });
+                    }
+                }
+            }
+            for (id, run) in mmp_runs.iter_mut().enumerate() {
+                if let Some(l) = &mmp_links[id] {
+                    if send_wire_batch(&l.link, run).is_err() {
+                        let role = WireRole::Mmp;
+                        let _ = tx.send(RouterEvent::Down { role, id });
                     }
                 }
             }
@@ -757,81 +829,17 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
             eprintln!("mlb: deadline exceeded with {enbs_closed}/{} eNBs closed", cfg.n_enbs);
             return 3;
         }
-        match rx.recv_timeout(HB_TICK) {
-            Ok(RouterEvent::Linked { role, id, link }) => match role {
-                WireRole::Enb => {
-                    if id < cfg.n_enbs {
-                        enb_links[id] = Some(link);
-                    }
-                }
-                WireRole::Mmp => {
-                    if id >= cfg.n_mmps {
-                        continue;
-                    }
-                    if mmp_links[id].is_some() {
-                        // Replaced without a observed death: fail the
-                        // old link first.
-                        mmp_links[id] = None;
-                        mmp_ever_down[id] = true;
-                        mlb.on_mmp_down(id, &mut out);
-                        dispatch!();
-                    }
-                    mmp_links[id] = Some(MmpLink {
-                        link,
-                        outstanding: None,
-                    });
-                    health.mark_up(id as u32);
-                    if mmp_ever_down[id] {
-                        reconnects += 1;
-                        mlb.on_mmp_reconnected(id, &mut out);
-                        dispatch!();
-                    }
-                }
-            },
-            Ok(RouterEvent::Msg { role, id, msg }) => {
-                match role {
-                    WireRole::Enb => {
-                        if let WireMsg::Uplink {
-                            enb_id,
-                            attach_hint,
-                            pdu,
-                        } = msg
-                        {
-                            mlb.on_enb(enb_id, attach_hint, pdu, &mut out);
-                        }
-                    }
-                    WireRole::Mmp => {
-                        let _ = id;
-                        mlb.on_mmp(msg, &mut out);
-                    }
-                }
-                dispatch!();
-            }
-            Ok(RouterEvent::Pong { id }) => {
-                if let Some(Some(l)) = mmp_links.get_mut(id) {
-                    l.outstanding = None;
-                    health.heartbeat_ok(id as u32);
-                }
-            }
-            Ok(RouterEvent::Down { role, id }) => match role {
-                WireRole::Enb => {
-                    if id < cfg.n_enbs && enb_links[id].take().is_some() {
-                        enbs_closed += 1;
-                    }
-                }
-                WireRole::Mmp => {
-                    if id < cfg.n_mmps && mmp_links[id].take().is_some() {
-                        mmp_ever_down[id] = true;
-                        health.mark_down(id as u32);
-                        mlb.on_mmp_down(id, &mut out);
-                        dispatch!();
-                    }
-                }
-            },
+        // Block for one event, then take what else is already queued
+        // (up to ROUTER_BURST events) before flushing: consecutive
+        // message batches share one flush. A link-table change flushes
+        // first, so output is always sent over the links that were up
+        // when it was produced.
+        let first = match rx.recv_timeout(HB_TICK) {
+            Ok(ev) => ev,
             Err(RecvTimeoutError::Timeout) => {
                 // Heartbeat tick: ping every live MMP link; an
-                // unanswered ping from the previous tick is a miss,
-                // and enough misses take the link down even without a
+                // unanswered ping from the previous tick is a miss, and
+                // enough misses take the link down even without a
                 // TCP-level error.
                 for (id, slot) in mmp_links.iter_mut().enumerate().take(cfg.n_mmps) {
                     let Some(l) = slot.as_mut() else {
@@ -849,9 +857,94 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
                         l.outstanding = Some(next_nonce);
                     }
                 }
+                continue;
             }
             Err(RecvTimeoutError::Disconnected) => break,
+        };
+        for ev in burst(first, &rx, ROUTER_BURST) {
+            match ev {
+                RouterEvent::Msgs { role, msgs } => {
+                    for msg in msgs {
+                        match role {
+                            WireRole::Enb => {
+                                if let WireMsg::Uplink {
+                                    enb_id,
+                                    attach_hint,
+                                    pdu,
+                                } = msg
+                                {
+                                    mlb.on_enb(enb_id, attach_hint, pdu, &mut out);
+                                }
+                            }
+                            WireRole::Mmp => mlb.on_mmp(msg, &mut out),
+                        }
+                    }
+                }
+                RouterEvent::Pong { id } => {
+                    if let Some(Some(l)) = mmp_links.get_mut(id) {
+                        l.outstanding = None;
+                        health.heartbeat_ok(id as u32);
+                    }
+                }
+                RouterEvent::Linked { role, id, link } => {
+                    flush!();
+                    match role {
+                        WireRole::Enb => {
+                            if id < cfg.n_enbs {
+                                enb_links[id] = Some(link);
+                            }
+                        }
+                        WireRole::Mmp if id < cfg.n_mmps => {
+                            if mmp_links[id].is_some() {
+                                // Replaced without a observed death:
+                                // fail the old link first.
+                                mmp_links[id] = None;
+                                mmp_ever_down[id] = true;
+                                mlb.on_mmp_down(id, &mut out);
+                                flush!();
+                            }
+                            mmp_links[id] = Some(MmpLink {
+                                link,
+                                outstanding: None,
+                            });
+                            health.mark_up(id as u32);
+                            if mmp_ever_down[id] {
+                                reconnects += 1;
+                                mlb.on_mmp_reconnected(id, &mut out);
+                            }
+                            // Fleet-ready barrier: the orchestrator
+                            // starts cells only after this line, so no
+                            // uplink can be routed to a worker whose
+                            // Hello is still in flight.
+                            if !announced_ready && mmp_links.iter().all(Option::is_some) {
+                                announced_ready = true;
+                                println!("READY");
+                                let _ = std::io::stdout().flush();
+                            }
+                        }
+                        WireRole::Mmp => {}
+                    }
+                }
+                RouterEvent::Down { role, id } => {
+                    flush!();
+                    match role {
+                        WireRole::Enb => {
+                            if id < cfg.n_enbs && enb_links[id].take().is_some() {
+                                enbs_closed += 1;
+                            }
+                        }
+                        WireRole::Mmp => {
+                            if id < cfg.n_mmps && mmp_links[id].take().is_some() {
+                                mmp_ever_down[id] = true;
+                                health.mark_down(id as u32);
+                                mlb.on_mmp_down(id, &mut out);
+                            }
+                        }
+                    }
+                }
+            }
         }
+        flush!();
     }
 
     let s = mlb.stats;
@@ -924,6 +1017,27 @@ impl ChildProc {
         })
     }
 
+    /// Poll the child's stdout for a line `pick` accepts, for at most
+    /// 20 s; on timeout the child is killed and `what` is the error.
+    // lint: allow(unwrap)
+    fn await_line<T>(
+        &mut self,
+        what: &str,
+        pick: impl Fn(&str) -> Option<T>,
+    ) -> std::io::Result<T> {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            if let Some(v) = self.lines.lock().unwrap().iter().find_map(|l| pick(l)) {
+                return Ok(v);
+            }
+            if Instant::now() > deadline {
+                let _ = self.child.kill();
+                return Err(std::io::Error::new(std::io::ErrorKind::TimedOut, what));
+            }
+            thread::sleep(Duration::from_millis(10));
+        }
+    }
+
     /// Wait for exit within `deadline`; kill on timeout. Returns
     /// whether the child exited on its own with status 0.
     fn finish(&mut self, deadline: Instant) -> bool {
@@ -994,26 +1108,9 @@ pub fn spawn_topology(bin: &str, cfg: &WireRunConfig) -> std::io::Result<WireDep
     let mut mlb = ChildProc::spawn(bin, &mlb_args)?;
 
     // The MLB prints `PORT <n>` once its listener is bound.
-    let port_deadline = Instant::now() + Duration::from_secs(20);
-    let port = loop {
-        if let Some(p) = mlb
-            .lines
-            .lock()
-            .unwrap()
-            .iter()
-            .find_map(|l| l.strip_prefix("PORT ").and_then(|p| p.parse::<u16>().ok()))
-        {
-            break p;
-        }
-        if Instant::now() > port_deadline {
-            let _ = mlb.child.kill();
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "MLB did not announce its port",
-            ));
-        }
-        thread::sleep(Duration::from_millis(10));
-    };
+    let port = mlb.await_line("MLB did not announce its port", |l| {
+        l.strip_prefix("PORT ").and_then(|p| p.parse::<u16>().ok())
+    })?;
     let addr = format!("127.0.0.1:{port}");
 
     let child_args = |role: &str, key: &str, idx: usize| {
@@ -1031,6 +1128,17 @@ pub fn spawn_topology(bin: &str, cfg: &WireRunConfig) -> std::io::Result<WireDep
     let mut mmps = Vec::with_capacity(cfg.n_mmps);
     for i in 0..cfg.n_mmps {
         mmps.push(ChildProc::spawn(bin, &child_args("mmp", "--index", i))?);
+    }
+    // Fleet-ready barrier: the MLB prints `READY` once it has processed
+    // every worker's `Hello`. Cells start only then — an uplink routed
+    // to a worker the MLB does not know yet would be dropped.
+    if let Err(e) = mlb.await_line("MMP workers did not link to the MLB", |l| {
+        (l == "READY").then_some(())
+    }) {
+        for w in &mut mmps {
+            let _ = w.child.kill();
+        }
+        return Err(e);
     }
     let mut enbs = Vec::with_capacity(cfg.n_enbs);
     for c in 0..cfg.n_enbs {
@@ -1050,6 +1158,19 @@ impl WireDeployment {
     /// The MLB's listening address.
     pub fn addr(&self) -> &str {
         &self.addr
+    }
+
+    /// Cells whose process has already exited. A chaos test checks this
+    /// is 0 when it injects its fault: a run that is already over
+    /// exercises nothing.
+    pub fn cells_exited(&mut self) -> usize {
+        let mut exited = 0;
+        for e in &mut self.enbs {
+            if !matches!(e.child.try_wait(), Ok(None)) {
+                exited += 1;
+            }
+        }
+        exited
     }
 
     /// SIGKILL worker `index` mid-run (chaos injection). The report of
@@ -1333,6 +1454,28 @@ mod tests {
             ..cfg
         };
         assert_eq!(WireRunConfig::from_args(&open.to_args()), open);
+    }
+
+    #[test]
+    fn burst_takes_what_is_queued_up_to_its_budget_and_loses_nothing() {
+        let (tx, rx) = channel();
+        for i in 1..100 {
+            tx.send(i).unwrap();
+        }
+        let mut seen = Vec::new();
+        let mut first = 0;
+        loop {
+            let got: Vec<i32> = burst(first, &rx, 32).collect();
+            assert!(got.len() <= 32);
+            seen.extend(got);
+            match rx.try_recv() {
+                Ok(next) => first = next,
+                Err(_) => break,
+            }
+        }
+        assert_eq!(seen, (0..100).collect::<Vec<_>>());
+        // An empty queue yields just the event that woke the router.
+        assert_eq!(burst(7, &rx, 32).collect::<Vec<_>>(), [7]);
     }
 
     #[test]

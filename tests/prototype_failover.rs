@@ -278,16 +278,34 @@ fn mmp_process_kill_recovers_with_zero_lost_sessions() {
         seed: 4242,
         n_ues: 1500,
         ops_per_ue: 2,
-        mode: WireMode::Closed { window: 24 },
+        // Paced, not self-clocked: sessions arrive over 3 s however
+        // fast the fleet is (debug or release, batched or not), so the
+        // kill at 0.8 s and the restart at 1.3 s land mid-run by
+        // construction. The in-flight cap covers the population, so
+        // nothing is shed while a worker is away.
+        mode: WireMode::Open {
+            rate_hz: 500.0,
+            max_in_flight: 1500,
+        },
     };
     let bin = env!("CARGO_BIN_EXE_scale_wired");
     let mut dep = spawn_topology(bin, &cfg).expect("spawn wire topology");
 
     // Let the deployment get well into the workload, then pull the rug.
     std::thread::sleep(Duration::from_millis(800));
+    assert_eq!(
+        dep.cells_exited(),
+        0,
+        "the run completed before the kill: this test exercised nothing"
+    );
     dep.kill_mmp(1).expect("SIGKILL worker 1");
     std::thread::sleep(Duration::from_millis(500));
     dep.respawn_mmp(1).expect("restart worker 1");
+    assert_eq!(
+        dep.cells_exited(),
+        0,
+        "the run completed before the restart: reconnection was not exercised"
+    );
 
     let outcome = dep.finish();
     assert!(outcome.clean_exit, "deployment did not drain cleanly");

@@ -109,3 +109,132 @@ fn open_loop_socket_run_settles_every_admitted_session() {
     assert_eq!(c.enb.taus, c.mmp.stats.taus);
     assert_eq!(c.enb.errors + c.mmp.stats.errors + c.mmp.wire_errors, 0);
 }
+
+#[test]
+fn fleet_ready_barrier_holds_under_cpu_contention() {
+    // Two spinning threads take both cores, so worker start-up and the
+    // MLB's handling of their `Hello`s are slow relative to the cells.
+    // Without the `READY` barrier a cell's first attach can be routed
+    // to a worker the MLB does not know yet, is dropped, and the run
+    // hangs one session short; with it, ten runs in a row are clean.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let stop = AtomicBool::new(false);
+    let cfg = WireRunConfig::smoke();
+    let bin = env!("CARGO_BIN_EXE_scale_wired");
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        let outcomes = (0..10)
+            .map(|_| spawn_topology(bin, &cfg).expect("spawn").finish())
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        outcomes
+    });
+    for (run, outcome) in outcomes.iter().enumerate() {
+        assert!(outcome.clean_exit, "run {run} exited uncleanly");
+        assert_eq!(outcome.counts.mlb.dropped, 0, "run {run} dropped at the MLB");
+        assert_eq!(outcome.counts.enb.sessions_done, cfg.n_ues as u64, "run {run}");
+    }
+}
+
+#[test]
+fn hostile_peers_are_dropped_and_cost_the_fleet_nothing() {
+    // While a closed-loop run is in progress, two strangers dial the
+    // MLB, say a well-formed `Hello`, then talk nonsense — one inside
+    // valid sctplite frames, one as raw bytes with a 4 GiB length word.
+    // Each must find its link dropped, and the run must finish with the
+    // counts of an undisturbed one.
+    use scale_core::wire::{WireMsg, WireRole};
+    use scale_sctplite::{frame_into, ppid, Association, Deframer, SctpStream, StreamEvent};
+    use std::io::{Read, Write};
+    use std::time::Duration;
+
+    let cfg = WireRunConfig {
+        n_ues: 1000,
+        ..WireRunConfig::smoke()
+    };
+    let bin = env!("CARGO_BIN_EXE_scale_wired");
+    let dep = spawn_topology(bin, &cfg).expect("spawn wire topology");
+    // Ids no cell or worker of this topology has, so neither stranger
+    // displaces a real link.
+    let hello = |role| WireMsg::Hello { role, id: 1000 }.encode();
+
+    let addr = dep.addr().to_string();
+    let framed = std::thread::spawn(move || {
+        tokio::runtime::block_on(async {
+            let mut s = SctpStream::connect(&addr, 0x6666).await.expect("dial MLB");
+            s.send(1, ppid::SCALE_STATE, hello(WireRole::Enb)).await.unwrap();
+            // The ack proves the MLB has read past the Hello, so the
+            // garbage arrives on an accepted link, in a later read.
+            s.ping(1).await.unwrap();
+            assert!(matches!(
+                s.next_event().await,
+                Ok(StreamEvent::HeartbeatAck { nonce: 1 })
+            ));
+            let garbage = bytes::Bytes::from_static(&[0xFF; 40]);
+            assert!(WireMsg::decode(garbage.clone()).is_err());
+            s.send(1, ppid::SCALE_STATE, garbage).await.unwrap();
+            s.next_event().await
+        })
+    });
+
+    let addr = dep.addr().to_string();
+    let raw = std::thread::spawn(move || {
+        let mut tcp = std::net::TcpStream::connect(&addr).expect("dial MLB");
+        tcp.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut assoc = Association::connect(0x7777, 8);
+        let mut d = Deframer::new();
+        let mut wire = Vec::new();
+        loop {
+            while let Some(f) = assoc.poll_egress() {
+                frame_into(&f, &mut wire);
+            }
+            tcp.write_all(&wire).unwrap();
+            wire.clear();
+            if assoc.is_established() {
+                break;
+            }
+            let n = tcp.read(d.space()).unwrap();
+            d.filled(n);
+            while let Some(f) = d.next_frame().unwrap() {
+                assoc.handle_frame(f).unwrap();
+            }
+        }
+        assoc.send(1, ppid::SCALE_STATE, hello(WireRole::Mmp)).unwrap();
+        while let Some(f) = assoc.poll_egress() {
+            frame_into(&f, &mut wire);
+        }
+        wire.extend_from_slice(&u32::MAX.to_be_bytes());
+        wire.extend_from_slice(&[0xAB; 64]);
+        tcp.write_all(&wire).unwrap();
+        // Dropped link: end of stream or a reset, not a timeout.
+        let mut sink = [0u8; 64];
+        loop {
+            match tcp.read(&mut sink) {
+                Ok(0) => return true,
+                Ok(_) => {}
+                Err(e) => {
+                    return !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    )
+                }
+            }
+        }
+    });
+
+    assert!(
+        framed.join().unwrap().is_err(),
+        "undecodable wire message must get the link dropped"
+    );
+    assert!(raw.join().unwrap(), "raw garbage must get the link dropped");
+
+    let outcome = dep.finish();
+    assert!(outcome.clean_exit, "wire deployment exited uncleanly");
+    assert_eq!(outcome.counts, run_shuttle(&cfg), "the strangers changed the run");
+}
