@@ -10,6 +10,16 @@
 //! `HashRing` / `MlbRouter` pair: sorted-`Vec` points, borrowed key
 //! bytes, one-shot MD5, memoized positions and the per-epoch route
 //! cache.
+//!
+//! A second section times the crypto kernels every procedure runs
+//! (AES, Milenage, the K_ASME derivation, EIA2, NAS protect/unprotect)
+//! and writes `results/BENCH_crypto.json`. There the "before" side is
+//! not a reference implementation kept in the tree — the slow cipher
+//! was replaced, not kept — but the same section built at the parent
+//! commit on the same host: it calls only signatures both commits have,
+//! and `bench_summary --before <that run's BENCH_crypto.json>` files the
+//! parent's measurements as this run's `before_ns`. Without the flag
+//! the recorded `before_ns` column is carried over unchanged.
 
 use criterion::{black_box, Criterion};
 use scale_core::mlb::{MlbRouter, VmId};
@@ -107,7 +117,169 @@ struct BenchEntry {
     speedup: f64,
 }
 
+/// The crypto kernels on the attach / Service Request path, with the
+/// inputs the procedures feed them. `(id, what it times)`.
+const CRYPTO_BENCHES: [(&str, &str); 8] = [
+    ("aes_block", "Aes128::encrypt_block, schedule already expanded"),
+    ("aes_key_expansion", "Aes128::new"),
+    ("milenage_f1_f2345", "Milenage::from_opc + f1 + f2345 (one HSS vector, or one USIM check)"),
+    ("kasme", "derive_kasme (one HMAC-SHA-256 over a 14-byte string)"),
+    ("nas_alg_keys", "derive_alg_key for K_NASenc and K_NASint"),
+    ("eia2_32B", "eia2_mac over a 32-byte message"),
+    ("nas_protect_attach_accept", "NasSecurityContext::protect, ciphered AttachAccept"),
+    ("nas_unprotect_attach_accept", "NasSecurityContext::unprotect of the same"),
+];
+
+fn crypto_section(c: &mut Criterion) {
+    use scale_crypto::aes::Aes128;
+    use scale_crypto::kdf::{derive_alg_key, derive_kasme, derive_nas_keys, AlgKeyType, ALG_ID_AES};
+    use scale_crypto::milenage::Milenage;
+    use scale_nas::{Direction, EmmMessage, NasSecurityContext, SecurityHeader, Tai};
+
+    let key = [0x2bu8; 16];
+    let aes = Aes128::new(&key);
+    let mut block = [7u8; 16];
+    c.bench_function("crypto/aes_block", |b| {
+        b.iter(|| {
+            aes.encrypt_block(black_box(&mut block));
+            block[0]
+        })
+    });
+    c.bench_function("crypto/aes_key_expansion", |b| {
+        b.iter(|| Aes128::new(black_box(&key)))
+    });
+
+    let opc = *Milenage::from_op(&key, &scale_epc::OP).opc();
+    let rand = [0x23u8; 16];
+    c.bench_function("crypto/milenage_f1_f2345", |b| {
+        b.iter(|| {
+            let mil = Milenage::from_opc(black_box(&key), opc);
+            (mil.f1(&rand, &[0, 0, 0, 0, 0, 1], &scale_epc::AMF), mil.f2345(&rand))
+        })
+    });
+
+    let (ck, ik) = ([1u8; 16], [2u8; 16]);
+    let plmn = Plmn::new("001", "01");
+    c.bench_function("crypto/kasme", |b| {
+        b.iter(|| derive_kasme(black_box(&ck), &ik, &plmn.0, &[3; 6]))
+    });
+    let kasme = derive_kasme(&ck, &ik, &plmn.0, &[3; 6]);
+    c.bench_function("crypto/nas_alg_keys", |b| {
+        b.iter(|| {
+            let kasme = black_box(&kasme);
+            (
+                derive_alg_key(kasme, AlgKeyType::NasEnc, ALG_ID_AES),
+                derive_alg_key(kasme, AlgKeyType::NasInt, ALG_ID_AES),
+            )
+        })
+    });
+
+    let msg32 = [0x5au8; 32];
+    let mut count = 0u32;
+    c.bench_function("crypto/eia2_32B", |b| {
+        b.iter(|| {
+            count = count.wrapping_add(1);
+            scale_crypto::cmac::eia2_mac(black_box(&key), count, 0, true, &msg32)
+        })
+    });
+
+    let accept = EmmMessage::AttachAccept {
+        guti: Guti {
+            plmn,
+            mme_group_id: 1,
+            mme_code: 1,
+            m_tmsi: 0x1234_5678,
+        },
+        tai_list: vec![Tai::new(plmn, 7)],
+        t3412_s: 3240,
+        ebi: 5,
+        apn: "internet".into(),
+        pdn_addr: [10, 0, 0, 1],
+    };
+    let keys = derive_nas_keys(&ck, &ik, &plmn.0, &[3; 6]);
+    let mut sender = NasSecurityContext::new(keys, 1);
+    c.bench_function("crypto/nas_protect_attach_accept", |b| {
+        b.iter(|| {
+            sender.dl_count = 0;
+            sender.protect(
+                black_box(&accept),
+                Direction::Downlink,
+                SecurityHeader::IntegrityCiphered,
+            )
+        })
+    });
+    sender.dl_count = 0;
+    let wire = sender.protect(&accept, Direction::Downlink, SecurityHeader::IntegrityCiphered);
+    let mut receiver = NasSecurityContext::new(keys, 1);
+    c.bench_function("crypto/nas_unprotect_attach_accept", |b| {
+        b.iter(|| {
+            receiver.dl_count = 0;
+            receiver.unprotect(black_box(wire.clone()), Direction::Downlink)
+        })
+    });
+}
+
+/// `bench -> ns` read from column `column` of a `BENCH_crypto.json`.
+fn crypto_column(path: &str, column: &str) -> HashMap<String, f64> {
+    let Ok(text) = fs::read_to_string(path) else {
+        return HashMap::new();
+    };
+    let serde::Value::Array(rows) =
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse {path}: {e:?}"))
+    else {
+        panic!("{path} is not a JSON array");
+    };
+    let mut out = HashMap::new();
+    for row in rows {
+        let serde::Value::Object(fields) = row else {
+            continue;
+        };
+        let mut bench = None;
+        let mut ns = None;
+        for (k, v) in fields {
+            match v {
+                serde::Value::Str(name) if k == "bench" => bench = Some(name),
+                serde::Value::F64(x) if k == column => ns = Some(x),
+                _ => {}
+            }
+        }
+        if let (Some(bench), Some(ns)) = (bench, ns) {
+            out.insert(bench, ns);
+        }
+    }
+    out
+}
+
+#[derive(Debug, Serialize)]
+struct CryptoEntry {
+    bench: String,
+    what: String,
+    /// The same bench built at the parent commit, same host; `null`
+    /// until a `--before` run has supplied it.
+    before_ns: Option<f64>,
+    after_ns: f64,
+    speedup: Option<f64>,
+}
+
+fn write_json<T: Serialize>(path: &str, value: &T) {
+    match serde_json::to_string_pretty(value) {
+        Ok(json) => {
+            if let Err(e) = fs::write(path, json) {
+                eprintln!("warn: could not write {path}: {e}");
+            } else {
+                println!("# wrote {path}");
+            }
+        }
+        Err(e) => eprintln!("warn: serialize failed: {e}"),
+    }
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let before_file = args
+        .iter()
+        .position(|a| a == "--before")
+        .map(|i| args.get(i + 1).expect("--before <BENCH_crypto.json>").clone());
     let mut c = Criterion::default()
         .sample_size(30)
         .warm_up_time(Duration::from_millis(100))
@@ -213,6 +385,8 @@ fn main() {
         })
     });
 
+    crypto_section(&mut c);
+
     // --- Summarize -----------------------------------------------------------
     let ns: HashMap<String, f64> = c
         .measurements()
@@ -259,15 +433,32 @@ fn main() {
     }
 
     let dir = if Path::new("results").exists() { "results" } else { "." };
-    let path = format!("{dir}/BENCH_routing.json");
-    match serde_json::to_string_pretty(&entries) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warn: could not write {path}: {e}");
-            } else {
-                println!("# wrote {path}");
+    write_json(&format!("{dir}/BENCH_routing.json"), &entries);
+
+    let crypto_path = format!("{dir}/BENCH_crypto.json");
+    let before = match &before_file {
+        Some(parent_run) => crypto_column(parent_run, "after_ns"),
+        None => crypto_column(&crypto_path, "before_ns"),
+    };
+    println!("# crypto kernels, parent commit -> this build (ns per op)");
+    let crypto: Vec<CryptoEntry> = CRYPTO_BENCHES
+        .iter()
+        .map(|&(bench, what)| {
+            let after_ns = ns[&format!("crypto/{bench}")];
+            let before_ns = before.get(bench).copied();
+            let speedup = before_ns.map(|b| b / after_ns);
+            match (before_ns, speedup) {
+                (Some(b), Some(x)) => println!("{bench:>28}: {b:>8.1} -> {after_ns:>8.1}  ({x:.1}x)"),
+                _ => println!("{bench:>28}:        ? -> {after_ns:>8.1}"),
             }
-        }
-        Err(e) => eprintln!("warn: serialize failed: {e}"),
-    }
+            CryptoEntry {
+                bench: bench.to_string(),
+                what: what.to_string(),
+                before_ns,
+                after_ns,
+                speedup,
+            }
+        })
+        .collect();
+    write_json(&crypto_path, &crypto);
 }

@@ -428,7 +428,7 @@ impl Shard {
                             }
                             Outgoing::S6a(msg) => {
                                 if let Ok(S6a::AuthInfoRequest { imsi, .. }) = S6a::from_msg(&msg) {
-                                    self.hss.provision(&imsi);
+                                    self.hss.provision_if_absent(&imsi);
                                 }
                                 let resp = self.hss.handle(&msg);
                                 queue.push_back(Incoming::S6a(resp));
@@ -727,6 +727,70 @@ mod tests {
         assert_eq!(shard.stats.snapshot().errors, 1);
         assert!(matches!(events[..], [ShardEvent::Error { vm: 2, .. }]));
         assert!(outbox.is_empty());
+    }
+
+    /// The shard-local HSS provisions on first sight only: a second
+    /// authentication of the same IMSI must see SQN 2, not a subscriber
+    /// record reset to SQN 1.
+    #[test]
+    fn reattach_advances_the_hss_sqn() {
+        use scale_crypto::milenage::Milenage;
+        use scale_nas::{EmmMessage, MobileId, Tai};
+        use scale_s1ap::S1apPdu;
+
+        let plane = test_plane(&[1]);
+        let cfg = ShardConfig {
+            id: 0,
+            n_shards: 1,
+            vms: vec![1],
+            hss_seed: 7,
+        };
+        let mut shard = Shard::new(&cfg, &plane);
+        let imsi = "001010000000042";
+        let tai = Tai::new(plane.snapshot().guti(0).plmn, 7);
+        let usim = Milenage::from_op(&scale_epc::provision_k(imsi), &scale_epc::OP);
+        let mut sqn_of_attach = |enb_ue_id: u32| -> u64 {
+            let (mut outbox, mut events) = (Vec::new(), Vec::new());
+            shard.process(
+                ShardMsg::ToVm {
+                    vm: 1,
+                    guti_hint: Some(enb_ue_id),
+                    ev: Incoming::S1ap {
+                        enb_id: 0x0100_0001,
+                        pdu: S1apPdu::InitialUeMessage {
+                            enb_ue_id,
+                            nas_pdu: EmmMessage::AttachRequest {
+                                attach_type: 1,
+                                id: MobileId::Imsi(imsi.into()),
+                                tai,
+                            }
+                            .encode(),
+                            tai,
+                            establishment_cause: 3,
+                            s_tmsi: None,
+                        },
+                    },
+                },
+                &mut outbox,
+                &mut events,
+            );
+            let nas_pdu = match &events[..] {
+                [ShardEvent::S1ap {
+                    pdu: S1apPdu::DownlinkNasTransport { nas_pdu, .. },
+                    ..
+                }] => nas_pdu.clone(),
+                other => panic!("expected the authentication request, got {other:?}"),
+            };
+            match EmmMessage::decode(nas_pdu).unwrap() {
+                EmmMessage::AuthenticationRequest { rand, autn, .. } => {
+                    let ak = usim.f2345(&rand).ak;
+                    (0..6).fold(0u64, |sqn, i| (sqn << 8) | u64::from(autn[i] ^ ak[i]))
+                }
+                other => panic!("expected the authentication request, got {other:?}"),
+            }
+        };
+        assert_eq!(sqn_of_attach(1), 1);
+        assert_eq!(sqn_of_attach(2), 2);
     }
 
     #[test]

@@ -3,85 +3,93 @@
 //! EIA2, the AES-based LTE integrity algorithm, is AES-CMAC over the NAS
 //! message prefixed with count/bearer/direction; the NAS codec uses the
 //! truncated 32-bit MAC exactly as the spec does.
+//!
+//! lint: hot-path
 
 use crate::aes::Aes128;
 
-/// Left-shift a 16-byte block by one bit.
-fn shl1(block: &[u8; 16]) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    let mut carry = 0u8;
-    for i in (0..16).rev() {
-        out[i] = (block[i] << 1) | carry;
-        carry = block[i] >> 7;
-    }
-    out
+/// Doubling in GF(2^128) (RFC 4493 §2.3): shift left one bit and fold
+/// the carried-out bit back in as R_128 = 0x87.
+fn dbl(block: u128) -> u128 {
+    (block << 1) ^ ((block >> 127) * 0x87)
 }
 
-/// Generate the CMAC subkeys K1, K2 from the cipher.
-fn subkeys(aes: &Aes128) -> ([u8; 16], [u8; 16]) {
-    const RB: u8 = 0x87;
-    let l = aes.encrypt(&[0u8; 16]);
-    let mut k1 = shl1(&l);
-    if l[0] & 0x80 != 0 {
-        k1[15] ^= RB;
+/// Streaming AES-CMAC: the message arrives in any number of pieces and
+/// is XORed straight into the chaining block, so a caller with a header
+/// and a body (EIA2) never concatenates them.
+///
+/// The key is expanded per MAC and the subkeys derived in
+/// [`Cmac::finalize`]; nothing here is meant to be stored per device.
+pub struct Cmac {
+    aes: Aes128,
+    /// CBC chaining value with the bytes of the current block XORed in.
+    x: [u8; 16],
+    /// Bytes of the current block absorbed into `x` (0..=16). A full
+    /// block is only encrypted when more input follows, because the
+    /// last block takes a subkey first.
+    fill: usize,
+}
+
+impl Cmac {
+    /// Start a MAC under `key`.
+    pub fn new(key: &[u8; 16]) -> Self {
+        Cmac {
+            aes: Aes128::new(key),
+            x: [0u8; 16],
+            fill: 0,
+        }
     }
-    let mut k2 = shl1(&k1);
-    if k1[0] & 0x80 != 0 {
-        k2[15] ^= RB;
+
+    /// Absorb the next piece of the message.
+    pub fn update(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            if self.fill == 16 {
+                self.aes.encrypt_block(&mut self.x);
+                self.fill = 0;
+            }
+            let n = data.len().min(16 - self.fill);
+            for (x, d) in self.x[self.fill..self.fill + n].iter_mut().zip(data) {
+                *x ^= d;
+            }
+            self.fill += n;
+            data = &data[n..];
+        }
     }
-    (k1, k2)
+
+    /// Finish and return the 16-byte tag.
+    pub fn finalize(mut self) -> [u8; 16] {
+        // Last block: XOR with K1 if complete, pad + K2 otherwise.
+        let k1 = dbl(u128::from_be_bytes(self.aes.encrypt(&[0u8; 16])));
+        let subkey = if self.fill == 16 {
+            k1
+        } else {
+            self.x[self.fill] ^= 0x80;
+            dbl(k1)
+        };
+        let mut last = (u128::from_be_bytes(self.x) ^ subkey).to_be_bytes();
+        self.aes.encrypt_block(&mut last);
+        last
+    }
 }
 
 /// Compute the full 16-byte AES-CMAC tag of `msg` under `key`.
 pub fn aes_cmac(key: &[u8; 16], msg: &[u8]) -> [u8; 16] {
-    let aes = Aes128::new(key);
-    let (k1, k2) = subkeys(&aes);
-
-    let n_blocks = msg.len().div_ceil(16).max(1);
-    let last_complete = !msg.is_empty() && msg.len().is_multiple_of(16);
-
-    let mut x = [0u8; 16];
-    // All blocks but the last.
-    for i in 0..n_blocks - 1 {
-        let mut block: [u8; 16] = crate::take(&msg[i * 16..]);
-        for (b, xv) in block.iter_mut().zip(x.iter()) {
-            *b ^= xv;
-        }
-        x = aes.encrypt(&block);
-    }
-    // Last block: XOR with K1 if complete, pad + K2 otherwise.
-    let mut last = [0u8; 16];
-    let tail = &msg[(n_blocks - 1) * 16..];
-    if last_complete {
-        last.copy_from_slice(tail);
-        for (b, k) in last.iter_mut().zip(k1.iter()) {
-            *b ^= k;
-        }
-    } else {
-        last[..tail.len()].copy_from_slice(tail);
-        last[tail.len()] = 0x80;
-        for (b, k) in last.iter_mut().zip(k2.iter()) {
-            *b ^= k;
-        }
-    }
-    for (b, xv) in last.iter_mut().zip(x.iter()) {
-        *b ^= xv;
-    }
-    aes.encrypt(&last)
+    let mut mac = Cmac::new(key);
+    mac.update(msg);
+    mac.finalize()
 }
 
 /// EIA2-style 32-bit MAC: CMAC over `count || bearer/direction || msg`,
 /// truncated to the first four bytes (TS 33.401 B.2.3).
 pub fn eia2_mac(key: &[u8; 16], count: u32, bearer: u8, downlink: bool, msg: &[u8]) -> [u8; 4] {
-    let mut buf = Vec::with_capacity(8 + msg.len());
-    buf.extend_from_slice(&count.to_be_bytes());
-    // BEARER (5 bits) || DIRECTION (1 bit) || 26 zero bits.
-    let dir = if downlink { 1u8 } else { 0 };
-    buf.push((bearer << 3) | (dir << 2));
-    buf.extend_from_slice(&[0, 0, 0]);
-    buf.extend_from_slice(msg);
-    let tag = aes_cmac(key, &buf);
-    crate::take(&tag)
+    // COUNT || BEARER (5 bits) | DIRECTION (1 bit) | 26 zero bits.
+    let mut head = [0u8; 8];
+    head[..4].copy_from_slice(&count.to_be_bytes());
+    head[4] = (bearer << 3) | (u8::from(downlink) << 2);
+    let mut mac = Cmac::new(key);
+    mac.update(&head);
+    mac.update(msg);
+    crate::take(&mac.finalize())
 }
 
 #[cfg(test)]

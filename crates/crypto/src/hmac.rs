@@ -2,10 +2,67 @@
 //!
 //! The 3GPP key-derivation function (TS 33.401 annex A) is defined as
 //! HMAC-SHA-256 over an FC-tagged parameter string; see [`crate::kdf`].
+//!
+//! lint: hot-path
 
 use crate::sha256::Sha256;
 
 const BLOCK: usize = 64;
+
+/// A keyed HMAC-SHA-256 state: the inner and outer hashes with the
+/// padded key block already absorbed (one compression each).
+///
+/// `Copy`, so one keyed state authenticates any number of messages —
+/// copy it, stream the message in, finalize — without paying the two
+/// key-block compressions again. Both NAS algorithm keys come from one
+/// state keyed with K_ASME.
+///
+/// ```
+/// use scale_crypto::hmac::{hmac_sha256, HmacSha256};
+/// let keyed = HmacSha256::new(b"Jefe");
+/// assert_eq!(keyed.mac(b"one"), hmac_sha256(b"Jefe", b"one"));
+/// assert_eq!(keyed.mac(b"two"), hmac_sha256(b"Jefe", b"two"));
+/// ```
+#[derive(Clone, Copy)]
+pub struct HmacSha256 {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacSha256 {
+    /// Absorb `key` (hashed first when longer than one block).
+    pub fn new(key: &[u8]) -> Self {
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            k[..32].copy_from_slice(&Sha256::digest(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&k.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&k.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
+    }
+
+    /// Stream message bytes in.
+    pub fn update(&mut self, data: &[u8]) {
+        self.inner.update(data);
+    }
+
+    /// Finish and return the 32-byte tag.
+    pub fn finalize(mut self) -> [u8; 32] {
+        self.outer.update(&self.inner.finalize());
+        self.outer.finalize()
+    }
+
+    /// Tag of `msg` under this key, leaving the keyed state reusable.
+    pub fn mac(&self, msg: &[u8]) -> [u8; 32] {
+        let mut h = *self;
+        h.update(msg);
+        h.finalize()
+    }
+}
 
 /// Compute HMAC-SHA-256 of `msg` under `key`.
 ///
@@ -18,24 +75,7 @@ const BLOCK: usize = 64;
 /// );
 /// ```
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        let d = Sha256::digest(key);
-        k[..32].copy_from_slice(&d);
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(msg);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacSha256::new(key).mac(msg)
 }
 
 #[cfg(test)]

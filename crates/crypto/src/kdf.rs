@@ -7,9 +7,12 @@
 //! ```
 //!
 //! The generic KDF (TS 33.220 annex B) is `HMAC-SHA-256(key, FC || P0 ||
-//! L0 || P1 || L1 ...)`; each derivation is tagged by its FC byte.
+//! L0 || P1 || L1 ...)`; each derivation is tagged by its FC byte. The
+//! parameter string is streamed into the keyed HMAC state, never built.
+//!
+//! lint: hot-path
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacSha256;
 
 /// FC tag for K_ASME derivation (TS 33.401 A.2).
 pub const FC_KASME: u8 = 0x10;
@@ -44,13 +47,18 @@ impl AlgKeyType {
 /// Each `(param, len)` pair is appended as `P_i || L_i` with `L_i` a
 /// 2-byte big-endian length.
 pub fn kdf(key: &[u8], fc: u8, params: &[&[u8]]) -> [u8; 32] {
-    let mut s = Vec::with_capacity(1 + params.iter().map(|p| p.len() + 2).sum::<usize>());
-    s.push(fc);
+    kdf_keyed(&HmacSha256::new(key), fc, params)
+}
+
+/// [`kdf`] on an already-keyed PRF, for several derivations from one key.
+fn kdf_keyed(prf: &HmacSha256, fc: u8, params: &[&[u8]]) -> [u8; 32] {
+    let mut h = *prf;
+    h.update(&[fc]);
     for p in params {
-        s.extend_from_slice(p);
-        s.extend_from_slice(&(p.len() as u16).to_be_bytes());
+        h.update(p);
+        h.update(&(p.len() as u16).to_be_bytes());
     }
-    hmac_sha256(key, &s)
+    h.finalize()
 }
 
 /// Derive K_ASME from CK/IK, the serving-network id (PLMN, 3 bytes) and
@@ -65,7 +73,11 @@ pub fn derive_kasme(ck: &[u8; 16], ik: &[u8; 16], plmn: &[u8; 3], sqn_xor_ak: &[
 /// Derive a 128-bit algorithm key (e.g. K_NASint for EIA2) from K_ASME,
 /// per TS 33.401 A.7: the low-order 128 bits of the 256-bit KDF output.
 pub fn derive_alg_key(kasme: &[u8; 32], ty: AlgKeyType, alg_id: u8) -> [u8; 16] {
-    let out = kdf(kasme, FC_ALG_KEY, &[&[ty.distinguisher()], &[alg_id]]);
+    alg_key(&HmacSha256::new(kasme), ty, alg_id)
+}
+
+fn alg_key(keyed_kasme: &HmacSha256, ty: AlgKeyType, alg_id: u8) -> [u8; 16] {
+    let out = kdf_keyed(keyed_kasme, FC_ALG_KEY, &[&[ty.distinguisher()], &[alg_id]]);
     crate::take(&out[16..])
 }
 
@@ -84,6 +96,20 @@ pub struct NasSecurityKeys {
 /// EIA2/EEA2 algorithm identity used in the derivations.
 pub const ALG_ID_AES: u8 = 0x02;
 
+impl NasSecurityKeys {
+    /// Derive both AES NAS algorithm keys from `kasme` — what the MME
+    /// and the USIM each do once per AKA run. K_ASME is absorbed into
+    /// the PRF once and the keyed state serves both derivations.
+    pub fn from_kasme(kasme: [u8; 32]) -> Self {
+        let prf = HmacSha256::new(&kasme);
+        NasSecurityKeys {
+            kasme,
+            k_nas_enc: alg_key(&prf, AlgKeyType::NasEnc, ALG_ID_AES),
+            k_nas_int: alg_key(&prf, AlgKeyType::NasInt, ALG_ID_AES),
+        }
+    }
+}
+
 /// Derive the full NAS security context from one AKA output.
 pub fn derive_nas_keys(
     ck: &[u8; 16],
@@ -91,12 +117,7 @@ pub fn derive_nas_keys(
     plmn: &[u8; 3],
     sqn_xor_ak: &[u8; 6],
 ) -> NasSecurityKeys {
-    let kasme = derive_kasme(ck, ik, plmn, sqn_xor_ak);
-    NasSecurityKeys {
-        kasme,
-        k_nas_enc: derive_alg_key(&kasme, AlgKeyType::NasEnc, ALG_ID_AES),
-        k_nas_int: derive_alg_key(&kasme, AlgKeyType::NasInt, ALG_ID_AES),
-    }
+    NasSecurityKeys::from_kasme(derive_kasme(ck, ik, plmn, sqn_xor_ak))
 }
 
 #[cfg(test)]

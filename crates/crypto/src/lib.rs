@@ -15,10 +15,39 @@
 //! Each module is validated against its published test vectors
 //! (RFC 1321, FIPS 180-4, RFC 4231, FIPS-197, RFC 4493, TS 35.208).
 //!
-//! These implementations favour clarity over speed; they are more than
-//! fast enough for control-plane rates (an attach costs a handful of AES
-//! block operations), and `scale-bench` measures them so the per-request
-//! compute model in the simulator is grounded in real numbers.
+//! ## Speed
+//!
+//! One attach runs six HMAC-SHA-256 derivations, ≈38 AES block
+//! encryptions and ≈11 AES key expansions across HSS, MME and USIM (the
+//! per-procedure counts are tabulated in DESIGN.md §2): crypto is the
+//! largest single share of a procedure's service time, which is what an
+//! MMP fleet is sized by. The modules on that path are written for speed
+//! and marked `//! lint: hot-path` (no heap allocation):
+//!
+//! - AES encryption is table-driven: one 256 × `u32` table, derived at
+//!   first use from the algebraically generated S-box, folds SubBytes
+//!   and MixColumns into a lookup per state byte; the schedule is 44
+//!   words. It is the only encryptor outside `#[cfg(test)]`, where a
+//!   byte-wise FIPS-197 cipher serves as the differential test's oracle.
+//!   Decryption, which no runtime path uses, is byte-wise.
+//! - CMAC streams `head || msg` into the chaining block, SHA-256 pads
+//!   in one or two block writes over a 16-word rolling schedule, and a
+//!   `Copy` keyed HMAC state ([`hmac::HmacSha256`]) absorbs a key once
+//!   for any number of derivations ([`kdf::NasSecurityKeys::from_kasme`]).
+//! - Keys are re-expanded per call on purpose. An expansion costs about
+//!   one block, while a cached schedule, CMAC subkey or HMAC state would
+//!   add 100–400 bytes to every replicated device context.
+//!
+//! There is no AES-NI/SHA-NI path: the intrinsics need `unsafe` (this
+//! crate forbids it) or a `target-feature` build flag, and the repo
+//! keeps neither a build knob nor a second code path to test. Nothing
+//! here is constant-time: tables are indexed by secret-dependent bytes,
+//! exactly as a byte-wise cipher indexes its S-box (and its GF(2^8)
+//! multiply branches on data), so the timing side-channel class is the
+//! one any table-based software AES has. This is a protocol substrate
+//! for control-plane experiments, not a hardened library.
+//! `bench_summary` records the kernels' timings against the parent
+//! commit's in `results/BENCH_crypto.json`.
 
 #![forbid(unsafe_code)]
 

@@ -2,7 +2,11 @@
 //!
 //! Used as the PRF underneath HMAC for the 3GPP key-derivation function
 //! (TS 33.401 annex A) that derives K_ASME and the NAS keys during the
-//! EPS AKA run on the attach path.
+//! EPS AKA run on the attach path — six HMACs, twenty compressions per
+//! attach, every one over a short (< 1 block) input, so finishing a
+//! hash costs block writes, not a per-byte loop.
+//!
+//! lint: hot-path
 
 /// Round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes (FIPS 180-4 §4.2.2).
@@ -23,6 +27,9 @@ const H0: [u32; 8] = [
 
 /// Streaming SHA-256 context.
 ///
+/// `Copy`, so a context that has absorbed a prefix (HMAC's padded key
+/// block) can be reused for many messages without re-hashing it.
+///
 /// ```
 /// use scale_crypto::sha256::Sha256;
 /// let d = Sha256::digest(b"abc");
@@ -31,7 +38,7 @@ const H0: [u32; 8] = [
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 /// );
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 pub struct Sha256 {
     state: [u32; 8],
     len: u64,
@@ -66,16 +73,12 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        while let Some((block, tail)) = rest.split_first_chunk::<64>() {
+            compress(&mut self.state, block);
             rest = tail;
         }
         if !rest.is_empty() {
@@ -87,17 +90,20 @@ impl Sha256 {
     /// Finish and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 8-byte big-endian bit length — written
+        // into the buffered block, spilling into a second block only
+        // when the trailer does not fit.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
         }
-        let mut block = [0u8; 64];
-        block[..56].copy_from_slice(&self.buf[..56]);
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -108,29 +114,37 @@ impl Sha256 {
         ctx.update(data);
         ctx.finalize()
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(crate::take(chunk));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
+/// One compression (FIPS 180-4 §6.2.2) with the message schedule kept
+/// as a 16-word ring: from round 16 on, `w[i % 16]` is rewritten in
+/// place just before round `i` consumes it. The rounds run as four
+/// passes of sixteen so every ring index is a constant after unrolling.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(crate::take(chunk));
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for (pass, k) in K.chunks_exact(16).enumerate() {
+        for j in 0..16 {
+            if pass > 0 {
+                let w15 = w[(j + 1) % 16];
+                let w2 = w[(j + 14) % 16];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[j] = w[j]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[(j + 9) % 16])
+                    .wrapping_add(s1);
+            }
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
             let t1 = h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
+                .wrapping_add(k[j])
+                .wrapping_add(w[j]);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
             let maj = (a & b) ^ (a & c) ^ (b & c);
             let t2 = s0.wrapping_add(maj);
@@ -143,9 +157,9 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
-        }
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 

@@ -36,8 +36,10 @@ pub struct Hss {
 /// provisioning database (every IMSI gets a unique K as in a real HSS;
 /// the UE model derives the same K so USIM and HSS agree).
 pub fn provision_k(imsi: &str) -> [u8; 16] {
-    let d = scale_crypto::sha256::Sha256::digest(format!("K:{imsi}").as_bytes());
-    scale_crypto::take(&d)
+    let mut h = scale_crypto::sha256::Sha256::new();
+    h.update(b"K:");
+    h.update(imsi.as_bytes());
+    scale_crypto::take(&h.finalize())
 }
 
 /// The operator constant OP shared by all subscribers in this network.
@@ -52,7 +54,8 @@ impl Hss {
         }
     }
 
-    /// Provision a subscriber with the deterministic K for its IMSI.
+    /// Provision a subscriber with the deterministic K for its IMSI,
+    /// SQN starting at 1 (replacing any existing record).
     pub fn provision(&mut self, imsi: &str) {
         let k = provision_k(imsi);
         let mil = Milenage::from_op(&k, &OP);
@@ -67,6 +70,15 @@ impl Hss {
                 ambr_dl_kbps: 150_000,
             },
         );
+    }
+
+    /// Provision `imsi` unless it already is. Callers that provision on
+    /// demand (a shard-local HSS sees an IMSI first in its AIR) must use
+    /// this: [`Hss::provision`] starts the subscriber's SQN over.
+    pub fn provision_if_absent(&mut self, imsi: &str) {
+        if !self.subscribers.contains_key(imsi) {
+            self.provision(imsi);
+        }
     }
 
     /// Provision a numeric range of IMSIs `prefix || index` (bulk setup
@@ -220,6 +232,13 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// One per provisioned device: it holds K and OPc, never an
+    /// expanded schedule.
+    #[test]
+    fn subscriber_record_caches_no_schedule() {
+        assert!(std::mem::size_of::<Subscriber>() <= 72);
     }
 
     #[test]

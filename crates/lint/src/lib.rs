@@ -33,8 +33,17 @@ use std::path::{Path, PathBuf};
 /// is build output, fixtures are deliberately-broken lint test inputs.
 const SKIP_DIRS: &[&str] = &["vendor", "target", "fixtures", ".git"];
 
+/// Does `dir` hold a manifest that declares its own `[workspace]`? Such
+/// a directory below the root is a separate package tree (the repo
+/// benchmark under `benchmark/` is one: a bin-only harness with its own
+/// lock file), not library code of the workspace being linted.
+fn is_workspace_root(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
+}
+
 /// Recursively collect the workspace's `.rs` files, sorted for stable
-/// report ordering.
+/// report ordering. Named [`SKIP_DIRS`] and nested workspaces are not
+/// descended into.
 pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -47,7 +56,7 @@ pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_ref()) {
+                if !SKIP_DIRS.contains(&name.as_ref()) && !is_workspace_root(&path) {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
@@ -301,11 +310,8 @@ pub fn metric_pattern_matches(pattern: &str, concrete: &str) -> bool {
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
+        if is_workspace_root(&d) {
+            return Some(d);
         }
         dir = d.parent().map(Path::to_path_buf);
     }
@@ -346,5 +352,30 @@ mod tests {
             assert!(!p.contains("/fixtures/"), "fixture scanned: {p}");
             assert!(!p.contains("/target/"), "build output scanned: {p}");
         }
+    }
+
+    /// A directory below the root with its own `[workspace]` manifest is
+    /// another package tree; a plain member crate beside it is walked.
+    #[test]
+    fn workspace_walk_skips_nested_workspaces() {
+        let root = std::env::temp_dir().join(format!("scale-lint-nested-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        for (dir, manifest) in [
+            ("", "[workspace]\nmembers = [\"member\"]\n"),
+            ("member", "[package]\nname = \"member\"\n"),
+            ("nested", "[package]\nname = \"nested\"\n\n[workspace]\n"),
+        ] {
+            let src = root.join(dir).join("src");
+            std::fs::create_dir_all(&src).unwrap();
+            std::fs::write(root.join(dir).join("Cargo.toml"), manifest).unwrap();
+            std::fs::write(src.join("lib.rs"), "pub fn f() {}\n").unwrap();
+        }
+        let files = workspace_sources(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        let rel: Vec<_> = files
+            .iter()
+            .map(|f| f.strip_prefix(&root).unwrap().to_string_lossy().replace('\\', "/"))
+            .collect();
+        assert_eq!(rel, ["member/src/lib.rs", "src/lib.rs"]);
     }
 }

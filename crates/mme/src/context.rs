@@ -366,6 +366,13 @@ mod tests {
         assert!(size > 80 && size < 400, "unexpected state size {size}");
     }
 
+    /// `mem_kb_per_ue` is R of these per device: crypto speed must not
+    /// be bought by caching key schedules or MAC state in the context.
+    #[test]
+    fn context_caches_no_crypto_state() {
+        assert!(std::mem::size_of::<UeContext>() <= 248);
+    }
+
     #[test]
     fn corrupt_state_rejected() {
         let bytes = sample().to_bytes();

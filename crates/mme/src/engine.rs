@@ -11,7 +11,7 @@
 
 use crate::context::{EcmState, EmmState, Procedure, UeContext};
 use bytes::Bytes;
-use scale_crypto::kdf::{derive_alg_key, AlgKeyType, NasSecurityKeys, ALG_ID_AES};
+use scale_crypto::kdf::{NasSecurityKeys, ALG_ID_AES};
 use scale_diameter::{result_code, DiameterMsg, EutranVector, S6a};
 use scale_gtpc as gtpc;
 use scale_gtpc::{iface_type, Ambr, BearerContext, Cause, Fteid};
@@ -912,11 +912,7 @@ impl MmeCore {
             .pending_kasme
             .take()
             .ok_or(MmeError::BadState("no K_ASME".into()))?;
-        let keys = NasSecurityKeys {
-            kasme,
-            k_nas_enc: derive_alg_key(&kasme, AlgKeyType::NasEnc, ALG_ID_AES),
-            k_nas_int: derive_alg_key(&kasme, AlgKeyType::NasInt, ALG_ID_AES),
-        };
+        let keys = NasSecurityKeys::from_kasme(kasme);
         let mut sec = NasSecurityContext::new(keys, 1);
         let smc = EmmMessage::SecurityModeCommand {
             ksi: 1,

@@ -25,7 +25,7 @@ pub use engine::{compose_id, vm_of_id, Incoming, MmeConfig, MmeCore, MmeError, M
 #[cfg(test)]
 mod flow_tests {
     use super::*;
-    use scale_crypto::kdf::{derive_alg_key, AlgKeyType, NasSecurityKeys, ALG_ID_AES};
+    use scale_crypto::kdf::NasSecurityKeys;
     use scale_diameter::{result_code, EutranVector, S6a};
     use scale_gtpc as gtpc;
     use scale_gtpc::{iface_type, BearerContext, Cause, Fteid};
@@ -119,11 +119,7 @@ mod flow_tests {
             other => panic!("expected SMC, got {other:?}"),
         };
         // UE derives the same keys and verifies the SMC.
-        let keys = NasSecurityKeys {
-            kasme,
-            k_nas_enc: derive_alg_key(&kasme, AlgKeyType::NasEnc, ALG_ID_AES),
-            k_nas_int: derive_alg_key(&kasme, AlgKeyType::NasInt, ALG_ID_AES),
-        };
+        let keys = NasSecurityKeys::from_kasme(kasme);
         let mut ue_sec = NasSecurityContext::new(keys, 1);
         let smc = ue_sec.unprotect(smc_wire, Direction::Downlink).unwrap();
         assert!(matches!(smc, EmmMessage::SecurityModeCommand { eia: 2, .. }));

@@ -10,6 +10,13 @@
 //! The MAC covers `SEQ || inner` keyed by K_NASint with the full NAS
 //! COUNT (we track the 24-bit overflow counter internally; only the low
 //! 8 bits travel on the wire, exactly as in LTE).
+//!
+//! Every procedure passes through here several times, so neither
+//! direction builds intermediate copies, and no expanded AES schedule or
+//! CMAC subkey is kept in the context: it is replicated per device, and
+//! re-expanding a key costs less than the bytes would.
+//!
+//! lint: hot-path
 
 use crate::emm::{EmmMessage, PD_EMM};
 use crate::wire::{NasError, Reader, Writer};
@@ -82,6 +89,11 @@ pub struct NasSecurityContext {
 /// NAS bearer id used for EIA2/EEA2 (always 0 for NAS signalling).
 const NAS_BEARER: u8 = 0;
 
+/// Offsets into a protected message (see the module doc).
+const MAC_AT: usize = 1;
+const SEQ_AT: usize = 5;
+const INNER_AT: usize = 6;
+
 impl NasSecurityContext {
     pub fn new(keys: NasSecurityKeys, ksi: u8) -> Self {
         NasSecurityContext {
@@ -111,35 +123,41 @@ impl NasSecurityContext {
         block
     }
 
-    /// Integrity-protect (and optionally cipher) `msg`, consuming one
-    /// COUNT in `dir`.
-    pub fn protect(&mut self, msg: &EmmMessage, dir: Direction, header: SecurityHeader) -> Bytes {
-        let count = *self.count_mut(dir);
-        *self.count_mut(dir) += 1;
-        let seq = (count & 0xff) as u8;
-
-        let mut inner = msg.encode().to_vec();
-        if header.ciphered() {
-            let aes = Aes128::new(&self.keys.k_nas_enc);
-            aes.ctr_xor(&Self::ctr_block(count, dir), &mut inner);
-        }
-        // MAC over SEQ || inner with the full COUNT.
-        let mut mac_input = Vec::with_capacity(1 + inner.len());
-        mac_input.push(seq);
-        mac_input.extend_from_slice(&inner);
-        let mac = eia2_mac(
+    fn mac(&self, count: u32, dir: Direction, seq_and_inner: &[u8]) -> [u8; 4] {
+        eia2_mac(
             &self.keys.k_nas_int,
             count,
             NAS_BEARER,
             matches!(dir, Direction::Downlink),
-            &mac_input,
-        );
+            seq_and_inner,
+        )
+    }
+
+    fn cipher(&self, count: u32, dir: Direction, inner: &mut [u8]) {
+        Aes128::new(&self.keys.k_nas_enc).ctr_xor(&Self::ctr_block(count, dir), inner);
+    }
+
+    /// Integrity-protect (and optionally cipher) `msg`, consuming one
+    /// COUNT in `dir`.
+    ///
+    /// The wire image is assembled once, in the buffer that is
+    /// returned: the message is encoded behind a zeroed MAC field,
+    /// ciphered where it lies, and the MAC over `SEQ || inner` (with the
+    /// full COUNT) is written back into the header.
+    pub fn protect(&mut self, msg: &EmmMessage, dir: Direction, header: SecurityHeader) -> Bytes {
+        let count = *self.count_mut(dir);
+        *self.count_mut(dir) += 1;
 
         let mut w = Writer::new();
         w.u8((header.code() << 4) | PD_EMM);
-        w.slice(&mac);
-        w.u8(seq);
-        w.slice(&inner);
+        w.slice(&[0u8; 4]);
+        w.u8((count & 0xff) as u8);
+        msg.encode_into(&mut w);
+        if header.ciphered() {
+            self.cipher(count, dir, &mut w.buf[INNER_AT..]);
+        }
+        let mac = self.mac(count, dir, &w.buf[SEQ_AT..]);
+        w.buf[MAC_AT..SEQ_AT].copy_from_slice(&mac);
         w.finish()
     }
 
@@ -147,7 +165,9 @@ impl NasSecurityContext {
     ///
     /// Reconstructs the full COUNT from the wire SEQ and the local
     /// expectation (handling 8-bit wrap), rejects replays and bad MACs,
-    /// and advances the local COUNT past the message.
+    /// and advances the local COUNT past the message. The MAC is
+    /// checked over the received bytes where they lie; only a ciphered
+    /// payload is copied, to be deciphered.
     pub fn unprotect(&mut self, buf: Bytes, dir: Direction) -> Result<EmmMessage, NasError> {
         let mut r = Reader::new(buf);
         let first = r.u8("protected first octet")?;
@@ -162,8 +182,9 @@ impl NasSecurityContext {
             value: (first >> 4) as u64,
         })?;
         let mac: [u8; 4] = r.array("nas mac")?;
-        let seq = r.u8("nas seq")?;
-        let mut inner = r.rest().to_vec();
+        r.need("nas seq", 1)?;
+        let seq_and_inner = r.rest();
+        let seq = seq_and_inner[0];
 
         // Reconstruct COUNT: local expectation with the wire SEQ spliced
         // into the low byte, bumping the overflow counter on wrap.
@@ -180,26 +201,19 @@ impl NasSecurityContext {
             });
         }
 
-        let mut mac_input = Vec::with_capacity(1 + inner.len());
-        mac_input.push(seq);
-        mac_input.extend_from_slice(&inner);
-        let want = eia2_mac(
-            &self.keys.k_nas_int,
-            count,
-            NAS_BEARER,
-            matches!(dir, Direction::Downlink),
-            &mac_input,
-        );
-        if want != mac {
+        if self.mac(count, dir, &seq_and_inner) != mac {
             return Err(NasError::BadMac);
         }
 
-        if header.ciphered() {
-            let aes = Aes128::new(&self.keys.k_nas_enc);
-            aes.ctr_xor(&Self::ctr_block(count, dir), &mut inner);
-        }
+        let inner = if header.ciphered() {
+            let mut plain = seq_and_inner[1..].to_vec(); // lint: allow(alloc): deciphering needs a writable copy of the shared receive buffer; integrity-only messages (every uplink) take the slice below
+            self.cipher(count, dir, &mut plain);
+            Bytes::from(plain)
+        } else {
+            seq_and_inner.slice(1..)
+        };
         *self.count_mut(dir) = count + 1;
-        EmmMessage::decode(Bytes::from(inner))
+        EmmMessage::decode(inner)
     }
 
     /// Short MAC for the Service Request message (2 bytes, as in the
