@@ -42,7 +42,7 @@ fn is_workspace_root(dir: &Path) -> bool {
 }
 
 /// Recursively collect the workspace's `.rs` files, sorted for stable
-/// report ordering. Named [`SKIP_DIRS`] and nested workspaces are not
+/// report ordering. Named `SKIP_DIRS` and nested workspaces are not
 /// descended into.
 pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();

@@ -50,6 +50,7 @@ const FIXTURES: &[(&str, &str, &str)] = &[
     ("nondet.rs", "crates/sctplite_fixture/src/nondet.rs", "nondet"),
     ("sctplite_guard.rs", "crates/sctplite_fixture/src/sctplite_guard.rs", "await-guard"),
     ("wire_guard.rs", "crates/core_fixture/src/wire_guard.rs", "await-guard"),
+    ("wire_send_guard.rs", "crates/sim_fixture/src/wire_send_guard.rs", "await-guard"),
     ("metric_names.rs", "crates/sctplite_fixture/src/metric_names.rs", "metric-name"),
     ("protocol_match.rs", "crates/core_fixture/src/protocol_match.rs", "exhaustive-protocol-match"),
 ];

@@ -10,7 +10,7 @@
 //! | `hot-path-lock` | no `Mutex`/`RwLock` acquisition in hot-path modules      |
 //! | `unwrap`      | no `unwrap()`/`expect()` in non-test library code          |
 //! | `nondet`      | no ambient time/randomness (`SystemTime::now`, `thread_rng`)|
-//! | `await-guard` | no blocking lock guard held across `.await` (sctplite)     |
+//! | `await-guard` | no blocking lock guard held across `.await` or a blocking link send (sctplite, wire) |
 //! | `metric-name` | metric names follow `scale_<crate>_<noun>_<unit>`          |
 //! | `exhaustive-protocol-match` | no `_`/bare-binding arm where a sibling arm matches a protocol enum (`WireMsg`/`ShardMsg`/`EmmMessage`) |
 //! | `vendor-drift` | vendored shims must match the checked-in checksum manifest |
@@ -249,13 +249,24 @@ pub fn check_nondet(path: &str, scanned: &Scanned, scopes: &Scopes, out: &mut Ve
     }
 }
 
+/// Calls on a split link's send half that wait at a full egress buffer
+/// until the peer has read — for as long as the peer likes. Their
+/// `try_` twins (`try_send_batch`, `try_ping`) answer `Full` instead
+/// and do not match these needles.
+const BLOCKING_SENDS: &[&str] = &[".send(", ".send_batch(", ".ping(", ".shutdown_send("];
+
 /// `await-guard`: a guard from a *blocking* `.lock()`/`.read()`/`.write()`
-/// may not live across an `.await` (async mutexes acquired via
-/// `.lock().await` are exempt — they are designed to be held).
+/// may not live across a point where the thread can be parked for a
+/// peer's sake: an `.await` (async mutexes acquired via `.lock().await`
+/// are exempt — they are designed to be held), or a blocking send on a
+/// split link (`BLOCKING_SENDS`). The second is the MLB's rule: it
+/// routes under one lock on the links' own threads, and a send that
+/// waited for a stalled worker there would hold the lock that worker's
+/// reader — and everybody else — is waiting for.
 ///
 /// Scoped to the async-transport code: the sctplite crate and the wire
 /// deployment modules (`core::wire`, `sim::wire_run`, `wire_load`),
-/// which mix shared-state locks with socket awaits on the same threads.
+/// which mix shared-state locks with socket I/O on the same threads.
 pub fn check_await_guard(path: &str, scanned: &Scanned, scopes: &Scopes, out: &mut Vec<Violation>) {
     if !(path.contains("sctplite") || path.contains("wire")) {
         return;
@@ -288,7 +299,14 @@ pub fn check_await_guard(path: &str, scanned: &Scanned, scopes: &Scopes, out: &m
                 .to_string();
             guards.push(Guard { name, depth, line });
         }
-        if !async_acquire && code.contains(".await") {
+        let parks = if !async_acquire && code.contains(".await") {
+            Some("`.await`")
+        } else if BLOCKING_SENDS.iter().any(|t| token_hit(code, t).is_some()) {
+            Some("blocking link send (use the `try_` form and shed on `Full`)")
+        } else {
+            None
+        };
+        if let Some(what) = parks {
             for g in &guards {
                 if g.depth <= depth && !suppressed(scanned, scopes, line, "await-guard") {
                     out.push(Violation {
@@ -296,7 +314,7 @@ pub fn check_await_guard(path: &str, scanned: &Scanned, scopes: &Scopes, out: &m
                         line,
                         rule: "await-guard",
                         message: format!(
-                            "blocking lock guard `{}` (taken on line {}) is live across this `.await` — scope it or drop() it first",
+                            "blocking lock guard `{}` (taken on line {}) is live across this {what} — scope it or drop() it first",
                             g.name, g.line
                         ),
                     });

@@ -290,18 +290,34 @@ impl MmeCore {
     }
 
     /// Import a replicated/transferred device state. Overwrites any
-    /// existing context for the same M-TMSI (replica refresh).
+    /// existing context for the same M-TMSI (replica refresh), and with
+    /// it the ids the replaced copy was indexed under: the serving
+    /// engine mints a fresh MME-UE-S1AP-ID per signalling connection,
+    /// so a holder that kept the old entries would grow by one per
+    /// Service Request its devices ever make.
     pub fn import_state(&mut self, bytes: Bytes) -> Result<Guti, MmeError> {
         let ctx = UeContext::from_bytes(bytes)?;
         let guti = ctx.guti;
+        let (mme_ue_id, s11_teid) = (ctx.mme_ue_id, ctx.bearer.s11_mme_teid);
         self.by_imsi.insert(ctx.imsi.clone(), guti.m_tmsi);
-        if ctx.mme_ue_id != 0 {
-            self.by_mme_ue_id.insert(ctx.mme_ue_id, guti.m_tmsi);
+        if mme_ue_id != 0 {
+            self.by_mme_ue_id.insert(mme_ue_id, guti.m_tmsi);
         }
-        if ctx.bearer.s11_mme_teid != 0 {
-            self.by_s11_teid.insert(ctx.bearer.s11_mme_teid, guti.m_tmsi);
+        if s11_teid != 0 {
+            self.by_s11_teid.insert(s11_teid, guti.m_tmsi);
         }
-        self.contexts.insert(guti.m_tmsi, ctx);
+        if let Some(old) = self.contexts.insert(guti.m_tmsi, ctx) {
+            // Ids are minted by the serving engines, so on a holder an
+            // old id may since have been taken by another device's
+            // copy: only an entry that still names this device goes.
+            let stale = |index: &HashMap<u32, u32>, id: u32| index.get(&id) == Some(&guti.m_tmsi);
+            if old.mme_ue_id != mme_ue_id && stale(&self.by_mme_ue_id, old.mme_ue_id) {
+                self.by_mme_ue_id.remove(&old.mme_ue_id);
+            }
+            if old.bearer.s11_mme_teid != s11_teid && stale(&self.by_s11_teid, old.bearer.s11_mme_teid) {
+                self.by_s11_teid.remove(&old.bearer.s11_mme_teid);
+            }
+        }
         Ok(guti)
     }
 
@@ -1437,5 +1453,70 @@ impl MmeCore {
                 "unexpected S6a at MME: {other:?}"
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scale_nas::{Plmn, Tai};
+
+    fn replica(m_tmsi: u32, mme_ue_id: u32, s11_teid: u32) -> Bytes {
+        let guti = Guti {
+            plmn: Plmn::test(),
+            mme_group_id: 0x8001,
+            mme_code: 1,
+            m_tmsi,
+        };
+        let mut ctx = UeContext::new(format!("00101{m_tmsi:010}"), guti, Tai::new(Plmn::test(), 7));
+        ctx.emm = EmmState::Registered;
+        ctx.mme_ue_id = mme_ue_id;
+        ctx.bearer.s11_mme_teid = s11_teid;
+        ctx.to_bytes()
+    }
+
+    #[test]
+    fn a_refreshed_replica_is_indexed_under_its_newest_ids_only() {
+        // One device, refreshed a thousand times, each copy minted under
+        // a fresh MME-UE-S1AP-ID by its serving engine (one per Service
+        // Request); every tenth refresh the S11 TEID moves as well.
+        let mut holder = MmeCore::new(MmeConfig::default());
+        let m_tmsi = 0x0100_0007;
+        let (id_of, teid_of) = (|k: u32| 0x0200_0000 + k, |k: u32| 0x0300_0000 + k / 10);
+        let mut guti = None;
+        for k in 0..1000 {
+            guti = Some(holder.import_state(replica(m_tmsi, id_of(k), teid_of(k))).unwrap());
+        }
+        assert_eq!(holder.context_count(), 1);
+        for k in 0..999 {
+            assert_eq!(holder.m_tmsi_by_mme_ue_id(id_of(k)), None, "id of refresh {k} left behind");
+        }
+        assert_eq!(holder.m_tmsi_by_mme_ue_id(id_of(999)), Some(m_tmsi));
+        for k in (0..990).step_by(10) {
+            assert_eq!(holder.m_tmsi_by_s11_teid(teid_of(k)), None, "TEID of refresh {k} left behind");
+        }
+        assert_eq!(holder.m_tmsi_by_s11_teid(teid_of(999)), Some(m_tmsi));
+        assert_eq!(
+            (holder.by_mme_ue_id.len(), holder.by_s11_teid.len(), holder.by_imsi.len()),
+            (1, 1, 1)
+        );
+
+        holder.remove_context(&guti.unwrap()).unwrap();
+        assert!(holder.contexts.is_empty());
+        assert!(holder.by_imsi.is_empty() && holder.by_mme_ue_id.is_empty());
+        assert!(holder.by_s11_teid.is_empty());
+    }
+
+    #[test]
+    fn a_refresh_leaves_an_id_another_device_has_since_taken() {
+        // Ids are minted per serving engine, so two devices' copies can
+        // carry the same one on a holder; the later import owns it.
+        let mut holder = MmeCore::new(MmeConfig::default());
+        holder.import_state(replica(1, 0x55, 0x66)).unwrap();
+        holder.import_state(replica(2, 0x55, 0x66)).unwrap();
+        holder.import_state(replica(1, 0x77, 0x88)).unwrap();
+        assert_eq!(holder.m_tmsi_by_mme_ue_id(0x55), Some(2));
+        assert_eq!(holder.m_tmsi_by_s11_teid(0x66), Some(2));
+        assert_eq!(holder.m_tmsi_by_mme_ue_id(0x77), Some(1));
     }
 }

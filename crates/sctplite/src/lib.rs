@@ -12,7 +12,8 @@
 //! * [`memory`] — an in-memory link with deterministic fault injection
 //!   (drop/corrupt, as netem provided in the paper's testbed);
 //! * [`tokio_transport`] — the async TCP adapter used by the runnable
-//!   prototype, with per-link artificial propagation delay.
+//!   prototype, with per-link artificial propagation delay; `egress`
+//!   is the bounded send buffer of its split links.
 //!
 //! Substitution note (DESIGN.md): kernel SCTP is not portable or
 //! laptop-friendly; sctplite supplies exactly the SCTP properties S1AP
@@ -23,6 +24,7 @@
 
 pub mod assoc;
 pub mod chunk;
+mod egress;
 pub mod framing;
 pub mod memory;
 pub mod tokio_transport;

@@ -10,20 +10,23 @@
 //! Both directions batch by what is already there, never by a timer
 //! (DESIGN.md §14.2). Receiving, one `read` takes whatever the socket
 //! holds and every complete frame in it is handled before the next
-//! `read`; sending, a split link's writer thread puts everything queued
-//! since its last write on the wire in one `write`. A lone message
-//! crosses exactly as fast as it would alone; under load the backlog is
-//! the batch, and system calls per message fall with queue depth.
+//! `read`; sending, whoever finds a split link idle writes its own
+//! unit in place, and whatever is queued behind a write in progress
+//! leaves in the writer thread's next `write` (`egress.rs`). A
+//! lone message crosses on its sender's own thread and wakes nobody;
+//! under load the backlog is the batch, and system calls per message
+//! fall with queue depth.
 
 use crate::assoc::{Association, Event};
 use crate::chunk::SctpError;
+use crate::egress::{Egress, Sink};
 use crate::framing::{frame_into, Deframer};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scale_obs::{Counter, Histogram, Registry};
 use std::collections::VecDeque;
 use std::io;
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::net::tcp::{OwnedReadHalf, OwnedWriteHalf};
@@ -42,6 +45,9 @@ pub enum TransportError {
     Closed,
     /// Peer aborted the association with a reason code.
     Aborted(u8),
+    /// The egress buffer of a split link is at its bound. Only the
+    /// `try_` sends say so; the others wait there instead.
+    Full,
 }
 
 impl std::fmt::Display for TransportError {
@@ -52,6 +58,7 @@ impl std::fmt::Display for TransportError {
             TransportError::Eof => write!(f, "peer vanished"),
             TransportError::Closed => write!(f, "association closed cleanly"),
             TransportError::Aborted(reason) => write!(f, "association aborted: {reason}"),
+            TransportError::Full => write!(f, "egress buffer full"),
         }
     }
 }
@@ -394,47 +401,34 @@ impl SctpStream {
 
     /// Split into an independently-usable [`SctpSendHalf`] and
     /// [`SctpRecvHalf`] so one task can block in `next_event` while
-    /// another sends — the shape every wire-deployment role needs
-    /// (a reader pump per link plus a router thread that replies).
+    /// another sends — the shape every wire-deployment role needs.
     ///
-    /// Outbound frames — whether queued by the send half or generated
-    /// by the receive half (heartbeat acks, shutdown handshake) — are
-    /// appended to one *bounded* egress buffer of at most
-    /// `egress_capacity` frames, which a dedicated writer thread
-    /// empties with one write per wake-up: while it is inside a write,
-    /// senders keep appending, and the next write carries all of it.
-    /// A full buffer blocks the sender: that is the transport's
-    /// backpressure. A shedding caller checks [`SctpSendHalf::pending`]
-    /// against [`SctpSendHalf::capacity`] *before* sending.
+    /// Outbound frames — whether sent through the send half or
+    /// generated by the receive half (heartbeat acks, shutdown
+    /// handshake) — pass through one *bounded* egress buffer of at most
+    /// `egress_capacity` frames (`egress.rs`). A sender that
+    /// finds the link idle writes its own frames in place; while any
+    /// write is in progress senders append, and a dedicated writer
+    /// thread puts all of it on the wire with its next write. A full
+    /// buffer blocks the sender: that is the transport's backpressure.
+    /// A caller that must not block uses
+    /// [`SctpSendHalf::try_send_batch`] and sheds on
+    /// [`TransportError::Full`].
     ///
     /// `link_delay`, attached metrics and outstanding pings do not
     /// carry over; a supervisor owns RTT bookkeeping for split links.
     pub fn into_split(self, egress_capacity: usize) -> (SctpSendHalf, SctpRecvHalf) {
-        let egress = Arc::new(Egress {
-            q: StdMutex::new(EgressQueue::default()),
-            wake_writer: Condvar::new(),
-            wake_senders: Condvar::new(),
-            capacity: egress_capacity.max(1),
-        });
+        let egress = Arc::new(Egress::new(self.wr, egress_capacity));
         let shared = Arc::new(SplitShared {
             assoc: Mutex::new(self.assoc),
             egress: Arc::clone(&egress),
         });
-        let mut wr = self.wr;
         // Writer: exits once both halves are gone and the buffer is
-        // empty, or when the peer stops accepting bytes; dropping the
-        // write half then shuts down the TCP write direction. Detached:
-        // a peer that never reads must not be able to block whoever
-        // drops the last half.
-        std::thread::spawn(move || {
-            let mut batch = Vec::new();
-            while egress.next_batch(&mut batch) {
-                if tokio::runtime::block_on(wr.write_all(&batch)).is_err() {
-                    egress.fail();
-                    break;
-                }
-            }
-        });
+        // empty, or when the peer stops accepting bytes; the last of
+        // the three to go drops the write half, which shuts down the
+        // TCP write direction. Detached: a peer that never reads must
+        // not be able to block whoever drops the last half.
+        std::thread::spawn(move || egress.run_writer());
         (
             SctpSendHalf {
                 shared: Arc::clone(&shared),
@@ -448,141 +442,51 @@ impl SctpStream {
     }
 }
 
+/// The write half as the egress buffer drives it. Both calls take
+/// `&self`: the egress state machine, not the borrow checker, is what
+/// keeps two writes from running at once.
+impl Sink for OwnedWriteHalf {
+    fn try_write(&self, buf: &[u8]) -> io::Result<usize> {
+        OwnedWriteHalf::try_write(self, buf)
+    }
+
+    fn write_blocking(&self, mut buf: &[u8]) -> io::Result<()> {
+        while !buf.is_empty() {
+            tokio::runtime::block_on(self.writable())?;
+            match OwnedWriteHalf::try_write(self, buf) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => buf = &buf[n..],
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
 /// State shared by the two halves of a split [`SctpStream`].
 struct SplitShared {
     /// The sans-IO state machine. Guard discipline: lock, mutate, drain
     /// egress into a local buffer, unlock — a guard is never held
-    /// across an `.await` or a blocking egress push (scale-lint's
-    /// await-guard rule watches this file).
+    /// across an `.await` or a socket write (scale-lint's await-guard
+    /// rule watches this file).
     assoc: Mutex<Association>,
-    egress: Arc<Egress>,
+    egress: Arc<Egress<OwnedWriteHalf>>,
 }
 
 impl Drop for SplitShared {
     /// Runs when the last half goes: lets the writer finish and exit.
     fn drop(&mut self) {
-        let mut q = self.egress.lock();
-        q.closed = true;
-        self.egress.wake_writer.notify_one();
-    }
-}
-
-/// An egress buffer larger than this is freed after its write instead
-/// of being reused, so one burst does not pin its peak size.
-const WIRE_RETAIN: usize = 64 * 1024;
-
-/// The bounded egress buffer between the halves of a split stream and
-/// its writer thread.
-struct Egress {
-    q: StdMutex<EgressQueue>,
-    wake_writer: Condvar,
-    wake_senders: Condvar,
-    /// Bound on frames not yet on the wire.
-    capacity: usize,
-}
-
-#[derive(Default)]
-struct EgressQueue {
-    /// Length-prefixed frames waiting for the writer.
-    wire: Vec<u8>,
-    /// Frames in `wire`.
-    queued: usize,
-    /// Frames the writer has taken and not finished writing.
-    writing: usize,
-    /// Condvar wake-ups are system calls; these say when one is needed.
-    writer_parked: bool,
-    senders_parked: usize,
-    /// Both halves are gone: the writer drains and exits.
-    closed: bool,
-    /// The writer met a TCP failure and exited.
-    dead: bool,
-}
-
-impl Egress {
-    /// Every update leaves the queue valid, so a poisoned lock (a
-    /// sender panicked elsewhere while holding it) is recovered.
-    fn lock(&self) -> MutexGuard<'_, EgressQueue> {
-        self.q.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Append `frames` encoded frames as one unit, blocking while the
-    /// bound is reached. A unit larger than the whole bound is admitted
-    /// once the buffer is empty. A dead writer means the peer is gone.
-    fn push(&self, wire: &[u8], frames: usize) -> Result<(), TransportError> {
-        if frames == 0 {
-            return Ok(());
-        }
-        let mut q = self.lock();
-        loop {
-            if q.dead {
-                return Err(TransportError::Eof);
-            }
-            let pending = q.queued + q.writing;
-            if pending == 0 || pending + frames <= self.capacity {
-                break;
-            }
-            q.senders_parked += 1;
-            q = self
-                .wake_senders
-                .wait(q)
-                .unwrap_or_else(PoisonError::into_inner);
-            q.senders_parked -= 1;
-        }
-        q.wire.extend_from_slice(wire);
-        q.queued += frames;
-        if std::mem::take(&mut q.writer_parked) {
-            self.wake_writer.notify_one();
-        }
-        Ok(())
-    }
-
-    /// Writer side: the previous batch is on the wire; block until
-    /// there is a next one and swap it into `batch`. `false` once the
-    /// halves are gone and nothing is left.
-    fn next_batch(&self, batch: &mut Vec<u8>) -> bool {
-        if batch.capacity() > WIRE_RETAIN {
-            *batch = Vec::new();
-        } else {
-            batch.clear();
-        }
-        let mut q = self.lock();
-        q.writing = 0;
-        if q.senders_parked > 0 {
-            self.wake_senders.notify_all();
-        }
-        loop {
-            if q.queued > 0 {
-                std::mem::swap(&mut q.wire, batch);
-                q.writing = std::mem::take(&mut q.queued);
-                return true;
-            }
-            if q.closed {
-                return false;
-            }
-            q.writer_parked = true;
-            q = self
-                .wake_writer
-                .wait(q)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Writer side: the TCP write failed. Nothing queued will ever
-    /// leave; fail current and future senders.
-    fn fail(&self) {
-        let mut q = self.lock();
-        q.dead = true;
-        q.wire = Vec::new();
-        q.queued = 0;
-        q.writing = 0;
-        self.wake_senders.notify_all();
+        self.egress.close();
     }
 }
 
 /// The sending side of a split [`SctpStream`]. Every method is
-/// synchronous: it runs the state machine under a short lock, then
-/// appends the encoded frames to the bounded egress buffer (blocking
-/// if it is full — see [`Self::pending`] to shed instead).
+/// synchronous: it reserves room in the bounded egress buffer (blocking
+/// if it is full, unless it is a `try_` call), runs the state machine
+/// under a short lock, and writes the encoded frames in place if the
+/// link is idle or queues them if it is not. Clones share the link;
+/// frames reach the wire in the order the calls were admitted.
 #[derive(Clone)]
 pub struct SctpSendHalf {
     shared: Arc<SplitShared>,
@@ -595,61 +499,103 @@ impl SctpSendHalf {
     }
 
     /// Send a run of application messages on `stream_id` as one egress
-    /// unit: one pass under the association lock, one append to the
-    /// egress buffer, at most one writer wake-up. Order is kept.
-    /// `payloads` is consumed under the association lock, so it should
-    /// do no more than encode.
-    pub fn send_batch(
+    /// unit: one pass under the association lock, one write or one
+    /// append to the egress buffer, at most one writer wake-up. Order
+    /// is kept. `payloads` is consumed under the link's locks, so it
+    /// should do no more than encode.
+    pub fn send_batch<I>(&self, stream_id: u16, ppid: u32, payloads: I) -> Result<(), TransportError>
+    where
+        I: IntoIterator<Item = Bytes>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        self.send_run(stream_id, ppid, payloads.into_iter(), true)
+    }
+
+    /// [`Self::send_batch`] for a caller that must not block: past
+    /// [`Self::capacity`] the answer is [`TransportError::Full`], and
+    /// then `payloads` has not been touched and no sequence number has
+    /// been spent — the link is exactly as it was.
+    pub fn try_send_batch<I>(
         &self,
         stream_id: u16,
         ppid: u32,
-        payloads: impl IntoIterator<Item = Bytes>,
+        payloads: I,
+    ) -> Result<(), TransportError>
+    where
+        I: IntoIterator<Item = Bytes>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        self.send_run(stream_id, ppid, payloads.into_iter(), false)
+    }
+
+    fn send_run(
+        &self,
+        stream_id: u16,
+        ppid: u32,
+        mut payloads: impl ExactSizeIterator<Item = Bytes>,
+        wait: bool,
     ) -> Result<(), TransportError> {
-        self.transmit(|a| payloads.into_iter().try_for_each(|p| a.send(stream_id, ppid, p)))
+        self.transmit(payloads.len(), wait, |a| {
+            payloads.try_for_each(|p| a.send(stream_id, ppid, p))
+        })
     }
 
     /// Send a HEARTBEAT probe; the ack surfaces on the receive half.
     pub fn ping(&self, nonce: u64) -> Result<(), TransportError> {
-        self.transmit(|a| a.heartbeat(nonce))
+        self.transmit(1, true, |a| a.heartbeat(nonce))
+    }
+
+    /// [`Self::ping`] that answers [`TransportError::Full`] instead of
+    /// waiting at the bound.
+    pub fn try_ping(&self, nonce: u64) -> Result<(), TransportError> {
+        self.transmit(1, false, |a| a.heartbeat(nonce))
     }
 
     /// Begin the graceful SHUTDOWN handshake. The peer's ack completes
     /// it on the receive half (which then yields
     /// [`TransportError::Closed`]).
     pub fn shutdown_send(&self) -> Result<(), TransportError> {
-        self.transmit(|a| {
+        self.transmit(1, true, |a| {
             a.shutdown();
             Ok(())
         })
     }
 
-    /// Frames handed to the egress buffer and not yet written. At
-    /// [`Self::capacity`], the next send blocks — a shedding caller
-    /// treats that as "link congested" and drops low-priority work
-    /// instead.
+    /// Frames accepted by the egress buffer and not yet written. At
+    /// [`Self::capacity`], the next send blocks and the next `try_`
+    /// send is refused.
     pub fn pending(&self) -> usize {
-        let q = self.shared.egress.lock();
-        q.queued + q.writing
+        self.shared.egress.pending()
     }
 
     /// Bound of the egress buffer, in frames, chosen at split time.
     pub fn capacity(&self) -> usize {
-        self.shared.egress.capacity
+        self.shared.egress.capacity()
     }
 
-    /// Run `op` on the association and queue what it produced. Frames
-    /// accepted before `op` failed still leave.
+    /// Reserve room for `frames` frames (waiting for it if `wait`), run
+    /// `op` on the association and hand over what it produced. The
+    /// egress queue stays locked from admission to hand-over, so
+    /// concurrent senders reach the wire in the order their sequence
+    /// numbers were assigned. Frames accepted before `op` failed still
+    /// leave.
     fn transmit(
         &self,
+        frames: usize,
+        wait: bool,
         op: impl FnOnce(&mut Association) -> Result<(), SctpError>,
     ) -> Result<(), TransportError> {
+        if frames == 0 {
+            return Ok(());
+        }
         let mut wire = Vec::with_capacity(256);
+        let q = self.shared.egress.admit(frames, wait)?;
         let (res, frames) = {
             let mut a = self.shared.assoc.lock();
             let res = op(&mut a);
             (res, drain_wire(&mut a, &mut wire))
         };
-        self.shared.egress.push(&wire, frames)?;
+        self.shared.egress.commit(q, &wire, frames)?;
         Ok(res?)
     }
 }
@@ -763,9 +709,20 @@ impl SctpListener {
     }
 
     pub async fn accept(&mut self) -> Result<SctpStream, TransportError> {
+        let (stream, tag) = self.accept_tcp().await?;
+        SctpStream::accept(stream, tag).await
+    }
+
+    /// Accept the TCP connection only, with the tag its association
+    /// will carry. A server whose peers are not all well-behaved hands
+    /// the pair to the thread that will own the link and runs
+    /// [`SctpStream::accept`] there, under a deadline: a peer that
+    /// connects and then stalls or babbles costs that thread, and the
+    /// accept loop never waits for anybody's handshake.
+    pub async fn accept_tcp(&mut self) -> io::Result<(TcpStream, u32)> {
         let (stream, _peer) = self.tcp.accept().await?;
         self.next_tag += 1;
-        SctpStream::accept(stream, self.next_tag).await
+        Ok((stream, self.next_tag))
     }
 }
 

@@ -21,35 +21,37 @@
 //! Every role loop batches by what is already there (DESIGN.md §14.2):
 //! one receive takes all the messages its read delivered, all of them
 //! are handled, and what they produced leaves as one egress unit per
-//! link. Nothing waits for a batch to fill.
+//! link. Nothing waits for a batch to fill. At the MLB the handling
+//! happens on the thread that did the receive, under the one lock that
+//! guards the routing state (`Router`); no thread is woken to route.
 
 use crate::openloop::poisson_schedule;
 use crate::shard_driver::ScaleOutConfig;
 use scale_core::wire::{MlbOut, MlbState, MlbWireStats, MmpNode, WireMsg, WireRole, WireTopo};
 use scale_core::{BackoffPolicy, HealthTracker, ShardStatsSnapshot};
 use scale_epc::{
-    DriveMode, EmuCounts, EmuEvent, EmulatorConfig, EnbEmulator, ProcKind, ENB_BASE,
+    home_cell, DriveMode, EmuCounts, EmuEvent, EmulatorConfig, EnbEmulator, ProcKind, ENB_BASE,
 };
+use scale_s1ap::S1apPdu;
 use scale_sctplite::{
     ppid, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream, StreamEvent, TransportError,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Bounded egress depth per link (frames not yet on the wire before
-/// senders block).
+/// senders block, or — at the MLB, which never blocks — shed).
 const EGRESS_CAP: usize = 4096;
-/// Most router events handled between two flushes of the MLB's output:
-/// bounds how long a produced message can wait behind further input
-/// when input never stops arriving.
-const ROUTER_BURST: usize = 32;
-/// Router heartbeat tick toward MMP links.
+/// Heartbeat tick of the MLB toward its MMP links.
 const HB_TICK: Duration = Duration::from_millis(100);
+/// What a link gets to come up: a dialler's retries, and at the MLB a
+/// connected peer's handshake.
+const LINK_BUDGET: Duration = Duration::from_secs(10);
 /// Idle poll granularity of the eNB drive loop.
 const POLL: Duration = Duration::from_millis(200);
 /// Hard per-process run deadline (CI hang guard).
@@ -316,7 +318,7 @@ fn connect_retry(addr: &str, tag: u32) -> Result<SctpStream, TransportError> {
             Ok(s) => return Ok(s),
             Err(e) => {
                 attempt += 1;
-                if start.elapsed() > Duration::from_secs(10)
+                if start.elapsed() > LINK_BUDGET
                     || !policy.may_retry(attempt, start.elapsed().as_secs_f64())
                 {
                     return Err(e);
@@ -656,34 +658,331 @@ pub fn run_mmp(cfg: &WireRunConfig, index: usize, addr: &str) -> i32 {
     0
 }
 
-enum RouterEvent {
-    Linked {
-        role: WireRole,
-        id: usize,
-        link: SctpSendHalf,
-    },
-    /// Everything one receive on a link delivered, in arrival order.
-    Msgs {
-        role: WireRole,
-        msgs: Vec<WireMsg>,
-    },
-    Pong {
-        id: usize,
-    },
-    Down {
-        role: WireRole,
-        id: usize,
-    },
+/// One live link in the MLB's table.
+struct Link {
+    link: SctpSendHalf,
+    /// Which registration of this `(role, id)` slot the link is: a
+    /// reader that reports its link down names the generation it was
+    /// given, so it cannot take down a successor.
+    gen: u64,
+    /// Nonce of an unanswered heartbeat, if one is outstanding (worker
+    /// links only).
+    outstanding: Option<u64>,
 }
 
-/// Per-accepted-link thread on the MLB: handshake (first message must
-/// be a `Hello`), then pump batches of decoded messages to the router.
-/// A peer that sends anything undecodable is not one of ours: its link
-/// is dropped, which costs the fleet nothing.
-/// Thread entry: owns its Sender clone so the channel lives exactly as
-/// long as the link.
+/// Hand `msgs` to `link` as one egress unit without ever waiting for
+/// the peer. On `Err` nothing was sent and `msgs` is untouched.
+fn try_send_wire_batch(link: &SctpSendHalf, msgs: &[WireMsg]) -> Result<(), TransportError> {
+    link.try_send_batch(1, ppid::SCALE_STATE, msgs.iter().map(WireMsg::encode))
+}
+
+/// Everything the MLB routes with: the sans-IO [`MlbState`], the link
+/// table, worker health, and the per-link output runs. One mutex
+/// guards all of it. A link's own thread takes it for each event of
+/// its link — the link coming up, a read's worth of messages, a
+/// heartbeat ack, the link going down — and flushes what the event
+/// produced before letting go, so every step is as atomic, and output
+/// per link as ordered, as when one thread owned this state behind a
+/// channel.
+///
+/// Nothing done under the lock waits for a peer: sends are
+/// `try_send_batch`/`try_ping`, and what does not fit behind a full
+/// egress is shed ([`Router::flush`]). A send that could block here
+/// would turn one stalled worker into a stalled — with that worker's
+/// own reader waiting for the lock, deadlocked — fleet.
+struct Router {
+    mlb: MlbState,
+    enb_links: Vec<Option<Link>>,
+    mmp_links: Vec<Option<Link>>,
+    mmp_ever_down: Vec<bool>,
+    health: HealthTracker,
+    reconnects: u64,
+    enbs_closed: usize,
+    next_nonce: u64,
+    next_gen: u64,
+    announced_ready: bool,
+    /// Reused across events; empty whenever the lock is free.
+    out: Vec<MlbOut>,
+    enb_runs: Vec<Vec<WireMsg>>,
+    mmp_runs: Vec<Vec<WireMsg>>,
+}
+
+impl Router {
+    fn new(cfg: &WireRunConfig) -> Router {
+        Router {
+            mlb: MlbState::new(&cfg.topo()),
+            enb_links: (0..cfg.n_enbs).map(|_| None).collect(),
+            mmp_links: (0..cfg.n_mmps).map(|_| None).collect(),
+            mmp_ever_down: vec![false; cfg.n_mmps],
+            health: HealthTracker::new(scale_core::HealthConfig::default()),
+            reconnects: 0,
+            enbs_closed: 0,
+            next_nonce: 1,
+            next_gen: 0,
+            announced_ready: false,
+            out: Vec::new(),
+            enb_runs: (0..cfg.n_enbs).map(|_| Vec::new()).collect(),
+            mmp_runs: (0..cfg.n_mmps).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// A link said `Hello`. Returns the generation to name when it
+    /// goes down. An id outside the topology gets no slot: nothing is
+    /// ever routed to it.
+    fn linked(&mut self, role: WireRole, id: usize, link: SctpSendHalf) -> u64 {
+        self.next_gen += 1;
+        let entry = Link {
+            link,
+            gen: self.next_gen,
+            outstanding: None,
+        };
+        match role {
+            WireRole::Enb => {
+                if let Some(slot) = self.enb_links.get_mut(id) {
+                    *slot = Some(entry);
+                }
+            }
+            WireRole::Mmp if id < self.mmp_links.len() => {
+                if self.mmp_links[id].is_some() {
+                    // Replaced without an observed death: fail the old
+                    // link first, over the links as they were.
+                    self.take_down(WireRole::Mmp, id);
+                    self.flush();
+                }
+                self.mmp_links[id] = Some(entry);
+                self.health.mark_up(id as u32);
+                if self.mmp_ever_down[id] {
+                    self.reconnects += 1;
+                    self.mlb.on_mmp_reconnected(id, &mut self.out);
+                }
+                // Fleet-ready barrier: the orchestrator starts cells
+                // only after this line, so no uplink can be routed to
+                // a worker whose Hello is still in flight.
+                if !self.announced_ready && self.mmp_links.iter().all(Option::is_some) {
+                    self.announced_ready = true;
+                    println!("READY");
+                    let _ = std::io::stdout().flush();
+                }
+            }
+            WireRole::Mmp => {}
+        }
+        self.flush();
+        self.next_gen
+    }
+
+    /// Everything one receive on a `role` link delivered, in order.
+    fn route(&mut self, role: WireRole, msgs: Vec<WireMsg>) {
+        for msg in msgs {
+            match role {
+                WireRole::Enb => {
+                    if let WireMsg::Uplink {
+                        enb_id,
+                        attach_hint,
+                        pdu,
+                    } = msg
+                    {
+                        self.mlb.on_enb(enb_id, attach_hint, pdu, &mut self.out);
+                    }
+                }
+                WireRole::Mmp => self.mlb.on_mmp(msg, &mut self.out),
+            }
+        }
+        self.flush();
+    }
+
+    /// Worker `id` answered a heartbeat.
+    fn pong(&mut self, id: usize) {
+        if let Some(Some(l)) = self.mmp_links.get_mut(id) {
+            l.outstanding = None;
+            self.health.heartbeat_ok(id as u32);
+        }
+    }
+
+    /// The reader of registration `gen` of `(role, id)` lost its link.
+    fn down(&mut self, role: WireRole, id: usize, gen: u64) {
+        let links = match role {
+            WireRole::Enb => &self.enb_links,
+            WireRole::Mmp => &self.mmp_links,
+        };
+        if matches!(links.get(id), Some(Some(l)) if l.gen == gen) {
+            self.take_down(role, id);
+            self.flush();
+        }
+    }
+
+    /// Heartbeat tick: ping every live worker link; a ping still
+    /// unanswered from the previous tick is a miss, and enough misses
+    /// take the link down even without a TCP-level error. A ping that
+    /// does not fit behind a full egress counts as sent — a worker that
+    /// far behind is not answering either.
+    fn tick(&mut self) {
+        for id in 0..self.mmp_links.len() {
+            let Some(l) = self.mmp_links[id].as_mut() else {
+                continue;
+            };
+            if l.outstanding.is_some() && self.health.miss_heartbeat(id as u32) {
+                self.take_down(WireRole::Mmp, id);
+                continue;
+            }
+            self.next_nonce += 1;
+            if matches!(
+                l.link.try_ping(self.next_nonce),
+                Ok(()) | Err(TransportError::Full)
+            ) {
+                l.outstanding = Some(self.next_nonce);
+            }
+        }
+        self.flush();
+    }
+
+    /// Remove a live link from the table and let the routing state
+    /// react; what that produces waits in `out` for the next flush.
+    fn take_down(&mut self, role: WireRole, id: usize) {
+        match role {
+            WireRole::Enb => {
+                if self.enb_links[id].take().is_some() {
+                    self.enbs_closed += 1;
+                }
+            }
+            WireRole::Mmp => {
+                if self.mmp_links[id].take().is_some() {
+                    self.mmp_ever_down[id] = true;
+                    self.health.mark_down(id as u32);
+                    self.mlb.on_mmp_down(id, &mut self.out);
+                }
+            }
+        }
+    }
+
+    /// Move `out` into the per-link runs, order within a link kept.
+    /// Output for a link that is not up is dropped and counted, message
+    /// by message.
+    fn sort_out(&mut self) {
+        for o in self.out.drain(..) {
+            let (runs, links, id, msg) = match o {
+                MlbOut::Enb { enb, msg } => (&mut self.enb_runs, &self.enb_links, enb, msg),
+                MlbOut::Mmp { mmp, msg } => (&mut self.mmp_runs, &self.mmp_links, mmp, msg),
+            };
+            match (runs.get_mut(id), links.get(id)) {
+                (Some(run), Some(Some(_))) => run.push(msg),
+                _ => self.mlb.stats.dropped += 1,
+            }
+        }
+    }
+
+    /// Send everything in `out`, one egress unit per link, worker-bound
+    /// links before eNB-bound ones: a `Replicate` is queued toward its
+    /// holder before the `Settled` that lets the device move on is
+    /// queued toward its cell.
+    ///
+    /// A link whose egress is full sheds its run, every message counted
+    /// in `dropped`: a `Deliver` that opens a procedure is failed back
+    /// to the device's home cell as `ProcFailed`, so the access side
+    /// re-drives it; anything else is gone (a worker that stays that
+    /// far behind misses its heartbeats, and going down fails whatever
+    /// it had in flight). A link that turns out broken goes down here
+    /// and now, and what that produces is flushed in turn.
+    fn flush(&mut self) {
+        loop {
+            let mut lost = Vec::new();
+            self.sort_out();
+            for id in 0..self.mmp_runs.len() {
+                let (run, Some(l)) = (&mut self.mmp_runs[id], &self.mmp_links[id]) else {
+                    continue;
+                };
+                match try_send_wire_batch(&l.link, run) {
+                    Ok(()) => run.clear(),
+                    Err(TransportError::Full) => {
+                        let n_enbs = self.enb_links.len();
+                        for msg in run.drain(..) {
+                            self.mlb.stats.dropped += 1;
+                            let WireMsg::Deliver {
+                                guti_hint,
+                                pdu: S1apPdu::InitialUeMessage { s_tmsi, .. },
+                                ..
+                            } = msg
+                            else {
+                                continue;
+                            };
+                            let Some(m_tmsi) = guti_hint.or(s_tmsi.map(|(_, m)| m)) else {
+                                continue;
+                            };
+                            if let Some(enb) = home_cell(m_tmsi, n_enbs) {
+                                self.out.push(MlbOut::Enb {
+                                    enb,
+                                    msg: WireMsg::ProcFailed { m_tmsi },
+                                });
+                            }
+                        }
+                    }
+                    Err(_) => {
+                        self.mlb.stats.dropped += run.drain(..).count() as u64;
+                        lost.push((WireRole::Mmp, id));
+                    }
+                }
+            }
+            self.sort_out();
+            for id in 0..self.enb_runs.len() {
+                let (run, Some(l)) = (&mut self.enb_runs[id], &self.enb_links[id]) else {
+                    continue;
+                };
+                match try_send_wire_batch(&l.link, run) {
+                    Ok(()) => run.clear(),
+                    Err(e) => {
+                        self.mlb.stats.dropped += run.drain(..).count() as u64;
+                        if !matches!(e, TransportError::Full) {
+                            lost.push((WireRole::Enb, id));
+                        }
+                    }
+                }
+            }
+            for (role, id) in lost {
+                self.take_down(role, id);
+            }
+            if self.out.is_empty() {
+                return;
+            }
+        }
+    }
+}
+
+/// The MLB's routing state as its threads share it.
+struct MlbShared {
+    router: Mutex<Router>,
+    /// Signalled when a link has gone down: the main thread re-checks
+    /// its exit condition.
+    link_down: Condvar,
+}
+
+impl MlbShared {
+    /// A link thread that panicked mid-event has lost its own link's
+    /// output at worst; the rest of the fleet carries on.
+    fn lock(&self) -> MutexGuard<'_, Router> {
+        self.router.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Per-accepted-connection thread on the MLB: sctplite handshake under
+/// the link budget, then the first message must be a `Hello`, then
+/// every read's worth of messages is routed right here, under the
+/// router lock. A peer that stalls or babbles at any stage costs this
+/// thread and nothing else; one that sends anything undecodable is not
+/// one of ours and its link is dropped.
 #[allow(clippy::needless_pass_by_value)]
-fn mlb_link_loop(sh: SctpSendHalf, mut rh: SctpRecvHalf, tx: Sender<RouterEvent>) {
+fn mlb_link_loop(tcp: tokio::net::TcpStream, tag: u32, shared: Arc<MlbShared>) {
+    let handshake = tokio::time::timeout(LINK_BUDGET, SctpStream::accept(tcp, tag));
+    let stream = match tokio::runtime::block_on(handshake) {
+        Ok(Ok(s)) => s,
+        Ok(Err(e)) => {
+            eprintln!("mlb: handshake failed: {e}; dropping");
+            return;
+        }
+        Err(_) => {
+            eprintln!("mlb: no handshake within {LINK_BUDGET:?}; dropping");
+            return;
+        }
+    };
+    let (sh, mut rh) = stream.into_split(EGRESS_CAP);
     let mut events = Vec::new();
     let Ok(mut batch) = recv_batch("mlb", &mut rh, &mut events) else {
         return;
@@ -698,52 +997,36 @@ fn mlb_link_loop(sh: SctpSendHalf, mut rh: SctpRecvHalf, tx: Sender<RouterEvent>
         return;
     };
     batch.msgs.remove(0);
-    if tx.send(RouterEvent::Linked { role, id, link: sh }).is_err() {
-        return;
-    }
+    let gen = shared.lock().linked(role, id, sh);
     loop {
         if batch.undecodable > 0 {
             eprintln!("mlb: dropping {role:?} {id} after an undecodable message");
             break;
         }
-        if !batch.msgs.is_empty() {
-            let msgs = batch.msgs;
-            if tx.send(RouterEvent::Msgs { role, msgs }).is_err() {
-                return;
+        let pong = role == WireRole::Mmp && batch.pongs > 0;
+        if pong || !batch.msgs.is_empty() {
+            let mut router = shared.lock();
+            if pong {
+                router.pong(id);
             }
-        }
-        if role == WireRole::Mmp && batch.pongs > 0 && tx.send(RouterEvent::Pong { id }).is_err() {
-            return;
+            if !batch.msgs.is_empty() {
+                router.route(role, batch.msgs);
+            }
         }
         match recv_batch("mlb", &mut rh, &mut events) {
             Ok(b) => batch = b,
             Err(_) => break,
         }
     }
-    let _ = tx.send(RouterEvent::Down { role, id });
+    shared.lock().down(role, id, gen);
+    shared.link_down.notify_one();
 }
 
-/// `first`, then whatever is already queued on `rx`, at most `max`
-/// events in all. Lazy: an event is taken off the channel only when it
-/// is about to be yielded, so stopping at `max` loses nothing.
-fn burst<T>(first: T, rx: &Receiver<T>, max: usize) -> impl Iterator<Item = T> + '_ {
-    std::iter::once(first)
-        .chain(std::iter::from_fn(|| rx.try_recv().ok()))
-        .take(max)
-}
-
-struct MmpLink {
-    link: SctpSendHalf,
-    /// Nonce of an unanswered heartbeat, if one is outstanding.
-    outstanding: Option<u64>,
-}
-
-/// MLB front process main: bind, announce `PORT`, route between eNB
-/// and MMP links until every eNB link has closed, then print one
-/// `REPORT` line.
+/// MLB front process main: bind, announce `PORT`, let the link threads
+/// route between eNB and MMP links until every eNB link has closed,
+/// then print one `REPORT` line. The main thread itself keeps the run
+/// deadline, the exit condition and the heartbeat tick.
 pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
-    let topo = cfg.topo();
-    let mut mlb = MlbState::new(&topo);
     let mut listener = match tokio::runtime::block_on(SctpListener::bind("127.0.0.1:0")) {
         Ok(l) => l,
         Err(e) => {
@@ -755,199 +1038,50 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
     println!("PORT {port}");
     let _ = std::io::stdout().flush();
 
-    let (tx, rx) = channel::<RouterEvent>();
-    let accept_tx = tx.clone();
+    let shared = Arc::new(MlbShared {
+        router: Mutex::new(Router::new(cfg)),
+        link_down: Condvar::new(),
+    });
+    // The accept thread takes TCP connections and nothing more; each
+    // link's handshake runs on the link's own thread.
+    let accept_shared = Arc::clone(&shared);
     thread::spawn(move || loop {
-        match tokio::runtime::block_on(listener.accept()) {
-            Ok(stream) => {
-                let (sh, rh) = stream.into_split(EGRESS_CAP);
-                let link_tx = accept_tx.clone();
-                thread::spawn(move || mlb_link_loop(sh, rh, link_tx));
+        match tokio::runtime::block_on(listener.accept_tcp()) {
+            Ok((tcp, tag)) => {
+                let shared = Arc::clone(&accept_shared);
+                thread::spawn(move || mlb_link_loop(tcp, tag, shared));
             }
             Err(e) => {
+                // One connection's failure (reset before accept, out
+                // of descriptors for a moment) is not the listener's.
                 eprintln!("mlb: accept failed: {e}");
-                return;
+                thread::sleep(Duration::from_millis(10));
             }
         }
     });
 
-    let mut enb_links: Vec<Option<SctpSendHalf>> = (0..cfg.n_enbs).map(|_| None).collect();
-    let mut mmp_links: Vec<Option<MmpLink>> = (0..cfg.n_mmps).map(|_| None).collect();
-    let mut mmp_ever_down = vec![false; cfg.n_mmps];
-    let mut health = HealthTracker::new(scale_core::HealthConfig::default());
-    let mut reconnects = 0u64;
-    let mut enbs_closed = 0usize;
-    let mut next_nonce = 1u64;
-    let mut out: Vec<MlbOut> = Vec::new();
-    let mut announced_ready = false;
     let start = Instant::now();
-
-    // Per-link output runs, reused across flushes.
-    let mut enb_runs: Vec<Vec<WireMsg>> = (0..cfg.n_enbs).map(|_| Vec::new()).collect();
-    let mut mmp_runs: Vec<Vec<WireMsg>> = (0..cfg.n_mmps).map(|_| Vec::new()).collect();
-
-    // Send everything in `out`, grouped per link (order within a link
-    // kept), one egress unit per link. Output for a link that is not up
-    // is dropped and counted, message by message.
-    macro_rules! flush {
-        () => {
-            for o in out.drain(..) {
-                match o {
-                    MlbOut::Enb { enb, msg } => match enb_runs.get_mut(enb) {
-                        Some(run) if enb_links[enb].is_some() => run.push(msg),
-                        _ => mlb.stats.dropped += 1,
-                    },
-                    MlbOut::Mmp { mmp, msg } => match mmp_runs.get_mut(mmp) {
-                        Some(run) if mmp_links[mmp].is_some() => run.push(msg),
-                        _ => mlb.stats.dropped += 1,
-                    },
-                }
-            }
-            // A failed send takes the link down through the router's
-            // own queue, like a reader-side loss.
-            for (id, run) in enb_runs.iter_mut().enumerate() {
-                if let Some(l) = &enb_links[id] {
-                    if send_wire_batch(l, run).is_err() {
-                        let role = WireRole::Enb;
-                        let _ = tx.send(RouterEvent::Down { role, id });
-                    }
-                }
-            }
-            for (id, run) in mmp_runs.iter_mut().enumerate() {
-                if let Some(l) = &mmp_links[id] {
-                    if send_wire_batch(&l.link, run).is_err() {
-                        let role = WireRole::Mmp;
-                        let _ = tx.send(RouterEvent::Down { role, id });
-                    }
-                }
-            }
-        };
-    }
-
-    while enbs_closed < cfg.n_enbs {
+    let mut router = shared.lock();
+    while router.enbs_closed < cfg.n_enbs {
         if start.elapsed() > RUN_DEADLINE {
-            eprintln!("mlb: deadline exceeded with {enbs_closed}/{} eNBs closed", cfg.n_enbs);
+            eprintln!(
+                "mlb: deadline exceeded with {}/{} eNBs closed",
+                router.enbs_closed, cfg.n_enbs
+            );
             return 3;
         }
-        // Block for one event, then take what else is already queued
-        // (up to ROUTER_BURST events) before flushing: consecutive
-        // message batches share one flush. A link-table change flushes
-        // first, so output is always sent over the links that were up
-        // when it was produced.
-        let first = match rx.recv_timeout(HB_TICK) {
-            Ok(ev) => ev,
-            Err(RecvTimeoutError::Timeout) => {
-                // Heartbeat tick: ping every live MMP link; an
-                // unanswered ping from the previous tick is a miss, and
-                // enough misses take the link down even without a
-                // TCP-level error.
-                for (id, slot) in mmp_links.iter_mut().enumerate().take(cfg.n_mmps) {
-                    let Some(l) = slot.as_mut() else {
-                        continue;
-                    };
-                    if l.outstanding.is_some() && health.miss_heartbeat(id as u32) {
-                        let _ = tx.send(RouterEvent::Down {
-                            role: WireRole::Mmp,
-                            id,
-                        });
-                        continue;
-                    }
-                    next_nonce += 1;
-                    if l.link.ping(next_nonce).is_ok() {
-                        l.outstanding = Some(next_nonce);
-                    }
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        for ev in burst(first, &rx, ROUTER_BURST) {
-            match ev {
-                RouterEvent::Msgs { role, msgs } => {
-                    for msg in msgs {
-                        match role {
-                            WireRole::Enb => {
-                                if let WireMsg::Uplink {
-                                    enb_id,
-                                    attach_hint,
-                                    pdu,
-                                } = msg
-                                {
-                                    mlb.on_enb(enb_id, attach_hint, pdu, &mut out);
-                                }
-                            }
-                            WireRole::Mmp => mlb.on_mmp(msg, &mut out),
-                        }
-                    }
-                }
-                RouterEvent::Pong { id } => {
-                    if let Some(Some(l)) = mmp_links.get_mut(id) {
-                        l.outstanding = None;
-                        health.heartbeat_ok(id as u32);
-                    }
-                }
-                RouterEvent::Linked { role, id, link } => {
-                    flush!();
-                    match role {
-                        WireRole::Enb => {
-                            if id < cfg.n_enbs {
-                                enb_links[id] = Some(link);
-                            }
-                        }
-                        WireRole::Mmp if id < cfg.n_mmps => {
-                            if mmp_links[id].is_some() {
-                                // Replaced without a observed death:
-                                // fail the old link first.
-                                mmp_links[id] = None;
-                                mmp_ever_down[id] = true;
-                                mlb.on_mmp_down(id, &mut out);
-                                flush!();
-                            }
-                            mmp_links[id] = Some(MmpLink {
-                                link,
-                                outstanding: None,
-                            });
-                            health.mark_up(id as u32);
-                            if mmp_ever_down[id] {
-                                reconnects += 1;
-                                mlb.on_mmp_reconnected(id, &mut out);
-                            }
-                            // Fleet-ready barrier: the orchestrator
-                            // starts cells only after this line, so no
-                            // uplink can be routed to a worker whose
-                            // Hello is still in flight.
-                            if !announced_ready && mmp_links.iter().all(Option::is_some) {
-                                announced_ready = true;
-                                println!("READY");
-                                let _ = std::io::stdout().flush();
-                            }
-                        }
-                        WireRole::Mmp => {}
-                    }
-                }
-                RouterEvent::Down { role, id } => {
-                    flush!();
-                    match role {
-                        WireRole::Enb => {
-                            if id < cfg.n_enbs && enb_links[id].take().is_some() {
-                                enbs_closed += 1;
-                            }
-                        }
-                        WireRole::Mmp => {
-                            if id < cfg.n_mmps && mmp_links[id].take().is_some() {
-                                mmp_ever_down[id] = true;
-                                health.mark_down(id as u32);
-                                mlb.on_mmp_down(id, &mut out);
-                            }
-                        }
-                    }
-                }
-            }
+        let (guard, wait) = shared
+            .link_down
+            .wait_timeout(router, HB_TICK)
+            .unwrap_or_else(PoisonError::into_inner);
+        router = guard;
+        if wait.timed_out() {
+            router.tick();
         }
-        flush!();
     }
 
-    let s = mlb.stats;
+    let s = router.mlb.stats;
+    let reconnects = router.reconnects;
     println!(
         "REPORT role=mlb routed_attaches={} routed_idle={} forwarded_uplinks={} \
          settled_relayed={} proc_failures={} dropped={} errors={} reconnects={reconnects}",
@@ -963,19 +1097,22 @@ pub fn run_mlb(cfg: &WireRunConfig) -> i32 {
     // through the shared observability registry and emit them as one
     // `METRICS k=v ...` line — ignored by the parent's REPORT parser,
     // scrape-ready for anything tailing the MLB's stdout.
-    let links_live = enb_links.iter().flatten().count() + mmp_links.iter().flatten().count();
+    let links_live =
+        router.enb_links.iter().flatten().count() + router.mmp_links.iter().flatten().count();
     let observer = scale_core::WireLinkObserver::new(Arc::new(scale_obs::Registry::new()));
     observer.publish(&s, reconnects, links_live as u64);
     println!("METRICS {}", scale_obs::report_kv(observer.registry()));
     // Let per-link egress queues drain before the process exit tears
     // the TCP streams down (enqueued != delivered).
-    let flush_deadline = Instant::now() + Duration::from_secs(2);
-    while mmp_links
+    let workers: Vec<SctpSendHalf> = router
+        .mmp_links
         .iter()
         .flatten()
-        .any(|l| l.link.pending() > 0)
-        && Instant::now() < flush_deadline
-    {
+        .map(|l| l.link.clone())
+        .collect();
+    drop(router);
+    let flush_deadline = Instant::now() + Duration::from_secs(2);
+    while workers.iter().any(|l| l.pending() > 0) && Instant::now() < flush_deadline {
         thread::sleep(Duration::from_millis(5));
     }
     0
@@ -1092,7 +1229,9 @@ pub struct WireDeployment {
     cfg: WireRunConfig,
     addr: String,
     mlb: ChildProc,
-    mmps: Vec<ChildProc>,
+    /// By worker index; `None` where the caller stands in for the
+    /// worker ([`spawn_topology_with`]).
+    mmps: Vec<Option<ChildProc>>,
     enbs: Vec<ChildProc>,
 }
 
@@ -1100,8 +1239,22 @@ pub struct WireDeployment {
 /// one MLB (which picks its port), `n_mmps` workers, `n_enbs` cells.
 /// Returns once every process is launched; the run proceeds in the
 /// background until [`WireDeployment::finish`].
-// lint: allow(unwrap)
 pub fn spawn_topology(bin: &str, cfg: &WireRunConfig) -> std::io::Result<WireDeployment> {
+    spawn_topology_with(bin, cfg, |_, _| false)
+}
+
+/// [`spawn_topology`] with the caller in the room while the fleet links
+/// up. Before each worker is spawned, `stand_in(index, mlb_addr)` is
+/// asked whether the caller plays that worker itself — a test's
+/// stalled, slow or hostile peer, dialled from the test process. The
+/// cells start, as always, once the MLB has heard a `Hello` from every
+/// worker, real or played.
+// lint: allow(unwrap)
+pub fn spawn_topology_with(
+    bin: &str,
+    cfg: &WireRunConfig,
+    mut stand_in: impl FnMut(usize, &str) -> bool,
+) -> std::io::Result<WireDeployment> {
     let cfg_args = cfg.to_args();
     let mut mlb_args = vec!["--role".to_string(), "mlb".to_string()];
     mlb_args.extend(cfg_args.iter().cloned());
@@ -1127,7 +1280,11 @@ pub fn spawn_topology(bin: &str, cfg: &WireRunConfig) -> std::io::Result<WireDep
     };
     let mut mmps = Vec::with_capacity(cfg.n_mmps);
     for i in 0..cfg.n_mmps {
-        mmps.push(ChildProc::spawn(bin, &child_args("mmp", "--index", i))?);
+        mmps.push(if stand_in(i, &addr) {
+            None
+        } else {
+            Some(ChildProc::spawn(bin, &child_args("mmp", "--index", i))?)
+        });
     }
     // Fleet-ready barrier: the MLB prints `READY` once it has processed
     // every worker's `Hello`. Cells start only then — an uplink routed
@@ -1135,7 +1292,7 @@ pub fn spawn_topology(bin: &str, cfg: &WireRunConfig) -> std::io::Result<WireDep
     if let Err(e) = mlb.await_line("MMP workers did not link to the MLB", |l| {
         (l == "READY").then_some(())
     }) {
-        for w in &mut mmps {
+        for w in mmps.iter_mut().flatten() {
             let _ = w.child.kill();
         }
         return Err(e);
@@ -1160,6 +1317,11 @@ impl WireDeployment {
         &self.addr
     }
 
+    /// Process id of the MLB, for reading its `/proc` entries.
+    pub fn mlb_pid(&self) -> u32 {
+        self.mlb.child.id()
+    }
+
     /// Cells whose process has already exited. A chaos test checks this
     /// is 0 when it injects its fault: a run that is already over
     /// exercises nothing.
@@ -1176,8 +1338,11 @@ impl WireDeployment {
     /// SIGKILL worker `index` mid-run (chaos injection). The report of
     /// the killed process is lost by construction.
     pub fn kill_mmp(&mut self, index: usize) -> std::io::Result<()> {
-        self.mmps[index].child.kill()?;
-        self.mmps[index].child.wait()?;
+        let Some(w) = self.mmps[index].as_mut() else {
+            return Err(std::io::Error::other("worker is played by the caller"));
+        };
+        w.child.kill()?;
+        w.child.wait()?;
         Ok(())
     }
 
@@ -1193,7 +1358,7 @@ impl WireDeployment {
             self.addr.clone(),
         ];
         args.extend(self.cfg.to_args());
-        self.mmps[index] = ChildProc::spawn(&self.bin, &args)?;
+        self.mmps[index] = Some(ChildProc::spawn(&self.bin, &args)?);
         Ok(())
     }
 
@@ -1207,7 +1372,7 @@ impl WireDeployment {
             clean &= e.finish(deadline);
         }
         clean &= self.mlb.finish(deadline);
-        for m in &mut self.mmps {
+        for m in self.mmps.iter_mut().flatten() {
             clean &= m.finish(deadline);
         }
 
@@ -1247,7 +1412,7 @@ impl WireDeployment {
                 });
             }
         }
-        for w in &self.mmps {
+        for w in self.mmps.iter().flatten() {
             let m = w.report();
             if m.is_empty() {
                 clean = false;
@@ -1457,25 +1622,93 @@ mod tests {
     }
 
     #[test]
-    fn burst_takes_what_is_queued_up_to_its_budget_and_loses_nothing() {
-        let (tx, rx) = channel();
-        for i in 1..100 {
-            tx.send(i).unwrap();
+    fn a_full_worker_egress_is_shed_under_the_router_lock_not_waited_for() {
+        use scale_epc::MTMSI_BASE;
+        use scale_nas::{Plmn, Tai};
+        // Real loopback links, their far ends held here. Nobody reads
+        // the workers'; the cell's is read at the end. Everything runs
+        // on this one thread, so a send that waited for a peer would
+        // hang the test.
+        let cfg = WireRunConfig {
+            n_enbs: 1,
+            total_vms: 4,
+            ..tiny()
+        };
+        let mut listener = tokio::runtime::block_on(SctpListener::bind("127.0.0.1:0")).unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut link = |tag: u32| {
+            let addr = addr.clone();
+            let dial =
+                thread::spawn(move || tokio::runtime::block_on(SctpStream::connect(&addr, tag)));
+            let near = tokio::runtime::block_on(listener.accept()).unwrap();
+            (near.into_split(EGRESS_CAP), dial.join().unwrap().unwrap())
+        };
+        let ((cell_tx, _cell_rx), mut cell) = link(1);
+        let ((w0_tx, _w0_rx), _w0) = link(2);
+        let ((w1_tx, _w1_rx), _w1) = link(3);
+        let mut router = Router::new(&cfg);
+        router.linked(WireRole::Enb, 0, cell_tx);
+        router.linked(WireRole::Mmp, 0, w0_tx);
+        router.linked(WireRole::Mmp, 1, w1_tx.clone());
+
+        // Replica blobs toward worker 1 until its socket and then its
+        // egress buffer are full and the first one is shed.
+        let replica = WireMsg::Replicate {
+            vm: cfg.topo().vms_of(1)[0],
+            blob: bytes::Bytes::from(vec![0x5A; 2048]),
+        };
+        let mut rounds = 0;
+        while router.mlb.stats.dropped == 0 {
+            router.route(WireRole::Mmp, vec![replica.clone(); 64]);
+            rounds += 1;
+            assert!(rounds < 10_000, "worker 1's egress never filled");
         }
-        let mut seen = Vec::new();
-        let mut first = 0;
-        loop {
-            let got: Vec<i32> = burst(first, &rx, 32).collect();
-            assert!(got.len() <= 32);
-            seen.extend(got);
-            match rx.try_recv() {
-                Ok(next) => first = next,
-                Err(_) => break,
+        assert!(w1_tx.pending() <= EGRESS_CAP);
+        assert!(w1_tx.pending() + 64 > EGRESS_CAP, "shed below the bound");
+        assert!(router.out.is_empty() && router.mmp_runs.iter().all(Vec::is_empty));
+
+        // Fresh attaches for 32 devices. Those routed to worker 0 are
+        // delivered; those routed to worker 1 are shed, counted, and
+        // failed back to the cell, one `ProcFailed` each.
+        let before = router.mlb.stats;
+        let attaches: Vec<WireMsg> = (0..32)
+            .map(|u| WireMsg::Uplink {
+                enb_id: ENB_BASE,
+                attach_hint: Some(MTMSI_BASE + u),
+                pdu: S1apPdu::InitialUeMessage {
+                    enb_ue_id: u,
+                    nas_pdu: bytes::Bytes::from_static(b"attach"),
+                    tai: Tai::new(Plmn::test(), 7),
+                    establishment_cause: 3,
+                    s_tmsi: None,
+                },
+            })
+            .collect();
+        router.route(WireRole::Enb, attaches);
+        let shed = (router.mlb.stats.dropped - before.dropped) as usize;
+        assert!(shed > 0 && shed < 32, "32 hints must spread over both workers ({shed} shed)");
+        assert_eq!(router.mlb.stats.routed_attaches - before.routed_attaches, 32);
+        assert!(router.mmp_links[1].is_some(), "a full link is not a dead link");
+        let mut failed = Vec::new();
+        for _ in 0..shed {
+            let (_, _, payload) = tokio::runtime::block_on(cell.recv()).unwrap();
+            match WireMsg::decode(payload).unwrap() {
+                WireMsg::ProcFailed { m_tmsi } => failed.push(m_tmsi),
+                other => panic!("expected ProcFailed, got {other:?}"),
             }
         }
-        assert_eq!(seen, (0..100).collect::<Vec<_>>());
-        // An empty queue yields just the event that woke the router.
-        assert_eq!(burst(7, &rx, 32).collect::<Vec<_>>(), [7]);
+        failed.dedup();
+        assert_eq!(failed.len(), shed, "one ProcFailed per shed attach");
+        assert!(failed.iter().all(|m| (MTMSI_BASE..MTMSI_BASE + 32).contains(m)));
+
+        // The heartbeat tick does not wait either, and a worker that
+        // far behind is on its way out: a few ticks take it down, while
+        // worker 0 (whose reader would have reported the acks) stays.
+        for _ in 0..4 {
+            router.tick();
+            router.pong(0);
+        }
+        assert!(router.mmp_links[1].is_none() && router.mmp_links[0].is_some());
     }
 
     #[test]

@@ -238,3 +238,132 @@ fn hostile_peers_are_dropped_and_cost_the_fleet_nothing() {
     assert!(outcome.clean_exit, "wire deployment exited uncleanly");
     assert_eq!(outcome.counts, run_shuttle(&cfg), "the strangers changed the run");
 }
+
+#[test]
+fn silent_and_babbling_peers_do_not_hold_up_the_accept_loop() {
+    // Before any worker dials, two strangers connect to the MLB: one
+    // never says a word, one opens with bytes that are no sctplite
+    // handshake. Each costs the MLB the thread that was given its
+    // connection, for the link budget at most. The accept loop takes
+    // the next connection regardless, so the fleet links, the MLB
+    // prints `READY` (or `spawn_topology_with` fails after 20 s) and
+    // the run is an undisturbed one.
+    use scale_sim::spawn_topology_with;
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    let cfg = WireRunConfig::smoke();
+    let bin = env!("CARGO_BIN_EXE_scale_wired");
+    let mut strangers = Vec::new();
+    let dep = spawn_topology_with(bin, &cfg, |index, addr| {
+        if index == 0 {
+            strangers.push(TcpStream::connect(addr).expect("silent peer dials"));
+            let mut babbler = TcpStream::connect(addr).expect("babbling peer dials");
+            babbler.write_all(&[0xFF; 64]).unwrap();
+            strangers.push(babbler);
+        }
+        false
+    })
+    .expect("the fleet must link past the strangers");
+    let outcome = dep.finish();
+    assert!(outcome.clean_exit, "wire deployment exited uncleanly");
+    assert_eq!(outcome.counts, run_shuttle(&cfg), "the strangers changed the run");
+    drop(strangers);
+}
+
+#[test]
+fn stalled_worker_does_not_stall_the_fleet() {
+    // Worker 1 is played from here: it says a valid `Hello` and never
+    // reads a byte. While a paced run proceeds it also floods the MLB
+    // with replica blobs addressed to its own VMs, which the MLB routes
+    // straight back at it: its socket fills, then its egress buffer at
+    // the MLB reaches the bound. From there the MLB must shed what is
+    // headed that way instead of waiting for room — it routes under a
+    // lock, and the stalled worker's own reader is among those waiting
+    // for it — until the unanswered heartbeats take the worker down and
+    // its procedures are failed back to their cells, which re-drive
+    // them on worker 0. A build that blocks in that send hangs here.
+    use scale_core::wire::{WireMsg, WireRole};
+    use scale_sctplite::{ppid, SctpStream};
+    use scale_sim::spawn_topology_with;
+    use std::time::Duration;
+
+    fn rss_kb(pid: u32) -> Option<usize> {
+        let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+        let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+        line.split_whitespace().nth(1)?.parse().ok()
+    }
+
+    let cfg = WireRunConfig {
+        n_ues: 1000,
+        // Three holders out of four VMs, two VMs a worker: every device
+        // has a holder on worker 0, so the run can finish without
+        // worker 1 ever coming back (the wire path does not re-home a
+        // device whose whole holder set is down, DESIGN.md §14.3).
+        total_vms: 4,
+        replication: 3,
+        // Paced, so the stall, the flood and the take-down all land
+        // mid-run at any build speed; the cap covers the population.
+        mode: WireMode::Open {
+            rate_hz: 500.0,
+            max_in_flight: 1000,
+        },
+        ..WireRunConfig::smoke()
+    };
+    let bin = env!("CARGO_BIN_EXE_scale_wired");
+    let mut stalled = None;
+    let mut dep = spawn_topology_with(bin, &cfg, |index, addr| {
+        if index != 1 {
+            return false;
+        }
+        stalled = Some(tokio::runtime::block_on(async {
+            let mut s = SctpStream::connect(addr, 0x5741).await.expect("dial MLB");
+            let hello = WireMsg::Hello {
+                role: WireRole::Mmp,
+                id: 1,
+            };
+            s.send(1, ppid::SCALE_STATE, hello.encode()).await.unwrap();
+            s
+        }));
+        true
+    })
+    .expect("spawn wire topology");
+    let mut stalled = stalled.expect("worker 1 was ours to play");
+
+    let mlb = dep.mlb_pid();
+    let rss_before = rss_kb(mlb).expect("MLB is running");
+    // 30 MB through a link whose far end takes none of it back: far
+    // more than two socket buffers and 4,096 frames hold.
+    let blob = WireMsg::Replicate {
+        vm: cfg.topo().vms_of(1)[0],
+        blob: bytes::Bytes::from(vec![0xAB; 512]),
+    }
+    .encode();
+    for _ in 0..60_000 {
+        tokio::runtime::block_on(stalled.send(1, ppid::SCALE_STATE, blob.clone()))
+            .expect("the MLB keeps reading from a worker it cannot write to");
+    }
+    let mut rss_peak = rss_before;
+    while dep.cells_exited() < cfg.n_enbs {
+        rss_peak = rss_peak.max(rss_kb(mlb).unwrap_or(0));
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let outcome = dep.finish();
+    drop(stalled);
+
+    assert!(outcome.clean_exit, "wire deployment exited uncleanly");
+    let c = outcome.counts;
+    assert_eq!(c.enb.sessions_done, cfg.n_ues as u64, "lost sessions");
+    assert_eq!(c.enb.sessions_shed, 0);
+    assert_eq!(c.enb.errors, 0, "access-side errors");
+    assert!(
+        c.enb.recoveries > 0,
+        "procedures routed to the stalled worker must come back and be re-driven"
+    );
+    assert!(c.mlb.dropped > 0, "what the MLB shed must be reported");
+    let grown_kb = rss_peak.saturating_sub(rss_before);
+    assert!(
+        grown_kb < 8 * 1024,
+        "MLB resident set grew {grown_kb} KiB behind one stalled worker"
+    );
+}
