@@ -44,31 +44,160 @@ mod proptests {
         )
     }
 
+    fn arb_nas() -> impl Strategy<Value = Bytes> {
+        proptest::collection::vec(any::<u8>(), 0..64).prop_map(Bytes::from)
+    }
+
+    fn arb_erabs() -> impl Strategy<Value = Vec<ErabSetup>> {
+        proptest::collection::vec(arb_erab(), 0..4)
+    }
+
+    fn arb_name() -> impl Strategy<Value = String> {
+        "[a-z0-9-]{0,16}"
+    }
+
+    fn arb_gummei() -> impl Strategy<Value = Gummei> {
+        (any::<[u8; 3]>(), any::<u16>(), any::<u8>()).prop_map(|(p, mme_group_id, mme_code)| {
+            Gummei {
+                plmn: Plmn(p),
+                mme_group_id,
+                mme_code,
+            }
+        })
+    }
+
+    /// Every variant, every field arbitrary.
     fn arb_pdu() -> impl Strategy<Value = S1apPdu> {
+        let ids = || (any::<u32>(), any::<u32>());
         prop_oneof![
-            (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..64), arb_tai(),
+            (any::<u32>(), arb_name(), proptest::collection::vec(arb_tai(), 0..4)).prop_map(
+                |(global_enb_id, enb_name, supported_tais)| S1apPdu::S1SetupRequest {
+                    global_enb_id,
+                    enb_name,
+                    supported_tais,
+                }
+            ),
+            (arb_name(), proptest::collection::vec(arb_gummei(), 0..3), any::<u8>()).prop_map(
+                |(mme_name, served_gummeis, relative_mme_capacity)| S1apPdu::S1SetupResponse {
+                    mme_name,
+                    served_gummeis,
+                    relative_mme_capacity,
+                }
+            ),
+            any::<u8>().prop_map(|cause| S1apPdu::S1SetupFailure { cause }),
+            (any::<u32>(), arb_nas(), arb_tai(), any::<u8>(),
              proptest::option::of((any::<u8>(), any::<u32>())))
-                .prop_map(|(enb_ue_id, nas, tai, s_tmsi)| S1apPdu::InitialUeMessage {
+                .prop_map(|(enb_ue_id, nas_pdu, tai, establishment_cause, s_tmsi)| {
+                    S1apPdu::InitialUeMessage {
+                        enb_ue_id,
+                        nas_pdu,
+                        tai,
+                        establishment_cause,
+                        s_tmsi,
+                    }
+                }),
+            (ids(), arb_nas()).prop_map(|((mme_ue_id, enb_ue_id), nas_pdu)| {
+                S1apPdu::DownlinkNasTransport {
+                    mme_ue_id,
                     enb_ue_id,
-                    nas_pdu: Bytes::from(nas),
+                    nas_pdu,
+                }
+            }),
+            (ids(), arb_nas(), arb_tai()).prop_map(|((mme_ue_id, enb_ue_id), nas_pdu, tai)| {
+                S1apPdu::UplinkNasTransport {
+                    mme_ue_id,
+                    enb_ue_id,
+                    nas_pdu,
                     tai,
-                    establishment_cause: 3,
-                    s_tmsi,
-                }),
-            (any::<u32>(), any::<u32>(), proptest::collection::vec(any::<u8>(), 0..64))
-                .prop_map(|(m, e, nas)| S1apPdu::DownlinkNasTransport {
-                    mme_ue_id: m,
-                    enb_ue_id: e,
-                    nas_pdu: Bytes::from(nas),
-                }),
-            (any::<u32>(), any::<u32>(), proptest::collection::vec(arb_erab(), 0..4))
-                .prop_map(|(m, e, erabs)| S1apPdu::InitialContextSetupResponse {
-                    mme_ue_id: m,
-                    enb_ue_id: e,
+                }
+            }),
+            (ids(), arb_erabs(), any::<u32>(), any::<u32>(), any::<[u8; 32]>()).prop_map(
+                |((mme_ue_id, enb_ue_id), erabs, ue_ambr_ul_kbps, ue_ambr_dl_kbps, security_key)| {
+                    S1apPdu::InitialContextSetupRequest {
+                        mme_ue_id,
+                        enb_ue_id,
+                        erabs,
+                        ue_ambr_ul_kbps,
+                        ue_ambr_dl_kbps,
+                        security_key,
+                    }
+                }
+            ),
+            (ids(), arb_erabs()).prop_map(|((mme_ue_id, enb_ue_id), erabs)| {
+                S1apPdu::InitialContextSetupResponse {
+                    mme_ue_id,
+                    enb_ue_id,
                     erabs,
-                }),
+                }
+            }),
+            (ids(), any::<u8>()).prop_map(|((mme_ue_id, enb_ue_id), cause)| {
+                S1apPdu::InitialContextSetupFailure {
+                    mme_ue_id,
+                    enb_ue_id,
+                    cause,
+                }
+            }),
+            (ids(), any::<u8>()).prop_map(|((mme_ue_id, enb_ue_id), cause)| {
+                S1apPdu::UeContextReleaseRequest {
+                    mme_ue_id,
+                    enb_ue_id,
+                    cause,
+                }
+            }),
+            (ids(), any::<u8>()).prop_map(|((mme_ue_id, enb_ue_id), cause)| {
+                S1apPdu::UeContextReleaseCommand {
+                    mme_ue_id,
+                    enb_ue_id,
+                    cause,
+                }
+            }),
+            ids().prop_map(|(mme_ue_id, enb_ue_id)| S1apPdu::UeContextReleaseComplete {
+                mme_ue_id,
+                enb_ue_id,
+            }),
             ((any::<u8>(), any::<u32>()), proptest::collection::vec(arb_tai(), 0..8))
-                .prop_map(|(id, tai_list)| S1apPdu::Paging { ue_paging_id: id, tai_list }),
+                .prop_map(|(ue_paging_id, tai_list)| S1apPdu::Paging { ue_paging_id, tai_list }),
+            (ids(), any::<u32>(), any::<u8>()).prop_map(
+                |((mme_ue_id, enb_ue_id), target_enb_id, cause)| S1apPdu::HandoverRequired {
+                    mme_ue_id,
+                    enb_ue_id,
+                    target_enb_id,
+                    cause,
+                }
+            ),
+            (any::<u32>(), arb_erabs(), any::<[u8; 32]>()).prop_map(
+                |(mme_ue_id, erabs, security_key)| S1apPdu::HandoverRequest {
+                    mme_ue_id,
+                    erabs,
+                    security_key,
+                }
+            ),
+            (ids(), arb_erabs()).prop_map(|((mme_ue_id, enb_ue_id), erabs)| {
+                S1apPdu::HandoverRequestAck {
+                    mme_ue_id,
+                    enb_ue_id,
+                    erabs,
+                }
+            }),
+            ids().prop_map(|(mme_ue_id, enb_ue_id)| S1apPdu::HandoverCommand {
+                mme_ue_id,
+                enb_ue_id,
+            }),
+            (ids(), arb_tai()).prop_map(|((mme_ue_id, enb_ue_id), tai)| {
+                S1apPdu::HandoverNotify {
+                    mme_ue_id,
+                    enb_ue_id,
+                    tai,
+                }
+            }),
+            Just(S1apPdu::OverloadStart),
+            Just(S1apPdu::OverloadStop),
+            (proptest::option::of(any::<u32>()), proptest::option::of(any::<u32>()), any::<u8>())
+                .prop_map(|(mme_ue_id, enb_ue_id, cause)| S1apPdu::ErrorIndication {
+                    mme_ue_id,
+                    enb_ue_id,
+                    cause,
+                }),
         ]
     }
 
@@ -81,6 +210,21 @@ mod proptests {
         #[test]
         fn decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..300)) {
             let _ = S1apPdu::decode(Bytes::from(data));
+        }
+
+        /// Inputs one step from valid — a PDU cut short anywhere, or
+        /// with any one byte changed — reach every length and id check
+        /// with plausible bytes around it: an error or a value, never a
+        /// panic.
+        #[test]
+        fn damaged_pdus_never_panic(pdu in arb_pdu(), cut in any::<usize>(),
+                                    pos in any::<usize>(), xor in 1u8..=255) {
+            let valid = pdu.encode().to_vec();
+            let _ = S1apPdu::decode(Bytes::from(valid[..cut % valid.len()].to_vec()));
+            let mut flipped = valid;
+            let i = pos % flipped.len();
+            flipped[i] ^= xor;
+            let _ = S1apPdu::decode(Bytes::from(flipped));
         }
     }
 }

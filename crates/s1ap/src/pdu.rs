@@ -76,6 +76,8 @@ pub struct ErabSetup {
 }
 
 impl ErabSetup {
+    const WIRE_LEN: usize = 10;
+
     fn encode(&self, w: &mut Writer) {
         w.u8(self.erab_id);
         w.u8(self.qci);
@@ -105,7 +107,8 @@ fn encode_erab_list(list: &[ErabSetup]) -> Bytes {
 fn decode_erab_list(data: Bytes) -> Result<Vec<ErabSetup>, NasError> {
     let mut r = Reader::new(data);
     let n = r.u8("erab count")? as usize;
-    let mut out = Vec::with_capacity(n);
+    // Sized by what is there to decode, not by what the count claims.
+    let mut out = Vec::with_capacity(n.min(r.remaining() / ErabSetup::WIRE_LEN));
     for _ in 0..n {
         out.push(ErabSetup::decode(&mut r)?);
     }
@@ -134,7 +137,7 @@ fn encode_tai_list(list: &[Tai]) -> Bytes {
 fn decode_tai_list(data: Bytes) -> Result<Vec<Tai>, NasError> {
     let mut r = Reader::new(data);
     let n = r.u8("tai count")? as usize;
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n.min(r.remaining() / Tai::WIRE_LEN));
     for _ in 0..n {
         out.push(Tai::decode(&mut r)?);
     }
@@ -151,6 +154,10 @@ pub struct Gummei {
     pub mme_code: u8,
 }
 
+impl Gummei {
+    const WIRE_LEN: usize = 6;
+}
+
 fn encode_gummeis(list: &[Gummei]) -> Bytes {
     let mut w = Writer::new();
     w.u8(list.len() as u8);
@@ -165,7 +172,7 @@ fn encode_gummeis(list: &[Gummei]) -> Bytes {
 fn decode_gummeis(data: Bytes) -> Result<Vec<Gummei>, NasError> {
     let mut r = Reader::new(data);
     let n = r.u8("gummei count")? as usize;
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n.min(r.remaining() / Gummei::WIRE_LEN));
     for _ in 0..n {
         let plmn: [u8; 3] = r.array("gummei plmn")?;
         out.push(Gummei {

@@ -55,8 +55,8 @@ pub use shard_driver::{
     ScaleOutReport,
 };
 pub use wire_run::{
-    run_enb, run_mlb, run_mmp, run_shuttle, spawn_topology, spawn_topology_with, WireCounts,
-    WireDeployment, WireLatency, WireMmpTotals, WireMode, WireOutcome, WireRunConfig,
+    run_enb, run_mlb, run_mmp, run_shuttle, run_shuttle_tapped, spawn_topology,
+    spawn_topology_with, ShuttleTap, WireCounts, WireDeployment, WireLatency, WireMmpTotals, WireMode, WireOutcome, WireRunConfig,
 };
 pub use queueing::{
     placement, Assignment, DcSim, ProcCosts, Procedure, ReassignPolicy, Request, VmServer,

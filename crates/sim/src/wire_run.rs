@@ -1462,10 +1462,28 @@ impl WireDeployment {
 // ---------------------------------------------------------------------------
 
 enum Hop {
-    FromEnb(WireMsg),
-    FromMmp(WireMsg),
+    FromEnb(usize, WireMsg),
+    FromMmp(usize, WireMsg),
     ToEnb(usize, WireMsg),
     ToMmp(usize, WireMsg),
+}
+
+/// What crosses the shuttle's MLB, as [`run_shuttle_tapped`] shows it:
+/// the traffic a socket deployment's MLB links would carry, in a
+/// deterministic order.
+#[derive(Debug, Clone, Copy)]
+pub enum ShuttleTap<'a> {
+    /// `msg` arrives at the MLB on the link of `(role, id)`.
+    In {
+        /// Which side sent it.
+        role: WireRole,
+        /// Cell or worker index.
+        id: usize,
+        /// The message.
+        msg: &'a WireMsg,
+    },
+    /// The MLB sends this in response.
+    Out(&'a MlbOut),
 }
 
 /// Run the identical sans-IO deployment logic through an in-process
@@ -1474,6 +1492,16 @@ enum Hop {
 /// shuttle has no clock). This is both the parity oracle for the
 /// socket deployment and the fastest way to debug the protocol.
 pub fn run_shuttle(cfg: &WireRunConfig) -> WireCounts {
+    run_shuttle_tapped(cfg, &mut |_| {})
+}
+
+/// [`run_shuttle`] with every message into and out of the MLB shown to
+/// `tap` first: a recording of it is the input of the codec suites and
+/// of the relay differential (`crates/sim/tests`).
+pub fn run_shuttle_tapped(
+    cfg: &WireRunConfig,
+    tap: &mut dyn FnMut(ShuttleTap<'_>),
+) -> WireCounts {
     assert!(
         matches!(cfg.mode, WireMode::Closed { .. }),
         "the shuttle is closed-loop only"
@@ -1502,22 +1530,28 @@ pub fn run_shuttle(cfg: &WireRunConfig) -> WireCounts {
         for ev in emu.drain() {
             match ev {
                 EmuEvent::Uplink { attach_hint, pdu } => {
-                    queue.push_back(Hop::FromEnb(WireMsg::Uplink {
-                        enb_id: ENB_BASE + cell as u32,
-                        attach_hint,
-                        pdu,
-                    }));
+                    queue.push_back(Hop::FromEnb(
+                        cell,
+                        WireMsg::Uplink {
+                            enb_id: ENB_BASE + cell as u32,
+                            attach_hint,
+                            pdu,
+                        },
+                    ));
                 }
                 EmuEvent::Completed { .. } => {}
             }
         }
     };
     for (cell, emu) in emus.iter_mut().enumerate() {
-        queue.push_back(Hop::FromEnb(WireMsg::Uplink {
-            enb_id: ENB_BASE + cell as u32,
-            attach_hint: None,
-            pdu: emu.s1_setup_request(),
-        }));
+        queue.push_back(Hop::FromEnb(
+            cell,
+            WireMsg::Uplink {
+                enb_id: ENB_BASE + cell as u32,
+                attach_hint: None,
+                pdu: emu.s1_setup_request(),
+            },
+        ));
         emu.start();
         drain_emu(emu, cell, &mut queue);
     }
@@ -1526,19 +1560,33 @@ pub fn run_shuttle(cfg: &WireRunConfig) -> WireCounts {
     let mut wout = Vec::new();
     while let Some(hop) = queue.pop_front() {
         match hop {
-            Hop::FromEnb(WireMsg::Uplink {
-                enb_id,
-                attach_hint,
-                pdu,
-            }) => {
-                mlb.on_enb(enb_id, attach_hint, pdu, &mut out);
+            Hop::FromEnb(cell, msg) => {
+                tap(ShuttleTap::In {
+                    role: WireRole::Enb,
+                    id: cell,
+                    msg: &msg,
+                });
+                if let WireMsg::Uplink {
+                    enb_id,
+                    attach_hint,
+                    pdu,
+                } = msg
+                {
+                    mlb.on_enb(enb_id, attach_hint, pdu, &mut out);
+                }
             }
-            Hop::FromEnb(..) => {}
-            Hop::FromMmp(msg) => mlb.on_mmp(msg, &mut out),
+            Hop::FromMmp(mmp, msg) => {
+                tap(ShuttleTap::In {
+                    role: WireRole::Mmp,
+                    id: mmp,
+                    msg: &msg,
+                });
+                mlb.on_mmp(msg, &mut out);
+            }
             Hop::ToMmp(mmp, msg) => {
                 mmps[mmp].handle(msg, &mut wout);
                 for m in wout.drain(..) {
-                    queue.push_back(Hop::FromMmp(m));
+                    queue.push_back(Hop::FromMmp(mmp, m));
                 }
             }
             Hop::ToEnb(enb, msg) => {
@@ -1562,6 +1610,7 @@ pub fn run_shuttle(cfg: &WireRunConfig) -> WireCounts {
             }
         }
         for o in out.drain(..) {
+            tap(ShuttleTap::Out(&o));
             match o {
                 MlbOut::Enb { enb, msg } => queue.push_back(Hop::ToEnb(enb, msg)),
                 MlbOut::Mmp { mmp, msg } => queue.push_back(Hop::ToMmp(mmp, msg)),

@@ -1,0 +1,114 @@
+//! Allocation counts of the wire path, exact and immune to host noise:
+//! this binary's allocator counts every request a test's own thread
+//! makes, so a test reads "allocations per relayed message" the way a
+//! timing bench reads nanoseconds — but the same number every run.
+
+use bytes::Bytes;
+use scale_core::wire::WireMsg;
+use scale_s1ap::S1apPdu;
+use scale_sctplite::Frame;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Requests and the largest single request, per thread (the harness
+/// runs tests side by side).
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+    LARGEST.with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every call is passed through to `System` unchanged; the
+// counters are plain thread-local cells with no destructor, so noting a
+// request neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: `layout` is the caller's, forwarded as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// `(requests, largest request in bytes)` this thread made inside `f`.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, usize) {
+    let before = ALLOCS.with(Cell::get);
+    LARGEST.with(|l| l.set(0));
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before, LARGEST.with(Cell::get))
+}
+
+/// No decoder sizes memory from a length or count it has read before
+/// checking it against what is actually there: a short message that
+/// announces a huge blob, IE, list or frame body costs no more than a
+/// short message.
+#[test]
+fn a_length_field_never_sizes_an_allocation_beyond_the_input() {
+    let mut hostile: Vec<(&str, Vec<u8>)> = Vec::new();
+    // WireMsg blobs: Replicate and the three PDU-bearing envelopes, each
+    // announcing 4 GiB - 1 and carrying four bytes.
+    hostile.push(("replicate blob", [&[6, 0, 0, 0, 1][..], &[0xFF; 4], &[0; 4]].concat()));
+    hostile.push(("uplink pdu", [&[2, 0, 0, 0, 1, 0][..], &[0xFF; 4], &[0; 4]].concat()));
+    hostile.push((
+        "deliver pdu",
+        [&[3, 0, 0, 0, 1, 0, 0, 0, 0, 1][..], &[0xFF; 4], &[0; 4]].concat(),
+    ));
+    hostile.push(("to-enb pdu", [&[4, 0, 0, 0, 1][..], &[0xFF; 4], &[0; 4]].concat()));
+    for (what, bytes) in &hostile {
+        let (res, _, largest) = measured(|| WireMsg::decode(Bytes::from(bytes.clone())));
+        assert!(res.is_err(), "{what}: decoded");
+        // The input itself is moved into the `Bytes`, plus its handle.
+        assert!(largest <= 64, "{what}: a {largest}-byte request from {} bytes", bytes.len());
+    }
+
+    // S1AP: an IE announcing 65,535 bytes, and the count-prefixed lists
+    // (E-RABs, TAIs, GUMMEIs) announcing 255 entries, each with nothing
+    // behind the count.
+    let ie = |id: u16, value: &[u8]| {
+        let mut v = id.to_be_bytes().to_vec();
+        v.extend_from_slice(&(value.len() as u16).to_be_bytes());
+        v.extend_from_slice(value);
+        v
+    };
+    let ids = [ie(0, &[0; 4]), ie(8, &[0; 4])].concat();
+    let s1ap: Vec<(&str, Vec<u8>)> = vec![
+        ("ie length", vec![0, 13, 0, 26, 0xFF, 0xFF, 1, 2, 3]),
+        ("e-rab count", [&[1, 9][..], &ids, &ie(28, &[255])].concat()),
+        ("tai count", [&[0, 10][..], &ie(80, &[1, 0, 0, 0, 1]), &ie(46, &[255])].concat()),
+        (
+            "gummei count",
+            [&[1, 17][..], &ie(61, b"m"), &ie(105, &[255]), &ie(87, &[1])].concat(),
+        ),
+    ];
+    for (what, bytes) in &s1ap {
+        let (res, _, largest) = measured(|| S1apPdu::decode(Bytes::from(bytes.clone())));
+        assert!(res.is_err(), "{what}: decoded");
+        // 255 entries of the smallest list element would be 1,530.
+        assert!(largest <= 256, "{what}: a {largest}-byte request from {} bytes", bytes.len());
+    }
+
+    // A frame whose chunk length says 65,535 with ten bytes behind it.
+    let frame = [&[0, 0, 0, 1, 0, 0, 0xFF, 0xFF][..], &[0; 10]].concat();
+    let (res, _, largest) = measured(|| Frame::decode(Bytes::from(frame.clone())));
+    assert!(res.is_err());
+    assert!(largest <= 64, "frame: a {largest}-byte request from {} bytes", frame.len());
+}
