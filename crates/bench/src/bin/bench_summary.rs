@@ -20,16 +20,64 @@
 //! and `bench_summary --before <that run's BENCH_crypto.json>` files the
 //! parent's measurements as this run's `before_ns`. Without the flag
 //! the recorded `before_ns` column is carried over unchanged.
+//!
+//! A third section replays a recorded slice of wire traffic through
+//! the MLB's and a worker's receive → handle → send loops, sans-IO
+//! (`scale_sim::replay`: the deployment's own `Router` and worker loop
+//! over links that end in buffers), and writes ns and allocations per
+//! message to `results/BENCH_relay.json` (this binary counts its own
+//! allocations). Its "before" is again the parent commit's run of the
+//! same section: `--before` takes that run's `BENCH_relay.json` too, or
+//! the directory holding both files.
 
 use criterion::{black_box, Criterion};
 use scale_core::mlb::{MlbRouter, VmId};
+use scale_core::wire::{MmpNode, WireMsg};
 use scale_hashring::{position_of, reference::BTreeRing, HashRing, PositionCache};
 use scale_nas::{Guti, Plmn};
+use scale_sim::replay::{MlbReplay, MmpReplay, Recording};
+use scale_sim::{WireMode, WireRunConfig};
 use serde::Serialize;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fs;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Counts the allocation requests of the thread that makes them, for
+/// the relay section; everything passes through to the system
+/// allocator.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is
+// a thread-local cell with no destructor, so counting neither allocates
+// nor re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's layout, forwarded as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const N_VMS: u32 = 30;
 const TOKENS: u32 = 5;
@@ -250,6 +298,168 @@ fn crypto_column(path: &str, column: &str) -> HashMap<String, f64> {
     out
 }
 
+// --- Relay: a recorded slice through the MLB's and a worker's loops --------
+
+/// One cell, two workers, every procedure class; small enough that
+/// eight copies of its traffic fit in memory.
+fn relay_slice() -> WireRunConfig {
+    WireRunConfig {
+        n_enbs: 1,
+        n_mmps: 2,
+        total_vms: 8,
+        replication: 2,
+        ring_tokens: 64,
+        seed: 19,
+        n_ues: 600,
+        ops_per_ue: 2,
+        mode: WireMode::Closed { window: 64 },
+    }
+}
+
+const RELAY_PASSES: usize = 8;
+/// Messages of one link that share a read.
+const PER_READ: usize = 24;
+
+/// `(ns, allocations)` per message of `pass`, which handles the reads
+/// it is given and returns how many messages they held: the medians
+/// over [`RELAY_PASSES`] passes, after one unmeasured.
+fn per_message(
+    reads: &[Vec<(usize, Vec<u8>)>],
+    mut pass: impl FnMut(&[(usize, Vec<u8>)]) -> usize,
+) -> (f64, f64) {
+    median_of(reads.iter().map(|set| once(set, &mut pass)).collect())
+}
+
+/// The relay benches: name, what it measures.
+const RELAY_BENCHES: [(&str, &str); 4] = [
+    (
+        "mlb_relay",
+        "one message through the MLB as the deployment runs it: deframe, route, frame and copy out (24 messages a read)",
+    ),
+    (
+        "mlb_typed",
+        "the same through typed values: owned frame, WireMsg::decode, on_enb/on_mmp, WireMsg::encode, queued send",
+    ),
+    (
+        "mmp_loop",
+        "one message through a worker as the deployment runs it: deframe, decode, MmpNode::handle, encode and frame what it answers",
+    ),
+    ("mmp_engine", "MmpNode::handle alone on the same messages"),
+];
+
+/// `bench -> (ns, allocations)` per message on this build.
+fn relay_section() -> HashMap<&'static str, (f64, f64)> {
+    let cfg = relay_slice();
+    let rec = Recording::of(&cfg);
+    // The S1 Setup is answered, not relayed.
+    let inbound = || {
+        rec.inbound
+            .iter()
+            .filter(|(_, msg)| {
+                !matches!(
+                    msg,
+                    WireMsg::Uplink {
+                        pdu: scale_s1ap::S1apPdu::S1SetupRequest { .. },
+                        ..
+                    }
+                )
+            })
+            .map(|(link, msg)| (*link, msg))
+    };
+    let mut out = HashMap::new();
+
+    // The MLB: every pass continues the links' numbering, so each gets
+    // its own copy of the traffic.
+    type Read = fn(&mut MlbReplay, usize, &[u8]) -> usize;
+    for (bench, read) in [
+        ("mlb_relay", MlbReplay::read as Read),
+        ("mlb_typed", MlbReplay::typed_read as Read),
+    ] {
+        let (mut mlb, mut peers) = MlbReplay::new(&cfg);
+        let reads: Vec<_> = (0..=RELAY_PASSES)
+            .map(|_| peers.reads_of(inbound(), PER_READ))
+            .collect();
+        let per_message = per_message(&reads, |set| {
+            set.iter()
+                .map(|(from, bytes)| {
+                    let n = read(&mut mlb, *from, bytes);
+                    mlb.clear_sent();
+                    n
+                })
+                .sum()
+        });
+        out.insert(bench, per_message);
+    }
+
+    // The worker: a fresh node per pass (a context is created once), the
+    // same messages each time.
+    let to_worker = &rec.to_mmp[0];
+    let (mut in_loop, mut engine) = (Vec::new(), Vec::new());
+    for _ in 0..=RELAY_PASSES {
+        let (mut worker, mut peers) = MmpReplay::new(&cfg, 0);
+        let reads = peers.reads_of(to_worker.iter().map(|m| (0, m)), PER_READ);
+        in_loop.push(once(&reads, |set| {
+            set.iter()
+                .map(|(_, read)| {
+                    let n = worker.read(read);
+                    worker.clear_sent();
+                    n
+                })
+                .sum()
+        }));
+
+        let mut node = MmpNode::new(&cfg.topo(), 0);
+        let inputs = to_worker.clone();
+        let mut answers = Vec::with_capacity(64);
+        let n = inputs.len();
+        engine.push(once(&[], |_| {
+            for msg in inputs {
+                node.handle(msg, &mut answers);
+                answers.clear();
+            }
+            n
+        }));
+    }
+    out.insert("mmp_loop", median_of(in_loop));
+    out.insert("mmp_engine", median_of(engine));
+    out
+}
+
+/// `(ns, allocations)` per message of one `pass` over `reads`.
+fn once(
+    reads: &[(usize, Vec<u8>)],
+    pass: impl FnOnce(&[(usize, Vec<u8>)]) -> usize,
+) -> (f64, f64) {
+    let (a0, t0) = (ALLOCS.with(Cell::get), Instant::now());
+    let n = black_box(pass(black_box(reads))) as f64;
+    (
+        t0.elapsed().as_nanos() as f64 / n,
+        (ALLOCS.with(Cell::get) - a0) as f64 / n,
+    )
+}
+
+/// Medians of the measured runs, the first (cold) left out.
+fn median_of(mut runs: Vec<(f64, f64)>) -> (f64, f64) {
+    runs.remove(0);
+    let mut ns: Vec<f64> = runs.iter().map(|r| r.0).collect();
+    let mut allocs: Vec<f64> = runs.iter().map(|r| r.1).collect();
+    ns.sort_by(f64::total_cmp);
+    allocs.sort_by(f64::total_cmp);
+    (ns[ns.len() / 2], allocs[allocs.len() / 2])
+}
+
+#[derive(Debug, Serialize)]
+struct RelayEntry {
+    bench: String,
+    what: String,
+    /// The same bench built at the parent commit (see the module docs),
+    /// same host; `null` until a `--before` run has supplied it.
+    before_ns: Option<f64>,
+    after_ns: f64,
+    before_allocs: Option<f64>,
+    after_allocs: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct CryptoEntry {
     bench: String,
@@ -259,6 +469,14 @@ struct CryptoEntry {
     before_ns: Option<f64>,
     after_ns: f64,
     speedup: Option<f64>,
+}
+
+/// The parent commit's run of the section that writes `name`, if
+/// `--before` names that file or a directory holding it.
+fn parent_run(before: Option<&str>, name: &str) -> Option<String> {
+    let given = Path::new(before?);
+    let file = if given.is_dir() { given.join(name) } else { given.to_path_buf() };
+    (file.file_name()? == name && file.exists()).then(|| file.to_string_lossy().into_owned())
 }
 
 fn write_json<T: Serialize>(path: &str, value: &T) {
@@ -276,10 +494,12 @@ fn write_json<T: Serialize>(path: &str, value: &T) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let before_file = args
-        .iter()
-        .position(|a| a == "--before")
-        .map(|i| args.get(i + 1).expect("--before <BENCH_crypto.json>").clone());
+    let flag = |name: &str| {
+        args.iter()
+            .position(|a| a == name)
+            .map(|i| args.get(i + 1).unwrap_or_else(|| panic!("{name} <file>")).clone())
+    };
+    let before_arg = flag("--before");
     let mut c = Criterion::default()
         .sample_size(30)
         .warm_up_time(Duration::from_millis(100))
@@ -436,8 +656,8 @@ fn main() {
     write_json(&format!("{dir}/BENCH_routing.json"), &entries);
 
     let crypto_path = format!("{dir}/BENCH_crypto.json");
-    let before = match &before_file {
-        Some(parent_run) => crypto_column(parent_run, "after_ns"),
+    let before = match parent_run(before_arg.as_deref(), "BENCH_crypto.json") {
+        Some(parent_run) => crypto_column(&parent_run, "after_ns"),
         None => crypto_column(&crypto_path, "before_ns"),
     };
     println!("# crypto kernels, parent commit -> this build (ns per op)");
@@ -461,4 +681,38 @@ fn main() {
         })
         .collect();
     write_json(&crypto_path, &crypto);
+
+    let relay_path = format!("{dir}/BENCH_relay.json");
+    let relay_parent = parent_run(before_arg.as_deref(), "BENCH_relay.json");
+    let column = |c: &str| match &relay_parent {
+        Some(parent_run) => crypto_column(parent_run, &format!("after_{c}")),
+        None => crypto_column(&relay_path, &format!("before_{c}")),
+    };
+    let (before_ns, before_allocs) = (column("ns"), column("allocs"));
+    let after = relay_section();
+    println!("# wire relay, parent commit -> this build (ns, allocations per message)");
+    let relay: Vec<RelayEntry> = RELAY_BENCHES
+        .iter()
+        .map(|&(bench, what)| {
+            let (after_ns, after_allocs) = after[bench];
+            let entry = RelayEntry {
+                bench: bench.to_string(),
+                what: what.to_string(),
+                before_ns: before_ns.get(bench).copied(),
+                after_ns,
+                before_allocs: before_allocs.get(bench).copied(),
+                after_allocs,
+            };
+            match (entry.before_ns, entry.before_allocs) {
+                (Some(ns), Some(allocs)) => println!(
+                    "{bench:>28}: {ns:>8.1} -> {after_ns:>8.1} ns  {allocs:>6.2} -> {after_allocs:>6.2} allocs"
+                ),
+                _ => println!(
+                    "{bench:>28}:        ? -> {after_ns:>8.1} ns       ? -> {after_allocs:>6.2} allocs"
+                ),
+            }
+            entry
+        })
+        .collect();
+    write_json(&relay_path, &relay);
 }

@@ -66,4 +66,7 @@ pub use provision::{
 };
 pub use routeplane::{LoadTable, RoutePlane, RouteReader, RouteSnapshot, MAX_R};
 pub use shard::{Shard, ShardConfig, ShardMsg, ShardStats, ShardStatsSnapshot};
-pub use wire::{MlbOut, MlbState, MlbWireStats, MmpNode, WireMsg, WireRole, WireTopo};
+pub use wire::{
+    Dest, Forward, MlbOut, MlbState, MlbWireStats, MmpNode, Relay, WireMsg, WireRole, WireTopo,
+    WireView,
+};

@@ -21,288 +21,42 @@
 //! ## Codec
 //!
 //! [`WireMsg`] uses a hand-rolled tag+fields codec over the `scale-nas`
-//! `Reader`/`Writer` (the vendored serde has no `Deserialize`).
-//! Decoding is strict: unknown tags and trailing bytes are errors, and
-//! every successful decode re-encodes to the identical bytes.
+//! `View`/`Writer` (the vendored serde has no `Deserialize`). A message
+//! is an *envelope* — the tag and a few integers — and, for the
+//! PDU-bearing variants and `Replicate`, a length-prefixed *body* that
+//! runs to the end of the message: an S1AP PDU or a context blob, as
+//! its own encoding. [`WireView`] is the envelope parsed where the
+//! message lies, the body a slice of it; [`WireMsg::decode`] is that
+//! plus a decode of the body, and [`WireMsg::encode_into`] writes both
+//! straight into the buffer the message leaves in. Decoding is strict:
+//! unknown tags, a body length that disagrees with the message's, and
+//! trailing bytes are errors.
+//!
+//! ## Relay
+//!
+//! The MLB consumes none of what it forwards, so it does not build it:
+//! [`MlbState::relay`] parses the envelope of a received message,
+//! reads the routing key of an uplink PDU out of its bytes
+//! (`S1apPdu::peek`), asks the same routing decisions
+//! [`MlbState::on_enb`] and [`MlbState::on_mmp`] ask, and answers with
+//! a new envelope and the place in the received bytes where the body
+//! to put behind it begins.
 
 use crate::mlb::VmId;
 use crate::routeplane::{RoutePlane, RouteReader, RouteSnapshot};
 use crate::shard::{shard_of, Shard, ShardConfig, ShardEvent, ShardMsg, ShardStatsSnapshot};
-use bytes::Bytes;
 use scale_epc::{home_cell, ENB_BASE};
 use scale_mme::Incoming;
-use scale_nas::{NasError, Plmn, Reader, Writer};
-use scale_s1ap::{Gummei, S1apPdu};
+use scale_nas::Plmn;
+use scale_s1ap::{Gummei, RouteKey, S1apPdu};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Which process kind a link's `Hello` announces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireRole {
-    /// An eNodeB-emulator process (id = cell index).
-    Enb,
-    /// An MMP worker process (id = MMP index).
-    Mmp,
-}
+mod codec;
+mod relay;
 
-/// One message on a wire link. The direction column says who sends it
-/// in the star topology (everything passes through the MLB).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireMsg {
-    /// First message on any link: announce role and index.
-    Hello {
-        /// Process kind.
-        role: WireRole,
-        /// Cell index (eNB) or MMP index.
-        id: u32,
-    },
-    /// eNB → MLB: an S1AP PDU from the access side. `attach_hint`
-    /// carries the MLB-assigned M-TMSI on fresh attaches (the wire
-    /// twin of `ShardMsg::ToVm { guti_hint }`).
-    Uplink {
-        /// Originating eNodeB.
-        enb_id: u32,
-        /// M-TMSI to mint, on the Initial UE Message of an attach.
-        attach_hint: Option<u32>,
-        /// The PDU.
-        pdu: S1apPdu,
-    },
-    /// MLB → MMP: deliver a PDU to engine `vm`.
-    Deliver {
-        /// Target MMP engine.
-        vm: VmId,
-        /// M-TMSI to mint for a fresh attach.
-        guti_hint: Option<u32>,
-        /// eNodeB the PDU came from (responses return there).
-        enb_id: u32,
-        /// The PDU.
-        pdu: S1apPdu,
-    },
-    /// MMP → MLB → eNB: an S1AP PDU toward an eNodeB.
-    ToEnb {
-        /// Destination eNodeB.
-        enb_id: u32,
-        /// The PDU.
-        pdu: S1apPdu,
-    },
-    /// MMP → MLB → eNB: a device reached a lifecycle edge (`active` =
-    /// Attach/SR terminal edge; `!active` = S1 release/TAU edge).
-    Settled {
-        /// Device identity.
-        m_tmsi: u32,
-        /// Whether the edge entered Active (else Idle).
-        active: bool,
-    },
-    /// MMP → MLB → MMP: Idle-edge replica blob for engine `vm`.
-    Replicate {
-        /// Holder VM receiving the copy.
-        vm: VmId,
-        /// Serialized `UeContext`.
-        blob: Bytes,
-    },
-    /// MMP → MLB → MMP: drop the stray copy of `m_tmsi` held by `vm`.
-    DropCtx {
-        /// VM holding the stray copy.
-        vm: VmId,
-        /// Identity to remove.
-        m_tmsi: u32,
-    },
-    /// MLB → eNB: the MMP serving this device's in-flight procedure
-    /// died; the access side must re-drive it.
-    ProcFailed {
-        /// Device identity.
-        m_tmsi: u32,
-    },
-    /// MLB → MMP broadcast: `vm` is down; exclude it from replica
-    /// placement until further notice.
-    VmDown {
-        /// The dead VM.
-        vm: VmId,
-    },
-    /// MLB → MMP broadcast: `vm` rejoined (a restarted process
-    /// reconnected); replica placement may use it again.
-    VmUp {
-        /// The revived VM.
-        vm: VmId,
-    },
-}
-
-const TAG_HELLO: u8 = 1;
-const TAG_UPLINK: u8 = 2;
-const TAG_DELIVER: u8 = 3;
-const TAG_TO_ENB: u8 = 4;
-const TAG_SETTLED: u8 = 5;
-const TAG_REPLICATE: u8 = 6;
-const TAG_DROP_CTX: u8 = 7;
-const TAG_PROC_FAILED: u8 = 8;
-const TAG_VM_DOWN: u8 = 9;
-const TAG_VM_UP: u8 = 10;
-
-fn put_opt_u32(w: &mut Writer, v: Option<u32>) {
-    match v {
-        Some(x) => {
-            w.u8(1);
-            w.u32(x);
-        }
-        None => w.u8(0),
-    }
-}
-
-fn get_opt_u32(r: &mut Reader) -> Result<Option<u32>, NasError> {
-    match r.u8("option tag")? {
-        0 => Ok(None),
-        _ => Ok(Some(r.u32("option value")?)),
-    }
-}
-
-fn put_blob(w: &mut Writer, b: &[u8]) {
-    w.u32(b.len() as u32);
-    w.slice(b);
-}
-
-fn get_blob(r: &mut Reader) -> Result<Bytes, NasError> {
-    let n = r.u32("blob length")? as usize;
-    r.bytes("blob body", n)
-}
-
-impl WireMsg {
-    /// Encode to the canonical byte form.
-    #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut w = Writer::new();
-        match self {
-            WireMsg::Hello { role, id } => {
-                w.u8(TAG_HELLO);
-                w.u8(match role {
-                    WireRole::Enb => 0,
-                    WireRole::Mmp => 1,
-                });
-                w.u32(*id);
-            }
-            WireMsg::Uplink {
-                enb_id,
-                attach_hint,
-                pdu,
-            } => {
-                w.u8(TAG_UPLINK);
-                w.u32(*enb_id);
-                put_opt_u32(&mut w, *attach_hint);
-                put_blob(&mut w, &pdu.encode());
-            }
-            WireMsg::Deliver {
-                vm,
-                guti_hint,
-                enb_id,
-                pdu,
-            } => {
-                w.u8(TAG_DELIVER);
-                w.u32(*vm);
-                put_opt_u32(&mut w, *guti_hint);
-                w.u32(*enb_id);
-                put_blob(&mut w, &pdu.encode());
-            }
-            WireMsg::ToEnb { enb_id, pdu } => {
-                w.u8(TAG_TO_ENB);
-                w.u32(*enb_id);
-                put_blob(&mut w, &pdu.encode());
-            }
-            WireMsg::Settled { m_tmsi, active } => {
-                w.u8(TAG_SETTLED);
-                w.u32(*m_tmsi);
-                w.u8(u8::from(*active));
-            }
-            WireMsg::Replicate { vm, blob } => {
-                w.u8(TAG_REPLICATE);
-                w.u32(*vm);
-                put_blob(&mut w, blob);
-            }
-            WireMsg::DropCtx { vm, m_tmsi } => {
-                w.u8(TAG_DROP_CTX);
-                w.u32(*vm);
-                w.u32(*m_tmsi);
-            }
-            WireMsg::ProcFailed { m_tmsi } => {
-                w.u8(TAG_PROC_FAILED);
-                w.u32(*m_tmsi);
-            }
-            WireMsg::VmDown { vm } => {
-                w.u8(TAG_VM_DOWN);
-                w.u32(*vm);
-            }
-            WireMsg::VmUp { vm } => {
-                w.u8(TAG_VM_UP);
-                w.u32(*vm);
-            }
-        }
-        w.finish()
-    }
-
-    /// Strict decode: unknown tags, short buffers and trailing bytes
-    /// are all errors.
-    pub fn decode(buf: Bytes) -> Result<WireMsg, NasError> {
-        let mut r = Reader::new(buf);
-        let msg = match r.u8("wire tag")? {
-            TAG_HELLO => WireMsg::Hello {
-                role: match r.u8("role")? {
-                    0 => WireRole::Enb,
-                    1 => WireRole::Mmp,
-                    other => {
-                        return Err(NasError::Invalid {
-                            what: "wire role",
-                            value: u64::from(other),
-                        })
-                    }
-                },
-                id: r.u32("hello id")?,
-            },
-            TAG_UPLINK => WireMsg::Uplink {
-                enb_id: r.u32("enb id")?,
-                attach_hint: get_opt_u32(&mut r)?,
-                pdu: S1apPdu::decode(get_blob(&mut r)?)?,
-            },
-            TAG_DELIVER => WireMsg::Deliver {
-                vm: r.u32("vm")?,
-                guti_hint: get_opt_u32(&mut r)?,
-                enb_id: r.u32("enb id")?,
-                pdu: S1apPdu::decode(get_blob(&mut r)?)?,
-            },
-            TAG_TO_ENB => WireMsg::ToEnb {
-                enb_id: r.u32("enb id")?,
-                pdu: S1apPdu::decode(get_blob(&mut r)?)?,
-            },
-            TAG_SETTLED => WireMsg::Settled {
-                m_tmsi: r.u32("m_tmsi")?,
-                active: r.u8("active flag")? != 0,
-            },
-            TAG_REPLICATE => WireMsg::Replicate {
-                vm: r.u32("vm")?,
-                blob: get_blob(&mut r)?,
-            },
-            TAG_DROP_CTX => WireMsg::DropCtx {
-                vm: r.u32("vm")?,
-                m_tmsi: r.u32("m_tmsi")?,
-            },
-            TAG_PROC_FAILED => WireMsg::ProcFailed {
-                m_tmsi: r.u32("m_tmsi")?,
-            },
-            TAG_VM_DOWN => WireMsg::VmDown { vm: r.u32("vm")? },
-            TAG_VM_UP => WireMsg::VmUp { vm: r.u32("vm")? },
-            other => {
-                return Err(NasError::Invalid {
-                    what: "wire tag",
-                    value: u64::from(other),
-                })
-            }
-        };
-        if r.remaining() != 0 {
-            return Err(NasError::Invalid {
-                what: "trailing bytes after wire message",
-                value: r.remaining() as u64,
-            });
-        }
-        Ok(msg)
-    }
-}
+pub use codec::{WireMsg, WireRole, WireView};
+pub use relay::{Dest, Forward, Relay};
 
 /// Static shape of the wire deployment, known identically to every
 /// process (ring construction is deterministic, so each process builds
@@ -384,6 +138,37 @@ pub enum MlbOut {
     },
 }
 
+/// What an uplink's [`RouteKey`] resolves to.
+enum UplinkRoute {
+    /// S1 Setup: the MLB answers.
+    Setup,
+    /// To engine `vm`; `opens` names the device when this is the
+    /// Initial UE Message of its procedure.
+    Deliver {
+        vm: VmId,
+        guti_hint: Option<u32>,
+        opens: Option<u32>,
+    },
+    /// No live holder: hand the device back to its cell.
+    Failed { m_tmsi: u32 },
+    /// Unroutable or stale: counted, gone.
+    Dropped,
+}
+
+/// What the MLB routes a worker's message by.
+#[derive(Clone, Copy)]
+enum WorkerKey {
+    ToEnb { enb_id: u32 },
+    Settled { m_tmsi: u32, active: bool },
+    ToVm { vm: VmId },
+    /// Not something an MMP link carries toward the MLB.
+    Unexpected,
+}
+
+fn enb_index(enb_id: u32) -> usize {
+    enb_id.wrapping_sub(ENB_BASE) as usize
+}
+
 /// The MLB front process's routing brain: consistent-hash routing over
 /// the shared plane, per-connection serving-VM pins (real S1AP returns
 /// responses on the association that carried the request), and the
@@ -442,114 +227,146 @@ impl MlbState {
         pdu: S1apPdu,
         out: &mut Vec<MlbOut>,
     ) {
-        let enb = (enb_id.wrapping_sub(ENB_BASE)) as usize;
-        match &pdu {
-            S1apPdu::S1SetupRequest { .. } => {
-                // The MLB terminates S1 setup itself (§4.2): eNodeBs
-                // see one MME whose GUMMEI covers the whole DC.
-                let snap = self.reader.snapshot();
-                let g = snap.guti(0);
-                out.push(MlbOut::Enb {
-                    enb,
-                    msg: WireMsg::ToEnb {
-                        enb_id,
-                        pdu: S1apPdu::S1SetupResponse {
-                            mme_name: "scale-mlb".to_string(),
-                            served_gummeis: vec![Gummei {
-                                plmn: g.plmn,
-                                mme_group_id: g.mme_group_id,
-                                mme_code: g.mme_code,
-                            }],
-                            relative_mme_capacity: 255,
-                        },
-                    },
-                });
-            }
-            S1apPdu::InitialUeMessage {
-                enb_ue_id, s_tmsi, ..
-            } => {
-                let (m_tmsi, vm, hint) = if let Some(h) = attach_hint {
-                    self.stats.routed_attaches += 1;
-                    (h, self.reader.route_new_attach(h), Some(h))
-                } else if let Some((_, m)) = s_tmsi {
-                    self.stats.routed_idle += 1;
-                    (*m, self.reader.route_idle(*m), None)
-                } else {
-                    self.stats.errors += 1;
-                    return;
-                };
-                let Some(vm) = vm else {
-                    // No live holder: hand the device back to its cell
-                    // rather than silently losing it.
-                    self.stats.errors += 1;
-                    out.push(MlbOut::Enb {
-                        enb,
-                        msg: WireMsg::ProcFailed { m_tmsi },
-                    });
-                    return;
-                };
-                self.reader.charge(vm);
-                self.conns.insert((enb_id, *enb_ue_id), vm);
-                self.inflight.insert(m_tmsi, vm);
-                out.push(MlbOut::Mmp {
-                    mmp: self.mmp_of(vm),
-                    msg: WireMsg::Deliver {
-                        vm,
-                        guti_hint: hint,
-                        enb_id,
-                        pdu,
-                    },
-                });
-            }
-            _ => {
-                let enb_ue_id = match &pdu {
-                    S1apPdu::InitialContextSetupResponse { enb_ue_id, .. }
-                    | S1apPdu::InitialContextSetupFailure { enb_ue_id, .. }
-                    | S1apPdu::UeContextReleaseComplete { enb_ue_id, .. }
-                    | S1apPdu::UplinkNasTransport { enb_ue_id, .. }
-                    | S1apPdu::UeContextReleaseRequest { enb_ue_id, .. } => Some(*enb_ue_id),
-                    S1apPdu::ErrorIndication { enb_ue_id, .. } => *enb_ue_id,
-                    _ => None,
-                };
-                let Some(vm) = enb_ue_id.and_then(|id| self.conns.get(&(enb_id, id)).copied())
-                else {
-                    // Stale uplink on a connection retired by a crash
-                    // (or an unroutable PDU kind): drop, count.
-                    self.stats.dropped += 1;
-                    return;
-                };
-                self.stats.forwarded_uplinks += 1;
-                if let S1apPdu::UeContextReleaseComplete { enb_ue_id, .. } = &pdu {
-                    self.conns.remove(&(enb_id, *enb_ue_id));
-                }
-                out.push(MlbOut::Mmp {
-                    mmp: self.mmp_of(vm),
-                    msg: WireMsg::Deliver {
-                        vm,
-                        guti_hint: None,
-                        enb_id,
-                        pdu,
-                    },
-                });
-            }
+        let enb = enb_index(enb_id);
+        match self.route_uplink(enb_id, attach_hint, pdu.route_key()) {
+            UplinkRoute::Setup => out.push(self.s1_setup_response(enb_id)),
+            UplinkRoute::Deliver { vm, guti_hint, .. } => out.push(MlbOut::Mmp {
+                mmp: self.mmp_of(vm),
+                msg: WireMsg::Deliver {
+                    vm,
+                    guti_hint,
+                    enb_id,
+                    pdu,
+                },
+            }),
+            UplinkRoute::Failed { m_tmsi } => out.push(MlbOut::Enb {
+                enb,
+                msg: WireMsg::ProcFailed { m_tmsi },
+            }),
+            UplinkRoute::Dropped => {}
         }
     }
 
     /// An MMP link delivered `msg`.
     pub fn on_mmp(&mut self, msg: WireMsg, out: &mut Vec<MlbOut>) {
-        match msg {
-            WireMsg::ToEnb { enb_id, pdu } => {
-                let enb = (enb_id.wrapping_sub(ENB_BASE)) as usize;
+        let key = match &msg {
+            WireMsg::ToEnb { enb_id, .. } => WorkerKey::ToEnb { enb_id: *enb_id },
+            WireMsg::Settled { m_tmsi, active } => WorkerKey::Settled {
+                m_tmsi: *m_tmsi,
+                active: *active,
+            },
+            WireMsg::Replicate { vm, .. } | WireMsg::DropCtx { vm, .. } => {
+                WorkerKey::ToVm { vm: *vm }
+            }
+            // Each is named so a new `WireMsg` variant fails to compile
+            // here instead of being silently counted away.
+            WireMsg::Hello { .. }
+            | WireMsg::Uplink { .. }
+            | WireMsg::Deliver { .. }
+            | WireMsg::ProcFailed { .. }
+            | WireMsg::VmDown { .. }
+            | WireMsg::VmUp { .. } => WorkerKey::Unexpected,
+        };
+        match self.route_from_worker(key) {
+            Some(Dest::Enb(enb)) => out.push(MlbOut::Enb { enb, msg }),
+            Some(Dest::Mmp(mmp)) => out.push(MlbOut::Mmp { mmp, msg }),
+            None => {}
+        }
+    }
+
+    /// The MLB terminates S1 setup itself (§4.2): eNodeBs see one MME
+    /// whose GUMMEI covers the whole DC.
+    fn s1_setup_response(&mut self, enb_id: u32) -> MlbOut {
+        let snap = self.reader.snapshot();
+        let g = snap.guti(0);
+        MlbOut::Enb {
+            enb: enb_index(enb_id),
+            msg: WireMsg::ToEnb {
+                enb_id,
+                pdu: S1apPdu::S1SetupResponse {
+                    mme_name: "scale-mlb".to_string(),
+                    served_gummeis: vec![Gummei {
+                        plmn: g.plmn,
+                        mme_group_id: g.mme_group_id,
+                        mme_code: g.mme_code,
+                    }],
+                    relative_mme_capacity: 255,
+                },
+            },
+        }
+    }
+
+    /// The one place an uplink is routed, typed or as bytes.
+    fn route_uplink(
+        &mut self,
+        enb_id: u32,
+        attach_hint: Option<u32>,
+        key: RouteKey,
+    ) -> UplinkRoute {
+        match key {
+            RouteKey::S1Setup => UplinkRoute::Setup,
+            RouteKey::Initial { enb_ue_id, s_tmsi } => {
+                let (m_tmsi, vm) = if let Some(h) = attach_hint {
+                    self.stats.routed_attaches += 1;
+                    (h, self.reader.route_new_attach(h))
+                } else if let Some((_, m)) = s_tmsi {
+                    self.stats.routed_idle += 1;
+                    (m, self.reader.route_idle(m))
+                } else {
+                    self.stats.errors += 1;
+                    return UplinkRoute::Dropped;
+                };
+                let Some(vm) = vm else {
+                    // No live holder: hand the device back to its cell
+                    // rather than silently losing it.
+                    self.stats.errors += 1;
+                    return UplinkRoute::Failed { m_tmsi };
+                };
+                self.reader.charge(vm);
+                self.conns.insert((enb_id, enb_ue_id), vm);
+                self.inflight.insert(m_tmsi, vm);
+                UplinkRoute::Deliver {
+                    vm,
+                    guti_hint: attach_hint,
+                    opens: Some(m_tmsi),
+                }
+            }
+            RouteKey::Connected { enb_ue_id, last } => {
+                let conn = (enb_id, enb_ue_id);
+                let Some(vm) = self.conns.get(&conn).copied() else {
+                    // Stale uplink on a connection retired by a crash.
+                    self.stats.dropped += 1;
+                    return UplinkRoute::Dropped;
+                };
+                self.stats.forwarded_uplinks += 1;
+                if last {
+                    self.conns.remove(&conn);
+                }
+                UplinkRoute::Deliver {
+                    vm,
+                    guti_hint: None,
+                    opens: None,
+                }
+            }
+            RouteKey::Other => {
+                self.stats.dropped += 1;
+                UplinkRoute::Dropped
+            }
+        }
+    }
+
+    /// The one place a worker's message is routed, typed or as bytes.
+    fn route_from_worker(&mut self, key: WorkerKey) -> Option<Dest> {
+        match key {
+            WorkerKey::ToEnb { enb_id } => {
+                let enb = enb_index(enb_id);
                 if enb >= self.topo.n_enbs {
                     self.stats.errors += 1;
-                    return;
+                    return None;
                 }
-                out.push(MlbOut::Enb {
-                    enb,
-                    msg: WireMsg::ToEnb { enb_id, pdu },
-                });
+                Some(Dest::Enb(enb))
             }
-            WireMsg::Settled { m_tmsi, active } => {
+            WorkerKey::Settled { m_tmsi, active } => {
                 if !active {
                     if let Some(vm) = self.inflight.remove(&m_tmsi) {
                         self.reader.discharge(vm);
@@ -557,30 +374,15 @@ impl MlbState {
                 }
                 let Some(enb) = home_cell(m_tmsi, self.topo.n_enbs) else {
                     self.stats.errors += 1;
-                    return;
+                    return None;
                 };
                 self.stats.settled_relayed += 1;
-                out.push(MlbOut::Enb {
-                    enb,
-                    msg: WireMsg::Settled { m_tmsi, active },
-                });
+                Some(Dest::Enb(enb))
             }
-            WireMsg::Replicate { vm, .. } | WireMsg::DropCtx { vm, .. } => {
-                out.push(MlbOut::Mmp {
-                    mmp: self.mmp_of(vm),
-                    msg,
-                });
-            }
-            // Not things an MMP link ever carries toward the MLB; each
-            // is named so a new `WireMsg` variant fails to compile here
-            // instead of being silently counted away.
-            WireMsg::Hello { .. }
-            | WireMsg::Uplink { .. }
-            | WireMsg::Deliver { .. }
-            | WireMsg::ProcFailed { .. }
-            | WireMsg::VmDown { .. }
-            | WireMsg::VmUp { .. } => {
+            WorkerKey::ToVm { vm } => Some(Dest::Mmp(self.mmp_of(vm))),
+            WorkerKey::Unexpected => {
                 self.stats.errors += 1;
+                None
             }
         }
     }

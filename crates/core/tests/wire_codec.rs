@@ -20,14 +20,21 @@ fn arb_nas() -> impl Strategy<Value = Bytes> {
 /// every variant on its own).
 fn arb_pdu() -> impl Strategy<Value = S1apPdu> {
     prop_oneof![
-        (any::<u32>(), arb_nas(), arb_tai(), proptest::option::of((any::<u8>(), any::<u32>())))
-            .prop_map(|(enb_ue_id, nas_pdu, tai, s_tmsi)| S1apPdu::InitialUeMessage {
-                enb_ue_id,
-                nas_pdu,
-                tai,
-                establishment_cause: 3,
-                s_tmsi,
-            }),
+        (
+            any::<u32>(),
+            arb_nas(),
+            arb_tai(),
+            proptest::option::of((any::<u8>(), any::<u32>()))
+        )
+            .prop_map(
+                |(enb_ue_id, nas_pdu, tai, s_tmsi)| S1apPdu::InitialUeMessage {
+                    enb_ue_id,
+                    nas_pdu,
+                    tai,
+                    establishment_cause: 3,
+                    s_tmsi,
+                }
+            ),
         (any::<u32>(), any::<u32>(), arb_nas(), arb_tai()).prop_map(
             |(mme_ue_id, enb_ue_id, nas_pdu, tai)| S1apPdu::UplinkNasTransport {
                 mme_ue_id,
@@ -83,14 +90,14 @@ fn arb_msg() -> impl Strategy<Value = WireMsg> {
                 pdu,
             }
         }),
-        (any::<u32>(), hint(), any::<u32>(), arb_pdu()).prop_map(
-            |(vm, guti_hint, enb_id, pdu)| WireMsg::Deliver {
+        (any::<u32>(), hint(), any::<u32>(), arb_pdu()).prop_map(|(vm, guti_hint, enb_id, pdu)| {
+            WireMsg::Deliver {
                 vm,
                 guti_hint,
                 enb_id,
                 pdu,
             }
-        ),
+        }),
         (any::<u32>(), arb_pdu()).prop_map(|(enb_id, pdu)| WireMsg::ToEnb { enb_id, pdu }),
         (any::<u32>(), any::<bool>())
             .prop_map(|(m_tmsi, active)| WireMsg::Settled { m_tmsi, active }),

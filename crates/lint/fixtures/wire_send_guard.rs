@@ -6,19 +6,19 @@
 
 pub fn relay(router: &std::sync::Mutex<Vec<u32>>, link: &Link, run: Vec<Vec<u8>>) {
     let table = router.lock();
-    let _ = link.try_send_batch(1, 0, run.iter());
-    let _ = link.send_batch(1, 0, run);
+    let _ = link.try_send_unit(run.len(), |unit| unit.extend(run.iter().flatten()));
+    let _ = link.send_unit(run.len(), |unit| unit.extend(run.iter().flatten()));
     drop(table);
 }
 
 pub struct Link;
 
 impl Link {
-    pub fn try_send_batch<I>(&self, _stream: u16, _ppid: u32, _payloads: I) -> Result<(), ()> {
+    pub fn try_send_unit(&self, _messages: usize, _fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), ()> {
         Ok(())
     }
 
-    pub fn send_batch<I>(&self, _stream: u16, _ppid: u32, _payloads: I) -> Result<(), ()> {
+    pub fn send_unit(&self, _messages: usize, _fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), ()> {
         Ok(())
     }
 }

@@ -251,9 +251,14 @@ pub fn check_nondet(path: &str, scanned: &Scanned, scopes: &Scopes, out: &mut Ve
 
 /// Calls on a split link's send half that wait at a full egress buffer
 /// until the peer has read — for as long as the peer likes. Their
-/// `try_` twins (`try_send_batch`, `try_ping`) answer `Full` instead
+/// `try_` twins (`try_send_unit`, `try_ping`) answer `Full` instead
 /// and do not match these needles.
-const BLOCKING_SENDS: &[&str] = &[".send(", ".send_batch(", ".ping(", ".shutdown_send("];
+const BLOCKING_SENDS: &[&str] = &[
+    ".send(",
+    ".send_unit(",
+    ".ping(",
+    ".shutdown_send(",
+];
 
 /// `await-guard`: a guard from a *blocking* `.lock()`/`.read()`/`.write()`
 /// may not live across a point where the thread can be parked for a

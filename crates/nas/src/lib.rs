@@ -21,7 +21,7 @@ pub mod wire;
 pub use emm::{emm_cause, msg_type, EmmMessage, PD_EMM};
 pub use ids::{decode_bcd, encode_bcd, Guti, MobileId, Plmn, Tai};
 pub use security::{is_protected, Direction, NasSecurityContext, SecurityHeader};
-pub use wire::{NasError, Reader, Writer};
+pub use wire::{NasError, Reader, View, Writer};
 
 #[cfg(test)]
 mod proptests {

@@ -12,11 +12,14 @@
 
 #![forbid(unsafe_code)]
 
+mod encode;
 pub mod ie;
 pub mod pdu;
+mod peek;
 
-pub use ie::{ie_id, Ie, IeSet};
+pub use ie::{ie_id, Ies};
 pub use pdu::{cause, proc_code, ErabSetup, Gummei, PduKind, S1apPdu};
+pub use peek::RouteKey;
 
 // Re-export the shared reader/writer so downstream crates use one set
 // of codec primitives for NAS + S1AP.
@@ -212,6 +215,42 @@ mod proptests {
             let _ = S1apPdu::decode(Bytes::from(data));
         }
 
+        /// `peek` is `decode` followed by `route_key`, on every PDU and
+        /// on every PDU with an unknown IE appended (which `decode`
+        /// skips).
+        #[test]
+        fn peek_reads_what_decode_reads(pdu in arb_pdu(), extra in proptest::collection::vec(any::<u8>(), 0..12)) {
+            let mut bytes = pdu.encode().to_vec();
+            prop_assert_eq!(S1apPdu::peek(&bytes), Ok(pdu.route_key()));
+            bytes.extend_from_slice(&[0x03, 0xe7, 0, extra.len() as u8]);
+            bytes.extend_from_slice(&extra);
+            prop_assert_eq!(S1apPdu::decode(Bytes::from(bytes.clone())).as_ref(), Ok(&pdu));
+            prop_assert_eq!(S1apPdu::peek(&bytes), Ok(pdu.route_key()));
+        }
+
+        /// On any bytes at all: where `decode` succeeds `peek` agrees
+        /// with it, and where the header or the IE framing is broken
+        /// both refuse. (`peek` may pass what `decode` refuses — a
+        /// malformed value in an IE it does not route by — but not a
+        /// header `decode` has no PDU for: see
+        /// `peek_and_decode_know_the_same_procedures`.)
+        #[test]
+        fn peek_agrees_with_decode_on_damaged_pdus(pdu in arb_pdu(), cut in any::<usize>(),
+                                                   pos in any::<usize>(), xor in 1u8..=255) {
+            let valid = pdu.encode().to_vec();
+            let mut flipped = valid.clone();
+            let i = pos % flipped.len();
+            flipped[i] ^= xor;
+            for bytes in [valid[..cut % valid.len()].to_vec(), flipped] {
+                let framed = bytes.len() >= 2 && bytes[0] <= 2 && Ies::parse(&bytes[2..]).is_ok();
+                match S1apPdu::decode(Bytes::from(bytes.clone())) {
+                    Ok(decoded) => prop_assert_eq!(S1apPdu::peek(&bytes), Ok(decoded.route_key())),
+                    Err(_) if !framed => prop_assert!(S1apPdu::peek(&bytes).is_err()),
+                    Err(_) => {}
+                }
+            }
+        }
+
         /// Inputs one step from valid — a PDU cut short anywhere, or
         /// with any one byte changed — reach every length and id check
         /// with plausible bytes around it: an error or a value, never a
@@ -226,5 +265,32 @@ mod proptests {
             flipped[i] ^= xor;
             let _ = S1apPdu::decode(Bytes::from(flipped));
         }
+    }
+
+    /// Every header there is, over an empty IE region: `peek` refuses
+    /// exactly the (kind, procedure code) pairs `decode` has no PDU
+    /// for, with the same error — so a peer that speaks procedures we
+    /// do not is dropped by a front end that peeks as it is by one that
+    /// decodes.
+    #[test]
+    fn peek_and_decode_know_the_same_procedures() {
+        let unknown = |e: &scale_nas::NasError| {
+            matches!(e, scale_nas::NasError::Invalid { what, .. } if what.contains("combination"))
+        };
+        let mut known = 0;
+        for kind in 0..=2u8 {
+            for code in 0..=255u8 {
+                let decoded = S1apPdu::decode(Bytes::from(vec![kind, code]));
+                let peeked = S1apPdu::peek(&[kind, code]);
+                match &decoded {
+                    Err(e) if unknown(e) => assert_eq!(peeked.as_ref(), Err(e), "{kind}/{code}"),
+                    _ => {
+                        known += 1;
+                        assert!(!matches!(&peeked, Err(e) if unknown(e)), "{kind}/{code}");
+                    }
+                }
+            }
+        }
+        assert_eq!(known, 21, "one header per PDU variant");
     }
 }

@@ -7,9 +7,10 @@
 //! with `load-balancing-TAU-required` is the 3GPP pool's reactive
 //! offload of Fig 2(b)), Paging, S1 handover and MME Overload Start/Stop.
 
-use crate::ie::{decode_all, ie_id, ie_u32, ie_u8, Ie, IeSet};
+use crate::ie::ie_id;
+use crate::peek::read_tmsi;
 use bytes::Bytes;
-use scale_nas::wire::{NasError, Reader, Writer};
+use scale_nas::wire::{NasError, Reader, View, Writer};
 use scale_nas::{Plmn, Tai};
 
 /// PDU wrapper kind.
@@ -21,7 +22,7 @@ pub enum PduKind {
 }
 
 impl PduKind {
-    fn from_code(v: u8) -> Option<Self> {
+    pub(crate) fn from_code(v: u8) -> Option<Self> {
         Some(match v {
             0 => PduKind::Initiating,
             1 => PduKind::SuccessfulOutcome,
@@ -78,7 +79,7 @@ pub struct ErabSetup {
 impl ErabSetup {
     const WIRE_LEN: usize = 10;
 
-    fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u8(self.erab_id);
         w.u8(self.qci);
         w.u32(self.gtp_teid);
@@ -95,15 +96,6 @@ impl ErabSetup {
     }
 }
 
-fn encode_erab_list(list: &[ErabSetup]) -> Bytes {
-    let mut w = Writer::new();
-    w.u8(list.len() as u8);
-    for e in list {
-        e.encode(&mut w);
-    }
-    w.finish()
-}
-
 fn decode_erab_list(data: Bytes) -> Result<Vec<ErabSetup>, NasError> {
     let mut r = Reader::new(data);
     let n = r.u8("erab count")? as usize;
@@ -115,23 +107,8 @@ fn decode_erab_list(data: Bytes) -> Result<Vec<ErabSetup>, NasError> {
     Ok(out)
 }
 
-fn encode_tai(tai: &Tai) -> Bytes {
-    let mut w = Writer::new();
-    tai.encode(&mut w);
-    w.finish()
-}
-
 fn decode_tai(data: Bytes) -> Result<Tai, NasError> {
     Tai::decode(&mut Reader::new(data))
-}
-
-fn encode_tai_list(list: &[Tai]) -> Bytes {
-    let mut w = Writer::new();
-    w.u8(list.len() as u8);
-    for t in list {
-        t.encode(&mut w);
-    }
-    w.finish()
 }
 
 fn decode_tai_list(data: Bytes) -> Result<Vec<Tai>, NasError> {
@@ -156,17 +133,6 @@ pub struct Gummei {
 
 impl Gummei {
     const WIRE_LEN: usize = 6;
-}
-
-fn encode_gummeis(list: &[Gummei]) -> Bytes {
-    let mut w = Writer::new();
-    w.u8(list.len() as u8);
-    for g in list {
-        w.slice(&g.plmn.0);
-        w.u16(g.mme_group_id);
-        w.u8(g.mme_code);
-    }
-    w.finish()
 }
 
 fn decode_gummeis(data: Bytes) -> Result<Vec<Gummei>, NasError> {
@@ -371,360 +337,143 @@ impl S1apPdu {
         }
     }
 
-    fn ies(&self) -> Vec<Ie> {
-        use ie_id::*;
-        match self {
-            S1apPdu::S1SetupRequest {
-                global_enb_id,
-                enb_name,
-                supported_tais,
-            } => vec![
-                ie_u32(GLOBAL_ENB_ID, *global_enb_id),
-                Ie::new(ENB_NAME, Bytes::copy_from_slice(enb_name.as_bytes())),
-                Ie::new(SUPPORTED_TAS, encode_tai_list(supported_tais)),
-            ],
-            S1apPdu::S1SetupResponse {
-                mme_name,
-                served_gummeis,
-                relative_mme_capacity,
-            } => vec![
-                Ie::new(MME_NAME, Bytes::copy_from_slice(mme_name.as_bytes())),
-                Ie::new(SERVED_GUMMEIS, encode_gummeis(served_gummeis)),
-                ie_u8(RELATIVE_MME_CAPACITY, *relative_mme_capacity),
-            ],
-            S1apPdu::S1SetupFailure { cause } => vec![ie_u8(CAUSE, *cause)],
-            S1apPdu::InitialUeMessage {
-                enb_ue_id,
-                nas_pdu,
-                tai,
-                establishment_cause,
-                s_tmsi,
-            } => {
-                let mut ies = vec![
-                    ie_u32(ENB_UE_S1AP_ID, *enb_ue_id),
-                    Ie::new(NAS_PDU, nas_pdu.clone()),
-                    Ie::new(TAI, encode_tai(tai)),
-                    ie_u8(RRC_ESTABLISHMENT_CAUSE, *establishment_cause),
-                ];
-                if let Some((code, tmsi)) = s_tmsi {
-                    let mut w = Writer::new();
-                    w.u8(*code);
-                    w.u32(*tmsi);
-                    ies.push(Ie::new(S_TMSI, w.finish()));
-                }
-                ies
-            }
-            S1apPdu::DownlinkNasTransport {
-                mme_ue_id,
-                enb_ue_id,
-                nas_pdu,
-            } => vec![
-                ie_u32(MME_UE_S1AP_ID, *mme_ue_id),
-                ie_u32(ENB_UE_S1AP_ID, *enb_ue_id),
-                Ie::new(NAS_PDU, nas_pdu.clone()),
-            ],
-            S1apPdu::UplinkNasTransport {
-                mme_ue_id,
-                enb_ue_id,
-                nas_pdu,
-                tai,
-            } => vec![
-                ie_u32(MME_UE_S1AP_ID, *mme_ue_id),
-                ie_u32(ENB_UE_S1AP_ID, *enb_ue_id),
-                Ie::new(NAS_PDU, nas_pdu.clone()),
-                Ie::new(TAI, encode_tai(tai)),
-            ],
-            S1apPdu::InitialContextSetupRequest {
-                mme_ue_id,
-                enb_ue_id,
-                erabs,
-                ue_ambr_ul_kbps,
-                ue_ambr_dl_kbps,
-                security_key,
-            } => {
-                let mut w = Writer::new();
-                w.u32(*ue_ambr_ul_kbps);
-                w.u32(*ue_ambr_dl_kbps);
-                vec![
-                    ie_u32(MME_UE_S1AP_ID, *mme_ue_id),
-                    ie_u32(ENB_UE_S1AP_ID, *enb_ue_id),
-                    Ie::new(ERAB_TO_BE_SETUP_LIST, encode_erab_list(erabs)),
-                    Ie::new(UE_AGGREGATE_MAX_BITRATE, w.finish()),
-                    Ie::new(SECURITY_KEY, Bytes::copy_from_slice(security_key)),
-                ]
-            }
-            S1apPdu::InitialContextSetupResponse {
-                mme_ue_id,
-                enb_ue_id,
-                erabs,
-            } => vec![
-                ie_u32(MME_UE_S1AP_ID, *mme_ue_id),
-                ie_u32(ENB_UE_S1AP_ID, *enb_ue_id),
-                Ie::new(ERAB_SETUP_LIST, encode_erab_list(erabs)),
-            ],
-            S1apPdu::InitialContextSetupFailure {
-                mme_ue_id,
-                enb_ue_id,
-                cause,
-            }
-            | S1apPdu::UeContextReleaseRequest {
-                mme_ue_id,
-                enb_ue_id,
-                cause,
-            }
-            | S1apPdu::UeContextReleaseCommand {
-                mme_ue_id,
-                enb_ue_id,
-                cause,
-            } => vec![
-                ie_u32(MME_UE_S1AP_ID, *mme_ue_id),
-                ie_u32(ENB_UE_S1AP_ID, *enb_ue_id),
-                ie_u8(CAUSE, *cause),
-            ],
-            S1apPdu::UeContextReleaseComplete {
-                mme_ue_id,
-                enb_ue_id,
-            }
-            | S1apPdu::HandoverCommand {
-                mme_ue_id,
-                enb_ue_id,
-            } => vec![
-                ie_u32(MME_UE_S1AP_ID, *mme_ue_id),
-                ie_u32(ENB_UE_S1AP_ID, *enb_ue_id),
-            ],
-            S1apPdu::Paging {
-                ue_paging_id,
-                tai_list,
-            } => {
-                let mut w = Writer::new();
-                w.u8(ue_paging_id.0);
-                w.u32(ue_paging_id.1);
-                vec![
-                    Ie::new(UE_PAGING_ID, w.finish()),
-                    Ie::new(TAI_LIST, encode_tai_list(tai_list)),
-                ]
-            }
-            S1apPdu::HandoverRequired {
-                mme_ue_id,
-                enb_ue_id,
-                target_enb_id,
-                cause,
-            } => vec![
-                ie_u32(MME_UE_S1AP_ID, *mme_ue_id),
-                ie_u32(ENB_UE_S1AP_ID, *enb_ue_id),
-                ie_u32(TARGET_ID, *target_enb_id),
-                ie_u8(CAUSE, *cause),
-            ],
-            S1apPdu::HandoverRequest {
-                mme_ue_id,
-                erabs,
-                security_key,
-            } => vec![
-                ie_u32(MME_UE_S1AP_ID, *mme_ue_id),
-                Ie::new(ERAB_TO_BE_SETUP_LIST, encode_erab_list(erabs)),
-                Ie::new(SECURITY_KEY, Bytes::copy_from_slice(security_key)),
-            ],
-            S1apPdu::HandoverRequestAck {
-                mme_ue_id,
-                enb_ue_id,
-                erabs,
-            } => vec![
-                ie_u32(MME_UE_S1AP_ID, *mme_ue_id),
-                ie_u32(ENB_UE_S1AP_ID, *enb_ue_id),
-                Ie::new(ERAB_SETUP_LIST, encode_erab_list(erabs)),
-            ],
-            S1apPdu::HandoverNotify {
-                mme_ue_id,
-                enb_ue_id,
-                tai,
-            } => vec![
-                ie_u32(MME_UE_S1AP_ID, *mme_ue_id),
-                ie_u32(ENB_UE_S1AP_ID, *enb_ue_id),
-                Ie::new(TAI, encode_tai(tai)),
-            ],
-            S1apPdu::OverloadStart | S1apPdu::OverloadStop => vec![],
-            S1apPdu::ErrorIndication {
-                mme_ue_id,
-                enb_ue_id,
-                cause,
-            } => {
-                let mut ies = Vec::new();
-                if let Some(id) = mme_ue_id {
-                    ies.push(ie_u32(MME_UE_S1AP_ID, *id));
-                }
-                if let Some(id) = enb_ue_id {
-                    ies.push(ie_u32(ENB_UE_S1AP_ID, *id));
-                }
-                ies.push(ie_u8(CAUSE, *cause));
-                ies
-            }
-        }
-    }
-
-    /// Encode: `kind(1) || proc(1) || ies…`.
-    pub fn encode(&self) -> Bytes {
-        let (kind, code) = self.kind_and_code();
-        let mut w = Writer::new();
-        w.u8(kind as u8);
-        w.u8(code);
-        for ie in self.ies() {
-            ie.encode(&mut w);
-        }
-        w.finish()
-    }
-
-    /// Decode from the wire.
+    /// Decode from the wire. Values that are byte strings (the NAS PDU)
+    /// share `buf`'s storage (which is why it takes the handle, not a
+    /// slice).
+    #[allow(clippy::needless_pass_by_value)]
     pub fn decode(buf: Bytes) -> Result<S1apPdu, NasError> {
         use ie_id::*;
         use proc_code::*;
-        let mut r = Reader::new(buf);
-        let kind_code = r.u8("s1ap pdu kind")?;
-        let kind = PduKind::from_code(kind_code).ok_or(NasError::Invalid {
-            what: "s1ap pdu kind",
-            value: kind_code as u64,
-        })?;
-        let code = r.u8("s1ap procedure code")?;
-        let set = IeSet::new(decode_all(&mut r)?);
+        const HEADER: usize = 2;
+        let (kind, code, set) = Self::open(&buf)?;
+        let bytes = |id, what| {
+            set.require(id, what)
+                .map(|at| buf.slice(HEADER + at.start..HEADER + at.end))
+        };
+        let name = |id, what| set.value(id, what).map(|v| String::from_utf8_lossy(v).into_owned());
+        let key = || {
+            let key = set.value(SECURITY_KEY, "security key")?;
+            key.try_into().map_err(|_| NasError::Invalid {
+                what: "security key length",
+                value: key.len() as u64,
+            })
+        };
+        let mme_ue_id = || set.u32(MME_UE_S1AP_ID, "mme ue id");
+        let enb_ue_id = || set.u32(ENB_UE_S1AP_ID, "enb ue id");
+        let cause = || set.u8(CAUSE, "cause");
 
         let pdu = match (kind, code) {
             (PduKind::Initiating, S1_SETUP) => S1apPdu::S1SetupRequest {
                 global_enb_id: set.u32(GLOBAL_ENB_ID, "global enb id")?,
-                enb_name: String::from_utf8_lossy(&set.bytes(ENB_NAME, "enb name")?).into_owned(),
-                supported_tais: decode_tai_list(set.bytes(SUPPORTED_TAS, "supported tas")?)?,
+                enb_name: name(ENB_NAME, "enb name")?,
+                supported_tais: decode_tai_list(bytes(SUPPORTED_TAS, "supported tas")?)?,
             },
             (PduKind::SuccessfulOutcome, S1_SETUP) => S1apPdu::S1SetupResponse {
-                mme_name: String::from_utf8_lossy(&set.bytes(MME_NAME, "mme name")?).into_owned(),
-                served_gummeis: decode_gummeis(set.bytes(SERVED_GUMMEIS, "served gummeis")?)?,
+                mme_name: name(MME_NAME, "mme name")?,
+                served_gummeis: decode_gummeis(bytes(SERVED_GUMMEIS, "served gummeis")?)?,
                 relative_mme_capacity: set.u8(RELATIVE_MME_CAPACITY, "relative capacity")?,
             },
-            (PduKind::UnsuccessfulOutcome, S1_SETUP) => S1apPdu::S1SetupFailure {
-                cause: set.u8(CAUSE, "cause")?,
+            (PduKind::UnsuccessfulOutcome, S1_SETUP) => S1apPdu::S1SetupFailure { cause: cause()? },
+            (PduKind::Initiating, INITIAL_UE_MESSAGE) => S1apPdu::InitialUeMessage {
+                s_tmsi: Self::s_tmsi(&set)?,
+                enb_ue_id: enb_ue_id()?,
+                nas_pdu: bytes(NAS_PDU, "nas pdu")?,
+                tai: decode_tai(bytes(TAI, "tai")?)?,
+                establishment_cause: set.u8(RRC_ESTABLISHMENT_CAUSE, "establishment cause")?,
             },
-            (PduKind::Initiating, INITIAL_UE_MESSAGE) => {
-                let s_tmsi = match set.find(S_TMSI) {
-                    None => None,
-                    Some(ie) => {
-                        let mut sr = Reader::new(ie.data.clone());
-                        Some((sr.u8("stmsi mme code")?, sr.u32("stmsi m-tmsi")?))
-                    }
-                };
-                S1apPdu::InitialUeMessage {
-                    enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                    nas_pdu: set.bytes(NAS_PDU, "nas pdu")?,
-                    tai: decode_tai(set.bytes(TAI, "tai")?)?,
-                    establishment_cause: set.u8(RRC_ESTABLISHMENT_CAUSE, "establishment cause")?,
-                    s_tmsi,
-                }
-            }
             (PduKind::Initiating, DOWNLINK_NAS_TRANSPORT) => S1apPdu::DownlinkNasTransport {
-                mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                nas_pdu: set.bytes(NAS_PDU, "nas pdu")?,
+                mme_ue_id: mme_ue_id()?,
+                enb_ue_id: enb_ue_id()?,
+                nas_pdu: bytes(NAS_PDU, "nas pdu")?,
             },
             (PduKind::Initiating, UPLINK_NAS_TRANSPORT) => S1apPdu::UplinkNasTransport {
-                mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                nas_pdu: set.bytes(NAS_PDU, "nas pdu")?,
-                tai: decode_tai(set.bytes(TAI, "tai")?)?,
+                mme_ue_id: mme_ue_id()?,
+                enb_ue_id: enb_ue_id()?,
+                nas_pdu: bytes(NAS_PDU, "nas pdu")?,
+                tai: decode_tai(bytes(TAI, "tai")?)?,
             },
             (PduKind::Initiating, INITIAL_CONTEXT_SETUP) => {
-                let ambr = set.bytes(UE_AGGREGATE_MAX_BITRATE, "ue ambr")?;
-                let mut ar = Reader::new(ambr);
-                let key = set.bytes(SECURITY_KEY, "security key")?;
+                let mut ambr = View::new(set.value(UE_AGGREGATE_MAX_BITRATE, "ue ambr")?);
+                let security_key = key()?;
                 S1apPdu::InitialContextSetupRequest {
-                    mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                    enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                    erabs: decode_erab_list(set.bytes(ERAB_TO_BE_SETUP_LIST, "erab list")?)?,
-                    ue_ambr_ul_kbps: ar.u32("ambr ul")?,
-                    ue_ambr_dl_kbps: ar.u32("ambr dl")?,
-                    security_key: key[..].try_into().map_err(|_| NasError::Invalid {
-                        what: "security key length",
-                        value: key.len() as u64,
-                    })?,
+                    mme_ue_id: mme_ue_id()?,
+                    enb_ue_id: enb_ue_id()?,
+                    erabs: decode_erab_list(bytes(ERAB_TO_BE_SETUP_LIST, "erab list")?)?,
+                    ue_ambr_ul_kbps: ambr.u32("ambr ul")?,
+                    ue_ambr_dl_kbps: ambr.u32("ambr dl")?,
+                    security_key,
                 }
             }
             (PduKind::SuccessfulOutcome, INITIAL_CONTEXT_SETUP) => {
                 S1apPdu::InitialContextSetupResponse {
-                    mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                    enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                    erabs: decode_erab_list(set.bytes(ERAB_SETUP_LIST, "erab list")?)?,
+                    mme_ue_id: mme_ue_id()?,
+                    enb_ue_id: enb_ue_id()?,
+                    erabs: decode_erab_list(bytes(ERAB_SETUP_LIST, "erab list")?)?,
                 }
             }
             (PduKind::UnsuccessfulOutcome, INITIAL_CONTEXT_SETUP) => {
                 S1apPdu::InitialContextSetupFailure {
-                    mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                    enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                    cause: set.u8(CAUSE, "cause")?,
+                    mme_ue_id: mme_ue_id()?,
+                    enb_ue_id: enb_ue_id()?,
+                    cause: cause()?,
                 }
             }
             (PduKind::Initiating, UE_CONTEXT_RELEASE_REQUEST) => S1apPdu::UeContextReleaseRequest {
-                mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                cause: set.u8(CAUSE, "cause")?,
+                mme_ue_id: mme_ue_id()?,
+                enb_ue_id: enb_ue_id()?,
+                cause: cause()?,
             },
             (PduKind::Initiating, UE_CONTEXT_RELEASE) => S1apPdu::UeContextReleaseCommand {
-                mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                cause: set.u8(CAUSE, "cause")?,
+                mme_ue_id: mme_ue_id()?,
+                enb_ue_id: enb_ue_id()?,
+                cause: cause()?,
             },
             (PduKind::SuccessfulOutcome, UE_CONTEXT_RELEASE) => S1apPdu::UeContextReleaseComplete {
-                mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
+                mme_ue_id: mme_ue_id()?,
+                enb_ue_id: enb_ue_id()?,
             },
-            (PduKind::Initiating, PAGING) => {
-                let ie = set.require(UE_PAGING_ID, "ue paging id")?;
-                let mut pr = Reader::new(ie.data.clone());
-                S1apPdu::Paging {
-                    ue_paging_id: (pr.u8("paging mme code")?, pr.u32("paging m-tmsi")?),
-                    tai_list: decode_tai_list(set.bytes(TAI_LIST, "tai list")?)?,
-                }
-            }
+            (PduKind::Initiating, PAGING) => S1apPdu::Paging {
+                ue_paging_id: read_tmsi(set.value(UE_PAGING_ID, "ue paging id")?, "ue paging id")?,
+                tai_list: decode_tai_list(bytes(TAI_LIST, "tai list")?)?,
+            },
             (PduKind::Initiating, HANDOVER_PREPARATION) => S1apPdu::HandoverRequired {
-                mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
+                mme_ue_id: mme_ue_id()?,
+                enb_ue_id: enb_ue_id()?,
                 target_enb_id: set.u32(TARGET_ID, "target enb")?,
-                cause: set.u8(CAUSE, "cause")?,
+                cause: cause()?,
             },
             (PduKind::SuccessfulOutcome, HANDOVER_PREPARATION) => S1apPdu::HandoverCommand {
-                mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
+                mme_ue_id: mme_ue_id()?,
+                enb_ue_id: enb_ue_id()?,
             },
             (PduKind::Initiating, HANDOVER_RESOURCE_ALLOCATION) => {
-                let key = set.bytes(SECURITY_KEY, "security key")?;
+                let security_key = key()?;
                 S1apPdu::HandoverRequest {
-                    mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                    erabs: decode_erab_list(set.bytes(ERAB_TO_BE_SETUP_LIST, "erab list")?)?,
-                    security_key: key[..].try_into().map_err(|_| NasError::Invalid {
-                        what: "security key length",
-                        value: key.len() as u64,
-                    })?,
+                    mme_ue_id: mme_ue_id()?,
+                    erabs: decode_erab_list(bytes(ERAB_TO_BE_SETUP_LIST, "erab list")?)?,
+                    security_key,
                 }
             }
             (PduKind::SuccessfulOutcome, HANDOVER_RESOURCE_ALLOCATION) => {
                 S1apPdu::HandoverRequestAck {
-                    mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                    enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                    erabs: decode_erab_list(set.bytes(ERAB_SETUP_LIST, "erab list")?)?,
+                    mme_ue_id: mme_ue_id()?,
+                    enb_ue_id: enb_ue_id()?,
+                    erabs: decode_erab_list(bytes(ERAB_SETUP_LIST, "erab list")?)?,
                 }
             }
             (PduKind::Initiating, HANDOVER_NOTIFICATION) => S1apPdu::HandoverNotify {
-                mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
-                enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                tai: decode_tai(set.bytes(TAI, "tai")?)?,
+                mme_ue_id: mme_ue_id()?,
+                enb_ue_id: enb_ue_id()?,
+                tai: decode_tai(bytes(TAI, "tai")?)?,
             },
             (PduKind::Initiating, OVERLOAD_START) => S1apPdu::OverloadStart,
             (PduKind::Initiating, OVERLOAD_STOP) => S1apPdu::OverloadStop,
             (PduKind::Initiating, ERROR_INDICATION) => S1apPdu::ErrorIndication {
                 mme_ue_id: set.opt_u32(MME_UE_S1AP_ID, "mme ue id")?,
                 enb_ue_id: set.opt_u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                cause: set.u8(CAUSE, "cause")?,
+                cause: cause()?,
             },
-            _ => {
-                return Err(NasError::Invalid {
-                    what: "s1ap kind/procedure combination",
-                    value: ((kind_code as u64) << 8) | code as u64,
-                })
-            }
+            _ => return Err(Self::unknown_procedure(kind, code)),
         };
         Ok(pdu)
     }

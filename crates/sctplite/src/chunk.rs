@@ -6,8 +6,16 @@
 //! sequence number and a payload protocol id (PPID), exactly the SCTP
 //! properties S1AP depends on: message boundaries, multiple ordered
 //! streams, and liveness via heartbeats.
+//!
+//! Both directions touch a payload once. [`Frame::encode_into`] writes
+//! the header and the body straight into the buffer the frame leaves
+//! in; [`FrameView::parse`] checks a received frame where it lies and
+//! hands the payload out as a slice of it, and [`Frame::decode`] is
+//! that parse plus a share of the input's storage.
+//!
+//! lint: hot-path
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use std::fmt;
 
 /// Chunk type codes (mirroring RFC 4960 numbering where it exists).
@@ -59,6 +67,8 @@ pub enum SctpError {
     TrailingBytes(&'static str),
     /// Application payload too large for the 16-bit chunk length.
     Oversized(usize),
+    /// DATA on a stream the INIT handshake did not open.
+    BadStream { stream: u16, streams: u16 },
 }
 
 impl fmt::Display for SctpError {
@@ -78,6 +88,9 @@ impl fmt::Display for SctpError {
             SctpError::TrailingBytes(w) => write!(f, "trailing bytes after {w}"),
             SctpError::Oversized(n) => {
                 write!(f, "payload of {n} bytes exceeds the 16-bit chunk length")
+            }
+            SctpError::BadStream { stream, streams } => {
+                write!(f, "stream {stream} is not one of the {streams} negotiated")
             }
         }
     }
@@ -129,132 +142,225 @@ pub struct Frame {
     pub chunk: Chunk,
 }
 
-impl Frame {
-    /// Serialize to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut body = BytesMut::new();
-        match &self.chunk {
-            Chunk::Init { init_tag, num_streams }
-            | Chunk::InitAck { init_tag, num_streams } => {
-                body.put_u32(*init_tag);
-                body.put_u16(*num_streams);
+/// Bytes of the frame header: tag, chunk type, flags, chunk length.
+pub(crate) const FRAME_HEADER: usize = 8;
+/// Bytes of a DATA chunk ahead of its payload: stream, sequence, PPID.
+pub(crate) const DATA_HEADER: usize = 10;
+
+/// A received frame, parsed where it lies: a DATA payload is a slice of
+/// the input. Every other chunk is a few integers and is owned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameView<'a> {
+    pub tag: u32,
+    pub chunk: ChunkView<'a>,
+}
+
+/// The chunk of a [`FrameView`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChunkView<'a> {
+    /// One application message; `payload` is the tail of the frame.
+    Data {
+        stream_id: u16,
+        seq: u32,
+        ppid: u32,
+        payload: &'a [u8],
+    },
+    /// Any chunk but DATA.
+    Control(Chunk),
+}
+
+fn be_u16(b: &[u8]) -> u16 {
+    u16::from_be_bytes([b[0], b[1]])
+}
+
+fn be_u32(b: &[u8]) -> u32 {
+    u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// A body that must be exactly `N` bytes, as an array.
+fn fixed<const N: usize>(body: &[u8], what: &'static str) -> Result<[u8; N], SctpError> {
+    match body.len().cmp(&N) {
+        std::cmp::Ordering::Less => Err(SctpError::Truncated(what)),
+        std::cmp::Ordering::Greater => Err(SctpError::TrailingBytes(what)),
+        std::cmp::Ordering::Equal => {
+            let mut out = [0u8; N];
+            out.copy_from_slice(body);
+            Ok(out)
+        }
+    }
+}
+
+impl<'a> FrameView<'a> {
+    /// Parse one frame. Strict and canonical: the reserved flags byte
+    /// must be zero, the declared length must consume the buffer
+    /// exactly, and fixed-size chunk bodies must be exactly their wire
+    /// size — any successful parse re-encodes to the identical bytes.
+    pub fn parse(buf: &'a [u8]) -> Result<FrameView<'a>, SctpError> {
+        if buf.len() < FRAME_HEADER {
+            return Err(SctpError::Truncated("frame header"));
+        }
+        let (head, body) = buf.split_at(FRAME_HEADER);
+        let tag = be_u32(head);
+        let ty_code = head[4];
+        let flags = head[5];
+        if flags != 0 {
+            return Err(SctpError::NonzeroFlags(flags));
+        }
+        let len = usize::from(be_u16(&head[6..]));
+        if body.len() < len {
+            return Err(SctpError::Truncated("chunk body"));
+        }
+        if body.len() > len {
+            return Err(SctpError::TrailingBytes("chunk body"));
+        }
+        let ty = ChunkType::from_code(ty_code).ok_or(SctpError::UnknownChunk(ty_code))?;
+        let chunk = match ty {
+            ChunkType::Data => {
+                if body.len() < DATA_HEADER {
+                    return Err(SctpError::Truncated("data header"));
+                }
+                ChunkView::Data {
+                    stream_id: be_u16(body),
+                    seq: be_u32(&body[2..]),
+                    ppid: be_u32(&body[6..]),
+                    payload: &body[DATA_HEADER..],
+                }
             }
+            ChunkType::Init | ChunkType::InitAck => {
+                let b: [u8; 6] = fixed(body, "init body")?;
+                let (init_tag, num_streams) = (be_u32(&b), be_u16(&b[4..]));
+                ChunkView::Control(if matches!(ty, ChunkType::Init) {
+                    Chunk::Init { init_tag, num_streams }
+                } else {
+                    Chunk::InitAck { init_tag, num_streams }
+                })
+            }
+            ChunkType::Heartbeat | ChunkType::HeartbeatAck => {
+                let nonce = u64::from_be_bytes(fixed(body, "heartbeat nonce")?);
+                ChunkView::Control(if matches!(ty, ChunkType::Heartbeat) {
+                    Chunk::Heartbeat { nonce }
+                } else {
+                    Chunk::HeartbeatAck { nonce }
+                })
+            }
+            ChunkType::Shutdown | ChunkType::ShutdownAck => {
+                if !body.is_empty() {
+                    return Err(SctpError::TrailingBytes("shutdown body"));
+                }
+                ChunkView::Control(if matches!(ty, ChunkType::Shutdown) {
+                    Chunk::Shutdown
+                } else {
+                    Chunk::ShutdownAck
+                })
+            }
+            ChunkType::Abort => {
+                let [reason] = fixed(body, "abort reason")?;
+                ChunkView::Control(Chunk::Abort { reason })
+            }
+        };
+        Ok(FrameView { tag, chunk })
+    }
+}
+
+/// Append the frame and DATA headers of a message whose `payload_len`
+/// payload bytes the caller writes next.
+pub(crate) fn put_data_header(
+    out: &mut Vec<u8>,
+    tag: u32,
+    stream_id: u16,
+    seq: u32,
+    ppid: u32,
+    payload_len: usize,
+) {
+    debug_assert!(payload_len <= MAX_PAYLOAD, "oversized chunk");
+    out.put_u32(tag);
+    out.put_u8(ChunkType::Data as u8);
+    out.put_u8(0); // flags, reserved
+    out.put_u16((DATA_HEADER + payload_len) as u16);
+    out.put_u16(stream_id);
+    out.put_u32(seq);
+    out.put_u32(ppid);
+}
+
+impl Frame {
+    /// Append the encoding to `out`: header first, then the body where
+    /// it stays.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let control = |out: &mut Vec<u8>, body_len: u16| {
+            out.put_u32(self.tag);
+            out.put_u8(self.chunk.chunk_type() as u8);
+            out.put_u8(0); // flags, reserved
+            out.put_u16(body_len);
+        };
+        match &self.chunk {
             Chunk::Data {
                 stream_id,
                 seq,
                 ppid,
                 payload,
             } => {
-                body.put_u16(*stream_id);
-                body.put_u32(*seq);
-                body.put_u32(*ppid);
-                body.put_slice(payload);
+                put_data_header(out, self.tag, *stream_id, *seq, *ppid, payload.len());
+                out.put_slice(payload);
             }
-            Chunk::Heartbeat { nonce } | Chunk::HeartbeatAck { nonce } => body.put_u64(*nonce),
-            Chunk::Shutdown | Chunk::ShutdownAck => {}
-            Chunk::Abort { reason } => body.put_u8(*reason),
+            Chunk::Init { init_tag, num_streams }
+            | Chunk::InitAck { init_tag, num_streams } => {
+                control(out, 6);
+                out.put_u32(*init_tag);
+                out.put_u16(*num_streams);
+            }
+            Chunk::Heartbeat { nonce } | Chunk::HeartbeatAck { nonce } => {
+                control(out, 8);
+                out.put_u64(*nonce);
+            }
+            Chunk::Shutdown | Chunk::ShutdownAck => control(out, 0),
+            Chunk::Abort { reason } => {
+                control(out, 1);
+                out.put_u8(*reason);
+            }
         }
-        let mut out = BytesMut::with_capacity(8 + body.len());
-        out.put_u32(self.tag);
-        out.put_u8(self.chunk.chunk_type() as u8);
-        out.put_u8(0); // flags, reserved
-        debug_assert!(body.len() <= u16::MAX as usize, "oversized chunk");
-        out.put_u16(body.len() as u16);
-        out.put_slice(&body);
-        out.freeze()
     }
 
-    /// Parse one frame. Strict and canonical: the reserved flags byte
-    /// must be zero, the declared length must consume the buffer
-    /// exactly, and fixed-size chunk bodies must be exactly their wire
-    /// size — any successful decode re-encodes to the identical bytes.
-    pub fn decode(mut buf: Bytes) -> Result<Frame, SctpError> {
-        if buf.remaining() < 8 {
-            return Err(SctpError::Truncated("frame header"));
-        }
-        let tag = buf.get_u32();
-        let ty_code = buf.get_u8();
-        let flags = buf.get_u8();
-        if flags != 0 {
-            return Err(SctpError::NonzeroFlags(flags));
-        }
-        let len = buf.get_u16() as usize;
-        if buf.remaining() < len {
-            return Err(SctpError::Truncated("chunk body"));
-        }
-        let mut body = buf.copy_to_bytes(len);
-        if buf.remaining() != 0 {
-            return Err(SctpError::TrailingBytes("chunk body"));
-        }
-        let ty = ChunkType::from_code(ty_code).ok_or(SctpError::UnknownChunk(ty_code))?;
-        let chunk = match ty {
-            ChunkType::Init | ChunkType::InitAck => {
-                if body.remaining() < 6 {
-                    return Err(SctpError::Truncated("init body"));
-                }
-                if body.remaining() > 6 {
-                    return Err(SctpError::TrailingBytes("init body"));
-                }
-                let init_tag = body.get_u32();
-                let num_streams = body.get_u16();
-                if matches!(ty, ChunkType::Init) {
-                    Chunk::Init { init_tag, num_streams }
-                } else {
-                    Chunk::InitAck { init_tag, num_streams }
-                }
+    /// Bytes [`Frame::encode_into`] appends.
+    pub fn encoded_len(&self) -> usize {
+        FRAME_HEADER
+            + match &self.chunk {
+                Chunk::Data { payload, .. } => DATA_HEADER + payload.len(),
+                Chunk::Init { .. } | Chunk::InitAck { .. } => 6,
+                Chunk::Heartbeat { .. } | Chunk::HeartbeatAck { .. } => 8,
+                Chunk::Shutdown | Chunk::ShutdownAck => 0,
+                Chunk::Abort { .. } => 1,
             }
-            ChunkType::Data => {
-                if body.remaining() < 10 {
-                    return Err(SctpError::Truncated("data header"));
-                }
-                let stream_id = body.get_u16();
-                let seq = body.get_u32();
-                let ppid = body.get_u32();
-                let n = body.remaining();
-                Chunk::Data {
+    }
+
+    /// Serialize to a buffer of its own.
+    pub fn encode(&self) -> Bytes {
+        let mut out = Vec::with_capacity(self.encoded_len()); // lint: allow(alloc): the buffer returned
+        self.encode_into(&mut out);
+        Bytes::from(out)
+    }
+
+    /// [`FrameView::parse`], with a DATA payload sharing `buf`'s
+    /// storage (which is why it takes the handle, not a slice).
+    #[allow(clippy::needless_pass_by_value)]
+    pub fn decode(buf: Bytes) -> Result<Frame, SctpError> {
+        let view = FrameView::parse(&buf)?;
+        Ok(Frame {
+            tag: view.tag,
+            chunk: match view.chunk {
+                ChunkView::Data {
                     stream_id,
                     seq,
                     ppid,
-                    payload: body.copy_to_bytes(n),
-                }
-            }
-            ChunkType::Heartbeat | ChunkType::HeartbeatAck => {
-                if body.remaining() < 8 {
-                    return Err(SctpError::Truncated("heartbeat nonce"));
-                }
-                if body.remaining() > 8 {
-                    return Err(SctpError::TrailingBytes("heartbeat nonce"));
-                }
-                let nonce = body.get_u64();
-                if matches!(ty, ChunkType::Heartbeat) {
-                    Chunk::Heartbeat { nonce }
-                } else {
-                    Chunk::HeartbeatAck { nonce }
-                }
-            }
-            ChunkType::Shutdown | ChunkType::ShutdownAck => {
-                if body.remaining() != 0 {
-                    return Err(SctpError::TrailingBytes("shutdown body"));
-                }
-                if matches!(ty, ChunkType::Shutdown) {
-                    Chunk::Shutdown
-                } else {
-                    Chunk::ShutdownAck
-                }
-            }
-            ChunkType::Abort => {
-                if body.remaining() < 1 {
-                    return Err(SctpError::Truncated("abort reason"));
-                }
-                if body.remaining() > 1 {
-                    return Err(SctpError::TrailingBytes("abort reason"));
-                }
-                Chunk::Abort {
-                    reason: body.get_u8(),
-                }
-            }
-        };
-        Ok(Frame { tag, chunk })
+                    payload,
+                } => Chunk::Data {
+                    stream_id,
+                    seq,
+                    ppid,
+                    payload: buf.slice(buf.len() - payload.len()..),
+                },
+                ChunkView::Control(chunk) => chunk,
+            },
+        })
     }
 }
 

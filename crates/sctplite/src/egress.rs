@@ -9,6 +9,11 @@
 //!   the *front* of the queue and the writer thread finishes it.
 //! * A sender that arrives while anything is queued or being written
 //!   appends and leaves; the backlog is the next write's batch.
+//!
+//!   Either way the sender encodes its unit straight into the buffer it
+//!   leaves from — the queue's own, or the link's one in-place write
+//!   buffer — so a payload is copied once on its way out
+//!   ([`Egress::submit`]).
 //! * The writer thread empties the queue with one blocking write per
 //!   batch. It is the only place that waits on a full socket.
 //!
@@ -50,6 +55,9 @@ pub(crate) struct Egress<W> {
 pub(crate) struct EgressQueue {
     /// Length-prefixed frames waiting for the writer thread.
     wire: Vec<u8>,
+    /// Where an in-place writer encodes its unit; it takes the buffer
+    /// along while it writes and brings it back, so only one exists.
+    unit: Vec<u8>,
     /// Frames in `wire`.
     queued: usize,
     /// Frames of the write in progress.
@@ -96,13 +104,12 @@ impl<W: Sink> Egress<W> {
     }
 
     /// Reserve room for a unit of `frames` frames and return the queue,
-    /// locked, for [`Self::commit`]: whatever the caller numbers or
-    /// encodes in between reaches the wire in that order. At the bound,
-    /// `wait` parks the caller until the writer has made room; without
-    /// it the answer is [`TransportError::Full`] and nothing has
-    /// happened. A unit larger than the whole bound is admitted once
-    /// the buffer is empty. A dead link is [`TransportError::Eof`].
-    pub(crate) fn admit(
+    /// locked. At the bound, `wait` parks the caller until the writer
+    /// has made room; without it the answer is [`TransportError::Full`]
+    /// and nothing has happened. A unit larger than the whole bound is
+    /// admitted once the buffer is empty. A dead link is
+    /// [`TransportError::Eof`].
+    fn admit(
         &self,
         frames: usize,
         wait: bool,
@@ -128,70 +135,86 @@ impl<W: Sink> Egress<W> {
         }
     }
 
-    /// Hand over the `frames` encoded frames in `wire` as one unit. On
-    /// an idle link the caller becomes the write in progress and writes
-    /// them itself; otherwise they join the queue.
-    pub(crate) fn commit(
+    /// Admit a unit of up to `frames` frames (as [`Self::admit`]) and
+    /// let `fill` encode it into the buffer it leaves from; `fill`
+    /// returns how many whole frames it appended. On an idle link the
+    /// caller becomes the write in progress and writes them itself;
+    /// otherwise they join the queue. The queue stays locked while
+    /// `fill` runs, so whatever it numbers reaches the wire in that
+    /// order.
+    pub(crate) fn submit(
         &self,
-        mut q: MutexGuard<'_, EgressQueue>,
-        wire: &[u8],
         frames: usize,
+        wait: bool,
+        fill: impl FnOnce(&mut Vec<u8>) -> usize,
     ) -> Result<(), TransportError> {
-        if frames == 0 {
-            return Ok(());
-        }
+        let mut q = self.admit(frames, wait)?;
         if q.queued + q.writing > 0 {
-            q.wire.extend_from_slice(wire);
-            q.queued += frames;
+            q.queued += fill(&mut q.wire);
             // Behind an in-place write the writer thread could only go
             // back to sleep; that write wakes it when it is done.
-            if !q.inline && std::mem::take(&mut q.writer_parked) {
+            if q.queued > 0 && !q.inline && std::mem::take(&mut q.writer_parked) {
                 self.wake_writer.notify_one();
             }
+            return Ok(());
+        }
+        let mut unit = std::mem::take(&mut q.unit);
+        let frames = fill(&mut unit);
+        if frames == 0 {
+            q.unit = unit;
             return Ok(());
         }
         q.writing = frames;
         q.inline = true;
         drop(q);
-        let res = self.wr.try_write(wire);
+        let res = self.wr.try_write(&unit);
         let mut q = self.queue();
         q.inline = false;
-        if q.dead {
-            return Err(TransportError::Eof);
-        }
-        let written = match res {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => 0,
-            Err(_) => {
-                self.fail_locked(&mut q);
-                return Err(TransportError::Eof);
+        let outcome = if q.dead {
+            Err(TransportError::Eof)
+        } else {
+            match res {
+                Ok(n) => Ok(n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(0),
+                Err(_) => {
+                    self.fail_locked(&mut q);
+                    Err(TransportError::Eof)
+                }
             }
         };
-        q.writing = 0;
-        if written < wire.len() {
-            // The link filled up mid-unit. The rest must leave before
-            // anything queued meanwhile, and waiting for room is the
-            // writer thread's job. Once per stall, not per push.
-            q.wire.splice(..0, wire[written..].iter().copied());
-            q.queued += frames;
+        if let Ok(written) = outcome {
+            q.writing = 0;
+            if written < unit.len() {
+                // The link filled up mid-unit. The rest must leave
+                // before anything queued meanwhile, and waiting for
+                // room is the writer thread's job. Once per stall, not
+                // per push.
+                q.wire.splice(..0, unit[written..].iter().copied());
+                q.queued += frames;
+            }
+            if q.queued > 0 && std::mem::take(&mut q.writer_parked) {
+                self.wake_writer.notify_one();
+            }
+            if q.senders_parked > 0 {
+                self.wake_senders.notify_all();
+            }
         }
-        if q.queued > 0 && std::mem::take(&mut q.writer_parked) {
-            self.wake_writer.notify_one();
-        }
-        if q.senders_parked > 0 {
-            self.wake_senders.notify_all();
-        }
-        Ok(())
+        unit.clear();
+        unit.shrink_to(WIRE_RETAIN);
+        q.unit = unit;
+        outcome.map(|_| ())
     }
 
-    /// [`Self::admit`] (waiting at the bound) and [`Self::commit`] for
-    /// frames whose order against other senders does not matter.
+    /// [`Self::submit`] (waiting at the bound) of frames already
+    /// encoded.
     pub(crate) fn push(&self, wire: &[u8], frames: usize) -> Result<(), TransportError> {
         if frames == 0 {
             return Ok(());
         }
-        let q = self.admit(frames, true)?;
-        self.commit(q, wire, frames)
+        self.submit(frames, true, |unit| {
+            unit.extend_from_slice(wire);
+            frames
+        })
     }
 
     /// The writer thread: one blocking write per batch, a batch being
@@ -249,6 +272,7 @@ impl<W: Sink> Egress<W> {
         q.dead = true;
         q.wire.clear();
         q.wire.shrink_to(0);
+        q.unit.shrink_to(0);
         q.queued = 0;
         q.writing = 0;
         self.wake_senders.notify_all();

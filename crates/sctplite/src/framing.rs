@@ -3,15 +3,20 @@
 //!
 //! [`Deframer`] is the receive side. The transport hands it whatever one
 //! `read` returned — half a frame, one frame, fifty frames — and takes
-//! complete [`Frame`]s back out, so the number of frames per syscall is
-//! whatever the socket happened to hold. [`frame_into`] is the send
-//! side: it appends one length-prefixed frame to a byte buffer the
-//! caller writes out in one piece.
+//! complete frames back out, so the number of frames per syscall is
+//! whatever the socket happened to hold. A frame comes out as the place
+//! in the read buffer where it lies ([`Deframer::next_span`]): the
+//! buffer is not touched again until the transport asks for room for
+//! its next read, so whoever consumes the frame parses it, and may
+//! forward its payload, right there. [`frame_into`] is the send side:
+//! it appends one length-prefixed frame to a byte buffer the caller
+//! writes out in one piece.
 //!
 //! lint: hot-path
 
 use crate::chunk::{Frame, SctpError};
 use bytes::Bytes;
+use std::ops::Range;
 
 /// Largest frame body a peer may announce. Checked before any buffer is
 /// sized from the length word.
@@ -62,10 +67,12 @@ impl Deframer {
         Ok(Some(len))
     }
 
-    /// Take the next complete frame out of the buffer; `Ok(None)` means
-    /// more bytes are needed. After an error the stream has lost frame
-    /// alignment and the link must be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, SctpError> {
+    /// Where the body of the next complete frame lies in
+    /// [`Deframer::bytes`]; `Ok(None)` means more bytes are needed. The
+    /// span stays valid until the next [`Deframer::space`]. After an
+    /// error the stream has lost frame alignment and the link must be
+    /// dropped.
+    pub fn next_span(&mut self) -> Result<Option<Range<usize>>, SctpError> {
         let Some(len) = self.head_len()? else {
             return Ok(None);
         };
@@ -73,10 +80,33 @@ impl Deframer {
         if self.end - body < len {
             return Ok(None);
         }
-        // The frame's payload outlives the buffer, so the body is
-        // copied out once (the only allocation per frame).
-        let frame = Frame::decode(Bytes::copy_from_slice(&self.buf[body..body + len]));
         self.start = body + len;
+        Ok(Some(body..self.start))
+    }
+
+    /// The read buffer that [`Deframer::next_span`]'s spans index.
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Take the next complete frame out of the buffer as a value of its
+    /// own, the one copy a payload that outlives the buffer costs;
+    /// otherwise as [`Deframer::next_span`].
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, SctpError> {
+        match self.next_span()? {
+            // lint: allow(alloc): the caller asked for an owned frame
+            Some(at) => Frame::decode(Bytes::copy_from_slice(&self.buf[at])).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// The writable tail of the buffer for the transport's next `read`:
+    /// never empty, and large enough for the frame at the head to
+    /// complete. Follow with [`Deframer::filled`]. Spans handed out
+    /// before this call are void after it: a drained buffer starts over
+    /// at its front (and a buffer grown for one large frame is given
+    /// back), a partial frame may be moved there.
+    pub fn space(&mut self) -> &mut [u8] {
         if self.start == self.end {
             self.start = 0;
             self.end = 0;
@@ -85,14 +115,7 @@ impl Deframer {
                 self.buf.shrink_to_fit();
             }
         }
-        frame.map(Some)
-    }
-
-    /// The writable tail of the buffer for the transport's next `read`:
-    /// never empty, and large enough for the frame at the head to
-    /// complete. Follow with [`Deframer::filled`].
-    pub fn space(&mut self) -> &mut [u8] {
-        // A length word over the limit makes `next_frame` fail before
+        // A length word over the limit makes `next_span` fail before
         // the transport reads again; treating it as 0 here keeps this
         // function from ever sizing the buffer from it.
         let need = LEN_WORD + self.head_len().ok().flatten().unwrap_or(0);
@@ -128,7 +151,6 @@ impl Deframer {
 
 /// Append `frame`, length-prefixed, to `out`.
 pub fn frame_into(frame: &Frame, out: &mut Vec<u8>) {
-    let body = frame.encode();
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&body);
+    out.extend_from_slice(&(frame.encoded_len() as u32).to_be_bytes());
+    frame.encode_into(out);
 }

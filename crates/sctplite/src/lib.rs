@@ -4,16 +4,30 @@
 //! of SCTP (which carries S1AP in real LTE deployments). Its layers:
 //!
 //! * [`chunk`] — the wire format (INIT/DATA/HEARTBEAT/SHUTDOWN frames
-//!   with verification tags);
+//!   with verification tags), written in place ([`Frame::encode_into`])
+//!   and parsed in place ([`FrameView`]);
 //! * [`assoc`] — a sans-IO state machine ([`Association`]) usable from
-//!   any transport;
+//!   any transport, holding its peer to the stream count the handshake
+//!   settled on;
 //! * [`framing`] — sans-IO length-delimited framing of those frames
 //!   over a byte stream (many frames per read, one write per batch);
+//! * [`ingress`] — the sans-IO receive pipeline on top of the two:
+//!   reads in, in-order messages out, as places in the read buffer or
+//!   as owned events sharing one copy of the read;
 //! * [`memory`] — an in-memory link with deterministic fault injection
 //!   (drop/corrupt, as netem provided in the paper's testbed);
 //! * [`tokio_transport`] — the async TCP adapter used by the runnable
 //!   prototype, with per-link artificial propagation delay; `egress`
 //!   is the bounded send buffer of its split links.
+//!
+//! One copy each way. A received payload stays in the read buffer until
+//! its consumer has looked at it — a relay forwards it from there
+//! ([`SctpRecvHalf::next_batch`]), a consumer that keeps it shares one
+//! copy per read with the read's other messages. A sent message is
+//! numbered, framed and encoded straight into the buffer the link
+//! writes from ([`SctpSendHalf::send_unit`],
+//! [`Association::send_into`]). Only a message that arrives ahead of
+//! its turn is copied on its own, into the reorder buffer.
 //!
 //! Substitution note (DESIGN.md): kernel SCTP is not portable or
 //! laptop-friendly; sctplite supplies exactly the SCTP properties S1AP
@@ -26,15 +40,17 @@ pub mod assoc;
 pub mod chunk;
 mod egress;
 pub mod framing;
+pub mod ingress;
 pub mod memory;
 pub mod tokio_transport;
 
-pub use assoc::{AssocState, Association, Event};
-pub use chunk::{ppid, Chunk, ChunkType, Frame, SctpError, MAX_PAYLOAD};
+pub use assoc::{AssocState, Association, DataRef, Event};
+pub use chunk::{ppid, Chunk, ChunkType, ChunkView, Frame, FrameView, SctpError, MAX_PAYLOAD};
 pub use framing::{frame_into, Deframer};
+pub use ingress::{BatchItem, Ingress, ReadBatch, StreamEvent};
 pub use memory::{FaultInjector, MemoryLink};
 pub use tokio_transport::{
-    LinkMetrics, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream, StreamEvent, TransportError,
+    EgressUnit, LinkMetrics, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream, TransportError,
 };
 
 #[cfg(test)]

@@ -16,15 +16,23 @@
 //! lone message crosses on its sender's own thread and wakes nobody;
 //! under load the backlog is the batch, and system calls per message
 //! fall with queue depth.
+//!
+//! A payload is copied once each way. Received messages are parsed
+//! where the read left them; a consumer that forwards them takes them
+//! as slices of the read buffer ([`SctpRecvHalf::next_batch`]), and the
+//! ones that want owned [`StreamEvent`]s share one copy of the read
+//! between all its messages. Sent messages are numbered, framed and
+//! encoded straight into the buffer they are written from
+//! ([`SctpSendHalf::send_unit`]).
 
-use crate::assoc::{Association, Event};
+use crate::assoc::Association;
 use crate::chunk::SctpError;
 use crate::egress::{Egress, Sink};
-use crate::framing::{frame_into, Deframer};
+use crate::framing::frame_into;
+use crate::ingress::{Ingress, ReadBatch, StreamEvent};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use scale_obs::{Counter, Histogram, Registry};
-use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,98 +85,20 @@ impl From<SctpError> for TransportError {
     }
 }
 
-/// Receive side shared by [`SctpStream`] and [`SctpRecvHalf`]: the TCP
-/// read half, the [`Deframer`] it reads into, and the events parsed but
-/// not yet handed to the caller. One `read` takes whatever the socket
-/// holds; [`Ingress::ingest`] then runs every complete frame through
-/// the association, so the events of one read arrive together.
-struct Ingress {
-    rd: OwnedReadHalf,
-    frames: Deframer,
-    ready: VecDeque<StreamEvent>,
-    /// What ends the stream once `ready` is delivered: a clean close or
-    /// abort, or an error met after earlier frames of the same read
-    /// were already handled.
-    failed: Option<TransportError>,
-}
-
-impl Ingress {
-    fn new(rd: OwnedReadHalf) -> Ingress {
-        Ingress {
-            rd,
-            frames: Deframer::new(),
-            ready: VecDeque::new(),
-            failed: None,
-        }
+/// One `read` into `ingress`'s buffer. A stream that ends between
+/// frames is [`TransportError::Eof`]; one that ends inside a frame is an
+/// I/O error.
+async fn fill(rd: &mut OwnedReadHalf, ingress: &mut Ingress) -> Result<(), TransportError> {
+    let n = rd.read(ingress.space()).await?;
+    if n == 0 {
+        return Err(if ingress.buffered() == 0 {
+            TransportError::Eof
+        } else {
+            io::Error::from(io::ErrorKind::UnexpectedEof).into()
+        });
     }
-
-    /// Feed every complete buffered frame to `assoc`, up to the first
-    /// framing, decode or association error, and move the resulting
-    /// events to `ready`.
-    fn ingest(&mut self, assoc: &mut Association) {
-        while self.failed.is_none() {
-            match self.frames.next_frame() {
-                Ok(Some(frame)) => {
-                    if let Err(e) = assoc.handle_frame(frame) {
-                        self.failed = Some(e.into());
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => self.failed = Some(e.into()),
-            }
-        }
-        while let Some(ev) = assoc.poll_event() {
-            match ev {
-                Event::Data {
-                    stream_id,
-                    ppid,
-                    payload,
-                } => self.ready.push_back(StreamEvent::Data {
-                    stream_id,
-                    ppid,
-                    payload,
-                }),
-                Event::HeartbeatAck { nonce } => {
-                    self.ready.push_back(StreamEvent::HeartbeatAck { nonce })
-                }
-                Event::Established => {}
-                // Raised by a frame handled before any failing one, so
-                // it is what the caller must see.
-                Event::Closed => self.failed = Some(TransportError::Closed),
-                Event::Aborted { reason } => self.failed = Some(TransportError::Aborted(reason)),
-            }
-        }
-    }
-
-    /// Nothing left to hand out: time to parse what the buffer holds.
-    fn idle(&self) -> bool {
-        self.ready.is_empty() && self.failed.is_none()
-    }
-
-    /// The next ready event, or what ended the stream once the events
-    /// before it are delivered; `None` means more bytes are needed.
-    fn pop(&mut self) -> Option<Result<StreamEvent, TransportError>> {
-        match self.ready.pop_front() {
-            Some(ev) => Some(Ok(ev)),
-            None => self.failed.take().map(Err),
-        }
-    }
-
-    /// One `read` into the buffer. A stream that ends between frames is
-    /// [`TransportError::Eof`]; one that ends inside a frame is an I/O
-    /// error.
-    async fn fill(&mut self) -> Result<(), TransportError> {
-        let n = self.rd.read(self.frames.space()).await?;
-        if n == 0 {
-            return Err(if self.frames.buffered() == 0 {
-                TransportError::Eof
-            } else {
-                io::Error::from(io::ErrorKind::UnexpectedEof).into()
-            });
-        }
-        self.frames.filled(n);
-        Ok(())
-    }
+    ingress.filled(n);
+    Ok(())
 }
 
 /// Append everything the association wants to transmit to `wire`,
@@ -231,6 +161,7 @@ impl LinkMetrics {
 /// An established sctplite association over TCP.
 pub struct SctpStream {
     assoc: Association,
+    rd: OwnedReadHalf,
     ingress: Ingress,
     wr: OwnedWriteHalf,
     /// Reused encode buffer: whatever the association has queued leaves
@@ -265,7 +196,8 @@ impl SctpStream {
         let (rd, wr) = tcp.into_split();
         let mut s = SctpStream {
             assoc,
-            ingress: Ingress::new(rd),
+            rd,
+            ingress: Ingress::new(),
             wr,
             wire: Vec::new(),
             link_delay: Duration::ZERO,
@@ -278,16 +210,18 @@ impl SctpStream {
             if s.assoc.is_established() {
                 return Ok(s);
             }
-            if let Some(e) = s.ingress.failed.take() {
+            if let Some(e) = s.ingress.take_failed() {
                 return Err(e);
             }
-            s.ingress.fill().await?;
+            fill(&mut s.rd, &mut s.ingress).await?;
         }
     }
 
-    /// Write out whatever the association has queued, in one write.
+    /// Write out whatever the association has queued, and whatever is
+    /// already framed in `wire`, in one write.
     async fn flush(&mut self) -> Result<(), TransportError> {
-        if drain_wire(&mut self.assoc, &mut self.wire) > 0 {
+        drain_wire(&mut self.assoc, &mut self.wire);
+        if !self.wire.is_empty() {
             let res = self.wr.write_all(&self.wire).await;
             self.wire.clear();
             res?;
@@ -309,6 +243,7 @@ impl SctpStream {
     pub async fn reconnect(&mut self, addr: &str, local_tag: u32) -> Result<(), TransportError> {
         let fresh = SctpStream::connect(addr, local_tag).await?;
         self.assoc = fresh.assoc;
+        self.rd = fresh.rd;
         self.ingress = fresh.ingress;
         self.wr = fresh.wr;
         self.pending_pings.clear();
@@ -328,8 +263,14 @@ impl SctpStream {
         if !self.link_delay.is_zero() {
             tokio::time::sleep(self.link_delay).await;
         }
-        self.assoc.send(stream_id, ppid, payload)?;
-        self.flush().await
+        drain_wire(&mut self.assoc, &mut self.wire);
+        let framed = self
+            .assoc
+            .send_into(stream_id, ppid, &mut self.wire, |w| w.extend_from_slice(&payload));
+        // Whatever the association had queued leaves either way.
+        let written = self.flush().await;
+        framed?;
+        written
     }
 
     /// Receive the next association event: application data or a
@@ -352,7 +293,7 @@ impl SctpStream {
                 }
                 return res;
             }
-            self.ingress.fill().await?;
+            fill(&mut self.rd, &mut self.ingress).await?;
         }
     }
 
@@ -412,7 +353,7 @@ impl SctpStream {
     /// thread puts all of it on the wire with its next write. A full
     /// buffer blocks the sender: that is the transport's backpressure.
     /// A caller that must not block uses
-    /// [`SctpSendHalf::try_send_batch`] and sheds on
+    /// [`SctpSendHalf::try_send_unit`] and sheds on
     /// [`TransportError::Full`].
     ///
     /// `link_delay`, attached metrics and outstanding pings do not
@@ -435,6 +376,7 @@ impl SctpStream {
             },
             SctpRecvHalf {
                 shared,
+                rd: self.rd,
                 ingress: self.ingress,
                 wire: self.wire,
             },
@@ -493,71 +435,67 @@ pub struct SctpSendHalf {
 }
 
 impl SctpSendHalf {
-    /// Send one application message on `stream_id`.
+    /// Send one application message on `stream_id`: a unit of one.
+    /// (Takes the payload owned, as its callers have always passed it.)
+    #[allow(clippy::needless_pass_by_value)]
     pub fn send(&self, stream_id: u16, ppid: u32, payload: Bytes) -> Result<(), TransportError> {
-        self.send_batch(stream_id, ppid, std::iter::once(payload))
-    }
-
-    /// Send a run of application messages on `stream_id` as one egress
-    /// unit: one pass under the association lock, one write or one
-    /// append to the egress buffer, at most one writer wake-up. Order
-    /// is kept. `payloads` is consumed under the link's locks, so it
-    /// should do no more than encode.
-    pub fn send_batch<I>(&self, stream_id: u16, ppid: u32, payloads: I) -> Result<(), TransportError>
-    where
-        I: IntoIterator<Item = Bytes>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        self.send_run(stream_id, ppid, payloads.into_iter(), true)
-    }
-
-    /// [`Self::send_batch`] for a caller that must not block: past
-    /// [`Self::capacity`] the answer is [`TransportError::Full`], and
-    /// then `payloads` has not been touched and no sequence number has
-    /// been spent — the link is exactly as it was.
-    pub fn try_send_batch<I>(
-        &self,
-        stream_id: u16,
-        ppid: u32,
-        payloads: I,
-    ) -> Result<(), TransportError>
-    where
-        I: IntoIterator<Item = Bytes>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        self.send_run(stream_id, ppid, payloads.into_iter(), false)
-    }
-
-    fn send_run(
-        &self,
-        stream_id: u16,
-        ppid: u32,
-        mut payloads: impl ExactSizeIterator<Item = Bytes>,
-        wait: bool,
-    ) -> Result<(), TransportError> {
-        self.transmit(payloads.len(), wait, |a| {
-            payloads.try_for_each(|p| a.send(stream_id, ppid, p))
+        self.send_unit(1, |unit| {
+            unit.message(stream_id, ppid, |w| w.extend_from_slice(&payload));
         })
+    }
+
+    /// Admit `messages` application messages as one egress unit and let
+    /// `fill` write them: each [`EgressUnit::message`] is numbered,
+    /// framed and encoded by its caller straight into the buffer the
+    /// unit is written from, so a payload is copied once, or — encoded
+    /// from a typed value — not at all. At the bound of the egress
+    /// buffer the caller waits for room. `fill` runs under the link's
+    /// locks, so it should do no more than encode; room is reserved for
+    /// the messages it announced, so it writes those, or fewer. One
+    /// unit is one pass under the association lock, one write or one
+    /// append to the egress buffer, at most one writer wake-up. The
+    /// first message the association refuses ends the unit — those
+    /// before it still leave — and is the error returned.
+    pub fn send_unit(
+        &self,
+        messages: usize,
+        fill: impl FnOnce(&mut EgressUnit<'_>),
+    ) -> Result<(), TransportError> {
+        self.transmit(messages, true, fill)
+    }
+
+    /// [`Self::send_unit`] for a caller that must not block: past
+    /// [`Self::capacity`] the answer is [`TransportError::Full`], and
+    /// then `fill` has not run and no sequence number has been spent —
+    /// the link is exactly as it was.
+    pub fn try_send_unit(
+        &self,
+        messages: usize,
+        fill: impl FnOnce(&mut EgressUnit<'_>),
+    ) -> Result<(), TransportError> {
+        self.transmit(messages, false, fill)
     }
 
     /// Send a HEARTBEAT probe; the ack surfaces on the receive half.
     pub fn ping(&self, nonce: u64) -> Result<(), TransportError> {
-        self.transmit(1, true, |a| a.heartbeat(nonce))
+        self.transmit(1, true, |unit| unit.control(|a| a.heartbeat(nonce)))
     }
 
     /// [`Self::ping`] that answers [`TransportError::Full`] instead of
     /// waiting at the bound.
     pub fn try_ping(&self, nonce: u64) -> Result<(), TransportError> {
-        self.transmit(1, false, |a| a.heartbeat(nonce))
+        self.transmit(1, false, |unit| unit.control(|a| a.heartbeat(nonce)))
     }
 
     /// Begin the graceful SHUTDOWN handshake. The peer's ack completes
     /// it on the receive half (which then yields
     /// [`TransportError::Closed`]).
     pub fn shutdown_send(&self) -> Result<(), TransportError> {
-        self.transmit(1, true, |a| {
-            a.shutdown();
-            Ok(())
+        self.transmit(1, true, |unit| {
+            unit.control(|a| {
+                a.shutdown();
+                Ok(())
+            })
         })
     }
 
@@ -573,30 +511,84 @@ impl SctpSendHalf {
         self.shared.egress.capacity()
     }
 
-    /// Reserve room for `frames` frames (waiting for it if `wait`), run
-    /// `op` on the association and hand over what it produced. The
-    /// egress queue stays locked from admission to hand-over, so
-    /// concurrent senders reach the wire in the order their sequence
-    /// numbers were assigned. Frames accepted before `op` failed still
-    /// leave.
+    /// Reserve room for `frames` frames (waiting for it if `wait`) and
+    /// let `op` put them into the egress unit. The egress queue stays
+    /// locked from admission to hand-over, so concurrent senders reach
+    /// the wire in the order their sequence numbers were assigned.
+    /// Frames accepted before the association refused one still leave.
     fn transmit(
         &self,
         frames: usize,
         wait: bool,
-        op: impl FnOnce(&mut Association) -> Result<(), SctpError>,
+        op: impl FnOnce(&mut EgressUnit<'_>),
     ) -> Result<(), TransportError> {
         if frames == 0 {
             return Ok(());
         }
-        let mut wire = Vec::with_capacity(256);
-        let q = self.shared.egress.admit(frames, wait)?;
-        let (res, frames) = {
-            let mut a = self.shared.assoc.lock();
-            let res = op(&mut a);
-            (res, drain_wire(&mut a, &mut wire))
-        };
-        self.shared.egress.commit(q, &wire, frames)?;
-        Ok(res?)
+        let mut refused = None;
+        self.shared.egress.submit(frames, wait, |wire| {
+            let mut assoc = self.shared.assoc.lock();
+            let mut unit = EgressUnit::over(&mut assoc, wire);
+            op(&mut unit);
+            let written;
+            (written, refused) = unit.close();
+            written + drain_wire(&mut assoc, wire)
+        })?;
+        refused.map_or(Ok(()), |e| Err(e.into()))
+    }
+}
+
+/// The egress unit a [`SctpSendHalf::send_unit`] or
+/// [`SctpSendHalf::try_send_unit`] caller fills: the
+/// buffer the unit is written from, and the association that numbers
+/// what goes into it.
+pub struct EgressUnit<'a> {
+    assoc: &'a mut Association,
+    wire: &'a mut Vec<u8>,
+    /// Messages written so far.
+    frames: usize,
+    refused: Option<SctpError>,
+}
+
+impl<'a> EgressUnit<'a> {
+    /// A unit that numbers its messages with `assoc` and writes them
+    /// onto the end of `wire` — what a send half makes for its caller,
+    /// and what a link without a socket (a replay, a test) makes for
+    /// itself.
+    pub fn over(assoc: &'a mut Association, wire: &'a mut Vec<u8>) -> EgressUnit<'a> {
+        EgressUnit {
+            assoc,
+            wire,
+            frames: 0,
+            refused: None,
+        }
+    }
+
+    /// End the unit: how many messages it wrote, and the refusal that
+    /// cut it short, if one did.
+    pub fn close(self) -> (usize, Option<SctpError>) {
+        (self.frames, self.refused)
+    }
+
+    /// Append one application message on `stream_id`: `payload` writes
+    /// it behind the headers. Does nothing once a message of this unit
+    /// has been refused.
+    pub fn message(&mut self, stream_id: u16, ppid: u32, payload: impl FnOnce(&mut Vec<u8>)) {
+        if self.refused.is_some() {
+            return;
+        }
+        match self.assoc.send_into(stream_id, ppid, self.wire, payload) {
+            Ok(()) => self.frames += 1,
+            Err(e) => self.refused = Some(e),
+        }
+    }
+
+    /// Run an operation that queues a control frame; the unit picks it
+    /// up when it is handed over.
+    fn control(&mut self, op: impl FnOnce(&mut Association) -> Result<(), SctpError>) {
+        if let Err(e) = op(self.assoc) {
+            self.refused = Some(e);
+        }
     }
 }
 
@@ -605,6 +597,7 @@ impl SctpSendHalf {
 /// same egress buffer the send half uses.
 pub struct SctpRecvHalf {
     shared: Arc<SplitShared>,
+    rd: OwnedReadHalf,
     ingress: Ingress,
     /// Reused encode buffer for those responses.
     wire: Vec<u8>,
@@ -634,30 +627,41 @@ impl SctpRecvHalf {
             if let Some(res) = self.ingress.pop() {
                 return res;
             }
-            self.ingress.fill().await?;
+            fill(&mut self.rd, &mut self.ingress).await?;
         }
     }
 
-    /// Block until at least one event is available, then append it and
-    /// every other event already parsed from the same read to `out`.
-    /// Never waits for more than the first event, so a lone message is
-    /// delivered as promptly as by [`Self::next_event`]; under load one
-    /// call returns whatever backlog the socket held. What ends the
-    /// stream is returned by the call after the one that delivered the
-    /// events before it.
+    /// Block until the link delivers something, then hand over
+    /// everything that read delivered, payloads borrowed from the read
+    /// buffer — for a consumer that looks at a message and forwards it
+    /// rather than keeping it. Never waits for more than the first
+    /// item, so a lone message is delivered as promptly as by
+    /// [`Self::next_event`]; under load one call returns whatever
+    /// backlog the socket held. What ends the stream is returned by the
+    /// call after the one that delivered the items before it.
+    pub async fn next_batch(&mut self) -> Result<ReadBatch<'_>, TransportError> {
+        loop {
+            if self.ingress.idle() {
+                self.ingest()?;
+            }
+            if !self.ingress.idle() {
+                return self.ingress.batch();
+            }
+            fill(&mut self.rd, &mut self.ingress).await?;
+        }
+    }
+
+    /// [`Self::next_batch`] as owned events appended to `out`, the
+    /// payloads of one read sharing one copy of it.
     pub async fn next_events(&mut self, out: &mut Vec<StreamEvent>) -> Result<(), TransportError> {
         loop {
             if self.ingress.idle() {
                 self.ingest()?;
             }
-            if !self.ingress.ready.is_empty() {
-                out.extend(self.ingress.ready.drain(..));
-                return Ok(());
+            if !self.ingress.idle() {
+                return self.ingress.events(out);
             }
-            if let Some(e) = self.ingress.failed.take() {
-                return Err(e);
-            }
-            self.ingress.fill().await?;
+            fill(&mut self.rd, &mut self.ingress).await?;
         }
     }
 
@@ -675,19 +679,6 @@ impl SctpRecvHalf {
             }
         }
     }
-}
-
-/// What [`SctpStream::next_event`] yields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamEvent {
-    /// One application message.
-    Data {
-        stream_id: u16,
-        ppid: u32,
-        payload: Bytes,
-    },
-    /// The peer answered a [`SctpStream::ping`].
-    HeartbeatAck { nonce: u64 },
 }
 
 /// Listener wrapper producing handshaken [`SctpStream`]s.

@@ -97,7 +97,12 @@ async fn a_unit_the_socket_took_part_of_is_finished_before_later_ones() {
     // the socket takes what its buffers hold, and the call comes back
     // although the peer is not reading.
     let big: Vec<Bytes> = (0..BIG as u32).map(|i| stamped(i, 60 * 1024)).collect();
-    tx.send_batch(1, ppid::S1AP, big).unwrap();
+    tx.send_unit(BIG, |unit| {
+        for m in &big {
+            unit.message(1, ppid::S1AP, |w| w.extend_from_slice(m));
+        }
+    })
+    .unwrap();
     assert_eq!(
         tx.pending(),
         BIG,

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use scale_sctplite::chunk::ppid;
 use scale_sctplite::framing::{MAX_FRAME, READ_BUF};
 use scale_sctplite::{
-    frame_into, Association, Deframer, Event, Frame, SctpError, SctpListener, SctpStream,
+    frame_into, Association, Chunk, Deframer, Event, Frame, SctpError, SctpListener, SctpStream,
     StreamEvent, TransportError, MAX_PAYLOAD,
 };
 use std::io::{Read, Write};
@@ -213,6 +213,53 @@ proptest! {
     }
 }
 
+/// The stream count is settled in the handshake and held to: a peer
+/// that sends DATA on any other stream — here out of order, so each
+/// message would be *held* — opens no reorder buffer with it. 65,528
+/// unopened streams × 64 held messages × 64 KiB is what the same bytes
+/// could pin otherwise. The first such frame is a protocol error, the
+/// link's to drop, with nothing kept and the read buffer as it was.
+#[test]
+fn data_on_a_stream_the_handshake_did_not_open_is_an_error_that_keeps_nothing() {
+    let (mut a, _) = pair();
+    a.send(1, ppid::S1AP, Bytes::from(vec![0x5A; 4096])).unwrap();
+    let template = a.poll_egress().unwrap();
+    for stream_id in [8, 9, 255, 256, 40_000, u16::MAX] {
+        let (_, mut b) = pair();
+        let Chunk::Data { ppid, payload, .. } = template.chunk.clone() else {
+            unreachable!()
+        };
+        let rogue = Frame {
+            tag: template.tag,
+            chunk: Chunk::Data {
+                stream_id,
+                seq: 3,
+                ppid,
+                payload,
+            },
+        };
+        let mut wire = Vec::new();
+        for _ in 0..3 {
+            frame_into(&rogue, &mut wire);
+        }
+        let (got, d) = deframe(&wire, &[wire.len()], true, |_| {});
+        assert_eq!(got.len(), 3, "the framing is sound");
+        let err = b.handle_frame(got[0].clone().unwrap()).unwrap_err();
+        assert_eq!(
+            err,
+            SctpError::BadStream {
+                stream: stream_id,
+                streams: 8
+            }
+        );
+        assert!(b.poll_event().is_none());
+        assert_eq!(d.capacity(), READ_BUF);
+        // A legal stream is as it was: seq 0 there is still in order.
+        b.handle_frame(template.clone()).unwrap();
+        assert!(matches!(b.poll_event(), Some(Event::Data { stream_id: 1, .. })));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The same cases over a real socket
 // ---------------------------------------------------------------------------
@@ -294,6 +341,62 @@ async fn events_before_garbage_in_the_same_write_are_delivered_first() {
             let err = stream.next_event().await.unwrap_err();
             assert!(matches!(err, TransportError::Protocol(_)), "got {err:?}");
         }
+    }
+}
+
+#[tokio::test]
+async fn a_flood_on_unopened_streams_gets_the_link_dropped_at_its_first_frame() {
+    for split in [false, true] {
+        let mut listener = SctpListener::bind("127.0.0.1:0").await.unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut tcp, mut assoc) = raw_peer(&addr);
+            let mut wire = data_frames(&mut assoc, 2);
+            // 256 streams nobody opened, 60 KiB each, every one ahead
+            // of its turn: 15 MB to hold if any of it were accepted.
+            assoc.send(1, ppid::S1AP, Bytes::from(vec![0xEE; 60_000])).unwrap();
+            let Frame { tag, chunk } = assoc.poll_egress().unwrap();
+            let Chunk::Data { ppid, payload, .. } = chunk else {
+                unreachable!()
+            };
+            for stream_id in 8..264 {
+                let chunk = Chunk::Data {
+                    stream_id,
+                    seq: 9,
+                    ppid,
+                    payload: payload.clone(),
+                };
+                frame_into(&Frame { tag, chunk }, &mut wire);
+            }
+            // The reader hangs up at the first rogue frame; writing the
+            // rest may well fail.
+            let _ = tcp.write_all(&wire);
+            tcp
+        });
+        let stream = listener.accept().await.unwrap();
+        let err = if split {
+            let (_tx, mut rx) = stream.into_split(8);
+            let mut events = Vec::new();
+            while events.len() < 2 {
+                rx.next_events(&mut events).await.unwrap();
+            }
+            assert_eq!(events.iter().map(seq_of).collect::<Vec<_>>(), [0, 1]);
+            rx.next_events(&mut events).await.unwrap_err()
+        } else {
+            let mut stream = stream;
+            for want in 0..2 {
+                assert_eq!(seq_of(&stream.next_event().await.unwrap()), want);
+            }
+            stream.next_event().await.unwrap_err()
+        };
+        assert!(
+            matches!(
+                err,
+                TransportError::Protocol(SctpError::BadStream { stream: 8, streams: 8 })
+            ),
+            "got {err:?}"
+        );
+        let _tcp = peer.join().unwrap();
     }
 }
 

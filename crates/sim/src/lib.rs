@@ -39,6 +39,7 @@ pub mod geo;
 pub mod metrics;
 pub mod openloop;
 pub mod queueing;
+pub mod replay;
 pub mod shard_driver;
 pub mod testbed;
 pub mod wire_run;

@@ -24,20 +24,34 @@
 //! link. Nothing waits for a batch to fill. At the MLB the handling
 //! happens on the thread that did the receive, under the one lock that
 //! guards the routing state (`Router`); no thread is woken to route.
+//!
+//! A message crosses the MLB as the bytes it arrived as: the link
+//! thread routes each one where the read left it
+//! (`MlbState::relay`) and what it resolves to is written — new
+//! envelope, the received PDU or blob behind it — straight into the
+//! destination link's egress unit. The workers and the cells, which
+//! consume what they receive, decode it in full and encode what they
+//! send in place in their own egress unit.
 
 use crate::openloop::poisson_schedule;
 use crate::shard_driver::ScaleOutConfig;
-use scale_core::wire::{MlbOut, MlbState, MlbWireStats, MmpNode, WireMsg, WireRole, WireTopo};
+use scale_core::wire::{
+    Dest, Forward, MlbOut, MlbState, MlbWireStats, MmpNode, Relay, WireMsg, WireRole, WireTopo,
+    WireView,
+};
 use scale_core::{BackoffPolicy, HealthTracker, ShardStatsSnapshot};
 use scale_epc::{
     home_cell, DriveMode, EmuCounts, EmuEvent, EmulatorConfig, EnbEmulator, ProcKind, ENB_BASE,
 };
-use scale_s1ap::S1apPdu;
+use bytes::Bytes;
+use scale_nas::{NasError, Writer};
 use scale_sctplite::{
-    ppid, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream, StreamEvent, TransportError,
+    ppid, BatchItem, EgressUnit, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream,
+    StreamEvent, TransportError,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
+use std::ops::Range;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -295,16 +309,74 @@ fn pct(sorted: &[u64], p: f64) -> u64 {
 // Role main-loops (called by the `scale_wired` binary)
 // ---------------------------------------------------------------------------
 
-fn send_wire(link: &SctpSendHalf, msg: &WireMsg) -> Result<(), TransportError> {
-    link.send(1, ppid::SCALE_STATE, msg.encode())
+/// The stream every wire message travels on.
+pub(crate) const WIRE_STREAM: u16 = 1;
+
+/// Add one wire message to `unit`: `write` encodes it where it leaves
+/// from.
+fn put_wire(unit: &mut EgressUnit<'_>, write: impl FnOnce(&mut Writer)) {
+    unit.message(WIRE_STREAM, ppid::SCALE_STATE, |wire| Writer::extend(wire, write));
 }
 
-/// Send `msgs` in order as one egress unit and leave the vector empty.
-fn send_wire_batch(link: &SctpSendHalf, msgs: &mut Vec<WireMsg>) -> Result<(), TransportError> {
-    if msgs.is_empty() {
-        return Ok(());
+/// The sending side of a link as the role loops use it: the send half
+/// of a split association in a deployment, an association and a buffer
+/// in a replay ([`crate::replay`]) — so that what a replay measures and
+/// checks is the loop the deployment runs, not a copy of it.
+pub(crate) trait WireLink {
+    /// [`SctpSendHalf::send_unit`].
+    fn send_unit(
+        &self,
+        messages: usize,
+        fill: impl FnOnce(&mut EgressUnit<'_>),
+    ) -> Result<(), TransportError>;
+
+    /// [`SctpSendHalf::try_send_unit`].
+    fn try_send_unit(
+        &self,
+        messages: usize,
+        fill: impl FnOnce(&mut EgressUnit<'_>),
+    ) -> Result<(), TransportError>;
+
+    /// [`SctpSendHalf::try_ping`].
+    fn try_ping(&self, nonce: u64) -> Result<(), TransportError>;
+}
+
+impl WireLink for SctpSendHalf {
+    fn send_unit(
+        &self,
+        messages: usize,
+        fill: impl FnOnce(&mut EgressUnit<'_>),
+    ) -> Result<(), TransportError> {
+        SctpSendHalf::send_unit(self, messages, fill)
     }
-    link.send_batch(1, ppid::SCALE_STATE, msgs.drain(..).map(|m| m.encode()))
+
+    fn try_send_unit(
+        &self,
+        messages: usize,
+        fill: impl FnOnce(&mut EgressUnit<'_>),
+    ) -> Result<(), TransportError> {
+        SctpSendHalf::try_send_unit(self, messages, fill)
+    }
+
+    fn try_ping(&self, nonce: u64) -> Result<(), TransportError> {
+        SctpSendHalf::try_ping(self, nonce)
+    }
+}
+
+fn send_wire(link: &impl WireLink, msg: &WireMsg) -> Result<(), TransportError> {
+    link.send_unit(1, |unit| put_wire(unit, |w| msg.encode_into(w)))
+}
+
+/// Send `msgs` in order as one egress unit, each encoded straight into
+/// it, and leave the vector empty.
+fn send_wire_batch(link: &impl WireLink, msgs: &mut Vec<WireMsg>) -> Result<(), TransportError> {
+    let res = link.send_unit(msgs.len(), |unit| {
+        for msg in msgs.iter() {
+            put_wire(unit, |w| msg.encode_into(w));
+        }
+    });
+    msgs.clear();
+    res
 }
 
 /// Dial `addr` with bounded retry (a respawned worker races the
@@ -331,44 +403,37 @@ fn connect_retry(addr: &str, tag: u32) -> Result<SctpStream, TransportError> {
     }
 }
 
-/// What one blocking receive on a link produced.
-struct LinkBatch {
-    /// Decoded messages, in arrival order.
-    msgs: Vec<WireMsg>,
-    /// Heartbeat acks seen among them.
-    pongs: usize,
-    /// Payloads that were not a `WireMsg`.
-    undecodable: usize,
-}
-
-/// Block for the link's next event, then take every event the same
-/// read delivered: under load the backlog is the batch, on a quiet link
-/// the batch is one message. `Err` once the link is down and everything
-/// before that has been handed over.
+/// Block for the link's next event, then take every message the same
+/// read delivered, decoded, into `msgs`: under load the backlog is the
+/// batch, on a quiet link the batch is one message. Returns how many
+/// payloads were not a `WireMsg`; `Err` once the link is down and
+/// everything before that has been handed over.
 fn recv_batch(
     who: &str,
     rh: &mut SctpRecvHalf,
     events: &mut Vec<StreamEvent>,
-) -> Result<LinkBatch, TransportError> {
+    msgs: &mut Vec<WireMsg>,
+) -> Result<u64, TransportError> {
     tokio::runtime::block_on(rh.next_events(events))?;
-    let mut batch = LinkBatch {
-        msgs: Vec::with_capacity(events.len()),
-        pongs: 0,
-        undecodable: 0,
-    };
+    Ok(decode_batch(who, events, msgs))
+}
+
+/// Decode the messages of `events` into `msgs`, leaving `events` empty.
+/// Returns how many payloads were not a `WireMsg`.
+fn decode_batch(who: &str, events: &mut Vec<StreamEvent>, msgs: &mut Vec<WireMsg>) -> u64 {
+    let mut undecodable = 0;
     for ev in events.drain(..) {
-        match ev {
-            StreamEvent::Data { payload, .. } => match WireMsg::decode(payload) {
-                Ok(m) => batch.msgs.push(m),
+        if let StreamEvent::Data { payload, .. } = ev {
+            match WireMsg::decode(payload) {
+                Ok(m) => msgs.push(m),
                 Err(e) => {
-                    batch.undecodable += 1;
+                    undecodable += 1;
                     eprintln!("{who}: undecodable wire message: {e}");
                 }
-            },
-            StreamEvent::HeartbeatAck { .. } => batch.pongs += 1,
+            }
         }
     }
-    Ok(batch)
+    undecodable
 }
 
 enum LinkIn {
@@ -382,10 +447,11 @@ enum LinkIn {
 #[allow(clippy::needless_pass_by_value)]
 fn pump_link(who: String, mut rh: SctpRecvHalf, tx: Sender<LinkIn>) {
     let mut events = Vec::new();
+    let mut msgs = Vec::new();
     loop {
-        match recv_batch(&who, &mut rh, &mut events) {
-            Ok(batch) => {
-                if !batch.msgs.is_empty() && tx.send(LinkIn::Msgs(batch.msgs)).is_err() {
+        match recv_batch(&who, &mut rh, &mut events, &mut msgs) {
+            Ok(_) => {
+                if !msgs.is_empty() && tx.send(LinkIn::Msgs(std::mem::take(&mut msgs))).is_err() {
                     return;
                 }
             }
@@ -592,11 +658,45 @@ pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
     0
 }
 
+/// A worker's engines and the buffers its loop reuses from one read to
+/// the next.
+pub(crate) struct MmpLoop {
+    who: String,
+    pub(crate) node: MmpNode,
+    /// What the last receive delivered; [`MmpLoop::serve`] empties it.
+    pub(crate) events: Vec<StreamEvent>,
+    msgs: Vec<WireMsg>,
+    out: Vec<WireMsg>,
+}
+
+impl MmpLoop {
+    pub(crate) fn new(index: usize, node: MmpNode) -> MmpLoop {
+        MmpLoop {
+            who: format!("mmp {index}"),
+            node,
+            events: Vec::new(),
+            msgs: Vec::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// One turn of the worker's loop: decode everything the receive
+    /// delivered, handle all of it, then send what that produced as one
+    /// egress unit on `link`.
+    pub(crate) fn serve(&mut self, link: &impl WireLink) -> Result<(), TransportError> {
+        self.node.errors += decode_batch(&self.who, &mut self.events, &mut self.msgs);
+        for msg in self.msgs.drain(..) {
+            self.node.handle(msg, &mut self.out);
+        }
+        send_wire_batch(link, &mut self.out)
+    }
+}
+
 /// MMP worker process main: engines behind the MLB link. Runs until
 /// the MLB closes the association, then prints one `REPORT` line.
 pub fn run_mmp(cfg: &WireRunConfig, index: usize, addr: &str) -> i32 {
     let topo = cfg.topo();
-    let mut node = MmpNode::new(&topo, index);
+    let node = MmpNode::new(&topo, index);
     let stream = match connect_retry(addr, 0x4D4D_0000 + index as u32) {
         Ok(s) => s,
         Err(e) => {
@@ -620,18 +720,13 @@ pub fn run_mmp(cfg: &WireRunConfig, index: usize, addr: &str) -> i32 {
 
     // Handle every buffered input, then send what they produced as one
     // egress unit.
-    let who = format!("mmp {index}");
-    let mut events = Vec::new();
-    let mut out = Vec::new();
-    while let Ok(batch) = recv_batch(&who, &mut rh, &mut events) {
-        node.errors += batch.undecodable as u64;
-        for msg in batch.msgs {
-            node.handle(msg, &mut out);
-        }
-        if send_wire_batch(&link, &mut out).is_err() {
+    let mut worker = MmpLoop::new(index, node);
+    while tokio::runtime::block_on(rh.next_events(&mut worker.events)).is_ok() {
+        if worker.serve(&link).is_err() {
             break;
         }
     }
+    let node = worker.node;
 
     let s = node.stats();
     println!(
@@ -659,8 +754,8 @@ pub fn run_mmp(cfg: &WireRunConfig, index: usize, addr: &str) -> i32 {
 }
 
 /// One live link in the MLB's table.
-struct Link {
-    link: SctpSendHalf,
+struct Link<L> {
+    link: L,
     /// Which registration of this `(role, id)` slot the link is: a
     /// reader that reports its link down names the generation it was
     /// given, so it cannot take down a successor.
@@ -670,30 +765,62 @@ struct Link {
     outstanding: Option<u64>,
 }
 
-/// Hand `msgs` to `link` as one egress unit without ever waiting for
-/// the peer. On `Err` nothing was sent and `msgs` is untouched.
-fn try_send_wire_batch(link: &SctpSendHalf, msgs: &[WireMsg]) -> Result<(), TransportError> {
-    link.try_send_batch(1, ppid::SCALE_STATE, msgs.iter().map(WireMsg::encode))
+/// One message on its way out of the MLB, waiting in its link's run for
+/// the flush that ends the event.
+enum Piece {
+    /// A received message going on as the bytes it is: `at` is where it
+    /// lies in the read buffer of the link being served.
+    Relayed { fwd: Forward, at: Range<usize> },
+    /// The same for a message that came out of the reorder buffer and
+    /// so is not in the read buffer: the piece keeps it.
+    Held { fwd: Forward, payload: Bytes },
+    /// A message the MLB made itself.
+    Typed(WireMsg),
+}
+
+impl Piece {
+    /// The device whose procedure this opens at a worker, if any.
+    fn opens_procedure_of(&self) -> Option<u32> {
+        match self {
+            Piece::Relayed { fwd, .. } | Piece::Held { fwd, .. } => fwd.opens_procedure_of(),
+            Piece::Typed(msg) => msg.opens_procedure_of(),
+        }
+    }
+}
+
+/// Hand `run` to `link` as one egress unit, each piece written straight
+/// into it — a relayed one as its new envelope and the received bytes
+/// behind it — without ever waiting for the peer. On `Err` nothing was
+/// sent.
+fn try_send_run(link: &impl WireLink, run: &[Piece], read: &[u8]) -> Result<(), TransportError> {
+    link.try_send_unit(run.len(), |unit| {
+        for piece in run {
+            put_wire(unit, |w| match piece {
+                Piece::Relayed { fwd, at } => fwd.write(&read[at.start..at.end], w),
+                Piece::Held { fwd, payload } => fwd.write(payload, w),
+                Piece::Typed(msg) => msg.encode_into(w),
+            });
+        }
+    })
 }
 
 /// Everything the MLB routes with: the sans-IO [`MlbState`], the link
 /// table, worker health, and the per-link output runs. One mutex
 /// guards all of it. A link's own thread takes it for each event of
-/// its link — the link coming up, a read's worth of messages, a
-/// heartbeat ack, the link going down — and flushes what the event
-/// produced before letting go, so every step is as atomic, and output
-/// per link as ordered, as when one thread owned this state behind a
-/// channel.
+/// its link — the link coming up, a read's worth of messages, the link
+/// going down — and flushes what the event produced before letting go,
+/// so every step is as atomic, and output per link as ordered, as when
+/// one thread owned this state behind a channel.
 ///
 /// Nothing done under the lock waits for a peer: sends are
-/// `try_send_batch`/`try_ping`, and what does not fit behind a full
-/// egress is shed ([`Router::flush`]). A send that could block here
-/// would turn one stalled worker into a stalled — with that worker's
-/// own reader waiting for the lock, deadlocked — fleet.
-struct Router {
-    mlb: MlbState,
-    enb_links: Vec<Option<Link>>,
-    mmp_links: Vec<Option<Link>>,
+/// `try_send_unit` and `try_ping`, and what cannot go out is
+/// shed ([`Router::shed`]). A send that could block here would turn one
+/// stalled worker into a stalled — with that worker's own reader
+/// waiting for the lock, deadlocked — fleet.
+pub(crate) struct Router<L> {
+    pub(crate) mlb: MlbState,
+    enb_links: Vec<Option<Link<L>>>,
+    mmp_links: Vec<Option<Link<L>>>,
     mmp_ever_down: Vec<bool>,
     health: HealthTracker,
     reconnects: u64,
@@ -703,12 +830,12 @@ struct Router {
     announced_ready: bool,
     /// Reused across events; empty whenever the lock is free.
     out: Vec<MlbOut>,
-    enb_runs: Vec<Vec<WireMsg>>,
-    mmp_runs: Vec<Vec<WireMsg>>,
+    enb_runs: Vec<Vec<Piece>>,
+    mmp_runs: Vec<Vec<Piece>>,
 }
 
-impl Router {
-    fn new(cfg: &WireRunConfig) -> Router {
+impl<L: WireLink> Router<L> {
+    pub(crate) fn new(cfg: &WireRunConfig) -> Router<L> {
         Router {
             mlb: MlbState::new(&cfg.topo()),
             enb_links: (0..cfg.n_enbs).map(|_| None).collect(),
@@ -729,7 +856,7 @@ impl Router {
     /// A link said `Hello`. Returns the generation to name when it
     /// goes down. An id outside the topology gets no slot: nothing is
     /// ever routed to it.
-    fn linked(&mut self, role: WireRole, id: usize, link: SctpSendHalf) -> u64 {
+    pub(crate) fn linked(&mut self, role: WireRole, id: usize, link: L) -> u64 {
         self.next_gen += 1;
         let entry = Link {
             link,
@@ -747,7 +874,7 @@ impl Router {
                     // Replaced without an observed death: fail the old
                     // link first, over the links as they were.
                     self.take_down(WireRole::Mmp, id);
-                    self.flush();
+                    self.flush(&[]);
                 }
                 self.mmp_links[id] = Some(entry);
                 self.health.mark_up(id as u32);
@@ -755,39 +882,68 @@ impl Router {
                     self.reconnects += 1;
                     self.mlb.on_mmp_reconnected(id, &mut self.out);
                 }
-                // Fleet-ready barrier: the orchestrator starts cells
-                // only after this line, so no uplink can be routed to
-                // a worker whose Hello is still in flight.
-                if !self.announced_ready && self.mmp_links.iter().all(Option::is_some) {
-                    self.announced_ready = true;
-                    println!("READY");
-                    let _ = std::io::stdout().flush();
-                }
             }
             WireRole::Mmp => {}
         }
-        self.flush();
+        self.flush(&[]);
         self.next_gen
     }
 
-    /// Everything one receive on a `role` link delivered, in order.
-    fn route(&mut self, role: WireRole, msgs: Vec<WireMsg>) {
-        for msg in msgs {
-            match role {
-                WireRole::Enb => {
-                    if let WireMsg::Uplink {
-                        enb_id,
-                        attach_hint,
-                        pdu,
-                    } = msg
-                    {
-                        self.mlb.on_enb(enb_id, attach_hint, pdu, &mut self.out);
+    /// True once: when every worker has linked for the first time.
+    fn fleet_ready(&mut self) -> bool {
+        let ready = !self.announced_ready && self.mmp_links.iter().all(Option::is_some);
+        self.announced_ready |= ready;
+        ready
+    }
+
+    /// Everything one receive on the link of `(role, id)` delivered, in
+    /// order; `read` is that link's read buffer, where the messages
+    /// lie (one that waited in the reorder buffer brings the copy that
+    /// was made of it). `Err` at the first message that is not one of ours — what
+    /// came before it has been routed, what comes after is not looked
+    /// at, and the caller drops the link.
+    pub(crate) fn route(
+        &mut self,
+        role: WireRole,
+        id: usize,
+        read: &[u8],
+        items: impl Iterator<Item = BatchItem>,
+    ) -> Result<(), NasError> {
+        let mut res = Ok(());
+        for item in items {
+            let step = match item {
+                BatchItem::Data { at, .. } => self
+                    .mlb
+                    .relay(role, &read[at.start..at.end])
+                    .map(|relay| self.place(relay, |fwd| Piece::Relayed { fwd, at })),
+                BatchItem::Held { payload, .. } => self
+                    .mlb
+                    .relay(role, &payload)
+                    .map(|relay| self.place(relay, |fwd| Piece::Held { fwd, payload })),
+                BatchItem::HeartbeatAck { .. } => {
+                    if role == WireRole::Mmp {
+                        self.pong(id);
                     }
+                    Ok(())
                 }
-                WireRole::Mmp => self.mlb.on_mmp(msg, &mut self.out),
+            };
+            if let Err(e) = step {
+                res = Err(e);
+                break;
             }
         }
-        self.flush();
+        self.flush(read);
+        res
+    }
+
+    /// Queue what a received message resolved to; `piece` makes the
+    /// piece of one that goes on.
+    fn place(&mut self, relay: Relay, piece: impl FnOnce(Forward) -> Piece) {
+        match relay {
+            Relay::Forward(fwd) => self.enqueue(fwd.dest, piece(fwd)),
+            Relay::Reply(out) => self.enqueue_out(out),
+            Relay::Nothing => {}
+        }
     }
 
     /// Worker `id` answered a heartbeat.
@@ -800,13 +956,9 @@ impl Router {
 
     /// The reader of registration `gen` of `(role, id)` lost its link.
     fn down(&mut self, role: WireRole, id: usize, gen: u64) {
-        let links = match role {
-            WireRole::Enb => &self.enb_links,
-            WireRole::Mmp => &self.mmp_links,
-        };
-        if matches!(links.get(id), Some(Some(l)) if l.gen == gen) {
+        if matches!(self.side(role).1.get(id), Some(Some(l)) if l.gen == gen) {
             self.take_down(role, id);
-            self.flush();
+            self.flush(&[]);
         }
     }
 
@@ -832,7 +984,7 @@ impl Router {
                 l.outstanding = Some(self.next_nonce);
             }
         }
-        self.flush();
+        self.flush(&[]);
     }
 
     /// Remove a live link from the table and let the routing state
@@ -854,86 +1006,97 @@ impl Router {
         }
     }
 
+    /// The output runs and the links of one side of the star.
+    fn side(&mut self, role: WireRole) -> (&mut [Vec<Piece>], &[Option<Link<L>>]) {
+        match role {
+            WireRole::Enb => (&mut self.enb_runs, &self.enb_links),
+            WireRole::Mmp => (&mut self.mmp_runs, &self.mmp_links),
+        }
+    }
+
+    /// Put `piece` in the run of the link it leaves on, behind what is
+    /// already there; a link that is not up sheds it.
+    fn enqueue(&mut self, dest: Dest, piece: Piece) {
+        let (role, id) = match dest {
+            Dest::Enb(enb) => (WireRole::Enb, enb),
+            Dest::Mmp(mmp) => (WireRole::Mmp, mmp),
+        };
+        let (runs, links) = self.side(role);
+        match (runs.get_mut(id), links.get(id)) {
+            (Some(run), Some(Some(_))) => run.push(piece),
+            _ => self.shed(&piece),
+        }
+    }
+
+    fn enqueue_out(&mut self, out: MlbOut) {
+        match out {
+            MlbOut::Enb { enb, msg } => self.enqueue(Dest::Enb(enb), Piece::Typed(msg)),
+            MlbOut::Mmp { mmp, msg } => self.enqueue(Dest::Mmp(mmp), Piece::Typed(msg)),
+        }
+    }
+
     /// Move `out` into the per-link runs, order within a link kept.
-    /// Output for a link that is not up is dropped and counted, message
-    /// by message.
     fn sort_out(&mut self) {
-        for o in self.out.drain(..) {
-            let (runs, links, id, msg) = match o {
-                MlbOut::Enb { enb, msg } => (&mut self.enb_runs, &self.enb_links, enb, msg),
-                MlbOut::Mmp { mmp, msg } => (&mut self.mmp_runs, &self.mmp_links, mmp, msg),
-            };
-            match (runs.get_mut(id), links.get(id)) {
-                (Some(run), Some(Some(_))) => run.push(msg),
-                _ => self.mlb.stats.dropped += 1,
+        let mut out = std::mem::take(&mut self.out);
+        for o in out.drain(..) {
+            self.enqueue_out(o);
+        }
+        // Shedding may have produced more; keep it, and the capacity.
+        out.append(&mut self.out);
+        self.out = out;
+    }
+
+    /// The one way a message the MLB cannot hand on — its link is not
+    /// up, or the link's egress is full — leaves: counted in `dropped`,
+    /// and if it opened a procedure at a worker, that procedure is
+    /// failed back to the device's home cell as `ProcFailed`, so the
+    /// access side re-drives it. Anything else is gone (a worker that
+    /// far behind misses its heartbeats, and going down fails whatever
+    /// it had in flight).
+    fn shed(&mut self, piece: &Piece) {
+        self.mlb.stats.dropped += 1;
+        if let Some(m_tmsi) = piece.opens_procedure_of() {
+            if let Some(enb) = home_cell(m_tmsi, self.enb_links.len()) {
+                self.out.push(MlbOut::Enb {
+                    enb,
+                    msg: WireMsg::ProcFailed { m_tmsi },
+                });
             }
         }
     }
 
-    /// Send everything in `out`, one egress unit per link, worker-bound
-    /// links before eNB-bound ones: a `Replicate` is queued toward its
-    /// holder before the `Settled` that lets the device move on is
-    /// queued toward its cell.
+    /// Send everything in `out` and in the runs, one egress unit per
+    /// link, worker-bound links before eNB-bound ones: a `Replicate` is
+    /// queued toward its holder before the `Settled` that lets the
+    /// device move on is queued toward its cell. `read` is what the
+    /// relayed pieces index (empty when the event received nothing).
     ///
-    /// A link whose egress is full sheds its run, every message counted
-    /// in `dropped`: a `Deliver` that opens a procedure is failed back
-    /// to the device's home cell as `ProcFailed`, so the access side
-    /// re-drives it; anything else is gone (a worker that stays that
-    /// far behind misses its heartbeats, and going down fails whatever
-    /// it had in flight). A link that turns out broken goes down here
-    /// and now, and what that produces is flushed in turn.
-    fn flush(&mut self) {
+    /// A link whose egress is full sheds its run. A link that turns out
+    /// broken goes down here and now, its run counted as dropped, and
+    /// what that produces is flushed in turn.
+    fn flush(&mut self, read: &[u8]) {
         loop {
             let mut lost = Vec::new();
-            self.sort_out();
-            for id in 0..self.mmp_runs.len() {
-                let (run, Some(l)) = (&mut self.mmp_runs[id], &self.mmp_links[id]) else {
-                    continue;
-                };
-                match try_send_wire_batch(&l.link, run) {
-                    Ok(()) => run.clear(),
-                    Err(TransportError::Full) => {
-                        let n_enbs = self.enb_links.len();
-                        for msg in run.drain(..) {
-                            self.mlb.stats.dropped += 1;
-                            let WireMsg::Deliver {
-                                guti_hint,
-                                pdu: S1apPdu::InitialUeMessage { s_tmsi, .. },
-                                ..
-                            } = msg
-                            else {
-                                continue;
-                            };
-                            let Some(m_tmsi) = guti_hint.or(s_tmsi.map(|(_, m)| m)) else {
-                                continue;
-                            };
-                            if let Some(enb) = home_cell(m_tmsi, n_enbs) {
-                                self.out.push(MlbOut::Enb {
-                                    enb,
-                                    msg: WireMsg::ProcFailed { m_tmsi },
-                                });
-                            }
+            for role in [WireRole::Mmp, WireRole::Enb] {
+                self.sort_out();
+                for id in 0..self.side(role).0.len() {
+                    let (runs, links) = self.side(role);
+                    if runs[id].is_empty() {
+                        continue;
+                    }
+                    let mut run = std::mem::take(&mut runs[id]);
+                    match links[id].as_ref().map(|l| try_send_run(&l.link, &run, read)) {
+                        Some(Ok(())) => {}
+                        Some(Err(TransportError::Full)) | None => {
+                            run.iter().for_each(|piece| self.shed(piece));
+                        }
+                        Some(Err(_)) => {
+                            self.mlb.stats.dropped += run.len() as u64;
+                            lost.push((role, id));
                         }
                     }
-                    Err(_) => {
-                        self.mlb.stats.dropped += run.drain(..).count() as u64;
-                        lost.push((WireRole::Mmp, id));
-                    }
-                }
-            }
-            self.sort_out();
-            for id in 0..self.enb_runs.len() {
-                let (run, Some(l)) = (&mut self.enb_runs[id], &self.enb_links[id]) else {
-                    continue;
-                };
-                match try_send_wire_batch(&l.link, run) {
-                    Ok(()) => run.clear(),
-                    Err(e) => {
-                        self.mlb.stats.dropped += run.drain(..).count() as u64;
-                        if !matches!(e, TransportError::Full) {
-                            lost.push((WireRole::Enb, id));
-                        }
-                    }
+                    run.clear();
+                    self.side(role).0[id] = run;
                 }
             }
             for (role, id) in lost {
@@ -948,7 +1111,7 @@ impl Router {
 
 /// The MLB's routing state as its threads share it.
 struct MlbShared {
-    router: Mutex<Router>,
+    router: Mutex<Router<SctpSendHalf>>,
     /// Signalled when a link has gone down: the main thread re-checks
     /// its exit condition.
     link_down: Condvar,
@@ -957,7 +1120,7 @@ struct MlbShared {
 impl MlbShared {
     /// A link thread that panicked mid-event has lost its own link's
     /// output at worst; the rest of the fleet carries on.
-    fn lock(&self) -> MutexGuard<'_, Router> {
+    fn lock(&self) -> MutexGuard<'_, Router<SctpSendHalf>> {
         self.router.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -983,38 +1146,39 @@ fn mlb_link_loop(tcp: tokio::net::TcpStream, tag: u32, shared: Arc<MlbShared>) {
         }
     };
     let (sh, mut rh) = stream.into_split(EGRESS_CAP);
-    let mut events = Vec::new();
-    let Ok(mut batch) = recv_batch("mlb", &mut rh, &mut events) else {
+    // The Hello may arrive with the peer's first messages behind it.
+    let Ok(mut batch) = tokio::runtime::block_on(rh.next_batch()) else {
         return;
     };
-    // The Hello may arrive with the peer's first messages behind it.
-    let (role, id) = if let (Some(&WireMsg::Hello { role, id }), 0) =
-        (batch.msgs.first(), batch.undecodable)
-    {
-        (role, id as usize)
-    } else {
+    let read = batch.bytes();
+    let hello = match batch.next() {
+        Some(BatchItem::Data { at, .. }) => WireView::parse(&read[at]).ok(),
+        _ => None,
+    };
+    let Some(WireView::Hello { role, id }) = hello else {
         eprintln!("mlb: link did not start with Hello; dropping");
         return;
     };
-    batch.msgs.remove(0);
-    let gen = shared.lock().linked(role, id, sh);
+    let id = id as usize;
+    let (gen, mut routed) = {
+        let mut router = shared.lock();
+        let gen = router.linked(role, id, sh);
+        // Fleet-ready barrier: the orchestrator starts cells only after
+        // this line, so no uplink can be routed to a worker whose Hello
+        // is still in flight.
+        if router.fleet_ready() {
+            println!("READY");
+            let _ = std::io::stdout().flush();
+        }
+        (gen, router.route(role, id, read, batch))
+    };
     loop {
-        if batch.undecodable > 0 {
-            eprintln!("mlb: dropping {role:?} {id} after an undecodable message");
+        if let Err(e) = routed {
+            eprintln!("mlb: dropping {role:?} {id} after an undecodable message: {e}");
             break;
         }
-        let pong = role == WireRole::Mmp && batch.pongs > 0;
-        if pong || !batch.msgs.is_empty() {
-            let mut router = shared.lock();
-            if pong {
-                router.pong(id);
-            }
-            if !batch.msgs.is_empty() {
-                router.route(role, batch.msgs);
-            }
-        }
-        match recv_batch("mlb", &mut rh, &mut events) {
-            Ok(b) => batch = b,
+        match tokio::runtime::block_on(rh.next_batch()) {
+            Ok(batch) => routed = shared.lock().route(role, id, batch.bytes(), batch),
             Err(_) => break,
         }
     }
@@ -1670,10 +1834,161 @@ mod tests {
         assert_eq!(WireRunConfig::from_args(&open.to_args()), open);
     }
 
+    /// Route `msgs` as one read on the link of `(role, id)` would have
+    /// delivered them: encoded back to back in a read buffer.
+    fn route_as_read(
+        router: &mut Router<SctpSendHalf>,
+        role: WireRole,
+        id: usize,
+        msgs: &[WireMsg],
+    ) {
+        let mut read = Vec::new();
+        let items: Vec<BatchItem> = msgs
+            .iter()
+            .map(|m| {
+                let start = read.len();
+                read.extend_from_slice(&m.encode());
+                BatchItem::Data {
+                    stream_id: WIRE_STREAM,
+                    ppid: ppid::SCALE_STATE,
+                    at: start..read.len(),
+                }
+            })
+            .collect();
+        router.route(role, id, &read, items.into_iter()).unwrap();
+    }
+
+    /// A loopback link: the MLB-side halves, and the far end unsplit.
+    fn loopback(listener: &mut SctpListener, tag: u32) -> ((SctpSendHalf, SctpRecvHalf), SctpStream) {
+        let addr = listener.local_addr().unwrap().to_string();
+        let dial = thread::spawn(move || tokio::runtime::block_on(SctpStream::connect(&addr, tag)));
+        let near = tokio::runtime::block_on(listener.accept()).unwrap();
+        (near.into_split(EGRESS_CAP), dial.join().unwrap().unwrap())
+    }
+
+    fn attach_uplink(u: u32) -> WireMsg {
+        WireMsg::Uplink {
+            enb_id: ENB_BASE,
+            attach_hint: Some(scale_epc::MTMSI_BASE + u),
+            pdu: scale_s1ap::S1apPdu::InitialUeMessage {
+                enb_ue_id: u,
+                nas_pdu: bytes::Bytes::from_static(b"attach"),
+                tai: scale_nas::Tai::new(scale_nas::Plmn::test(), 7),
+                establishment_cause: 3,
+                s_tmsi: None,
+            },
+        }
+    }
+
+    #[test]
+    fn an_uplink_for_a_worker_that_is_not_linked_is_failed_back_to_its_cell() {
+        use scale_epc::MTMSI_BASE;
+        // The cell and worker 0 are up; worker 1 has not said `Hello`
+        // (or has gone). An attach routed to it cannot be delivered: it
+        // is shed exactly as at a full egress — counted, and the device
+        // handed back to its cell — not silently dropped.
+        let cfg = WireRunConfig {
+            n_enbs: 1,
+            total_vms: 4,
+            ..tiny()
+        };
+        let mut listener = tokio::runtime::block_on(SctpListener::bind("127.0.0.1:0")).unwrap();
+        let ((cell_tx, _cell_rx), mut cell) = loopback(&mut listener, 1);
+        let ((w0_tx, _w0_rx), mut w0) = loopback(&mut listener, 2);
+        let mut router = Router::new(&cfg);
+        router.linked(WireRole::Enb, 0, cell_tx);
+        router.linked(WireRole::Mmp, 0, w0_tx);
+
+        let attaches: Vec<WireMsg> = (0..16).map(attach_uplink).collect();
+        route_as_read(&mut router, WireRole::Enb, 0, &attaches);
+        let shed = router.mlb.stats.dropped;
+        assert!(shed > 0 && shed < 16, "16 hints must spread over both workers ({shed} shed)");
+        assert_eq!(router.mlb.stats.routed_attaches, 16);
+        assert!(router.out.is_empty() && router.mmp_runs.iter().all(Vec::is_empty));
+        let mut failed = Vec::new();
+        for _ in 0..shed {
+            let (_, _, payload) = tokio::runtime::block_on(cell.recv()).unwrap();
+            match WireMsg::decode(payload).unwrap() {
+                WireMsg::ProcFailed { m_tmsi } => failed.push(m_tmsi),
+                other => panic!("expected ProcFailed, got {other:?}"),
+            }
+        }
+        failed.sort_unstable();
+        failed.dedup();
+        assert_eq!(failed.len() as u64, shed, "one ProcFailed per shed attach");
+        // The rest reached worker 0, each as the Deliver the typed path
+        // would have sent, PDU byte for byte.
+        for _ in 0..16 - shed {
+            let (_, _, payload) = tokio::runtime::block_on(w0.recv()).unwrap();
+            match WireMsg::decode(payload).unwrap() {
+                WireMsg::Deliver {
+                    guti_hint: Some(m_tmsi),
+                    enb_id: ENB_BASE,
+                    pdu,
+                    ..
+                } => {
+                    assert!(!failed.contains(&m_tmsi));
+                    let WireMsg::Uplink { pdu: sent, .. } = attach_uplink(m_tmsi - MTMSI_BASE) else {
+                        unreachable!()
+                    };
+                    assert_eq!(pdu, sent);
+                }
+                other => panic!("expected Deliver, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_message_out_of_the_reorder_buffer_is_relayed_like_one_in_the_read() {
+        use scale_epc::MTMSI_BASE;
+        let cfg = WireRunConfig {
+            n_enbs: 1,
+            n_mmps: 1,
+            total_vms: 4,
+            ..tiny()
+        };
+        let mut listener = tokio::runtime::block_on(SctpListener::bind("127.0.0.1:0")).unwrap();
+        let ((cell_tx, _cell_rx), _cell) = loopback(&mut listener, 1);
+        let ((w0_tx, _w0_rx), mut w0) = loopback(&mut listener, 2);
+        let mut router = Router::new(&cfg);
+        router.linked(WireRole::Enb, 0, cell_tx);
+        router.linked(WireRole::Mmp, 0, w0_tx);
+
+        // Two attaches in one receive: the first where the read left
+        // it, the second as the reorder buffer hands it over.
+        let read = attach_uplink(0).encode();
+        let items = [
+            BatchItem::Data {
+                stream_id: WIRE_STREAM,
+                ppid: ppid::SCALE_STATE,
+                at: 0..read.len(),
+            },
+            BatchItem::Held {
+                stream_id: WIRE_STREAM,
+                ppid: ppid::SCALE_STATE,
+                payload: attach_uplink(1).encode(),
+            },
+        ];
+        router.route(WireRole::Enb, 0, &read, items.into_iter()).unwrap();
+        assert_eq!(router.mlb.stats.routed_attaches, 2);
+        assert_eq!(router.mlb.stats.dropped, 0);
+        for u in 0..2 {
+            let (_, _, payload) = tokio::runtime::block_on(w0.recv()).unwrap();
+            let WireMsg::Uplink { pdu: sent, .. } = attach_uplink(u) else {
+                unreachable!()
+            };
+            match WireMsg::decode(payload).unwrap() {
+                WireMsg::Deliver {
+                    guti_hint, enb_id, pdu, ..
+                } => assert_eq!((guti_hint, enb_id, pdu), (Some(MTMSI_BASE + u), ENB_BASE, sent)),
+                other => panic!("expected Deliver, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn a_full_worker_egress_is_shed_under_the_router_lock_not_waited_for() {
         use scale_epc::MTMSI_BASE;
-        use scale_nas::{Plmn, Tai};
         // Real loopback links, their far ends held here. Nobody reads
         // the workers'; the cell's is read at the end. Everything runs
         // on this one thread, so a send that waited for a peer would
@@ -1684,17 +1999,9 @@ mod tests {
             ..tiny()
         };
         let mut listener = tokio::runtime::block_on(SctpListener::bind("127.0.0.1:0")).unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let mut link = |tag: u32| {
-            let addr = addr.clone();
-            let dial =
-                thread::spawn(move || tokio::runtime::block_on(SctpStream::connect(&addr, tag)));
-            let near = tokio::runtime::block_on(listener.accept()).unwrap();
-            (near.into_split(EGRESS_CAP), dial.join().unwrap().unwrap())
-        };
-        let ((cell_tx, _cell_rx), mut cell) = link(1);
-        let ((w0_tx, _w0_rx), _w0) = link(2);
-        let ((w1_tx, _w1_rx), _w1) = link(3);
+        let ((cell_tx, _cell_rx), mut cell) = loopback(&mut listener, 1);
+        let ((w0_tx, _w0_rx), _w0) = loopback(&mut listener, 2);
+        let ((w1_tx, _w1_rx), _w1) = loopback(&mut listener, 3);
         let mut router = Router::new(&cfg);
         router.linked(WireRole::Enb, 0, cell_tx);
         router.linked(WireRole::Mmp, 0, w0_tx);
@@ -1708,7 +2015,7 @@ mod tests {
         };
         let mut rounds = 0;
         while router.mlb.stats.dropped == 0 {
-            router.route(WireRole::Mmp, vec![replica.clone(); 64]);
+            route_as_read(&mut router, WireRole::Mmp, 0, &vec![replica.clone(); 64]);
             rounds += 1;
             assert!(rounds < 10_000, "worker 1's egress never filled");
         }
@@ -1720,20 +2027,8 @@ mod tests {
         // delivered; those routed to worker 1 are shed, counted, and
         // failed back to the cell, one `ProcFailed` each.
         let before = router.mlb.stats;
-        let attaches: Vec<WireMsg> = (0..32)
-            .map(|u| WireMsg::Uplink {
-                enb_id: ENB_BASE,
-                attach_hint: Some(MTMSI_BASE + u),
-                pdu: S1apPdu::InitialUeMessage {
-                    enb_ue_id: u,
-                    nas_pdu: bytes::Bytes::from_static(b"attach"),
-                    tai: Tai::new(Plmn::test(), 7),
-                    establishment_cause: 3,
-                    s_tmsi: None,
-                },
-            })
-            .collect();
-        router.route(WireRole::Enb, attaches);
+        let attaches: Vec<WireMsg> = (0..32).map(attach_uplink).collect();
+        route_as_read(&mut router, WireRole::Enb, 0, &attaches);
         let shed = (router.mlb.stats.dropped - before.dropped) as usize;
         assert!(shed > 0 && shed < 32, "32 hints must spread over both workers ({shed} shed)");
         assert_eq!(router.mlb.stats.routed_attaches - before.routed_attaches, 32);

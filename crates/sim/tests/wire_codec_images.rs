@@ -46,7 +46,13 @@ fn pdu_of(msg: &WireMsg) -> Option<&S1apPdu> {
 /// an Initial UE Message whether it carries an S-TMSI.
 fn pdu_shape(pdu: &S1apPdu) -> String {
     let (kind, code) = pdu.kind_and_code();
-    let stmsi = matches!(pdu, S1apPdu::InitialUeMessage { s_tmsi: Some(_), .. });
+    let stmsi = matches!(
+        pdu,
+        S1apPdu::InitialUeMessage {
+            s_tmsi: Some(_),
+            ..
+        }
+    );
     format!("{kind:?}/{code}{}", if stmsi { "/s-tmsi" } else { "" })
 }
 
@@ -81,7 +87,10 @@ fn first_of_each_shape() -> (BTreeMap<String, WireMsg>, BTreeMap<String, S1apPdu
         }
     });
     assert_eq!(counts.enb.sessions_done, script().n_ues as u64);
-    assert_eq!(counts.enb.errors + counts.mmp.wire_errors + counts.mlb.errors, 0);
+    assert_eq!(
+        counts.enb.errors + counts.mmp.wire_errors + counts.mlb.errors,
+        0
+    );
     (msgs, pdus)
 }
 
@@ -116,10 +125,33 @@ const MSG_IMAGES: [(&str, &str); 8] = [
 /// reference build's image of each.
 fn off_script() -> [(WireMsg, &'static str); 6] {
     [
-        (WireMsg::Hello { role: WireRole::Enb, id: 3 }, "010000000003"),
-        (WireMsg::Hello { role: WireRole::Mmp, id: 1 }, "010100000001"),
-        (WireMsg::DropCtx { vm: 4, m_tmsi: 0x0200_0007 }, "070000000402000007"),
-        (WireMsg::ProcFailed { m_tmsi: 0x0200_0009 }, "0802000009"),
+        (
+            WireMsg::Hello {
+                role: WireRole::Enb,
+                id: 3,
+            },
+            "010000000003",
+        ),
+        (
+            WireMsg::Hello {
+                role: WireRole::Mmp,
+                id: 1,
+            },
+            "010100000001",
+        ),
+        (
+            WireMsg::DropCtx {
+                vm: 4,
+                m_tmsi: 0x0200_0007,
+            },
+            "070000000402000007",
+        ),
+        (
+            WireMsg::ProcFailed {
+                m_tmsi: 0x0200_0009,
+            },
+            "0802000009",
+        ),
         (WireMsg::VmDown { vm: 2 }, "0900000002"),
         (WireMsg::VmUp { vm: 2 }, "0a00000002"),
     ]
@@ -139,7 +171,11 @@ fn every_pdu_shape_of_the_script_has_its_reference_image() {
     );
     for ((shape, pdu), (_, golden)) in pdus.iter().zip(PDU_IMAGES) {
         assert_eq!(hex(&pdu.encode()), golden, "{shape}: encode");
-        assert_eq!(&S1apPdu::decode(image(golden)).unwrap(), pdu, "{shape}: decode");
+        assert_eq!(
+            &S1apPdu::decode(image(golden)).unwrap(),
+            pdu,
+            "{shape}: decode"
+        );
     }
 }
 
@@ -153,7 +189,11 @@ fn every_message_shape_of_the_script_has_its_reference_image() {
     );
     for ((shape, msg), (_, golden)) in msgs.iter().zip(MSG_IMAGES) {
         assert_eq!(hex(&msg.encode()), golden, "{shape}: encode");
-        assert_eq!(&WireMsg::decode(image(golden)).unwrap(), msg, "{shape}: decode");
+        assert_eq!(
+            &WireMsg::decode(image(golden)).unwrap(),
+            msg,
+            "{shape}: decode"
+        );
         // The envelope carries its PDU as that PDU's own image, length
         // first: what lets a relay forward it without re-encoding.
         if let Some(pdu) = pdu_of(msg) {
@@ -169,7 +209,11 @@ fn every_message_shape_of_the_script_has_its_reference_image() {
 fn the_variants_off_the_script_have_their_reference_images() {
     for (msg, golden) in off_script() {
         assert_eq!(hex(&msg.encode()), golden, "{msg:?}: encode");
-        assert_eq!(WireMsg::decode(image(golden)).unwrap(), msg, "{golden}: decode");
+        assert_eq!(
+            WireMsg::decode(image(golden)).unwrap(),
+            msg,
+            "{golden}: decode"
+        );
     }
 }
 

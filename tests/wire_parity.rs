@@ -240,6 +240,102 @@ fn hostile_peers_are_dropped_and_cost_the_fleet_nothing() {
 }
 
 #[test]
+fn the_mlb_checks_what_it_routes_by_and_the_worker_checks_the_rest() {
+    // The MLB forwards a PDU as the bytes it arrived as, having checked
+    // the envelope, the framing of every IE and the IEs it routes by
+    // (DESIGN.md §14.2). So, from a link that has said a well-formed
+    // `Hello`: an uplink whose TAI is two bytes long — an IE the MLB
+    // never reads — is routed and forwarded, and it is the worker that
+    // refuses it, counts it, and carries on; an uplink whose IE framing
+    // is broken, or whose envelope is, gets the link dropped at the
+    // MLB. Neither costs the fleet anything.
+    use scale_core::wire::{WireMsg, WireRole};
+    use scale_s1ap::S1apPdu;
+    use scale_sctplite::{ppid, SctpStream, StreamEvent};
+
+    let cfg = WireRunConfig {
+        n_ues: 1000,
+        ..WireRunConfig::smoke()
+    };
+    let ie = |id: u16, value: &[u8]| {
+        let mut v = id.to_be_bytes().to_vec();
+        v.extend_from_slice(&(value.len() as u16).to_be_bytes());
+        v.extend_from_slice(value);
+        v
+    };
+    // An attach for an identity no cell of the run uses, from an eNB id
+    // no cell of the run has: the MLB pins a UE's connection by (eNB
+    // id, eNB UE id), and a stranger borrowing a real cell's id could
+    // re-pin a connection of that cell in mid-attach.
+    let uplink = |pdu: Vec<u8>| {
+        let mut v = vec![2, 0x01, 0, 0x03, 0xE8, 1, 0x7F, 0, 0, 1];
+        v.extend_from_slice(&(pdu.len() as u32).to_be_bytes());
+        v.extend_from_slice(&pdu);
+        bytes::Bytes::from(v)
+    };
+    let initial_ue = |tai: &[u8]| {
+        [&[0, 12][..], &ie(8, &[0, 0, 0, 9]), &ie(26, b"nas"), &ie(67, tai), &ie(134, &[3])]
+            .concat()
+    };
+    let sound = uplink(initial_ue(&[0x00, 0xf1, 0x10, 0, 1]));
+    assert!(matches!(
+        WireMsg::decode(sound),
+        Ok(WireMsg::Uplink { attach_hint: Some(0x7F00_0001), .. })
+    ));
+    let bad_tai = uplink(initial_ue(&[0x00, 0xf1]));
+    assert!(S1apPdu::peek(&bad_tai[14..]).is_ok() && WireMsg::decode(bad_tai.clone()).is_err());
+    let mut broken = initial_ue(&[0x00, 0xf1, 0x10, 0, 1]);
+    broken.truncate(broken.len() - 1);
+    let bad_framing = uplink(broken);
+    let mut bad_envelope = bad_tai.to_vec();
+    bad_envelope[13] += 1; // the PDU length, one more than is there
+    let bad_envelope = bytes::Bytes::from(bad_envelope);
+
+    let bin = env!("CARGO_BIN_EXE_scale_wired");
+    let dep = spawn_topology(bin, &cfg).expect("spawn wire topology");
+    let strangers: Vec<_> = [(bad_tai.clone(), bad_framing), (bad_tai, bad_envelope)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (forwarded, refused))| {
+            let addr = dep.addr().to_string();
+            std::thread::spawn(move || {
+                tokio::runtime::block_on(async {
+                    let mut s = SctpStream::connect(&addr, 0x8800 + i as u32).await.expect("dial");
+                    let hello = WireMsg::Hello {
+                        role: WireRole::Enb,
+                        id: 1000 + i as u32,
+                    };
+                    s.send(1, ppid::SCALE_STATE, hello.encode()).await.unwrap();
+                    s.send(1, ppid::SCALE_STATE, forwarded).await.unwrap();
+                    // Still answered: the malformed TAI was not the
+                    // MLB's to mind.
+                    s.ping(7).await.unwrap();
+                    assert!(matches!(
+                        s.next_event().await,
+                        Ok(StreamEvent::HeartbeatAck { nonce: 7 })
+                    ));
+                    s.send(1, ppid::SCALE_STATE, refused).await.unwrap();
+                    s.next_event().await
+                })
+            })
+        })
+        .collect();
+    for s in strangers {
+        assert!(s.join().unwrap().is_err(), "a broken envelope or IE framing drops the link");
+    }
+
+    let outcome = dep.finish();
+    assert!(outcome.clean_exit, "wire deployment exited uncleanly");
+    let (wire, shuttle) = (outcome.counts, run_shuttle(&cfg));
+    assert_eq!(wire.mmp.wire_errors, 2, "each worker-refused uplink is counted there");
+    assert_eq!(wire.mlb.routed_attaches, shuttle.mlb.routed_attaches + 2);
+    assert_eq!((wire.mlb.dropped, wire.mlb.errors, wire.reconnects), (0, 0, 0));
+    assert_eq!(wire.enb, shuttle.enb, "the strangers changed the run");
+    assert_eq!(wire.mmp.stats, shuttle.mmp.stats);
+    assert_eq!(wire.mmp.contexts_held, shuttle.mmp.contexts_held);
+}
+
+#[test]
 fn silent_and_babbling_peers_do_not_hold_up_the_accept_loop() {
     // Before any worker dials, two strangers connect to the MLB: one
     // never says a word, one opens with bytes that are no sctplite
