@@ -30,7 +30,7 @@
 //! same section: `--before` takes that run's `BENCH_relay.json` too, or
 //! the directory holding both files.
 
-use criterion::{black_box, Criterion};
+use scale_bench::timing::Stopwatch;
 use scale_core::mlb::{MlbRouter, VmId};
 use scale_core::wire::{MmpNode, WireMsg};
 use scale_hashring::{position_of, reference::BTreeRing, HashRing, PositionCache};
@@ -42,6 +42,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fs;
+use std::hint::black_box;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -178,7 +179,7 @@ const CRYPTO_BENCHES: [(&str, &str); 8] = [
     ("nas_unprotect_attach_accept", "NasSecurityContext::unprotect of the same"),
 ];
 
-fn crypto_section(c: &mut Criterion) {
+fn crypto_section(c: &mut Stopwatch) {
     use scale_crypto::aes::Aes128;
     use scale_crypto::kdf::{derive_alg_key, derive_kasme, derive_nas_keys, AlgKeyType, ALG_ID_AES};
     use scale_crypto::milenage::Milenage;
@@ -187,48 +188,36 @@ fn crypto_section(c: &mut Criterion) {
     let key = [0x2bu8; 16];
     let aes = Aes128::new(&key);
     let mut block = [7u8; 16];
-    c.bench_function("crypto/aes_block", |b| {
-        b.iter(|| {
-            aes.encrypt_block(black_box(&mut block));
-            block[0]
-        })
+    c.time("crypto/aes_block", || {
+        aes.encrypt_block(black_box(&mut block));
+        block[0]
     });
-    c.bench_function("crypto/aes_key_expansion", |b| {
-        b.iter(|| Aes128::new(black_box(&key)))
-    });
+    c.time("crypto/aes_key_expansion", || Aes128::new(black_box(&key)));
 
     let opc = *Milenage::from_op(&key, &scale_epc::OP).opc();
     let rand = [0x23u8; 16];
-    c.bench_function("crypto/milenage_f1_f2345", |b| {
-        b.iter(|| {
-            let mil = Milenage::from_opc(black_box(&key), opc);
-            (mil.f1(&rand, &[0, 0, 0, 0, 0, 1], &scale_epc::AMF), mil.f2345(&rand))
-        })
+    c.time("crypto/milenage_f1_f2345", || {
+        let mil = Milenage::from_opc(black_box(&key), opc);
+        (mil.f1(&rand, &[0, 0, 0, 0, 0, 1], &scale_epc::AMF), mil.f2345(&rand))
     });
 
     let (ck, ik) = ([1u8; 16], [2u8; 16]);
     let plmn = Plmn::new("001", "01");
-    c.bench_function("crypto/kasme", |b| {
-        b.iter(|| derive_kasme(black_box(&ck), &ik, &plmn.0, &[3; 6]))
-    });
+    c.time("crypto/kasme", || derive_kasme(black_box(&ck), &ik, &plmn.0, &[3; 6]));
     let kasme = derive_kasme(&ck, &ik, &plmn.0, &[3; 6]);
-    c.bench_function("crypto/nas_alg_keys", |b| {
-        b.iter(|| {
-            let kasme = black_box(&kasme);
-            (
-                derive_alg_key(kasme, AlgKeyType::NasEnc, ALG_ID_AES),
-                derive_alg_key(kasme, AlgKeyType::NasInt, ALG_ID_AES),
-            )
-        })
+    c.time("crypto/nas_alg_keys", || {
+        let kasme = black_box(&kasme);
+        (
+            derive_alg_key(kasme, AlgKeyType::NasEnc, ALG_ID_AES),
+            derive_alg_key(kasme, AlgKeyType::NasInt, ALG_ID_AES),
+        )
     });
 
     let msg32 = [0x5au8; 32];
     let mut count = 0u32;
-    c.bench_function("crypto/eia2_32B", |b| {
-        b.iter(|| {
-            count = count.wrapping_add(1);
-            scale_crypto::cmac::eia2_mac(black_box(&key), count, 0, true, &msg32)
-        })
+    c.time("crypto/eia2_32B", || {
+        count = count.wrapping_add(1);
+        scale_crypto::cmac::eia2_mac(black_box(&key), count, 0, true, &msg32)
     });
 
     let accept = EmmMessage::AttachAccept {
@@ -246,24 +235,20 @@ fn crypto_section(c: &mut Criterion) {
     };
     let keys = derive_nas_keys(&ck, &ik, &plmn.0, &[3; 6]);
     let mut sender = NasSecurityContext::new(keys, 1);
-    c.bench_function("crypto/nas_protect_attach_accept", |b| {
-        b.iter(|| {
-            sender.dl_count = 0;
-            sender.protect(
-                black_box(&accept),
-                Direction::Downlink,
-                SecurityHeader::IntegrityCiphered,
-            )
-        })
+    c.time("crypto/nas_protect_attach_accept", || {
+        sender.dl_count = 0;
+        sender.protect(
+            black_box(&accept),
+            Direction::Downlink,
+            SecurityHeader::IntegrityCiphered,
+        )
     });
     sender.dl_count = 0;
     let wire = sender.protect(&accept, Direction::Downlink, SecurityHeader::IntegrityCiphered);
     let mut receiver = NasSecurityContext::new(keys, 1);
-    c.bench_function("crypto/nas_unprotect_attach_accept", |b| {
-        b.iter(|| {
-            receiver.dl_count = 0;
-            receiver.unprotect(black_box(wire.clone()), Direction::Downlink)
-        })
+    c.time("crypto/nas_unprotect_attach_accept", || {
+        receiver.dl_count = 0;
+        receiver.unprotect(black_box(wire.clone()), Direction::Downlink)
     });
 }
 
@@ -500,10 +485,7 @@ fn main() {
             .map(|i| args.get(i + 1).unwrap_or_else(|| panic!("{name} <file>")).clone())
     };
     let before_arg = flag("--before");
-    let mut c = Criterion::default()
-        .sample_size(30)
-        .warm_up_time(Duration::from_millis(100))
-        .measurement_time(Duration::from_millis(500));
+    let mut c = Stopwatch::new(30, Duration::from_millis(100), Duration::from_millis(500));
 
     // --- Ring primary lookup -------------------------------------------------
     let btree = {
@@ -515,63 +497,51 @@ fn main() {
     };
     let ring = optimized_ring();
     let mut key: u64 = 0;
-    c.bench_function("ring_primary/before", |b| {
-        b.iter(|| {
-            key = (key + 1) % N_DEVICES as u64;
-            btree.primary(black_box(&key)).copied()
-        })
+    c.time("ring_primary/before", || {
+        key = (key + 1) % N_DEVICES as u64;
+        btree.primary(black_box(&key)).copied()
     });
     // The shipping lookup path: memoized position + sorted-Vec search.
     let mut memo = PositionCache::new(2 * N_DEVICES as usize);
     let mut key: u64 = 0;
-    c.bench_function("ring_primary/after", |b| {
-        b.iter(|| {
-            key = (key + 1) % N_DEVICES as u64;
-            let k = black_box(key);
-            let pos = memo.position_with(k, || position_of(&k));
-            ring.node_at(pos).copied()
-        })
+    c.time("ring_primary/after", || {
+        key = (key + 1) % N_DEVICES as u64;
+        let k = black_box(key);
+        let pos = memo.position_with(k, || position_of(&k));
+        ring.node_at(pos).copied()
     });
 
     // --- Ring replica walk (R = 2) -------------------------------------------
     let mut key: u64 = 0;
-    c.bench_function("ring_replicas_r2/before", |b| {
-        b.iter(|| {
-            key = (key + 1) % N_DEVICES as u64;
-            btree.replicas(black_box(&key), REPLICATION).len()
-        })
+    c.time("ring_replicas_r2/before", || {
+        key = (key + 1) % N_DEVICES as u64;
+        btree.replicas(black_box(&key), REPLICATION).len()
     });
     let mut memo = PositionCache::new(2 * N_DEVICES as usize);
     let mut key: u64 = 0;
-    c.bench_function("ring_replicas_r2/after", |b| {
-        b.iter(|| {
-            key = (key + 1) % N_DEVICES as u64;
-            let k = black_box(key);
-            let pos = memo.position_with(k, || position_of(&k));
-            let mut sum = 0u64;
-            ring.replicas_each(pos, REPLICATION, |vm| {
-                sum += *vm as u64;
-            });
-            sum
-        })
+    c.time("ring_replicas_r2/after", || {
+        key = (key + 1) % N_DEVICES as u64;
+        let k = black_box(key);
+        let pos = memo.position_with(k, || position_of(&k));
+        let mut sum = 0u64;
+        ring.replicas_each(pos, REPLICATION, |vm| {
+            sum += *vm as u64;
+        });
+        sum
     });
 
     // --- MLB idle-transition routing -----------------------------------------
     let baseline = BaselineMlb::new();
     let mut m_tmsi: u32 = 0;
-    c.bench_function("mlb_route_idle/before", |b| {
-        b.iter(|| {
-            m_tmsi = (m_tmsi + 1) % HOT_DEVICES;
-            baseline.route_idle_transition(black_box(m_tmsi))
-        })
+    c.time("mlb_route_idle/before", || {
+        m_tmsi = (m_tmsi + 1) % HOT_DEVICES;
+        baseline.route_idle_transition(black_box(m_tmsi))
     });
     let mut mlb = optimized_mlb();
     let mut m_tmsi: u32 = 0;
-    c.bench_function("mlb_route_idle/after", |b| {
-        b.iter(|| {
-            m_tmsi = (m_tmsi + 1) % HOT_DEVICES;
-            mlb.route_idle_transition(black_box(m_tmsi))
-        })
+    c.time("mlb_route_idle/after", || {
+        m_tmsi = (m_tmsi + 1) % HOT_DEVICES;
+        mlb.route_idle_transition(black_box(m_tmsi))
     });
 
     // --- Sim arrival generation (per-device buffer reuse) --------------------
@@ -581,38 +551,29 @@ fn main() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(9);
-    c.bench_function("sim_poisson_sweep/before", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for _ in 0..64 {
-                let arrivals =
-                    scale_sim::poisson_arrivals(black_box(&mut rng), 200.0, 0.5);
-                total += arrivals.len();
-            }
-            total
-        })
+    c.time("sim_poisson_sweep/before", || {
+        let mut total = 0usize;
+        for _ in 0..64 {
+            let arrivals = scale_sim::poisson_arrivals(black_box(&mut rng), 200.0, 0.5);
+            total += arrivals.len();
+        }
+        total
     });
     let mut rng = StdRng::seed_from_u64(9);
     let mut buf = Vec::new();
-    c.bench_function("sim_poisson_sweep/after", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for _ in 0..64 {
-                scale_sim::poisson_arrivals_into(black_box(&mut rng), 200.0, 0.5, &mut buf);
-                total += buf.len();
-            }
-            total
-        })
+    c.time("sim_poisson_sweep/after", || {
+        let mut total = 0usize;
+        for _ in 0..64 {
+            scale_sim::poisson_arrivals_into(black_box(&mut rng), 200.0, 0.5, &mut buf);
+            total += buf.len();
+        }
+        total
     });
 
     crypto_section(&mut c);
 
     // --- Summarize -----------------------------------------------------------
-    let ns: HashMap<String, f64> = c
-        .measurements()
-        .iter()
-        .map(|m| (m.id.clone(), m.ns_per_iter))
-        .collect();
+    let ns = &c.ns;
     let pairs = [
         (
             "ring_primary",

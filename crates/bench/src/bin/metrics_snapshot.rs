@@ -14,7 +14,7 @@
 //!   Prometheus text export renders and that the JSON snapshot
 //!   round-trips through `Snapshot::from_json`.
 
-use criterion::{black_box, Criterion};
+use scale_bench::timing::Stopwatch;
 use scale_core::mlb::MlbRouter;
 use scale_core::{ScaleConfig, ScaleDc};
 use scale_epc::Network;
@@ -22,8 +22,8 @@ use scale_hashring::{position_of, HashRing, PositionCache};
 use scale_nas::Plmn;
 use scale_obs::{prometheus_text, Registry, Snapshot};
 use serde::Serialize;
-use std::collections::HashMap;
 use std::fs;
+use std::hint::black_box;
 use std::path::Path;
 use std::time::Duration;
 
@@ -78,10 +78,7 @@ struct ObsBaseline {
 }
 
 fn main() {
-    let mut c = Criterion::default()
-        .sample_size(30)
-        .warm_up_time(Duration::from_millis(100))
-        .measurement_time(Duration::from_millis(400));
+    let mut c = Stopwatch::new(30, Duration::from_millis(100), Duration::from_millis(400));
 
     let registry = Registry::new();
 
@@ -112,25 +109,21 @@ fn main() {
     let mut memo_obs = PositionCache::new(2 * N_DEVICES as usize);
     for rep in 0..REPS {
         let mut key: u64 = 0;
-        c.bench_function(&format!("ring_primary/bare/{rep}"), |b| {
-            b.iter(|| {
-                key = (key + 1) % N_DEVICES as u64;
-                let k = black_box(key);
-                let pos = memo_bare.position_with(k, || position_of(&k));
-                ring.node_at(pos).copied()
-            })
+        c.time(&format!("ring_primary/bare/{rep}"), || {
+            key = (key + 1) % N_DEVICES as u64;
+            let k = black_box(key);
+            let pos = memo_bare.position_with(k, || position_of(&k));
+            ring.node_at(pos).copied()
         });
         let mut key: u64 = 0;
-        c.bench_function(&format!("ring_primary/observed/{rep}"), |b| {
-            b.iter(|| {
-                key = (key + 1) % N_DEVICES as u64;
-                let k = black_box(key);
-                let pos = memo_obs.position_with(k, || position_of(&k));
-                if k == 0 {
-                    publish_pair(&pos_hits, memo_obs.hits, &pos_misses, memo_obs.misses);
-                }
-                ring.node_at(pos).copied()
-            })
+        c.time(&format!("ring_primary/observed/{rep}"), || {
+            key = (key + 1) % N_DEVICES as u64;
+            let k = black_box(key);
+            let pos = memo_obs.position_with(k, || position_of(&k));
+            if k == 0 {
+                publish_pair(&pos_hits, memo_obs.hits, &pos_misses, memo_obs.misses);
+            }
+            ring.node_at(pos).copied()
         });
     }
 
@@ -153,37 +146,29 @@ fn main() {
     let mut mlb_obs = optimized_mlb();
     for rep in 0..REPS {
         let mut m_tmsi: u32 = 0;
-        c.bench_function(&format!("mlb_route_idle/bare/{rep}"), |b| {
-            b.iter(|| {
-                m_tmsi = (m_tmsi + 1) % HOT_DEVICES;
-                mlb_bare.route_idle_transition(black_box(m_tmsi))
-            })
+        c.time(&format!("mlb_route_idle/bare/{rep}"), || {
+            m_tmsi = (m_tmsi + 1) % HOT_DEVICES;
+            mlb_bare.route_idle_transition(black_box(m_tmsi))
         });
         let mut m_tmsi: u32 = 0;
-        c.bench_function(&format!("mlb_route_idle/observed/{rep}"), |b| {
-            b.iter(|| {
-                m_tmsi = (m_tmsi + 1) % HOT_DEVICES;
-                let out = mlb_obs.route_idle_transition(black_box(m_tmsi));
-                // Publish once per hot-set wrap (every 1024 routes).
-                if m_tmsi == 0 {
-                    idle_routes.set(mlb_obs.stats.idle_routes);
-                    publish_pair(
-                        &cache_hits,
-                        mlb_obs.stats.route_cache_hits,
-                        &cache_misses,
-                        mlb_obs.stats.route_cache_misses,
-                    );
-                }
-                out
-            })
+        c.time(&format!("mlb_route_idle/observed/{rep}"), || {
+            m_tmsi = (m_tmsi + 1) % HOT_DEVICES;
+            let out = mlb_obs.route_idle_transition(black_box(m_tmsi));
+            // Publish once per hot-set wrap (every 1024 routes).
+            if m_tmsi == 0 {
+                idle_routes.set(mlb_obs.stats.idle_routes);
+                publish_pair(
+                    &cache_hits,
+                    mlb_obs.stats.route_cache_hits,
+                    &cache_misses,
+                    mlb_obs.stats.route_cache_misses,
+                );
+            }
+            out
         });
     }
 
-    let ns: HashMap<String, f64> = c
-        .measurements()
-        .iter()
-        .map(|m| (m.id.clone(), m.ns_per_iter))
-        .collect();
+    let ns = &c.ns;
     let min_of = |prefix: &str| -> f64 {
         (0..REPS)
             .map(|rep| ns[&format!("{prefix}/{rep}")])

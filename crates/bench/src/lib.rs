@@ -1,11 +1,13 @@
 //! # scale-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper
-//! (see DESIGN.md §5 for the index) plus criterion micro-benchmarks.
-//! Each binary prints the series the paper reports and writes
-//! `results/<experiment>.json`.
+//! (see DESIGN.md §5 for the index), the mega-benches and the
+//! before/after summaries ([`timing`]). Each binary prints the series it
+//! reports and writes `results/<experiment>.json`.
 
 #![forbid(unsafe_code)]
+
+pub mod timing;
 
 use serde::Serialize;
 use std::fs;

@@ -676,9 +676,8 @@ impl MmpNode {
                         active: true,
                     }),
                     ShardEvent::Idle { guti, .. } => {
-                        // The in-process driver's access cells count
-                        // idle edges into the shard stats; on the wire
-                        // the worker is where that tally lives.
+                        // The worker is where the idle-edge tally
+                        // lives, in every driver of this node.
                         self.shard
                             .stats
                             .idles

@@ -91,14 +91,15 @@ pub enum Relay {
 
 impl MlbState {
     /// [`MlbState::on_enb`] / [`MlbState::on_mmp`] for a message still
-    /// in the bytes it arrived as, on a link of role `from`: the same
-    /// routing decisions, reached from the envelope and — for an uplink
-    /// — the PDU's routing key read where it lies. `Err` means the
-    /// envelope, the PDU's IE framing or a routing IE is broken: the
-    /// peer is not one of ours. What the MLB does not route by — the
-    /// contents of every other IE, a replica blob — is not looked at;
-    /// whoever consumes the message decodes it in full.
-    pub fn relay(&mut self, from: WireRole, received: &[u8]) -> Result<Relay, NasError> {
+    /// in the bytes it arrived as, on the link whose `Hello` announced
+    /// `(from, id)`: the same routing decisions, reached from the
+    /// envelope and — for an uplink — the PDU's routing key read where
+    /// it lies. `Err` means the envelope, the PDU's IE framing or a
+    /// routing IE is broken, or an uplink names an eNB other than the
+    /// link's own: the peer is not one of ours. What the MLB does not
+    /// route by — the contents of every other IE, a replica blob — is
+    /// not looked at; whoever consumes the message decodes it in full.
+    pub fn relay(&mut self, from: WireRole, id: usize, received: &[u8]) -> Result<Relay, NasError> {
         let view = WireView::parse(received)?;
         let key = match (from, view) {
             (
@@ -109,6 +110,16 @@ impl MlbState {
                     pdu,
                 },
             ) => {
+                // Connections are pinned by the envelope's eNB id: a
+                // link naming another cell's id could re-pin that
+                // cell's connections mid-procedure.
+                if enb_index(enb_id) != id {
+                    self.stats.errors += 1;
+                    return Err(NasError::Invalid {
+                        what: "uplink eNB id of another link",
+                        value: u64::from(enb_id),
+                    });
+                }
                 let route = self.route_uplink(enb_id, attach_hint, S1apPdu::peek(pdu)?);
                 return Ok(match route {
                     UplinkRoute::Setup => Relay::Reply(self.s1_setup_response(enb_id)),

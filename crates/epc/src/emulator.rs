@@ -1,11 +1,12 @@
 //! The eNodeB-emulator drive: one cell's eNodeB, its UE population and
 //! the per-device procedure script (attach → S1 release → seeded SR/TAU
-//! mix), decoupled from any transport. The in-process scale-out driver
-//! (`scale-sim`) wires the same state machine to shard mailboxes; the
-//! wire-level deployment runs it inside a standalone eNodeB process
-//! speaking `sctplite` to the MLB. Both must make byte-identical
-//! decisions, which is why the identity scheme and op-mix PRF live
-//! here and are re-exported to every driver.
+//! mix), decoupled from any transport. Three drivers run it, each next
+//! to the same MLB and MMP machines: the wire deployment's eNodeB
+//! process speaking `sctplite` to the MLB, the in-process shuttle
+//! (`scale-sim`'s parity oracle), and the threaded scale-out driver,
+//! which hosts one cell per worker thread. All of them must make
+//! byte-identical decisions, which is why the identity scheme and
+//! op-mix PRF live here and are re-exported to every driver.
 //!
 //! ## Identity scheme
 //!
@@ -109,8 +110,8 @@ pub enum EmuEvent {
     /// Send this S1AP PDU toward the MLB/MMP side. `attach_hint`
     /// carries the routing-derived M-TMSI on fresh attaches (the MLB
     /// routes the Initial UE Message of an attach by the identity it
-    /// will assign, exactly as `ShardMsg::ToVm { guti_hint }` does
-    /// in-process).
+    /// will assign, and hands that identity to the engine as the
+    /// `guti_hint` of its `Deliver`).
     Uplink {
         /// MLB-assigned M-TMSI for a fresh attach, `None` otherwise.
         attach_hint: Option<u32>,

@@ -20,16 +20,21 @@
 //!   stadium flash-crowd, overnight IoT wave) for the closed-loop
 //!   autoscaler experiments;
 //! * [`metrics`] — percentiles, CDFs and CPU-trace time series;
-//! * [`shard_driver`] — the *multi-core* scale-out driver: real MMP
-//!   engines sharded across worker threads over the epoch-published
-//!   routing plane, driven by per-shard access cells through bounded
-//!   mailboxes (the `scale_out` mega-bench);
 //! * [`openloop`] — seeded Poisson arrival schedules for offered-load
 //!   (open-loop) drives;
 //! * [`wire_run`] — the *multi-process* deployment runtime: role
 //!   main-loops for the eNB/MLB/MMP processes over `sctplite` sockets,
 //!   parent-side topology orchestration, and the in-process shuttle
-//!   parity oracle (the `wire_load` mega-bench).
+//!   parity oracle (the `wire_load` mega-bench);
+//! * [`shard_driver`] — the *multi-core* scale-out driver: the same
+//!   eNodeB, MLB and MMP machines, one of each per worker thread,
+//!   passing `WireMsg`s through bounded mailboxes (the `scale_out`
+//!   mega-bench);
+//! * [`replay`] — recorded MLB traffic replayed through the
+//!   deployment's own receive → route → send loops, sans-IO (the relay
+//!   suites and `bench_summary`'s relay section);
+//! * [`testbed`] — one MME endpoint and one eNodeB over real sockets,
+//!   the shape of the paper's OpenEPC prototype.
 
 #![forbid(unsafe_code)]
 
@@ -48,7 +53,7 @@ pub mod workload;
 pub use diurnal::{DiurnalTrace, TraceShape};
 pub use fault::{ChaosConfig, ChaosReport, ChaosRng, ChaosSim, FaultEvent, FaultKind, FaultPlan};
 pub use geo::{GeoDevice, GeoPlacement, GeoSim};
-pub use metrics::{ResultRow, Samples, TimeSeries};
+pub use metrics::{Samples, TimeSeries};
 pub use openloop::poisson_schedule;
 pub use testbed::{run_testbed, TestbedReport};
 pub use shard_driver::{

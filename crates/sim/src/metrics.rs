@@ -165,15 +165,6 @@ impl TimeSeries {
     }
 }
 
-/// One experiment row written to `results/*.json`.
-#[derive(Debug, Clone, Serialize)]
-pub struct ResultRow {
-    pub experiment: String,
-    pub series: String,
-    pub x: f64,
-    pub y: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -143,6 +143,22 @@ impl WireRunConfig {
         }
     }
 
+    /// Cell `cell`'s emulator: its striped share of the population,
+    /// admitted in this run's mode.
+    pub(crate) fn emulator(&self, cell: usize) -> EnbEmulator {
+        EnbEmulator::new(&EmulatorConfig {
+            cell,
+            n_cells: self.n_enbs,
+            n_local_ues: EmulatorConfig::local_share(self.n_ues, self.n_enbs, cell),
+            ops_per_ue: self.ops_per_ue,
+            seed: self.seed,
+            mode: match self.mode {
+                WireMode::Closed { window } => DriveMode::Closed { window },
+                WireMode::Open { max_in_flight, .. } => DriveMode::Open { max_in_flight },
+            },
+        })
+    }
+
     /// The `scale_out` configuration this run is compared against:
     /// identical fleet, ring, population and op mix. (`n_shards` is a
     /// thread count there; outcome counts are invariant to it.)
@@ -235,8 +251,9 @@ pub struct WireMmpTotals {
 }
 
 /// Deterministic per-outcome counts of one wire run: identical between
-/// the socket deployment, the in-process shuttle, and (for the engine-
-/// side fields) the `scale_out` driver on the same seeded workload.
+/// the socket deployment, the in-process shuttle, and (summed over its
+/// threads, all but the local/remote replica split) the `scale_out`
+/// driver with as many cells and workers on the same seeded workload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireCounts {
     /// Access-side counts summed over cells.
@@ -278,7 +295,8 @@ pub struct WireOutcome {
     pub clean_exit: bool,
 }
 
-const PROC_KINDS: [ProcKind; 4] = [
+/// Every procedure class, in declaration order.
+pub(crate) const PROC_KINDS: [ProcKind; 4] = [
     ProcKind::Attach,
     ProcKind::ServiceRequest,
     ProcKind::Tau,
@@ -295,6 +313,45 @@ fn add_emu(a: &mut EmuCounts, b: &EmuCounts) {
     a.recoveries += b.recoveries;
     a.rejects += b.rejects;
     a.errors += b.errors;
+}
+
+impl WireCounts {
+    /// Add the counts of more machines (the in-process driver sums one
+    /// cell, MLB and worker per thread).
+    pub(crate) fn add(&mut self, other: &WireCounts) {
+        add_emu(&mut self.enb, &other.enb);
+        self.mmp.stats.merge(&other.mmp.stats);
+        self.mmp.contexts_held += other.mmp.contexts_held;
+        self.mmp.wire_errors += other.mmp.wire_errors;
+        let (a, b) = (&mut self.mlb, &other.mlb);
+        a.routed_attaches += b.routed_attaches;
+        a.routed_idle += b.routed_idle;
+        a.forwarded_uplinks += b.forwarded_uplinks;
+        a.settled_relayed += b.settled_relayed;
+        a.proc_failures += b.proc_failures;
+        a.dropped += b.dropped;
+        a.errors += b.errors;
+        self.reconnects += other.reconnects;
+    }
+}
+
+/// Hand a message the MLB routed to a cell to that cell's emulator.
+pub(crate) fn to_cell(emu: &mut EnbEmulator, msg: WireMsg) {
+    match msg {
+        WireMsg::ToEnb { pdu, .. } => emu.handle_downlink(pdu),
+        WireMsg::Settled { m_tmsi, active } => emu.settled(m_tmsi, active),
+        WireMsg::ProcFailed { m_tmsi } => emu.proc_failed(m_tmsi),
+        // MLB/fabric-internal traffic never reaches an eNodeB; named
+        // exhaustively so a new wire message fails to compile here
+        // instead of being silently dropped.
+        WireMsg::Hello { .. }
+        | WireMsg::Uplink { .. }
+        | WireMsg::Deliver { .. }
+        | WireMsg::Replicate { .. }
+        | WireMsg::DropCtx { .. }
+        | WireMsg::VmDown { .. }
+        | WireMsg::VmUp { .. } => {}
+    }
 }
 
 fn pct(sorted: &[u64], p: f64) -> u64 {
@@ -474,14 +531,9 @@ impl LatStore {
         }
     }
 
-    // PROC_KINDS is exhaustive over ProcKind by construction.
-    // lint: allow(unwrap)
-    fn slot(kind: ProcKind) -> usize {
-        PROC_KINDS.iter().position(|k| *k == kind).unwrap()
-    }
-
     fn push(&mut self, kind: ProcKind, elapsed: Duration) {
-        self.samples[Self::slot(kind)].push(elapsed.as_micros() as u64);
+        // PROC_KINDS is ProcKind in declaration order.
+        self.samples[kind as usize].push(elapsed.as_micros() as u64);
     }
 
     fn report_fields(&mut self) -> String {
@@ -506,18 +558,7 @@ impl LatStore {
 /// `REPORT` line, exit 0 on success.
 pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
     let n_local = EmulatorConfig::local_share(cfg.n_ues, cfg.n_enbs, cell);
-    let mode = match cfg.mode {
-        WireMode::Closed { window } => DriveMode::Closed { window },
-        WireMode::Open { max_in_flight, .. } => DriveMode::Open { max_in_flight },
-    };
-    let mut emu = EnbEmulator::new(&EmulatorConfig {
-        cell,
-        n_cells: cfg.n_enbs,
-        n_local_ues: n_local,
-        ops_per_ue: cfg.ops_per_ue,
-        seed: cfg.seed,
-        mode,
-    });
+    let mut emu = cfg.emulator(cell);
     let enb_id = emu.enb_id();
 
     let stream = match connect_retry(addr, enb_id) {
@@ -598,22 +639,7 @@ pub fn run_enb(cfg: &WireRunConfig, cell: usize, addr: &str) -> i32 {
         match rx.recv_timeout(wait) {
             Ok(LinkIn::Msgs(msgs)) => {
                 for msg in msgs {
-                    match msg {
-                        WireMsg::ToEnb { pdu, .. } => emu.handle_downlink(pdu),
-                        WireMsg::Settled { m_tmsi, active } => emu.settled(m_tmsi, active),
-                        WireMsg::ProcFailed { m_tmsi } => emu.proc_failed(m_tmsi),
-                        // MLB/fabric-internal traffic never reaches an
-                        // eNodeB; named exhaustively so a new wire
-                        // message fails to compile here instead of
-                        // being silently dropped.
-                        WireMsg::Hello { .. }
-                        | WireMsg::Uplink { .. }
-                        | WireMsg::Deliver { .. }
-                        | WireMsg::Replicate { .. }
-                        | WireMsg::DropCtx { .. }
-                        | WireMsg::VmDown { .. }
-                        | WireMsg::VmUp { .. } => {}
-                    }
+                    to_cell(&mut emu, msg);
                 }
             }
             Ok(LinkIn::Down) | Err(RecvTimeoutError::Disconnected) => {
@@ -914,11 +940,11 @@ impl<L: WireLink> Router<L> {
             let step = match item {
                 BatchItem::Data { at, .. } => self
                     .mlb
-                    .relay(role, &read[at.start..at.end])
+                    .relay(role, id, &read[at.start..at.end])
                     .map(|relay| self.place(relay, |fwd| Piece::Relayed { fwd, at })),
                 BatchItem::Held { payload, .. } => self
                     .mlb
-                    .relay(role, &payload)
+                    .relay(role, id, &payload)
                     .map(|relay| self.place(relay, |fwd| Piece::Held { fwd, payload })),
                 BatchItem::HeartbeatAck { .. } => {
                     if role == WireRole::Mmp {
@@ -1174,7 +1200,7 @@ fn mlb_link_loop(tcp: tokio::net::TcpStream, tag: u32, shared: Arc<MlbShared>) {
     };
     loop {
         if let Err(e) = routed {
-            eprintln!("mlb: dropping {role:?} {id} after an undecodable message: {e}");
+            eprintln!("mlb: dropping {role:?} {id} after a message that is not ours: {e}");
             break;
         }
         match tokio::runtime::block_on(rh.next_batch()) {
@@ -1673,21 +1699,7 @@ pub fn run_shuttle_tapped(
     let topo = cfg.topo();
     let mut mlb = MlbState::new(&topo);
     let mut mmps: Vec<MmpNode> = (0..cfg.n_mmps).map(|i| MmpNode::new(&topo, i)).collect();
-    let mut emus: Vec<EnbEmulator> = (0..cfg.n_enbs)
-        .map(|cell| {
-            EnbEmulator::new(&EmulatorConfig {
-                cell,
-                n_cells: cfg.n_enbs,
-                n_local_ues: EmulatorConfig::local_share(cfg.n_ues, cfg.n_enbs, cell),
-                ops_per_ue: cfg.ops_per_ue,
-                seed: cfg.seed,
-                mode: match cfg.mode {
-                    WireMode::Closed { window } => DriveMode::Closed { window },
-                    WireMode::Open { max_in_flight, .. } => DriveMode::Open { max_in_flight },
-                },
-            })
-        })
-        .collect();
+    let mut emus: Vec<EnbEmulator> = (0..cfg.n_enbs).map(|cell| cfg.emulator(cell)).collect();
 
     let mut queue: VecDeque<Hop> = VecDeque::new();
     let drain_emu = |emu: &mut EnbEmulator, cell: usize, queue: &mut VecDeque<Hop>| {
@@ -1754,23 +1766,8 @@ pub fn run_shuttle_tapped(
                 }
             }
             Hop::ToEnb(enb, msg) => {
-                let emu = &mut emus[enb];
-                match msg {
-                    WireMsg::ToEnb { pdu, .. } => emu.handle_downlink(pdu),
-                    WireMsg::Settled { m_tmsi, active } => emu.settled(m_tmsi, active),
-                    WireMsg::ProcFailed { m_tmsi } => emu.proc_failed(m_tmsi),
-                    // MLB/fabric-internal traffic never reaches an
-                    // eNodeB; named exhaustively so a new wire message
-                    // fails to compile here instead of being dropped.
-                    WireMsg::Hello { .. }
-                    | WireMsg::Uplink { .. }
-                    | WireMsg::Deliver { .. }
-                    | WireMsg::Replicate { .. }
-                    | WireMsg::DropCtx { .. }
-                    | WireMsg::VmDown { .. }
-                    | WireMsg::VmUp { .. } => {}
-                }
-                drain_emu(emu, enb, &mut queue);
+                to_cell(&mut emus[enb], msg);
+                drain_emu(&mut emus[enb], enb, &mut queue);
             }
         }
         for o in out.drain(..) {
@@ -1804,7 +1801,7 @@ pub fn run_shuttle_tapped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard_driver::run_scale_out;
+    use crate::shard_driver::{run_threads, ScaleOutCounts};
 
     fn tiny() -> WireRunConfig {
         WireRunConfig {
@@ -1841,7 +1838,7 @@ mod tests {
         role: WireRole,
         id: usize,
         msgs: &[WireMsg],
-    ) {
+    ) -> Result<(), NasError> {
         let mut read = Vec::new();
         let items: Vec<BatchItem> = msgs
             .iter()
@@ -1855,7 +1852,7 @@ mod tests {
                 }
             })
             .collect();
-        router.route(role, id, &read, items.into_iter()).unwrap();
+        router.route(role, id, &read, items.into_iter())
     }
 
     /// A loopback link: the MLB-side halves, and the far end unsplit.
@@ -1900,7 +1897,7 @@ mod tests {
         router.linked(WireRole::Mmp, 0, w0_tx);
 
         let attaches: Vec<WireMsg> = (0..16).map(attach_uplink).collect();
-        route_as_read(&mut router, WireRole::Enb, 0, &attaches);
+        route_as_read(&mut router, WireRole::Enb, 0, &attaches).unwrap();
         let shed = router.mlb.stats.dropped;
         assert!(shed > 0 && shed < 16, "16 hints must spread over both workers ({shed} shed)");
         assert_eq!(router.mlb.stats.routed_attaches, 16);
@@ -1933,6 +1930,71 @@ mod tests {
                     };
                     assert_eq!(pdu, sent);
                 }
+                other => panic!("expected Deliver, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_uplink_naming_another_cells_id_ends_its_link_and_leaves_the_pin() {
+        use scale_epc::MTMSI_BASE;
+        // Cell 0 opens an attach on its connection 0. Then the link of
+        // cell 1 sends an attach that names cell 0's eNB id and the same
+        // connection id, for a device none of whose holders is cell 0's
+        // engine: routed, it would re-pin cell 0's connection there in
+        // mid-attach, and cell 0's next uplink would follow it.
+        let cfg = WireRunConfig {
+            n_mmps: 1,
+            total_vms: 4,
+            ..tiny()
+        };
+        let mut listener = tokio::runtime::block_on(SctpListener::bind("127.0.0.1:0")).unwrap();
+        let ((c0_tx, _c0_rx), _c0) = loopback(&mut listener, 1);
+        let ((c1_tx, _c1_rx), _c1) = loopback(&mut listener, 2);
+        let ((w0_tx, _w0_rx), mut w0) = loopback(&mut listener, 3);
+        let mut router = Router::new(&cfg);
+        router.linked(WireRole::Enb, 0, c0_tx);
+        router.linked(WireRole::Enb, 1, c1_tx);
+        router.linked(WireRole::Mmp, 0, w0_tx);
+
+        route_as_read(&mut router, WireRole::Enb, 0, &[attach_uplink(0)]).unwrap();
+        let pinned = router.mlb.inflight_vm(MTMSI_BASE).expect("cell 0's attach is pinned");
+        let snap = router.mlb.plane().snapshot();
+        let other = (MTMSI_BASE + 1..)
+            .find(|&m| {
+                let (holders, n) = snap.holders_of(m);
+                !holders[..n].contains(&pinned)
+            })
+            .unwrap();
+        let mut stranger = attach_uplink(0);
+        if let WireMsg::Uplink { attach_hint, .. } = &mut stranger {
+            *attach_hint = Some(other);
+        }
+        assert!(
+            route_as_read(&mut router, WireRole::Enb, 1, &[stranger]).is_err(),
+            "an uplink naming another cell ends the link"
+        );
+        assert_eq!(router.mlb.stats.errors, 1);
+        assert_eq!(router.mlb.stats.routed_attaches, 1);
+        assert_eq!(router.mlb.inflight_vm(other), None);
+
+        let next = WireMsg::Uplink {
+            enb_id: ENB_BASE,
+            attach_hint: None,
+            pdu: scale_s1ap::S1apPdu::UplinkNasTransport {
+                mme_ue_id: 1,
+                enb_ue_id: 0,
+                nas_pdu: bytes::Bytes::from_static(b"auth response"),
+                tai: scale_nas::Tai::new(scale_nas::Plmn::test(), 7),
+            },
+        };
+        route_as_read(&mut router, WireRole::Enb, 0, &[next]).unwrap();
+        // The worker sees cell 0's attach, then its next uplink on the
+        // engine the attach was pinned to — and nothing of the stranger's.
+        for hint in [Some(MTMSI_BASE), None] {
+            let (_, _, payload) = tokio::runtime::block_on(w0.recv()).unwrap();
+            match WireMsg::decode(payload).unwrap() {
+                WireMsg::Deliver { vm, guti_hint, .. } => assert_eq!((vm, guti_hint), (pinned, hint)),
                 other => panic!("expected Deliver, got {other:?}"),
             }
         }
@@ -2015,7 +2077,7 @@ mod tests {
         };
         let mut rounds = 0;
         while router.mlb.stats.dropped == 0 {
-            route_as_read(&mut router, WireRole::Mmp, 0, &vec![replica.clone(); 64]);
+            route_as_read(&mut router, WireRole::Mmp, 0, &vec![replica.clone(); 64]).unwrap();
             rounds += 1;
             assert!(rounds < 10_000, "worker 1's egress never filled");
         }
@@ -2028,7 +2090,7 @@ mod tests {
         // failed back to the cell, one `ProcFailed` each.
         let before = router.mlb.stats;
         let attaches: Vec<WireMsg> = (0..32).map(attach_uplink).collect();
-        route_as_read(&mut router, WireRole::Enb, 0, &attaches);
+        route_as_read(&mut router, WireRole::Enb, 0, &attaches).unwrap();
         let shed = (router.mlb.stats.dropped - before.dropped) as usize;
         assert!(shed > 0 && shed < 32, "32 hints must spread over both workers ({shed} shed)");
         assert_eq!(router.mlb.stats.routed_attaches - before.routed_attaches, 32);
@@ -2090,18 +2152,20 @@ mod tests {
 
     #[test]
     fn shuttle_matches_the_in_process_driver() {
-        let cfg = tiny();
-        let wire = run_shuttle(&cfg);
-        let twin = run_scale_out(&cfg.scale_out_twin());
-        assert_eq!(wire.mmp.stats.attaches, twin.counts.attaches);
-        assert_eq!(wire.mmp.stats.service_requests, twin.counts.service_requests);
-        assert_eq!(wire.mmp.stats.taus, twin.counts.taus);
-        assert_eq!(wire.mmp.stats.idles, twin.counts.idles);
-        assert_eq!(wire.mmp.stats.messages, twin.counts.messages);
-        assert_eq!(wire.mmp.stats.replicas_imported, twin.counts.replicas_imported);
-        assert_eq!(wire.mmp.contexts_held, twin.counts.contexts_held);
-        assert_eq!(wire.mmp.stats.rejects, twin.counts.rejects);
-        assert_eq!(wire.mmp.stats.errors, twin.counts.errors);
+        // The same machines, one cell, MLB and worker per thread there:
+        // the same counts, down to what the MLBs and the cells counted.
+        for n in 1..=4 {
+            let cfg = WireRunConfig {
+                n_enbs: n,
+                n_mmps: n,
+                ..tiny()
+            };
+            let wire = run_shuttle(&cfg);
+            let (twin, threads) = run_threads(&cfg.scale_out_twin(), &mut Vec::new());
+            assert_eq!(twin.counts, ScaleOutCounts::of(&wire), "n = {n}");
+            assert_eq!(threads.mlb, wire.mlb, "n = {n}");
+            assert_eq!(threads.enb, wire.enb, "n = {n}");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn smoke_counts_are_deterministic_across_runs() {
 #[test]
 fn smoke_counts_are_invariant_under_shard_count() {
     let baseline = run_scale_out(&ScaleOutConfig::smoke(1)).counts;
-    for n_shards in [2usize, 4] {
+    for n_shards in [2usize, 3, 4] {
         let counts = run_scale_out(&ScaleOutConfig::smoke(n_shards)).counts;
         assert_eq!(
             counts, baseline,

@@ -263,12 +263,11 @@ fn the_mlb_checks_what_it_routes_by_and_the_worker_checks_the_rest() {
         v.extend_from_slice(value);
         v
     };
-    // An attach for an identity no cell of the run uses, from an eNB id
-    // no cell of the run has: the MLB pins a UE's connection by (eNB
-    // id, eNB UE id), and a stranger borrowing a real cell's id could
-    // re-pin a connection of that cell in mid-attach.
-    let uplink = |pdu: Vec<u8>| {
-        let mut v = vec![2, 0x01, 0, 0x03, 0xE8, 1, 0x7F, 0, 0, 1];
+    // An attach for an identity no cell of the run uses, from stranger
+    // `i`'s own eNB id, `ENB_BASE + 1000 + i`: no cell of the run has it,
+    // and the MLB ends a link whose uplinks name any id but its own.
+    let uplink = |i: u8, pdu: Vec<u8>| {
+        let mut v = vec![2, 0x01, 0, 0x03, 0xE8 + i, 1, 0x7F, 0, 0, 1];
         v.extend_from_slice(&(pdu.len() as u32).to_be_bytes());
         v.extend_from_slice(&pdu);
         bytes::Bytes::from(v)
@@ -277,23 +276,23 @@ fn the_mlb_checks_what_it_routes_by_and_the_worker_checks_the_rest() {
         [&[0, 12][..], &ie(8, &[0, 0, 0, 9]), &ie(26, b"nas"), &ie(67, tai), &ie(134, &[3])]
             .concat()
     };
-    let sound = uplink(initial_ue(&[0x00, 0xf1, 0x10, 0, 1]));
+    let sound = uplink(1, initial_ue(&[0x00, 0xf1, 0x10, 0, 1]));
     assert!(matches!(
         WireMsg::decode(sound),
-        Ok(WireMsg::Uplink { attach_hint: Some(0x7F00_0001), .. })
+        Ok(WireMsg::Uplink { enb_id: 0x0100_03E9, attach_hint: Some(0x7F00_0001), .. })
     ));
-    let bad_tai = uplink(initial_ue(&[0x00, 0xf1]));
-    assert!(S1apPdu::peek(&bad_tai[14..]).is_ok() && WireMsg::decode(bad_tai.clone()).is_err());
+    let bad_tai = |i| uplink(i, initial_ue(&[0x00, 0xf1]));
+    assert!(S1apPdu::peek(&bad_tai(0)[14..]).is_ok() && WireMsg::decode(bad_tai(0)).is_err());
     let mut broken = initial_ue(&[0x00, 0xf1, 0x10, 0, 1]);
     broken.truncate(broken.len() - 1);
-    let bad_framing = uplink(broken);
-    let mut bad_envelope = bad_tai.to_vec();
+    let bad_framing = uplink(0, broken);
+    let mut bad_envelope = bad_tai(1).to_vec();
     bad_envelope[13] += 1; // the PDU length, one more than is there
     let bad_envelope = bytes::Bytes::from(bad_envelope);
 
     let bin = env!("CARGO_BIN_EXE_scale_wired");
     let dep = spawn_topology(bin, &cfg).expect("spawn wire topology");
-    let strangers: Vec<_> = [(bad_tai.clone(), bad_framing), (bad_tai, bad_envelope)]
+    let strangers: Vec<_> = [(bad_tai(0), bad_framing), (bad_tai(1), bad_envelope)]
         .into_iter()
         .enumerate()
         .map(|(i, (forwarded, refused))| {
