@@ -24,7 +24,7 @@
 
 use scale_core::DcObserver;
 use scale_obs::Registry;
-use scale_sim::{run_scale_out_observed, ScaleOutConfig, ScaleOutCounts, ScaleOutReport};
+use scale_sim::{run_threads, ScaleOutConfig, ScaleOutCounts, ScaleOutReport};
 use serde::Serialize;
 use std::path::Path;
 use std::sync::Arc;
@@ -55,16 +55,15 @@ fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Run one configuration, publish its per-shard counters through the
-/// observability registry, and sanity-check the published aggregate
+/// Run one configuration, publish its workers' summed counters through
+/// the observability registry, and sanity-check the published aggregate
 /// against the report (exercises `DcObserver::publish_shards` on the
 /// real sharded runtime, not just the unit-test harness).
 fn run_and_publish(cfg: &ScaleOutConfig) -> ScaleOutReport {
     let registry = Arc::new(Registry::new());
     let observer = DcObserver::new(Arc::clone(&registry));
-    let mut shard_stats = Vec::new();
-    let report = run_scale_out_observed(cfg, &mut shard_stats);
-    observer.publish_shards(&shard_stats);
+    let (report, totals) = run_threads(cfg);
+    observer.publish_shards(&totals.mmp.stats);
     let published = registry.counter("scale_dc_messages_total", "").get();
     assert_eq!(
         published, report.counts.messages,

@@ -1,11 +1,11 @@
 //! Exhaustive protocol model checker over the sans-IO wire / failover /
-//! shard state machines (DESIGN.md §15).
+//! worker state machines (DESIGN.md §15).
 //!
 //! The multi-process deployment is three process kinds exchanging
 //! [`WireMsg`]s over per-link FIFO channels:
 //!
 //! ```text
-//!   EnbEmulator ──e2m──▶ MlbState ──m2w──▶ MmpNode (Shard of MmeCores)
+//!   EnbEmulator ──e2m──▶ MlbState ──m2w──▶ MmpNode (owns its MmeCores)
 //!        ▲                  │  ▲              │
 //!        └───────m2e────────┘  └─────w2m──────┘
 //! ```
@@ -79,8 +79,7 @@
 //! matrix lands in `results/CHECK_protocol.json`.
 
 use scale_core::failover::{HealthConfig, HealthTracker};
-use scale_core::shard::shard_of;
-use scale_core::wire::{MlbOut, MlbState, MmpNode, WireMsg, WireTopo};
+use scale_core::wire::{shard_of, MlbOut, MlbState, MmpNode, WireMsg, WireTopo};
 use scale_core::VmId;
 use scale_epc::{
     imsi_of, DriveMode, EmuEvent, EmulatorConfig, EnbEmulator, SlotView, ENB_BASE, MTMSI_BASE,
@@ -670,7 +669,7 @@ impl<'s> World<'s> {
         // I1: identity consistency of every resident context.
         for (worker, node) in self.workers.iter().enumerate() {
             let Some(node) = node else { continue };
-            for (vm, ctx) in node.shard().contexts() {
+            for (vm, ctx) in node.contexts() {
                 let m = ctx.guti.m_tmsi;
                 let Some(u) = m.checked_sub(MTMSI_BASE) else {
                     return Some((

@@ -20,11 +20,10 @@
 //! * [`routeplane`] — the lock-free shared routing plane: an
 //!   epoch-published [`RouteSnapshot`] behind the vendored arc-swap,
 //!   with per-thread cached readers and a relaxed-atomic load table;
-//! * [`shard`] — per-worker MMP engine groups with exclusive context
-//!   ownership; cross-shard procedures travel as [`ShardMsg`] values;
-//! * [`wire`] — the multi-process deployment's sans-IO core: the
-//!   [`WireMsg`] protocol plus the MLB-front and
-//!   MMP-worker process logic driven over `sctplite` links;
+//! * [`wire`] — the deployment's sans-IO core: the [`WireMsg`]
+//!   protocol, the MLB front ([`MlbState`]) and the MMP worker
+//!   ([`MmpNode`], which owns its VMs' engines outright), driven over
+//!   `sctplite` links, worker threads or an in-process shuttle;
 //! * [`baseline`] — the legacy 3GPP pool comparator (§3.1).
 //!
 //! `ScaleDc` and `LegacyPool` both implement `scale_epc::ControlPlane`,
@@ -45,7 +44,6 @@ pub mod mlb;
 pub mod obs;
 pub mod provision;
 pub mod routeplane;
-pub mod shard;
 pub mod wire;
 
 pub use autoscale::{
@@ -65,8 +63,7 @@ pub use provision::{
     Provisioning, VmCapacity,
 };
 pub use routeplane::{LoadTable, RoutePlane, RouteReader, RouteSnapshot, MAX_R};
-pub use shard::{Shard, ShardConfig, ShardMsg, ShardStats, ShardStatsSnapshot};
 pub use wire::{
-    Dest, Forward, MlbOut, MlbState, MlbWireStats, MmpNode, Relay, WireMsg, WireRole, WireTopo,
-    WireView,
+    Dest, Forward, MlbOut, MlbState, MlbWireStats, MmpNode, Relay, ShardStatsSnapshot, WireMsg,
+    WireRole, WireTopo, WireView,
 };

@@ -12,7 +12,7 @@
 //! Metric names follow the `scale_<component>_<what>[_<unit|total>]`
 //! scheme documented in DESIGN.md §8.
 
-use crate::shard::{ShardStats, ShardStatsSnapshot};
+use crate::wire::ShardStatsSnapshot;
 use scale_mme::Incoming;
 use scale_nas::{EmmMessage, MobileId};
 use scale_obs::{Counter, Gauge, Histogram, Registry};
@@ -274,30 +274,11 @@ impl DcObserver {
         }
     }
 
-    /// Publish fleet-wide totals from per-shard counters — the
-    /// multi-core counterpart of `ScaleDc::publish_metrics`.
-    ///
-    /// The single-threaded publish path reads plain-`u64` stats that
-    /// only it mutates; shard counters are instead written by their
-    /// worker threads *while this runs*. Two properties make the
-    /// concurrent publish sound without locks or double-counting:
-    ///
-    /// * each [`ShardStats`] field is a single relaxed atomic, so a
-    ///   snapshot reads a value each shard actually passed through
-    ///   (counters are monotone — no torn or phantom increments);
-    /// * the registry side uses `Counter::set` (overwrite), not `add`,
-    ///   so re-publishing — even racing with another publisher — can
-    ///   only move a metric between two legitimate totals, never sum
-    ///   a shard twice.
-    ///
-    /// Totals are exact once the shard threads quiesce; mid-drain they
-    /// are a consistent lower bound per field (fields may be skewed
-    /// against each other, same as any multi-cell snapshot).
-    pub fn publish_shards(&self, shards: &[Arc<ShardStats>]) {
-        let mut total = ShardStatsSnapshot::default();
-        for s in shards {
-            total.merge(&s.snapshot());
-        }
+    /// Publish fleet-wide totals summed over MMP workers — the
+    /// multi-core counterpart of `ScaleDc::publish_metrics`. The
+    /// registry side uses `Counter::set` (overwrite), not `add`, so
+    /// publishing the same totals twice never sums them.
+    pub fn publish_shards(&self, total: &ShardStatsSnapshot) {
         self.messages.set(total.messages);
         self.attaches_completed.set(total.attaches);
         self.service_requests.set(total.service_requests);
@@ -305,7 +286,7 @@ impl DcObserver {
         self.detaches.set(total.detaches);
         self.rejects.set(total.rejects);
         // Every replica blob lands in exactly one `replicas_imported`
-        // (cross-shard blobs also tick the sender's `replicas_sent`,
+        // (cross-worker blobs also tick the sender's `replicas_sent`,
         // which is the *subset* that crossed a boundary, not extra
         // copies — adding it would double-count).
         self.replications.set(total.replicas_imported);

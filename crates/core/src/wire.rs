@@ -4,19 +4,21 @@
 //!
 //! ```text
 //!   eNB process ──sctplite──▶ MLB front process ──sctplite──▶ MMP worker
-//!   (EnbEmulator)             (MlbState, this module)         (MmpNode → Shard)
+//!   (EnbEmulator)             (MlbState, this module)         (MmpNode, this module)
 //! ```
 //!
 //! Everything here is sans-IO: [`MlbState`] and [`MmpNode`] consume
 //! decoded [`WireMsg`] values and emit outputs into caller-provided
 //! vectors, so the same logic is driven by real sockets in the
-//! deployment binaries and by an in-process shuttle in tests. The
-//! transport carries each encoded message as one `sctplite` DATA chunk
-//! (ppid [`scale_sctplite::ppid::SCALE_STATE`] for control,
-//! `S1AP` for PDU-bearing messages); ordering guarantees are exactly
-//! the per-association FIFO the in-process mailboxes provide, which is
-//! why the happens-before argument of `scale-sim`'s shard driver
-//! (Replicate-before-next-procedure) carries over unchanged.
+//! deployment binaries, by worker threads in `scale-sim`'s scale-out
+//! driver and by an in-process shuttle in tests. The transport carries
+//! each encoded message as one `sctplite` DATA chunk (ppid
+//! [`scale_sctplite::ppid::SCALE_STATE`] for control, `S1AP` for
+//! PDU-bearing messages); ordering guarantees are exactly the
+//! per-association FIFO the in-process mailboxes provide, so an Idle
+//! edge's `Replicate`, which [`MmpNode::handle`] emits ahead of the
+//! edge's `Settled`, reaches its holder before the device's next
+//! procedure can.
 //!
 //! ## Codec
 //!
@@ -44,12 +46,13 @@
 
 use crate::mlb::VmId;
 use crate::routeplane::{RoutePlane, RouteReader, RouteSnapshot};
-use crate::shard::{shard_of, Shard, ShardConfig, ShardEvent, ShardMsg, ShardStatsSnapshot};
-use scale_epc::{home_cell, ENB_BASE};
-use scale_mme::Incoming;
-use scale_nas::Plmn;
+use scale_diameter::S6a;
+use scale_epc::{home_cell, Hss, ENB_BASE};
+use scale_gtpc::{self as gtpc, iface_type, BearerContext, Cause, Fteid};
+use scale_mme::{Incoming, MmeConfig, MmeCore, Outgoing, UeContext};
+use scale_nas::{Guti, Plmn};
 use scale_s1ap::{Gummei, RouteKey, S1apPdu};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 mod codec;
@@ -57,6 +60,12 @@ mod relay;
 
 pub use codec::{WireMsg, WireRole, WireView};
 pub use relay::{Dest, Forward, Relay};
+
+/// Which of `n_shards` workers hosts MMP `vm`. VM ids start at 1, so
+/// the partition is `(vm - 1) mod n`.
+pub fn shard_of(vm: VmId, n_shards: usize) -> usize {
+    (vm as usize).saturating_sub(1) % n_shards.max(1)
+}
 
 /// Static shape of the wire deployment, known identically to every
 /// process (ring construction is deterministic, so each process builds
@@ -74,7 +83,7 @@ pub struct WireTopo {
     pub replication: usize,
     /// Virtual tokens per ring node.
     pub ring_tokens: u32,
-    /// HSS seed (shared by every MMP's shard).
+    /// HSS seed (shared by every MMP worker).
     pub seed: u64,
 }
 
@@ -368,9 +377,7 @@ impl MlbState {
             }
             WorkerKey::Settled { m_tmsi, active } => {
                 if !active {
-                    if let Some(vm) = self.inflight.remove(&m_tmsi) {
-                        self.reader.discharge(vm);
-                    }
+                    self.release_inflight(m_tmsi);
                 }
                 let Some(enb) = home_cell(m_tmsi, self.topo.n_enbs) else {
                     self.stats.errors += 1;
@@ -444,8 +451,8 @@ impl MlbState {
     /// holder set lived on the dead process (R replicas are *not*
     /// process-disjoint): every route would return "no live holder"
     /// forever. Re-replication then restores the degree passively on
-    /// each Idle edge; the in-process cluster's proactive `RepairScan`
-    /// has no wire twin yet (DESIGN.md §14 records the divergence).
+    /// each Idle edge; `ScaleDc::repair`'s proactive ring repair has no
+    /// wire twin yet (DESIGN.md §14.3 records the divergence).
     pub fn on_mmp_reconnected(&mut self, mmp: usize, out: &mut Vec<MlbOut>) {
         for vm in self.topo.vms_of(mmp) {
             self.plane.mark_up(vm);
@@ -474,6 +481,16 @@ impl MlbState {
         self.inflight.get(&m_tmsi).copied()
     }
 
+    /// Device `m_tmsi`'s in-flight procedure is over: drop its pin and
+    /// give back the load charge routing made. The Idle edge ends a
+    /// procedure this way, and so does the shedding of the `Deliver`
+    /// that opened it.
+    pub fn release_inflight(&mut self, m_tmsi: u32) {
+        if let Some(vm) = self.inflight.remove(&m_tmsi) {
+            self.reader.discharge(vm);
+        }
+    }
+
     /// Hash the behavior-relevant routing state — connection pins, the
     /// in-flight table, snapshot membership/liveness and per-VM loads —
     /// into `h`. Monotone report counters and the (equally monotone)
@@ -498,23 +515,100 @@ impl MlbState {
     }
 }
 
-/// One MMP worker process's logic: a [`Shard`] of real MME engines
-/// behind a local routing-plane replica, translating between
-/// [`WireMsg`]s and shard messages. Local cross-engine follow-ups
-/// (both engines on this process) short-circuit without touching the
-/// wire, exactly like same-shard messages in the in-process driver.
+/// A worker's counters, and the sum of several workers' (`merge`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardStatsSnapshot {
+    /// Engine events processed.
+    pub messages: u64,
+    /// Attach procedures completed.
+    pub attaches: u64,
+    /// Service Requests served.
+    pub service_requests: u64,
+    /// Tracking Area Updates served.
+    pub taus: u64,
+    /// Detaches completed.
+    pub detaches: u64,
+    /// Idle transitions completed.
+    pub idles: u64,
+    /// Engine-level rejects.
+    pub rejects: u64,
+    /// Replica blobs imported.
+    pub replicas_imported: u64,
+    /// Replica blobs shipped to another worker.
+    pub replicas_sent: u64,
+    /// Stray copies dropped.
+    pub strays_dropped: u64,
+    /// Errors (engine failures + misrouted messages).
+    pub errors: u64,
+}
+
+impl ShardStatsSnapshot {
+    /// Field-wise sum (fleet-wide totals).
+    pub fn merge(&mut self, other: &ShardStatsSnapshot) {
+        self.messages += other.messages;
+        self.attaches += other.attaches;
+        self.service_requests += other.service_requests;
+        self.taus += other.taus;
+        self.detaches += other.detaches;
+        self.idles += other.idles;
+        self.rejects += other.rejects;
+        self.replicas_imported += other.replicas_imported;
+        self.replicas_sent += other.replicas_sent;
+        self.strays_dropped += other.strays_dropped;
+        self.errors += other.errors;
+    }
+}
+
+/// The address the S-GW stub puts in its F-TEIDs.
+const SGW_ADDR: [u8; 4] = [10, 0, 0, 2];
+
+/// One MMP worker process's logic (§4.3–4.4): the real MME engines of
+/// the VMs homed on this worker, the HSS front end and S-GW stub their
+/// S6a and S11 requests loop through, and a replica of the routing
+/// plane that names a device's holders. Every VM's contexts live on
+/// exactly one worker, so no context is shared between threads or
+/// processes; what crosses to another worker is a [`WireMsg`].
+///
+/// S6a and S11 stay worker-local: vector generation is a pure function
+/// of the IMSI, so every worker's HSS computes the same keys, and the
+/// S-GW stub keeps no session state. Only S1AP, replication blobs and
+/// drops ever leave the worker.
 pub struct MmpNode {
     index: usize,
     topo: WireTopo,
     plane: Arc<RoutePlane>,
-    shard: Shard,
-    worklist: VecDeque<ShardMsg>,
-    outbox: Vec<(usize, ShardMsg)>,
-    events: Vec<ShardEvent>,
-    /// Wire-level errors (unexpected cross-shard targets, engine
-    /// errors surfaced by the shard).
+    reader: RouteReader,
+    engines: BTreeMap<VmId, MmeCore>,
+    hss: Hss,
+    /// The counters this node keeps itself; the engine counters
+    /// (`messages` … `rejects`) stay zero here, and [`Self::stats`]
+    /// adds the engines' own.
+    stats: ShardStatsSnapshot,
+    /// Wire-level errors: unexpected messages, and every engine error
+    /// (which also counts in `stats().errors`).
     pub errors: u64,
     error_samples: Vec<String>,
+}
+
+/// What one [`MmpNode::handle`] call writes: what goes to other
+/// workers (`Replicate`, `DropCtx`) ahead of what goes to cells
+/// (`ToEnb`, `Settled`), each in the order generated. FIFO links turn
+/// that into the replicate-before-next-procedure edge.
+struct Emit<'a> {
+    out: &'a mut Vec<WireMsg>,
+    /// Where the next worker-bound message goes.
+    split: usize,
+}
+
+impl Emit<'_> {
+    fn for_worker(&mut self, msg: WireMsg) {
+        self.out.insert(self.split, msg);
+        self.split += 1;
+    }
+
+    fn for_cell(&mut self, msg: WireMsg) {
+        self.out.push(msg);
+    }
 }
 
 impl MmpNode {
@@ -522,38 +616,62 @@ impl MmpNode {
     #[must_use]
     pub fn new(topo: &WireTopo, index: usize) -> Self {
         let plane = topo.route_plane();
-        let shard = Shard::new(
-            &ShardConfig {
-                id: index,
-                n_shards: topo.n_mmps,
-                vms: topo.vms_of(index),
-                hss_seed: topo.seed,
-            },
-            &plane,
-        );
+        let guti = plane.snapshot().guti(0);
+        let engines = topo
+            .vms_of(index)
+            .into_iter()
+            .map(|vm| {
+                let engine = MmeCore::new(MmeConfig {
+                    plmn: guti.plmn,
+                    mme_group_id: guti.mme_group_id,
+                    mme_code: guti.mme_code,
+                    mme_name: format!("mmp-{vm}"),
+                    vm_id: vm as u8,
+                    ..MmeConfig::default()
+                });
+                (vm, engine)
+            })
+            .collect();
         MmpNode {
             index,
             topo: topo.clone(),
+            reader: plane.reader(),
             plane,
-            shard,
-            worklist: VecDeque::new(),
-            outbox: Vec::new(),
-            events: Vec::new(),
+            engines,
+            hss: Hss::new(topo.seed),
+            stats: ShardStatsSnapshot::default(),
             errors: 0,
             error_samples: Vec::new(),
         }
     }
 
-    /// Merged engine counters.
+    /// This worker's counters, its engines' summed in.
     #[must_use]
     pub fn stats(&self) -> ShardStatsSnapshot {
-        self.shard.stats.snapshot()
+        let mut total = self.stats;
+        for e in self.engines.values() {
+            total.messages += e.stats.messages_processed;
+            total.attaches += e.stats.attaches_completed;
+            total.service_requests += e.stats.service_requests;
+            total.taus += e.stats.taus;
+            total.detaches += e.stats.detaches;
+            total.rejects += e.stats.rejects;
+        }
+        total
     }
 
     /// Contexts resident across this worker's engines.
     #[must_use]
     pub fn contexts_held(&self) -> usize {
-        self.shard.contexts_held()
+        self.engines.values().map(MmeCore::context_count).sum()
+    }
+
+    /// Every engine context paired with its VM, in VM order — the
+    /// read-only view the protocol model checker's invariants audit.
+    pub fn contexts(&self) -> impl Iterator<Item = (VmId, &UeContext)> + '_ {
+        self.engines
+            .iter()
+            .flat_map(|(&vm, e)| e.contexts().map(move |c| (vm, c)))
     }
 
     /// First few error descriptions (for reports).
@@ -569,28 +687,28 @@ impl MmpNode {
         &self.plane
     }
 
-    /// The shard of real MME engines behind this worker (read-only
-    /// model-checker access to contexts and holder sets).
-    #[must_use]
-    pub fn shard(&self) -> &Shard {
-        &self.shard
-    }
-
     /// VMs on this worker currently holding a context for `m_tmsi`.
     #[must_use]
     pub fn holding_vms(&self, m_tmsi: u32) -> Vec<VmId> {
         let guti = self.plane.snapshot().guti(m_tmsi);
-        self.shard.holding_vms(&guti)
+        self.engines
+            .iter()
+            .filter(|(_, e)| e.context(&guti).is_some())
+            .map(|(&vm, _)| vm)
+            .collect()
     }
 
-    /// Hash the worker's behavior-relevant state — engine contexts and
-    /// the local liveness view — into `h`. Error counters and the
-    /// monotone snapshot epoch are excluded (see
-    /// [`MlbState::fingerprint`]).
+    /// Hash the worker's behavior-relevant state — every engine's
+    /// contexts and allocator positions, and the local liveness view —
+    /// into `h`. Counters and the monotone snapshot epoch are excluded
+    /// (see [`MlbState::fingerprint`]).
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
         self.index.hash(h);
-        self.shard.fingerprint(h);
+        for (&vm, engine) in &self.engines {
+            vm.hash(h);
+            engine.fingerprint(h);
+        }
         let snap = self.plane.snapshot();
         for vm in 1..=self.topo.total_vms as VmId {
             snap.is_down(vm).hash(h);
@@ -604,100 +722,254 @@ impl MmpNode {
         }
     }
 
-    /// Process one wire message; messages for the MLB go to `out` in
-    /// an order that preserves the replicate-before-notify
-    /// happens-before edge (outbox-derived messages are emitted before
-    /// the lifecycle events of the same engine step).
+    /// An error at engine `vm`: counted in `stats().errors` and in
+    /// `errors`.
+    fn engine_error(&mut self, vm: VmId, error: impl std::fmt::Display) {
+        self.stats.errors += 1;
+        self.fail(format!("engine vm {vm}: {error}"));
+    }
+
+    fn misroute(&mut self, vm: VmId, what: &str) {
+        let index = self.index;
+        self.engine_error(
+            vm,
+            format_args!("{what} for vm {vm} not owned by worker {index}"),
+        );
+    }
+
+    /// Process one wire message. What it produces goes to `out`: every
+    /// `Replicate`/`DropCtx` first, then every `ToEnb`/`Settled`, each
+    /// in the order generated — so an Idle edge's replicas leave ahead
+    /// of the `Settled` that lets the device start its next procedure.
     pub fn handle(&mut self, msg: WireMsg, out: &mut Vec<WireMsg>) {
-        let first = match msg {
+        let mut emit = Emit {
+            split: out.len(),
+            out,
+        };
+        match msg {
             WireMsg::Deliver {
                 vm,
                 guti_hint,
                 enb_id,
                 pdu,
-            } => ShardMsg::ToVm {
-                vm,
-                guti_hint,
-                ev: Incoming::S1ap { enb_id, pdu },
+            } => self.deliver(vm, guti_hint, Incoming::S1ap { enb_id, pdu }, &mut emit),
+            WireMsg::Replicate { vm, blob } => match self.engines.get_mut(&vm) {
+                Some(engine) => match engine.import_state(blob) {
+                    Ok(_) => self.stats.replicas_imported += 1,
+                    Err(e) => self.engine_error(vm, format_args!("replica import: {e}")),
+                },
+                None => self.misroute(vm, "replicate"),
             },
-            WireMsg::Replicate { vm, blob } => ShardMsg::Replicate { vm, blob },
             WireMsg::DropCtx { vm, m_tmsi } => {
-                let guti = self.plane.snapshot().guti(m_tmsi);
-                ShardMsg::Drop { vm, guti }
+                let guti = self.reader.snapshot().guti(m_tmsi);
+                match self.engines.get_mut(&vm) {
+                    Some(engine) => {
+                        if engine.remove_context(&guti).is_some() {
+                            self.stats.strays_dropped += 1;
+                        }
+                    }
+                    None => self.misroute(vm, "drop"),
+                }
             }
-            WireMsg::VmDown { vm } => {
-                self.plane.mark_down(vm);
-                return;
-            }
-            WireMsg::VmUp { vm } => {
-                self.plane.mark_up(vm);
-                return;
-            }
+            WireMsg::VmDown { vm } => self.plane.mark_down(vm),
+            WireMsg::VmUp { vm } => self.plane.mark_up(vm),
             other @ (WireMsg::Hello { .. }
             | WireMsg::Uplink { .. }
             | WireMsg::ToEnb { .. }
             | WireMsg::Settled { .. }
             | WireMsg::ProcFailed { .. }) => {
                 self.fail(format!("unexpected wire message at MMP: {other:?}"));
-                return;
             }
+        }
+    }
+
+    /// Run one inbound event through engine `vm`, looping its S6a and
+    /// S11 requests through the local HSS and S-GW stub until only S1AP
+    /// and replication remain.
+    fn deliver(&mut self, vm: VmId, guti_hint: Option<u32>, ev: Incoming, emit: &mut Emit<'_>) {
+        let Some(engine) = self.engines.get_mut(&vm) else {
+            self.misroute(vm, "event");
+            return;
         };
-        self.worklist.push_back(first);
-        while let Some(m) = self.worklist.pop_front() {
-            self.shard.process(m, &mut self.outbox, &mut self.events);
-            // Outbox first (Replicate/Drop), then notifications: FIFO
-            // links turn this into the same happens-before edge the
-            // in-process mailboxes provide.
-            for (target, m) in self.outbox.drain(..) {
-                if target == self.index {
-                    self.worklist.push_back(m);
+        if let Some(m_tmsi) = guti_hint {
+            engine.set_guti_hint(m_tmsi);
+        }
+        let mut queue = VecDeque::new();
+        queue.push_back(ev);
+        while let Some(ev) = queue.pop_front() {
+            let engine = self.engines.get_mut(&vm).expect("checked above"); // lint: allow(unwrap): vm membership verified on entry
+            let outs = match engine.handle(ev) {
+                Ok(outs) => outs,
+                Err(e) => {
+                    self.engine_error(vm, e);
                     continue;
                 }
-                match m {
-                    ShardMsg::Replicate { vm, blob } => out.push(WireMsg::Replicate { vm, blob }),
-                    ShardMsg::Drop { vm, guti } => out.push(WireMsg::DropCtx {
-                        vm,
-                        m_tmsi: guti.m_tmsi,
-                    }),
-                    other @ (ShardMsg::ToVm { .. } | ShardMsg::RepairScan) => {
-                        self.errors += 1;
-                        if self.error_samples.len() < 8 {
-                            self.error_samples
-                                .push(format!("unexpected cross-shard msg: {other:?}"));
+            };
+            for out in outs {
+                match out {
+                    Outgoing::S1ap { enb_id, pdu } => emit.for_cell(WireMsg::ToEnb { enb_id, pdu }),
+                    Outgoing::S11(msg) => {
+                        if let Some(resp) = sgw_respond(SGW_ADDR, msg) {
+                            queue.push_back(Incoming::S11(resp));
                         }
                     }
-                }
-            }
-            for ev in self.events.drain(..) {
-                match ev {
-                    ShardEvent::S1ap { enb_id, pdu } => out.push(WireMsg::ToEnb { enb_id, pdu }),
-                    ShardEvent::Active { guti, .. } => out.push(WireMsg::Settled {
+                    Outgoing::S6a(msg) => {
+                        if let Ok(S6a::AuthInfoRequest { imsi, .. }) = S6a::from_msg(&msg) {
+                            self.hss.provision_if_absent(&imsi);
+                        }
+                        queue.push_back(Incoming::S6a(self.hss.handle(&msg)));
+                    }
+                    Outgoing::UeAttached { .. } => {}
+                    Outgoing::UeActive { guti } => emit.for_cell(WireMsg::Settled {
                         m_tmsi: guti.m_tmsi,
                         active: true,
                     }),
-                    ShardEvent::Idle { guti, .. } => {
-                        // The worker is where the idle-edge tally
-                        // lives, in every driver of this node.
-                        self.shard
-                            .stats
-                            .idles
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        out.push(WireMsg::Settled {
+                    Outgoing::UeIdle { guti } => {
+                        self.sync_holders(vm, guti, emit);
+                        self.stats.idles += 1;
+                        emit.for_cell(WireMsg::Settled {
                             m_tmsi: guti.m_tmsi,
                             active: false,
                         });
                     }
-                    ShardEvent::Attached { .. } | ShardEvent::Detached { .. } => {}
-                    ShardEvent::Error { vm, error } => {
-                        self.errors += 1;
-                        if self.error_samples.len() < 8 {
-                            self.error_samples.push(format!("engine vm {vm}: {error}"));
-                        }
-                    }
+                    Outgoing::UeDetached { guti } => self.drop_other_holders(vm, guti, emit),
                 }
             }
         }
-        let _ = &self.topo; // topology kept for diagnostics/symmetry
+    }
+
+    /// Idle edge (§4.4): export the fresh state from the serving VM and
+    /// give a copy to every ring-designated holder — imported in place
+    /// when the holder is on this worker, as a `Replicate` otherwise.
+    fn sync_holders(&mut self, serving: VmId, guti: Guti, emit: &mut Emit<'_>) {
+        let Some(blob) = self
+            .engines
+            .get(&serving)
+            .and_then(|e| e.export_state(&guti))
+        else {
+            self.stats.errors += 1;
+            return;
+        };
+        let (holders, n) = self.reader.holders(guti.m_tmsi);
+        let mut keep = false;
+        for &h in &holders[..n] {
+            if h == serving {
+                keep = true;
+                continue;
+            }
+            match self.engines.get_mut(&h) {
+                Some(local) => {
+                    if local.import_state(blob.clone()).is_ok() {
+                        self.stats.replicas_imported += 1;
+                    }
+                }
+                None => {
+                    emit.for_worker(WireMsg::Replicate {
+                        vm: h,
+                        blob: blob.clone(),
+                    });
+                    self.stats.replicas_sent += 1;
+                }
+            }
+        }
+        if !keep {
+            // Post-churn: the serving VM is no longer a designated
+            // holder; its copy would go stale.
+            if let Some(engine) = self.engines.get_mut(&serving) {
+                engine.remove_context(&guti);
+                self.stats.strays_dropped += 1;
+            }
+        }
+    }
+
+    /// Detach edge: the serving engine already purged its copy; evict
+    /// every other holder's — in place here, by `DropCtx` elsewhere.
+    fn drop_other_holders(&mut self, serving: VmId, guti: Guti, emit: &mut Emit<'_>) {
+        let (holders, n) = self.reader.holders(guti.m_tmsi);
+        for &h in &holders[..n] {
+            if h == serving {
+                continue;
+            }
+            match self.engines.get_mut(&h) {
+                Some(local) => {
+                    if local.remove_context(&guti).is_some() {
+                        self.stats.strays_dropped += 1;
+                    }
+                }
+                None => emit.for_worker(WireMsg::DropCtx {
+                    vm: h,
+                    m_tmsi: guti.m_tmsi,
+                }),
+            }
+        }
+    }
+}
+
+/// Stateless S-GW responder: accepts every request, minting
+/// deterministic TEIDs by *mirroring* the MME's S11 TEID (so the
+/// mapping is invertible without session state). Idle/active bearer
+/// state lives in the MME contexts; nothing here needs to survive a
+/// device moving to another worker, which is what lets S11 stay
+/// worker-local.
+fn sgw_respond(addr: [u8; 4], msg: gtpc::Message) -> Option<gtpc::Message> {
+    match msg.body {
+        gtpc::Body::EchoRequest { recovery } => Some(gtpc::Message {
+            teid: 0,
+            sequence: msg.sequence,
+            body: gtpc::Body::EchoResponse { recovery },
+        }),
+        gtpc::Body::CreateSessionRequest {
+            sender_fteid,
+            bearer,
+            ..
+        } => {
+            let mme_teid = sender_fteid.teid;
+            let mut bearer_out = BearerContext::new(bearer.ebi);
+            bearer_out.s1u_sgw_fteid = Some(Fteid {
+                iface: iface_type::S1U_SGW,
+                teid: mme_teid,
+                ipv4: addr,
+            });
+            bearer_out.cause = Some(Cause::RequestAccepted);
+            Some(gtpc::Message {
+                teid: mme_teid,
+                sequence: msg.sequence,
+                body: gtpc::Body::CreateSessionResponse {
+                    cause: Cause::RequestAccepted,
+                    sender_fteid: Some(Fteid {
+                        iface: iface_type::S11_SGW,
+                        teid: mme_teid,
+                        ipv4: addr,
+                    }),
+                    paa: Some([100, 64, (mme_teid >> 8) as u8, mme_teid as u8]),
+                    bearer: Some(bearer_out),
+                },
+            })
+        }
+        gtpc::Body::ModifyBearerRequest { .. } => Some(gtpc::Message {
+            teid: msg.teid,
+            sequence: msg.sequence,
+            body: gtpc::Body::ModifyBearerResponse {
+                cause: Cause::RequestAccepted,
+                bearer: None,
+            },
+        }),
+        gtpc::Body::ReleaseAccessBearersRequest => Some(gtpc::Message {
+            teid: msg.teid,
+            sequence: msg.sequence,
+            body: gtpc::Body::ReleaseAccessBearersResponse {
+                cause: Cause::RequestAccepted,
+            },
+        }),
+        gtpc::Body::DeleteSessionRequest { .. } => Some(gtpc::Message {
+            teid: 0,
+            sequence: msg.sequence,
+            body: gtpc::Body::DeleteSessionResponse {
+                cause: Cause::RequestAccepted,
+            },
+        }),
+        gtpc::Body::DownlinkDataNotificationAck { .. } => None,
+        _ => None,
     }
 }
 
@@ -976,5 +1248,179 @@ mod tests {
         node.handle(WireMsg::ProcFailed { m_tmsi: 1 }, &mut out);
         assert_eq!(node.errors, 1);
         assert_eq!(node.stats().messages, 0);
+    }
+
+    #[test]
+    fn shard_partition_is_disjoint_and_total() {
+        for n in 1..=8 {
+            let mut seen = vec![0usize; n];
+            for vm in 1..=16u32 {
+                seen[shard_of(vm, n)] += 1;
+            }
+            assert_eq!(seen.iter().sum::<usize>(), 16);
+            let (lo, hi) = (16 / n, 16usize.div_ceil(n));
+            assert!(seen.iter().all(|&c| c == lo || c == hi));
+        }
+    }
+
+    #[test]
+    fn misrouted_messages_count_errors_not_panics() {
+        // Worker 0 of `topo()` hosts VMs 1 and 3; VM 2 lives on worker 1.
+        let mut node = MmpNode::new(&topo(), 0);
+        let mut out = Vec::new();
+        let misrouted = [
+            WireMsg::DropCtx { vm: 2, m_tmsi: 9 },
+            WireMsg::Replicate {
+                vm: 2,
+                blob: Bytes::from_static(b"blob"),
+            },
+            WireMsg::Deliver {
+                vm: 2,
+                guti_hint: None,
+                enb_id: ENB_BASE,
+                pdu: S1apPdu::UeContextReleaseComplete {
+                    mme_ue_id: 1,
+                    enb_ue_id: 1,
+                },
+            },
+        ];
+        for (n, msg) in (1..).zip(misrouted) {
+            node.handle(msg, &mut out);
+            // An engine-side error counts in both tallies.
+            assert_eq!((node.stats().errors, node.errors), (n, n));
+        }
+        assert!(out.is_empty());
+        let samples = node.error_samples();
+        assert!(
+            samples.iter().all(|s| s.starts_with("engine vm 2: ")),
+            "{samples:?}"
+        );
+        assert_eq!(node.stats().messages, 0);
+    }
+
+    /// The worker's HSS provisions on first sight only: a second
+    /// authentication of the same IMSI must see SQN 2, not a subscriber
+    /// record reset to SQN 1.
+    #[test]
+    fn reattach_advances_the_hss_sqn() {
+        use scale_crypto::milenage::Milenage;
+        use scale_nas::{EmmMessage, MobileId};
+
+        let mut node = MmpNode::new(&topo(), 0);
+        let imsi = "001010000000042";
+        let tai = Tai::new(Plmn::test(), 7);
+        let usim = Milenage::from_op(&scale_epc::provision_k(imsi), &scale_epc::OP);
+        let mut sqn_of_attach = |enb_ue_id: u32| -> u64 {
+            let mut out = Vec::new();
+            node.handle(
+                WireMsg::Deliver {
+                    vm: 1,
+                    guti_hint: Some(enb_ue_id),
+                    enb_id: ENB_BASE,
+                    pdu: S1apPdu::InitialUeMessage {
+                        enb_ue_id,
+                        nas_pdu: EmmMessage::AttachRequest {
+                            attach_type: 1,
+                            id: MobileId::Imsi(imsi.into()),
+                            tai,
+                        }
+                        .encode(),
+                        tai,
+                        establishment_cause: 3,
+                        s_tmsi: None,
+                    },
+                },
+                &mut out,
+            );
+            let nas_pdu = match &out[..] {
+                [WireMsg::ToEnb {
+                    pdu: S1apPdu::DownlinkNasTransport { nas_pdu, .. },
+                    ..
+                }] => nas_pdu.clone(),
+                other => panic!("expected the authentication request, got {other:?}"),
+            };
+            match EmmMessage::decode(nas_pdu).unwrap() {
+                EmmMessage::AuthenticationRequest { rand, autn, .. } => {
+                    let ak = usim.f2345(&rand).ak;
+                    (0..6).fold(0u64, |sqn, i| (sqn << 8) | u64::from(autn[i] ^ ak[i]))
+                }
+                other => panic!("expected the authentication request, got {other:?}"),
+            }
+        };
+        assert_eq!(sqn_of_attach(1), 1);
+        assert_eq!(sqn_of_attach(2), 2);
+    }
+
+    #[test]
+    fn sgw_stub_mirrors_mme_teid() {
+        let resp = sgw_respond(
+            SGW_ADDR,
+            gtpc::Message {
+                teid: 0,
+                sequence: 5,
+                body: gtpc::Body::CreateSessionRequest {
+                    imsi: "001".into(),
+                    apn: "internet".into(),
+                    sender_fteid: Fteid {
+                        iface: iface_type::S11_MME,
+                        teid: 0x0200_0001,
+                        ipv4: [10, 0, 0, 1],
+                    },
+                    ambr: gtpc::Ambr {
+                        uplink_kbps: 1,
+                        downlink_kbps: 1,
+                    },
+                    bearer: BearerContext::new(5),
+                },
+            },
+        )
+        .unwrap();
+        assert_eq!(resp.sequence, 5);
+        match resp.body {
+            gtpc::Body::CreateSessionResponse {
+                cause,
+                sender_fteid,
+                bearer,
+                ..
+            } => {
+                assert!(cause.is_accepted());
+                assert_eq!(sender_fteid.unwrap().teid, 0x0200_0001);
+                assert_eq!(bearer.unwrap().s1u_sgw_fteid.unwrap().teid, 0x0200_0001);
+            }
+            other => panic!("{other:?}"),
+        }
+        // Modify / release / delete always accept.
+        let mb = sgw_respond(
+            SGW_ADDR,
+            gtpc::Message {
+                teid: 77,
+                sequence: 6,
+                body: gtpc::Body::ModifyBearerRequest {
+                    bearer: BearerContext::new(5),
+                },
+            },
+        )
+        .unwrap();
+        assert!(
+            matches!(mb.body, gtpc::Body::ModifyBearerResponse { cause, .. } if cause.is_accepted())
+        );
+    }
+
+    #[test]
+    fn stats_snapshot_merge_sums_fieldwise() {
+        let a = ShardStatsSnapshot {
+            messages: 3,
+            attaches: 1,
+            ..Default::default()
+        };
+        let mut b = ShardStatsSnapshot {
+            messages: 4,
+            service_requests: 2,
+            ..Default::default()
+        };
+        b.merge(&a);
+        assert_eq!(b.messages, 7);
+        assert_eq!(b.attaches, 1);
+        assert_eq!(b.service_requests, 2);
     }
 }

@@ -31,8 +31,8 @@ pub enum WireMsg {
         id: u32,
     },
     /// eNB → MLB: an S1AP PDU from the access side. `attach_hint`
-    /// carries the MLB-assigned M-TMSI on fresh attaches (the wire
-    /// twin of `ShardMsg::ToVm { guti_hint }`).
+    /// carries the MLB-assigned M-TMSI on fresh attaches (it becomes
+    /// the `guti_hint` of the `Deliver`).
     Uplink {
         /// Originating eNodeB.
         enb_id: u32,

@@ -10,9 +10,9 @@ pub fn dispatch(msg: WireMsg) -> u32 {
     }
 }
 
-pub fn dispatch_binding(msg: ShardMsg) -> u32 {
+pub fn dispatch_binding(msg: WireMsg) -> u32 {
     match msg {
-        ShardMsg::ToVm { .. } => 1,
+        WireMsg::Deliver { .. } => 1,
         other => drop_it(other), // bare binding is just a named wildcard
     }
 }
@@ -34,7 +34,7 @@ pub fn unrelated(x: Option<u32>) -> u32 {
     }
 }
 
-fn drop_it(_m: ShardMsg) -> u32 {
+fn drop_it(_m: WireMsg) -> u32 {
     0
 }
 

@@ -12,7 +12,7 @@
 //! | `nondet`      | no ambient time/randomness (`SystemTime::now`, `thread_rng`)|
 //! | `await-guard` | no blocking lock guard held across `.await` or a blocking link send (sctplite, wire) |
 //! | `metric-name` | metric names follow `scale_<crate>_<noun>_<unit>`          |
-//! | `exhaustive-protocol-match` | no `_`/bare-binding arm where a sibling arm matches a protocol enum (`WireMsg`/`ShardMsg`/`EmmMessage`) |
+//! | `exhaustive-protocol-match` | no `_`/bare-binding arm where a sibling arm matches a protocol enum (`WireMsg`/`EmmMessage`) |
 //! | `vendor-drift` | vendored shims must match the checked-in checksum manifest |
 
 use crate::scan::{parse_allow, Scanned, Scopes};
@@ -540,7 +540,7 @@ pub fn check_metric_names(
 /// `WildcardSwallow` mutation in `scale-check::protocol` demonstrates
 /// the resulting stuck-session bug). Spelling the variants out turns
 /// "new message type, forgot a handler" into a compile error.
-const PROTOCOL_ENUMS: &[&str] = &["WireMsg::", "ShardMsg::", "EmmMessage::"];
+const PROTOCOL_ENUMS: &[&str] = &["WireMsg::", "EmmMessage::"];
 
 /// One parsed `match` arm: its pattern text and the 1-based line the
 /// pattern starts on.

@@ -387,9 +387,11 @@ impl MmeCore {
         compose_id(self.config.vm_id, local)
     }
 
+    /// The next S11 sequence number: the VM id in bits 16–23, a counter
+    /// that wraps within them below — responses route by the VM byte.
     fn next_s11_seq(&mut self, m_tmsi: u32) -> u32 {
         let seq = self.s11_seq;
-        self.s11_seq = (self.s11_seq + 1) & 0x00ff_ffff;
+        self.s11_seq = (seq & 0x00ff_0000) | (seq.wrapping_add(1) & 0xffff);
         self.pending_s11.insert(seq, m_tmsi);
         seq
     }
@@ -1518,5 +1520,25 @@ mod tests {
         assert_eq!(holder.m_tmsi_by_mme_ue_id(0x55), Some(2));
         assert_eq!(holder.m_tmsi_by_s11_teid(0x66), Some(2));
         assert_eq!(holder.m_tmsi_by_mme_ue_id(0x77), Some(1));
+    }
+
+    #[test]
+    fn s11_sequences_keep_their_vm_byte_past_the_16_bit_counter() {
+        // Responses route back by bits 16–23 of the sequence: the
+        // counter below them must wrap, not carry into the VM byte.
+        for vm_id in [7u8, 255] {
+            let mut engine = MmeCore::new(MmeConfig {
+                vm_id,
+                ..MmeConfig::default()
+            });
+            for n in 0..70_000u32 {
+                let seq = engine.next_s11_seq(n);
+                assert_eq!(
+                    seq >> 16,
+                    u32::from(vm_id),
+                    "vm {vm_id}, sequence {n}: {seq:#08x}"
+                );
+            }
+        }
     }
 }

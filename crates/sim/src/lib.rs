@@ -57,8 +57,7 @@ pub use metrics::{Samples, TimeSeries};
 pub use openloop::poisson_schedule;
 pub use testbed::{run_testbed, TestbedReport};
 pub use shard_driver::{
-    run_scale_out, run_scale_out_observed, LatencySummary, ScaleOutConfig, ScaleOutCounts,
-    ScaleOutReport,
+    run_scale_out, run_threads, LatencySummary, ScaleOutConfig, ScaleOutCounts, ScaleOutReport,
 };
 pub use wire_run::{
     run_enb, run_mlb, run_mmp, run_shuttle, run_shuttle_tapped, spawn_topology,

@@ -33,14 +33,12 @@
 
 use crate::wire_run::{to_cell, WireCounts, WireMmpTotals, WireMode, WireRunConfig, PROC_KINDS};
 use scale_core::wire::{MlbOut, MlbState, MmpNode, WireMsg};
-use scale_core::ShardStats;
 use scale_epc::{home_cell, EmuEvent, EnbEmulator, MTMSI_BASE};
 use scale_obs::Histogram;
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Mailbox capacity. In-flight work is bounded by `window` UEs per
@@ -55,7 +53,7 @@ pub struct ScaleOutConfig {
     /// Worker threads (= shards = access cells).
     pub n_shards: usize,
     /// Total MMP VM fleet, striped over shards by
-    /// [`shard_of`](scale_core::shard::shard_of). Keep this constant
+    /// [`shard_of`](scale_core::wire::shard_of). Keep this constant
     /// while varying `n_shards` so every configuration routes over the
     /// identical ring.
     pub total_vms: usize,
@@ -373,24 +371,12 @@ impl Worker<'_> {
 ///
 /// Returns the merged deterministic counts plus wall/CPU measurements.
 pub fn run_scale_out(cfg: &ScaleOutConfig) -> ScaleOutReport {
-    run_scale_out_observed(cfg, &mut Vec::new())
+    run_threads(cfg).0
 }
 
-/// [`run_scale_out`], also exposing each worker's live [`ShardStats`]
-/// handle (for observability publication) in `shard_stats_out`.
-pub fn run_scale_out_observed(
-    cfg: &ScaleOutConfig,
-    shard_stats_out: &mut Vec<Arc<ShardStats>>,
-) -> ScaleOutReport {
-    run_threads(cfg, shard_stats_out).0
-}
-
-/// [`run_scale_out_observed`], also returning what the machines of
-/// every thread counted, summed as the shuttle sums them.
-pub(crate) fn run_threads(
-    cfg: &ScaleOutConfig,
-    shard_stats_out: &mut Vec<Arc<ShardStats>>,
-) -> (ScaleOutReport, WireCounts) {
+/// [`run_scale_out`], also returning what the machines of every thread
+/// counted, summed as the shuttle sums them.
+pub fn run_threads(cfg: &ScaleOutConfig) -> (ScaleOutReport, WireCounts) {
     assert!(cfg.n_shards >= 1, "need at least one shard");
     assert!(
         cfg.total_vms >= cfg.replication && cfg.total_vms >= cfg.n_shards,
@@ -408,22 +394,18 @@ pub(crate) fn run_threads(
     let (mailboxes, receivers): (Vec<SyncSender<Hop>>, Vec<Receiver<Hop>>) =
         (0..cfg.n_shards).map(|_| sync_channel(MAILBOX)).unzip();
     let workers: Vec<Worker<'_>> = (0..cfg.n_shards)
-        .map(|s| {
-            let node = MmpNode::new(&topo, s);
-            shard_stats_out.push(Arc::clone(&node.shard().stats));
-            Worker {
-                index: s,
-                cell: deployment.emulator(s),
-                mlb: MlbState::new(&topo),
-                node,
-                mailboxes: mailboxes.clone(),
-                local: VecDeque::new(),
-                mlb_out: Vec::new(),
-                node_out: Vec::new(),
-                sessions_done: 0,
-                remaining: &remaining,
-                hists: &hists,
-            }
+        .map(|s| Worker {
+            index: s,
+            cell: deployment.emulator(s),
+            mlb: MlbState::new(&topo),
+            node: MmpNode::new(&topo, s),
+            mailboxes: mailboxes.clone(),
+            local: VecDeque::new(),
+            mlb_out: Vec::new(),
+            node_out: Vec::new(),
+            sessions_done: 0,
+            remaining: &remaining,
+            hists: &hists,
         })
         .collect();
     drop(mailboxes);

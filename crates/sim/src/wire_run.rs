@@ -1074,14 +1074,15 @@ impl<L: WireLink> Router<L> {
 
     /// The one way a message the MLB cannot hand on — its link is not
     /// up, or the link's egress is full — leaves: counted in `dropped`,
-    /// and if it opened a procedure at a worker, that procedure is
-    /// failed back to the device's home cell as `ProcFailed`, so the
-    /// access side re-drives it. Anything else is gone (a worker that
-    /// far behind misses its heartbeats, and going down fails whatever
-    /// it had in flight).
+    /// and if it opened a procedure at a worker, that procedure's pin
+    /// and load charge are released and it is failed back to the
+    /// device's home cell as `ProcFailed`, so the access side re-drives
+    /// it. Anything else is gone (a worker that far behind misses its
+    /// heartbeats, and going down fails whatever it had in flight).
     fn shed(&mut self, piece: &Piece) {
         self.mlb.stats.dropped += 1;
         if let Some(m_tmsi) = piece.opens_procedure_of() {
+            self.mlb.release_inflight(m_tmsi);
             if let Some(enb) = home_cell(m_tmsi, self.enb_links.len()) {
                 self.out.push(MlbOut::Enb {
                     enb,
@@ -2089,6 +2090,12 @@ mod tests {
         // delivered; those routed to worker 1 are shed, counted, and
         // failed back to the cell, one `ProcFailed` each.
         let before = router.mlb.stats;
+        let worker1_vms = cfg.topo().vms_of(1);
+        let load = |router: &Router<SctpSendHalf>| -> Vec<u64> {
+            let plane = router.mlb.plane();
+            worker1_vms.iter().map(|&vm| plane.loads.load(vm)).collect()
+        };
+        let load_before = load(&router);
         let attaches: Vec<WireMsg> = (0..32).map(attach_uplink).collect();
         route_as_read(&mut router, WireRole::Enb, 0, &attaches).unwrap();
         let shed = (router.mlb.stats.dropped - before.dropped) as usize;
@@ -2106,6 +2113,20 @@ mod tests {
         failed.dedup();
         assert_eq!(failed.len(), shed, "one ProcFailed per shed attach");
         assert!(failed.iter().all(|m| (MTMSI_BASE..MTMSI_BASE + 32).contains(m)));
+        // A shed attach leaves nothing behind at the MLB: no in-flight
+        // pin, and worker 1's engines carry the load they had before.
+        for &m in &failed {
+            assert_eq!(
+                router.mlb.inflight_vm(m),
+                None,
+                "shed attach {m:#x} still pinned"
+            );
+        }
+        assert_eq!(
+            load(&router),
+            load_before,
+            "shed attaches keep their load charge"
+        );
 
         // The heartbeat tick does not wait either, and a worker that
         // far behind is on its way out: a few ticks take it down, while
@@ -2161,7 +2182,7 @@ mod tests {
                 ..tiny()
             };
             let wire = run_shuttle(&cfg);
-            let (twin, threads) = run_threads(&cfg.scale_out_twin(), &mut Vec::new());
+            let (twin, threads) = run_threads(&cfg.scale_out_twin());
             assert_eq!(twin.counts, ScaleOutCounts::of(&wire), "n = {n}");
             assert_eq!(threads.mlb, wire.mlb, "n = {n}");
             assert_eq!(threads.enb, wire.enb, "n = {n}");
