@@ -356,9 +356,9 @@ mod tests {
         assert_eq!(net.cp.stats.reassignment_messages, 6 * moved.len() as u64);
         // Inform the UEs of their new GUTIs (the forced reconnect).
         for (old, new) in &moved {
-            for ue in net.ues.iter_mut() {
-                if ue.guti == Some(*old) {
-                    ue.guti = Some(*new);
+            for ue in 0..net.ues.len() {
+                if net.ues[ue].guti == Some(*old) {
+                    net.set_guti(ue, Some(*new));
                 }
             }
         }

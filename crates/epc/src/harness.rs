@@ -14,9 +14,9 @@ use bytes::Bytes;
 use scale_diameter::DiameterMsg;
 use scale_gtpc as gtpc;
 use scale_mme::{Incoming, MmeCore, MmeError, Outgoing};
-use scale_nas::{Plmn, Tai};
+use scale_nas::{Guti, Plmn, Tai};
 use scale_s1ap::S1apPdu;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Anything that can play the MME role toward the harness.
 pub trait ControlPlane {
@@ -63,9 +63,16 @@ pub struct Network<C: ControlPlane> {
     pub hss: Hss,
     pub sgw: Sgw,
     pub enbs: Vec<EnodeB>,
+    /// The devices. A UE's GUTI changes through the NAS the network
+    /// hands it, or through [`Network::set_guti`]; the GUTI index
+    /// follows those two.
     pub ues: Vec<Ue>,
     /// Which eNodeB each UE camps on.
     pub ue_enb: Vec<usize>,
+    /// The UE holding each GUTI, keyed by its S-TMSI (MME code and
+    /// M-TMSI): paging names a device by that alone, and it is unique
+    /// within a pool.
+    by_stmsi: HashMap<(u8, u32), usize>,
     /// Lifecycle events observed since the last `take_events`.
     pub events: Vec<Lifecycle>,
     /// Control-plane errors tolerated during lossy runs.
@@ -98,6 +105,7 @@ impl<C: ControlPlane> Network<C> {
             enbs,
             ues: Vec::new(),
             ue_enb: Vec::new(),
+            by_stmsi: HashMap::new(),
             events: Vec::new(),
             errors: Vec::new(),
             last_hops: 0,
@@ -212,11 +220,11 @@ impl<C: ControlPlane> Network<C> {
                             EnbEvent::PageUe { mme_code, m_tmsi } => {
                                 // Match the *exact* paged identity among
                                 // idle devices camping on this eNodeB.
-                                let target = self.ues.iter().position(|u| {
-                                    u.guti.map(|g| (g.mme_code, g.m_tmsi))
-                                        == Some((mme_code, m_tmsi))
-                                        && u.state == UeState::Idle
-                                });
+                                let target = self
+                                    .by_stmsi
+                                    .get(&(mme_code, m_tmsi))
+                                    .copied()
+                                    .filter(|&ue| self.ues[ue].state == UeState::Idle);
                                 if let Some(ue) = target {
                                     if self.ue_enb[ue] == enb {
                                         if let Some((nas, m_tmsi)) =
@@ -261,7 +269,7 @@ impl<C: ControlPlane> Network<C> {
                         }
                     }
                 }
-                Wire::ToUe { ue, nas } => match self.ues[ue].handle_nas(nas) {
+                Wire::ToUe { ue, nas } => match self.handle_nas(ue, nas) {
                     Ok(events) => {
                         for ev in events {
                             match ev {
@@ -306,8 +314,45 @@ impl<C: ControlPlane> Network<C> {
 
     /// Match by the full GUTI — required in pool deployments where each
     /// member has its own M-TMSI space.
-    fn ue_by_guti(&self, guti: scale_nas::Guti) -> Option<usize> {
-        self.ues.iter().position(|u| u.guti == Some(guti))
+    fn ue_by_guti(&self, guti: Guti) -> Option<usize> {
+        self.by_stmsi
+            .get(&(guti.mme_code, guti.m_tmsi))
+            .copied()
+            .filter(|&ue| self.ues[ue].guti == Some(guti))
+    }
+
+    /// Hand UE `ue` a downlink NAS message, keeping the GUTI index in
+    /// step with whatever GUTI it holds afterwards.
+    fn handle_nas(&mut self, ue: usize, nas: Bytes) -> Result<Vec<UeEvent>, scale_nas::NasError> {
+        let before = self.ues[ue].guti;
+        let res = self.ues[ue].handle_nas(nas);
+        self.reindex(ue, before);
+        res
+    }
+
+    /// Give UE `ue` a GUTI the network allocated outside a NAS exchange
+    /// (a pool moving the device to another member), or take its GUTI
+    /// away.
+    pub fn set_guti(&mut self, ue: usize, guti: Option<Guti>) {
+        let before = self.ues[ue].guti;
+        self.ues[ue].guti = guti;
+        self.reindex(ue, before);
+    }
+
+    fn reindex(&mut self, ue: usize, before: Option<Guti>) {
+        let after = self.ues[ue].guti;
+        if after == before {
+            return;
+        }
+        if let Some(g) = before {
+            let key = (g.mme_code, g.m_tmsi);
+            if self.by_stmsi.get(&key) == Some(&ue) {
+                self.by_stmsi.remove(&key);
+            }
+        }
+        if let Some(g) = after {
+            self.by_stmsi.insert((g.mme_code, g.m_tmsi), ue);
+        }
     }
 
     /// Attach a UE. Falls back to an IMSI attach when a stale-GUTI
@@ -517,6 +562,36 @@ mod tests {
         gutis.sort();
         gutis.dedup();
         assert_eq!(gutis.len(), 20);
+    }
+
+    #[test]
+    fn a_reallocated_guti_resolves_to_its_ue_and_the_old_one_to_nothing() {
+        let mut net = network(2);
+        assert!(net.attach(0) && net.attach(1));
+        let (first, other) = (net.ues[0].guti.unwrap(), net.ues[1].guti.unwrap());
+        // Re-attach: the detach drops the security context, so the UE
+        // attaches by IMSI and is given a new GUTI.
+        assert!(net.detach(0, false));
+        assert!(net.attach(0), "errors: {:?}", net.errors);
+        let second = net.ues[0].guti.unwrap();
+        assert_ne!(second, first);
+        assert_eq!(net.ue_by_guti(second), Some(0));
+        assert_eq!(net.ue_by_guti(first), None);
+        assert_eq!(net.ue_by_guti(other), Some(1));
+        // Paging finds it under the new GUTI.
+        assert!(net.go_idle(0));
+        assert!(net.downlink_data(0), "errors: {:?}", net.errors);
+        // Moved outside NAS, as a pool reassignment does.
+        let third = Guti {
+            m_tmsi: second.m_tmsi + 1000,
+            ..second
+        };
+        net.set_guti(0, Some(third));
+        assert_eq!(net.ue_by_guti(third), Some(0));
+        assert_eq!(net.ue_by_guti(second), None);
+        net.set_guti(0, None);
+        assert_eq!(net.ue_by_guti(third), None);
+        assert_eq!(net.ue_by_guti(other), Some(1));
     }
 
     #[test]

@@ -325,7 +325,8 @@ impl EmmMessage {
             ATTACH_ACCEPT => {
                 let guti = Guti::decode(r)?;
                 let n = r.u8("tai list len")? as usize;
-                let mut tai_list = Vec::with_capacity(n);
+                // Sized by what is there to decode, not by what the count claims.
+                let mut tai_list = Vec::with_capacity(n.min(r.remaining() / Tai::WIRE_LEN));
                 for _ in 0..n {
                     tai_list.push(Tai::decode(r)?);
                 }

@@ -38,8 +38,10 @@ pub(crate) trait Sink {
 }
 
 /// A write buffer larger than this is shrunk after its write instead
-/// of being kept, so one burst does not pin its peak size.
-const WIRE_RETAIN: usize = 64 * 1024;
+/// of being kept, so one burst does not pin its peak size. It is also
+/// the most an unsplit stream holds back for one write
+/// (`SctpStream::send`).
+pub(crate) const WIRE_RETAIN: usize = 64 * 1024;
 
 pub(crate) struct Egress<W> {
     q: Mutex<EgressQueue>,

@@ -10,12 +10,16 @@
 //! Both directions batch by what is already there, never by a timer
 //! (DESIGN.md §14.2). Receiving, one `read` takes whatever the socket
 //! holds and every complete frame in it is handled before the next
-//! `read`; sending, whoever finds a split link idle writes its own
-//! unit in place, and whatever is queued behind a write in progress
-//! leaves in the writer thread's next `write` (`egress.rs`). A
-//! lone message crosses on its sender's own thread and wakes nobody;
-//! under load the backlog is the batch, and system calls per message
-//! fall with queue depth.
+//! `read`. Sending on a split link, whoever finds it idle writes its
+//! own unit in place, and whatever is queued behind a write in progress
+//! leaves in the writer thread's next `write` (`egress.rs`). Sending on
+//! an unsplit [`SctpStream`], a send made while messages of the last
+//! read are still waiting to be taken is held, and the first send made
+//! with none waiting writes everything held in one `write` — as does
+//! the next read, ping or shutdown ([`SctpStream::send`]). A lone
+//! message crosses on its sender's own thread and wakes nobody; under
+//! load the backlog is the batch, and system calls per message fall
+//! with queue depth.
 //!
 //! A payload is copied once each way. Received messages are parsed
 //! where the read left them; a consumer that forwards them takes them
@@ -27,7 +31,7 @@
 
 use crate::assoc::Association;
 use crate::chunk::SctpError;
-use crate::egress::{Egress, Sink};
+use crate::egress::{Egress, Sink, WIRE_RETAIN};
 use crate::framing::frame_into;
 use crate::ingress::{Ingress, ReadBatch, StreamEvent};
 use bytes::Bytes;
@@ -158,15 +162,33 @@ impl LinkMetrics {
     }
 }
 
+/// The write side of a link: the socket, and what an unsplit stream has
+/// numbered and framed for it but not written yet. After
+/// [`SctpStream::into_split`] the egress buffer owns it, empty.
+struct Outbox {
+    wr: OwnedWriteHalf,
+    /// Length-prefixed frames for the next write; the buffer is reused.
+    wire: Vec<u8>,
+    /// Frames in `wire`.
+    frames: usize,
+}
+
+impl Drop for Outbox {
+    /// A stream dropped with sends held back gives them one write that
+    /// does not wait for a full socket.
+    fn drop(&mut self) {
+        if !self.wire.is_empty() {
+            let _ = self.wr.try_write(&self.wire);
+        }
+    }
+}
+
 /// An established sctplite association over TCP.
 pub struct SctpStream {
     assoc: Association,
     rd: OwnedReadHalf,
     ingress: Ingress,
-    wr: OwnedWriteHalf,
-    /// Reused encode buffer: whatever the association has queued leaves
-    /// in one write.
-    wire: Vec<u8>,
+    out: Outbox,
     /// Artificial one-way delay applied before each send (propagation
     /// emulation, like the paper's netem setup).
     pub link_delay: Duration,
@@ -198,8 +220,11 @@ impl SctpStream {
             assoc,
             rd,
             ingress: Ingress::new(),
-            wr,
-            wire: Vec::new(),
+            out: Outbox {
+                wr,
+                wire: Vec::new(),
+                frames: 0,
+            },
             link_delay: Duration::ZERO,
             metrics: None,
             pending_pings: Vec::new(),
@@ -218,12 +243,14 @@ impl SctpStream {
     }
 
     /// Write out whatever the association has queued, and whatever is
-    /// already framed in `wire`, in one write.
+    /// already framed in the outbox, in one write.
     async fn flush(&mut self) -> Result<(), TransportError> {
-        drain_wire(&mut self.assoc, &mut self.wire);
-        if !self.wire.is_empty() {
-            let res = self.wr.write_all(&self.wire).await;
-            self.wire.clear();
+        let out = &mut self.out;
+        drain_wire(&mut self.assoc, &mut out.wire);
+        if !out.wire.is_empty() {
+            let res = out.wr.write_all(&out.wire).await;
+            out.wire.clear();
+            out.frames = 0;
             res?;
         }
         Ok(())
@@ -239,13 +266,14 @@ impl SctpStream {
     /// Tear down the old TCP stream and re-establish the association
     /// against `addr` (same or failover address), keeping the link
     /// delay and metrics. Outstanding pings are forgotten — their acks
-    /// died with the old association. Bumps the reconnect counter.
+    /// died with the old association — and sends held back go to the
+    /// old socket as on drop. Bumps the reconnect counter.
     pub async fn reconnect(&mut self, addr: &str, local_tag: u32) -> Result<(), TransportError> {
         let fresh = SctpStream::connect(addr, local_tag).await?;
         self.assoc = fresh.assoc;
         self.rd = fresh.rd;
         self.ingress = fresh.ingress;
-        self.wr = fresh.wr;
+        self.out = fresh.out;
         self.pending_pings.clear();
         if let Some(m) = &self.metrics {
             m.reconnects.inc();
@@ -254,6 +282,18 @@ impl SctpStream {
     }
 
     /// Send one application message on `stream_id`.
+    ///
+    /// A read's worth of work leaves in one write. While messages of
+    /// the last read are still waiting to be taken, the message is
+    /// numbered and framed behind whatever is held back, and nothing is
+    /// written: the caller is still answering that read. The first send
+    /// made with nothing left to take writes all of it at once, and so
+    /// do [`Self::next_event`] before it reads, [`Self::ping`],
+    /// [`Self::shutdown`], reaching 64 KiB held back, and dropping the
+    /// stream; [`Self::into_split`] hands it to the egress buffer ahead
+    /// of anything sent on the halves. A caller that only sends, or
+    /// sends once and then reads, never has a message waiting, so each
+    /// of its sends is written at once.
     pub async fn send(
         &mut self,
         stream_id: u16,
@@ -263,10 +303,17 @@ impl SctpStream {
         if !self.link_delay.is_zero() {
             tokio::time::sleep(self.link_delay).await;
         }
-        drain_wire(&mut self.assoc, &mut self.wire);
-        let framed = self
-            .assoc
-            .send_into(stream_id, ppid, &mut self.wire, |w| w.extend_from_slice(&payload));
+        let out = &mut self.out;
+        out.frames += drain_wire(&mut self.assoc, &mut out.wire);
+        let framed = self.assoc.send_into(stream_id, ppid, &mut out.wire, |w| {
+            w.extend_from_slice(&payload)
+        });
+        if framed.is_ok() {
+            out.frames += 1;
+        }
+        if !self.ingress.idle() && out.wire.len() < WIRE_RETAIN {
+            return Ok(framed?);
+        }
         // Whatever the association had queued leaves either way.
         let written = self.flush().await;
         framed?;
@@ -356,10 +403,17 @@ impl SctpStream {
     /// [`SctpSendHalf::try_send_unit`] and sheds on
     /// [`TransportError::Full`].
     ///
+    /// Sends the stream held back ([`Self::send`]) are the buffer's
+    /// first unit, so they leave ahead of anything sent on the halves.
     /// `link_delay`, attached metrics and outstanding pings do not
     /// carry over; a supervisor owns RTT bookkeeping for split links.
-    pub fn into_split(self, egress_capacity: usize) -> (SctpSendHalf, SctpRecvHalf) {
-        let egress = Arc::new(Egress::new(self.wr, egress_capacity));
+    pub fn into_split(mut self, egress_capacity: usize) -> (SctpSendHalf, SctpRecvHalf) {
+        let mut wire = std::mem::take(&mut self.out.wire);
+        let held = std::mem::take(&mut self.out.frames);
+        let egress = Arc::new(Egress::new(self.out, egress_capacity));
+        // A link that fails here fails every later send the same way.
+        let _ = egress.push(&wire, held);
+        wire.clear();
         let shared = Arc::new(SplitShared {
             assoc: Mutex::new(self.assoc),
             egress: Arc::clone(&egress),
@@ -378,7 +432,7 @@ impl SctpStream {
                 shared,
                 rd: self.rd,
                 ingress: self.ingress,
-                wire: self.wire,
+                wire,
             },
         )
     }
@@ -387,15 +441,15 @@ impl SctpStream {
 /// The write half as the egress buffer drives it. Both calls take
 /// `&self`: the egress state machine, not the borrow checker, is what
 /// keeps two writes from running at once.
-impl Sink for OwnedWriteHalf {
+impl Sink for Outbox {
     fn try_write(&self, buf: &[u8]) -> io::Result<usize> {
-        OwnedWriteHalf::try_write(self, buf)
+        self.wr.try_write(buf)
     }
 
     fn write_blocking(&self, mut buf: &[u8]) -> io::Result<()> {
         while !buf.is_empty() {
-            tokio::runtime::block_on(self.writable())?;
-            match OwnedWriteHalf::try_write(self, buf) {
+            tokio::runtime::block_on(self.wr.writable())?;
+            match self.wr.try_write(buf) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => buf = &buf[n..],
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
@@ -413,7 +467,7 @@ struct SplitShared {
     /// across an `.await` or a socket write (scale-lint's await-guard
     /// rule watches this file).
     assoc: Mutex<Association>,
-    egress: Arc<Egress<OwnedWriteHalf>>,
+    egress: Arc<Egress<Outbox>>,
 }
 
 impl Drop for SplitShared {
