@@ -84,7 +84,7 @@ use scale_core::VmId;
 use scale_epc::{
     imsi_of, DriveMode, EmuEvent, EmulatorConfig, EnbEmulator, SlotView, ENB_BASE, MTMSI_BASE,
 };
-use scale_nas::{emm_cause, EmmMessage};
+use scale_nas::{emm_cause, EmmMessage, Imsi};
 use scale_s1ap::S1apPdu;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
@@ -678,7 +678,7 @@ impl<'s> World<'s> {
                     ));
                 };
                 let expect = imsi_of(u as usize);
-                if ctx.imsi != expect {
+                if Imsi::from_ascii(expect.as_bytes()) != Some(ctx.imsi) {
                     return Some((
                         "I1",
                         format!(

@@ -115,8 +115,9 @@ impl<C: ControlPlane> Network<C> {
     }
 
     /// Provision a subscriber and create its UE, camping on `enb`.
+    /// Panics if `imsi` is not 1–15 digits.
     pub fn add_ue(&mut self, imsi: &str, enb: usize) -> usize {
-        self.hss.provision(imsi);
+        assert!(self.hss.provision(imsi), "{imsi:?} is not an IMSI");
         let tai = self.enbs[enb].tais[0];
         self.ues.push(Ue::new(imsi, self.plmn, tai));
         self.ue_enb.push(enb);

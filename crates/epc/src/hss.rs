@@ -7,11 +7,12 @@ use rand::{Rng, SeedableRng};
 use scale_crypto::kdf::derive_kasme;
 use scale_crypto::milenage::Milenage;
 use scale_diameter::{result_code, DiameterMsg, EutranVector, S6a};
+use scale_nas::Imsi;
+use std::collections::HashMap;
 
-/// One provisioned subscriber.
+/// One provisioned subscriber (its IMSI is the key it is stored under).
 #[derive(Clone)]
 pub struct Subscriber {
-    pub imsi: String,
     pub k: [u8; 16],
     pub opc: [u8; 16],
     /// 48-bit sequence number, incremented per vector.
@@ -26,7 +27,7 @@ pub const AMF: [u8; 2] = [0x80, 0x00];
 
 /// The HSS: subscriber store + vector generation.
 pub struct Hss {
-    subscribers: std::collections::HashMap<String, Subscriber>,
+    subscribers: HashMap<Imsi, Subscriber>,
     rng: StdRng,
     /// Vectors generated (for the bench harness).
     pub vectors_issued: u64,
@@ -48,21 +49,25 @@ pub const OP: [u8; 16] = *b"scale-operator-0";
 impl Hss {
     pub fn new(seed: u64) -> Self {
         Hss {
-            subscribers: std::collections::HashMap::new(),
+            subscribers: HashMap::new(),
             rng: StdRng::seed_from_u64(seed),
             vectors_issued: 0,
         }
     }
 
     /// Provision a subscriber with the deterministic K for its IMSI,
-    /// SQN starting at 1 (replacing any existing record).
-    pub fn provision(&mut self, imsi: &str) {
+    /// SQN starting at 1 (replacing any existing record). False, and
+    /// nothing stored, for a string that is not 1–15 digits: no attach
+    /// can name it (the MME rejects it as an illegal UE).
+    pub fn provision(&mut self, imsi: &str) -> bool {
+        let Some(key) = Imsi::from_ascii(imsi.as_bytes()) else {
+            return false;
+        };
         let k = provision_k(imsi);
         let mil = Milenage::from_op(&k, &OP);
         self.subscribers.insert(
-            imsi.to_string(),
+            key,
             Subscriber {
-                imsi: imsi.to_string(),
                 k,
                 opc: *mil.opc(),
                 sqn: 1,
@@ -70,22 +75,30 @@ impl Hss {
                 ambr_dl_kbps: 150_000,
             },
         );
+        true
     }
 
     /// Provision `imsi` unless it already is. Callers that provision on
     /// demand (a shard-local HSS sees an IMSI first in its AIR) must use
-    /// this: [`Hss::provision`] starts the subscriber's SQN over.
+    /// this: [`Hss::provision`] starts the subscriber's SQN over. The
+    /// IMSI comes from a peer, so one that is not an IMSI is skipped.
     pub fn provision_if_absent(&mut self, imsi: &str) {
-        if !self.subscribers.contains_key(imsi) {
+        if self.subscriber(imsi).is_none() {
             self.provision(imsi);
         }
     }
 
+    fn subscriber(&self, imsi: &str) -> Option<&Subscriber> {
+        self.subscribers.get(&Imsi::from_ascii(imsi.as_bytes())?)
+    }
+
     /// Provision a numeric range of IMSIs `prefix || index` (bulk setup
-    /// for experiments).
+    /// for experiments). Panics if `prefix` makes them longer than 15
+    /// digits or not digits at all.
     pub fn provision_range(&mut self, prefix: &str, count: u32) {
         for i in 0..count {
-            self.provision(&format!("{prefix}{i:09}"));
+            let imsi = format!("{prefix}{i:09}");
+            assert!(self.provision(&imsi), "{imsi:?} is not an IMSI");
         }
     }
 
@@ -96,7 +109,8 @@ impl Hss {
     /// Generate one E-UTRAN vector for `imsi` (TS 33.401 §6.1):
     /// RAND fresh, AUTN = (SQN⊕AK) || AMF || MAC-A, K_ASME from CK/IK.
     pub fn generate_vector(&mut self, imsi: &str, plmn: &[u8; 3]) -> Option<EutranVector> {
-        let sub = self.subscribers.get_mut(imsi)?;
+        let key = Imsi::from_ascii(imsi.as_bytes())?;
+        let sub = self.subscribers.get_mut(&key)?;
         let mut rand_bytes = [0u8; 16];
         self.rng.fill(&mut rand_bytes);
         let sqn_bytes: [u8; 6] = scale_crypto::take(&sub.sqn.to_be_bytes()[2..]);
@@ -150,21 +164,19 @@ impl Hss {
                 }
                 .into_msg(msg.hop_by_hop, msg.end_to_end)
             }
-            Ok(S6a::UpdateLocationRequest { imsi, .. }) => {
-                match self.subscribers.get(&imsi) {
-                    Some(sub) => S6a::UpdateLocationAnswer {
-                        result: result_code::SUCCESS,
-                        ambr_ul_kbps: sub.ambr_ul_kbps,
-                        ambr_dl_kbps: sub.ambr_dl_kbps,
-                    },
-                    None => S6a::UpdateLocationAnswer {
-                        result: result_code::USER_UNKNOWN,
-                        ambr_ul_kbps: 0,
-                        ambr_dl_kbps: 0,
-                    },
-                }
-                .into_msg(msg.hop_by_hop, msg.end_to_end)
+            Ok(S6a::UpdateLocationRequest { imsi, .. }) => match self.subscriber(&imsi) {
+                Some(sub) => S6a::UpdateLocationAnswer {
+                    result: result_code::SUCCESS,
+                    ambr_ul_kbps: sub.ambr_ul_kbps,
+                    ambr_dl_kbps: sub.ambr_dl_kbps,
+                },
+                None => S6a::UpdateLocationAnswer {
+                    result: result_code::USER_UNKNOWN,
+                    ambr_ul_kbps: 0,
+                    ambr_dl_kbps: 0,
+                },
             }
+            .into_msg(msg.hop_by_hop, msg.end_to_end),
             _ => S6a::UpdateLocationAnswer {
                 result: result_code::UNABLE_TO_COMPLY,
                 ambr_ul_kbps: 0,
@@ -235,10 +247,25 @@ mod tests {
     }
 
     /// One per provisioned device: it holds K and OPc, never an
-    /// expanded schedule.
+    /// expanded schedule, and not the IMSI it is keyed by.
     #[test]
     fn subscriber_record_caches_no_schedule() {
-        assert!(std::mem::size_of::<Subscriber>() <= 72);
+        assert!(std::mem::size_of::<Subscriber>() <= 48);
+    }
+
+    #[test]
+    fn what_is_not_an_imsi_is_never_provisioned() {
+        let mut hss = Hss::new(1);
+        for bad in ["", "0010100000000012", "00101abc"] {
+            assert!(!hss.provision(bad));
+            hss.provision_if_absent(bad);
+            assert!(hss.generate_vector(bad, &[0, 1, 2]).is_none());
+        }
+        assert_eq!(hss.subscriber_count(), 0);
+        // Leading zeros are part of the identity.
+        assert!(hss.provision("0012"));
+        assert!(hss.generate_vector("012", &[0, 1, 2]).is_none());
+        assert!(hss.generate_vector("0012", &[0, 1, 2]).is_some());
     }
 
     #[test]
@@ -253,6 +280,12 @@ mod tests {
         assert!(hss
             .generate_vector(&format!("00101{:09}", 99), &[0, 1, 2])
             .is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not an IMSI")]
+    fn a_range_past_fifteen_digits_fails_where_it_is_provisioned() {
+        Hss::new(1).provision_range("0010100", 1);
     }
 
     #[test]

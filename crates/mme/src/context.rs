@@ -11,8 +11,9 @@ use crate::MmeError;
 use bytes::Bytes;
 use scale_crypto::kdf::NasSecurityKeys;
 use scale_nas::security::NasSecurityContext;
-use scale_nas::wire::{Reader, Writer};
-use scale_nas::{Guti, Tai};
+use scale_nas::wire::{NasError, Reader, Writer};
+use scale_nas::{Guti, Imsi, Plmn, Tai};
+use std::fmt;
 
 /// EMM registration state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,10 +82,98 @@ pub struct BearerState {
     pub pdn_addr: [u8; 4],
 }
 
-/// Everything the MME holds for one device.
+/// Entries a [`TaiList`] holds without a heap allocation: the serving
+/// TA plus the two a device picks up in its first tracking-area updates.
+const INLINE_TAIS: usize = 3;
+
+/// The tracking areas a device is registered in (the list paging fans
+/// out over). Up to three entries live inline in the context; a longer
+/// list moves to the heap.
+#[derive(Clone)]
+pub struct TaiList(Tais);
+
+#[derive(Clone)]
+enum Tais {
+    Inline {
+        len: u8,
+        tais: [Tai; INLINE_TAIS],
+    },
+    /// A boxed slice, not a `Vec`: sixteen bytes, so the list costs the
+    /// context 24 bytes either way. Growing it past three is rare enough
+    /// to pay a reallocation per entry.
+    Heap(Box<[Tai]>),
+}
+
+impl TaiList {
+    /// A list of one.
+    pub fn one(tai: Tai) -> Self {
+        TaiList(Tais::Inline {
+            len: 1,
+            tais: [tai; INLINE_TAIS],
+        })
+    }
+
+    fn empty() -> Self {
+        let filler = Tai::new(Plmn([0; 3]), 0);
+        TaiList(Tais::Inline {
+            len: 0,
+            tais: [filler; INLINE_TAIS],
+        })
+    }
+
+    /// Append `tai`, moving the list to the heap past three entries.
+    pub fn push(&mut self, tai: Tai) {
+        match &mut self.0 {
+            Tais::Inline { len, tais } if usize::from(*len) < INLINE_TAIS => {
+                tais[usize::from(*len)] = tai;
+                *len += 1;
+            }
+            Tais::Inline { tais, .. } => {
+                self.0 = Tais::Heap(tais.iter().copied().chain([tai]).collect());
+            }
+            Tais::Heap(heap) => {
+                *heap = heap.iter().copied().chain([tai]).collect();
+            }
+        }
+    }
+
+    /// The entries, in the order they were added.
+    pub fn as_slice(&self) -> &[Tai] {
+        match &self.0 {
+            Tais::Inline { len, tais } => &tais[..usize::from(*len)],
+            Tais::Heap(heap) => heap,
+        }
+    }
+}
+
+impl std::ops::Deref for TaiList {
+    type Target = [Tai];
+
+    fn deref(&self) -> &[Tai] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for TaiList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for TaiList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+/// Everything the MME holds for one device between procedures: what
+/// replication ships ([`UeContext::to_bytes`]) plus the connection and
+/// procedure state of the live copy. What only an attach in flight needs
+/// (the AKA vector, the completion flags) is kept beside the contexts by
+/// `MmeCore`, not in every registered device's record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UeContext {
-    pub imsi: String,
+    pub imsi: Imsi,
     pub guti: Guti,
     pub emm: EmmState,
     pub ecm: EcmState,
@@ -96,13 +185,10 @@ pub struct UeContext {
     /// Serving eNodeB (valid while Connected).
     pub enb_id: u32,
     pub tai: Tai,
-    pub tai_list: Vec<Tai>,
+    pub tai_list: TaiList,
     pub bearer: BearerState,
     /// Established NAS security context.
     pub security: Option<NasSecurityContext>,
-    /// In-flight AKA: expected RES and the vector's K_ASME.
-    pub pending_xres: Option<[u8; 8]>,
-    pub pending_kasme: Option<[u8; 32]>,
     /// Access frequency w_i (EWMA of per-epoch activity, §4.5): drives
     /// access-aware replication decisions.
     pub access_freq: f64,
@@ -114,7 +200,7 @@ pub struct UeContext {
 }
 
 impl UeContext {
-    pub fn new(imsi: String, guti: Guti, tai: Tai) -> Self {
+    pub fn new(imsi: Imsi, guti: Guti, tai: Tai) -> Self {
         UeContext {
             imsi,
             guti,
@@ -125,11 +211,9 @@ impl UeContext {
             enb_ue_id: 0,
             enb_id: 0,
             tai,
-            tai_list: vec![tai],
+            tai_list: TaiList::one(tai),
             bearer: BearerState::default(),
             security: None,
-            pending_xres: None,
-            pending_kasme: None,
             access_freq: 0.0,
             epoch_accesses: 0,
             external_replica_dc: None,
@@ -155,7 +239,7 @@ impl UeContext {
     /// Active→Idle edge, where no procedure is in flight (§4.6).
     pub fn to_bytes(&self) -> Bytes {
         let mut w = Writer::new();
-        w.lv(self.imsi.as_bytes());
+        w.lv(&self.imsi.to_ascii()[..self.imsi.digit_count()]);
         self.guti.encode(&mut w);
         w.u8(match self.emm {
             EmmState::Deregistered => 0,
@@ -165,7 +249,7 @@ impl UeContext {
         w.u32(self.mme_ue_id);
         self.tai.encode(&mut w);
         w.u8(self.tai_list.len() as u8);
-        for t in &self.tai_list {
+        for t in self.tai_list.iter() {
             t.encode(&mut w);
         }
         // Bearer.
@@ -200,10 +284,17 @@ impl UeContext {
     }
 
     /// Inverse of [`Self::to_bytes`]. Restored contexts come back Idle
-    /// with no procedure in flight.
+    /// with no procedure in flight. Only the encoding `to_bytes` writes
+    /// is accepted: an IMSI of 1–15 ASCII digits, presence bytes of 0 or
+    /// 1 and nothing behind the last field — so a blob that decodes
+    /// encodes back to itself.
     pub fn from_bytes(buf: Bytes) -> Result<UeContext, MmeError> {
         let mut r = Reader::new(buf);
-        let imsi = r.lv_str("imsi")?;
+        let digits = r.lv("imsi")?;
+        let imsi = Imsi::from_ascii(&digits).ok_or(NasError::Invalid {
+            what: "imsi",
+            value: digits.len() as u64,
+        })?;
         let guti = Guti::decode(&mut r)?;
         let emm = match r.u8("emm state")? {
             0 => EmmState::Deregistered,
@@ -215,8 +306,9 @@ impl UeContext {
         };
         let mme_ue_id = r.u32("mme ue id")?;
         let tai = Tai::decode(&mut r)?;
-        let n = r.u8("tai list len")? as usize;
-        let mut tai_list = Vec::with_capacity(n);
+        // The count sizes nothing: each entry is read before it is kept.
+        let n = r.u8("tai list len")?;
+        let mut tai_list = TaiList::empty();
         for _ in 0..n {
             tai_list.push(Tai::decode(&mut r)?);
         }
@@ -228,33 +320,40 @@ impl UeContext {
             s1u_sgw_addr: r.array("s1u addr")?,
             pdn_addr: r.array("pdn addr")?,
         };
-        let security = match r.u8("security present")? {
-            0 => None,
-            _ => {
-                let kasme: [u8; 32] = r.array("kasme")?;
-                let k_nas_enc: [u8; 16] = r.array("k_nas_enc")?;
-                let k_nas_int: [u8; 16] = r.array("k_nas_int")?;
-                let ul_count = r.u32("ul count")?;
-                let dl_count = r.u32("dl count")?;
-                let ksi = r.u8("ksi")?;
-                let mut ctx = NasSecurityContext::new(
-                    NasSecurityKeys {
-                        kasme,
-                        k_nas_enc,
-                        k_nas_int,
-                    },
-                    ksi,
-                );
-                ctx.ul_count = ul_count;
-                ctx.dl_count = dl_count;
-                Some(ctx)
-            }
+        let security = if present(&mut r, "security present")? {
+            let kasme: [u8; 32] = r.array("kasme")?;
+            let k_nas_enc: [u8; 16] = r.array("k_nas_enc")?;
+            let k_nas_int: [u8; 16] = r.array("k_nas_int")?;
+            let ul_count = r.u32("ul count")?;
+            let dl_count = r.u32("dl count")?;
+            let ksi = r.u8("ksi")?;
+            let mut ctx = NasSecurityContext::new(
+                NasSecurityKeys {
+                    kasme,
+                    k_nas_enc,
+                    k_nas_int,
+                },
+                ksi,
+            );
+            ctx.ul_count = ul_count;
+            ctx.dl_count = dl_count;
+            Some(ctx)
+        } else {
+            None
         };
         let access_freq = f64::from_bits(r.u64("access freq")?);
-        let external_replica_dc = match r.u8("ext replica present")? {
-            0 => None,
-            _ => Some(r.u16("ext replica dc")?),
+        let external_replica_dc = if present(&mut r, "ext replica present")? {
+            Some(r.u16("ext replica dc")?)
+        } else {
+            None
         };
+        if r.remaining() != 0 {
+            return Err(NasError::Invalid {
+                what: "bytes behind the context",
+                value: r.remaining() as u64,
+            }
+            .into());
+        }
         Ok(UeContext {
             imsi,
             guti,
@@ -268,8 +367,6 @@ impl UeContext {
             tai_list,
             bearer,
             security,
-            pending_xres: None,
-            pending_kasme: None,
             access_freq,
             epoch_accesses: 0,
             external_replica_dc,
@@ -283,11 +380,22 @@ impl UeContext {
     }
 }
 
+/// A presence byte as [`UeContext::to_bytes`] writes it: 0 or 1.
+fn present(r: &mut Reader, what: &'static str) -> Result<bool, NasError> {
+    match r.u8(what)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        v => Err(NasError::Invalid {
+            what,
+            value: u64::from(v),
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use scale_crypto::kdf::derive_nas_keys;
-    use scale_nas::Plmn;
 
     fn sample() -> UeContext {
         let guti = Guti {
@@ -296,7 +404,8 @@ mod tests {
             mme_code: 2,
             m_tmsi: 1234,
         };
-        let mut ctx = UeContext::new("001010000000001".into(), guti, Tai::new(Plmn::test(), 5));
+        let imsi = Imsi::from_ascii(b"001010000000001").unwrap();
+        let mut ctx = UeContext::new(imsi, guti, Tai::new(Plmn::test(), 5));
         ctx.emm = EmmState::Registered;
         ctx.mme_ue_id = 0x0200_0001;
         ctx.bearer = BearerState {
@@ -367,10 +476,23 @@ mod tests {
     }
 
     /// `mem_kb_per_ue` is R of these per device: crypto speed must not
-    /// be bought by caching key schedules or MAC state in the context.
+    /// be bought by caching key schedules or MAC state in the context,
+    /// and nothing only an attach in flight needs rides in it.
     #[test]
     fn context_caches_no_crypto_state() {
-        assert!(std::mem::size_of::<UeContext>() <= 248);
+        assert!(std::mem::size_of::<UeContext>() <= 192);
+    }
+
+    #[test]
+    fn a_tai_list_moves_to_the_heap_past_three_entries_and_keeps_its_order() {
+        let tai = |tac| Tai::new(Plmn::test(), tac);
+        let mut list = TaiList::one(tai(1));
+        for tac in 2..=6 {
+            list.push(tai(tac));
+            let want: Vec<Tai> = (1..=tac).map(tai).collect();
+            assert_eq!(list.as_slice(), &want[..]);
+            assert_eq!(matches!(list.0, Tais::Heap(_)), tac > 3);
+        }
     }
 
     #[test]

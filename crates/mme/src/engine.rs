@@ -16,7 +16,9 @@ use scale_diameter::{result_code, DiameterMsg, EutranVector, S6a};
 use scale_gtpc as gtpc;
 use scale_gtpc::{iface_type, Ambr, BearerContext, Cause, Fteid};
 use scale_nas::security::{Direction, SecurityHeader};
-use scale_nas::{is_protected, EmmMessage, Guti, MobileId, NasError, NasSecurityContext, Plmn, Tai};
+use scale_nas::{
+    is_protected, EmmMessage, Guti, Imsi, MobileId, NasError, NasSecurityContext, Plmn, Tai,
+};
 use scale_s1ap::{cause as s1_cause, ErabSetup, Gummei, S1apPdu};
 use std::collections::HashMap;
 use std::fmt;
@@ -155,11 +157,27 @@ pub struct MmeStats {
     pub messages_processed: u64,
 }
 
+/// What an attach or detach in flight needs beyond the device's context,
+/// kept beside the contexts so that a registered device's record does
+/// not carry it: the AKA vector until the Authentication Response is
+/// checked, and which of the two events that complete an attach — Modify
+/// Bearer Response and Attach Complete, in either order — have arrived
+/// (a detach keeps its switch-off flag in the first).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct InFlight {
+    xres: Option<[u8; 8]>,
+    kasme: Option<[u8; 32]>,
+    done: Option<(bool, bool)>,
+}
+
 /// The engine. Keyed internally by M-TMSI (unique per MME code).
 pub struct MmeCore {
     pub config: MmeConfig,
-    contexts: HashMap<u32, UeContext>,
-    by_imsi: HashMap<String, u32>,
+    /// Each context boxed, so the table holds 16-byte entries and a
+    /// growing population moves pointers, not records. The other id
+    /// maps name M-TMSIs and resolve through this one.
+    contexts: HashMap<u32, Box<UeContext>>,
+    by_imsi: HashMap<Imsi, u32>,
     by_mme_ue_id: HashMap<u32, u32>,
     /// S11 MME-TEID → M-TMSI: the TEID is minted once at session
     /// creation and survives re-mints of the S1AP id, so DDNs always
@@ -177,9 +195,9 @@ pub struct MmeCore {
     /// MLB assigns GUTIs before routing (§4.3.1: "In case of a request
     /// from an unregistered device, the MLB first assigns it a GUTI").
     guti_hint: Option<u32>,
-    /// Attach completion needs both MB-Resp and Attach Complete, which
-    /// can arrive in either order.
-    attach_done_flags: HashMap<u32, (bool, bool)>,
+    /// Per M-TMSI, while an attach or detach is in flight; an entry that
+    /// has nothing left in it is removed ([`MmeCore::settle`]).
+    in_flight: HashMap<u32, InFlight>,
     pub stats: MmeStats,
 }
 
@@ -203,7 +221,7 @@ impl MmeCore {
             pending_s11: HashMap::new(),
             pending_s6a: HashMap::new(),
             pending_ho: HashMap::new(),
-            attach_done_flags: HashMap::new(),
+            in_flight: HashMap::new(),
             guti_hint: None,
             stats: MmeStats::default(),
         }
@@ -216,17 +234,17 @@ impl MmeCore {
 
     /// Iterate contexts (read-only).
     pub fn contexts(&self) -> impl Iterator<Item = &UeContext> {
-        self.contexts.values()
+        self.contexts.values().map(|c| &**c)
     }
 
     /// Iterate contexts mutably (epoch close, access-frequency updates).
     pub fn contexts_mut(&mut self) -> impl Iterator<Item = &mut UeContext> {
-        self.contexts.values_mut()
+        self.contexts.values_mut().map(|c| &mut **c)
     }
 
     /// Look up a context by GUTI.
     pub fn context(&self, guti: &Guti) -> Option<&UeContext> {
-        self.contexts.get(&guti.m_tmsi)
+        self.contexts.get(&guti.m_tmsi).map(|c| &**c)
     }
 
     /// Hash the engine's behavior-relevant state into `h` — every
@@ -248,8 +266,9 @@ impl MmeCore {
             // serialization still steer the live engine.
             (ctx.ecm as u8, ctx.procedure as u8).hash(h);
             (ctx.enb_ue_id, ctx.enb_id).hash(h);
-            ctx.pending_xres.hash(h);
-            ctx.pending_kasme.hash(h);
+            let aka = self.in_flight.get(&m_tmsi).copied().unwrap_or_default();
+            aka.xres.hash(h);
+            aka.kasme.hash(h);
         }
         (self.next_m_tmsi, self.next_local_id, self.s11_seq, self.s6a_hbh).hash(h);
         let mut s11: Vec<(u32, u32)> = self.pending_s11.iter().map(|(&k, &v)| (k, v)).collect();
@@ -262,8 +281,11 @@ impl MmeCore {
             self.pending_ho.iter().map(|(&k, &v)| (k, v)).collect();
         ho.sort_unstable();
         ho.hash(h);
-        let mut flags: Vec<(u32, (bool, bool))> =
-            self.attach_done_flags.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut flags: Vec<(u32, (bool, bool))> = self
+            .in_flight
+            .iter()
+            .filter_map(|(&k, f)| f.done.map(|d| (k, d)))
+            .collect();
         flags.sort_unstable();
         flags.hash(h);
         self.guti_hint.hash(h);
@@ -299,14 +321,19 @@ impl MmeCore {
         let ctx = UeContext::from_bytes(bytes)?;
         let guti = ctx.guti;
         let (mme_ue_id, s11_teid) = (ctx.mme_ue_id, ctx.bearer.s11_mme_teid);
-        self.by_imsi.insert(ctx.imsi.clone(), guti.m_tmsi);
+        self.by_imsi.insert(ctx.imsi, guti.m_tmsi);
         if mme_ue_id != 0 {
             self.by_mme_ue_id.insert(mme_ue_id, guti.m_tmsi);
         }
         if s11_teid != 0 {
             self.by_s11_teid.insert(s11_teid, guti.m_tmsi);
         }
-        if let Some(old) = self.contexts.insert(guti.m_tmsi, ctx) {
+        // A copy arrives with no procedure in flight.
+        if let Some(f) = self.in_flight.get_mut(&guti.m_tmsi) {
+            (f.xres, f.kasme) = (None, None);
+            self.settle(guti.m_tmsi);
+        }
+        if let Some(old) = self.contexts.insert(guti.m_tmsi, Box::new(ctx)) {
             // Ids are minted by the serving engines, so on a holder an
             // old id may since have been taken by another device's
             // copy: only an entry that still names this device goes.
@@ -328,8 +355,30 @@ impl MmeCore {
         self.by_mme_ue_id.remove(&ctx.mme_ue_id);
         self.by_s11_teid.remove(&ctx.bearer.s11_mme_teid);
         self.pending_ho.remove(&guti.m_tmsi);
-        self.attach_done_flags.remove(&guti.m_tmsi);
-        Some(ctx)
+        self.in_flight.remove(&guti.m_tmsi);
+        Some(*ctx)
+    }
+
+    /// Forget `m_tmsi`'s in-flight entry once nothing is left in it.
+    fn settle(&mut self, m_tmsi: u32) {
+        if self.in_flight.get(&m_tmsi) == Some(&InFlight::default()) {
+            self.in_flight.remove(&m_tmsi);
+        }
+    }
+
+    /// Refuse a procedure on a connection that has no MME-UE-S1AP-ID
+    /// (the device is unknown here, or is no device at all): `reject`,
+    /// in the clear, counted in [`MmeStats::rejects`].
+    fn reject(&mut self, enb_id: u32, enb_ue_id: u32, reject: &EmmMessage) -> Vec<Outgoing> {
+        self.stats.rejects += 1;
+        vec![Outgoing::S1ap {
+            enb_id,
+            pdu: S1apPdu::DownlinkNasTransport {
+                mme_ue_id: 0,
+                enb_ue_id,
+                nas_pdu: reject.encode(),
+            },
+        }]
     }
 
     /// The S1 Setup Response this MME answers eNodeBs with.
@@ -481,6 +530,7 @@ impl MmeCore {
     fn ctx(&self, m_tmsi: u32) -> Result<&UeContext, MmeError> {
         self.contexts
             .get(&m_tmsi)
+            .map(|c| &**c)
             .ok_or(MmeError::UnknownUe("m_tmsi without context"))
     }
 
@@ -488,11 +538,12 @@ impl MmeCore {
     /// sites that update the sibling id maps while the context borrow
     /// is live.
     fn ctx_mut_in(
-        contexts: &mut HashMap<u32, UeContext>,
+        contexts: &mut HashMap<u32, Box<UeContext>>,
         m_tmsi: u32,
     ) -> Result<&mut UeContext, MmeError> {
         contexts
             .get_mut(&m_tmsi)
+            .map(|c| &mut **c)
             .ok_or(MmeError::UnknownUe("m_tmsi without context"))
     }
 
@@ -534,9 +585,8 @@ impl MmeCore {
             EmmMessage::DetachRequest { switch_off, id } => {
                 let m_tmsi = match &id {
                     MobileId::Guti(g) => g.m_tmsi,
-                    MobileId::Imsi(imsi) => *self
-                        .by_imsi
-                        .get(imsi)
+                    MobileId::Imsi(digits) => *Imsi::from_ascii(digits.as_bytes())
+                        .and_then(|imsi| self.by_imsi.get(&imsi))
                         .ok_or(MmeError::UnknownUe("detach by unknown imsi"))?,
                 };
                 self.detach(enb_id, enb_ue_id, m_tmsi, switch_off)
@@ -574,7 +624,17 @@ impl MmeCore {
     ) -> Result<Vec<Outgoing>, MmeError> {
         self.stats.attaches_started += 1;
         match id {
-            MobileId::Imsi(imsi) => {
+            MobileId::Imsi(digits) => {
+                let Some(imsi) = Imsi::from_ascii(digits.as_bytes()) else {
+                    // Not 1–15 digits: no HSS can know it.
+                    return Ok(self.reject(
+                        enb_id,
+                        enb_ue_id,
+                        &EmmMessage::AttachReject {
+                            cause: scale_nas::emm_cause::ILLEGAL_UE,
+                        },
+                    ));
+                };
                 // Fresh attach: allocate identity, fetch auth vectors.
                 let guti = if let Some(&m_tmsi) = self.by_imsi.get(&imsi) {
                     self.ctx(m_tmsi)?.guti
@@ -582,10 +642,10 @@ impl MmeCore {
                     self.alloc_guti()
                 };
                 let mme_ue_id = self.alloc_ue_id();
-                let mut ctx = self
+                let ctx = self
                     .contexts
-                    .remove(&guti.m_tmsi)
-                    .unwrap_or_else(|| UeContext::new(imsi.clone(), guti, tai));
+                    .entry(guti.m_tmsi)
+                    .or_insert_with(|| Box::new(UeContext::new(imsi, guti, tai)));
                 // Stale routing entry for a previous mme_ue_id.
                 self.by_mme_ue_id.remove(&ctx.mme_ue_id);
                 ctx.emm = EmmState::Registering;
@@ -596,15 +656,14 @@ impl MmeCore {
                 ctx.enb_ue_id = enb_ue_id;
                 ctx.tai = tai;
                 ctx.record_access();
-                self.by_imsi.insert(imsi.clone(), guti.m_tmsi);
+                self.by_imsi.insert(imsi, guti.m_tmsi);
                 self.by_mme_ue_id.insert(mme_ue_id, guti.m_tmsi);
-                self.contexts.insert(guti.m_tmsi, ctx);
 
                 let hbh = self.s6a_hbh;
                 self.s6a_hbh += 1;
                 self.pending_s6a.insert(hbh, guti.m_tmsi);
                 let air = S6a::AuthInfoRequest {
-                    imsi,
+                    imsi: digits,
                     visited_plmn: self.config.plmn.0,
                     vectors: 1,
                 }
@@ -620,18 +679,13 @@ impl MmeCore {
                     .get(&guti.m_tmsi)
                     .is_some_and(|c| c.security.is_some());
                 if !known_with_security {
-                    self.stats.rejects += 1;
-                    let reject = EmmMessage::AttachReject {
-                        cause: scale_nas::emm_cause::UE_IDENTITY_UNKNOWN,
-                    };
-                    return Ok(vec![Outgoing::S1ap {
+                    return Ok(self.reject(
                         enb_id,
-                        pdu: S1apPdu::DownlinkNasTransport {
-                            mme_ue_id: 0,
-                            enb_ue_id,
-                            nas_pdu: reject.encode(),
+                        enb_ue_id,
+                        &EmmMessage::AttachReject {
+                            cause: scale_nas::emm_cause::UE_IDENTITY_UNKNOWN,
                         },
-                    }]);
+                    ));
                 }
                 let mme_ue_id = self.alloc_ue_id();
                 let ctx = Self::ctx_mut_in(&mut self.contexts, guti.m_tmsi)?;
@@ -645,13 +699,13 @@ impl MmeCore {
                 ctx.tai = tai;
                 ctx.record_access();
                 self.by_mme_ue_id.insert(mme_ue_id, guti.m_tmsi);
-                let imsi = ctx.imsi.clone();
+                let imsi = ctx.imsi;
                 Ok(vec![self.create_session(guti.m_tmsi, imsi)?])
             }
         }
     }
 
-    fn create_session(&mut self, m_tmsi: u32, imsi: String) -> Result<Outgoing, MmeError> {
+    fn create_session(&mut self, m_tmsi: u32, imsi: Imsi) -> Result<Outgoing, MmeError> {
         let seq = self.next_s11_seq(m_tmsi);
         let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
         ctx.bearer.s11_mme_teid = ctx.mme_ue_id;
@@ -661,7 +715,7 @@ impl MmeCore {
             teid: 0,
             sequence: seq,
             body: gtpc::Body::CreateSessionRequest {
-                imsi,
+                imsi: imsi.to_string(),
                 apn: self.config.apn.clone(),
                 sender_fteid: Fteid {
                     iface: iface_type::S11_MME,
@@ -694,18 +748,13 @@ impl MmeCore {
             // derived by the network") so the device drops its GUTI and
             // falls back to a fresh IMSI attach, instead of erroring a
             // procedure the eNodeB would wait on forever.
-            self.stats.rejects += 1;
-            let reject = EmmMessage::ServiceReject {
-                cause: scale_nas::emm_cause::UE_IDENTITY_UNKNOWN,
-            };
-            return Ok(vec![Outgoing::S1ap {
+            return Ok(self.reject(
                 enb_id,
-                pdu: S1apPdu::DownlinkNasTransport {
-                    mme_ue_id: 0,
-                    enb_ue_id,
-                    nas_pdu: reject.encode(),
+                enb_ue_id,
+                &EmmMessage::ServiceReject {
+                    cause: scale_nas::emm_cause::UE_IDENTITY_UNKNOWN,
                 },
-            }]);
+            ));
         };
         let Some(sec) = &ctx.security else {
             return Err(MmeError::Nas(NasError::NoSecurityContext));
@@ -766,18 +815,13 @@ impl MmeCore {
             // Same recovery contract as the Service Request path: an
             // unknown S-TMSI gets TAU Reject #9, sending the device
             // back to a fresh IMSI attach.
-            self.stats.rejects += 1;
-            let reject = EmmMessage::TauReject {
-                cause: scale_nas::emm_cause::UE_IDENTITY_UNKNOWN,
-            };
-            return Ok(vec![Outgoing::S1ap {
+            return Ok(self.reject(
                 enb_id,
-                pdu: S1apPdu::DownlinkNasTransport {
-                    mme_ue_id: 0,
-                    enb_ue_id,
-                    nas_pdu: reject.encode(),
+                enb_ue_id,
+                &EmmMessage::TauReject {
+                    cause: scale_nas::emm_cause::UE_IDENTITY_UNKNOWN,
                 },
-            }]);
+            ));
         };
         self.stats.taus += 1;
         ctx.tai = tai;
@@ -830,7 +874,7 @@ impl MmeCore {
         ctx.enb_id = enb_id;
         ctx.enb_ue_id = enb_ue_id;
         // Remember whether to answer with Detach Accept.
-        self.attach_done_flags.insert(m_tmsi, (switch_off, false));
+        self.in_flight.entry(m_tmsi).or_default().done = Some((switch_off, false));
         let ebi = ctx.bearer.ebi;
         let sgw_teid = ctx.bearer.s11_sgw_teid;
         let seq = self.next_s11_seq(m_tmsi);
@@ -908,11 +952,21 @@ impl MmeCore {
     }
 
     fn auth_response(&mut self, m_tmsi: u32, res: [u8; 8]) -> Result<Vec<Outgoing>, MmeError> {
-        let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
-        if ctx.procedure != Procedure::AwaitAuthResponse {
+        if self.ctx(m_tmsi)?.procedure != Procedure::AwaitAuthResponse {
             return Err(MmeError::BadState("auth response out of sequence".into()));
         }
-        let xres = ctx.pending_xres.take().ok_or(MmeError::BadState("no XRES".into()))?;
+        // A vector answers one response: XRES is spent by it, K_ASME
+        // only by one that matches.
+        let aka = self.in_flight.entry(m_tmsi).or_default();
+        let xres = aka.xres.take();
+        let kasme = if xres == Some(res) {
+            aka.kasme.take()
+        } else {
+            None
+        };
+        self.settle(m_tmsi);
+        let xres = xres.ok_or(MmeError::BadState("no XRES".into()))?;
+        let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
         if res != xres {
             self.stats.auth_failures += 1;
             ctx.emm = EmmState::Deregistered;
@@ -926,10 +980,7 @@ impl MmeCore {
             return Ok(vec![Outgoing::S1ap { enb_id, pdu: out }]);
         }
         // Derive the NAS security context from the vector's K_ASME.
-        let kasme = ctx
-            .pending_kasme
-            .take()
-            .ok_or(MmeError::BadState("no K_ASME".into()))?;
+        let kasme = kasme.ok_or(MmeError::BadState("no K_ASME".into()))?;
         let keys = NasSecurityKeys::from_kasme(kasme);
         let mut sec = NasSecurityContext::new(keys, 1);
         let smc = EmmMessage::SecurityModeCommand {
@@ -956,13 +1007,13 @@ impl MmeCore {
                 return Err(MmeError::BadState("SMC complete out of sequence".into()));
             }
             ctx.procedure = Procedure::AwaitUpdateLocation;
-            ctx.imsi.clone()
+            ctx.imsi
         };
         let hbh = self.s6a_hbh;
         self.s6a_hbh += 1;
         self.pending_s6a.insert(hbh, m_tmsi);
         let ulr = S6a::UpdateLocationRequest {
-            imsi,
+            imsi: imsi.to_string(),
             visited_plmn: self.config.plmn.0,
         }
         .into_msg(hbh, hbh);
@@ -970,15 +1021,26 @@ impl MmeCore {
     }
 
     fn attach_complete(&mut self, m_tmsi: u32) -> Result<Vec<Outgoing>, MmeError> {
-        let flags = self.attach_done_flags.entry(m_tmsi).or_insert((false, false));
-        flags.0 = true;
-        let both = flags.0 && flags.1;
-        if both {
-            self.attach_done_flags.remove(&m_tmsi);
+        if self.attach_done(m_tmsi, |d| d.0 = true) {
             self.finish_attach(m_tmsi)
         } else {
             Ok(vec![])
         }
+    }
+
+    /// Note one of the two events that complete an attach (`.0` Attach
+    /// Complete, `.1` Modify Bearer Response); true once both are in,
+    /// which ends the attach's in-flight entry.
+    fn attach_done(&mut self, m_tmsi: u32, note: impl FnOnce(&mut (bool, bool))) -> bool {
+        let entry = self.in_flight.entry(m_tmsi).or_default();
+        let done = entry.done.get_or_insert((false, false));
+        note(done);
+        let both = done.0 && done.1;
+        if both {
+            entry.done = None;
+            self.settle(m_tmsi);
+        }
+        both
     }
 
     fn finish_attach(&mut self, m_tmsi: u32) -> Result<Vec<Outgoing>, MmeError> {
@@ -1218,13 +1280,13 @@ impl MmeCore {
                     ctx.bearer.pdn_addr = p;
                 }
                 ctx.procedure = Procedure::AwaitContextSetup;
-                self.attach_done_flags.insert(m_tmsi, (false, false));
+                self.in_flight.entry(m_tmsi).or_default().done = Some((false, false));
 
                 // Attach Accept (protected now that a context exists)
                 // plus the Initial Context Setup carrying the bearers.
                 let accept = EmmMessage::AttachAccept {
                     guti: ctx.guti,
-                    tai_list: ctx.tai_list.clone(),
+                    tai_list: ctx.tai_list.to_vec(),
                     t3412_s: t3412,
                     ebi: ctx.bearer.ebi,
                     apn,
@@ -1285,12 +1347,9 @@ impl MmeCore {
                 };
                 if is_registering {
                     // Attach flow: needs Attach Complete too.
-                    let flags = self.attach_done_flags.entry(m_tmsi).or_insert((false, false));
-                    flags.1 = true;
-                    let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
-                    ctx.procedure = Procedure::AwaitAttachComplete;
-                    if self.attach_done_flags[&m_tmsi].0 {
-                        self.attach_done_flags.remove(&m_tmsi);
+                    Self::ctx_mut_in(&mut self.contexts, m_tmsi)?.procedure =
+                        Procedure::AwaitAttachComplete;
+                    if self.attach_done(m_tmsi, |d| d.1 = true) {
                         return self.finish_attach(m_tmsi);
                     }
                     Ok(vec![])
@@ -1307,10 +1366,12 @@ impl MmeCore {
                     .pending_s11
                     .remove(&msg.sequence)
                     .ok_or(MmeError::UnknownUe("unmatched DS response"))?;
-                let (switch_off, _) = self
-                    .attach_done_flags
-                    .remove(&m_tmsi)
-                    .unwrap_or((false, false));
+                let switch_off = self
+                    .in_flight
+                    .get_mut(&m_tmsi)
+                    .and_then(|f| f.done.take())
+                    .is_some_and(|(switch_off, _)| switch_off);
+                self.settle(m_tmsi);
                 self.stats.detaches += 1;
                 let ctx = self
                     .remove_context(&Guti {
@@ -1366,7 +1427,7 @@ impl MmeCore {
                         enb_id: 0,
                         pdu: S1apPdu::Paging {
                             ue_paging_id: (self.config.mme_code, m_tmsi),
-                            tai_list: ctx.tai_list.clone(),
+                            tai_list: ctx.tai_list.to_vec(),
                         },
                     });
                 }
@@ -1418,8 +1479,8 @@ impl MmeCore {
                     autn,
                     kasme,
                 } = vectors[0];
-                ctx.pending_xres = Some(xres);
-                ctx.pending_kasme = Some(kasme);
+                let aka = self.in_flight.entry(m_tmsi).or_default();
+                (aka.xres, aka.kasme) = (Some(xres), Some(kasme));
                 ctx.procedure = Procedure::AwaitAuthResponse;
                 let auth_req = EmmMessage::AuthenticationRequest {
                     ksi: 1,
@@ -1447,7 +1508,7 @@ impl MmeCore {
                         return Ok(vec![]);
                     }
                     ctx.procedure = Procedure::AwaitCreateSession;
-                    ctx.imsi.clone()
+                    ctx.imsi
                 };
                 Ok(vec![self.create_session(m_tmsi, imsi)?])
             }
@@ -1470,7 +1531,8 @@ mod tests {
             mme_code: 1,
             m_tmsi,
         };
-        let mut ctx = UeContext::new(format!("00101{m_tmsi:010}"), guti, Tai::new(Plmn::test(), 7));
+        let imsi = Imsi::from_ascii(format!("00101{m_tmsi:010}").as_bytes()).unwrap();
+        let mut ctx = UeContext::new(imsi, guti, Tai::new(Plmn::test(), 7));
         ctx.emm = EmmState::Registered;
         ctx.mme_ue_id = mme_ue_id;
         ctx.bearer.s11_mme_teid = s11_teid;
@@ -1504,7 +1566,7 @@ mod tests {
         );
 
         holder.remove_context(&guti.unwrap()).unwrap();
-        assert!(holder.contexts.is_empty());
+        assert_eq!(holder.contexts.len(), 0);
         assert!(holder.by_imsi.is_empty() && holder.by_mme_ue_id.is_empty());
         assert!(holder.by_s11_teid.is_empty());
     }
@@ -1520,6 +1582,63 @@ mod tests {
         assert_eq!(holder.m_tmsi_by_mme_ue_id(0x55), Some(2));
         assert_eq!(holder.m_tmsi_by_s11_teid(0x66), Some(2));
         assert_eq!(holder.m_tmsi_by_mme_ue_id(0x77), Some(1));
+    }
+
+    #[test]
+    fn a_completed_attach_leaves_nothing_in_flight() {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let (guti, ..) = crate::flow_tests::run_attach(&mut engine, "001010000000001", 1);
+        assert!(engine.in_flight.is_empty(), "{:?}", engine.in_flight);
+        assert_eq!(
+            engine.context(&guti).map(|c| c.imsi),
+            Imsi::from_ascii(b"001010000000001")
+        );
+    }
+
+    #[test]
+    fn an_attach_by_what_is_not_an_imsi_is_rejected_without_a_context() {
+        let request = |digits: &str| {
+            EmmMessage::AttachRequest {
+                attach_type: 1,
+                id: MobileId::Imsi(digits.into()),
+                tai: Tai::new(Plmn::test(), 7),
+            }
+            .encode()
+            .to_vec()
+        };
+        // BCD digits 0, 1, 2 and a nibble above 9, which decodes to ':'.
+        let mut nibble = request("0123");
+        let at = nibble.windows(2).position(|w| w == [0x10, 0x32]).unwrap();
+        nibble[at + 1] = 0xA2;
+        let mut engine = MmeCore::new(MmeConfig::default());
+        for nas in [request(""), request("0010100000000012"), nibble] {
+            let out = engine
+                .handle(Incoming::S1ap {
+                    enb_id: 1,
+                    pdu: S1apPdu::InitialUeMessage {
+                        enb_ue_id: 9,
+                        nas_pdu: Bytes::from(nas.clone()),
+                        tai: Tai::new(Plmn::test(), 7),
+                        establishment_cause: 3,
+                        s_tmsi: None,
+                    },
+                })
+                .unwrap();
+            let [Outgoing::S1ap {
+                pdu: S1apPdu::DownlinkNasTransport { nas_pdu, .. },
+                ..
+            }] = &out[..]
+            else {
+                panic!("{nas:02x?}: {out:?}");
+            };
+            assert_eq!(
+                EmmMessage::decode(nas_pdu.clone()).unwrap(),
+                EmmMessage::AttachReject {
+                    cause: scale_nas::emm_cause::ILLEGAL_UE
+                }
+            );
+        }
+        assert_eq!((engine.context_count(), engine.stats.rejects), (0, 3));
     }
 
     #[test]

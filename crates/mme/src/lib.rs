@@ -19,7 +19,7 @@
 pub mod context;
 pub mod engine;
 
-pub use context::{BearerState, EcmState, EmmState, Procedure, UeContext};
+pub use context::{BearerState, EcmState, EmmState, Procedure, TaiList, UeContext};
 pub use engine::{compose_id, vm_of_id, Incoming, MmeConfig, MmeCore, MmeError, MmeStats, Outgoing};
 
 #[cfg(test)]
@@ -41,7 +41,7 @@ mod flow_tests {
 
     /// Test-side mirror of the UE + HSS: drives a complete attach through
     /// the engine, returning (guti, mme_ue_id, UE-side security context).
-    fn run_attach(
+    pub(crate) fn run_attach(
         mme: &mut MmeCore,
         imsi: &str,
         enb_ue_id: u32,

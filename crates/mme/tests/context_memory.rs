@@ -1,0 +1,159 @@
+//! Heap bytes an `MmeCore` keeps per context, exact and immune to host
+//! noise: this binary's allocator keeps a running total of the bytes a
+//! test's own thread holds, so "bytes per replica copy" — the `S` that
+//! sizes an MMP fleet by memory (Eq 1) — reads the same every run.
+//!
+//! The copies are imported as replica blobs, the way a holder receives
+//! them on every Idle edge: a registered device with a security context
+//! and one TAI, 146 bytes on the wire.
+
+use bytes::Bytes;
+use scale_mme::{MmeConfig, MmeCore};
+use scale_nas::{Guti, Plmn};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Bytes held, per thread (the harness runs tests side by side).
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn note(delta: isize) {
+    LIVE.with(|l| l.set(l.get() + delta));
+}
+
+// SAFETY: every call is passed through to `System` unchanged; the
+// counter is a plain thread-local cell with no destructor, so noting a
+// request neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as isize);
+        // SAFETY: `layout` is the caller's, forwarded as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(-(layout.size() as isize));
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size as isize - layout.size() as isize);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+/// A registered, Idle device after attach: the reference image of
+/// `context_blob_images.rs`, VM 5's engine.
+const TEMPLATE: &str = "0f30303130313031323334353637383900f11080010100000001020500000100\
+f11000010100f1100001050500000100000001000000020a000002644000010111d31f4cc7a9dd4d4b7de38698c0\
+6544c04f7edb0807141e9e14f2043460f22ac6c56cb701e2279f8fa703a91ce9a2651e4fa1c3b4b58aa31b2ccfe0\
+7bb3cb93000000020000000201000000000000000000";
+
+/// Where the template keeps what differs per device.
+const IMSI_AT: usize = 1;
+const M_TMSI_AT: usize = 22;
+const MME_UE_ID_AT: usize = 27;
+const S11_TEID_AT: usize = 43;
+
+const BASE: u32 = 0x0100_0000;
+
+/// Device `i`'s replica blob, built fresh: IMSI 00101‖i, M-TMSI and
+/// S1AP/S11 ids of its own.
+fn blob(i: u32) -> Bytes {
+    let mut b: Vec<u8> = (0..TEMPLATE.len())
+        .step_by(2)
+        .map(|k| u8::from_str_radix(&TEMPLATE[k..k + 2], 16).expect("hex"))
+        .collect();
+    b[IMSI_AT..IMSI_AT + 15].copy_from_slice(format!("00101{i:010}").as_bytes());
+    b[M_TMSI_AT..M_TMSI_AT + 4].copy_from_slice(&(BASE + i).to_be_bytes());
+    let id = 0x0500_0000 | i;
+    b[MME_UE_ID_AT..MME_UE_ID_AT + 4].copy_from_slice(&id.to_be_bytes());
+    b[S11_TEID_AT..S11_TEID_AT + 4].copy_from_slice(&id.to_be_bytes());
+    Bytes::from(b)
+}
+
+fn guti(i: u32) -> Guti {
+    Guti {
+        plmn: Plmn::test(),
+        mme_group_id: 0x8001,
+        mme_code: 1,
+        m_tmsi: BASE + i,
+    }
+}
+
+/// Import devices `range` into `engine`; the bytes it holds afterwards
+/// beyond what it held before. Each blob is made and consumed inside,
+/// so only what the engine keeps is counted.
+fn import(engine: &mut MmeCore, range: std::ops::Range<u32>) -> isize {
+    let before = live();
+    for i in range {
+        let got = engine.import_state(blob(i)).expect("template imports");
+        assert_eq!(got.m_tmsi, BASE + i);
+    }
+    live() - before
+}
+
+/// One copy costs at most 350 heap bytes: a boxed 192-byte record, and
+/// the M-TMSI, IMSI, S1AP-id and S11-TEID index entries that find it.
+/// Measured at `wire_saturate`'s load per engine (30,000 devices × R = 2
+/// over 16 VMs) and at ten times that.
+#[test]
+fn a_replica_copy_costs_at_most_350_heap_bytes() {
+    assert_eq!(blob(0).len(), 146);
+    for n in [3_750u32, 37_500] {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let held = import(&mut engine, 0..n);
+        assert_eq!(engine.context_count(), n as usize);
+        let per_ctx = held as f64 / f64::from(n);
+        println!("{n} contexts: {per_ctx:.1} heap bytes per context");
+        assert!(per_ctx <= 350.0, "{per_ctx:.1} bytes per context at {n}");
+    }
+}
+
+/// Devices come and go; the engine's footprint follows the population,
+/// not its history: ten rounds of removing half the devices and importing
+/// as many new ones leave live bytes within 5 % of where they started.
+#[test]
+fn churn_does_not_grow_the_footprint() {
+    const N: u32 = 3_750;
+    let mut engine = MmeCore::new(MmeConfig::default());
+    let mut present: Vec<u32> = (0..N).collect();
+    let start = live();
+    import(&mut engine, 0..N);
+    let settled = live() - start;
+    let mut next = N;
+    for round in 0..10 {
+        let mut kept = Vec::with_capacity(present.len());
+        for (k, &i) in present.iter().enumerate() {
+            if (k + round) % 2 == 0 {
+                assert!(engine.remove_context(&guti(i)).is_some());
+            } else {
+                kept.push(i);
+            }
+        }
+        let fresh = N - kept.len() as u32;
+        import(&mut engine, next..next + fresh);
+        kept.extend(next..next + fresh);
+        next += fresh;
+        present = kept;
+        assert_eq!(engine.context_count(), N as usize);
+    }
+    let after = live() - start;
+    println!("churn: {settled} → {after} bytes over ten rounds");
+    assert!(
+        after as f64 <= settled as f64 * 1.05,
+        "{settled} → {after} bytes over ten rounds of churn"
+    );
+}

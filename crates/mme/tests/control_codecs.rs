@@ -1,9 +1,16 @@
 //! Codec suite for the three codecs an MME speaks besides S1AP: NAS EMM
 //! to the device, GTPv2-C to the S-GW (S11) and Diameter to the HSS
-//! (S6a). Whatever a peer sends — a message, a damaged message, noise —
-//! decodes to a value or an error, never a panic; every message of every
-//! kind survives the round trip; and no count or length field makes a
-//! decoder reserve memory beyond what the input can hold.
+//! (S6a); and for the two it reads under them or beside them: the NAS
+//! security layer (`NasSecurityContext::unprotect`) and the replica blob
+//! another MMP sends on every Idle edge (`UeContext::from_bytes`).
+//! Whatever a peer sends — a message, a damaged message, noise — decodes
+//! to a value or an error, never a panic; every message of every kind
+//! survives the round trip; and no count or length field makes a decoder
+//! reserve memory beyond what the input can hold.
+//!
+//! The last two are stricter than "re-encodes canonically": a replica
+//! blob or a protected message that is accepted at all is the exact
+//! image of the value it decodes to. Every truncation is refused.
 //!
 //! "Re-encodes canonically": a value decoded from damaged bytes encodes
 //! to an image that decodes and encodes back to itself. For Diameter it
@@ -15,9 +22,15 @@
 use bytes::Bytes;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use scale_crypto::aes::Aes128;
+use scale_crypto::cmac::eia2_mac;
+use scale_crypto::kdf::NasSecurityKeys;
 use scale_diameter::{DiameterMsg, EutranVector, S6a};
 use scale_gtpc::{Ambr, BearerContext, BearerQos, Body, Cause, Fteid, Message};
-use scale_nas::{EmmMessage, Guti, MobileId, Plmn, Tai};
+use scale_mme::{BearerState, EmmState, UeContext};
+use scale_nas::{
+    Direction, EmmMessage, Guti, Imsi, MobileId, NasSecurityContext, Plmn, SecurityHeader, Tai,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -283,6 +296,112 @@ fn every_s6a() -> impl Strategy<Value = (Vec<S6a>, u32, u32)> {
         )
 }
 
+/// A context as a replica blob carries it: Idle, no procedure in flight,
+/// every replicated field drawn at random, one to six TAIs.
+fn arb_context() -> impl Strategy<Value = UeContext> {
+    let emm = prop_oneof![
+        Just(EmmState::Deregistered),
+        Just(EmmState::Registering),
+        Just(EmmState::Registered),
+    ];
+    let bearer = (
+        any::<u8>(),
+        (any::<u32>(), any::<u32>(), any::<u32>()),
+        any::<[u8; 4]>(),
+        any::<[u8; 4]>(),
+    )
+        .prop_map(
+            |(ebi, (s11_mme_teid, s11_sgw_teid, s1u_sgw_teid), s1u_sgw_addr, pdn_addr)| {
+                BearerState {
+                    ebi,
+                    s11_mme_teid,
+                    s11_sgw_teid,
+                    s1u_sgw_teid,
+                    s1u_sgw_addr,
+                    pdn_addr,
+                }
+            },
+        );
+    (
+        ("[0-9]{1,15}", arb_guti(), emm, any::<u32>()),
+        (arb_tai(), vec(arb_tai(), 0..6)),
+        bearer,
+        proptest::option::of((arb_keys(), (any::<u32>(), any::<u32>(), any::<u8>()))),
+        (any::<u64>(), proptest::option::of(any::<u16>())),
+    )
+        .prop_map(
+            |((imsi, guti, emm, mme_ue_id), (tai, more_tais), bearer, security, (freq, dc))| {
+                let imsi = Imsi::from_ascii(imsi.as_bytes()).expect("1-15 digits");
+                let mut ctx = UeContext::new(imsi, guti, tai);
+                for t in more_tais {
+                    ctx.tai_list.push(t);
+                }
+                ctx.emm = emm;
+                ctx.mme_ue_id = mme_ue_id;
+                ctx.bearer = bearer;
+                ctx.security = security.map(|(keys, (ul_count, dl_count, ksi))| {
+                    let mut sec = NasSecurityContext::new(keys, ksi);
+                    (sec.ul_count, sec.dl_count) = (ul_count, dl_count);
+                    sec
+                });
+                ctx.access_freq = f64::from_bits(freq);
+                ctx.external_replica_dc = dc;
+                ctx
+            },
+        )
+}
+
+fn arb_keys() -> impl Strategy<Value = NasSecurityKeys> {
+    (any::<[u8; 32]>(), any::<[u8; 16]>(), any::<[u8; 16]>()).prop_map(
+        |(kasme, k_nas_enc, k_nas_int)| NasSecurityKeys {
+            kasme,
+            k_nas_enc,
+            k_nas_int,
+        },
+    )
+}
+
+fn arb_header() -> impl Strategy<Value = SecurityHeader> {
+    prop_oneof![
+        Just(SecurityHeader::Integrity),
+        Just(SecurityHeader::IntegrityCiphered),
+        Just(SecurityHeader::IntegrityNewContext),
+    ]
+}
+
+fn arb_direction() -> impl Strategy<Value = Direction> {
+    prop_oneof![Just(Direction::Uplink), Just(Direction::Downlink)]
+}
+
+/// One security context at a random COUNT in `dir`, twice: the sender's
+/// and the receiver's copy.
+fn security_pair(
+    keys: &NasSecurityKeys,
+    dir: Direction,
+    count: u32,
+) -> (NasSecurityContext, NasSecurityContext) {
+    let mut sec = NasSecurityContext::new(*keys, 1);
+    match dir {
+        Direction::Uplink => sec.ul_count = count,
+        Direction::Downlink => sec.dl_count = count,
+    }
+    (sec.clone(), sec)
+}
+
+/// The header a protected message names in its first octet, if any.
+fn header_of(wire: &[u8]) -> Option<SecurityHeader> {
+    match wire.first()? >> 4 {
+        1 => Some(SecurityHeader::Integrity),
+        2 => Some(SecurityHeader::IntegrityCiphered),
+        3 => Some(SecurityHeader::IntegrityNewContext),
+        _ => None,
+    }
+}
+
+fn counts(sec: &NasSecurityContext) -> (u32, u32) {
+    (sec.ul_count, sec.dl_count)
+}
+
 // ---------------------------------------------------------------------------
 // Damage
 // ---------------------------------------------------------------------------
@@ -381,8 +500,112 @@ proptest! {
         let data = Bytes::from(data);
         let _ = EmmMessage::decode(data.clone());
         let _ = Message::decode(data.clone());
-        if let Ok(msg) = DiameterMsg::decode(data) {
+        if let Ok(msg) = DiameterMsg::decode(data.clone()) {
             let _ = S6a::from_msg(&msg);
+        }
+        if let Ok(ctx) = UeContext::from_bytes(data.clone()) {
+            prop_assert_eq!(&ctx.to_bytes(), &data);
+        }
+        let keys = NasSecurityKeys { kasme: [1; 32], k_nas_enc: [2; 16], k_nas_int: [3; 16] };
+        let _ = NasSecurityContext::new(keys, 1).unprotect(data, Direction::Uplink);
+    }
+
+    #[test]
+    fn every_replica_blob_round_trips(ctx in arb_context()) {
+        let blob = ctx.to_bytes();
+        let mut back = UeContext::from_bytes(blob.clone()).map_err(|e| format!("{ctx:?}: {e}"))?;
+        prop_assert_eq!(back.to_bytes(), blob);
+        // NaN payloads too, bit for bit; then every other field by value.
+        prop_assert_eq!(back.access_freq.to_bits(), ctx.access_freq.to_bits());
+        let mut want = ctx.clone();
+        (back.access_freq, want.access_freq) = (0.0, 0.0);
+        prop_assert_eq!(&back, &want);
+    }
+
+    #[test]
+    fn every_truncated_replica_blob_is_refused(ctx in arb_context()) {
+        let blob = ctx.to_bytes();
+        for len in 0..blob.len() {
+            prop_assert!(UeContext::from_bytes(blob.slice(..len)).is_err(), "{} of {} bytes", len, blob.len());
+        }
+    }
+
+    #[test]
+    fn a_damaged_replica_blob_is_refused_or_is_the_image_of_what_it_decodes_to(
+        ctx in arb_context(), flip in arb_flip(), cut in 1usize..16,
+    ) {
+        let damaged = damage(&ctx.to_bytes(), flip, cut);
+        if let Ok(back) = UeContext::from_bytes(damaged.clone()) {
+            prop_assert_eq!(back.to_bytes(), damaged);
+        }
+    }
+
+    #[test]
+    fn a_replica_blob_whose_imsi_is_not_1_to_15_digits_is_refused(
+        ctx in arb_context(),
+        bad in prop_oneof![
+            Just(String::new()),
+            "[0-9]{16,40}",
+            "[0-9]{0,7}[a-z:;/ é]{1}[0-9]{0,7}",
+        ],
+    ) {
+        let blob = ctx.to_bytes();
+        let behind_imsi = &blob[1 + usize::from(blob[0])..];
+        let forged = [&[bad.len() as u8][..], bad.as_bytes(), behind_imsi].concat();
+        prop_assert!(UeContext::from_bytes(Bytes::from(forged)).is_err(), "IMSI {:?}", bad);
+    }
+
+    #[test]
+    fn every_protected_message_round_trips(
+        msgs in every_emm(), keys in arb_keys(), header in arb_header(), dir in arb_direction(),
+        count in any::<u32>(),
+    ) {
+        // COUNT is 24 bits on the wire side; keep clear of the wrap.
+        let count = count & 0x00ff_fff0;
+        let (mut tx, mut rx) = security_pair(&keys, dir, count);
+        for msg in msgs {
+            let wire = tx.protect(&msg, dir, header);
+            let back = rx.unprotect(wire, dir).map_err(|e| format!("{msg:?}: {e}"))?;
+            prop_assert_eq!(back, msg);
+            prop_assert_eq!(counts(&rx), counts(&tx));
+        }
+    }
+
+    #[test]
+    fn every_truncated_protected_message_is_refused_and_moves_no_count(
+        msgs in every_emm(), which in any::<usize>(), keys in arb_keys(), header in arb_header(),
+        dir in arb_direction(), count in 0u32..0x00ff_0000,
+    ) {
+        let (mut tx, mut rx) = security_pair(&keys, dir, count);
+        let before = counts(&rx);
+        let wire = tx.protect(&msgs[which % msgs.len()], dir, header);
+        for len in 0..wire.len() {
+            prop_assert!(rx.unprotect(wire.slice(..len), dir).is_err(), "{} of {} bytes", len, wire.len());
+            prop_assert_eq!(counts(&rx), before);
+        }
+    }
+
+    #[test]
+    fn a_damaged_protected_message_is_refused_or_is_the_image_of_what_it_decodes_to(
+        msgs in every_emm(), which in any::<usize>(), keys in arb_keys(), header in arb_header(),
+        dir in arb_direction(), count in 0u32..0x00ff_0000, flip in arb_flip(), cut in 1usize..16,
+    ) {
+        let (mut tx, mut rx) = security_pair(&keys, dir, count);
+        let before = counts(&rx);
+        let damaged = damage(&tx.protect(&msgs[which % msgs.len()], dir, header), flip, cut);
+        match rx.unprotect(damaged.clone(), dir) {
+            Err(_) => prop_assert_eq!(counts(&rx), before),
+            Ok(msg) => {
+                // Protect the value again at the COUNT it was accepted
+                // under, with the header it came with: the same bytes.
+                let accepted = match dir {
+                    Direction::Uplink => rx.ul_count,
+                    Direction::Downlink => rx.dl_count,
+                } - 1;
+                let (mut again, _) = security_pair(&keys, dir, accepted);
+                let header = header_of(&damaged).expect("accepted, so a known header");
+                prop_assert_eq!(again.protect(&msg, dir, header), damaged);
+            }
         }
     }
 }
@@ -518,6 +741,75 @@ fn a_count_or_length_field_never_reserves_beyond_the_input() {
             largest <= 256,
             "{what}: a {largest}-byte request from {} bytes",
             bytes.len()
+        );
+    }
+}
+
+/// A replica blob whose TAI list announces 255 entries and carries none.
+/// Its decoder used to reserve the whole list from that count — 1,530
+/// bytes for a 37-byte blob.
+fn replica_blob_255_tais() -> Vec<u8> {
+    [
+        &[15][..],
+        b"001010000000001",                                // IMSI
+        &[0x00, 0xF1, 0x10, 0x80, 0x01, 0x03, 0, 0, 0, 1], // GUTI
+        &[2],                                              // Registered
+        &[3, 0, 0, 1],                                     // MME-UE-S1AP-ID
+        &[0x00, 0xF1, 0x10, 0, 7],                         // TAI
+        &[0xFF],                                           // TAI count, and nothing behind it
+    ]
+    .concat()
+}
+
+/// `inner` as a protected downlink message at COUNT 0 under `sec`'s
+/// keys, built by hand so that it can carry what `protect` never would.
+fn protected_by_hand(sec: &NasSecurityContext, inner: &[u8], ciphered: bool) -> Vec<u8> {
+    let mut body = inner.to_vec();
+    if ciphered {
+        // EEA2 counter block: COUNT || BEARER | DIR || 0…
+        let mut ctr = [0u8; 16];
+        ctr[4] = 1 << 2;
+        Aes128::new(&sec.keys.k_nas_enc).ctr_xor(&ctr, &mut body);
+    }
+    let seq_and_inner = [&[0u8][..], &body].concat();
+    let mac = eia2_mac(&sec.keys.k_nas_int, 0, 0, true, &seq_and_inner);
+    let header = if ciphered { 0x27 } else { 0x17 };
+    [&[header][..], &mac, &seq_and_inner].concat()
+}
+
+/// The replica blob and the NAS security layer size nothing from a count
+/// before checking it against the input either.
+#[test]
+fn a_replica_blob_or_protected_message_never_reserves_beyond_the_input() {
+    let blob = replica_blob_255_tais();
+    let (res, largest) = largest_request(|| UeContext::from_bytes(Bytes::from(blob.clone())));
+    assert!(res.is_err(), "replica blob: decoded");
+    // 255 TAIs would be 1,530.
+    assert!(
+        largest <= 256,
+        "replica blob tai count: a {largest}-byte request from {} bytes",
+        blob.len()
+    );
+
+    let keys = NasSecurityKeys {
+        kasme: [1; 32],
+        k_nas_enc: [2; 16],
+        k_nas_int: [3; 16],
+    };
+    for ciphered in [false, true] {
+        let mut sec = NasSecurityContext::new(keys, 1);
+        let wire = protected_by_hand(&sec, ATTACH_ACCEPT_255_TAIS, ciphered);
+        let (res, largest) =
+            largest_request(|| sec.unprotect(Bytes::from(wire.clone()), Direction::Downlink));
+        // The MAC holds, so it is the Attach Accept that is refused.
+        assert!(
+            matches!(res, Err(scale_nas::NasError::Truncated { .. })),
+            "ciphered {ciphered}: {res:?}"
+        );
+        assert!(
+            largest <= 256,
+            "protected attach accept (ciphered {ciphered}): a {largest}-byte request from {} bytes",
+            wire.len()
         );
     }
 }

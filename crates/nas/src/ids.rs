@@ -6,6 +6,7 @@
 //! legacy (3GPP-pool) baseline (§3.1 "Static Assignment").
 
 use crate::wire::{NasError, Reader, Writer};
+use std::fmt::{self, Write as _};
 
 /// A PLMN identity (MCC + MNC), stored in its 3-byte BCD wire form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -110,6 +111,64 @@ impl Tai {
             plmn: Plmn(plmn),
             tac,
         })
+    }
+}
+
+/// An IMSI held by value: up to fifteen decimal digits packed four bits
+/// each, low digit first, with the digit count in the top four bits so
+/// that leading zeros survive. Eight bytes and `Copy`, it keys a table
+/// without a heap string behind it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Imsi(u64);
+
+impl Imsi {
+    /// The longest IMSI, in digits (TS 23.003 §2.2).
+    pub const MAX_DIGITS: usize = 15;
+
+    /// Parse 1–15 ASCII digits. Anything else is not an IMSI.
+    pub fn from_ascii(digits: &[u8]) -> Option<Imsi> {
+        if digits.is_empty() || digits.len() > Self::MAX_DIGITS {
+            return None;
+        }
+        let mut packed = (digits.len() as u64) << 60;
+        for (i, &d) in digits.iter().enumerate() {
+            if !d.is_ascii_digit() {
+                return None;
+            }
+            packed |= u64::from(d - b'0') << (4 * i);
+        }
+        Some(Imsi(packed))
+    }
+
+    /// Number of digits, 1–15.
+    pub fn digit_count(self) -> usize {
+        (self.0 >> 60) as usize
+    }
+
+    /// The digits as ASCII: the first [`Imsi::digit_count`] bytes of the
+    /// array.
+    pub fn to_ascii(self) -> [u8; Self::MAX_DIGITS] {
+        let mut out = [0u8; Self::MAX_DIGITS];
+        for (i, d) in out.iter_mut().enumerate().take(self.digit_count()) {
+            *d = b'0' + ((self.0 >> (4 * i)) & 0xf) as u8;
+        }
+        out
+    }
+}
+
+impl fmt::Display for Imsi {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ascii = self.to_ascii();
+        for &d in &ascii[..self.digit_count()] {
+            f.write_char(char::from(d))?;
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Debug for Imsi {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Imsi({self})")
     }
 }
 
@@ -258,6 +317,28 @@ mod tests {
     fn mobile_id_bad_tag() {
         let err = MobileId::decode(&mut Reader::new(Bytes::from_static(&[9]))).unwrap_err();
         assert!(matches!(err, NasError::Invalid { .. }));
+    }
+
+    #[test]
+    fn imsi_keeps_leading_zeros_and_refuses_what_is_not_one() {
+        for digits in [
+            "0",
+            "001010000000001",
+            "999999999999999",
+            "00000",
+            "12345678901234",
+        ] {
+            let imsi = Imsi::from_ascii(digits.as_bytes()).unwrap();
+            assert_eq!(imsi.to_string(), digits);
+            assert_eq!(imsi.digit_count(), digits.len());
+            assert_eq!(&imsi.to_ascii()[..digits.len()], digits.as_bytes());
+        }
+        // Same digits, different lengths: different IMSIs.
+        assert_ne!(Imsi::from_ascii(b"0012"), Imsi::from_ascii(b"012"));
+        for bad in ["", "0010100000000012", "00101a", "00101 ", "١٢٣"] {
+            assert_eq!(Imsi::from_ascii(bad.as_bytes()), None, "{bad:?}");
+        }
+        assert_eq!(std::mem::size_of::<Imsi>(), 8);
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod security;
 pub mod wire;
 
 pub use emm::{emm_cause, msg_type, EmmMessage, PD_EMM};
-pub use ids::{decode_bcd, encode_bcd, Guti, MobileId, Plmn, Tai};
+pub use ids::{decode_bcd, encode_bcd, Guti, Imsi, MobileId, Plmn, Tai};
 pub use security::{is_protected, Direction, NasSecurityContext, SecurityHeader};
 pub use wire::{NasError, Reader, View, Writer};
 
