@@ -174,7 +174,7 @@ fn write_report(
     s.push_str("  \"check\": \"protocol\",\n");
     s.push_str("  \"explorer\": \"replay-based DFS, fingerprint-deduplicated, deterministic\",\n");
     s.push_str(&format!("  \"total_distinct_states\": {total},\n"));
-    s.push_str("  \"invariants\": [\"I1 identity consistency\", \"I2 epoch monotonicity\", \"I3 session safety\", \"I4 replica contract\", \"I5 liveness-map coherence\", \"convergence\", \"zero unexplained errors\"],\n");
+    s.push_str("  \"invariants\": [\"I1 identity consistency\", \"I2 epoch monotonicity\", \"I3 session safety\", \"I4 replica contract\", \"I5 liveness-map coherence\", \"I6 no transaction outlives its message\", \"convergence\", \"zero unexplained errors\"],\n");
     s.push_str("  \"scenarios\": [\n");
     for (i, r) in reports.iter().enumerate() {
         s.push_str(&format!(

@@ -48,6 +48,12 @@
 //!   and that has completed an Idle edge never loses its GUTI unless a
 //!   crash occurred (the only sanctioned loss is the §4.6 cause-#9
 //!   re-attach after its context died with a process).
+//! * **I6 no transaction outlives its message** — a worker answers S6a
+//!   and S11 inline, so between any two messages it handles no engine
+//!   holds an open S11 or S6a transaction; a response that does not
+//!   retire its request's entry leaks one per procedure. Checked in
+//!   the adversarial-transport scenario too: a duplicated message must
+//!   not open a transaction it never sends.
 //! * **zero unexplained errors** — outside the adversarial-transport
 //!   scenario, no emulator, worker or router error counter ever moves.
 //!
@@ -237,7 +243,7 @@ pub struct Scenario {
     pub allow_restart: bool,
     /// Adversarial transport: duplications + drops allowed on MLB→worker
     /// links. When nonzero the scenario asserts only robustness
-    /// invariants (I1/I2 and no panics) — lost messages legitimately
+    /// invariants (I1/I2/I6 and no panics) — lost messages legitimately
     /// strand sessions.
     pub dup_drop_budget: u32,
     /// Stop exploring after this many distinct states (the run is
@@ -279,7 +285,7 @@ impl Scenario {
 /// Why an exploration stopped at a state.
 #[derive(Debug, Clone)]
 pub struct CheckViolation {
-    /// Which invariant tripped (`I1`…`I5`, `convergence`, `errors`).
+    /// Which invariant tripped (`I1`…`I6`, `convergence`, `errors`).
     pub invariant: &'static str,
     /// Human-readable description of the violating state.
     pub detail: String,
@@ -711,6 +717,18 @@ impl<'s> World<'s> {
                 ));
             }
             self.last_epoch[1 + worker] = e;
+        }
+        // I6: every S11/S6a transaction a worker opened while handling
+        // a message was retired before that `handle` returned.
+        for (worker, node) in self.workers.iter().enumerate() {
+            let Some(node) = node else { continue };
+            let open = node.open_transactions();
+            if open > 0 {
+                return Some((
+                    "I6",
+                    format!("worker {worker}: {open} S11/S6a transaction(s) open between messages"),
+                ));
+            }
         }
         if adversarial {
             return None;

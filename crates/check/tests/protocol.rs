@@ -21,7 +21,8 @@ const MUT_BUDGET: u64 = 2_500;
 /// budget: no interleaving of deliveries, crashes, detections and
 /// restarts reaches a state violating identity consistency, epoch
 /// monotonicity, session safety, the replica contract, liveness-map
-/// coherence or convergence.
+/// coherence or convergence, or leaves a worker holding an S11/S6a
+/// transaction between messages.
 #[test]
 fn clean_suite_holds_invariants() {
     for sc in suite(BUDGET) {

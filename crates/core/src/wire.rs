@@ -666,6 +666,15 @@ impl MmpNode {
         self.engines.values().map(MmeCore::context_count).sum()
     }
 
+    /// S11 and S6a transactions open across this worker's engines. The
+    /// HSS front end and S-GW stub answer inline, so after every
+    /// [`Self::handle`] this is zero: anything else is a transaction
+    /// its response failed to retire.
+    #[must_use]
+    pub fn open_transactions(&self) -> usize {
+        self.engines.values().map(MmeCore::open_transactions).sum()
+    }
+
     /// Every engine context paired with its VM, in VM order — the
     /// read-only view the protocol model checker's invariants audit.
     pub fn contexts(&self) -> impl Iterator<Item = (VmId, &UeContext)> + '_ {

@@ -291,6 +291,12 @@ impl MmeCore {
         self.guti_hint.hash(h);
     }
 
+    /// S11 and S6a requests sent and not yet answered. A worker answers
+    /// both inline, so this is zero between the events it handles.
+    pub fn open_transactions(&self) -> usize {
+        self.pending_s11.len() + self.pending_s6a.len()
+    }
+
     /// M-TMSI of the device this engine indexes under a composed
     /// MME-UE-S1AP-ID, if it holds (a copy of) that context. Used by
     /// the MLB to find a replica to promote when the serving MMP
@@ -438,6 +444,9 @@ impl MmeCore {
 
     /// The next S11 sequence number: the VM id in bits 16–23, a counter
     /// that wraps within them below — responses route by the VM byte.
+    /// It opens `m_tmsi`'s transaction in `pending_s11`, so a caller
+    /// takes it only once its request is sure to leave; the response
+    /// retires it (`handle_s11`).
     fn next_s11_seq(&mut self, m_tmsi: u32) -> u32 {
         let seq = self.s11_seq;
         self.s11_seq = (seq & 0x00ff_0000) | (seq.wrapping_add(1) & 0xffff);
@@ -706,20 +715,25 @@ impl MmeCore {
     }
 
     fn create_session(&mut self, m_tmsi: u32, imsi: Imsi) -> Result<Outgoing, MmeError> {
-        let seq = self.next_s11_seq(m_tmsi);
         let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
-        ctx.bearer.s11_mme_teid = ctx.mme_ue_id;
+        // A re-attach re-mints the TEID: the old one's entry goes, as
+        // in `import_state`, if it still names this device.
+        let (old, teid) = (ctx.bearer.s11_mme_teid, ctx.mme_ue_id);
+        ctx.bearer.s11_mme_teid = teid;
         ctx.bearer.ebi = 5;
-        self.by_s11_teid.insert(ctx.bearer.s11_mme_teid, m_tmsi);
+        if old != teid && self.by_s11_teid.get(&old) == Some(&m_tmsi) {
+            self.by_s11_teid.remove(&old);
+        }
+        self.by_s11_teid.insert(teid, m_tmsi);
         let msg = gtpc::Message {
             teid: 0,
-            sequence: seq,
+            sequence: self.next_s11_seq(m_tmsi),
             body: gtpc::Body::CreateSessionRequest {
                 imsi: imsi.to_string(),
                 apn: self.config.apn.clone(),
                 sender_fteid: Fteid {
                     iface: iface_type::S11_MME,
-                    teid: ctx.bearer.s11_mme_teid,
+                    teid,
                     ipv4: self.config.mme_addr,
                 },
                 ambr: Ambr {
@@ -1061,7 +1075,6 @@ impl MmeCore {
         erabs: &[ErabSetup],
     ) -> Result<Vec<Outgoing>, MmeError> {
         let m_tmsi = self.tmsi_of(mme_ue_id)?;
-        let seq = self.next_s11_seq(m_tmsi);
         let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
         if ctx.procedure != Procedure::AwaitContextSetup {
             return Err(MmeError::BadState("ICS response out of sequence".into()));
@@ -1075,16 +1088,16 @@ impl MmeCore {
         ctx.procedure = Procedure::AwaitModifyBearer;
         let mut bearer = BearerContext::new(ctx.bearer.ebi);
         bearer.s1u_enodeb_fteid = enb_fteid;
+        let sgw_teid = ctx.bearer.s11_sgw_teid;
         Ok(vec![Outgoing::S11(gtpc::Message {
-            teid: ctx.bearer.s11_sgw_teid,
-            sequence: seq,
+            teid: sgw_teid,
+            sequence: self.next_s11_seq(m_tmsi),
             body: gtpc::Body::ModifyBearerRequest { bearer },
         })])
     }
 
     fn release_request(&mut self, mme_ue_id: u32) -> Result<Vec<Outgoing>, MmeError> {
         let m_tmsi = self.tmsi_of(mme_ue_id)?;
-        let seq = self.next_s11_seq(m_tmsi);
         let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
         ctx.procedure = Procedure::AwaitReleaseComplete;
         let sgw_teid = ctx.bearer.s11_sgw_teid;
@@ -1093,7 +1106,7 @@ impl MmeCore {
         Ok(vec![
             Outgoing::S11(gtpc::Message {
                 teid: sgw_teid,
-                sequence: seq,
+                sequence: self.next_s11_seq(m_tmsi),
                 body: gtpc::Body::ReleaseAccessBearersRequest,
             }),
             Outgoing::S1ap {
@@ -1193,7 +1206,6 @@ impl MmeCore {
         tai: Tai,
     ) -> Result<Vec<Outgoing>, MmeError> {
         let m_tmsi = self.tmsi_of(mme_ue_id)?;
-        let seq = self.next_s11_seq(m_tmsi);
         let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
         if ctx.procedure != Procedure::AwaitHandoverNotify {
             return Err(MmeError::BadState("handover notify out of sequence".into()));
@@ -1216,10 +1228,11 @@ impl MmeCore {
             teid: enb_ue_id,
             ipv4: [0, 0, 0, 0],
         });
+        let sgw_teid = ctx.bearer.s11_sgw_teid;
         Ok(vec![
             Outgoing::S11(gtpc::Message {
-                teid: ctx.bearer.s11_sgw_teid,
-                sequence: seq,
+                teid: sgw_teid,
+                sequence: self.next_s11_seq(m_tmsi),
                 body: gtpc::Body::ModifyBearerRequest { bearer },
             }),
             Outgoing::S1ap {
@@ -1236,6 +1249,19 @@ impl MmeCore {
     // ----- S11 ----------------------------------------------------------
 
     fn handle_s11(&mut self, msg: gtpc::Message) -> Result<Vec<Outgoing>, MmeError> {
+        // A response closes the transaction its request opened, whatever
+        // its body says: retired here, before the dispatch, so that no
+        // response kind can leave its entry behind.
+        let opened_by = match msg.body {
+            gtpc::Body::CreateSessionResponse { .. }
+            | gtpc::Body::ModifyBearerResponse { .. }
+            | gtpc::Body::DeleteSessionResponse { .. }
+            | gtpc::Body::ReleaseAccessBearersResponse { .. } => {
+                self.pending_s11.remove(&msg.sequence)
+            }
+            _ => None,
+        };
+        let opener = |what| opened_by.ok_or(MmeError::UnknownUe(what));
         match msg.body {
             gtpc::Body::CreateSessionResponse {
                 cause,
@@ -1243,10 +1269,7 @@ impl MmeCore {
                 paa,
                 bearer,
             } => {
-                let m_tmsi = self
-                    .pending_s11
-                    .remove(&msg.sequence)
-                    .ok_or(MmeError::UnknownUe("unmatched CS response"))?;
+                let m_tmsi = opener("unmatched CS response")?;
                 if !cause.is_accepted() {
                     self.stats.rejects += 1;
                     let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
@@ -1330,10 +1353,7 @@ impl MmeCore {
                 ])
             }
             gtpc::Body::ModifyBearerResponse { cause, .. } => {
-                let m_tmsi = self
-                    .pending_s11
-                    .remove(&msg.sequence)
-                    .ok_or(MmeError::UnknownUe("unmatched MB response"))?;
+                let m_tmsi = opener("unmatched MB response")?;
                 if !cause.is_accepted() {
                     self.stats.rejects += 1;
                     return Ok(vec![]);
@@ -1362,10 +1382,7 @@ impl MmeCore {
                 }
             }
             gtpc::Body::DeleteSessionResponse { .. } => {
-                let m_tmsi = self
-                    .pending_s11
-                    .remove(&msg.sequence)
-                    .ok_or(MmeError::UnknownUe("unmatched DS response"))?;
+                let m_tmsi = opener("unmatched DS response")?;
                 let switch_off = self
                     .in_flight
                     .get_mut(&m_tmsi)
@@ -1403,6 +1420,7 @@ impl MmeCore {
                 out.push(Outgoing::UeDetached { guti: ctx.guti });
                 Ok(out)
             }
+            // Retired above; the bearers were released with the request.
             gtpc::Body::ReleaseAccessBearersResponse { .. } => Ok(vec![]),
             gtpc::Body::DownlinkDataNotification { .. } => {
                 // TEID addresses the UE's MME-side S11 endpoint.
@@ -1592,6 +1610,98 @@ mod tests {
         assert_eq!(
             engine.context(&guti).map(|c| c.imsi),
             Imsi::from_ascii(b"001010000000001")
+        );
+    }
+
+    #[test]
+    fn every_s11_response_retires_its_transaction() {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let (guti, mme_ue_id, mut ue_sec) =
+            crate::flow_tests::run_attach(&mut engine, "001010000000001", 1);
+        // Create Session and Modify Bearer answered.
+        assert_eq!(engine.open_transactions(), 0);
+        let respond = |engine: &mut MmeCore, out: &[Outgoing]| {
+            let Some(Outgoing::S11(req)) = out.first() else {
+                panic!("expected an S11 request first: {out:?}");
+            };
+            let body = match req.body {
+                gtpc::Body::ReleaseAccessBearersRequest => {
+                    gtpc::Body::ReleaseAccessBearersResponse {
+                        cause: Cause::RequestAccepted,
+                    }
+                }
+                gtpc::Body::DeleteSessionRequest { .. } => gtpc::Body::DeleteSessionResponse {
+                    cause: Cause::RequestAccepted,
+                },
+                ref other => panic!("unexpected request {other:?}"),
+            };
+            let response = gtpc::Message {
+                teid: 0,
+                sequence: req.sequence,
+                body,
+            };
+            engine.handle(Incoming::S11(response.clone())).unwrap();
+            response
+        };
+        for _ in 0..3 {
+            let out = engine
+                .handle(Incoming::S1ap {
+                    enb_id: 1,
+                    pdu: S1apPdu::UeContextReleaseRequest {
+                        mme_ue_id,
+                        enb_ue_id: 1,
+                        cause: s1_cause::USER_INACTIVITY,
+                    },
+                })
+                .unwrap();
+            assert_eq!(engine.open_transactions(), 1);
+            let response = respond(&mut engine, &out);
+            assert_eq!(
+                engine.open_transactions(),
+                0,
+                "release left its transaction open"
+            );
+            // A response nothing waits for is still ignored.
+            assert!(engine.handle(Incoming::S11(response)).unwrap().is_empty());
+        }
+        let detach = EmmMessage::DetachRequest {
+            switch_off: true,
+            id: MobileId::Guti(guti),
+        };
+        let out = engine
+            .handle(Incoming::S1ap {
+                enb_id: 1,
+                pdu: S1apPdu::UplinkNasTransport {
+                    mme_ue_id,
+                    enb_ue_id: 1,
+                    nas_pdu: ue_sec.protect(&detach, Direction::Uplink, SecurityHeader::Integrity),
+                    tai: Tai::new(Plmn::test(), 7),
+                },
+            })
+            .unwrap();
+        let response = respond(&mut engine, &out);
+        assert_eq!((engine.open_transactions(), engine.context_count()), (0, 0));
+        // An unmatched Create Session, Modify Bearer or Delete Session
+        // response is still an error.
+        assert!(matches!(
+            engine.handle(Incoming::S11(response)),
+            Err(MmeError::UnknownUe("unmatched DS response"))
+        ));
+    }
+
+    #[test]
+    fn a_re_attach_leaves_only_its_newest_s11_teid_indexed() {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let mut guti = None;
+        for k in 0..10 {
+            guti = Some(crate::flow_tests::run_attach(&mut engine, "001010000000001", k + 1).0);
+        }
+        let ctx = engine.context(&guti.unwrap()).unwrap();
+        let teid = ctx.bearer.s11_mme_teid;
+        assert_eq!(
+            engine.by_s11_teid.iter().collect::<Vec<_>>(),
+            vec![(&teid, &ctx.guti.m_tmsi)],
+            "ten attaches of one device"
         );
     }
 
