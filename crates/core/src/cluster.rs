@@ -224,7 +224,7 @@ impl ScaleDc {
         let gutis: Vec<Guti> = self
             .mmps
             .get(&vm)
-            .map(|m| m.contexts().map(|c| c.guti).collect())
+            .map(|m| m.access_freqs().map(|(m_tmsi, _)| self.mlb.guti(m_tmsi)).collect())
             .unwrap_or_default();
         for guti in gutis {
             self.sync_holders(guti, Some(vm));
@@ -280,15 +280,12 @@ impl ScaleDc {
             // whose copy set differs from their desired holder set get
             // re-replication traffic scheduled.
             let missing = desired.iter().any(|v| {
-                self.mmps
-                    .get(v)
-                    .map(|m| m.context(&guti).is_none())
-                    .unwrap_or(true)
+                self.mmps.get(v).is_none_or(|m| !m.holds(&guti))
             });
             let strays = self
                 .mmps
                 .iter()
-                .any(|(v, m)| m.context(&guti).is_some() && !desired.contains(v));
+                .any(|(v, m)| m.holds(&guti) && !desired.contains(v));
             if missing {
                 report.under_replicated += 1;
             }
@@ -410,14 +407,13 @@ impl ScaleDc {
                 assert!(
                     self.mmps
                         .get(vm)
-                        .map(|m| m.context(&guti).is_some())
-                        .unwrap_or(false),
+                        .is_some_and(|m| m.holds(&guti)),
                     "device {m_tmsi}: desired holder VM {vm} is missing its copy"
                 );
             }
             for (vm, engine) in &self.mmps {
                 assert!(
-                    desired.contains(vm) || engine.context(&guti).is_none(),
+                    desired.contains(vm) || !engine.holds(&guti),
                     "device {m_tmsi}: stray copy on VM {vm} outside holder set {desired:?}"
                 );
             }
@@ -434,11 +430,11 @@ impl ScaleDc {
         }
         // Find a current holder to export from.
         let from = source
-            .filter(|v| self.mmps.get(v).map(|m| m.context(&guti).is_some()) == Some(true))
+            .filter(|v| self.mmps.get(v).is_some_and(|m| m.holds(&guti)))
             .or_else(|| {
                 self.mmps
                     .iter()
-                    .find(|(_, m)| m.context(&guti).is_some())
+                    .find(|(_, m)| m.holds(&guti))
                     .map(|(v, _)| *v)
             });
         let Some(from) = from else { return };
@@ -447,16 +443,12 @@ impl ScaleDc {
         };
         for vm in self.vm_ids() {
             let wanted = desired.contains(&vm);
-            let has = self
-                .mmps
-                .get(&vm)
-                .map(|m| m.context(&guti).is_some())
-                .unwrap_or(false);
+            let has = self.mmps.get(&vm).is_some_and(|m| m.holds(&guti));
             if wanted {
                 // Refresh (or create) the copy.
                 if vm != from || !has {
                     if let Some(engine) = self.mmps.get_mut(&vm) {
-                        let _ = engine.import_state(blob.clone());
+                        let _ = engine.import_state(&blob);
                         self.stats.replications += 1;
                         self.stats.replication_bytes += blob.len() as u64;
                         // Replication costs service capacity on both
@@ -480,8 +472,8 @@ impl ScaleDc {
     fn device_weights(&self) -> BTreeMap<u32, f64> {
         let mut out = BTreeMap::new();
         for engine in self.mmps.values() {
-            for ctx in engine.contexts() {
-                out.entry(ctx.guti.m_tmsi).or_insert(ctx.access_freq);
+            for (m_tmsi, access_freq) in engine.access_freqs() {
+                out.entry(m_tmsi).or_insert(access_freq);
             }
         }
         out
@@ -492,12 +484,7 @@ impl ScaleDc {
     /// back to the master (counting a forward, §4.6 case 2).
     fn route_with_state(&mut self, m_tmsi: u32) -> Option<VmId> {
         let guti = self.mlb.guti(m_tmsi);
-        let has = |dc: &Self, vm: VmId| {
-            dc.mmps
-                .get(&vm)
-                .map(|m| m.context(&guti).is_some())
-                .unwrap_or(false)
-        };
+        let has = |dc: &Self, vm: VmId| dc.mmps.get(&vm).is_some_and(|m| m.holds(&guti));
         // `route_idle_transition` already skips holders marked down;
         // `None` means every holder is down, not that the state is gone.
         if let Some(chosen) = self.mlb.route_idle_transition(m_tmsi) {
@@ -517,7 +504,7 @@ impl ScaleDc {
         let mlb = &self.mlb;
         self.mmps
             .iter()
-            .find(|(v, m)| !mlb.is_down(**v) && m.context(&guti).is_some())
+            .find(|(v, m)| !mlb.is_down(**v) && m.holds(&guti))
             .map(|(v, _)| *v)
     }
 
@@ -641,11 +628,11 @@ impl ScaleDc {
 
     /// Find a live replica able to serve an Active-mode event whose
     /// embedded VM crashed — the explicit state-promotion of §4.6. The
-    /// replica is located through the id indices its imported copy
-    /// kept: the S11 TEID is minted once per session so DDN failover
-    /// always resolves; an MME-UE-S1AP-ID re-minted after the last
-    /// replica refresh resolves nowhere and the request is lost (the
-    /// UE recovers by re-attaching).
+    /// replica is located through the engines' id indices: the S11
+    /// TEID is minted once per session and indexes every copy, so DDN
+    /// failover always resolves; an MME-UE-S1AP-ID indexes only a copy
+    /// decoded for a connection, so unless another VM serves the device
+    /// the request is lost (the UE recovers by re-attaching).
     fn promotion_target(&self, ev: &Incoming) -> Option<VmId> {
         let live = |vm: &VmId| !self.mlb.is_down(*vm);
         match ev {
@@ -776,9 +763,7 @@ impl ScaleDc {
         let access_alpha = self.config.access_alpha;
         // 1. Close per-device access windows.
         for engine in self.mmps.values_mut() {
-            for ctx in engine.contexts_mut() {
-                ctx.close_epoch(access_alpha);
-            }
+            engine.close_epoch(access_alpha);
         }
         // 2. Devices + weights.
         let weights_map = self.device_weights();
@@ -967,7 +952,7 @@ impl ScaleDc {
                 let guti = self.mlb.guti(**m);
                 self.mmps
                     .values()
-                    .any(|e| e.context(&guti).map(|c| c.ecm == EcmState::Idle) == Some(true))
+                    .any(|e| e.ecm(&guti) == Some(EcmState::Idle))
             })
             .count()
     }
@@ -1039,6 +1024,62 @@ mod tests {
             assert_eq!(net.ues[ue].state, UeState::Active);
         }
         assert!(net.errors.is_empty(), "{:?}", net.errors);
+    }
+
+    /// `Network::tau` reports whether a TAU reached its Idle edge, the
+    /// release that ends it. Run one at a time, on 1 to 16 VMs, a TAU
+    /// from Idle reaches it exactly when the holder that serves it is
+    /// the VM that minted the S1AP id its release carries: a TAU keeps
+    /// the device's id, and `ScaleDc` routes the Release Complete by
+    /// the VM in it (ROADMAP defect 1(b)). On more than one VM they all
+    /// miss: the least-loaded holder is never the one that served the
+    /// attach, so 1(b) needs no concurrency to show.
+    #[test]
+    fn a_tau_reaches_its_idle_edge_only_on_the_vm_that_minted_its_s1ap_id() {
+        for vms in [1, 2, 3, 5, 8, 16] {
+            let mut net = scale_net(vms, 300);
+            for ue in 0..300 {
+                assert!(net.attach(ue) && net.go_idle(ue), "{vms} VMs, ue {ue}: {:?}", net.errors);
+            }
+            let taus = |dc: &ScaleDc| -> Vec<u64> { dc.mmps.values().map(|m| m.stats.taus).collect() };
+            let (mut reached, mut missed) = (0, 0);
+            for round in 0..3u16 {
+                for ue in 0..300 {
+                    let guti = net.ues[ue].guti.expect("registered");
+                    let id = net.cp.mmps.values().find_map(|m| m.context(&guti)).map(|c| c.mme_ue_id);
+                    let before = taus(&net.cp);
+                    let went_idle = net.tau(ue, 0x100 + round);
+                    let after = taus(&net.cp);
+                    let served: Vec<VmId> = net
+                        .cp
+                        .mmps
+                        .keys()
+                        .zip(before.iter().zip(&after))
+                        .filter(|(_, (b, a))| a > b)
+                        .map(|(&vm, _)| vm)
+                        .collect();
+                    let minted = id.map(|id| scale_mme::vm_of_id(id) as VmId);
+                    assert_eq!(served.len(), 1, "{vms} VMs, ue {ue}: served by {served:?}");
+                    assert_eq!(
+                        went_idle,
+                        minted == Some(served[0]),
+                        "{vms} VMs, ue {ue}, round {round}: served by {served:?}, id minted by {minted:?}"
+                    );
+                    if went_idle {
+                        reached += 1;
+                    } else {
+                        missed += 1;
+                    }
+                }
+            }
+            println!("{vms} VMs: {reached} TAUs reached their Idle edge, {missed} did not");
+            assert_eq!(
+                (reached, missed),
+                if vms == 1 { (900, 0) } else { (0, 900) },
+                "{vms} VMs: a fix to defect 1(b) changes this"
+            );
+            assert!(net.errors.is_empty(), "{vms} VMs: {:?}", net.errors);
+        }
     }
 
     #[test]
@@ -1162,7 +1203,7 @@ mod tests {
             .vm_ids()
             .iter()
             .filter(|v| {
-                net.cp.mmps.get(v).map(|m| m.context(&guti).is_some()) == Some(true)
+                net.cp.mmps.get(v).is_some_and(|m| m.holds(&guti))
             })
             .count()
     }

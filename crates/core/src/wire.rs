@@ -702,7 +702,7 @@ impl MmpNode {
         let guti = self.plane.snapshot().guti(m_tmsi);
         self.engines
             .iter()
-            .filter(|(_, e)| e.context(&guti).is_some())
+            .filter(|(_, e)| e.holds(&guti))
             .map(|(&vm, _)| vm)
             .collect()
     }
@@ -773,7 +773,7 @@ impl MmpNode {
                 let guti = self.reader.snapshot().guti(m_tmsi);
                 match self.engines.get_mut(&vm) {
                     Some(engine) => {
-                        if engine.remove_context(&guti).is_some() {
+                        if engine.remove_context(&guti) {
                             self.stats.strays_dropped += 1;
                         }
                     }
@@ -868,7 +868,7 @@ impl MmpNode {
             }
             match self.engines.get_mut(&h) {
                 Some(local) => {
-                    if local.import_state(blob.clone()).is_ok() {
+                    if local.import_state(&blob).is_ok() {
                         self.stats.replicas_imported += 1;
                     }
                 }
@@ -901,7 +901,7 @@ impl MmpNode {
             }
             match self.engines.get_mut(&h) {
                 Some(local) => {
-                    if local.remove_context(&guti).is_some() {
+                    if local.remove_context(&guti) {
                         self.stats.strays_dropped += 1;
                     }
                 }

@@ -424,7 +424,8 @@ impl<C: ControlPlane> Network<C> {
         became_active
     }
 
-    /// Tracking-area update toward `tac` (moves the UE's camped TA).
+    /// Tracking-area update toward `tac` (moves the UE's camped TA):
+    /// whether it reached its Idle edge, the release that ends it.
     pub fn tau(&mut self, ue: usize, tac: u16) -> bool {
         let new_tai = Tai::new(self.plmn, tac);
         let Some((nas, m_tmsi)) = self.ues[ue].tau_request(new_tai) else {
@@ -434,8 +435,11 @@ impl<C: ControlPlane> Network<C> {
         let enb = self.ue_enb[ue];
         let pdu = self.enbs[enb].connect(ue, nas, Some((code, m_tmsi)), 4);
         let enb_id = self.enbs[enb].id;
+        let mark = self.events.len();
         self.run(Wire::ToCp(Incoming::S1ap { enb_id, pdu }));
-        true
+        self.events[mark..]
+            .iter()
+            .any(|e| matches!(e, Lifecycle::Idle { ue: u } if *u == ue))
     }
 
     /// S1 handover of an Active UE to another eNodeB.

@@ -11,7 +11,7 @@ use crate::MmeError;
 use bytes::Bytes;
 use scale_crypto::kdf::NasSecurityKeys;
 use scale_nas::security::NasSecurityContext;
-use scale_nas::wire::{NasError, Reader, Writer};
+use scale_nas::wire::NasError;
 use scale_nas::{Guti, Imsi, Plmn, Tai};
 use std::fmt;
 
@@ -229,8 +229,7 @@ impl UeContext {
     /// frequency: w ← α·[active this epoch] + (1−α)·w, the profiling
     /// described in §4.5.
     pub fn close_epoch(&mut self, alpha: f64) {
-        let active = if self.epoch_accesses > 0 { 1.0 } else { 0.0 };
-        self.access_freq = alpha * active + (1.0 - alpha) * self.access_freq;
+        self.access_freq = fold_access(self.access_freq, self.epoch_accesses, alpha);
         self.epoch_accesses = 0;
     }
 
@@ -238,49 +237,81 @@ impl UeContext {
     /// state is intentionally *not* shipped: SCALE replicates on the
     /// Active→Idle edge, where no procedure is in flight (§4.6).
     pub fn to_bytes(&self) -> Bytes {
-        let mut w = Writer::new();
-        w.lv(&self.imsi.to_ascii()[..self.imsi.digit_count()]);
-        self.guti.encode(&mut w);
-        w.u8(match self.emm {
+        let mut out = Vec::with_capacity(self.blob_len());
+        self.encode(&mut out);
+        Bytes::from(out)
+    }
+
+    /// How many bytes [`Self::to_bytes`] writes.
+    fn blob_len(&self) -> usize {
+        let security = if self.security.is_some() { 1 + 32 + 16 + 16 + 4 + 4 + 1 } else { 1 };
+        let external = if self.external_replica_dc.is_some() { 3 } else { 1 };
+        1 + self.imsi.digit_count()
+            + 10
+            + 1
+            + 4
+            + Tai::WIRE_LEN * (1 + self.tai_list.len())
+            + 1
+            + 1
+            + 4 * 3
+            + 4 * 2
+            + security
+            + 8
+            + external
+    }
+
+    /// What [`Self::to_bytes`] writes, appended to `out`. It runs on
+    /// every Idle edge, so it writes into the `Vec` itself rather than
+    /// through `Writer`, each of whose puts is a call across crates.
+    fn encode(&self, out: &mut Vec<u8>) {
+        let digits = self.imsi.digit_count();
+        out.push(digits as u8);
+        out.extend_from_slice(&self.imsi.to_ascii()[..digits]);
+        out.extend_from_slice(&self.guti.to_bytes());
+        out.push(match self.emm {
             EmmState::Deregistered => 0,
             EmmState::Registering => 1,
             EmmState::Registered => 2,
         });
-        w.u32(self.mme_ue_id);
-        self.tai.encode(&mut w);
-        w.u8(self.tai_list.len() as u8);
+        out.extend_from_slice(&self.mme_ue_id.to_be_bytes());
+        let put_tai = |out: &mut Vec<u8>, t: &Tai| {
+            out.extend_from_slice(&t.plmn.0);
+            out.extend_from_slice(&t.tac.to_be_bytes());
+        };
+        put_tai(out, &self.tai);
+        out.push(self.tai_list.len() as u8);
         for t in self.tai_list.iter() {
-            t.encode(&mut w);
+            put_tai(out, t);
         }
         // Bearer.
-        w.u8(self.bearer.ebi);
-        w.u32(self.bearer.s11_mme_teid);
-        w.u32(self.bearer.s11_sgw_teid);
-        w.u32(self.bearer.s1u_sgw_teid);
-        w.slice(&self.bearer.s1u_sgw_addr);
-        w.slice(&self.bearer.pdn_addr);
+        let b = &self.bearer;
+        out.push(b.ebi);
+        for teid in [b.s11_mme_teid, b.s11_sgw_teid, b.s1u_sgw_teid] {
+            out.extend_from_slice(&teid.to_be_bytes());
+        }
+        out.extend_from_slice(&b.s1u_sgw_addr);
+        out.extend_from_slice(&b.pdn_addr);
         // Security context.
         match &self.security {
-            None => w.u8(0),
+            None => out.push(0),
             Some(sec) => {
-                w.u8(1);
-                w.slice(&sec.keys.kasme);
-                w.slice(&sec.keys.k_nas_enc);
-                w.slice(&sec.keys.k_nas_int);
-                w.u32(sec.ul_count);
-                w.u32(sec.dl_count);
-                w.u8(sec.ksi);
+                out.push(1);
+                out.extend_from_slice(&sec.keys.kasme);
+                out.extend_from_slice(&sec.keys.k_nas_enc);
+                out.extend_from_slice(&sec.keys.k_nas_int);
+                out.extend_from_slice(&sec.ul_count.to_be_bytes());
+                out.extend_from_slice(&sec.dl_count.to_be_bytes());
+                out.push(sec.ksi);
             }
         }
-        w.u64(self.access_freq.to_bits());
+        out.extend_from_slice(&self.access_freq.to_bits().to_be_bytes());
         match self.external_replica_dc {
-            None => w.u8(0),
+            None => out.push(0),
             Some(dc) => {
-                w.u8(1);
-                w.u16(dc);
+                out.push(1);
+                out.extend_from_slice(&dc.to_be_bytes());
             }
         }
-        w.finish()
     }
 
     /// Inverse of [`Self::to_bytes`]. Restored contexts come back Idle
@@ -288,89 +319,35 @@ impl UeContext {
     /// is accepted: an IMSI of 1–15 ASCII digits, presence bytes of 0 or
     /// 1 and nothing behind the last field — so a blob that decodes
     /// encodes back to itself.
-    pub fn from_bytes(buf: Bytes) -> Result<UeContext, MmeError> {
-        let mut r = Reader::new(buf);
-        let digits = r.lv("imsi")?;
-        let imsi = Imsi::from_ascii(&digits).ok_or(NasError::Invalid {
-            what: "imsi",
-            value: digits.len() as u64,
-        })?;
-        let guti = Guti::decode(&mut r)?;
-        let emm = match r.u8("emm state")? {
-            0 => EmmState::Deregistered,
-            1 => EmmState::Registering,
-            2 => EmmState::Registered,
-            v => {
-                return Err(MmeError::BadState(format!("emm state {v}")));
-            }
-        };
-        let mme_ue_id = r.u32("mme ue id")?;
-        let tai = Tai::decode(&mut r)?;
-        // The count sizes nothing: each entry is read before it is kept.
-        let n = r.u8("tai list len")?;
+    pub fn from_bytes(blob: impl AsRef<[u8]>) -> Result<UeContext, MmeError> {
         let mut tai_list = TaiList::empty();
-        for _ in 0..n {
-            tai_list.push(Tai::decode(&mut r)?);
-        }
-        let bearer = BearerState {
-            ebi: r.u8("ebi")?,
-            s11_mme_teid: r.u32("s11 mme teid")?,
-            s11_sgw_teid: r.u32("s11 sgw teid")?,
-            s1u_sgw_teid: r.u32("s1u teid")?,
-            s1u_sgw_addr: r.array("s1u addr")?,
-            pdn_addr: r.array("pdn addr")?,
-        };
-        let security = if present(&mut r, "security present")? {
-            let kasme: [u8; 32] = r.array("kasme")?;
-            let k_nas_enc: [u8; 16] = r.array("k_nas_enc")?;
-            let k_nas_int: [u8; 16] = r.array("k_nas_int")?;
-            let ul_count = r.u32("ul count")?;
-            let dl_count = r.u32("dl count")?;
-            let ksi = r.u8("ksi")?;
-            let mut ctx = NasSecurityContext::new(
-                NasSecurityKeys {
-                    kasme,
-                    k_nas_enc,
-                    k_nas_int,
-                },
-                ksi,
-            );
-            ctx.ul_count = ul_count;
-            ctx.dl_count = dl_count;
-            Some(ctx)
-        } else {
-            None
-        };
-        let access_freq = f64::from_bits(r.u64("access freq")?);
-        let external_replica_dc = if present(&mut r, "ext replica present")? {
-            Some(r.u16("ext replica dc")?)
-        } else {
-            None
-        };
-        if r.remaining() != 0 {
-            return Err(NasError::Invalid {
-                what: "bytes behind the context",
-                value: r.remaining() as u64,
-            }
-            .into());
-        }
+        let f = read_blob(blob.as_ref(), |tai| tai_list.push(tai))?;
         Ok(UeContext {
-            imsi,
-            guti,
-            emm,
+            imsi: f.keys.imsi,
+            guti: f.keys.guti,
+            emm: f.emm,
             ecm: EcmState::Idle,
             procedure: Procedure::None,
-            mme_ue_id,
+            mme_ue_id: f.keys.mme_ue_id,
             enb_ue_id: 0,
             enb_id: 0,
-            tai,
+            tai: f.tai,
             tai_list,
-            bearer,
-            security,
-            access_freq,
+            bearer: f.bearer,
+            security: f.security,
+            access_freq: f.keys.access_freq,
             epoch_accesses: 0,
-            external_replica_dc,
+            external_replica_dc: f.external_replica_dc,
         })
+    }
+
+    /// The ids a replica blob is indexed under, and its access
+    /// frequency, read without building the record: what a holder needs
+    /// to keep the blob as it came. It accepts exactly the blobs
+    /// [`Self::from_bytes`] accepts, and fails on the others with the
+    /// same error: both run the one decoder.
+    pub fn peek(blob: &[u8]) -> Result<BlobKeys, MmeError> {
+        read_blob(blob, |_| {}).map(|f| f.keys)
     }
 
     /// Approximate in-memory footprint in bytes, used by the provisioner
@@ -380,8 +357,165 @@ impl UeContext {
     }
 }
 
+/// What [`UeContext::peek`] reads from a replica blob.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlobKeys {
+    pub imsi: Imsi,
+    pub guti: Guti,
+    pub mme_ue_id: u32,
+    pub s11_mme_teid: u32,
+    /// The access frequency w_i (§4.5) the epoch's replica allocation
+    /// weighs.
+    pub access_freq: f64,
+    /// Where its eight bytes sit in the blob.
+    pub(crate) access_freq_at: usize,
+}
+
+/// Every field of a blob but the TAI list.
+struct BlobFields {
+    keys: BlobKeys,
+    emm: EmmState,
+    tai: Tai,
+    bearer: BearerState,
+    security: Option<NasSecurityContext>,
+    external_replica_dc: Option<u16>,
+}
+
+/// The replica blob decoder, for [`UeContext::from_bytes`] and
+/// [`UeContext::peek`] alike: the TAI list's entries go to `tai_entry`
+/// one by one, so a caller after the keys builds nothing.
+fn read_blob(blob: &[u8], mut tai_entry: impl FnMut(Tai)) -> Result<BlobFields, MmeError> {
+    let mut r = Cursor(blob);
+    let len = r.u8("imsi")?;
+    let digits = r.take("imsi", usize::from(len))?;
+    let imsi = Imsi::from_ascii(digits).ok_or(NasError::Invalid {
+        what: "imsi",
+        value: digits.len() as u64,
+    })?;
+    let guti = Guti::from_bytes(&r.array("guti")?);
+    let emm = match r.u8("emm state")? {
+        0 => EmmState::Deregistered,
+        1 => EmmState::Registering,
+        2 => EmmState::Registered,
+        v => {
+            return Err(MmeError::BadState(format!("emm state {v}")));
+        }
+    };
+    let mme_ue_id = r.u32("mme ue id")?;
+    let tai = read_tai(&mut r)?;
+    // The count sizes nothing: each entry is read before it is kept.
+    for _ in 0..r.u8("tai list len")? {
+        tai_entry(read_tai(&mut r)?);
+    }
+    let bearer = BearerState {
+        ebi: r.u8("ebi")?,
+        s11_mme_teid: r.u32("s11 mme teid")?,
+        s11_sgw_teid: r.u32("s11 sgw teid")?,
+        s1u_sgw_teid: r.u32("s1u teid")?,
+        s1u_sgw_addr: r.array("s1u addr")?,
+        pdn_addr: r.array("pdn addr")?,
+    };
+    let security = if present(&mut r, "security present")? {
+        let kasme: [u8; 32] = r.array("kasme")?;
+        let k_nas_enc: [u8; 16] = r.array("k_nas_enc")?;
+        let k_nas_int: [u8; 16] = r.array("k_nas_int")?;
+        let ul_count = r.u32("ul count")?;
+        let dl_count = r.u32("dl count")?;
+        let ksi = r.u8("ksi")?;
+        let mut ctx = NasSecurityContext::new(
+            NasSecurityKeys {
+                kasme,
+                k_nas_enc,
+                k_nas_int,
+            },
+            ksi,
+        );
+        ctx.ul_count = ul_count;
+        ctx.dl_count = dl_count;
+        Some(ctx)
+    } else {
+        None
+    };
+    let access_freq_at = blob.len() - r.remaining();
+    let access_freq = f64::from_bits(u64::from_be_bytes(r.array("access freq")?));
+    let external_replica_dc = if present(&mut r, "ext replica present")? {
+        Some(r.u16("ext replica dc")?)
+    } else {
+        None
+    };
+    if r.remaining() != 0 {
+        return Err(NasError::Invalid {
+            what: "bytes behind the context",
+            value: r.remaining() as u64,
+        }
+        .into());
+    }
+    Ok(BlobFields {
+        keys: BlobKeys {
+            imsi,
+            guti,
+            mme_ue_id,
+            s11_mme_teid: bearer.s11_mme_teid,
+            access_freq,
+            access_freq_at,
+        },
+        emm,
+        tai,
+        bearer,
+        security,
+        external_replica_dc,
+    })
+}
+
+/// [`scale_nas::wire::View`]'s checked big-endian reads, with its
+/// errors: the same reads, here so that the blob decoder, which runs on
+/// every wake, inlines them instead of calling across crates per field.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    fn take(&mut self, what: &'static str, n: usize) -> Result<&'a [u8], NasError> {
+        if self.0.len() < n {
+            return Err(NasError::Truncated {
+                what,
+                needed: n - self.0.len(),
+            });
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], NasError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(what, N)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self, what: &'static str) -> Result<u8, NasError> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    fn u16(&mut self, what: &'static str) -> Result<u16, NasError> {
+        self.array(what).map(u16::from_be_bytes)
+    }
+
+    fn u32(&mut self, what: &'static str) -> Result<u32, NasError> {
+        self.array(what).map(u32::from_be_bytes)
+    }
+}
+
+/// A [`Tai`] as [`Tai::encode`] writes it.
+fn read_tai(r: &mut Cursor<'_>) -> Result<Tai, NasError> {
+    let plmn: [u8; 3] = r.array("tai plmn")?;
+    Ok(Tai::new(Plmn(plmn), r.u16("tac")?))
+}
+
 /// A presence byte as [`UeContext::to_bytes`] writes it: 0 or 1.
-fn present(r: &mut Reader, what: &'static str) -> Result<bool, NasError> {
+fn present(r: &mut Cursor<'_>, what: &'static str) -> Result<bool, NasError> {
     match r.u8(what)? {
         0 => Ok(false),
         1 => Ok(true),
@@ -390,6 +524,116 @@ fn present(r: &mut Reader, what: &'static str) -> Result<bool, NasError> {
             value: u64::from(v),
         }),
     }
+}
+
+/// An Idle copy at rest: the replica blob [`UeContext::to_bytes`]
+/// wrote, followed in the same allocation by the two fields of the Idle
+/// record that the blob omits and that still count — the serving
+/// eNodeB, which the engine's fingerprint tells states apart by, and
+/// the accesses of the current epoch, which `close_epoch` folds. A copy
+/// with both zero, as every imported replica is, keeps a one-byte tail
+/// (`0`); any other keeps both, big-endian, and then a `1`.
+pub(crate) struct AtRest(Box<[u8]>);
+
+impl AtRest {
+    /// The two tail fields and the byte that says they are there.
+    const TAIL: usize = 9;
+
+    /// `ctx` at its Idle edge: Idle, nothing in flight, no eNodeB-side
+    /// id — everything else it holds is in the blob or the tail.
+    pub(crate) fn of(ctx: &UeContext) -> AtRest {
+        debug_assert!(ctx.ecm == EcmState::Idle && ctx.procedure == Procedure::None);
+        debug_assert_eq!(ctx.enb_ue_id, 0);
+        let tail = (ctx.enb_id, ctx.epoch_accesses);
+        let mut buf = Vec::with_capacity(ctx.blob_len() + Self::tail_len_of(tail));
+        ctx.encode(&mut buf);
+        debug_assert_eq!(buf.len(), ctx.blob_len());
+        Self::with_tail(buf, tail)
+    }
+
+    /// A received replica blob, copied: the holder keeps its own bytes,
+    /// never a slice of the buffer the blob arrived in.
+    pub(crate) fn import(blob: &[u8]) -> AtRest {
+        let mut buf = Vec::with_capacity(blob.len() + 1);
+        buf.extend_from_slice(blob);
+        Self::with_tail(buf, (0, 0))
+    }
+
+    fn tail_len_of(tail: (u32, u32)) -> usize {
+        if tail == (0, 0) {
+            1
+        } else {
+            Self::TAIL
+        }
+    }
+
+    /// `buf` has room for the tail, so the box takes it as it is.
+    fn with_tail(mut buf: Vec<u8>, (enb_id, epoch_accesses): (u32, u32)) -> AtRest {
+        if (enb_id, epoch_accesses) == (0, 0) {
+            buf.push(0);
+        } else {
+            buf.extend_from_slice(&enb_id.to_be_bytes());
+            buf.extend_from_slice(&epoch_accesses.to_be_bytes());
+            buf.push(1);
+        }
+        debug_assert_eq!(buf.len(), buf.capacity());
+        AtRest(buf.into_boxed_slice())
+    }
+
+    /// The replica blob, as [`UeContext::to_bytes`] would write it.
+    pub(crate) fn blob(&self) -> &[u8] {
+        &self.0[..self.0.len() - self.tail_len()]
+    }
+
+    fn tail_len(&self) -> usize {
+        match self.0.last() {
+            Some(1) => Self::TAIL,
+            _ => 1,
+        }
+    }
+
+    /// The serving eNodeB and the epoch's accesses.
+    pub(crate) fn tail(&self) -> (u32, u32) {
+        if self.tail_len() == 1 {
+            return (0, 0);
+        }
+        let at = self.0.len() - Self::TAIL;
+        let word = |k: usize| {
+            let mut b = [0; 4];
+            b.copy_from_slice(&self.0[at + k..at + k + 4]);
+            u32::from_be_bytes(b)
+        };
+        (word(0), word(4))
+    }
+
+    /// The Idle record this copy stands for.
+    pub(crate) fn decode(&self) -> Result<UeContext, MmeError> {
+        let mut ctx = UeContext::from_bytes(self.blob())?;
+        (ctx.enb_id, ctx.epoch_accesses) = self.tail();
+        Ok(ctx)
+    }
+
+    /// [`UeContext::close_epoch`], on the bytes.
+    pub(crate) fn close_epoch(&mut self, alpha: f64) {
+        let (_, accesses) = self.tail();
+        let Ok(keys) = UeContext::peek(self.blob()) else {
+            return;
+        };
+        let w = fold_access(keys.access_freq, accesses, alpha);
+        let at = keys.access_freq_at;
+        self.0[at..at + 8].copy_from_slice(&w.to_bits().to_be_bytes());
+        if self.tail_len() == Self::TAIL {
+            // The epoch's accesses start again from zero.
+            let at = self.0.len() - Self::TAIL + 4;
+            self.0[at..at + 4].fill(0);
+        }
+    }
+}
+
+/// The §4.5 profiling step: w ← α·[active this epoch] + (1−α)·w.
+fn fold_access(w: f64, accesses: u32, alpha: f64) -> f64 {
+    let active = if accesses > 0 { 1.0 } else { 0.0 };
+    alpha * active + (1.0 - alpha) * w
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! the routing trick of §5 "Load Balancing"), the discrete-event
 //! simulator and the tokio prototype.
 
-use crate::context::{EcmState, EmmState, Procedure, UeContext};
+use crate::context::{AtRest, EcmState, EmmState, Procedure, UeContext};
 use bytes::Bytes;
 use scale_crypto::kdf::{NasSecurityKeys, ALG_ID_AES};
 use scale_diameter::{result_code, DiameterMsg, EutranVector, S6a};
@@ -22,6 +22,7 @@ use scale_nas::{
 use scale_s1ap::{cause as s1_cause, ErabSetup, Gummei, S1apPdu};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors surfaced by the engine.
 #[derive(Debug)]
@@ -171,13 +172,29 @@ struct InFlight {
 }
 
 /// The engine. Keyed internally by M-TMSI (unique per MME code).
+///
+/// A device's copy is held in one of two forms. Connected, or with a
+/// procedure in flight, it is a decoded record in `contexts`. Idle, it
+/// is at rest in `at_rest`: the replica blob it would be exported as,
+/// which is all any holder of an Idle copy needs until the device next
+/// wakes there (`MmeCore::wake`).
 pub struct MmeCore {
     pub config: MmeConfig,
-    /// Each context boxed, so the table holds 16-byte entries and a
+    /// Each record boxed, so the table holds 16-byte entries and a
     /// growing population moves pointers, not records. The other id
-    /// maps name M-TMSIs and resolve through this one.
+    /// maps name M-TMSIs and resolve through this one or `at_rest`.
     contexts: HashMap<u32, Box<UeContext>>,
+    /// Idle copies: imported replicas, and the serving copy from its
+    /// Idle edge on.
+    at_rest: HashMap<u32, AtRest>,
+    /// The at-rest copies decoded, for the read-only views
+    /// ([`MmeCore::contexts`], [`MmeCore::context`]) only: built on the
+    /// first call and dropped by every `&mut self` entry point.
+    snapshot: OnceLock<HashMap<u32, UeContext>>,
+    /// Every copy, in either form, by IMSI.
     by_imsi: HashMap<Imsi, u32>,
+    /// Decoded records only: an Active-mode message names the
+    /// connection's id, and only a Connected copy has a connection.
     by_mme_ue_id: HashMap<u32, u32>,
     /// S11 MME-TEID → M-TMSI: the TEID is minted once at session
     /// creation and survives re-mints of the S1AP id, so DDNs always
@@ -211,6 +228,8 @@ impl MmeCore {
         MmeCore {
             config,
             contexts: HashMap::new(),
+            at_rest: HashMap::new(),
+            snapshot: OnceLock::new(),
             by_imsi: HashMap::new(),
             by_mme_ue_id: HashMap::new(),
             by_s11_teid: HashMap::new(),
@@ -229,22 +248,81 @@ impl MmeCore {
 
     /// Number of UE contexts held (registered devices, the `K` of Eq 1).
     pub fn context_count(&self) -> usize {
-        self.contexts.len()
+        self.contexts.len() + self.at_rest.len()
     }
 
-    /// Iterate contexts (read-only).
+    /// Whether a copy of `guti`'s context is held here, in either form.
+    /// Decodes nothing: the presence check for the event path.
+    pub fn holds(&self, guti: &Guti) -> bool {
+        self.contexts.contains_key(&guti.m_tmsi) || self.at_rest.contains_key(&guti.m_tmsi)
+    }
+
+    /// The ECM state of the copy of `guti`'s context held here, if any.
+    /// A copy at rest is Idle.
+    pub fn ecm(&self, guti: &Guti) -> Option<EcmState> {
+        match self.contexts.get(&guti.m_tmsi) {
+            Some(ctx) => Some(ctx.ecm),
+            None => self.at_rest.contains_key(&guti.m_tmsi).then_some(EcmState::Idle),
+        }
+    }
+
+    /// M-TMSI and access frequency w_i of every copy held — what an
+    /// epoch's replica allocation weighs — read without a decode.
+    pub fn access_freqs(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let decoded = self.contexts.iter().map(|(&m, c)| (m, c.access_freq));
+        let at_rest = self.at_rest.iter().filter_map(|(&m, rest)| {
+            UeContext::peek(rest.blob()).ok().map(|k| (m, k.access_freq))
+        });
+        decoded.chain(at_rest)
+    }
+
+    /// Iterate contexts (read-only). Copies at rest are decoded into a
+    /// snapshot the next `&mut self` call drops: for audits and tests,
+    /// not the event path.
     pub fn contexts(&self) -> impl Iterator<Item = &UeContext> {
-        self.contexts.values().map(|c| &**c)
+        self.contexts
+            .values()
+            .map(|c| &**c)
+            .chain(self.snapshot().values())
     }
 
-    /// Iterate contexts mutably (epoch close, access-frequency updates).
-    pub fn contexts_mut(&mut self) -> impl Iterator<Item = &mut UeContext> {
-        self.contexts.values_mut().map(|c| &mut **c)
-    }
-
-    /// Look up a context by GUTI.
+    /// Look up a context by GUTI. Like [`Self::contexts`], for audits
+    /// and tests: a copy at rest is read from the decoded snapshot.
     pub fn context(&self, guti: &Guti) -> Option<&UeContext> {
-        self.contexts.get(&guti.m_tmsi).map(|c| &**c)
+        match self.contexts.get(&guti.m_tmsi) {
+            Some(ctx) => Some(&**ctx),
+            None if self.at_rest.contains_key(&guti.m_tmsi) => self.snapshot().get(&guti.m_tmsi),
+            None => None,
+        }
+    }
+
+    fn snapshot(&self) -> &HashMap<u32, UeContext> {
+        self.snapshot.get_or_init(|| {
+            self.at_rest
+                .iter()
+                .filter_map(|(&m, rest)| rest.decode().ok().map(|ctx| (m, ctx)))
+                .collect()
+        })
+    }
+
+    /// Called first by every `&mut self` entry point: the snapshot of
+    /// [`Self::contexts`] is only good until the engine changes.
+    fn drop_snapshot(&mut self) {
+        if self.snapshot.get().is_some() {
+            self.snapshot.take();
+        }
+    }
+
+    /// Fold every copy's epoch activity into its access frequency
+    /// ([`UeContext::close_epoch`]), at rest in place.
+    pub fn close_epoch(&mut self, alpha: f64) {
+        self.drop_snapshot();
+        for ctx in self.contexts.values_mut() {
+            ctx.close_epoch(alpha);
+        }
+        for rest in self.at_rest.values_mut() {
+            rest.close_epoch(alpha);
+        }
     }
 
     /// Hash the engine's behavior-relevant state into `h` — every
@@ -253,19 +331,25 @@ impl MmeCore {
     /// tables and the id allocators. `stats` and the per-epoch access
     /// counters are excluded: they never steer future message handling,
     /// and folding monotone counters in would defeat the protocol model
-    /// checker's visited-set dedup.
+    /// checker's visited-set dedup. A copy hashes the same at rest as
+    /// decoded.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
-        let mut keys: Vec<u32> = self.contexts.keys().copied().collect();
+        let mut keys: Vec<u32> = self.contexts.keys().chain(self.at_rest.keys()).copied().collect();
         keys.sort_unstable();
         for m_tmsi in keys {
-            let ctx = &self.contexts[&m_tmsi];
             m_tmsi.hash(h);
-            ctx.to_bytes().as_ref().hash(h);
-            // Transient fields absent from the replication
-            // serialization still steer the live engine.
-            (ctx.ecm as u8, ctx.procedure as u8).hash(h);
-            (ctx.enb_ue_id, ctx.enb_id).hash(h);
+            if let Some(ctx) = self.contexts.get(&m_tmsi) {
+                ctx.to_bytes().as_ref().hash(h);
+                // Transient fields absent from the replication
+                // serialization still steer the live engine.
+                (ctx.ecm as u8, ctx.procedure as u8).hash(h);
+                (ctx.enb_ue_id, ctx.enb_id).hash(h);
+            } else if let Some(rest) = self.at_rest.get(&m_tmsi) {
+                rest.blob().hash(h);
+                (EcmState::Idle as u8, Procedure::None as u8).hash(h);
+                (0u32, rest.tail().0).hash(h);
+            }
             let aka = self.in_flight.get(&m_tmsi).copied().unwrap_or_default();
             aka.xres.hash(h);
             aka.kasme.hash(h);
@@ -298,9 +382,9 @@ impl MmeCore {
     }
 
     /// M-TMSI of the device this engine indexes under a composed
-    /// MME-UE-S1AP-ID, if it holds (a copy of) that context. Used by
-    /// the MLB to find a replica to promote when the serving MMP
-    /// embedded in an Active-mode id has crashed.
+    /// MME-UE-S1AP-ID: a decoded copy's, as a copy at rest has no
+    /// connection. Used by the MLB to find a replica to promote when
+    /// the serving MMP embedded in an Active-mode id has crashed.
     pub fn m_tmsi_by_mme_ue_id(&self, id: u32) -> Option<u32> {
         self.by_mme_ue_id.get(&id).copied()
     }
@@ -314,55 +398,118 @@ impl MmeCore {
 
     /// Export a device's state for replication/transfer.
     pub fn export_state(&self, guti: &Guti) -> Option<Bytes> {
-        self.contexts.get(&guti.m_tmsi).map(|c| c.to_bytes())
+        match self.contexts.get(&guti.m_tmsi) {
+            Some(ctx) => Some(ctx.to_bytes()),
+            None => self
+                .at_rest
+                .get(&guti.m_tmsi)
+                .map(|rest| Bytes::copy_from_slice(rest.blob())),
+        }
     }
 
-    /// Import a replicated/transferred device state. Overwrites any
-    /// existing context for the same M-TMSI (replica refresh), and with
-    /// it the ids the replaced copy was indexed under: the serving
-    /// engine mints a fresh MME-UE-S1AP-ID per signalling connection,
-    /// so a holder that kept the old entries would grow by one per
-    /// Service Request its devices ever make.
-    pub fn import_state(&mut self, bytes: Bytes) -> Result<Guti, MmeError> {
-        let ctx = UeContext::from_bytes(bytes)?;
-        let guti = ctx.guti;
-        let (mme_ue_id, s11_teid) = (ctx.mme_ue_id, ctx.bearer.s11_mme_teid);
-        self.by_imsi.insert(ctx.imsi, guti.m_tmsi);
-        if mme_ue_id != 0 {
-            self.by_mme_ue_id.insert(mme_ue_id, guti.m_tmsi);
+    /// Import a replicated/transferred device state, at rest: the bytes
+    /// are copied as they came, and only their index keys are read
+    /// ([`UeContext::peek`]). Overwrites any existing copy of the same
+    /// M-TMSI (replica refresh), and with it the ids only the replaced
+    /// copy was indexed under: the serving engine mints a fresh
+    /// MME-UE-S1AP-ID per signalling connection, so a holder that kept
+    /// the old entries would grow by one per Service Request its
+    /// devices ever make.
+    pub fn import_state(&mut self, blob: impl AsRef<[u8]>) -> Result<Guti, MmeError> {
+        self.drop_snapshot();
+        let blob = blob.as_ref();
+        let keys = UeContext::peek(blob)?;
+        let (m_tmsi, s11_teid) = (keys.guti.m_tmsi, keys.s11_mme_teid);
+        let old_teid = match self.contexts.remove(&m_tmsi) {
+            Some(old) => {
+                unindex(&mut self.by_mme_ue_id, old.mme_ue_id, m_tmsi);
+                Some(old.bearer.s11_mme_teid)
+            }
+            None => self
+                .at_rest
+                .get(&m_tmsi)
+                .and_then(|old| UeContext::peek(old.blob()).ok())
+                .map(|old| old.s11_mme_teid),
+        };
+        if let Some(old) = old_teid.filter(|&old| old != s11_teid) {
+            unindex(&mut self.by_s11_teid, old, m_tmsi);
         }
+        self.by_imsi.insert(keys.imsi, m_tmsi);
         if s11_teid != 0 {
-            self.by_s11_teid.insert(s11_teid, guti.m_tmsi);
+            self.by_s11_teid.insert(s11_teid, m_tmsi);
         }
         // A copy arrives with no procedure in flight.
-        if let Some(f) = self.in_flight.get_mut(&guti.m_tmsi) {
+        if let Some(f) = self.in_flight.get_mut(&m_tmsi) {
             (f.xres, f.kasme) = (None, None);
-            self.settle(guti.m_tmsi);
+            self.settle(m_tmsi);
         }
-        if let Some(old) = self.contexts.insert(guti.m_tmsi, Box::new(ctx)) {
-            // Ids are minted by the serving engines, so on a holder an
-            // old id may since have been taken by another device's
-            // copy: only an entry that still names this device goes.
-            let stale = |index: &HashMap<u32, u32>, id: u32| index.get(&id) == Some(&guti.m_tmsi);
-            if old.mme_ue_id != mme_ue_id && stale(&self.by_mme_ue_id, old.mme_ue_id) {
-                self.by_mme_ue_id.remove(&old.mme_ue_id);
-            }
-            if old.bearer.s11_mme_teid != s11_teid && stale(&self.by_s11_teid, old.bearer.s11_mme_teid) {
-                self.by_s11_teid.remove(&old.bearer.s11_mme_teid);
-            }
-        }
-        Ok(guti)
+        self.at_rest.insert(m_tmsi, AtRest::import(blob));
+        Ok(keys.guti)
     }
 
-    /// Remove a device entirely (legacy reassignment / rebalancing).
-    pub fn remove_context(&mut self, guti: &Guti) -> Option<UeContext> {
-        let ctx = self.contexts.remove(&guti.m_tmsi)?;
+    /// Remove a device entirely (legacy reassignment / rebalancing);
+    /// false if no copy was held.
+    pub fn remove_context(&mut self, guti: &Guti) -> bool {
+        self.drop_snapshot();
+        let m_tmsi = guti.m_tmsi;
+        if self.take(m_tmsi).is_some() {
+            return true;
+        }
+        let Some(rest) = self.at_rest.remove(&m_tmsi) else {
+            return false;
+        };
+        if let Ok(keys) = UeContext::peek(rest.blob()) {
+            self.by_imsi.remove(&keys.imsi);
+            self.by_s11_teid.remove(&keys.s11_mme_teid);
+        }
+        self.pending_ho.remove(&m_tmsi);
+        self.in_flight.remove(&m_tmsi);
+        true
+    }
+
+    /// Remove `m_tmsi`'s decoded record, with what is indexed and kept
+    /// beside it.
+    fn take(&mut self, m_tmsi: u32) -> Option<Box<UeContext>> {
+        let ctx = self.contexts.remove(&m_tmsi)?;
         self.by_imsi.remove(&ctx.imsi);
-        self.by_mme_ue_id.remove(&ctx.mme_ue_id);
+        unindex(&mut self.by_mme_ue_id, ctx.mme_ue_id, m_tmsi);
         self.by_s11_teid.remove(&ctx.bearer.s11_mme_teid);
-        self.pending_ho.remove(&guti.m_tmsi);
-        self.in_flight.remove(&guti.m_tmsi);
-        Some(*ctx)
+        self.pending_ho.remove(&m_tmsi);
+        self.in_flight.remove(&m_tmsi);
+        Some(ctx)
+    }
+
+    /// The device wakes here: its copy at rest, if it has one, becomes
+    /// a decoded record, which the procedure then indexes under the S1AP
+    /// id of its connection. Every handler that may meet an Idle copy —
+    /// Service Request, TAU, paging, detach from Idle, re-attach —
+    /// calls this first; it is the only decode on the event path, made
+    /// once, on the holder that serves. An S11 or S6a answer never
+    /// does: it answers a procedure in flight, whose record is decoded.
+    fn wake(&mut self, m_tmsi: u32) -> Result<(), MmeError> {
+        let Some(rest) = self.at_rest.remove(&m_tmsi) else {
+            return Ok(());
+        };
+        match rest.decode() {
+            Ok(ctx) => {
+                self.contexts.insert(m_tmsi, Box::new(ctx));
+                Ok(())
+            }
+            Err(e) => {
+                self.at_rest.insert(m_tmsi, rest);
+                Err(e)
+            }
+        }
+    }
+
+    /// The Idle edge: `m_tmsi`'s record goes to rest as the blob it is
+    /// about to be exported as, and leaves the MME-UE-S1AP-ID index.
+    fn rest(&mut self, m_tmsi: u32) {
+        let Some(ctx) = self.contexts.remove(&m_tmsi) else {
+            return;
+        };
+        unindex(&mut self.by_mme_ue_id, ctx.mme_ue_id, m_tmsi);
+        self.at_rest.insert(m_tmsi, AtRest::of(&ctx));
     }
 
     /// Forget `m_tmsi`'s in-flight entry once nothing is left in it.
@@ -404,16 +551,18 @@ impl MmeCore {
     /// SCALE's MLB, which allocates GUTIs so devices hash where it
     /// routed them).
     pub fn set_guti_hint(&mut self, m_tmsi: u32) {
+        self.drop_snapshot();
         self.guti_hint = Some(m_tmsi);
     }
 
     /// Allocate a fresh, unused M-TMSI from this MME's space (used when
     /// the legacy pool re-homes a device and must re-key it).
     pub fn allocate_m_tmsi(&mut self) -> u32 {
+        self.drop_snapshot();
         loop {
             let m = self.next_m_tmsi;
             self.next_m_tmsi += 1;
-            if !self.contexts.contains_key(&m) {
+            if !self.contexts.contains_key(&m) && !self.at_rest.contains_key(&m) {
                 return m;
             }
         }
@@ -456,6 +605,7 @@ impl MmeCore {
 
     /// Main entry point: apply one inbound event, produce the actions.
     pub fn handle(&mut self, event: Incoming) -> Result<Vec<Outgoing>, MmeError> {
+        self.drop_snapshot();
         self.stats.messages_processed += 1;
         match event {
             Incoming::S1ap { enb_id, pdu } => self.handle_s1ap(enb_id, pdu),
@@ -532,10 +682,10 @@ impl MmeCore {
             .ok_or(MmeError::UnknownUe("mme_ue_id"))
     }
 
-    /// UE context by M-TMSI. The id maps (`by_mme_ue_id`, `by_s11_teid`,
-    /// `by_imsi`) are kept in sync with `contexts`, so a resolved id
-    /// normally has a context — but a purge racing a resolved id must
-    /// surface as a protocol error, not a panic.
+    /// Decoded record by M-TMSI. The id maps (`by_mme_ue_id`,
+    /// `by_s11_teid`, `by_imsi`) are kept in sync with the copies, so a
+    /// resolved id normally has one — but a purge racing a resolved id
+    /// must surface as a protocol error, not a panic.
     fn ctx(&self, m_tmsi: u32) -> Result<&UeContext, MmeError> {
         self.contexts
             .get(&m_tmsi)
@@ -570,6 +720,7 @@ impl MmeCore {
         let msg = if is_protected(&nas_pdu) {
             let (_, m_tmsi) =
                 s_tmsi.ok_or(MmeError::UnknownUe("protected initial NAS without S-TMSI"))?;
+            self.wake(m_tmsi)?;
             let ctx = self
                 .contexts
                 .get_mut(&m_tmsi)
@@ -645,10 +796,18 @@ impl MmeCore {
                     ));
                 };
                 // Fresh attach: allocate identity, fetch auth vectors.
-                let guti = if let Some(&m_tmsi) = self.by_imsi.get(&imsi) {
-                    self.ctx(m_tmsi)?.guti
-                } else {
-                    self.alloc_guti()
+                let guti = match self.by_imsi.get(&imsi) {
+                    Some(&m_tmsi) => {
+                        self.wake(m_tmsi)?;
+                        self.ctx(m_tmsi)?.guti
+                    }
+                    None => {
+                        let guti = self.alloc_guti();
+                        // A hinted M-TMSI a copy here already holds:
+                        // the attach takes over that record, as below.
+                        self.wake(guti.m_tmsi)?;
+                        guti
+                    }
                 };
                 let mme_ue_id = self.alloc_ue_id();
                 let ctx = self
@@ -683,6 +842,7 @@ impl MmeCore {
                 // Re-attach with GUTI: if we know the device and have a
                 // security context, skip AKA and go straight to session
                 // setup; otherwise reject so the UE retries with IMSI.
+                self.wake(guti.m_tmsi)?;
                 let known_with_security = self
                     .contexts
                     .get(&guti.m_tmsi)
@@ -721,8 +881,8 @@ impl MmeCore {
         let (old, teid) = (ctx.bearer.s11_mme_teid, ctx.mme_ue_id);
         ctx.bearer.s11_mme_teid = teid;
         ctx.bearer.ebi = 5;
-        if old != teid && self.by_s11_teid.get(&old) == Some(&m_tmsi) {
-            self.by_s11_teid.remove(&old);
+        if old != teid {
+            unindex(&mut self.by_s11_teid, old, m_tmsi);
         }
         self.by_s11_teid.insert(teid, m_tmsi);
         let msg = gtpc::Message {
@@ -755,6 +915,7 @@ impl MmeCore {
         seq: u8,
         short_mac: [u8; 2],
     ) -> Result<Vec<Outgoing>, MmeError> {
+        self.wake(m_tmsi)?;
         let Some(ctx) = self.contexts.get_mut(&m_tmsi) else {
             // No context anywhere for this S-TMSI: the device's state
             // died with an engine before it was ever replicated (§4.6).
@@ -796,10 +957,10 @@ impl MmeCore {
         let old_id = ctx.mme_ue_id;
         // Re-mint the S1AP id so Active-mode messages route to the VM
         // serving this Active period (§5 "Load Balancing").
-        let new_id = self.alloc_ue_id();
-        let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
+        let new_id = compose_id(self.config.vm_id, self.next_local_id);
+        self.next_local_id += 1;
         ctx.mme_ue_id = new_id;
-        self.by_mme_ue_id.remove(&old_id);
+        unindex(&mut self.by_mme_ue_id, old_id, m_tmsi);
         self.by_mme_ue_id.insert(new_id, m_tmsi);
         let pdu = S1apPdu::InitialContextSetupRequest {
             mme_ue_id: ctx.mme_ue_id,
@@ -825,6 +986,7 @@ impl MmeCore {
         tai: Tai,
     ) -> Result<Vec<Outgoing>, MmeError> {
         let t3412 = self.config.t3412_s;
+        self.wake(m_tmsi)?;
         let Some(ctx) = self.contexts.get_mut(&m_tmsi) else {
             // Same recovery contract as the Service Request path: an
             // unknown S-TMSI gets TAU Reject #9, sending the device
@@ -845,9 +1007,13 @@ impl MmeCore {
         ctx.record_access();
         // The TAU rides a temporary signalling connection; its release
         // returns the device to Idle (and re-syncs replicas in SCALE,
-        // picking up the new TA list).
+        // picking up the new TA list). The connection keeps the
+        // device's S1AP id.
         ctx.procedure = Procedure::AwaitReleaseComplete;
         let mme_ue_id = ctx.mme_ue_id;
+        if mme_ue_id != 0 {
+            self.by_mme_ue_id.insert(mme_ue_id, m_tmsi);
+        }
         let accept = EmmMessage::TauAccept {
             t3412_s: t3412,
             guti: None,
@@ -880,6 +1046,7 @@ impl MmeCore {
         m_tmsi: u32,
         switch_off: bool,
     ) -> Result<Vec<Outgoing>, MmeError> {
+        self.wake(m_tmsi)?;
         let ctx = self
             .contexts
             .get_mut(&m_tmsi)
@@ -1134,7 +1301,9 @@ impl MmeCore {
         ctx.ecm = EcmState::Idle;
         ctx.procedure = Procedure::None;
         ctx.enb_ue_id = 0;
-        Ok(vec![Outgoing::UeIdle { guti: ctx.guti }])
+        let guti = ctx.guti;
+        self.rest(m_tmsi);
+        Ok(vec![Outgoing::UeIdle { guti }])
     }
 
     fn handover_required(
@@ -1391,12 +1560,7 @@ impl MmeCore {
                 self.settle(m_tmsi);
                 self.stats.detaches += 1;
                 let ctx = self
-                    .remove_context(&Guti {
-                        plmn: self.config.plmn,
-                        mme_group_id: self.config.mme_group_id,
-                        mme_code: self.config.mme_code,
-                        m_tmsi,
-                    })
+                    .take(m_tmsi)
                     .ok_or(MmeError::UnknownUe("detach context vanished"))?;
                 let mut out = Vec::new();
                 if !switch_off {
@@ -1428,6 +1592,7 @@ impl MmeCore {
                     .by_s11_teid
                     .get(&msg.teid)
                     .ok_or(MmeError::UnknownUe("s11 teid"))?;
+                self.wake(m_tmsi)?;
                 let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
                 let mut out = vec![Outgoing::S11(gtpc::Message {
                     teid: ctx.bearer.s11_sgw_teid,
@@ -1537,6 +1702,17 @@ impl MmeCore {
     }
 }
 
+/// Drop `id` from `index` if it still names `m_tmsi`: ids are minted by
+/// the serving engines, so on a holder an id may since have been taken
+/// by another device's copy.
+fn unindex(index: &mut HashMap<u32, u32>, id: u32, m_tmsi: u32) {
+    if let Some(other) = index.remove(&id) {
+        if other != m_tmsi {
+            index.insert(id, other);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1561,7 +1737,9 @@ mod tests {
     fn a_refreshed_replica_is_indexed_under_its_newest_ids_only() {
         // One device, refreshed a thousand times, each copy minted under
         // a fresh MME-UE-S1AP-ID by its serving engine (one per Service
-        // Request); every tenth refresh the S11 TEID moves as well.
+        // Request); every tenth refresh the S11 TEID moves as well. A
+        // copy at rest is indexed by IMSI and S11 TEID, never by the
+        // S1AP id of a connection it does not have.
         let mut holder = MmeCore::new(MmeConfig::default());
         let m_tmsi = 0x0100_0007;
         let (id_of, teid_of) = (|k: u32| 0x0200_0000 + k, |k: u32| 0x0300_0000 + k / 10);
@@ -1570,21 +1748,20 @@ mod tests {
             guti = Some(holder.import_state(replica(m_tmsi, id_of(k), teid_of(k))).unwrap());
         }
         assert_eq!(holder.context_count(), 1);
-        for k in 0..999 {
-            assert_eq!(holder.m_tmsi_by_mme_ue_id(id_of(k)), None, "id of refresh {k} left behind");
+        for k in 0..1000 {
+            assert_eq!(holder.m_tmsi_by_mme_ue_id(id_of(k)), None, "id of refresh {k} indexed");
         }
-        assert_eq!(holder.m_tmsi_by_mme_ue_id(id_of(999)), Some(m_tmsi));
         for k in (0..990).step_by(10) {
             assert_eq!(holder.m_tmsi_by_s11_teid(teid_of(k)), None, "TEID of refresh {k} left behind");
         }
         assert_eq!(holder.m_tmsi_by_s11_teid(teid_of(999)), Some(m_tmsi));
         assert_eq!(
             (holder.by_mme_ue_id.len(), holder.by_s11_teid.len(), holder.by_imsi.len()),
-            (1, 1, 1)
+            (0, 1, 1)
         );
 
-        holder.remove_context(&guti.unwrap()).unwrap();
-        assert_eq!(holder.contexts.len(), 0);
+        assert!(holder.remove_context(&guti.unwrap()));
+        assert_eq!(holder.context_count(), 0);
         assert!(holder.by_imsi.is_empty() && holder.by_mme_ue_id.is_empty());
         assert!(holder.by_s11_teid.is_empty());
     }
@@ -1597,9 +1774,94 @@ mod tests {
         holder.import_state(replica(1, 0x55, 0x66)).unwrap();
         holder.import_state(replica(2, 0x55, 0x66)).unwrap();
         holder.import_state(replica(1, 0x77, 0x88)).unwrap();
-        assert_eq!(holder.m_tmsi_by_mme_ue_id(0x55), Some(2));
         assert_eq!(holder.m_tmsi_by_s11_teid(0x66), Some(2));
-        assert_eq!(holder.m_tmsi_by_mme_ue_id(0x77), Some(1));
+        assert_eq!(holder.m_tmsi_by_s11_teid(0x88), Some(1));
+        assert!(holder.by_mme_ue_id.is_empty());
+    }
+
+    fn fingerprint_of(engine: &MmeCore) -> u64 {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        engine.fingerprint(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn an_idle_device_hashes_the_same_at_rest_and_decoded() {
+        // The serving copy after its Idle edge keeps its eNodeB and the
+        // epoch's accesses in the tail; an imported copy has neither.
+        let mut serving = MmeCore::new(MmeConfig::default());
+        let (guti, mme_ue_id, _) = crate::flow_tests::run_attach(&mut serving, "001010000000001", 1);
+        crate::flow_tests::run_idle(&mut serving, mme_ue_id, 1);
+        let mut holder = MmeCore::new(MmeConfig::default());
+        holder.import_state(serving.export_state(&guti).unwrap()).unwrap();
+        for engine in [&mut serving, &mut holder] {
+            assert!(engine.contexts.is_empty() && engine.at_rest.len() == 1);
+            let at_rest = fingerprint_of(engine);
+            let ctx = engine.context(&guti).unwrap().clone();
+            let blob = engine.export_state(&guti).unwrap();
+            engine.wake(guti.m_tmsi).unwrap();
+            assert_eq!(**engine.contexts.get(&guti.m_tmsi).unwrap(), ctx);
+            assert_eq!(fingerprint_of(engine), at_rest);
+            assert_eq!(engine.export_state(&guti).unwrap(), blob);
+        }
+        assert_ne!(serving.context(&guti).unwrap().enb_id, 0);
+        assert_eq!(serving.context(&guti).unwrap().epoch_accesses, 1);
+        assert_eq!(holder.context(&guti).unwrap().enb_id, 0);
+    }
+
+    #[test]
+    fn closing_an_epoch_at_rest_matches_the_decoded_record() {
+        let mut at_rest = MmeCore::new(MmeConfig::default());
+        let (guti, mme_ue_id, _) = crate::flow_tests::run_attach(&mut at_rest, "001010000000001", 1);
+        crate::flow_tests::run_idle(&mut at_rest, mme_ue_id, 1);
+        let mut decoded = MmeCore::new(MmeConfig::default());
+        decoded.import_state(at_rest.export_state(&guti).unwrap()).unwrap();
+        decoded.wake(guti.m_tmsi).unwrap();
+        decoded.contexts.get_mut(&guti.m_tmsi).unwrap().epoch_accesses = 1;
+        for alpha in [0.5, 0.25] {
+            at_rest.close_epoch(alpha);
+            decoded.close_epoch(alpha);
+            let (a, d) = (at_rest.context(&guti).unwrap(), decoded.context(&guti).unwrap());
+            assert_eq!((a.access_freq, a.epoch_accesses), (d.access_freq, d.epoch_accesses));
+            assert_eq!(at_rest.export_state(&guti), decoded.export_state(&guti));
+        }
+        assert_eq!(at_rest.context(&guti).unwrap().access_freq, 0.5 * 0.75);
+        assert_eq!(at_rest.access_freqs().collect::<Vec<_>>(), vec![(guti.m_tmsi, 0.375)]);
+    }
+
+    #[test]
+    fn a_device_rests_at_its_idle_edge_and_wakes_where_it_is_served() {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let (guti, mme_ue_id, ue_sec) = crate::flow_tests::run_attach(&mut engine, "001010000000001", 1);
+        assert_eq!((engine.contexts.len(), engine.at_rest.len()), (1, 0));
+        crate::flow_tests::run_idle(&mut engine, mme_ue_id, 1);
+        assert_eq!((engine.contexts.len(), engine.at_rest.len()), (0, 1));
+        assert_eq!(engine.m_tmsi_by_mme_ue_id(mme_ue_id), None);
+        assert_eq!(engine.ecm(&guti), Some(EcmState::Idle));
+        // A Service Request decodes it and re-mints its S1AP id.
+        let sr = EmmMessage::ServiceRequest {
+            ksi: 1,
+            seq: 3,
+            short_mac: ue_sec.service_request_mac(1, 3),
+        };
+        engine
+            .handle(Incoming::S1ap {
+                enb_id: 1,
+                pdu: S1apPdu::InitialUeMessage {
+                    enb_ue_id: 2,
+                    nas_pdu: sr.encode(),
+                    tai: Tai::new(Plmn::test(), 7),
+                    establishment_cause: 3,
+                    s_tmsi: Some((1, guti.m_tmsi)),
+                },
+            })
+            .unwrap();
+        assert_eq!((engine.contexts.len(), engine.at_rest.len()), (1, 0));
+        let id = engine.contexts[&guti.m_tmsi].mme_ue_id;
+        assert_ne!(id, mme_ue_id);
+        assert_eq!(engine.m_tmsi_by_mme_ue_id(id), Some(guti.m_tmsi));
+        assert_eq!(engine.by_mme_ue_id.len(), 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 pub mod context;
 pub mod engine;
 
-pub use context::{BearerState, EcmState, EmmState, Procedure, TaiList, UeContext};
+pub use context::{BearerState, BlobKeys, EcmState, EmmState, Procedure, TaiList, UeContext};
 pub use engine::{compose_id, vm_of_id, Incoming, MmeConfig, MmeCore, MmeError, MmeStats, Outgoing};
 
 #[cfg(test)]
@@ -271,7 +271,7 @@ mod flow_tests {
     }
 
     /// Drive Active→Idle via the eNodeB inactivity release.
-    fn run_idle(mme: &mut MmeCore, mme_ue_id: u32, enb_ue_id: u32) {
+    pub(crate) fn run_idle(mme: &mut MmeCore, mme_ue_id: u32, enb_ue_id: u32) {
         let out = mme
             .handle(Incoming::S1ap {
                 enb_id: ENB,

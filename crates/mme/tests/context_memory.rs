@@ -5,11 +5,14 @@
 //!
 //! The copies are imported as replica blobs, the way a holder receives
 //! them on every Idle edge: a registered device with a security context
-//! and one TAI, 146 bytes on the wire.
+//! and one TAI, 146 bytes on the wire. An imported copy stays at rest as
+//! those bytes; a TAU wakes it into a decoded record, and the release
+//! that ends the TAU puts it back to rest.
 
 use bytes::Bytes;
-use scale_mme::{MmeConfig, MmeCore};
-use scale_nas::{Guti, Plmn};
+use scale_mme::{Incoming, MmeConfig, MmeCore, Outgoing};
+use scale_nas::{EmmMessage, Guti, Plmn, Tai};
+use scale_s1ap::S1apPdu;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -105,10 +108,63 @@ fn import(engine: &mut MmeCore, range: std::ops::Range<u32>) -> isize {
     live() - before
 }
 
-/// One copy costs at most 350 heap bytes: a boxed 192-byte record, and
-/// the M-TMSI, IMSI, S1AP-id and S11-TEID index entries that find it.
-/// Measured at `wire_saturate`'s load per engine (30,000 devices × R = 2
-/// over 16 VMs) and at ten times that.
+/// Device `i`'s S1AP id, as `blob` mints it.
+fn id(i: u32) -> u32 {
+    0x0500_0000 | i
+}
+
+/// A TAU from Idle for device `i`: its copy wakes into a decoded record.
+fn tau(engine: &mut MmeCore, i: u32) {
+    let tai = Tai::new(Plmn::test(), 0x42);
+    let out = engine
+        .handle(Incoming::S1ap {
+            enb_id: 1,
+            pdu: S1apPdu::InitialUeMessage {
+                enb_ue_id: 1,
+                nas_pdu: EmmMessage::TauRequest { guti: guti(i), tai }.encode(),
+                tai,
+                establishment_cause: 4,
+                s_tmsi: Some((1, guti(i).m_tmsi)),
+            },
+        })
+        .expect("a held device is served");
+    assert_eq!(out.len(), 2, "TAU accept + release command");
+}
+
+/// The release that ends device `i`'s TAU: its copy goes back to rest.
+fn release(engine: &mut MmeCore, i: u32) {
+    let out = engine
+        .handle(Incoming::S1ap {
+            enb_id: 1,
+            pdu: S1apPdu::UeContextReleaseComplete {
+                mme_ue_id: id(i),
+                enb_ue_id: 1,
+            },
+        })
+        .expect("the release completes");
+    assert!(matches!(&out[..], [Outgoing::UeIdle { .. }]), "{out:?}");
+}
+
+/// A copy at rest costs at most 265 heap bytes: the 146-byte blob and
+/// its one-byte tail in one allocation, and the M-TMSI, IMSI and
+/// S11-TEID index entries. Measured at `wire_saturate`'s load per
+/// engine (30,000 devices × R = 2 over 16 VMs) and at ten times that.
+#[test]
+fn an_at_rest_copy_costs_at_most_265_heap_bytes() {
+    assert_eq!(blob(0).len(), 146);
+    for n in [3_750u32, 37_500] {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let held = import(&mut engine, 0..n);
+        assert_eq!(engine.context_count(), n as usize);
+        let per_ctx = held as f64 / f64::from(n);
+        println!("{n} contexts at rest: {per_ctx:.1} heap bytes per context");
+        assert!(per_ctx <= 265.0, "{per_ctx:.1} bytes per context at {n}");
+    }
+}
+
+/// One copy costs at most 350 heap bytes: the bound from when every
+/// copy was a boxed 192-byte record and four index entries, kept beside
+/// the tighter one above. Measured at the same two loads.
 #[test]
 fn a_replica_copy_costs_at_most_350_heap_bytes() {
     assert_eq!(blob(0).len(), 146);
@@ -122,9 +178,31 @@ fn a_replica_copy_costs_at_most_350_heap_bytes() {
     }
 }
 
-/// Devices come and go; the engine's footprint follows the population,
-/// not its history: ten rounds of removing half the devices and importing
-/// as many new ones leave live bytes within 5 % of where they started.
+/// A replica arrives as a slice of the buffer its link read it into;
+/// the copy kept is the blob's own bytes, not that buffer.
+#[test]
+fn an_imported_copy_does_not_keep_its_read_buffer_alive() {
+    let mut engine = MmeCore::new(MmeConfig::default());
+    let before = live();
+    {
+        let mut read = vec![0u8; 64 * 1024];
+        let b = blob(0);
+        read[1000..1000 + b.len()].copy_from_slice(&b);
+        let read = Bytes::from(read);
+        engine
+            .import_state(read.slice(1000..1000 + b.len()))
+            .expect("template imports");
+    }
+    let held = live() - before;
+    println!("one copy imported from a 64 KiB read: {held} heap bytes held");
+    assert!(held < 1024, "{held} bytes held for one 146-byte copy");
+}
+
+/// Devices come and go, and wake and rest; the engine's footprint
+/// follows the population, not its history: ten rounds of removing half
+/// the devices and importing as many new ones, then running a TAU on a
+/// quarter of them, 64 at a time, and releasing each batch back to rest,
+/// leave live bytes within 5 % of where they started.
 #[test]
 fn churn_does_not_grow_the_footprint() {
     const N: u32 = 3_750;
@@ -138,7 +216,7 @@ fn churn_does_not_grow_the_footprint() {
         let mut kept = Vec::with_capacity(present.len());
         for (k, &i) in present.iter().enumerate() {
             if (k + round) % 2 == 0 {
-                assert!(engine.remove_context(&guti(i)).is_some());
+                assert!(engine.remove_context(&guti(i)));
             } else {
                 kept.push(i);
             }
@@ -149,6 +227,14 @@ fn churn_does_not_grow_the_footprint() {
         next += fresh;
         present = kept;
         assert_eq!(engine.context_count(), N as usize);
+        for batch in present.chunks(64).step_by(4) {
+            for &i in batch {
+                tau(&mut engine, i);
+            }
+            for &i in batch {
+                release(&mut engine, i);
+            }
+        }
     }
     let after = live() - start;
     println!("churn: {settled} → {after} bytes over ten rounds");

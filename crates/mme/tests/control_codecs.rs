@@ -2,7 +2,9 @@
 //! to the device, GTPv2-C to the S-GW (S11) and Diameter to the HSS
 //! (S6a); and for the two it reads under them or beside them: the NAS
 //! security layer (`NasSecurityContext::unprotect`) and the replica blob
-//! another MMP sends on every Idle edge (`UeContext::from_bytes`).
+//! another MMP sends on every Idle edge (`UeContext::from_bytes`, and
+//! `UeContext::peek`, which reads a blob's index keys and must accept
+//! exactly what `from_bytes` accepts, failing with the same error).
 //! Whatever a peer sends — a message, a damaged message, noise — decodes
 //! to a value or an error, never a panic; every message of every kind
 //! survives the round trip; and no count or length field makes a decoder
@@ -422,6 +424,24 @@ fn arb_flip() -> impl Strategy<Value = Option<(usize, u8)>> {
     proptest::option::of((any::<usize>(), 1u8..=255))
 }
 
+/// `UeContext::peek` and `UeContext::from_bytes` agree on `blob`: both
+/// refuse it with the same error, or both read it, to the same keys.
+fn peek_agrees(blob: &Bytes) -> Result<(), String> {
+    match (UeContext::peek(blob), UeContext::from_bytes(blob.clone())) {
+        (Ok(keys), Ok(ctx)) => {
+            let read = (keys.imsi, keys.guti, keys.mme_ue_id, keys.s11_mme_teid, keys.access_freq.to_bits());
+            let want = (ctx.imsi, ctx.guti, ctx.mme_ue_id, ctx.bearer.s11_mme_teid, ctx.access_freq.to_bits());
+            if read == want {
+                Ok(())
+            } else {
+                Err(format!("peek read {read:?}, the decode {want:?}"))
+            }
+        }
+        (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(()),
+        (a, b) => Err(format!("peek {:?}, decode {:?}", a.map(|k| k.guti), b.map(|c| c.guti))),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -506,6 +526,7 @@ proptest! {
         if let Ok(ctx) = UeContext::from_bytes(data.clone()) {
             prop_assert_eq!(&ctx.to_bytes(), &data);
         }
+        peek_agrees(&data)?;
         let keys = NasSecurityKeys { kasme: [1; 32], k_nas_enc: [2; 16], k_nas_int: [3; 16] };
         let _ = NasSecurityContext::new(keys, 1).unprotect(data, Direction::Uplink);
     }
@@ -514,7 +535,8 @@ proptest! {
     fn every_replica_blob_round_trips(ctx in arb_context()) {
         let blob = ctx.to_bytes();
         let mut back = UeContext::from_bytes(blob.clone()).map_err(|e| format!("{ctx:?}: {e}"))?;
-        prop_assert_eq!(back.to_bytes(), blob);
+        prop_assert_eq!(back.to_bytes(), blob.clone());
+        peek_agrees(&blob)?;
         // NaN payloads too, bit for bit; then every other field by value.
         prop_assert_eq!(back.access_freq.to_bits(), ctx.access_freq.to_bits());
         let mut want = ctx.clone();
@@ -527,6 +549,7 @@ proptest! {
         let blob = ctx.to_bytes();
         for len in 0..blob.len() {
             prop_assert!(UeContext::from_bytes(blob.slice(..len)).is_err(), "{} of {} bytes", len, blob.len());
+            peek_agrees(&blob.slice(..len))?;
         }
     }
 
@@ -536,8 +559,9 @@ proptest! {
     ) {
         let damaged = damage(&ctx.to_bytes(), flip, cut);
         if let Ok(back) = UeContext::from_bytes(damaged.clone()) {
-            prop_assert_eq!(back.to_bytes(), damaged);
+            prop_assert_eq!(back.to_bytes(), damaged.clone());
         }
+        peek_agrees(&damaged)?;
     }
 
     #[test]
@@ -552,7 +576,9 @@ proptest! {
         let blob = ctx.to_bytes();
         let behind_imsi = &blob[1 + usize::from(blob[0])..];
         let forged = [&[bad.len() as u8][..], bad.as_bytes(), behind_imsi].concat();
-        prop_assert!(UeContext::from_bytes(Bytes::from(forged)).is_err(), "IMSI {:?}", bad);
+        let forged = Bytes::from(forged);
+        prop_assert!(UeContext::from_bytes(forged.clone()).is_err(), "IMSI {:?}", bad);
+        peek_agrees(&forged)?;
     }
 
     #[test]
@@ -784,6 +810,9 @@ fn a_replica_blob_or_protected_message_never_reserves_beyond_the_input() {
     let blob = replica_blob_255_tais();
     let (res, largest) = largest_request(|| UeContext::from_bytes(Bytes::from(blob.clone())));
     assert!(res.is_err(), "replica blob: decoded");
+    let (res, largest_peek) = largest_request(|| UeContext::peek(&blob).map(|k| k.guti));
+    assert!(res.is_err(), "replica blob: peeked");
+    assert_eq!(largest_peek, 0, "the peek builds nothing");
     // 255 TAIs would be 1,530.
     assert!(
         largest <= 256,
