@@ -75,11 +75,15 @@
 //! * **I5 liveness-map coherence** — a VM is marked down in a routing
 //!   plane iff its hosting worker is currently crashed; a restarted
 //!   worker is marked up everywhere (catches a missed reconnect).
+//! * **I7 no per-device state at the MLB** — the MLB routes a
+//!   connection's uplinks by the MME-UE-S1AP-ID in them, so once every
+//!   procedure has settled its in-flight table is empty: an entry left
+//!   over is state a procedure leaked.
 //!
 //! ## Mutation testing
 //!
 //! A green checker is only as good as the bugs it would catch, so
-//! [`Mutation`] seeds six real protocol bugs at the checker's
+//! [`Mutation`] seeds seven real protocol bugs at the checker's
 //! transport layer (production code is untouched) and
 //! [`mutation_catches`] asserts each one trips an invariant. The
 //! matrix lands in `results/CHECK_protocol.json`.
@@ -191,6 +195,14 @@ pub enum Mutation {
     /// longer knows to discard its GUTI and re-attach. Caught by the
     /// **zero-error** invariant (the device surfaces a fatal reject).
     RejectWithoutCause,
+    /// A TAU from Idle keeps the device's previous MME-UE-S1AP-ID
+    /// instead of the one the serving VM minted for its connection
+    /// (ROADMAP defect 1(b)): the worker's downlinks on the TAU's
+    /// connection are rewritten to carry the old id, so the Release
+    /// Complete is routed to whichever VM minted that id, which does
+    /// not know it. Caught by **convergence** (the TAU never reaches
+    /// its Idle edge).
+    TauKeepsS1apId,
 }
 
 impl Mutation {
@@ -205,12 +217,13 @@ impl Mutation {
             Mutation::MissedReconnectMarkUp => "missed_reconnect_mark_up",
             Mutation::WildcardSwallow => "wildcard_swallow",
             Mutation::RejectWithoutCause => "reject_without_cause",
+            Mutation::TauKeepsS1apId => "tau_keeps_s1ap_id",
         }
     }
 
     /// Every seeded bug, in report order.
     #[must_use]
-    pub fn all() -> [Mutation; 6] {
+    pub fn all() -> [Mutation; 7] {
         [
             Mutation::DropReplicate,
             Mutation::AckBeforeReplicate,
@@ -218,6 +231,7 @@ impl Mutation {
             Mutation::MissedReconnectMarkUp,
             Mutation::WildcardSwallow,
             Mutation::RejectWithoutCause,
+            Mutation::TauKeepsS1apId,
         ]
     }
 }
@@ -285,7 +299,7 @@ impl Scenario {
 /// Why an exploration stopped at a state.
 #[derive(Debug, Clone)]
 pub struct CheckViolation {
-    /// Which invariant tripped (`I1`…`I6`, `convergence`, `errors`).
+    /// Which invariant tripped (`I1`…`I7`, `convergence`, `errors`).
     pub invariant: &'static str,
     /// Human-readable description of the violating state.
     pub detail: String,
@@ -476,6 +490,40 @@ impl<'s> World<'s> {
         }
     }
 
+    /// Under [`Mutation::TauKeepsS1apId`], for the `Deliver` of a TAU
+    /// from Idle: the connection it opens and the MME-UE-S1AP-ID the
+    /// device's copy on the serving VM carries before the TAU.
+    fn id_a_tau_keeps(&self, worker: usize, msg: &WireMsg) -> Option<(u32, u32)> {
+        if self.sc.mutation != Mutation::TauKeepsS1apId {
+            return None;
+        }
+        let WireMsg::Deliver {
+            vm,
+            pdu:
+                S1apPdu::InitialUeMessage {
+                    enb_ue_id,
+                    nas_pdu,
+                    s_tmsi: Some((_, m_tmsi)),
+                    ..
+                },
+            ..
+        } = msg
+        else {
+            return None;
+        };
+        if !matches!(
+            EmmMessage::decode(nas_pdu.clone()),
+            Ok(EmmMessage::TauRequest { .. })
+        ) {
+            return None;
+        }
+        let node = self.workers[worker].as_ref()?;
+        let (_, ctx) = node
+            .contexts()
+            .find(|(at, ctx)| at == vm && ctx.guti.m_tmsi == *m_tmsi)?;
+        Some((*enb_ue_id, ctx.mme_ue_id))
+    }
+
     /// Execute one choice. Choices are only ever applied when enabled
     /// (the explorer enumerates them via [`World::choices`]).
     fn step(&mut self, c: Choice) {
@@ -500,9 +548,13 @@ impl<'s> World<'s> {
             }
             Choice::MlbToWorker { worker } => {
                 if let Some(msg) = self.m2w[worker].pop_front() {
+                    let kept = self.id_a_tau_keeps(worker, &msg);
                     let mut wout = Vec::new();
                     if let Some(node) = self.workers[worker].as_mut() {
                         node.handle(msg, &mut wout);
+                    }
+                    if let Some((enb_ue_id, old)) = kept {
+                        keep_s1ap_id(&mut wout, enb_ue_id, old);
                     }
                     self.route_worker_out(worker, wout);
                 }
@@ -811,6 +863,15 @@ impl<'s> World<'s> {
                 ));
             }
         }
+        // I7: the MLB keeps nothing per device once every procedure has
+        // settled.
+        let inflight = self.mlb.inflight_len();
+        if inflight > 0 {
+            return Some((
+                "I7",
+                format!("MLB holds {inflight} in-flight entr(ies) with every procedure settled"),
+            ));
+        }
         // I4: replica contract for every Idle-edged device.
         let r = self.sc.topo.replication;
         for (cell, emu) in self.emus.iter().enumerate() {
@@ -913,6 +974,33 @@ fn rewrite_cause9(pdu: &S1apPdu) -> Option<S1apPdu> {
         enb_ue_id: *enb_ue_id,
         nas_pdu: rewritten.encode(),
     })
+}
+
+/// Rewrite the MME-UE-S1AP-ID of every downlink on connection
+/// `enb_ue_id` in `out` to `old` (the seeded
+/// [`Mutation::TauKeepsS1apId`] bug).
+fn keep_s1ap_id(out: &mut [WireMsg], enb_ue_id: u32, old: u32) {
+    for msg in out {
+        if let WireMsg::ToEnb {
+            pdu:
+                S1apPdu::DownlinkNasTransport {
+                    mme_ue_id,
+                    enb_ue_id: conn,
+                    ..
+                }
+                | S1apPdu::UeContextReleaseCommand {
+                    mme_ue_id,
+                    enb_ue_id: conn,
+                    ..
+                },
+            ..
+        } = msg
+        {
+            if *conn == enb_ue_id {
+                *mme_ue_id = old;
+            }
+        }
+    }
 }
 
 /// Explore every reachable interleaving of `sc` within its bounds.
@@ -1061,7 +1149,8 @@ pub fn mutation_scenario(m: Mutation, budget: u64) -> Scenario {
         | Mutation::WildcardSwallow => Scenario::base("mutation_fault_free", 1, 1),
         Mutation::StaleEpochRoute
         | Mutation::MissedReconnectMarkUp
-        | Mutation::RejectWithoutCause => {
+        | Mutation::RejectWithoutCause
+        | Mutation::TauKeepsS1apId => {
             let mut s = Scenario::base("mutation_crash_restart", 1, 2);
             s.max_crashes = 1;
             s

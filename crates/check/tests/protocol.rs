@@ -21,8 +21,9 @@ const MUT_BUDGET: u64 = 2_500;
 /// budget: no interleaving of deliveries, crashes, detections and
 /// restarts reaches a state violating identity consistency, epoch
 /// monotonicity, session safety, the replica contract, liveness-map
-/// coherence or convergence, or leaves a worker holding an S11/S6a
-/// transaction between messages.
+/// coherence or convergence, leaves a worker holding an S11/S6a
+/// transaction between messages, or leaves the MLB holding state for a
+/// device whose procedures have all settled.
 #[test]
 fn clean_suite_holds_invariants() {
     for sc in suite(BUDGET) {
@@ -129,4 +130,9 @@ fn catches_wildcard_swallow() {
 #[test]
 fn catches_reject_without_cause() {
     assert_caught(Mutation::RejectWithoutCause, &["errors", "I3"]);
+}
+
+#[test]
+fn catches_tau_keeps_s1ap_id() {
+    assert_caught(Mutation::TauKeepsS1apId, &["convergence"]);
 }

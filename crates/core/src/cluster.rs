@@ -1027,15 +1027,14 @@ mod tests {
     }
 
     /// `Network::tau` reports whether a TAU reached its Idle edge, the
-    /// release that ends it. Run one at a time, on 1 to 16 VMs, a TAU
-    /// from Idle reaches it exactly when the holder that serves it is
-    /// the VM that minted the S1AP id its release carries: a TAU keeps
-    /// the device's id, and `ScaleDc` routes the Release Complete by
-    /// the VM in it (ROADMAP defect 1(b)). On more than one VM they all
-    /// miss: the least-loaded holder is never the one that served the
-    /// attach, so 1(b) needs no concurrency to show.
+    /// release that ends it. Run one at a time, on 1 to 16 VMs, every
+    /// TAU from Idle reaches it, whichever holder serves it: the TAU
+    /// opens a connection, the serving VM mints the connection's S1AP
+    /// id, and `ScaleDc` routes the Release Complete by the VM in it.
+    /// Before TAUs minted a fresh id (ROADMAP defect 1(b)) a TAU kept
+    /// the device's id, and on more than one VM all 900 missed.
     #[test]
-    fn a_tau_reaches_its_idle_edge_only_on_the_vm_that_minted_its_s1ap_id() {
+    fn every_tau_reaches_its_idle_edge() {
         for vms in [1, 2, 3, 5, 8, 16] {
             let mut net = scale_net(vms, 300);
             for ue in 0..300 {
@@ -1045,8 +1044,6 @@ mod tests {
             let (mut reached, mut missed) = (0, 0);
             for round in 0..3u16 {
                 for ue in 0..300 {
-                    let guti = net.ues[ue].guti.expect("registered");
-                    let id = net.cp.mmps.values().find_map(|m| m.context(&guti)).map(|c| c.mme_ue_id);
                     let before = taus(&net.cp);
                     let went_idle = net.tau(ue, 0x100 + round);
                     let after = taus(&net.cp);
@@ -1058,13 +1055,7 @@ mod tests {
                         .filter(|(_, (b, a))| a > b)
                         .map(|(&vm, _)| vm)
                         .collect();
-                    let minted = id.map(|id| scale_mme::vm_of_id(id) as VmId);
                     assert_eq!(served.len(), 1, "{vms} VMs, ue {ue}: served by {served:?}");
-                    assert_eq!(
-                        went_idle,
-                        minted == Some(served[0]),
-                        "{vms} VMs, ue {ue}, round {round}: served by {served:?}, id minted by {minted:?}"
-                    );
                     if went_idle {
                         reached += 1;
                     } else {
@@ -1073,11 +1064,7 @@ mod tests {
                 }
             }
             println!("{vms} VMs: {reached} TAUs reached their Idle edge, {missed} did not");
-            assert_eq!(
-                (reached, missed),
-                if vms == 1 { (900, 0) } else { (0, 900) },
-                "{vms} VMs: a fix to defect 1(b) changes this"
-            );
+            assert_eq!((reached, missed), (900, 0), "{vms} VMs");
             assert!(net.errors.is_empty(), "{vms} VMs: {:?}", net.errors);
         }
     }

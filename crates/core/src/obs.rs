@@ -333,7 +333,7 @@ impl WireLinkObserver {
             ),
             forwarded_uplinks: r.counter(
                 "scale_wire_forwarded_uplinks_total",
-                "Pinned-connection uplinks forwarded eNB-to-MMP",
+                "Connected-mode uplinks forwarded eNB-to-MMP by their S1AP id",
             ),
             settled_relayed: r.counter(
                 "scale_wire_settled_relayed_total",
@@ -345,7 +345,7 @@ impl WireLinkObserver {
             ),
             dropped: r.counter(
                 "scale_wire_dropped_total",
-                "Frames dropped for want of a live link or pinned connection",
+                "Frames dropped for want of a live link or a live VM in their S1AP id",
             ),
             errors: r.counter(
                 "scale_wire_errors_total",

@@ -318,6 +318,15 @@ impl RouteReader {
         best.map(|(_, vm)| vm)
     }
 
+    /// Route a Connected-mode uplink: to the VM that minted its
+    /// MME-UE-S1AP-ID (§5: the id carries the serving MMP), if that VM
+    /// is a live ring member.
+    pub fn route_active(&mut self, mme_ue_id: u32) -> Option<VmId> {
+        let vm = VmId::from(scale_mme::vm_of_id(mme_ue_id));
+        let snap = self.cache.load(&self.plane.snap);
+        (!snap.is_down(vm) && snap.ring.nodes().contains(&vm)).then_some(vm)
+    }
+
     /// Charge one routed procedure to `vm` in the shared load table.
     pub fn charge(&self, vm: VmId) {
         self.plane.loads.charge(vm);

@@ -115,14 +115,16 @@ pub struct MlbWireStats {
     pub routed_attaches: u64,
     /// Idle-mode procedures routed by S-TMSI.
     pub routed_idle: u64,
-    /// Uplinks forwarded along a pinned connection.
+    /// Connected-mode uplinks forwarded to the VM their MME-UE-S1AP-ID
+    /// names.
     pub forwarded_uplinks: u64,
     /// Lifecycle edges relayed to home cells.
     pub settled_relayed: u64,
     /// In-flight procedures failed over after an MMP death.
     pub proc_failures: u64,
-    /// Messages dropped because their target link was dead or their
-    /// connection pin was gone (stale post-crash traffic).
+    /// Messages dropped because their target link was dead, or because
+    /// the VM their MME-UE-S1AP-ID names is down or no ring member
+    /// (stale post-crash traffic), or because nothing routes them.
     pub dropped: u64,
     /// Routing errors (no live holder, unroutable PDU).
     pub errors: u64,
@@ -178,23 +180,18 @@ fn enb_index(enb_id: u32) -> usize {
     enb_id.wrapping_sub(ENB_BASE) as usize
 }
 
-/// The MLB front process's routing brain: consistent-hash routing over
-/// the shared plane, per-connection serving-VM pins (real S1AP returns
-/// responses on the association that carried the request), and the
-/// in-flight table that turns an MMP death into targeted `ProcFailed`
+/// The MLB front process's routing brain (§4.3): an Initial UE Message
+/// goes by consistent hashing over the shared plane, and every later
+/// uplink of its connection by the MME-UE-S1AP-ID the serving VM
+/// minted, which carries that VM. The one per-device table is the
+/// in-flight one, which turns an MMP death into targeted `ProcFailed`
 /// notifications instead of lost devices.
 pub struct MlbState {
     topo: WireTopo,
     plane: Arc<RoutePlane>,
     reader: RouteReader,
-    /// (enb_id, enb_ue_id) → serving VM: every uplink of a signalling
-    /// connection goes where its Initial UE Message was routed.
-    conns: HashMap<(u32, u32), VmId>,
-    /// m_tmsi → serving VM for the device's current signalling
-    /// connection; entries live from Initial UE Message to the Idle
-    /// edge, so they cover the release window `conns` cannot (the
-    /// connection pin is already gone when Release Complete has been
-    /// forwarded but the Idle edge is still in flight).
+    /// m_tmsi → serving VM, from a procedure's Initial UE Message to
+    /// its Idle edge: one entry per procedure in flight.
     inflight: HashMap<u32, VmId>,
     /// Deterministic counters.
     pub stats: MlbWireStats,
@@ -210,7 +207,6 @@ impl MlbState {
             topo: topo.clone(),
             plane,
             reader,
-            conns: HashMap::new(),
             inflight: HashMap::new(),
             stats: MlbWireStats::default(),
         }
@@ -222,7 +218,8 @@ impl MlbState {
         shard_of(vm, self.topo.n_mmps)
     }
 
-    /// In-flight procedures currently pinned (diagnostics).
+    /// Procedures in flight: the MLB's only per-device state, empty
+    /// whenever every procedure has settled (diagnostics).
     #[must_use]
     pub fn inflight_len(&self) -> usize {
         self.inflight.len()
@@ -237,7 +234,7 @@ impl MlbState {
         out: &mut Vec<MlbOut>,
     ) {
         let enb = enb_index(enb_id);
-        match self.route_uplink(enb_id, attach_hint, pdu.route_key()) {
+        match self.route_uplink(attach_hint, pdu.route_key()) {
             UplinkRoute::Setup => out.push(self.s1_setup_response(enb_id)),
             UplinkRoute::Deliver { vm, guti_hint, .. } => out.push(MlbOut::Mmp {
                 mmp: self.mmp_of(vm),
@@ -306,15 +303,10 @@ impl MlbState {
     }
 
     /// The one place an uplink is routed, typed or as bytes.
-    fn route_uplink(
-        &mut self,
-        enb_id: u32,
-        attach_hint: Option<u32>,
-        key: RouteKey,
-    ) -> UplinkRoute {
+    fn route_uplink(&mut self, attach_hint: Option<u32>, key: RouteKey) -> UplinkRoute {
         match key {
             RouteKey::S1Setup => UplinkRoute::Setup,
-            RouteKey::Initial { enb_ue_id, s_tmsi } => {
+            RouteKey::Initial { s_tmsi } => {
                 let (m_tmsi, vm) = if let Some(h) = attach_hint {
                     self.stats.routed_attaches += 1;
                     (h, self.reader.route_new_attach(h))
@@ -332,7 +324,6 @@ impl MlbState {
                     return UplinkRoute::Failed { m_tmsi };
                 };
                 self.reader.charge(vm);
-                self.conns.insert((enb_id, enb_ue_id), vm);
                 self.inflight.insert(m_tmsi, vm);
                 UplinkRoute::Deliver {
                     vm,
@@ -340,17 +331,13 @@ impl MlbState {
                     opens: Some(m_tmsi),
                 }
             }
-            RouteKey::Connected { enb_ue_id, last } => {
-                let conn = (enb_id, enb_ue_id);
-                let Some(vm) = self.conns.get(&conn).copied() else {
-                    // Stale uplink on a connection retired by a crash.
+            RouteKey::Connected { mme_ue_id } => {
+                let Some(vm) = self.reader.route_active(mme_ue_id) else {
+                    // Stale uplink for a VM that is down or gone.
                     self.stats.dropped += 1;
                     return UplinkRoute::Dropped;
                 };
                 self.stats.forwarded_uplinks += 1;
-                if last {
-                    self.conns.remove(&conn);
-                }
                 UplinkRoute::Deliver {
                     vm,
                     guti_hint: None,
@@ -395,16 +382,14 @@ impl MlbState {
     }
 
     /// MMP process `mmp` died (link error or heartbeat loss): mark its
-    /// VMs down for routing, fail over every pinned in-flight
-    /// procedure to its home cell, and tell the surviving MMPs to
-    /// exclude the dead VMs from replica placement.
+    /// VMs down for routing, fail over every in-flight procedure to its
+    /// home cell, and tell the surviving MMPs to exclude the dead VMs
+    /// from replica placement.
     pub fn on_mmp_down(&mut self, mmp: usize, out: &mut Vec<MlbOut>) {
         let dead: Vec<VmId> = self.topo.vms_of(mmp);
         for &vm in &dead {
             self.plane.mark_down(vm);
         }
-        self.conns
-            .retain(|_, vm| shard_of(*vm, self.topo.n_mmps) != mmp);
         let mut failed: Vec<u32> = self
             .inflight
             .iter()
@@ -474,14 +459,14 @@ impl MlbState {
         &self.plane
     }
 
-    /// The serving VM pinned for device `m_tmsi`'s in-flight
-    /// procedure, if one is pinned.
+    /// The serving VM of device `m_tmsi`'s in-flight procedure, if it
+    /// has one in flight.
     #[must_use]
     pub fn inflight_vm(&self, m_tmsi: u32) -> Option<VmId> {
         self.inflight.get(&m_tmsi).copied()
     }
 
-    /// Device `m_tmsi`'s in-flight procedure is over: drop its pin and
+    /// Device `m_tmsi`'s in-flight procedure is over: drop its entry and
     /// give back the load charge routing made. The Idle edge ends a
     /// procedure this way, and so does the shedding of the `Deliver`
     /// that opened it.
@@ -491,18 +476,13 @@ impl MlbState {
         }
     }
 
-    /// Hash the behavior-relevant routing state — connection pins, the
-    /// in-flight table, snapshot membership/liveness and per-VM loads —
+    /// Hash the behavior-relevant routing state — the in-flight table, snapshot membership/liveness and per-VM loads —
     /// into `h`. Monotone report counters and the (equally monotone)
     /// snapshot epoch are excluded: two states differing only in those
     /// have identical future behavior, and folding them in would defeat
     /// the model checker's visited-set dedup.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
-        let mut conns: Vec<(u32, u32, VmId)> =
-            self.conns.iter().map(|(&(e, u), &vm)| (e, u, vm)).collect();
-        conns.sort_unstable();
-        conns.hash(h);
         let mut inflight: Vec<(u32, VmId)> =
             self.inflight.iter().map(|(&m, &vm)| (m, vm)).collect();
         inflight.sort_unstable();
@@ -1102,8 +1082,9 @@ mod tests {
     }
 
     #[test]
-    fn attach_pins_connection_and_uplinks_follow_it() {
-        let mut mlb = MlbState::new(&topo());
+    fn uplinks_follow_their_id() {
+        let t = topo();
+        let mut mlb = MlbState::new(&t);
         let mut out = Vec::new();
         let m_tmsi = MTMSI_BASE + 4;
         let initial = S1apPdu::InitialUeMessage {
@@ -1114,41 +1095,45 @@ mod tests {
             s_tmsi: None,
         };
         mlb.on_enb(ENB_BASE, Some(m_tmsi), initial, &mut out);
-        let (mmp0, vm0) = match &out[..] {
-            [MlbOut::Mmp {
-                mmp,
-                msg: WireMsg::Deliver { vm, guti_hint, .. },
-            }] => {
-                assert_eq!(*guti_hint, Some(m_tmsi));
-                (*mmp, *vm)
-            }
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(mlb.inflight_len(), 1);
-        out.clear();
-        // A later uplink on the same connection lands on the same VM.
-        mlb.on_enb(
-            ENB_BASE,
-            None,
-            S1apPdu::UplinkNasTransport {
-                mme_ue_id: 9,
-                enb_ue_id: 1,
-                nas_pdu: Bytes::from_static(b"smc ok"),
-                tai: Tai::new(Plmn::test(), 1),
-            },
-            &mut out,
-        );
         match &out[..] {
             [MlbOut::Mmp {
-                mmp,
-                msg: WireMsg::Deliver { vm, .. },
-            }] => {
-                assert_eq!((*mmp, *vm), (mmp0, vm0));
-            }
+                msg: WireMsg::Deliver { guti_hint, .. },
+                ..
+            }] => assert_eq!(*guti_hint, Some(m_tmsi)),
             other => panic!("{other:?}"),
         }
-        // The Idle edge clears the in-flight pin.
+        assert_eq!(mlb.inflight_len(), 1);
+        // A later uplink goes to the VM its MME-UE-S1AP-ID names,
+        // whichever connection it rides on.
+        let uplink = |mme_ue_id| S1apPdu::UplinkNasTransport {
+            mme_ue_id,
+            enb_ue_id: 1,
+            nas_pdu: Bytes::from_static(b"smc ok"),
+            tai: Tai::new(Plmn::test(), 1),
+        };
+        for vm in 1..=t.total_vms as VmId {
+            out.clear();
+            let id = scale_mme::compose_id(vm as u8, 9);
+            mlb.on_enb(ENB_BASE, None, uplink(id), &mut out);
+            match &out[..] {
+                [MlbOut::Mmp {
+                    mmp,
+                    msg: WireMsg::Deliver { vm: to, .. },
+                }] => assert_eq!((*mmp, *to), (shard_of(vm, t.n_mmps), vm)),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(mlb.stats.forwarded_uplinks, t.total_vms as u64);
+        // An id naming no ring member, or a VM that is down, is dropped.
         out.clear();
+        mlb.plane().mark_down(2);
+        for vm in [9, 2] {
+            let id = scale_mme::compose_id(vm, 9);
+            mlb.on_enb(ENB_BASE, None, uplink(id), &mut out);
+        }
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(mlb.stats.dropped, 2);
+        // The Idle edge ends the procedure: nothing per device is left.
         mlb.on_mmp(
             WireMsg::Settled {
                 m_tmsi,
@@ -1171,7 +1156,7 @@ mod tests {
         let t = topo();
         let mut mlb = MlbState::new(&t);
         let mut out = Vec::new();
-        // Pin one in-flight attach per MMP.
+        // Put in flight one attach per MMP.
         let mut pinned = Vec::new();
         for u in 0..8u32 {
             let m_tmsi = MTMSI_BASE + u;

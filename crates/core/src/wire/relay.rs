@@ -110,9 +110,10 @@ impl MlbState {
                     pdu,
                 },
             ) => {
-                // Connections are pinned by the envelope's eNB id: a
-                // link naming another cell's id could re-pin that
-                // cell's connections mid-procedure.
+                // The worker answers the cell the `Deliver` names and
+                // checks a connection's uplinks against it: a link
+                // naming another cell's id could speak for that cell's
+                // connections.
                 if enb_index(enb_id) != id {
                     self.stats.errors += 1;
                     return Err(NasError::Invalid {
@@ -120,7 +121,7 @@ impl MlbState {
                         value: u64::from(enb_id),
                     });
                 }
-                let route = self.route_uplink(enb_id, attach_hint, S1apPdu::peek(pdu)?);
+                let route = self.route_uplink(attach_hint, S1apPdu::peek(pdu)?);
                 return Ok(match route {
                     UplinkRoute::Setup => Relay::Reply(self.s1_setup_response(enb_id)),
                     UplinkRoute::Deliver {

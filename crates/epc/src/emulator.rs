@@ -649,7 +649,7 @@ impl EnbEmulator {
     }
 
     /// Flag eNodeB-originated uplinks whose connection we no longer
-    /// track (the MLB would have no pin for them either).
+    /// track.
     fn check_uplink_conn(&mut self, pdu: &S1apPdu) {
         // Error Indication is exempt: it is exactly the eNodeB's "this
         // connection is unknown" signal, sent in reply to downlinks on

@@ -53,6 +53,7 @@ const FIXTURES: &[(&str, &str, &str)] = &[
     ("wire_send_guard.rs", "crates/sim_fixture/src/wire_send_guard.rs", "await-guard"),
     ("metric_names.rs", "crates/sctplite_fixture/src/metric_names.rs", "metric-name"),
     ("protocol_match.rs", "crates/core_fixture/src/protocol_match.rs", "exhaustive-protocol-match"),
+    ("route_key_match.rs", "crates/core_fixture/src/route_key_match.rs", "exhaustive-protocol-match"),
 ];
 
 fn run_self_test() -> ExitCode {

@@ -539,8 +539,10 @@ pub fn check_metric_names(
 /// them silently swallows whatever variant the next PR adds (the
 /// `WildcardSwallow` mutation in `scale-check::protocol` demonstrates
 /// the resulting stuck-session bug). Spelling the variants out turns
-/// "new message type, forgot a handler" into a compile error.
-const PROTOCOL_ENUMS: &[&str] = &["WireMsg::", "EmmMessage::"];
+/// "new message type, forgot a handler" into a compile error. The
+/// S1AP routing view (`RouteKey`) is one too: a routing key added for
+/// a new procedure must be routed, not dropped by a catch-all.
+const PROTOCOL_ENUMS: &[&str] = &["WireMsg::", "EmmMessage::", "RouteKey::"];
 
 /// One parsed `match` arm: its pattern text and the 1-based line the
 /// pattern starts on.

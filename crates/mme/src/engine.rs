@@ -631,27 +631,45 @@ impl MmeCore {
             } => self.initial_ue_message(enb_id, enb_ue_id, nas_pdu, tai, s_tmsi),
             S1apPdu::UplinkNasTransport {
                 mme_ue_id,
+                enb_ue_id,
                 nas_pdu,
-                tai,
                 ..
-            } => self.uplink_nas(mme_ue_id, nas_pdu, tai),
+            } => {
+                let m_tmsi = self.connected(enb_id, mme_ue_id, enb_ue_id)?;
+                self.uplink_nas(m_tmsi, nas_pdu)
+            }
             S1apPdu::InitialContextSetupResponse {
-                mme_ue_id, erabs, ..
-            } => self.context_setup_response(mme_ue_id, &erabs),
-            S1apPdu::InitialContextSetupFailure { mme_ue_id, .. } => {
-                let m_tmsi = self.tmsi_of(mme_ue_id)?;
+                mme_ue_id,
+                enb_ue_id,
+                erabs,
+            } => {
+                let m_tmsi = self.connected(enb_id, mme_ue_id, enb_ue_id)?;
+                self.context_setup_response(m_tmsi, &erabs)
+            }
+            S1apPdu::InitialContextSetupFailure {
+                mme_ue_id,
+                enb_ue_id,
+                ..
+            } => {
+                let m_tmsi = self.connected(enb_id, mme_ue_id, enb_ue_id)?;
                 let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
                 ctx.procedure = Procedure::None;
                 ctx.ecm = EcmState::Idle;
                 self.stats.rejects += 1;
                 Ok(vec![])
             }
-            S1apPdu::UeContextReleaseRequest { mme_ue_id, .. } => {
-                self.release_request(mme_ue_id)
+            S1apPdu::UeContextReleaseRequest {
+                mme_ue_id,
+                enb_ue_id,
+                ..
+            } => {
+                let m_tmsi = self.connected(enb_id, mme_ue_id, enb_ue_id)?;
+                self.release_request(m_tmsi)
             }
-            S1apPdu::UeContextReleaseComplete { mme_ue_id, .. } => {
-                self.release_complete(mme_ue_id)
-            }
+            S1apPdu::UeContextReleaseComplete {
+                mme_ue_id,
+                enb_ue_id,
+            } => self.release_complete(enb_id, mme_ue_id, enb_ue_id),
             S1apPdu::HandoverRequired {
                 mme_ue_id,
                 enb_ue_id,
@@ -680,6 +698,45 @@ impl MmeCore {
             .get(&mme_ue_id)
             .copied()
             .ok_or(MmeError::UnknownUe("mme_ue_id"))
+    }
+
+    /// The device on the connection a Connected-mode uplink names: its
+    /// MME-UE-S1AP-ID, checked against the (eNB, eNB-UE-S1AP-ID) pair
+    /// recorded when the connection opened. A pair that does not match
+    /// is an unknown connection (TS 36.413 §10.6). A restarted engine
+    /// counts its ids from 1 again, so an uplink from before the
+    /// restart may carry the id of a newer connection here; the eNodeB
+    /// never reuses an eNB-UE-S1AP-ID, so the pair tells them apart.
+    fn connected(&self, enb_id: u32, mme_ue_id: u32, enb_ue_id: u32) -> Result<u32, MmeError> {
+        let m_tmsi = self.tmsi_of(mme_ue_id)?;
+        let ctx = self.ctx(m_tmsi)?;
+        if (ctx.enb_id, ctx.enb_ue_id) == (enb_id, enb_ue_id) {
+            Ok(m_tmsi)
+        } else {
+            Err(MmeError::UnknownUe("S1AP id pair"))
+        }
+    }
+
+    /// `m_tmsi`'s procedure opens an S1 connection here, as every
+    /// procedure an Initial UE Message starts does: record the eNB's
+    /// end of it, and mint the MME-UE-S1AP-ID that names this VM (§5:
+    /// "each MMP embeds its unique ID in both the S1AP-id & S11-tunnel-id"),
+    /// which the MLB routes the connection's later uplinks by. The
+    /// caller has made sure the record exists.
+    fn open_connection(
+        &mut self,
+        m_tmsi: u32,
+        enb_id: u32,
+        enb_ue_id: u32,
+    ) -> Result<&mut UeContext, MmeError> {
+        let mme_ue_id = self.alloc_ue_id();
+        let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
+        unindex(&mut self.by_mme_ue_id, ctx.mme_ue_id, m_tmsi);
+        self.by_mme_ue_id.insert(mme_ue_id, m_tmsi);
+        ctx.mme_ue_id = mme_ue_id;
+        ctx.enb_id = enb_id;
+        ctx.enb_ue_id = enb_ue_id;
+        Ok(ctx)
     }
 
     /// Decoded record by M-TMSI. The id maps (`by_mme_ue_id`,
@@ -740,7 +797,7 @@ impl MmeCore {
                 self.service_request(enb_id, enb_ue_id, m_tmsi, ksi, seq, short_mac)
             }
             EmmMessage::TauRequest { guti, tai } => {
-                self.tau(enb_id, enb_ue_id, guti.m_tmsi, tai)
+                self.tau(Some((enb_id, enb_ue_id)), guti.m_tmsi, tai)
             }
             EmmMessage::DetachRequest { switch_off, id } => {
                 let m_tmsi = match &id {
@@ -749,7 +806,7 @@ impl MmeCore {
                         .and_then(|imsi| self.by_imsi.get(&imsi))
                         .ok_or(MmeError::UnknownUe("detach by unknown imsi"))?,
                 };
-                self.detach(enb_id, enb_ue_id, m_tmsi, switch_off)
+                self.detach(Some((enb_id, enb_ue_id)), m_tmsi, switch_off)
             }
             // Downlink-only and mid-procedure messages can never open a
             // signalling connection; each is named so a new EMM message
@@ -809,23 +866,16 @@ impl MmeCore {
                         guti
                     }
                 };
-                let mme_ue_id = self.alloc_ue_id();
-                let ctx = self
-                    .contexts
+                self.contexts
                     .entry(guti.m_tmsi)
                     .or_insert_with(|| Box::new(UeContext::new(imsi, guti, tai)));
-                // Stale routing entry for a previous mme_ue_id.
-                self.by_mme_ue_id.remove(&ctx.mme_ue_id);
+                let ctx = self.open_connection(guti.m_tmsi, enb_id, enb_ue_id)?;
                 ctx.emm = EmmState::Registering;
                 ctx.ecm = EcmState::Connecting;
                 ctx.procedure = Procedure::AwaitAuthVector;
-                ctx.mme_ue_id = mme_ue_id;
-                ctx.enb_id = enb_id;
-                ctx.enb_ue_id = enb_ue_id;
                 ctx.tai = tai;
                 ctx.record_access();
                 self.by_imsi.insert(imsi, guti.m_tmsi);
-                self.by_mme_ue_id.insert(mme_ue_id, guti.m_tmsi);
 
                 let hbh = self.s6a_hbh;
                 self.s6a_hbh += 1;
@@ -856,18 +906,12 @@ impl MmeCore {
                         },
                     ));
                 }
-                let mme_ue_id = self.alloc_ue_id();
-                let ctx = Self::ctx_mut_in(&mut self.contexts, guti.m_tmsi)?;
-                self.by_mme_ue_id.remove(&ctx.mme_ue_id);
-                ctx.mme_ue_id = mme_ue_id;
+                let ctx = self.open_connection(guti.m_tmsi, enb_id, enb_ue_id)?;
                 ctx.emm = EmmState::Registering;
                 ctx.ecm = EcmState::Connecting;
                 ctx.procedure = Procedure::AwaitCreateSession;
-                ctx.enb_id = enb_id;
-                ctx.enb_ue_id = enb_ue_id;
                 ctx.tai = tai;
                 ctx.record_access();
-                self.by_mme_ue_id.insert(mme_ue_id, guti.m_tmsi);
                 let imsi = ctx.imsi;
                 Ok(vec![self.create_session(guti.m_tmsi, imsi)?])
             }
@@ -944,8 +988,6 @@ impl MmeCore {
         self.stats.service_requests += 1;
         ctx.ecm = EcmState::Connecting;
         ctx.procedure = Procedure::AwaitContextSetup;
-        ctx.enb_id = enb_id;
-        ctx.enb_ue_id = enb_ue_id;
         ctx.record_access();
         let kasme = match ctx.security.as_ref() {
             Some(sec) => sec.keys.kasme,
@@ -954,14 +996,9 @@ impl MmeCore {
             // crash.
             None => return Err(MmeError::BadState("service request without security context".into())),
         };
-        let old_id = ctx.mme_ue_id;
-        // Re-mint the S1AP id so Active-mode messages route to the VM
-        // serving this Active period (§5 "Load Balancing").
-        let new_id = compose_id(self.config.vm_id, self.next_local_id);
-        self.next_local_id += 1;
-        ctx.mme_ue_id = new_id;
-        unindex(&mut self.by_mme_ue_id, old_id, m_tmsi);
-        self.by_mme_ue_id.insert(new_id, m_tmsi);
+        let (ue_ambr_ul_kbps, ue_ambr_dl_kbps) =
+            (self.config.ambr_ul_kbps, self.config.ambr_dl_kbps);
+        let ctx = self.open_connection(m_tmsi, enb_id, enb_ue_id)?;
         let pdu = S1apPdu::InitialContextSetupRequest {
             mme_ue_id: ctx.mme_ue_id,
             enb_ue_id,
@@ -971,26 +1008,30 @@ impl MmeCore {
                 gtp_teid: ctx.bearer.s1u_sgw_teid,
                 transport_addr: ctx.bearer.s1u_sgw_addr,
             }],
-            ue_ambr_ul_kbps: self.config.ambr_ul_kbps,
-            ue_ambr_dl_kbps: self.config.ambr_dl_kbps,
+            ue_ambr_ul_kbps,
+            ue_ambr_dl_kbps,
             security_key: kasme,
         };
         Ok(vec![Outgoing::S1ap { enb_id, pdu }])
     }
 
+    /// A Tracking Area Update for `m_tmsi`. `opens` is the (eNB,
+    /// eNB-UE-S1AP-ID) of the connection its Initial UE Message opens,
+    /// or `None` for a TAU over the device's existing connection, which
+    /// keeps that connection's id.
     fn tau(
         &mut self,
-        enb_id: u32,
-        enb_ue_id: u32,
+        opens: Option<(u32, u32)>,
         m_tmsi: u32,
         tai: Tai,
     ) -> Result<Vec<Outgoing>, MmeError> {
         let t3412 = self.config.t3412_s;
         self.wake(m_tmsi)?;
-        let Some(ctx) = self.contexts.get_mut(&m_tmsi) else {
+        if !self.contexts.contains_key(&m_tmsi) {
             // Same recovery contract as the Service Request path: an
             // unknown S-TMSI gets TAU Reject #9, sending the device
             // back to a fresh IMSI attach.
+            let (enb_id, enb_ue_id) = opens.ok_or(MmeError::UnknownUe("tau"))?;
             return Ok(self.reject(
                 enb_id,
                 enb_ue_id,
@@ -998,8 +1039,12 @@ impl MmeCore {
                     cause: scale_nas::emm_cause::UE_IDENTITY_UNKNOWN,
                 },
             ));
-        };
+        }
         self.stats.taus += 1;
+        let ctx = match opens {
+            Some((enb_id, enb_ue_id)) => self.open_connection(m_tmsi, enb_id, enb_ue_id)?,
+            None => Self::ctx_mut_in(&mut self.contexts, m_tmsi)?,
+        };
         ctx.tai = tai;
         if !ctx.tai_list.contains(&tai) {
             ctx.tai_list.push(tai);
@@ -1007,13 +1052,9 @@ impl MmeCore {
         ctx.record_access();
         // The TAU rides a temporary signalling connection; its release
         // returns the device to Idle (and re-syncs replicas in SCALE,
-        // picking up the new TA list). The connection keeps the
-        // device's S1AP id.
+        // picking up the new TA list).
         ctx.procedure = Procedure::AwaitReleaseComplete;
-        let mme_ue_id = ctx.mme_ue_id;
-        if mme_ue_id != 0 {
-            self.by_mme_ue_id.insert(mme_ue_id, m_tmsi);
-        }
+        let (enb_id, mme_ue_id, enb_ue_id) = (ctx.enb_id, ctx.mme_ue_id, ctx.enb_ue_id);
         let accept = EmmMessage::TauAccept {
             t3412_s: t3412,
             guti: None,
@@ -1039,25 +1080,26 @@ impl MmeCore {
         ])
     }
 
+    /// A Detach Request from `m_tmsi`; `opens` as for [`Self::tau`].
     fn detach(
         &mut self,
-        enb_id: u32,
-        enb_ue_id: u32,
+        opens: Option<(u32, u32)>,
         m_tmsi: u32,
         switch_off: bool,
     ) -> Result<Vec<Outgoing>, MmeError> {
         self.wake(m_tmsi)?;
-        let ctx = self
-            .contexts
-            .get_mut(&m_tmsi)
-            .ok_or(MmeError::UnknownUe("detach"))?;
+        if !self.contexts.contains_key(&m_tmsi) {
+            return Err(MmeError::UnknownUe("detach"));
+        }
+        let ctx = match opens {
+            Some((enb_id, enb_ue_id)) => self.open_connection(m_tmsi, enb_id, enb_ue_id)?,
+            None => Self::ctx_mut_in(&mut self.contexts, m_tmsi)?,
+        };
         ctx.procedure = Procedure::AwaitDeleteSession;
-        ctx.enb_id = enb_id;
-        ctx.enb_ue_id = enb_ue_id;
-        // Remember whether to answer with Detach Accept.
-        self.in_flight.entry(m_tmsi).or_default().done = Some((switch_off, false));
         let ebi = ctx.bearer.ebi;
         let sgw_teid = ctx.bearer.s11_sgw_teid;
+        // Remember whether to answer with Detach Accept.
+        self.in_flight.entry(m_tmsi).or_default().done = Some((switch_off, false));
         let seq = self.next_s11_seq(m_tmsi);
         Ok(vec![Outgoing::S11(gtpc::Message {
             teid: sgw_teid,
@@ -1066,13 +1108,7 @@ impl MmeCore {
         })])
     }
 
-    fn uplink_nas(
-        &mut self,
-        mme_ue_id: u32,
-        nas_pdu: Bytes,
-        _tai: Tai,
-    ) -> Result<Vec<Outgoing>, MmeError> {
-        let m_tmsi = self.tmsi_of(mme_ue_id)?;
+    fn uplink_nas(&mut self, m_tmsi: u32, nas_pdu: Bytes) -> Result<Vec<Outgoing>, MmeError> {
         let msg = {
             let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
             if is_protected(&nas_pdu) {
@@ -1089,20 +1125,8 @@ impl MmeCore {
             EmmMessage::AuthenticationResponse { res } => self.auth_response(m_tmsi, res),
             EmmMessage::SecurityModeComplete => self.smc_complete(m_tmsi),
             EmmMessage::AttachComplete => self.attach_complete(m_tmsi),
-            EmmMessage::TauRequest { guti, tai } => {
-                let (enb_id, enb_ue_id) = {
-                    let ctx = self.ctx(m_tmsi)?;
-                    (ctx.enb_id, ctx.enb_ue_id)
-                };
-                self.tau(enb_id, enb_ue_id, guti.m_tmsi, tai)
-            }
-            EmmMessage::DetachRequest { switch_off, .. } => {
-                let (enb_id, enb_ue_id) = {
-                    let ctx = self.ctx(m_tmsi)?;
-                    (ctx.enb_id, ctx.enb_ue_id)
-                };
-                self.detach(enb_id, enb_ue_id, m_tmsi, switch_off)
-            }
+            EmmMessage::TauRequest { tai, .. } => self.tau(None, m_tmsi, tai),
+            EmmMessage::DetachRequest { switch_off, .. } => self.detach(None, m_tmsi, switch_off),
             EmmMessage::AuthenticationFailure { .. } => {
                 self.stats.auth_failures += 1;
                 let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
@@ -1238,10 +1262,9 @@ impl MmeCore {
 
     fn context_setup_response(
         &mut self,
-        mme_ue_id: u32,
+        m_tmsi: u32,
         erabs: &[ErabSetup],
     ) -> Result<Vec<Outgoing>, MmeError> {
-        let m_tmsi = self.tmsi_of(mme_ue_id)?;
         let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
         if ctx.procedure != Procedure::AwaitContextSetup {
             return Err(MmeError::BadState("ICS response out of sequence".into()));
@@ -1263,13 +1286,11 @@ impl MmeCore {
         })])
     }
 
-    fn release_request(&mut self, mme_ue_id: u32) -> Result<Vec<Outgoing>, MmeError> {
-        let m_tmsi = self.tmsi_of(mme_ue_id)?;
+    fn release_request(&mut self, m_tmsi: u32) -> Result<Vec<Outgoing>, MmeError> {
         let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
         ctx.procedure = Procedure::AwaitReleaseComplete;
         let sgw_teid = ctx.bearer.s11_sgw_teid;
-        let enb_id = ctx.enb_id;
-        let enb_ue_id = ctx.enb_ue_id;
+        let (enb_id, mme_ue_id, enb_ue_id) = (ctx.enb_id, ctx.mme_ue_id, ctx.enb_ue_id);
         Ok(vec![
             Outgoing::S11(gtpc::Message {
                 teid: sgw_teid,
@@ -1287,15 +1308,22 @@ impl MmeCore {
         ])
     }
 
-    fn release_complete(&mut self, mme_ue_id: u32) -> Result<Vec<Outgoing>, MmeError> {
-        let Ok(m_tmsi) = self.tmsi_of(mme_ue_id) else {
-            // Release for a context we already removed (e.g. detach).
+    fn release_complete(
+        &mut self,
+        enb_id: u32,
+        mme_ue_id: u32,
+        enb_ue_id: u32,
+    ) -> Result<Vec<Outgoing>, MmeError> {
+        let Ok(m_tmsi) = self.connected(enb_id, mme_ue_id, enb_ue_id) else {
+            // Release for a context we already removed (e.g. detach),
+            // or of a connection the device no longer has (the source
+            // leg of a handover).
             return Ok(vec![]);
         };
         let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
         if ctx.procedure != Procedure::AwaitReleaseComplete {
-            // Source-leg release after a handover (or a stray complete):
-            // the device stays Active on the target side.
+            // A stray complete: the device's procedure is not waiting
+            // for one.
             return Ok(vec![]);
         }
         ctx.ecm = EcmState::Idle;
@@ -1908,7 +1936,7 @@ mod tests {
         for _ in 0..3 {
             let out = engine
                 .handle(Incoming::S1ap {
-                    enb_id: 1,
+                    enb_id: crate::flow_tests::ENB,
                     pdu: S1apPdu::UeContextReleaseRequest {
                         mme_ue_id,
                         enb_ue_id: 1,
@@ -1932,7 +1960,7 @@ mod tests {
         };
         let out = engine
             .handle(Incoming::S1ap {
-                enb_id: 1,
+                enb_id: crate::flow_tests::ENB,
                 pdu: S1apPdu::UplinkNasTransport {
                     mme_ue_id,
                     enb_ue_id: 1,

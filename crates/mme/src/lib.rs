@@ -33,7 +33,7 @@ mod flow_tests {
     use scale_nas::{EmmMessage, MobileId, NasSecurityContext, Plmn, Tai};
     use scale_s1ap::{cause as s1_cause, ErabSetup, S1apPdu};
 
-    const ENB: u32 = 0x0100_0001;
+    pub(crate) const ENB: u32 = 0x0100_0001;
 
     fn tai() -> Tai {
         Tai::new(Plmn::test(), 0x0007)
@@ -709,11 +709,74 @@ mod flow_tests {
                 },
             })
             .unwrap();
-        assert_eq!(out.len(), 2, "TAU accept + release command");
+        // The TAU opened a connection, and this VM minted its id.
+        let tau_id = match &out[..] {
+            [Outgoing::S1ap { .. }, Outgoing::S1ap {
+                pdu:
+                    S1apPdu::UeContextReleaseCommand {
+                        mme_ue_id,
+                        enb_ue_id: 80,
+                        ..
+                    },
+                ..
+            }] => *mme_ue_id,
+            other => panic!("expected TAU accept + release command, got {other:?}"),
+        };
+        assert_ne!(tau_id, mme_ue_id);
         assert_eq!(mme.stats.taus, 1);
         let ctx = mme.context(&guti).unwrap();
         assert_eq!(ctx.tai.tac, 0x0042);
         assert!(ctx.tai_list.iter().any(|t| t.tac == 0x0042));
+        let out = mme
+            .handle(Incoming::S1ap {
+                enb_id: ENB,
+                pdu: S1apPdu::UeContextReleaseComplete {
+                    mme_ue_id: tau_id,
+                    enb_ue_id: 80,
+                },
+            })
+            .unwrap();
+        assert!(matches!(&out[..], [Outgoing::UeIdle { .. }]), "{out:?}");
+    }
+
+    /// A restarted engine counts its S1AP ids from 1 again, so an
+    /// uplink from before the restart can carry the id of a connection
+    /// opened since. The (eNB, eNB-UE-S1AP-ID) pair recorded for the id
+    /// refuses it, and the newer connection's procedure completes.
+    #[test]
+    fn a_pre_restart_uplink_is_refused_by_its_id_pair() {
+        let config = MmeConfig {
+            vm_id: 4,
+            ..MmeConfig::default()
+        };
+        let mut crashed = MmeCore::new(config.clone());
+        let (_, old_id, _) = run_attach(&mut crashed, "001010000000011", 21);
+        let mut mme = MmeCore::new(config);
+        let (guti, mme_ue_id, _) = run_attach(&mut mme, "001010000000012", 22);
+        assert_eq!(
+            mme_ue_id, old_id,
+            "the restarted engine mints the old id again"
+        );
+        // The old connection's release request, and the id on another
+        // eNodeB's connection of the same number.
+        for (enb_id, enb_ue_id) in [(ENB, 21), (ENB + 1, 22)] {
+            let stale = mme.handle(Incoming::S1ap {
+                enb_id,
+                pdu: S1apPdu::UeContextReleaseRequest {
+                    mme_ue_id: old_id,
+                    enb_ue_id,
+                    cause: s1_cause::USER_INACTIVITY,
+                },
+            });
+            assert!(matches!(stale, Err(MmeError::UnknownUe(_))), "{stale:?}");
+        }
+        let ctx = mme.context(&guti).unwrap();
+        assert_eq!(
+            (ctx.ecm, ctx.procedure),
+            (EcmState::Connected, Procedure::None)
+        );
+        run_idle(&mut mme, mme_ue_id, 22);
+        assert_eq!(mme.context(&guti).unwrap().ecm, EcmState::Idle);
     }
 
     #[test]

@@ -108,13 +108,10 @@ fn import(engine: &mut MmeCore, range: std::ops::Range<u32>) -> isize {
     live() - before
 }
 
-/// Device `i`'s S1AP id, as `blob` mints it.
-fn id(i: u32) -> u32 {
-    0x0500_0000 | i
-}
-
-/// A TAU from Idle for device `i`: its copy wakes into a decoded record.
-fn tau(engine: &mut MmeCore, i: u32) {
+/// A TAU from Idle for device `i`: its copy wakes into a decoded record,
+/// on the connection the TAU opens. Returns the S1AP id the engine
+/// minted for that connection, as its Release Command carries it.
+fn tau(engine: &mut MmeCore, i: u32) -> u32 {
     let tai = Tai::new(Plmn::test(), 0x42);
     let out = engine
         .handle(Incoming::S1ap {
@@ -128,16 +125,23 @@ fn tau(engine: &mut MmeCore, i: u32) {
             },
         })
         .expect("a held device is served");
-    assert_eq!(out.len(), 2, "TAU accept + release command");
+    match &out[..] {
+        [_, Outgoing::S1ap {
+            pdu: S1apPdu::UeContextReleaseCommand { mme_ue_id, .. },
+            ..
+        }] => *mme_ue_id,
+        other => panic!("expected TAU accept + release command, got {other:?}"),
+    }
 }
 
-/// The release that ends device `i`'s TAU: its copy goes back to rest.
-fn release(engine: &mut MmeCore, i: u32) {
+/// The release that ends the TAU on connection `mme_ue_id`: its device's
+/// copy goes back to rest.
+fn release(engine: &mut MmeCore, mme_ue_id: u32) {
     let out = engine
         .handle(Incoming::S1ap {
             enb_id: 1,
             pdu: S1apPdu::UeContextReleaseComplete {
-                mme_ue_id: id(i),
+                mme_ue_id,
                 enb_ue_id: 1,
             },
         })
@@ -228,11 +232,9 @@ fn churn_does_not_grow_the_footprint() {
         present = kept;
         assert_eq!(engine.context_count(), N as usize);
         for batch in present.chunks(64).step_by(4) {
-            for &i in batch {
-                tau(&mut engine, i);
-            }
-            for &i in batch {
-                release(&mut engine, i);
+            let ids: Vec<u32> = batch.iter().map(|&i| tau(&mut engine, i)).collect();
+            for id in ids {
+                release(&mut engine, id);
             }
         }
     }

@@ -9,27 +9,27 @@ use crate::pdu::{proc_code, PduKind, S1apPdu};
 use scale_nas::wire::{NasError, View};
 
 /// What a front end that terminates S1 toward eNodeBs needs of an
-/// uplink PDU to place it: which kind of step it is on a UE's
-/// signalling connection, and the ids that name the connection. It is
+/// uplink PDU to place it, and nothing more: which kind of step it is
+/// on a UE's signalling connection, and the id it is routed by. It is
 /// read the same from a typed PDU ([`S1apPdu::route_key`]) and from a
 /// PDU's bytes ([`S1apPdu::peek`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteKey {
     /// S1 Setup Request: answered by whoever terminates S1.
     S1Setup,
-    /// Initial UE Message: opens signalling connection `enb_ue_id`.
+    /// Initial UE Message: opens a signalling connection.
     Initial {
-        enb_ue_id: u32,
         /// (MME code, M-TMSI) when the UE is already registered.
         s_tmsi: Option<(u8, u32)>,
     },
-    /// A later uplink step of connection `enb_ue_id`.
+    /// A later uplink step of a connection, named by the
+    /// MME-UE-S1AP-ID the MME gave it, which carries the minting VM.
     Connected {
-        enb_ue_id: u32,
-        /// The UE Context Release Complete that ends the connection.
-        last: bool,
+        /// The MME-UE-S1AP-ID.
+        mme_ue_id: u32,
     },
-    /// Nothing an eNodeB sends up a UE's signalling connection.
+    /// Nothing an eNodeB sends up a UE's signalling connection. Handover
+    /// PDUs are here too: nothing routes them yet.
     Other,
 }
 
@@ -44,26 +44,17 @@ impl S1apPdu {
     pub fn route_key(&self) -> RouteKey {
         match self {
             S1apPdu::S1SetupRequest { .. } => RouteKey::S1Setup,
-            S1apPdu::InitialUeMessage {
-                enb_ue_id, s_tmsi, ..
-            } => RouteKey::Initial {
-                enb_ue_id: *enb_ue_id,
-                s_tmsi: *s_tmsi,
-            },
-            S1apPdu::InitialContextSetupResponse { enb_ue_id, .. }
-            | S1apPdu::InitialContextSetupFailure { enb_ue_id, .. }
-            | S1apPdu::UplinkNasTransport { enb_ue_id, .. }
-            | S1apPdu::UeContextReleaseRequest { enb_ue_id, .. }
+            S1apPdu::InitialUeMessage { s_tmsi, .. } => RouteKey::Initial { s_tmsi: *s_tmsi },
+            S1apPdu::InitialContextSetupResponse { mme_ue_id, .. }
+            | S1apPdu::InitialContextSetupFailure { mme_ue_id, .. }
+            | S1apPdu::UplinkNasTransport { mme_ue_id, .. }
+            | S1apPdu::UeContextReleaseRequest { mme_ue_id, .. }
+            | S1apPdu::UeContextReleaseComplete { mme_ue_id, .. }
             | S1apPdu::ErrorIndication {
-                enb_ue_id: Some(enb_ue_id),
+                mme_ue_id: Some(mme_ue_id),
                 ..
             } => RouteKey::Connected {
-                enb_ue_id: *enb_ue_id,
-                last: false,
-            },
-            S1apPdu::UeContextReleaseComplete { enb_ue_id, .. } => RouteKey::Connected {
-                enb_ue_id: *enb_ue_id,
-                last: true,
+                mme_ue_id: *mme_ue_id,
             },
             _ => RouteKey::Other,
         }
@@ -76,32 +67,22 @@ impl S1apPdu {
     /// and an error wherever any of those three is broken — while the
     /// contents of the other IEs are left to whoever consumes the PDU.
     pub fn peek(buf: &[u8]) -> Result<RouteKey, NasError> {
-        use ie_id::ENB_UE_S1AP_ID;
+        use ie_id::MME_UE_S1AP_ID;
         use proc_code::*;
         let (kind, code, set) = Self::open(buf)?;
-        let connected = |last| {
-            Ok(RouteKey::Connected {
-                enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
-                last,
-            })
-        };
         match (kind, code) {
             (PduKind::Initiating, S1_SETUP) => Ok(RouteKey::S1Setup),
             (PduKind::Initiating, INITIAL_UE_MESSAGE) => Ok(RouteKey::Initial {
-                enb_ue_id: set.u32(ENB_UE_S1AP_ID, "enb ue id")?,
                 s_tmsi: Self::s_tmsi(&set)?,
             }),
             (PduKind::SuccessfulOutcome | PduKind::UnsuccessfulOutcome, INITIAL_CONTEXT_SETUP)
-            | (PduKind::Initiating, UPLINK_NAS_TRANSPORT | UE_CONTEXT_RELEASE_REQUEST) => {
-                connected(false)
-            }
-            (PduKind::SuccessfulOutcome, UE_CONTEXT_RELEASE) => connected(true),
+            | (PduKind::Initiating, UPLINK_NAS_TRANSPORT | UE_CONTEXT_RELEASE_REQUEST)
+            | (PduKind::SuccessfulOutcome, UE_CONTEXT_RELEASE) => Ok(RouteKey::Connected {
+                mme_ue_id: set.u32(MME_UE_S1AP_ID, "mme ue id")?,
+            }),
             (PduKind::Initiating, ERROR_INDICATION) => {
-                Ok(match set.opt_u32(ENB_UE_S1AP_ID, "enb ue id")? {
-                    Some(enb_ue_id) => RouteKey::Connected {
-                        enb_ue_id,
-                        last: false,
-                    },
+                Ok(match set.opt_u32(MME_UE_S1AP_ID, "mme ue id")? {
+                    Some(mme_ue_id) => RouteKey::Connected { mme_ue_id },
                     None => RouteKey::Other,
                 })
             }

@@ -9,12 +9,13 @@
 //! through a thread-local queue when both are on the same thread,
 //! through the other thread's mailbox when not. Three rules route it:
 //!
-//! * A cell's uplinks go to the MLB on its own thread, which pins the
-//!   cell's connections and charges their load. Each MLB balances on
-//!   its own load view, like a deployment with one MLB per cell group.
+//! * A cell's uplinks go to the MLB on its own thread, which routes
+//!   them and charges the load of the procedures they open. Each MLB
+//!   balances on its own load view, like a deployment with one MLB per
+//!   cell group.
 //! * A worker's `Settled` goes to the MLB on the thread of the device's
-//!   [`home_cell`]: that MLB made the pin, and holds the in-flight entry
-//!   and the load charge the Idle edge releases.
+//!   [`home_cell`]: that MLB routed the procedure, and holds the
+//!   in-flight entry and the load charge the Idle edge releases.
 //! * Everything else a worker emits (`ToEnb`, `Replicate`, `DropCtx`) is
 //!   routed by the MLB on the worker's own thread.
 //!

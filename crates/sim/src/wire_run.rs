@@ -1864,6 +1864,17 @@ mod tests {
         (near.into_split(EGRESS_CAP), dial.join().unwrap().unwrap())
     }
 
+    /// The next message the far end of a link receives. A test waits
+    /// at most ten seconds for it, so a routing change that sends
+    /// nothing fails the test instead of stalling the suite.
+    fn recv_within(link: &mut SctpStream) -> WireMsg {
+        let read = tokio::time::timeout(Duration::from_secs(10), link.recv());
+        let (_, _, payload) = tokio::runtime::block_on(read)
+            .expect("nothing arrived within ten seconds")
+            .unwrap();
+        WireMsg::decode(payload).unwrap()
+    }
+
     fn attach_uplink(u: u32) -> WireMsg {
         WireMsg::Uplink {
             enb_id: ENB_BASE,
@@ -1905,8 +1916,7 @@ mod tests {
         assert!(router.out.is_empty() && router.mmp_runs.iter().all(Vec::is_empty));
         let mut failed = Vec::new();
         for _ in 0..shed {
-            let (_, _, payload) = tokio::runtime::block_on(cell.recv()).unwrap();
-            match WireMsg::decode(payload).unwrap() {
+            match recv_within(&mut cell) {
                 WireMsg::ProcFailed { m_tmsi } => failed.push(m_tmsi),
                 other => panic!("expected ProcFailed, got {other:?}"),
             }
@@ -1917,8 +1927,7 @@ mod tests {
         // The rest reached worker 0, each as the Deliver the typed path
         // would have sent, PDU byte for byte.
         for _ in 0..16 - shed {
-            let (_, _, payload) = tokio::runtime::block_on(w0.recv()).unwrap();
-            match WireMsg::decode(payload).unwrap() {
+            match recv_within(&mut w0) {
                 WireMsg::Deliver {
                     guti_hint: Some(m_tmsi),
                     enb_id: ENB_BASE,
@@ -1937,13 +1946,13 @@ mod tests {
     }
 
     #[test]
-    fn an_uplink_naming_another_cells_id_ends_its_link_and_leaves_the_pin() {
+    fn an_uplink_naming_another_cells_id_ends_its_link_and_is_not_routed() {
         use scale_epc::MTMSI_BASE;
         // Cell 0 opens an attach on its connection 0. Then the link of
         // cell 1 sends an attach that names cell 0's eNB id and the same
         // connection id, for a device none of whose holders is cell 0's
-        // engine: routed, it would re-pin cell 0's connection there in
-        // mid-attach, and cell 0's next uplink would follow it.
+        // engine: routed, a worker would answer it at cell 0 and take
+        // cell 0's connection for that device's.
         let cfg = WireRunConfig {
             n_mmps: 1,
             total_vms: 4,
@@ -1959,12 +1968,12 @@ mod tests {
         router.linked(WireRole::Mmp, 0, w0_tx);
 
         route_as_read(&mut router, WireRole::Enb, 0, &[attach_uplink(0)]).unwrap();
-        let pinned = router.mlb.inflight_vm(MTMSI_BASE).expect("cell 0's attach is pinned");
+        let serving = router.mlb.inflight_vm(MTMSI_BASE).expect("cell 0's attach is in flight");
         let snap = router.mlb.plane().snapshot();
         let other = (MTMSI_BASE + 1..)
             .find(|&m| {
                 let (holders, n) = snap.holders_of(m);
-                !holders[..n].contains(&pinned)
+                !holders[..n].contains(&serving)
             })
             .unwrap();
         let mut stranger = attach_uplink(0);
@@ -1979,11 +1988,12 @@ mod tests {
         assert_eq!(router.mlb.stats.routed_attaches, 1);
         assert_eq!(router.mlb.inflight_vm(other), None);
 
+        // Cell 0's next uplink carries the id the serving VM minted.
         let next = WireMsg::Uplink {
             enb_id: ENB_BASE,
             attach_hint: None,
             pdu: scale_s1ap::S1apPdu::UplinkNasTransport {
-                mme_ue_id: 1,
+                mme_ue_id: scale_mme::compose_id(serving as u8, 1),
                 enb_ue_id: 0,
                 nas_pdu: bytes::Bytes::from_static(b"auth response"),
                 tai: scale_nas::Tai::new(scale_nas::Plmn::test(), 7),
@@ -1991,11 +2001,10 @@ mod tests {
         };
         route_as_read(&mut router, WireRole::Enb, 0, &[next]).unwrap();
         // The worker sees cell 0's attach, then its next uplink on the
-        // engine the attach was pinned to — and nothing of the stranger's.
+        // engine that serves it — and nothing of the stranger's.
         for hint in [Some(MTMSI_BASE), None] {
-            let (_, _, payload) = tokio::runtime::block_on(w0.recv()).unwrap();
-            match WireMsg::decode(payload).unwrap() {
-                WireMsg::Deliver { vm, guti_hint, .. } => assert_eq!((vm, guti_hint), (pinned, hint)),
+            match recv_within(&mut w0) {
+                WireMsg::Deliver { vm, guti_hint, .. } => assert_eq!((vm, guti_hint), (serving, hint)),
                 other => panic!("expected Deliver, got {other:?}"),
             }
         }
@@ -2036,11 +2045,10 @@ mod tests {
         assert_eq!(router.mlb.stats.routed_attaches, 2);
         assert_eq!(router.mlb.stats.dropped, 0);
         for u in 0..2 {
-            let (_, _, payload) = tokio::runtime::block_on(w0.recv()).unwrap();
             let WireMsg::Uplink { pdu: sent, .. } = attach_uplink(u) else {
                 unreachable!()
             };
-            match WireMsg::decode(payload).unwrap() {
+            match recv_within(&mut w0) {
                 WireMsg::Deliver {
                     guti_hint, enb_id, pdu, ..
                 } => assert_eq!((guti_hint, enb_id, pdu), (Some(MTMSI_BASE + u), ENB_BASE, sent)),
@@ -2104,8 +2112,7 @@ mod tests {
         assert!(router.mmp_links[1].is_some(), "a full link is not a dead link");
         let mut failed = Vec::new();
         for _ in 0..shed {
-            let (_, _, payload) = tokio::runtime::block_on(cell.recv()).unwrap();
-            match WireMsg::decode(payload).unwrap() {
+            match recv_within(&mut cell) {
                 WireMsg::ProcFailed { m_tmsi } => failed.push(m_tmsi),
                 other => panic!("expected ProcFailed, got {other:?}"),
             }
