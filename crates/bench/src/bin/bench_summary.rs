@@ -342,11 +342,11 @@ fn relay_section() -> HashMap<&'static str, (f64, f64)> {
             .iter()
             .filter(|(_, msg)| {
                 !matches!(
-                    msg,
-                    WireMsg::Uplink {
+                    WireMsg::decode(msg.clone()),
+                    Ok(WireMsg::Uplink {
                         pdu: scale_s1ap::S1apPdu::S1SetupRequest { .. },
                         ..
-                    }
+                    })
                 )
             })
             .map(|(link, msg)| (*link, msg))
@@ -394,7 +394,10 @@ fn relay_section() -> HashMap<&'static str, (f64, f64)> {
         }));
 
         let mut node = MmpNode::new(&cfg.topo(), 0);
-        let inputs = to_worker.clone();
+        let inputs: Vec<WireMsg> = to_worker
+            .iter()
+            .map(|m| WireMsg::decode(m.clone()).expect("a recorded message decodes"))
+            .collect();
         let mut answers = Vec::with_capacity(64);
         let n = inputs.len();
         engine.push(once(&[], |_| {

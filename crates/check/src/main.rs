@@ -110,7 +110,16 @@ fn run_smoke() -> ExitCode {
         }
     }
     println!("scale-check protocol --smoke: mutation matrix");
-    for (m, caught) in mutation_catches(SMOKE_BUDGET) {
+    ok &= print_matrix(&mutation_catches(SMOKE_BUDGET));
+    let total: u64 = first.iter().map(|r| r.states).sum();
+    println!("scale-check protocol --smoke: {total} distinct states, {}", if ok { "PASS" } else { "FAIL" });
+    exit(ok)
+}
+
+/// Print one line per seeded bug; false if any escaped.
+fn print_matrix(matrix: &[(Mutation, Option<&'static str>)]) -> bool {
+    let mut ok = true;
+    for (m, caught) in matrix {
         match caught {
             Some(inv) => println!("  {:<26} caught by {inv}", m.name()),
             None => {
@@ -119,8 +128,10 @@ fn run_smoke() -> ExitCode {
             }
         }
     }
-    let total: u64 = first.iter().map(|r| r.states).sum();
-    println!("scale-check protocol --smoke: {total} distinct states, {}", if ok { "PASS" } else { "FAIL" });
+    ok
+}
+
+fn exit(ok: bool) -> ExitCode {
     if ok {
         ExitCode::SUCCESS
     } else {
@@ -135,15 +146,7 @@ fn run_full(out: Option<&str>) -> ExitCode {
     println!("scale-check protocol: {total} distinct states explored across {} scenarios", reports.len());
     println!("scale-check protocol: mutation matrix (budget {MUTATION_BUDGET} states/mutation)");
     let matrix = mutation_catches(MUTATION_BUDGET);
-    for (m, caught) in &matrix {
-        match caught {
-            Some(inv) => println!("  {:<26} caught by {inv}", m.name()),
-            None => {
-                eprintln!("  {:<26} ESCAPED", m.name());
-                ok = false;
-            }
-        }
-    }
+    ok &= print_matrix(&matrix);
     if let Some(path) = out {
         match write_report(path, &reports, &matrix, total) {
             Ok(()) => println!("scale-check protocol: wrote {path}"),
@@ -154,11 +157,7 @@ fn run_full(out: Option<&str>) -> ExitCode {
         }
     }
     println!("scale-check protocol: {}", if ok { "PASS" } else { "FAIL" });
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    exit(ok)
 }
 
 /// Hand-formatted JSON (the repo's results files avoid a serde

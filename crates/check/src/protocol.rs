@@ -2,23 +2,30 @@
 //! worker state machines (DESIGN.md §15).
 //!
 //! The multi-process deployment is three process kinds exchanging
-//! [`WireMsg`]s over per-link FIFO channels:
+//! encoded [`WireMsg`]s over per-link FIFO channels. The checker runs
+//! them on `scale-core`'s [`Pump`], the in-process shuttle's pump too:
 //!
 //! ```text
-//!   EnbEmulator ──e2m──▶ MlbState ──m2w──▶ MmpNode (owns its MmeCores)
-//!        ▲                  │  ▲              │
-//!        └───────m2e────────┘  └─────w2m──────┘
+//!   EnbEmulator ──EnbToMlb──▶ MlbState::relay ──MlbToMmp──▶ MmpNode
+//!        ▲                       │   ▲                       │
+//!        └───────MlbToEnb────────┘   └────────MmpToMlb───────┘
 //! ```
 //!
-//! `scale-sim`'s shuttle drives exactly one interleaving of those
-//! channels; the socket deployment drives whichever interleaving the
-//! scheduler happens to produce. This module instead drives the *real*
-//! state machines — [`MlbState`], [`MmpNode`], [`EnbEmulator`], the
-//! [`HealthTracker`] failure-detection chain — through **every**
-//! reachable interleaving of a small-scope deployment: all message
-//! delivery orders across the four link families, plus bounded crash /
-//! detect / restart fault schedules and (separately) bounded message
-//! duplication and loss.
+//! Every message into the MLB goes through `MlbState::relay` on its
+//! bytes and leaves through `Forward::write`, as on the socket MLB;
+//! workers and cells decode what they receive. The shuttle delivers
+//! one interleaving of those links (FIFO); the socket deployment
+//! drives whichever interleaving the scheduler happens to produce. This
+//! module instead drives the *real* state machines —
+//! [`MlbState`](scale_core::wire::MlbState), [`MmpNode`],
+//! [`EnbEmulator`], the `HealthTracker` failure-detection chain —
+//! through **every** reachable interleaving of a small-scope
+//! deployment: all message delivery orders across the four link
+//! families, plus bounded crash / detect / restart fault schedules and
+//! (separately) bounded message duplication and loss. What the checker
+//! keeps itself is the enumeration of choices, the budgets, the ghost
+//! state, the invariants and the seeded bugs, which tamper with
+//! messages at the pump's transport hooks ([`Tamper`]).
 //!
 //! ## Exploration strategy
 //!
@@ -30,9 +37,10 @@
 //! visited set of 64-bit fingerprints composed from the components'
 //! own `fingerprint` hooks (which deliberately exclude monotone report
 //! counters, snapshot epochs and wall-clock state — see each hook's
-//! doc comment). `DefaultHasher` is zero-keyed SipHash, so fingerprints
-//! — and therefore the distinct-state count — are identical run to
-//! run, which is what lets CI assert the smoke run twice and compare.
+//! doc comment) and the bytes queued on every link. `DefaultHasher` is
+//! zero-keyed SipHash, so fingerprints — and therefore the
+//! distinct-state count — are identical run to run, which is what lets
+//! CI assert the smoke run twice and compare.
 //!
 //! ## Invariants
 //!
@@ -88,75 +96,43 @@
 //! [`mutation_catches`] asserts each one trips an invariant. The
 //! matrix lands in `results/CHECK_protocol.json`.
 
-use scale_core::failover::{HealthConfig, HealthTracker};
-use scale_core::wire::{shard_of, MlbOut, MlbState, MmpNode, WireMsg, WireTopo};
-use scale_core::VmId;
-use scale_epc::{
-    imsi_of, DriveMode, EmuEvent, EmulatorConfig, EnbEmulator, SlotView, ENB_BASE, MTMSI_BASE,
+use bytes::Bytes;
+use scale_core::wire::{
+    shard_of, to_cell, Link, MmpNode, Pump, Tamper, WireMsg, WireTopo, WireView, WorkerStatus,
 };
+use scale_core::{RoutePlane, VmId};
+use scale_epc::{imsi_of, DriveMode, EmulatorConfig, EnbEmulator, SlotView, MTMSI_BASE};
 use scale_nas::{emm_cause, EmmMessage, Imsi};
 use scale_s1ap::S1apPdu;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// One scheduling decision of the explorer: deliver the head of a
-/// specific FIFO link, or inject a budgeted fault.
+/// link, or inject a budgeted fault into a worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Choice {
-    /// Deliver the head of cell `cell`'s eNB→MLB link.
-    EnbToMlb {
-        /// Cell index.
-        cell: usize,
-    },
-    /// Deliver the head of the MLB→worker link.
-    MlbToWorker {
-        /// Worker index.
-        worker: usize,
-    },
-    /// Deliver the head of the worker→MLB link.
-    WorkerToMlb {
-        /// Worker index.
-        worker: usize,
-    },
-    /// Deliver the head of the MLB→cell link.
-    MlbToEnb {
-        /// Cell index.
-        cell: usize,
-    },
-    /// Crash worker `worker`: its process state vanishes and both its
+    /// Deliver the head of this link.
+    Deliver(Link),
+    /// The worker crashes: its process state vanishes and both its
     /// links are flushed (in-flight messages are lost). The MLB does
     /// not know yet.
-    Crash {
-        /// Worker index.
-        worker: usize,
-    },
-    /// The MLB's failure detector fires for a crashed worker: the
-    /// heartbeat miss crosses the [`HealthTracker`] threshold, the
+    Crash(usize),
+    /// The MLB's failure detector fires for the crashed worker: the
+    /// heartbeat miss crosses the `HealthTracker` threshold, the
     /// worker's VMs are marked down (epoch bump), in-flight procedures
     /// fail over and `VmDown` is broadcast.
-    Detect {
-        /// Worker index.
-        worker: usize,
-    },
-    /// A crashed-and-detected worker restarts empty and reconnects;
+    Detect(usize),
+    /// The crashed-and-detected worker restarts empty and reconnects;
     /// the MLB marks its VMs up and broadcasts `VmUp`.
-    Restart {
-        /// Worker index.
-        worker: usize,
-    },
-    /// Adversarial transport: duplicate the head of the MLB→worker
-    /// link (delivered twice).
-    DupHead {
-        /// Worker index.
-        worker: usize,
-    },
-    /// Adversarial transport: silently drop the head of the
-    /// MLB→worker link.
-    DropHead {
-        /// Worker index.
-        worker: usize,
-    },
+    Restart(usize),
+    /// Adversarial transport: the head of the MLB→worker link is
+    /// delivered twice.
+    DupHead(usize),
+    /// Adversarial transport: the head of the MLB→worker link is
+    /// silently lost.
+    DropHead(usize),
 }
 
 /// A protocol bug seeded at the checker's transport layer for mutation
@@ -253,8 +229,6 @@ pub struct Scenario {
     /// Crash/restart episodes allowed (at most one worker down at a
     /// time; each episode is crash → detect → optional restart).
     pub max_crashes: u32,
-    /// Whether crashed workers may restart.
-    pub allow_restart: bool,
     /// Adversarial transport: duplications + drops allowed on MLB→worker
     /// links. When nonzero the scenario asserts only robustness
     /// invariants (I1/I2/I6 and no panics) — lost messages legitimately
@@ -287,7 +261,6 @@ impl Scenario {
             n_ues,
             ops_per_ue,
             max_crashes: 0,
-            allow_restart: true,
             dup_drop_budget: 0,
             max_states: 200_000,
             max_depth: 400,
@@ -324,27 +297,90 @@ pub struct RunReport {
     pub violation: Option<CheckViolation>,
 }
 
-/// Per-worker process status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorkerStatus {
-    Up,
-    CrashedUndetected,
-    CrashedDetected,
+/// The checker's transport: faithful, except where the scenario's
+/// seeded bug tampers with a message on its way.
+struct Mutator {
+    mutation: Mutation,
 }
 
-/// The composed deployment under exploration: real routing, worker and
-/// access-side state machines joined by explicit FIFO links.
+impl Tamper for Mutator {
+    fn at_mlb(&mut self, link: &mut Link, msg: &mut Bytes, workers: &[WorkerStatus]) -> bool {
+        if !matches!(link, Link::MlbToMmp(_)) {
+            return true;
+        }
+        match self.mutation {
+            Mutation::DropReplicate => {
+                !matches!(WireView::parse(msg), Ok(WireView::Replicate { .. }))
+            }
+            Mutation::StaleEpochRoute => {
+                if let Ok(WireMsg::Deliver {
+                    guti_hint: None,
+                    pdu: S1apPdu::InitialUeMessage { .. },
+                    ..
+                }) = WireMsg::decode(msg.clone())
+                {
+                    // Route with a stale liveness view: land on a
+                    // crashed worker detection already ruled out.
+                    if let Some(dead) = workers
+                        .iter()
+                        .position(|&s| s == WorkerStatus::CrashedDetected)
+                    {
+                        *link = Link::MlbToMmp(dead);
+                    }
+                }
+                true
+            }
+            _ => true,
+        }
+    }
+
+    fn at_worker(&mut self, node: &mut MmpNode, msg: WireMsg, out: &mut Vec<WireMsg>) {
+        let kept = if self.mutation == Mutation::TauKeepsS1apId {
+            id_a_tau_keeps(node, &msg)
+        } else {
+            None
+        };
+        node.handle(msg, out);
+        if let Some((enb_ue_id, old)) = kept {
+            keep_s1ap_id(out, enb_ue_id, old);
+        }
+        match self.mutation {
+            Mutation::AckBeforeReplicate => {
+                out.retain(|msg| !matches!(msg, WireMsg::Replicate { .. }));
+            }
+            Mutation::RejectWithoutCause => {
+                for msg in out.iter_mut() {
+                    if let WireMsg::ToEnb { pdu, .. } = msg {
+                        rewrite_cause9(pdu);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn at_cell(&mut self, emu: &mut EnbEmulator, msg: WireMsg) {
+        // The seeded wildcard-arm bug: the Idle edge falls through a
+        // `_` arm.
+        let swallowed = self.mutation == Mutation::WildcardSwallow
+            && matches!(msg, WireMsg::Settled { active: false, .. });
+        if !swallowed {
+            to_cell(emu, msg);
+        }
+    }
+
+    fn reconnects(&mut self) -> bool {
+        self.mutation != Mutation::MissedReconnectMarkUp
+    }
+}
+
+/// The composed deployment under exploration: the [`Pump`] over the
+/// real machines, the checker's transport, the fault budgets spent so
+/// far and the ghost state the invariants keep.
 struct World<'s> {
     sc: &'s Scenario,
-    mlb: MlbState,
-    health: HealthTracker,
-    workers: Vec<Option<MmpNode>>,
-    status: Vec<WorkerStatus>,
-    emus: Vec<EnbEmulator>,
-    e2m: Vec<VecDeque<WireMsg>>,
-    m2w: Vec<VecDeque<WireMsg>>,
-    w2m: Vec<VecDeque<WireMsg>>,
-    m2e: Vec<VecDeque<WireMsg>>,
+    pump: Pump,
+    transport: Mutator,
     crashes_done: u32,
     dupdrops_done: u32,
     /// I2 ghost: last epoch observed per plane (index 0 = MLB, then
@@ -358,11 +394,7 @@ struct World<'s> {
 impl<'s> World<'s> {
     fn new(sc: &'s Scenario) -> World<'s> {
         let topo = &sc.topo;
-        let mlb = MlbState::new(topo);
-        let workers: Vec<Option<MmpNode>> = (0..topo.n_mmps)
-            .map(|i| Some(MmpNode::new(topo, i)))
-            .collect();
-        let mut emus: Vec<EnbEmulator> = (0..topo.n_enbs)
+        let cells = (0..topo.n_enbs)
             .map(|cell| {
                 EnbEmulator::new(&EmulatorConfig {
                     cell,
@@ -374,348 +406,80 @@ impl<'s> World<'s> {
                 })
             })
             .collect();
-        let mut world = World {
+        let pump = Pump::new(topo, cells);
+        World {
             sc,
-            mlb,
-            health: HealthTracker::new(HealthConfig {
-                miss_threshold: 1,
-                error_threshold: u32::MAX,
-            }),
-            workers,
-            status: vec![WorkerStatus::Up; topo.n_mmps],
-            emus: Vec::new(),
-            e2m: vec![VecDeque::new(); topo.n_enbs],
-            m2w: vec![VecDeque::new(); topo.n_mmps],
-            w2m: vec![VecDeque::new(); topo.n_mmps],
-            m2e: vec![VecDeque::new(); topo.n_enbs],
+            idled_ghost: pump.cells.iter().map(|e| vec![false; e.slot_views().len()]).collect(),
+            pump,
+            transport: Mutator {
+                mutation: sc.mutation,
+            },
             crashes_done: 0,
             dupdrops_done: 0,
             last_epoch: vec![0; 1 + topo.n_mmps],
-            idled_ghost: Vec::new(),
-        };
-        for (cell, emu) in emus.iter_mut().enumerate() {
-            world.e2m[cell].push_back(WireMsg::Uplink {
-                enb_id: ENB_BASE + cell as u32,
-                attach_hint: None,
-                pdu: emu.s1_setup_request(),
-            });
-            emu.start();
         }
-        world.idled_ghost = emus.iter().map(|e| vec![false; e.slot_views().len()]).collect();
-        world.emus = emus;
-        for cell in 0..world.emus.len() {
-            world.drain_emu(cell);
-        }
-        world
-    }
-
-    /// Move an emulator's pending uplinks onto its e2m link.
-    fn drain_emu(&mut self, cell: usize) {
-        let enb_id = ENB_BASE + cell as u32;
-        for ev in self.emus[cell].drain() {
-            match ev {
-                EmuEvent::Uplink { attach_hint, pdu } => {
-                    self.e2m[cell].push_back(WireMsg::Uplink {
-                        enb_id,
-                        attach_hint,
-                        pdu,
-                    });
-                }
-                EmuEvent::Completed { .. } => {}
-            }
-        }
-    }
-
-    /// Route a batch of MLB outputs onto the m2w / m2e links, applying
-    /// transport-layer mutations. Messages to a crashed worker are
-    /// discarded (the send fails; in-flight loss is modeled at crash
-    /// time by flushing the links).
-    fn route_mlb_out(&mut self, out: Vec<MlbOut>) {
-        for o in out {
-            match o {
-                MlbOut::Mmp { mut mmp, msg } => {
-                    if self.sc.mutation == Mutation::DropReplicate
-                        && matches!(msg, WireMsg::Replicate { .. })
-                    {
-                        continue;
-                    }
-                    if self.sc.mutation == Mutation::StaleEpochRoute {
-                        if let WireMsg::Deliver {
-                            guti_hint: None,
-                            pdu: S1apPdu::InitialUeMessage { .. },
-                            ..
-                        } = &msg
-                        {
-                            // Route with a stale liveness view: land on
-                            // a crashed worker detection already ruled
-                            // out.
-                            if let Some(dead) = self
-                                .status
-                                .iter()
-                                .position(|&s| s == WorkerStatus::CrashedDetected)
-                            {
-                                mmp = dead;
-                            }
-                        }
-                    }
-                    if self.status[mmp] == WorkerStatus::Up {
-                        self.m2w[mmp].push_back(msg);
-                    }
-                }
-                MlbOut::Enb { enb, msg } => self.m2e[enb].push_back(msg),
-            }
-        }
-    }
-
-    /// Route a worker's outputs onto its w2m link, applying the
-    /// worker-side mutations.
-    fn route_worker_out(&mut self, worker: usize, out: Vec<WireMsg>) {
-        for mut msg in out {
-            if self.sc.mutation == Mutation::AckBeforeReplicate
-                && matches!(msg, WireMsg::Replicate { .. })
-            {
-                continue;
-            }
-            if self.sc.mutation == Mutation::RejectWithoutCause {
-                if let WireMsg::ToEnb { enb_id, pdu } = &msg {
-                    if let Some(rewritten) = rewrite_cause9(pdu) {
-                        msg = WireMsg::ToEnb {
-                            enb_id: *enb_id,
-                            pdu: rewritten,
-                        };
-                    }
-                }
-            }
-            self.w2m[worker].push_back(msg);
-        }
-    }
-
-    /// Under [`Mutation::TauKeepsS1apId`], for the `Deliver` of a TAU
-    /// from Idle: the connection it opens and the MME-UE-S1AP-ID the
-    /// device's copy on the serving VM carries before the TAU.
-    fn id_a_tau_keeps(&self, worker: usize, msg: &WireMsg) -> Option<(u32, u32)> {
-        if self.sc.mutation != Mutation::TauKeepsS1apId {
-            return None;
-        }
-        let WireMsg::Deliver {
-            vm,
-            pdu:
-                S1apPdu::InitialUeMessage {
-                    enb_ue_id,
-                    nas_pdu,
-                    s_tmsi: Some((_, m_tmsi)),
-                    ..
-                },
-            ..
-        } = msg
-        else {
-            return None;
-        };
-        if !matches!(
-            EmmMessage::decode(nas_pdu.clone()),
-            Ok(EmmMessage::TauRequest { .. })
-        ) {
-            return None;
-        }
-        let node = self.workers[worker].as_ref()?;
-        let (_, ctx) = node
-            .contexts()
-            .find(|(at, ctx)| at == vm && ctx.guti.m_tmsi == *m_tmsi)?;
-        Some((*enb_ue_id, ctx.mme_ue_id))
     }
 
     /// Execute one choice. Choices are only ever applied when enabled
     /// (the explorer enumerates them via [`World::choices`]).
     fn step(&mut self, c: Choice) {
-        let mut out = Vec::new();
         match c {
-            Choice::EnbToMlb { cell } => {
-                if let Some(WireMsg::Uplink {
-                    enb_id,
-                    attach_hint,
-                    pdu,
-                }) = self.e2m[cell].pop_front()
-                {
-                    self.mlb.on_enb(enb_id, attach_hint, pdu, &mut out);
-                    self.route_mlb_out(out);
-                }
-            }
-            Choice::WorkerToMlb { worker } => {
-                if let Some(msg) = self.w2m[worker].pop_front() {
-                    self.mlb.on_mmp(msg, &mut out);
-                    self.route_mlb_out(out);
-                }
-            }
-            Choice::MlbToWorker { worker } => {
-                if let Some(msg) = self.m2w[worker].pop_front() {
-                    let kept = self.id_a_tau_keeps(worker, &msg);
-                    let mut wout = Vec::new();
-                    if let Some(node) = self.workers[worker].as_mut() {
-                        node.handle(msg, &mut wout);
-                    }
-                    if let Some((enb_ue_id, old)) = kept {
-                        keep_s1ap_id(&mut wout, enb_ue_id, old);
-                    }
-                    self.route_worker_out(worker, wout);
-                }
-            }
-            Choice::MlbToEnb { cell } => {
-                if let Some(msg) = self.m2e[cell].pop_front() {
-                    match msg {
-                        WireMsg::ToEnb { pdu, .. } => self.emus[cell].handle_downlink(pdu),
-                        WireMsg::Settled { m_tmsi, active } => {
-                            if self.sc.mutation == Mutation::WildcardSwallow && !active {
-                                // The seeded wildcard-arm bug: the Idle
-                                // edge falls through a `_` arm.
-                            } else {
-                                self.emus[cell].settled(m_tmsi, active);
-                            }
-                        }
-                        WireMsg::ProcFailed { m_tmsi } => self.emus[cell].proc_failed(m_tmsi),
-                        WireMsg::Hello { .. }
-                        | WireMsg::Uplink { .. }
-                        | WireMsg::Deliver { .. }
-                        | WireMsg::Replicate { .. }
-                        | WireMsg::DropCtx { .. }
-                        | WireMsg::VmDown { .. }
-                        | WireMsg::VmUp { .. } => {}
-                    }
-                    self.drain_emu(cell);
-                }
-            }
-            Choice::Crash { worker } => {
-                self.workers[worker] = None;
-                self.status[worker] = WorkerStatus::CrashedUndetected;
-                self.m2w[worker].clear();
-                self.w2m[worker].clear();
+            Choice::Deliver(link) => self.pump.deliver(link, &mut self.transport),
+            Choice::Crash(worker) => {
+                self.pump.crash(worker);
                 self.crashes_done += 1;
             }
-            Choice::Detect { worker } => {
-                // The real detection chain: a missed heartbeat crosses
-                // the tracker threshold, and only a *newly* down
-                // verdict triggers fail-over (re-detection must not
-                // re-fire).
-                if self.health.miss_heartbeat(worker as u32) {
-                    self.mlb.on_mmp_down(worker, &mut out);
-                    self.route_mlb_out(out);
-                }
-                self.status[worker] = WorkerStatus::CrashedDetected;
-            }
-            Choice::Restart { worker } => {
-                self.workers[worker] = Some(MmpNode::new(&self.sc.topo, worker));
-                self.health.mark_up(worker as u32);
-                self.status[worker] = WorkerStatus::Up;
+            Choice::Detect(worker) => self.pump.detect(worker, &mut self.transport),
+            Choice::Restart(worker) => {
+                self.pump.restart(worker, &mut self.transport);
                 // A fresh plane restarts its epoch sequence; reset the
                 // monotonicity ghost for this reader.
                 self.last_epoch[1 + worker] = 0;
-                if self.sc.mutation != Mutation::MissedReconnectMarkUp {
-                    self.mlb.on_mmp_reconnected(worker, &mut out);
-                    self.route_mlb_out(out);
-                }
             }
-            Choice::DupHead { worker } => {
-                if let Some(head) = self.m2w[worker].front().cloned() {
-                    self.m2w[worker].push_front(head);
-                    self.dupdrops_done += 1;
-                }
+            Choice::DupHead(worker) => {
+                self.pump.duplicate_head(Link::MlbToMmp(worker));
+                self.dupdrops_done += 1;
             }
-            Choice::DropHead { worker } => {
-                self.m2w[worker].pop_front();
+            Choice::DropHead(worker) => {
+                self.pump.drop_head(Link::MlbToMmp(worker));
                 self.dupdrops_done += 1;
             }
         }
     }
 
-    /// Enabled choices, in a deterministic order.
+    /// Enabled choices, in a deterministic order: every ready link,
+    /// then the faults the budgets still allow.
     fn choices(&self) -> Vec<Choice> {
-        let mut cs = Vec::new();
-        for cell in 0..self.e2m.len() {
-            if !self.e2m[cell].is_empty() {
-                cs.push(Choice::EnbToMlb { cell });
-            }
-        }
-        for worker in 0..self.m2w.len() {
-            if !self.m2w[worker].is_empty() && self.status[worker] == WorkerStatus::Up {
-                cs.push(Choice::MlbToWorker { worker });
-            }
-            if !self.w2m[worker].is_empty() {
-                cs.push(Choice::WorkerToMlb { worker });
-            }
-        }
-        for cell in 0..self.m2e.len() {
-            if !self.m2e[cell].is_empty() {
-                cs.push(Choice::MlbToEnb { cell });
-            }
-        }
-        let any_crashed = self.status.iter().any(|&s| s != WorkerStatus::Up);
-        for worker in 0..self.status.len() {
-            match self.status[worker] {
+        let mut cs: Vec<Choice> = self.pump.ready().map(Choice::Deliver).collect();
+        let status = self.pump.status();
+        let any_crashed = status.iter().any(|&s| s != WorkerStatus::Up);
+        for (worker, &s) in status.iter().enumerate() {
+            match s {
                 WorkerStatus::Up => {
                     if self.crashes_done < self.sc.max_crashes && !any_crashed {
-                        cs.push(Choice::Crash { worker });
+                        cs.push(Choice::Crash(worker));
                     }
                 }
-                WorkerStatus::CrashedUndetected => cs.push(Choice::Detect { worker }),
-                WorkerStatus::CrashedDetected => {
-                    if self.sc.allow_restart {
-                        cs.push(Choice::Restart { worker });
-                    }
-                }
+                WorkerStatus::CrashedUndetected => cs.push(Choice::Detect(worker)),
+                WorkerStatus::CrashedDetected => cs.push(Choice::Restart(worker)),
             }
         }
         if self.dupdrops_done < self.sc.dup_drop_budget {
-            for worker in 0..self.m2w.len() {
-                if !self.m2w[worker].is_empty() && self.status[worker] == WorkerStatus::Up {
-                    cs.push(Choice::DupHead { worker });
-                    cs.push(Choice::DropHead { worker });
+            for link in self.pump.ready() {
+                if let Link::MlbToMmp(worker) = link {
+                    cs.push(Choice::DupHead(worker));
+                    cs.push(Choice::DropHead(worker));
                 }
             }
         }
         cs
     }
 
-    /// All message queues drained and every crash detected: the state
-    /// is quiescent and the terminal invariants must hold.
-    fn quiescent(&self) -> bool {
-        self.e2m.iter().all(VecDeque::is_empty)
-            && self.m2w.iter().all(VecDeque::is_empty)
-            && self.w2m.iter().all(VecDeque::is_empty)
-            && self.m2e.iter().all(VecDeque::is_empty)
-            && self
-                .status
-                .iter()
-                .all(|&s| s != WorkerStatus::CrashedUndetected)
-    }
-
-    /// Deterministic state fingerprint. Queue *contents* are hashed via
-    /// the canonical wire encoding; fault budgets are included because
-    /// they gate which choices remain.
+    /// Deterministic state fingerprint: the pump's, and the fault
+    /// budgets spent, which gate which choices remain.
     fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
-        self.mlb.fingerprint(&mut h);
-        for (worker, node) in self.workers.iter().enumerate() {
-            worker.hash(&mut h);
-            match self.status[worker] {
-                WorkerStatus::Up => 0u8,
-                WorkerStatus::CrashedUndetected => 1,
-                WorkerStatus::CrashedDetected => 2,
-            }
-            .hash(&mut h);
-            if let Some(n) = node {
-                n.fingerprint(&mut h);
-            }
-        }
-        for emu in &self.emus {
-            emu.fingerprint(&mut h);
-        }
-        for family in [&self.e2m, &self.m2w, &self.w2m, &self.m2e] {
-            for q in family.iter() {
-                q.len().hash(&mut h);
-                for msg in q {
-                    msg.encode().as_ref().hash(&mut h);
-                }
-            }
-        }
+        self.pump.fingerprint(&mut h);
         (self.crashes_done, self.dupdrops_done).hash(&mut h);
         h.finish()
     }
@@ -725,7 +489,7 @@ impl<'s> World<'s> {
     fn check_state(&mut self) -> Option<(&'static str, String)> {
         let adversarial = self.sc.dup_drop_budget > 0;
         // I1: identity consistency of every resident context.
-        for (worker, node) in self.workers.iter().enumerate() {
+        for (worker, node) in self.pump.workers.iter().enumerate() {
             let Some(node) = node else { continue };
             for (vm, ctx) in node.contexts() {
                 let m = ctx.guti.m_tmsi;
@@ -748,31 +512,17 @@ impl<'s> World<'s> {
             }
         }
         // I2: epoch monotonicity per plane reader.
-        let mlb_epoch = self.mlb.plane().snapshot().epoch;
-        if mlb_epoch < self.last_epoch[0] {
-            return Some((
-                "I2",
-                format!("MLB plane epoch moved backwards: {} → {mlb_epoch}", self.last_epoch[0]),
-            ));
-        }
-        self.last_epoch[0] = mlb_epoch;
-        for (worker, node) in self.workers.iter().enumerate() {
-            let Some(node) = node else { continue };
-            let e = node.plane().snapshot().epoch;
-            if e < self.last_epoch[1 + worker] {
-                return Some((
-                    "I2",
-                    format!(
-                        "worker {worker} plane epoch moved backwards: {} → {e}",
-                        self.last_epoch[1 + worker]
-                    ),
-                ));
+        for (at, plane) in self.planes() {
+            let e = plane.snapshot().epoch;
+            if e < self.last_epoch[at] {
+                let (name, last) = (plane_name(at), self.last_epoch[at]);
+                return Some(("I2", format!("{name} plane epoch moved backwards: {last} → {e}")));
             }
-            self.last_epoch[1 + worker] = e;
+            self.last_epoch[at] = e;
         }
         // I6: every S11/S6a transaction a worker opened while handling
         // a message was retired before that `handle` returned.
-        for (worker, node) in self.workers.iter().enumerate() {
+        for (worker, node) in self.pump.workers.iter().enumerate() {
             let Some(node) = node else { continue };
             let open = node.open_transactions();
             if open > 0 {
@@ -788,7 +538,7 @@ impl<'s> World<'s> {
         // I3: session-safety ghost — an acknowledged, Idle-edged device
         // only loses its GUTI through the cause-#9 path, which requires
         // a crash.
-        for (cell, emu) in self.emus.iter().enumerate() {
+        for (cell, emu) in self.pump.cells.iter().enumerate() {
             for (slot, view) in emu.slot_views().into_iter().enumerate() {
                 if view.has_idled {
                     self.idled_ghost[cell][slot] = true;
@@ -802,41 +552,36 @@ impl<'s> World<'s> {
             }
         }
         // Zero unexplained errors anywhere.
-        for (cell, emu) in self.emus.iter().enumerate() {
-            if emu.counts.errors > 0 {
-                return Some((
-                    "errors",
-                    format!(
-                        "cell {cell}: {} emulator error(s): {:?}",
-                        emu.counts.errors,
-                        emu.error_samples()
-                    ),
-                ));
-            }
+        if let Some(error) = self.first_error() {
+            return Some(("errors", error));
+        }
+        for (cell, emu) in self.pump.cells.iter().enumerate() {
             if emu.counts.rejects > 0 && self.crashes_done == 0 {
-                return Some((
-                    "errors",
-                    format!("cell {cell}: NAS reject with no crash in the schedule"),
-                ));
+                return Some(("errors", format!("cell {cell}: NAS reject with no crash in the schedule")));
             }
-        }
-        for (worker, node) in self.workers.iter().enumerate() {
-            let Some(node) = node else { continue };
-            if node.errors > 0 {
-                return Some((
-                    "errors",
-                    format!(
-                        "worker {worker}: {} error(s): {:?}",
-                        node.errors,
-                        node.error_samples()
-                    ),
-                ));
-            }
-        }
-        if self.mlb.stats.errors > 0 {
-            return Some(("errors", format!("MLB routing errors: {}", self.mlb.stats.errors)));
         }
         None
+    }
+
+    /// The first error counter that moved, described: a cell's, a
+    /// running worker's, the MLB's, or a message refused on the wire.
+    fn first_error(&self) -> Option<String> {
+        let cells = self.pump.cells.iter().enumerate();
+        let cells = cells.filter(|(_, emu)| emu.counts.errors > 0).map(|(cell, emu)| {
+            let (n, samples) = (emu.counts.errors, emu.error_samples());
+            format!("cell {cell}: {n} emulator error(s): {samples:?}")
+        });
+        let workers = self.pump.workers.iter().enumerate();
+        let workers = workers.filter_map(|(w, node)| Some((w, node.as_ref()?)));
+        let workers = workers.filter(|(_, node)| node.errors > 0).map(|(worker, node)| {
+            let (n, samples) = (node.errors, node.error_samples());
+            format!("worker {worker}: {n} error(s): {samples:?}")
+        });
+        let mlb = self.pump.mlb.stats.errors;
+        let mlb = (mlb > 0).then(|| format!("MLB routing errors: {mlb}"));
+        let wire = &self.pump.wire_errors;
+        let wire = (!wire.is_empty()).then(|| format!("refused on the wire: {wire:?}"));
+        cells.chain(workers).chain(mlb).chain(wire).next()
     }
 
     /// Invariants checked at quiescent states only.
@@ -849,7 +594,7 @@ impl<'s> World<'s> {
         }
         // Convergence: every fault schedule quiesces with zero stuck
         // devices.
-        for (cell, emu) in self.emus.iter().enumerate() {
+        for (cell, emu) in self.pump.cells.iter().enumerate() {
             if !emu.done() {
                 let stuck: Vec<(usize, SlotView)> = emu
                     .slot_views()
@@ -865,7 +610,7 @@ impl<'s> World<'s> {
         }
         // I7: the MLB keeps nothing per device once every procedure has
         // settled.
-        let inflight = self.mlb.inflight_len();
+        let inflight = self.pump.mlb.inflight_len();
         if inflight > 0 {
             return Some((
                 "I7",
@@ -874,7 +619,7 @@ impl<'s> World<'s> {
         }
         // I4: replica contract for every Idle-edged device.
         let r = self.sc.topo.replication;
-        for (cell, emu) in self.emus.iter().enumerate() {
+        for (cell, emu) in self.pump.cells.iter().enumerate() {
             for (slot, view) in emu.slot_views().into_iter().enumerate() {
                 if !view.has_idled {
                     continue;
@@ -882,6 +627,7 @@ impl<'s> World<'s> {
                 let global = slot * self.sc.topo.n_enbs + cell;
                 let m_tmsi = MTMSI_BASE + global as u32;
                 let holders: usize = self
+                    .pump
                     .workers
                     .iter()
                     .flatten()
@@ -913,27 +659,17 @@ impl<'s> World<'s> {
         }
         // I5: liveness-map coherence — every plane's down-bit agrees
         // with the actual process status.
-        let mlb_snap = self.mlb.plane().snapshot();
         for vm in 1..=self.sc.topo.total_vms as VmId {
             let host = shard_of(vm, self.sc.topo.n_mmps);
-            let host_down = self.status[host] != WorkerStatus::Up;
-            if mlb_snap.is_down(vm) != host_down {
-                return Some((
-                    "I5",
-                    format!(
-                        "MLB plane marks vm {vm} down={} but its worker {host} is down={host_down}",
-                        mlb_snap.is_down(vm)
-                    ),
-                ));
-            }
-            for (worker, node) in self.workers.iter().enumerate() {
-                let Some(node) = node else { continue };
-                if node.plane().snapshot().is_down(vm) != host_down {
+            let host_down = self.pump.status()[host] != WorkerStatus::Up;
+            for (at, plane) in self.planes() {
+                let down = plane.snapshot().is_down(vm);
+                if down != host_down {
                     return Some((
                         "I5",
                         format!(
-                            "worker {worker} plane marks vm {vm} down={} but its worker {host} is down={host_down}",
-                            node.plane().snapshot().is_down(vm)
+                            "{} plane marks vm {vm} down={down} but its worker {host} is down={host_down}",
+                            plane_name(at)
                         ),
                     ));
                 }
@@ -941,39 +677,74 @@ impl<'s> World<'s> {
         }
         None
     }
+
+    /// Every live routing plane, with its index in `last_epoch`: the
+    /// MLB's (0), then each running worker's (1 + worker).
+    fn planes(&self) -> Vec<(usize, Arc<RoutePlane>)> {
+        let workers = self.pump.workers.iter().enumerate();
+        let workers = workers.filter_map(|(w, node)| Some((1 + w, Arc::clone(node.as_ref()?.plane()))));
+        std::iter::once((0, Arc::clone(self.pump.mlb.plane())))
+            .chain(workers)
+            .collect()
+    }
+}
+
+/// The reader of the plane at `at` in `last_epoch`.
+fn plane_name(at: usize) -> String {
+    match at {
+        0 => "MLB".to_string(),
+        _ => format!("worker {}", at - 1),
+    }
 }
 
 /// Rewrite a plain cause-#9 Service/TAU reject inside a downlink NAS
 /// transport into a generic network-failure cause (the seeded
-/// [`Mutation::RejectWithoutCause`] bug). Returns `None` when the PDU
-/// is not such a reject.
-fn rewrite_cause9(pdu: &S1apPdu) -> Option<S1apPdu> {
-    let S1apPdu::DownlinkNasTransport {
-        mme_ue_id,
-        enb_ue_id,
-        nas_pdu,
-    } = pdu
+/// [`Mutation::RejectWithoutCause`] bug); any other PDU is left as is.
+fn rewrite_cause9(pdu: &mut S1apPdu) {
+    let S1apPdu::DownlinkNasTransport { nas_pdu, .. } = pdu else {
+        return;
+    };
+    let cause = emm_cause::NETWORK_FAILURE;
+    let rewritten = match EmmMessage::decode(nas_pdu.clone()) {
+        Ok(EmmMessage::ServiceReject {
+            cause: emm_cause::UE_IDENTITY_UNKNOWN,
+        }) => EmmMessage::ServiceReject { cause },
+        Ok(EmmMessage::TauReject {
+            cause: emm_cause::UE_IDENTITY_UNKNOWN,
+        }) => EmmMessage::TauReject { cause },
+        Ok(_) | Err(_) => return,
+    };
+    *nas_pdu = rewritten.encode();
+}
+
+/// Under [`Mutation::TauKeepsS1apId`], for the `Deliver` of a TAU from
+/// Idle: the connection it opens and the MME-UE-S1AP-ID the device's
+/// copy on the serving VM carries before the TAU.
+fn id_a_tau_keeps(node: &MmpNode, msg: &WireMsg) -> Option<(u32, u32)> {
+    let WireMsg::Deliver {
+        vm,
+        pdu:
+            S1apPdu::InitialUeMessage {
+                enb_ue_id,
+                nas_pdu,
+                s_tmsi: Some((_, m_tmsi)),
+                ..
+            },
+        ..
+    } = msg
     else {
         return None;
     };
-    let rewritten = match EmmMessage::decode(nas_pdu.clone()) {
-        Ok(EmmMessage::ServiceReject { cause }) if cause == emm_cause::UE_IDENTITY_UNKNOWN => {
-            EmmMessage::ServiceReject {
-                cause: emm_cause::NETWORK_FAILURE,
-            }
-        }
-        Ok(EmmMessage::TauReject { cause }) if cause == emm_cause::UE_IDENTITY_UNKNOWN => {
-            EmmMessage::TauReject {
-                cause: emm_cause::NETWORK_FAILURE,
-            }
-        }
-        Ok(_) | Err(_) => return None,
-    };
-    Some(S1apPdu::DownlinkNasTransport {
-        mme_ue_id: *mme_ue_id,
-        enb_ue_id: *enb_ue_id,
-        nas_pdu: rewritten.encode(),
-    })
+    if !matches!(
+        EmmMessage::decode(nas_pdu.clone()),
+        Ok(EmmMessage::TauRequest { .. })
+    ) {
+        return None;
+    }
+    let (_, ctx) = node
+        .contexts()
+        .find(|(at, ctx)| at == vm && ctx.guti.m_tmsi == *m_tmsi)?;
+    Some((*enb_ue_id, ctx.mme_ue_id))
 }
 
 /// Rewrite the MME-UE-S1AP-ID of every downlink on connection
@@ -1042,24 +813,18 @@ fn dfs(
     }
     report.states += 1;
     report.max_depth_reached = report.max_depth_reached.max(path.len());
-    if let Some((invariant, detail)) = world.check_state() {
+    let mut found = world.check_state();
+    if found.is_none() && world.pump.quiescent() {
+        report.quiescent_states += 1;
+        found = world.check_quiescent();
+    }
+    if let Some((invariant, detail)) = found {
         report.violation = Some(CheckViolation {
             invariant,
             detail,
             trace: path.clone(),
         });
         return;
-    }
-    if world.quiescent() {
-        report.quiescent_states += 1;
-        if let Some((invariant, detail)) = world.check_quiescent() {
-            report.violation = Some(CheckViolation {
-                invariant,
-                detail,
-                trace: path.clone(),
-            });
-            return;
-        }
     }
     if visited.len() as u64 >= sc.max_states {
         report.truncated = true;
@@ -1091,7 +856,7 @@ pub fn replay_trace(sc: &Scenario, trace: &[Choice]) -> Option<(&'static str, St
             return Some(v);
         }
     }
-    if world.quiescent() {
+    if world.pump.quiescent() {
         if let Some(v) = world.check_quiescent() {
             return Some(v);
         }
@@ -1106,37 +871,20 @@ pub fn replay_trace(sc: &Scenario, trace: &[Choice]) -> Option<(&'static str, St
 /// state counts stay deterministic).
 #[must_use]
 pub fn suite(budget: u64) -> Vec<Scenario> {
-    let mut scenarios = Vec::new();
-
-    let mut s = Scenario::base("fault_free_2ue", 2, 1);
-    s.max_states = budget;
-    scenarios.push(s);
-
-    let mut s = Scenario::base("fault_free_3ue", 3, 1);
-    s.max_states = budget;
-    scenarios.push(s);
-
-    let mut s = Scenario::base("crash_restart_1ue", 1, 2);
-    s.max_crashes = 1;
-    s.max_states = budget;
-    scenarios.push(s);
-
-    let mut s = Scenario::base("crash_restart_2ue", 2, 1);
-    s.max_crashes = 1;
-    s.max_states = budget;
-    scenarios.push(s);
-
-    let mut s = Scenario::base("double_crash_1ue", 1, 2);
-    s.max_crashes = 2;
-    s.max_states = budget;
-    scenarios.push(s);
-
-    let mut s = Scenario::base("adversarial_transport", 1, 1);
-    s.dup_drop_budget = 2;
-    s.max_states = budget;
-    scenarios.push(s);
-
-    scenarios
+    let scenario = |name, n_ues, ops_per_ue, max_crashes, dup_drop_budget| Scenario {
+        max_crashes,
+        dup_drop_budget,
+        max_states: budget,
+        ..Scenario::base(name, n_ues, ops_per_ue)
+    };
+    vec![
+        scenario("fault_free_2ue", 2, 1, 0, 0),
+        scenario("fault_free_3ue", 3, 1, 0, 0),
+        scenario("crash_restart_1ue", 1, 2, 1, 0),
+        scenario("crash_restart_2ue", 2, 1, 1, 0),
+        scenario("double_crash_1ue", 1, 2, 2, 0),
+        scenario("adversarial_transport", 1, 1, 0, 2),
+    ]
 }
 
 /// The scenario used to demonstrate that a given seeded bug is caught.

@@ -8,10 +8,12 @@
 //! ```
 //!
 //! Everything here is sans-IO: [`MlbState`] and [`MmpNode`] consume
-//! decoded [`WireMsg`] values and emit outputs into caller-provided
-//! vectors, so the same logic is driven by real sockets in the
-//! deployment binaries, by worker threads in `scale-sim`'s scale-out
-//! driver and by an in-process shuttle in tests. The transport carries
+//! decoded [`WireMsg`] values (the MLB also their bytes,
+//! [`MlbState::relay`]) and emit outputs into caller-provided vectors,
+//! so the same logic is driven by real sockets in the deployment
+//! binaries, by worker threads in `scale-sim`'s scale-out driver, and
+//! by the single-threaded [`Pump`] that `scale-sim`'s shuttle and the
+//! protocol model checker schedule. The transport carries
 //! each encoded message as one `sctplite` DATA chunk (ppid
 //! [`scale_sctplite::ppid::SCALE_STATE`] for control, `S1AP` for
 //! PDU-bearing messages); ordering guarantees are exactly the
@@ -56,9 +58,11 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 mod codec;
+mod pump;
 mod relay;
 
 pub use codec::{WireMsg, WireRole, WireView};
+pub use pump::{to_cell, Link, Pump, Tamper, WorkerStatus};
 pub use relay::{Dest, Forward, Relay};
 
 /// Which of `n_shards` workers hosts MMP `vm`. VM ids start at 1, so

@@ -24,10 +24,9 @@
 //! does not parse, a message that does not route — is the caller's bug,
 //! and every function here panics on it.
 
-use crate::wire_run::{
-    run_shuttle_tapped, MmpLoop, Router, ShuttleTap, WireLink, WireRunConfig, WIRE_STREAM,
-};
-use scale_core::wire::{MlbOut, MlbState, MmpNode, WireMsg, WireRole};
+use crate::wire_run::{run_shuttle_tapped, MmpLoop, Router, WireLink, WireRunConfig, WIRE_STREAM};
+use bytes::Bytes;
+use scale_core::wire::{Link, MlbOut, MlbState, MmpNode, WireMsg, WireRole};
 use scale_sctplite::{
     frame_into, ppid, Association, BatchItem, Deframer, EgressUnit, Event, Ingress,
     TransportError,
@@ -35,13 +34,14 @@ use scale_sctplite::{
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
-/// What one run of the shuttle put on the MLB's links.
+/// What one run of the shuttle put on the MLB's links, as the bytes it
+/// put there: whoever reads a message decodes it.
 pub struct Recording {
     /// Messages into the MLB, in order, each with the link it arrived
     /// on ([`Recording::link`]).
-    pub inbound: Vec<(usize, WireMsg)>,
+    pub inbound: Vec<(usize, Bytes)>,
     /// Messages the MLB sent to each worker, in order.
-    pub to_mmp: Vec<Vec<WireMsg>>,
+    pub to_mmp: Vec<Vec<Bytes>>,
 }
 
 // lint: allow(unwrap)
@@ -52,13 +52,14 @@ impl Recording {
             inbound: Vec::new(),
             to_mmp: vec![Vec::new(); cfg.n_mmps],
         };
-        let counts = run_shuttle_tapped(cfg, &mut |tap| match tap {
-            ShuttleTap::In { role, id, msg } => {
-                rec.inbound
-                    .push((Recording::link(cfg, role, id), msg.clone()));
+        let counts = run_shuttle_tapped(cfg, &mut |tap| {
+            let bytes = Bytes::copy_from_slice(tap.bytes);
+            match tap.link {
+                Link::EnbToMlb(id) => rec.inbound.push((Recording::link(cfg, WireRole::Enb, id), bytes)),
+                Link::MmpToMlb(id) => rec.inbound.push((Recording::link(cfg, WireRole::Mmp, id), bytes)),
+                Link::MlbToMmp(mmp) => rec.to_mmp[mmp].push(bytes),
+                Link::MlbToEnb(_) => {}
             }
-            ShuttleTap::Out(MlbOut::Mmp { mmp, msg }) => rec.to_mmp[*mmp].push(msg.clone()),
-            ShuttleTap::Out(MlbOut::Enb { .. }) => {}
         });
         assert_eq!(
             counts.enb.sessions_done, cfg.n_ues as u64,
@@ -164,20 +165,20 @@ pub struct Peers(Vec<Association>);
 
 // lint: allow(unwrap)
 impl Peers {
-    /// The bytes the peers put on the wire for `msgs` (link, message),
-    /// as the reads that deliver them: consecutive messages of one link
-    /// share a read, up to `per_read` of them. Called again, the peers
-    /// carry on numbering where they stopped.
+    /// The bytes the peers put on the wire for `msgs` (link, encoded
+    /// message), as the reads that deliver them: consecutive messages of
+    /// one link share a read, up to `per_read` of them. Called again,
+    /// the peers carry on numbering where they stopped.
     pub fn reads_of<'a>(
         &mut self,
-        msgs: impl IntoIterator<Item = (usize, &'a WireMsg)>,
+        msgs: impl IntoIterator<Item = (usize, &'a Bytes)>,
         per_read: usize,
     ) -> Vec<(usize, Vec<u8>)> {
         let mut reads: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut in_last = 0;
         for (link, msg) in msgs {
             self.0[link]
-                .send(WIRE_STREAM, ppid::SCALE_STATE, msg.encode())
+                .send(WIRE_STREAM, ppid::SCALE_STATE, msg.clone())
                 .expect("peer sends");
             let frame = self.0[link].poll_egress().expect("one frame a send");
             match reads.last_mut() {

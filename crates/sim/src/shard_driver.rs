@@ -32,8 +32,8 @@
 //! argument makes the `Stop` broadcast safe: it is enqueued after every
 //! other message of the run.
 
-use crate::wire_run::{to_cell, WireCounts, WireMmpTotals, WireMode, WireRunConfig, PROC_KINDS};
-use scale_core::wire::{MlbOut, MlbState, MmpNode, WireMsg};
+use crate::wire_run::{WireCounts, WireMmpTotals, WireMode, WireRunConfig, PROC_KINDS};
+use scale_core::wire::{to_cell, MlbOut, MlbState, MmpNode, WireMsg};
 use scale_epc::{home_cell, EmuEvent, EnbEmulator, MTMSI_BASE};
 use scale_obs::Histogram;
 use serde::Serialize;
@@ -204,7 +204,8 @@ pub struct ScaleOutReport {
 enum Hop {
     /// For the thread's MMP worker: `Deliver`, `Replicate`, `DropCtx`.
     Mmp(WireMsg),
-    /// A worker's `Settled`, for the MLB that pinned the device.
+    /// A worker's `Settled`, for the MLB on the thread of the device's
+    /// home cell, which holds its in-flight entry and load charge.
     Mlb(WireMsg),
     /// For the thread's cell: `ToEnb`, `Settled`, `ProcFailed`.
     Enb(WireMsg),

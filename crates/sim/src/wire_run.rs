@@ -6,12 +6,15 @@
 //! `scale_wired` binary), the parent-side orchestration that spawns the
 //! topology as child processes and harvests their `REPORT` lines, and
 //! an in-process *shuttle* that runs the identical sans-IO logic
-//! ([`MlbState`], [`MmpNode`], [`EnbEmulator`]) through a message
-//! queue instead of sockets. The shuttle is the parity oracle: the
-//! socket deployment, the shuttle and the in-process `scale_out`
-//! driver must all produce identical per-outcome counts for the same
-//! seeded workload — the wall-clock gap between them *is* the result
-//! the `wire_load` bench measures.
+//! ([`MlbState`], [`MmpNode`], [`EnbEmulator`]) on `scale-core`'s
+//! [`Pump`] instead of sockets: the same encoded bytes on the same four
+//! link families, the MLB relaying them as the socket MLB does, each
+//! message delivered in the order it was sent. The protocol model
+//! checker runs the same pump through every other order. The shuttle
+//! is the parity oracle: the socket deployment, the shuttle and the
+//! in-process `scale_out` driver must all produce identical
+//! per-outcome counts for the same seeded workload — the wall-clock gap
+//! between them *is* the result the `wire_load` bench measures.
 //!
 //! Child processes report through stdout (the vendored serde has no
 //! `Deserialize`): the MLB prints `PORT <n>` once its listener is
@@ -36,12 +39,12 @@
 use crate::openloop::poisson_schedule;
 use crate::shard_driver::ScaleOutConfig;
 use scale_core::wire::{
-    Dest, Forward, MlbOut, MlbState, MlbWireStats, MmpNode, Relay, WireMsg, WireRole, WireTopo,
-    WireView,
+    self, to_cell, Dest, Forward, MlbOut, MlbState, MlbWireStats, MmpNode, Pump, Relay, Tamper,
+    WireMsg, WireRole, WireTopo, WireView, WorkerStatus,
 };
 use scale_core::{BackoffPolicy, HealthTracker, ShardStatsSnapshot};
 use scale_epc::{
-    home_cell, DriveMode, EmuCounts, EmuEvent, EmulatorConfig, EnbEmulator, ProcKind, ENB_BASE,
+    home_cell, DriveMode, EmuCounts, EmuEvent, EmulatorConfig, EnbEmulator, ProcKind,
 };
 use bytes::Bytes;
 use scale_nas::{NasError, Writer};
@@ -49,7 +52,7 @@ use scale_sctplite::{
     ppid, BatchItem, EgressUnit, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream,
     StreamEvent, TransportError,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::ops::Range;
 use std::process::{Child, Command, Stdio};
@@ -332,25 +335,6 @@ impl WireCounts {
         a.dropped += b.dropped;
         a.errors += b.errors;
         self.reconnects += other.reconnects;
-    }
-}
-
-/// Hand a message the MLB routed to a cell to that cell's emulator.
-pub(crate) fn to_cell(emu: &mut EnbEmulator, msg: WireMsg) {
-    match msg {
-        WireMsg::ToEnb { pdu, .. } => emu.handle_downlink(pdu),
-        WireMsg::Settled { m_tmsi, active } => emu.settled(m_tmsi, active),
-        WireMsg::ProcFailed { m_tmsi } => emu.proc_failed(m_tmsi),
-        // MLB/fabric-internal traffic never reaches an eNodeB; named
-        // exhaustively so a new wire message fails to compile here
-        // instead of being silently dropped.
-        WireMsg::Hello { .. }
-        | WireMsg::Uplink { .. }
-        | WireMsg::Deliver { .. }
-        | WireMsg::Replicate { .. }
-        | WireMsg::DropCtx { .. }
-        | WireMsg::VmDown { .. }
-        | WireMsg::VmUp { .. } => {}
     }
 }
 
@@ -1652,36 +1636,39 @@ impl WireDeployment {
 // In-process shuttle (the parity oracle)
 // ---------------------------------------------------------------------------
 
-enum Hop {
-    FromEnb(usize, WireMsg),
-    FromMmp(usize, WireMsg),
-    ToEnb(usize, WireMsg),
-    ToMmp(usize, WireMsg),
-}
-
-/// What crosses the shuttle's MLB, as [`run_shuttle_tapped`] shows it:
-/// the traffic a socket deployment's MLB links would carry, in a
-/// deterministic order.
+/// One message on a link of the shuttle's MLB, as [`run_shuttle_tapped`]
+/// shows it: the traffic a socket deployment's MLB links would carry,
+/// as the bytes they would carry, in a deterministic order.
 #[derive(Debug, Clone, Copy)]
-pub enum ShuttleTap<'a> {
-    /// `msg` arrives at the MLB on the link of `(role, id)`.
-    In {
-        /// Which side sent it.
-        role: WireRole,
-        /// Cell or worker index.
-        id: usize,
-        /// The message.
-        msg: &'a WireMsg,
-    },
-    /// The MLB sends this in response.
-    Out(&'a MlbOut),
+pub struct ShuttleTap<'a> {
+    /// The link: into the MLB (`EnbToMlb`, `MmpToMlb`) or out of it
+    /// (`MlbToMmp`, `MlbToEnb`).
+    pub link: wire::Link,
+    /// The encoded message.
+    pub bytes: &'a [u8],
 }
 
-/// Run the identical sans-IO deployment logic through an in-process
-/// message queue instead of sockets: same emulators, same MLB routing
-/// state, same worker nodes, zero transport. Closed-loop only (the
-/// shuttle has no clock). This is both the parity oracle for the
-/// socket deployment and the fastest way to debug the protocol.
+/// The shuttle's transport: faithful, and it shows every message into
+/// and out of the MLB to a tap.
+struct Tapped<'t>(&'t mut dyn FnMut(ShuttleTap<'_>));
+
+impl Tamper for Tapped<'_> {
+    fn at_mlb(&mut self, link: &mut wire::Link, msg: &mut Bytes, _: &[WorkerStatus]) -> bool {
+        (self.0)(ShuttleTap {
+            link: *link,
+            bytes: msg,
+        });
+        true
+    }
+}
+
+/// Run the identical sans-IO deployment logic through the in-process
+/// [`Pump`] instead of sockets: same emulators, same MLB relay, same
+/// worker nodes, every message encoded onto its link and delivered in
+/// the order it was sent (one FIFO queue for the whole deployment).
+/// Closed-loop only (the shuttle has no clock). This is both the parity
+/// oracle for the socket deployment and the fastest way to debug the
+/// protocol.
 pub fn run_shuttle(cfg: &WireRunConfig) -> WireCounts {
     run_shuttle_tapped(cfg, &mut |_| {})
 }
@@ -1697,98 +1684,23 @@ pub fn run_shuttle_tapped(
         matches!(cfg.mode, WireMode::Closed { .. }),
         "the shuttle is closed-loop only"
     );
-    let topo = cfg.topo();
-    let mut mlb = MlbState::new(&topo);
-    let mut mmps: Vec<MmpNode> = (0..cfg.n_mmps).map(|i| MmpNode::new(&topo, i)).collect();
-    let mut emus: Vec<EnbEmulator> = (0..cfg.n_enbs).map(|cell| cfg.emulator(cell)).collect();
-
-    let mut queue: VecDeque<Hop> = VecDeque::new();
-    let drain_emu = |emu: &mut EnbEmulator, cell: usize, queue: &mut VecDeque<Hop>| {
-        for ev in emu.drain() {
-            match ev {
-                EmuEvent::Uplink { attach_hint, pdu } => {
-                    queue.push_back(Hop::FromEnb(
-                        cell,
-                        WireMsg::Uplink {
-                            enb_id: ENB_BASE + cell as u32,
-                            attach_hint,
-                            pdu,
-                        },
-                    ));
-                }
-                EmuEvent::Completed { .. } => {}
-            }
-        }
-    };
-    for (cell, emu) in emus.iter_mut().enumerate() {
-        queue.push_back(Hop::FromEnb(
-            cell,
-            WireMsg::Uplink {
-                enb_id: ENB_BASE + cell as u32,
-                attach_hint: None,
-                pdu: emu.s1_setup_request(),
-            },
-        ));
-        emu.start();
-        drain_emu(emu, cell, &mut queue);
+    let cells = (0..cfg.n_enbs).map(|cell| cfg.emulator(cell)).collect();
+    let mut pump = Pump::new(&cfg.topo(), cells);
+    let mut tapped = Tapped(tap);
+    while let Some(link) = pump.next_fifo() {
+        pump.deliver(link, &mut tapped);
     }
-
-    let mut out = Vec::new();
-    let mut wout = Vec::new();
-    while let Some(hop) = queue.pop_front() {
-        match hop {
-            Hop::FromEnb(cell, msg) => {
-                tap(ShuttleTap::In {
-                    role: WireRole::Enb,
-                    id: cell,
-                    msg: &msg,
-                });
-                if let WireMsg::Uplink {
-                    enb_id,
-                    attach_hint,
-                    pdu,
-                } = msg
-                {
-                    mlb.on_enb(enb_id, attach_hint, pdu, &mut out);
-                }
-            }
-            Hop::FromMmp(mmp, msg) => {
-                tap(ShuttleTap::In {
-                    role: WireRole::Mmp,
-                    id: mmp,
-                    msg: &msg,
-                });
-                mlb.on_mmp(msg, &mut out);
-            }
-            Hop::ToMmp(mmp, msg) => {
-                mmps[mmp].handle(msg, &mut wout);
-                for m in wout.drain(..) {
-                    queue.push_back(Hop::FromMmp(mmp, m));
-                }
-            }
-            Hop::ToEnb(enb, msg) => {
-                to_cell(&mut emus[enb], msg);
-                drain_emu(&mut emus[enb], enb, &mut queue);
-            }
-        }
-        for o in out.drain(..) {
-            tap(ShuttleTap::Out(&o));
-            match o {
-                MlbOut::Enb { enb, msg } => queue.push_back(Hop::ToEnb(enb, msg)),
-                MlbOut::Mmp { mmp, msg } => queue.push_back(Hop::ToMmp(mmp, msg)),
-            }
-        }
-    }
+    assert!(pump.wire_errors.is_empty(), "shuttle wire errors: {:?}", pump.wire_errors);
 
     let mut counts = WireCounts {
-        mlb: mlb.stats,
+        mlb: pump.mlb.stats,
         ..WireCounts::default()
     };
-    for emu in &emus {
+    for emu in &pump.cells {
         assert!(emu.done(), "shuttle quiesced with sessions outstanding");
         add_emu(&mut counts.enb, &emu.counts);
     }
-    for (i, node) in mmps.iter().enumerate() {
+    for (i, node) in pump.workers.iter().flatten().enumerate() {
         for e in node.error_samples() {
             eprintln!("shuttle mmp {i}: {e}");
         }
@@ -1803,6 +1715,7 @@ pub fn run_shuttle_tapped(
 mod tests {
     use super::*;
     use crate::shard_driver::{run_threads, ScaleOutCounts};
+    use scale_epc::ENB_BASE;
 
     fn tiny() -> WireRunConfig {
         WireRunConfig {

@@ -12,7 +12,7 @@
 //! procedures; what a device holds may grow by at most 5 %.
 
 use scale_core::cluster::{ScaleConfig, ScaleDc};
-use scale_core::wire::MmpNode;
+use scale_core::wire::{MmpNode, WireMsg};
 use scale_epc::Network;
 use scale_sim::replay::Recording;
 use scale_sim::{WireMode, WireRunConfig};
@@ -96,7 +96,8 @@ fn worker_bytes_per_device(cfg: &WireRunConfig) -> f64 {
         .map(|(index, msgs)| {
             let mut node = MmpNode::new(&cfg.topo(), index);
             for msg in msgs {
-                node.handle(msg.clone(), &mut out);
+                let msg = WireMsg::decode(msg.clone()).expect("a recorded message decodes");
+                node.handle(msg, &mut out);
                 out.clear();
             }
             assert_eq!(node.errors, 0, "{:?}", node.error_samples());

@@ -179,11 +179,11 @@ fn relaying_a_recorded_slice_allocates_nothing_at_the_mlb() {
             .iter()
             .filter(|(_, msg)| {
                 !matches!(
-                    msg,
-                    WireMsg::Uplink {
+                    WireMsg::decode(msg.clone()),
+                    Ok(WireMsg::Uplink {
                         pdu: S1apPdu::S1SetupRequest { .. },
                         ..
-                    }
+                    })
                 )
             })
             .map(|(link, msg)| (*link, msg))
@@ -238,7 +238,10 @@ fn a_workers_transport_share_of_allocations_is_a_fraction_of_what_it_was() {
     assert_eq!(worker.node().errors, 0);
 
     let mut engine = MmpNode::new(&cfg.topo(), 0);
-    let inputs = msgs.clone();
+    let inputs: Vec<WireMsg> = msgs
+        .iter()
+        .map(|m| WireMsg::decode(m.clone()).unwrap())
+        .collect();
     let mut out = Vec::with_capacity(64);
     let ((), in_engine, _) = measured(|| {
         for msg in inputs {

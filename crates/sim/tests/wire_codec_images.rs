@@ -11,10 +11,10 @@
 //! image nested inside them.
 
 use bytes::Bytes;
-use scale_core::wire::{MlbOut, WireMsg, WireRole};
+use scale_core::wire::{WireMsg, WireRole};
 use scale_crypto::{hex, unhex};
 use scale_s1ap::S1apPdu;
-use scale_sim::{run_shuttle_tapped, ShuttleTap, WireMode, WireRunConfig};
+use scale_sim::{run_shuttle_tapped, WireMode, WireRunConfig};
 use std::collections::BTreeMap;
 
 /// One cell, two workers, six devices: attach, Service Request, TAU
@@ -77,10 +77,8 @@ fn first_of_each_shape() -> (BTreeMap<String, WireMsg>, BTreeMap<String, S1apPdu
     let mut msgs = BTreeMap::new();
     let mut pdus = BTreeMap::new();
     let counts = run_shuttle_tapped(&script(), &mut |tap| {
-        let msg = match tap {
-            ShuttleTap::In { msg, .. } => msg,
-            ShuttleTap::Out(MlbOut::Enb { msg, .. } | MlbOut::Mmp { msg, .. }) => msg,
-        };
+        let msg = WireMsg::decode(Bytes::copy_from_slice(tap.bytes)).unwrap();
+        let msg = &msg;
         msgs.entry(msg_shape(msg)).or_insert_with(|| msg.clone());
         if let Some(pdu) = pdu_of(msg) {
             pdus.entry(pdu_shape(pdu)).or_insert_with(|| pdu.clone());
