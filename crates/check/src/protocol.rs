@@ -63,7 +63,12 @@
 //!   the adversarial-transport scenario too: a duplicated message must
 //!   not open a transaction it never sends.
 //! * **zero unexplained errors** — outside the adversarial-transport
-//!   scenario, no emulator, worker or router error counter ever moves.
+//!   scenario, no emulator, worker or router error counter ever moves,
+//!   no message is refused on the wire, and without a crash no worker
+//!   answers an uplink with an Error Indication (only an uplink a crash
+//!   left behind names a connection no engine knows). Whether an error
+//!   was counted is part of the state's fingerprint, so a path that
+//!   counts one is never merged into one that does not.
 //!
 //! Checked at every *quiescent* state (all queues empty, every crash
 //! detected):
@@ -475,12 +480,17 @@ impl<'s> World<'s> {
         cs
     }
 
-    /// Deterministic state fingerprint: the pump's, and the fault
-    /// budgets spent, which gate which choices remain.
+    /// Deterministic state fingerprint: the pump's, the fault budgets
+    /// spent, which gate which choices remain, and whether an error was
+    /// counted — so that a state with one is never merged into one
+    /// without and left unchecked.
     fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.pump.fingerprint(&mut h);
         (self.crashes_done, self.dupdrops_done).hash(&mut h);
+        if self.first_error().is_some() {
+            true.hash(&mut h);
+        }
         h.finish()
     }
 
@@ -559,6 +569,14 @@ impl<'s> World<'s> {
             if emu.counts.rejects > 0 && self.crashes_done == 0 {
                 return Some(("errors", format!("cell {cell}: NAS reject with no crash in the schedule")));
             }
+        }
+        // Only an uplink a crash left behind names a connection no
+        // engine knows.
+        let workers = self.pump.workers.iter().flatten();
+        let indications: u64 = workers.map(MmpNode::error_indications).sum();
+        if indications > 0 && self.crashes_done == 0 {
+            let what = "Error Indication(s) for an unknown S1AP id pair with no crash";
+            return Some(("errors", format!("{indications} {what} in the schedule")));
         }
         None
     }

@@ -6,8 +6,9 @@
 //! binary: `scale-check protocol` — its smoke variant runs in CI.
 
 use scale_check::protocol::{
-    explore_protocol, mutation_scenario, replay_trace, suite, Mutation, Scenario,
+    explore_protocol, mutation_scenario, replay_trace, suite, Choice, Mutation, Scenario,
 };
+use scale_core::wire::Link;
 
 /// Debug-build state budget per scenario.
 const BUDGET: u64 = 1_000;
@@ -83,6 +84,40 @@ fn violation_traces_replay() {
     let v = r.violation.expect("drop_replicate must be caught");
     let replayed = replay_trace(&sc, &v.trace).expect("trace must reproduce the violation");
     assert_eq!(replayed.0, v.invariant, "replay found a different invariant");
+}
+
+/// A stale uplink after a worker restart. The device's attach is served
+/// on worker 1, whose Authentication Request reaches the cell; worker 1
+/// crashes and is detected, the cell answers the request, worker 1
+/// restarts empty, and the MLB forwards the answer by its
+/// MME-UE-S1AP-ID to the revived engine, which knows no such
+/// connection. It answers with an Error Indication (TS 36.413 §10.6),
+/// which goes back through the MLB to the cell; no error is counted
+/// anywhere. (An engine that counted the stale uplink as an error
+/// failed this replay with `errors`, and the full run, which folded no
+/// counter into its fingerprints, never saw it.)
+#[test]
+fn a_stale_uplink_after_a_restart_is_answered_not_counted() {
+    let sc = suite(BUDGET)
+        .into_iter()
+        .find(|s| s.name == "crash_restart_1ue")
+        .expect("scenario");
+    let trace = [
+        Choice::Deliver(Link::EnbToMlb(0)),  // S1 Setup
+        Choice::Deliver(Link::MlbToEnb(0)),  // S1 Setup Response
+        Choice::Deliver(Link::EnbToMlb(0)),  // the attach, routed to worker 1
+        Choice::Deliver(Link::MlbToMmp(1)),  // Authentication Request
+        Choice::Deliver(Link::MmpToMlb(1)),  // relayed to the cell
+        Choice::Crash(1),
+        Choice::Detect(1),
+        Choice::Deliver(Link::MlbToEnb(0)),  // the cell answers it
+        Choice::Restart(1),
+        Choice::Deliver(Link::EnbToMlb(0)),  // the answer, to worker 1
+        Choice::Deliver(Link::MlbToMmp(1)),  // unknown there
+        Choice::Deliver(Link::MmpToMlb(1)),  // the Error Indication
+        Choice::Deliver(Link::MlbToEnb(0)),  // reaches the cell
+    ];
+    assert_eq!(replay_trace(&sc, &trace), None);
 }
 
 /// Helper: assert one seeded bug is caught, and by the expected

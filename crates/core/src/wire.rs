@@ -667,6 +667,13 @@ impl MmpNode {
             .flat_map(|(&vm, e)| e.contexts().map(move |c| (vm, c)))
     }
 
+    /// Error Indications this worker's engines answered stale uplinks
+    /// with (`MmeStats::error_indications`).
+    #[must_use]
+    pub fn error_indications(&self) -> u64 {
+        self.engines.values().map(|e| e.stats.error_indications).sum()
+    }
+
     /// First few error descriptions (for reports).
     #[must_use]
     pub fn error_samples(&self) -> &[String] {

@@ -156,6 +156,10 @@ pub struct MmeStats {
     pub auth_failures: u64,
     pub rejects: u64,
     pub messages_processed: u64,
+    /// Connected-mode uplinks answered with an Error Indication: their
+    /// ids named no connection here (TS 36.413 §10.6). Not errors — a
+    /// restarted engine meets the uplinks its predecessor left behind.
+    pub error_indications: u64,
 }
 
 /// What an attach or detach in flight needs beyond the device's context,
@@ -635,7 +639,9 @@ impl MmeCore {
                 nas_pdu,
                 ..
             } => {
-                let m_tmsi = self.connected(enb_id, mme_ue_id, enb_ue_id)?;
+                let Ok(m_tmsi) = self.connected(enb_id, mme_ue_id, enb_ue_id) else {
+                    return Ok(self.unknown_pair(enb_id, mme_ue_id, enb_ue_id));
+                };
                 self.uplink_nas(m_tmsi, nas_pdu)
             }
             S1apPdu::InitialContextSetupResponse {
@@ -643,7 +649,9 @@ impl MmeCore {
                 enb_ue_id,
                 erabs,
             } => {
-                let m_tmsi = self.connected(enb_id, mme_ue_id, enb_ue_id)?;
+                let Ok(m_tmsi) = self.connected(enb_id, mme_ue_id, enb_ue_id) else {
+                    return Ok(self.unknown_pair(enb_id, mme_ue_id, enb_ue_id));
+                };
                 self.context_setup_response(m_tmsi, &erabs)
             }
             S1apPdu::InitialContextSetupFailure {
@@ -651,7 +659,9 @@ impl MmeCore {
                 enb_ue_id,
                 ..
             } => {
-                let m_tmsi = self.connected(enb_id, mme_ue_id, enb_ue_id)?;
+                let Ok(m_tmsi) = self.connected(enb_id, mme_ue_id, enb_ue_id) else {
+                    return Ok(self.unknown_pair(enb_id, mme_ue_id, enb_ue_id));
+                };
                 let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
                 ctx.procedure = Procedure::None;
                 ctx.ecm = EcmState::Idle;
@@ -663,7 +673,9 @@ impl MmeCore {
                 enb_ue_id,
                 ..
             } => {
-                let m_tmsi = self.connected(enb_id, mme_ue_id, enb_ue_id)?;
+                let Ok(m_tmsi) = self.connected(enb_id, mme_ue_id, enb_ue_id) else {
+                    return Ok(self.unknown_pair(enb_id, mme_ue_id, enb_ue_id));
+                };
                 self.release_request(m_tmsi)
             }
             S1apPdu::UeContextReleaseComplete {
@@ -715,6 +727,22 @@ impl MmeCore {
         } else {
             Err(MmeError::UnknownUe("S1AP id pair"))
         }
+    }
+
+    /// A Connected-mode uplink whose (eNB, eNB-UE-S1AP-ID,
+    /// MME-UE-S1AP-ID) names no connection here is answered as TS 36.413
+    /// §10.6 says: an Error Indication with cause "unknown or
+    /// inconsistent pair of UE S1AP ID", counted apart from errors.
+    fn unknown_pair(&mut self, enb_id: u32, mme_ue_id: u32, enb_ue_id: u32) -> Vec<Outgoing> {
+        self.stats.error_indications += 1;
+        vec![Outgoing::S1ap {
+            enb_id,
+            pdu: S1apPdu::ErrorIndication {
+                mme_ue_id: Some(mme_ue_id),
+                enb_ue_id: Some(enb_ue_id),
+                cause: s1_cause::UNKNOWN_PAIR_UE_S1AP_ID,
+            },
+        }]
     }
 
     /// `m_tmsi`'s procedure opens an S1 connection here, as every

@@ -742,7 +742,9 @@ mod flow_tests {
     /// A restarted engine counts its S1AP ids from 1 again, so an
     /// uplink from before the restart can carry the id of a connection
     /// opened since. The (eNB, eNB-UE-S1AP-ID) pair recorded for the id
-    /// refuses it, and the newer connection's procedure completes.
+    /// refuses it — answered with an Error Indication (TS 36.413
+    /// §10.6), not an error — and the newer connection's procedure
+    /// completes.
     #[test]
     fn a_pre_restart_uplink_is_refused_by_its_id_pair() {
         let config = MmeConfig {
@@ -768,8 +770,18 @@ mod flow_tests {
                     cause: s1_cause::USER_INACTIVITY,
                 },
             });
-            assert!(matches!(stale, Err(MmeError::UnknownUe(_))), "{stale:?}");
+            let out = stale.unwrap();
+            let [Outgoing::S1ap { enb_id: to, pdu }] = &out[..] else {
+                panic!("{out:?}");
+            };
+            let indication = S1apPdu::ErrorIndication {
+                mme_ue_id: Some(old_id),
+                enb_ue_id: Some(enb_ue_id),
+                cause: s1_cause::UNKNOWN_PAIR_UE_S1AP_ID,
+            };
+            assert_eq!((*to, pdu), (enb_id, &indication));
         }
+        assert_eq!(mme.stats.error_indications, 2);
         let ctx = mme.context(&guti).unwrap();
         assert_eq!(
             (ctx.ecm, ctx.procedure),

@@ -58,6 +58,10 @@ pub mod cause {
     pub const LOAD_BALANCING_TAU_REQUIRED: u8 = 22;
     /// RadioNetwork: successful handover.
     pub const SUCCESSFUL_HANDOVER: u8 = 2;
+    /// RadioNetwork: unknown or inconsistent pair of UE S1AP ID — the
+    /// answer to a UE-associated message whose ids name no connection
+    /// (TS 36.413 §10.6).
+    pub const UNKNOWN_PAIR_UE_S1AP_ID: u8 = 15;
     /// Misc: control processing overload.
     pub const CONTROL_PROCESSING_OVERLOAD: u8 = 40;
     /// NAS: detach.
