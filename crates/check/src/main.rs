@@ -9,7 +9,7 @@
 //! ```
 //!
 //! The full run explores the clean suite at the release budget
-//! (≥ 10⁵ distinct states summed) and then the seven-bug mutation
+//! (≥ 10⁵ distinct states summed) and then the eight-bug mutation
 //! matrix; it exits nonzero if any clean scenario violates an
 //! invariant or any seeded bug escapes. The smoke run uses a small
 //! state budget and additionally re-runs the whole suite a second

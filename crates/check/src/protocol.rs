@@ -96,7 +96,7 @@
 //! ## Mutation testing
 //!
 //! A green checker is only as good as the bugs it would catch, so
-//! [`Mutation`] seeds seven real protocol bugs at the checker's
+//! [`Mutation`] seeds eight real protocol bugs at the checker's
 //! transport layer (production code is untouched) and
 //! [`mutation_catches`] asserts each one trips an invariant. The
 //! matrix lands in `results/CHECK_protocol.json`.
@@ -184,6 +184,11 @@ pub enum Mutation {
     /// not know it. Caught by **convergence** (the TAU never reaches
     /// its Idle edge).
     TauKeepsS1apId,
+    /// The transport cuts the last byte off the first uplink a cell
+    /// sends. The MLB's relay refuses the message, as the socket MLB
+    /// refuses a peer's broken one. Caught by the **zero-error**
+    /// invariant through the byte path (`Pump::wire_errors`).
+    TruncatedUplink,
 }
 
 impl Mutation {
@@ -199,12 +204,13 @@ impl Mutation {
             Mutation::WildcardSwallow => "wildcard_swallow",
             Mutation::RejectWithoutCause => "reject_without_cause",
             Mutation::TauKeepsS1apId => "tau_keeps_s1ap_id",
+            Mutation::TruncatedUplink => "truncated_uplink",
         }
     }
 
     /// Every seeded bug, in report order.
     #[must_use]
-    pub fn all() -> [Mutation; 7] {
+    pub fn all() -> [Mutation; 8] {
         [
             Mutation::DropReplicate,
             Mutation::AckBeforeReplicate,
@@ -213,6 +219,7 @@ impl Mutation {
             Mutation::WildcardSwallow,
             Mutation::RejectWithoutCause,
             Mutation::TauKeepsS1apId,
+            Mutation::TruncatedUplink,
         ]
     }
 }
@@ -306,10 +313,18 @@ pub struct RunReport {
 /// seeded bug tampers with a message on its way.
 struct Mutator {
     mutation: Mutation,
+    /// [`Mutation::TruncatedUplink`] has cut its uplink.
+    cut: bool,
 }
 
 impl Tamper for Mutator {
     fn at_mlb(&mut self, link: &mut Link, msg: &mut Bytes, workers: &[WorkerStatus]) -> bool {
+        if self.mutation == Mutation::TruncatedUplink && !self.cut {
+            if let Link::EnbToMlb(_) = link {
+                *msg = msg.slice(..msg.len() - 1);
+                self.cut = true;
+            }
+        }
         if !matches!(link, Link::MlbToMmp(_)) {
             return true;
         }
@@ -418,6 +433,7 @@ impl<'s> World<'s> {
             pump,
             transport: Mutator {
                 mutation: sc.mutation,
+                cut: false,
             },
             crashes_done: 0,
             dupdrops_done: 0,
@@ -911,8 +927,11 @@ pub fn suite(budget: u64) -> Vec<Scenario> {
 #[must_use]
 pub fn mutation_scenario(m: Mutation, budget: u64) -> Scenario {
     let mut s = match m {
-        Mutation::None | Mutation::DropReplicate | Mutation::AckBeforeReplicate
-        | Mutation::WildcardSwallow => Scenario::base("mutation_fault_free", 1, 1),
+        Mutation::None
+        | Mutation::DropReplicate
+        | Mutation::AckBeforeReplicate
+        | Mutation::WildcardSwallow
+        | Mutation::TruncatedUplink => Scenario::base("mutation_fault_free", 1, 1),
         Mutation::StaleEpochRoute
         | Mutation::MissedReconnectMarkUp
         | Mutation::RejectWithoutCause

@@ -171,3 +171,13 @@ fn catches_reject_without_cause() {
 fn catches_tau_keeps_s1ap_id() {
     assert_caught(Mutation::TauKeepsS1apId, &["convergence"]);
 }
+
+/// Only the byte path can see this one: the MLB's relay refuses the
+/// cut message, and the zero-error invariant reads the refusal.
+#[test]
+fn catches_truncated_uplink() {
+    assert_caught(Mutation::TruncatedUplink, &["errors"]);
+    let sc = mutation_scenario(Mutation::TruncatedUplink, MUT_BUDGET);
+    let v = explore_protocol(&sc).violation.expect("caught");
+    assert!(v.detail.contains("MLB relay from EnbToMlb"), "{}", v.detail);
+}
