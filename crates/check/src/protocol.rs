@@ -44,54 +44,39 @@
 //!
 //! ## Invariants
 //!
-//! Checked at every distinct state:
+//! DESIGN.md §15.2 gives the reasoning behind each. Checked at every
+//! distinct state:
 //!
-//! * **I1 identity consistency** — every resident `UeContext` maps its
-//!   GUTI's M-TMSI to the IMSI the identity scheme assigns it
-//!   (M-TMSI ↔ IMSI is a bijection by construction, so agreement with
-//!   the formula is uniqueness).
-//! * **I2 epoch monotonicity** — no plane reader ever observes the
-//!   routing epoch move backwards along an execution path.
-//! * **I3 session safety** — a device whose attach was acknowledged
-//!   and that has completed an Idle edge never loses its GUTI unless a
-//!   crash occurred (the only sanctioned loss is the §4.6 cause-#9
-//!   re-attach after its context died with a process).
-//! * **I6 no transaction outlives its message** — a worker answers S6a
-//!   and S11 inline, so between any two messages it handles no engine
-//!   holds an open S11 or S6a transaction; a response that does not
-//!   retire its request's entry leaks one per procedure. Checked in
-//!   the adversarial-transport scenario too: a duplicated message must
-//!   not open a transaction it never sends.
+//! * **I1 identity consistency** — every resident `UeContext` holds the
+//!   IMSI the identity scheme assigns its GUTI's M-TMSI.
+//! * **I2 epoch monotonicity** — no plane reader observes the routing
+//!   epoch move backwards along an execution path.
+//! * **I3 session safety** — an attach-acknowledged device that has
+//!   completed an Idle edge loses its GUTI only after a crash (the §4.6
+//!   cause-#9 re-attach).
+//! * **I6 no transaction outlives its message** — between any two
+//!   messages no engine holds an open S11 or S6a transaction (checked
+//!   in the adversarial-transport scenario too).
 //! * **zero unexplained errors** — outside the adversarial-transport
-//!   scenario, no emulator, worker or router error counter ever moves,
-//!   no message is refused on the wire, and without a crash no worker
-//!   answers an uplink with an Error Indication (only an uplink a crash
-//!   left behind names a connection no engine knows). Whether an error
-//!   was counted is part of the state's fingerprint, so a path that
-//!   counts one is never merged into one that does not.
+//!   scenario, no emulator, worker or router error counter moves, no
+//!   message is refused on the wire, and without a crash no worker
+//!   answers an uplink with an Error Indication. Whether an error was
+//!   counted is part of the fingerprint, so a path that counts one is
+//!   never merged into one that does not.
 //!
 //! Checked at every *quiescent* state (all queues empty, every crash
 //! detected):
 //!
-//! * **convergence** — every session completed: no stuck devices, on
-//!   any fault schedule.
+//! * **convergence** — every session completed, on any fault schedule.
 //! * **I4 replica contract** — every Idle-edged device's context is
-//!   held by exactly R live engines in fault-free runs, and by at
-//!   least one as long as fewer than R crash episodes have occurred.
-//!   The wire deployment has no background re-replication (ring repair
-//!   lives in the analytical model only, `scale-sim`'s `fault`
-//!   module), so R sequential crashes may legitimately exhaust every
-//!   holder — the checker itself surfaced this contract boundary, and
-//!   the `double_crash` scenario pins it: after R crashes the device
-//!   must still *converge* (via the §4.6 cause-#9 re-attach), but its
-//!   context may be lost.
+//!   held by exactly R live engines in fault-free runs, and by at least
+//!   one while fewer than R crashes have occurred (the wire deployment
+//!   has no background re-replication, so R crashes may exhaust every
+//!   holder; the device must still converge by re-attaching).
 //! * **I5 liveness-map coherence** — a VM is marked down in a routing
-//!   plane iff its hosting worker is currently crashed; a restarted
-//!   worker is marked up everywhere (catches a missed reconnect).
-//! * **I7 no per-device state at the MLB** — the MLB routes a
-//!   connection's uplinks by the MME-UE-S1AP-ID in them, so once every
-//!   procedure has settled its in-flight table is empty: an entry left
-//!   over is state a procedure leaked.
+//!   plane iff its hosting worker is crashed.
+//! * **I7 no per-device state at the MLB** — its in-flight table is
+//!   empty once every procedure has settled.
 //!
 //! ## Mutation testing
 //!
@@ -118,25 +103,18 @@ use std::sync::Arc;
 /// link, or inject a budgeted fault into a worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Choice {
-    /// Deliver the head of this link.
+    /// Deliver the head of this link ([`Pump::deliver`]).
     Deliver(Link),
-    /// The worker crashes: its process state vanishes and both its
-    /// links are flushed (in-flight messages are lost). The MLB does
-    /// not know yet.
+    /// The worker crashes ([`Pump::crash`]).
     Crash(usize),
-    /// The MLB's failure detector fires for the crashed worker: the
-    /// heartbeat miss crosses the `HealthTracker` threshold, the
-    /// worker's VMs are marked down (epoch bump), in-flight procedures
-    /// fail over and `VmDown` is broadcast.
+    /// The MLB's failure detector fires for it ([`Pump::detect`]).
     Detect(usize),
-    /// The crashed-and-detected worker restarts empty and reconnects;
-    /// the MLB marks its VMs up and broadcasts `VmUp`.
+    /// It restarts empty and reconnects ([`Pump::restart`]).
     Restart(usize),
     /// Adversarial transport: the head of the MLB→worker link is
     /// delivered twice.
     DupHead(usize),
-    /// Adversarial transport: the head of the MLB→worker link is
-    /// silently lost.
+    /// Adversarial transport: the head of the MLB→worker link is lost.
     DropHead(usize),
 }
 
@@ -515,8 +493,7 @@ impl<'s> World<'s> {
     fn check_state(&mut self) -> Option<(&'static str, String)> {
         let adversarial = self.sc.dup_drop_budget > 0;
         // I1: identity consistency of every resident context.
-        for (worker, node) in self.pump.workers.iter().enumerate() {
-            let Some(node) = node else { continue };
+        for (worker, node) in self.pump.live_workers() {
             for (vm, ctx) in node.contexts() {
                 let m = ctx.guti.m_tmsi;
                 let Some(u) = m.checked_sub(MTMSI_BASE) else {
@@ -548,8 +525,7 @@ impl<'s> World<'s> {
         }
         // I6: every S11/S6a transaction a worker opened while handling
         // a message was retired before that `handle` returned.
-        for (worker, node) in self.pump.workers.iter().enumerate() {
-            let Some(node) = node else { continue };
+        for (worker, node) in self.pump.live_workers() {
             let open = node.open_transactions();
             if open > 0 {
                 return Some((
@@ -588,8 +564,8 @@ impl<'s> World<'s> {
         }
         // Only an uplink a crash left behind names a connection no
         // engine knows.
-        let workers = self.pump.workers.iter().flatten();
-        let indications: u64 = workers.map(MmpNode::error_indications).sum();
+        let workers = self.pump.live_workers();
+        let indications: u64 = workers.map(|(_, node)| node.error_indications()).sum();
         if indications > 0 && self.crashes_done == 0 {
             let what = "Error Indication(s) for an unknown S1AP id pair with no crash";
             return Some(("errors", format!("{indications} {what} in the schedule")));
@@ -605,9 +581,8 @@ impl<'s> World<'s> {
             let (n, samples) = (emu.counts.errors, emu.error_samples());
             format!("cell {cell}: {n} emulator error(s): {samples:?}")
         });
-        let workers = self.pump.workers.iter().enumerate();
-        let workers = workers.filter_map(|(w, node)| Some((w, node.as_ref()?)));
-        let workers = workers.filter(|(_, node)| node.errors > 0).map(|(worker, node)| {
+        let workers = self.pump.live_workers().filter(|(_, node)| node.errors > 0);
+        let workers = workers.map(|(worker, node)| {
             let (n, samples) = (node.errors, node.error_samples());
             format!("worker {worker}: {n} error(s): {samples:?}")
         });
@@ -660,13 +635,8 @@ impl<'s> World<'s> {
                 }
                 let global = slot * self.sc.topo.n_enbs + cell;
                 let m_tmsi = MTMSI_BASE + global as u32;
-                let holders: usize = self
-                    .pump
-                    .workers
-                    .iter()
-                    .flatten()
-                    .map(|node| node.holding_vms(m_tmsi).len())
-                    .sum();
+                let workers = self.pump.live_workers();
+                let holders: usize = workers.map(|(_, n)| n.holding_vms(m_tmsi).len()).sum();
                 if self.crashes_done == 0 && holders != r {
                     return Some((
                         "I4",
@@ -715,8 +685,8 @@ impl<'s> World<'s> {
     /// Every live routing plane, with its index in `last_epoch`: the
     /// MLB's (0), then each running worker's (1 + worker).
     fn planes(&self) -> Vec<(usize, Arc<RoutePlane>)> {
-        let workers = self.pump.workers.iter().enumerate();
-        let workers = workers.filter_map(|(w, node)| Some((1 + w, Arc::clone(node.as_ref()?.plane()))));
+        let workers = self.pump.live_workers();
+        let workers = workers.map(|(w, node)| (1 + w, Arc::clone(node.plane())));
         std::iter::once((0, Arc::clone(self.pump.mlb.plane())))
             .chain(workers)
             .collect()

@@ -79,19 +79,9 @@ impl LegacyPool {
         self.rr_credit.insert(member.mme_code, 0);
     }
 
-    /// MME codes of the pool members.
-    pub fn member_codes(&self) -> Vec<u8> {
-        self.members.keys().copied().collect()
-    }
-
     /// Member MME by code.
     pub fn member(&self, code: u8) -> Option<&MmeCore> {
         self.members.get(&code)
-    }
-
-    /// Mutable member MME by code.
-    pub fn member_mut(&mut self, code: u8) -> Option<&mut MmeCore> {
-        self.members.get_mut(&code)
     }
 
     /// Weighted selection for a new device — mirrors the eNodeB's

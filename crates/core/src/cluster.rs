@@ -14,7 +14,7 @@ use crate::mlb::{MlbRouter, VmId};
 use crate::obs::{DcObserver, ProcClass};
 use crate::provision::{provision, AllocationPolicy, LoadEstimator, Provisioning, VmCapacity};
 use scale_epc::ControlPlane;
-use scale_mme::{EcmState, Incoming, MmeConfig, MmeCore, MmeError, Outgoing};
+use scale_mme::{Incoming, MmeConfig, MmeCore, MmeError, Outgoing};
 use scale_nas::{EmmMessage, Guti, MobileId, Plmn};
 use scale_obs::{Registry, Span};
 use scale_s1ap::S1apPdu;
@@ -942,19 +942,6 @@ impl ScaleDc {
         for &vm in self.mlb.mmps() {
             obs.vm_load_gauge(vm).set(self.mlb.load_of(vm));
         }
-    }
-
-    /// Count of Idle devices (sanity metric for tests).
-    pub fn idle_devices(&self) -> usize {
-        self.device_weights()
-            .keys()
-            .filter(|m| {
-                let guti = self.mlb.guti(**m);
-                self.mmps
-                    .values()
-                    .any(|e| e.ecm(&guti) == Some(EcmState::Idle))
-            })
-            .count()
     }
 }
 

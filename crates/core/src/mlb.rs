@@ -137,13 +137,6 @@ impl MlbRouter {
         }
     }
 
-    /// Replace the failover policy (thresholds, backoff, shedding).
-    pub fn set_failover(&mut self, config: FailoverConfig) {
-        self.failover = config;
-        self.health = HealthTracker::new(config.health);
-        self.shed_bucket = TokenBucket::new(config.shed.bucket_rate, config.shed.bucket_burst);
-    }
-
     fn load_slot(&mut self, vm: VmId) -> &mut VmLoad {
         let i = vm as usize;
         assert!(i < 1 << 16, "dense load table: VM ids must stay small");

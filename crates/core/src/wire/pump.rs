@@ -152,6 +152,12 @@ impl Pump {
         &self.status
     }
 
+    /// The running workers, with their indices.
+    pub fn live_workers(&self) -> impl Iterator<Item = (usize, &MmpNode)> + '_ {
+        let workers = self.workers.iter().enumerate();
+        workers.filter_map(|(w, node)| Some((w, node.as_ref()?)))
+    }
+
     /// Where `link`'s queue is in `queues`.
     fn slot(&self, link: Link) -> usize {
         let (cells, workers) = (self.cells.len(), self.workers.len());

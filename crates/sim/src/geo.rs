@@ -95,13 +95,6 @@ impl GeoSim {
         let extra = req.procedure.round_trips() * 2.0 * self.prop_s(geo.home, serving);
         self.dcs[serving].submit_with_extra_latency(req, extra)
     }
-
-    /// p99 of the devices homed at `dc` requires per-request tagging;
-    /// the per-DC `DcSim::delays` instead records *serving*-side delays.
-    /// For home-side reporting, use [`Self::submit`]'s return value.
-    pub fn total_requests(&self) -> usize {
-        self.dcs.iter().map(|d| d.delays.len()).sum()
-    }
 }
 
 #[cfg(test)]

@@ -122,15 +122,6 @@ impl TimeSeries {
         }
     }
 
-    /// A series whose buckets already cover `[0, horizon)`, so interval
-    /// accounting inside the horizon never resizes.
-    pub fn with_horizon(bucket_width: f64, horizon: f64) -> Self {
-        let mut ts = TimeSeries::new(bucket_width);
-        let n = (horizon.max(0.0) / bucket_width).ceil() as usize;
-        ts.buckets = vec![0.0; n];
-        ts
-    }
-
     /// Add `amount` spread over the interval [start, end).
     pub fn add_interval(&mut self, start: f64, end: f64, amount_per_second: f64) {
         if end <= start {

@@ -201,21 +201,6 @@ impl DcSim {
         self
     }
 
-    /// Pre-size every growth point of the event loop — the delay sample
-    /// buffer and each VM's busy-time series — so a run of
-    /// `expected_requests` over `[0, horizon)` performs no allocation
-    /// per request.
-    pub fn preallocated(mut self, horizon: f64, expected_requests: usize) -> Self {
-        self.delays.reserve(expected_requests);
-        for vm in &mut self.vms {
-            let bw = vm.busy.bucket_width;
-            if vm.busy.buckets.is_empty() {
-                vm.busy = TimeSeries::with_horizon(bw, horizon);
-            }
-        }
-        self
-    }
-
     /// Register one new device (used mid-run for Fig 2d's unregistered
     /// arrivals); returns its device id.
     pub fn register_device(&mut self, holders: Vec<usize>) -> usize {

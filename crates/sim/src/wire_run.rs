@@ -1700,7 +1700,7 @@ pub fn run_shuttle_tapped(
         assert!(emu.done(), "shuttle quiesced with sessions outstanding");
         add_emu(&mut counts.enb, &emu.counts);
     }
-    for (i, node) in pump.workers.iter().flatten().enumerate() {
+    for (i, node) in pump.live_workers() {
         for e in node.error_samples() {
             eprintln!("shuttle mmp {i}: {e}");
         }
