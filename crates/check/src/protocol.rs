@@ -271,7 +271,7 @@ pub struct CheckViolation {
 }
 
 /// Outcome of one bounded exploration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Scenario name.
     pub name: &'static str,
@@ -297,47 +297,40 @@ struct Mutator {
 
 impl Tamper for Mutator {
     fn at_mlb(&mut self, link: &mut Link, msg: &mut Bytes, workers: &[WorkerStatus]) -> bool {
-        if self.mutation == Mutation::TruncatedUplink && !self.cut {
-            if let Link::EnbToMlb(_) = link {
+        match (self.mutation, *link) {
+            (Mutation::TruncatedUplink, Link::EnbToMlb(_)) if !self.cut => {
                 *msg = msg.slice(..msg.len() - 1);
                 self.cut = true;
             }
-        }
-        if !matches!(link, Link::MlbToMmp(_)) {
-            return true;
-        }
-        match self.mutation {
-            Mutation::DropReplicate => {
-                !matches!(WireView::parse(msg), Ok(WireView::Replicate { .. }))
+            (Mutation::DropReplicate, Link::MlbToMmp(_)) => {
+                return !matches!(WireView::parse(msg), Ok(WireView::Replicate { .. }));
             }
-            Mutation::StaleEpochRoute => {
-                if let Ok(WireMsg::Deliver {
-                    guti_hint: None,
-                    pdu: S1apPdu::InitialUeMessage { .. },
-                    ..
-                }) = WireMsg::decode(msg.clone())
-                {
-                    // Route with a stale liveness view: land on a
-                    // crashed worker detection already ruled out.
-                    if let Some(dead) = workers
-                        .iter()
-                        .position(|&s| s == WorkerStatus::CrashedDetected)
-                    {
-                        *link = Link::MlbToMmp(dead);
-                    }
+            // Route with a stale liveness view: an idle-mode Initial UE
+            // Message lands on a crashed worker detection already ruled
+            // out.
+            (Mutation::StaleEpochRoute, Link::MlbToMmp(_)) => {
+                let idle_initial = matches!(
+                    WireMsg::decode(msg.clone()),
+                    Ok(WireMsg::Deliver {
+                        guti_hint: None,
+                        pdu: S1apPdu::InitialUeMessage { .. },
+                        ..
+                    })
+                );
+                let dead = workers
+                    .iter()
+                    .position(|&s| s == WorkerStatus::CrashedDetected);
+                if let (true, Some(dead)) = (idle_initial, dead) {
+                    *link = Link::MlbToMmp(dead);
                 }
-                true
             }
-            _ => true,
+            _ => {}
         }
+        true
     }
 
     fn at_worker(&mut self, node: &mut MmpNode, msg: WireMsg, out: &mut Vec<WireMsg>) {
-        let kept = if self.mutation == Mutation::TauKeepsS1apId {
-            id_a_tau_keeps(node, &msg)
-        } else {
-            None
-        };
+        let kept = id_a_tau_keeps(self.mutation, node, &msg);
         node.handle(msg, out);
         if let Some((enb_ue_id, old)) = kept {
             keep_s1ap_id(out, enb_ue_id, old);
@@ -407,7 +400,11 @@ impl<'s> World<'s> {
         let pump = Pump::new(topo, cells);
         World {
             sc,
-            idled_ghost: pump.cells.iter().map(|e| vec![false; e.slot_views().len()]).collect(),
+            idled_ghost: pump
+                .cells
+                .iter()
+                .map(|e| vec![false; e.slot_views().len()])
+                .collect(),
             pump,
             transport: Mutator {
                 mutation: sc.mutation,
@@ -499,7 +496,9 @@ impl<'s> World<'s> {
                 let Some(u) = m.checked_sub(MTMSI_BASE) else {
                     return Some((
                         "I1",
-                        format!("worker {worker} vm {vm}: context with out-of-population M-TMSI {m:#x}"),
+                        format!(
+                            "worker {worker} vm {vm}: context with out-of-population M-TMSI {m:#x}"
+                        ),
                     ));
                 };
                 let expect = imsi_of(u as usize);
@@ -515,11 +514,14 @@ impl<'s> World<'s> {
             }
         }
         // I2: epoch monotonicity per plane reader.
-        for (at, plane) in self.planes() {
+        for (at, name, plane) in self.planes() {
             let e = plane.snapshot().epoch;
             if e < self.last_epoch[at] {
-                let (name, last) = (plane_name(at), self.last_epoch[at]);
-                return Some(("I2", format!("{name} plane epoch moved backwards: {last} → {e}")));
+                let last = self.last_epoch[at];
+                return Some((
+                    "I2",
+                    format!("{name} plane epoch moved backwards: {last} → {e}"),
+                ));
             }
             self.last_epoch[at] = e;
         }
@@ -559,7 +561,10 @@ impl<'s> World<'s> {
         }
         for (cell, emu) in self.pump.cells.iter().enumerate() {
             if emu.counts.rejects > 0 && self.crashes_done == 0 {
-                return Some(("errors", format!("cell {cell}: NAS reject with no crash in the schedule")));
+                return Some((
+                    "errors",
+                    format!("cell {cell}: NAS reject with no crash in the schedule"),
+                ));
             }
         }
         // Only an uplink a crash left behind names a connection no
@@ -577,7 +582,8 @@ impl<'s> World<'s> {
     /// running worker's, the MLB's, or a message refused on the wire.
     fn first_error(&self) -> Option<String> {
         let cells = self.pump.cells.iter().enumerate();
-        let cells = cells.filter(|(_, emu)| emu.counts.errors > 0).map(|(cell, emu)| {
+        let cells = cells.filter(|(_, emu)| emu.counts.errors > 0);
+        let cells = cells.map(|(cell, emu)| {
             let (n, samples) = (emu.counts.errors, emu.error_samples());
             format!("cell {cell}: {n} emulator error(s): {samples:?}")
         });
@@ -666,14 +672,13 @@ impl<'s> World<'s> {
         for vm in 1..=self.sc.topo.total_vms as VmId {
             let host = shard_of(vm, self.sc.topo.n_mmps);
             let host_down = self.pump.status()[host] != WorkerStatus::Up;
-            for (at, plane) in self.planes() {
+            for (_, name, plane) in self.planes() {
                 let down = plane.snapshot().is_down(vm);
                 if down != host_down {
                     return Some((
                         "I5",
                         format!(
-                            "{} plane marks vm {vm} down={down} but its worker {host} is down={host_down}",
-                            plane_name(at)
+                            "{name} plane marks vm {vm} down={down} but its worker {host} is down={host_down}"
                         ),
                     ));
                 }
@@ -682,22 +687,15 @@ impl<'s> World<'s> {
         None
     }
 
-    /// Every live routing plane, with its index in `last_epoch`: the
-    /// MLB's (0), then each running worker's (1 + worker).
-    fn planes(&self) -> Vec<(usize, Arc<RoutePlane>)> {
+    /// Every live routing plane, with its index in `last_epoch` and its
+    /// reader's name: the MLB's (0), then each running worker's (1 +
+    /// worker).
+    fn planes(&self) -> Vec<(usize, String, Arc<RoutePlane>)> {
         let workers = self.pump.live_workers();
-        let workers = workers.map(|(w, node)| (1 + w, Arc::clone(node.plane())));
-        std::iter::once((0, Arc::clone(self.pump.mlb.plane())))
+        let workers = workers.map(|(w, n)| (1 + w, format!("worker {w}"), Arc::clone(n.plane())));
+        std::iter::once((0, "MLB".to_string(), Arc::clone(self.pump.mlb.plane())))
             .chain(workers)
             .collect()
-    }
-}
-
-/// The reader of the plane at `at` in `last_epoch`.
-fn plane_name(at: usize) -> String {
-    match at {
-        0 => "MLB".to_string(),
-        _ => format!("worker {}", at - 1),
     }
 }
 
@@ -724,7 +722,10 @@ fn rewrite_cause9(pdu: &mut S1apPdu) {
 /// Under [`Mutation::TauKeepsS1apId`], for the `Deliver` of a TAU from
 /// Idle: the connection it opens and the MME-UE-S1AP-ID the device's
 /// copy on the serving VM carries before the TAU.
-fn id_a_tau_keeps(node: &MmpNode, msg: &WireMsg) -> Option<(u32, u32)> {
+fn id_a_tau_keeps(m: Mutation, node: &MmpNode, msg: &WireMsg) -> Option<(u32, u32)> {
+    if m != Mutation::TauKeepsS1apId {
+        return None;
+    }
     let WireMsg::Deliver {
         vm,
         pdu:
@@ -783,11 +784,7 @@ fn keep_s1ap_id(out: &mut [WireMsg], enb_ue_id: u32, old: u32) {
 pub fn explore_protocol(sc: &Scenario) -> RunReport {
     let mut report = RunReport {
         name: sc.name,
-        states: 0,
-        max_depth_reached: 0,
-        quiescent_states: 0,
-        truncated: false,
-        violation: None,
+        ..RunReport::default()
     };
     let mut visited: HashSet<u64> = HashSet::new();
     let mut path: Vec<Choice> = Vec::new();
@@ -798,12 +795,7 @@ pub fn explore_protocol(sc: &Scenario) -> RunReport {
 /// Replay `path` from a fresh root and recurse over the enabled
 /// choices. Prefix states were validated when first visited, so
 /// invariants are only checked on the new frontier state.
-fn dfs(
-    sc: &Scenario,
-    path: &mut Vec<Choice>,
-    visited: &mut HashSet<u64>,
-    report: &mut RunReport,
-) {
+fn dfs(sc: &Scenario, path: &mut Vec<Choice>, visited: &mut HashSet<u64>, report: &mut RunReport) {
     if report.violation.is_some() || report.truncated {
         return;
     }
@@ -861,9 +853,7 @@ pub fn replay_trace(sc: &Scenario, trace: &[Choice]) -> Option<(&'static str, St
         }
     }
     if world.pump.quiescent() {
-        if let Some(v) = world.check_quiescent() {
-            return Some(v);
-        }
+        return world.check_quiescent();
     }
     None
 }
@@ -896,24 +886,23 @@ pub fn suite(budget: u64) -> Vec<Scenario> {
 /// there); routing/liveness bugs need a crash episode to arm them.
 #[must_use]
 pub fn mutation_scenario(m: Mutation, budget: u64) -> Scenario {
-    let mut s = match m {
+    let (name, ops_per_ue, max_crashes) = match m {
         Mutation::None
         | Mutation::DropReplicate
         | Mutation::AckBeforeReplicate
         | Mutation::WildcardSwallow
-        | Mutation::TruncatedUplink => Scenario::base("mutation_fault_free", 1, 1),
+        | Mutation::TruncatedUplink => ("mutation_fault_free", 1, 0),
         Mutation::StaleEpochRoute
         | Mutation::MissedReconnectMarkUp
         | Mutation::RejectWithoutCause
-        | Mutation::TauKeepsS1apId => {
-            let mut s = Scenario::base("mutation_crash_restart", 1, 2);
-            s.max_crashes = 1;
-            s
-        }
+        | Mutation::TauKeepsS1apId => ("mutation_crash_restart", 2, 1),
     };
-    s.mutation = m;
-    s.max_states = budget;
-    s
+    Scenario {
+        max_crashes,
+        max_states: budget,
+        mutation: m,
+        ..Scenario::base(name, 1, ops_per_ue)
+    }
 }
 
 /// Run the mutation matrix: each seeded bug must produce a violation

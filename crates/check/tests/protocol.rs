@@ -103,19 +103,19 @@ fn a_stale_uplink_after_a_restart_is_answered_not_counted() {
         .find(|s| s.name == "crash_restart_1ue")
         .expect("scenario");
     let trace = [
-        Choice::Deliver(Link::EnbToMlb(0)),  // S1 Setup
-        Choice::Deliver(Link::MlbToEnb(0)),  // S1 Setup Response
-        Choice::Deliver(Link::EnbToMlb(0)),  // the attach, routed to worker 1
-        Choice::Deliver(Link::MlbToMmp(1)),  // Authentication Request
-        Choice::Deliver(Link::MmpToMlb(1)),  // relayed to the cell
+        Choice::Deliver(Link::EnbToMlb(0)), // S1 Setup
+        Choice::Deliver(Link::MlbToEnb(0)), // S1 Setup Response
+        Choice::Deliver(Link::EnbToMlb(0)), // the attach, routed to worker 1
+        Choice::Deliver(Link::MlbToMmp(1)), // Authentication Request
+        Choice::Deliver(Link::MmpToMlb(1)), // relayed to the cell
         Choice::Crash(1),
         Choice::Detect(1),
-        Choice::Deliver(Link::MlbToEnb(0)),  // the cell answers it
+        Choice::Deliver(Link::MlbToEnb(0)), // the cell answers it
         Choice::Restart(1),
-        Choice::Deliver(Link::EnbToMlb(0)),  // the answer, to worker 1
-        Choice::Deliver(Link::MlbToMmp(1)),  // unknown there
-        Choice::Deliver(Link::MmpToMlb(1)),  // the Error Indication
-        Choice::Deliver(Link::MlbToEnb(0)),  // reaches the cell
+        Choice::Deliver(Link::EnbToMlb(0)), // the answer, to worker 1
+        Choice::Deliver(Link::MlbToMmp(1)), // unknown there
+        Choice::Deliver(Link::MmpToMlb(1)), // the Error Indication
+        Choice::Deliver(Link::MlbToEnb(0)), // reaches the cell
     ];
     assert_eq!(replay_trace(&sc, &trace), None);
 }
@@ -179,5 +179,5 @@ fn catches_truncated_uplink() {
     assert_caught(Mutation::TruncatedUplink, &["errors"]);
     let sc = mutation_scenario(Mutation::TruncatedUplink, MUT_BUDGET);
     let v = explore_protocol(&sc).violation.expect("caught");
-    assert!(v.detail.contains("MLB relay from EnbToMlb"), "{}", v.detail);
+    assert!(v.detail.contains("EnbToMlb(0) refused"), "{}", v.detail);
 }

@@ -671,7 +671,10 @@ impl MmpNode {
     /// with (`MmeStats::error_indications`).
     #[must_use]
     pub fn error_indications(&self) -> u64 {
-        self.engines.values().map(|e| e.stats.error_indications).sum()
+        self.engines
+            .values()
+            .map(|e| e.stats.error_indications)
+            .sum()
     }
 
     /// First few error descriptions (for reports).

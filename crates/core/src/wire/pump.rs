@@ -14,7 +14,7 @@ use super::{Dest, MlbOut, MlbState, MmpNode, Relay, WireMsg, WireRole, WireTopo}
 use crate::failover::{HealthConfig, HealthTracker};
 use bytes::Bytes;
 use scale_epc::{EmuEvent, EnbEmulator, ENB_BASE};
-use scale_nas::Writer;
+use scale_nas::{NasError, Writer};
 use scale_s1ap::S1apPdu;
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -126,7 +126,9 @@ impl Pump {
         let mut pump = Pump {
             topo: topo.clone(),
             mlb: MlbState::new(topo),
-            workers: (0..topo.n_mmps).map(|i| Some(MmpNode::new(topo, i))).collect(),
+            workers: (0..topo.n_mmps)
+                .map(|i| Some(MmpNode::new(topo, i)))
+                .collect(),
             status: vec![WorkerStatus::Up; topo.n_mmps],
             health: HealthTracker::new(HealthConfig {
                 miss_threshold: 1,
@@ -188,8 +190,11 @@ impl Pump {
     /// whole deployment.
     #[must_use]
     pub fn next_fifo(&self) -> Option<Link> {
-        self.ready()
-            .min_by_key(|&link| self.queues[self.slot(link)].front().map(|(stamp, _)| *stamp))
+        self.ready().min_by_key(|&link| {
+            self.queues[self.slot(link)]
+                .front()
+                .map(|(stamp, _)| *stamp)
+        })
     }
 
     /// Every queue empty and every crash detected.
@@ -249,7 +254,7 @@ impl Pump {
                     }
                     Ok(Relay::Reply(out)) => self.mlb_send_all(vec![out], tamper),
                     Ok(Relay::Nothing) => {}
-                    Err(e) => self.wire_errors.push(format!("MLB relay from {link:?}: {e}")),
+                    Err(e) => self.refuse(link, &e),
                 }
             }
             Link::MlbToMmp(worker) => {
@@ -259,7 +264,7 @@ impl Pump {
                 let mut out = Vec::new();
                 match WireMsg::decode(msg) {
                     Ok(msg) => tamper.at_worker(node, msg, &mut out),
-                    Err(e) => self.wire_errors.push(format!("worker {worker} decode: {e}")),
+                    Err(e) => self.refuse(link, &e),
                 }
                 for m in out {
                     self.send(Link::MmpToMlb(worker), m.encode());
@@ -268,7 +273,7 @@ impl Pump {
             Link::MlbToEnb(cell) => {
                 match WireMsg::decode(msg) {
                     Ok(msg) => tamper.at_cell(&mut self.cells[cell], msg),
-                    Err(e) => self.wire_errors.push(format!("cell {cell} decode: {e}")),
+                    Err(e) => self.refuse(link, &e),
                 }
                 self.drain_cell(cell);
             }
@@ -324,6 +329,11 @@ impl Pump {
     pub fn drop_head(&mut self, link: Link) {
         let at = self.slot(link);
         self.queues[at].pop_front();
+    }
+
+    /// The receiver at the end of `link` could not take a message.
+    fn refuse(&mut self, link: Link, e: &NasError) {
+        self.wire_errors.push(format!("{link:?} refused: {e}"));
     }
 
     fn send(&mut self, link: Link, msg: Bytes) {

@@ -54,9 +54,10 @@ impl Recording {
         };
         let counts = run_shuttle_tapped(cfg, &mut |tap| {
             let bytes = Bytes::copy_from_slice(tap.bytes);
+            let into_mlb = |role, id| (Recording::link(cfg, role, id), bytes.clone());
             match tap.link {
-                Link::EnbToMlb(id) => rec.inbound.push((Recording::link(cfg, WireRole::Enb, id), bytes)),
-                Link::MmpToMlb(id) => rec.inbound.push((Recording::link(cfg, WireRole::Mmp, id), bytes)),
+                Link::EnbToMlb(id) => rec.inbound.push(into_mlb(WireRole::Enb, id)),
+                Link::MmpToMlb(id) => rec.inbound.push(into_mlb(WireRole::Mmp, id)),
                 Link::MlbToMmp(mmp) => rec.to_mmp[mmp].push(bytes),
                 Link::MlbToEnb(_) => {}
             }

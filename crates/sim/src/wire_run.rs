@@ -38,15 +38,13 @@
 
 use crate::openloop::poisson_schedule;
 use crate::shard_driver::ScaleOutConfig;
+use bytes::Bytes;
 use scale_core::wire::{
     self, to_cell, Dest, Forward, MlbOut, MlbState, MlbWireStats, MmpNode, Pump, Relay, Tamper,
     WireMsg, WireRole, WireTopo, WireView, WorkerStatus,
 };
 use scale_core::{BackoffPolicy, HealthTracker, ShardStatsSnapshot};
-use scale_epc::{
-    home_cell, DriveMode, EmuCounts, EmuEvent, EmulatorConfig, EnbEmulator, ProcKind,
-};
-use bytes::Bytes;
+use scale_epc::{home_cell, DriveMode, EmuCounts, EmuEvent, EmulatorConfig, EnbEmulator, ProcKind};
 use scale_nas::{NasError, Writer};
 use scale_sctplite::{
     ppid, BatchItem, EgressUnit, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream,
@@ -1690,7 +1688,11 @@ pub fn run_shuttle_tapped(
     while let Some(link) = pump.next_fifo() {
         pump.deliver(link, &mut tapped);
     }
-    assert!(pump.wire_errors.is_empty(), "shuttle wire errors: {:?}", pump.wire_errors);
+    assert!(
+        pump.wire_errors.is_empty(),
+        "shuttle wire errors: {:?}",
+        pump.wire_errors
+    );
 
     let mut counts = WireCounts {
         mlb: pump.mlb.stats,

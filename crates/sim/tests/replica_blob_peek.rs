@@ -29,7 +29,7 @@ fn the_peek_reads_what_the_decoder_reads_on_every_blob_of_a_shuttle_run() {
         let mut node = MmpNode::new(&cfg.topo(), index);
         for msg in msgs {
             let msg = WireMsg::decode(msg.clone()).expect("a recorded message decodes");
-                node.handle(msg, &mut out);
+            node.handle(msg, &mut out);
             blobs.extend(out.drain(..).filter_map(|m| match m {
                 WireMsg::Replicate { blob, .. } => Some(blob),
                 _ => None,
