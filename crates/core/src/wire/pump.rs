@@ -71,9 +71,6 @@ pub trait Tamper {
     }
 }
 
-/// The faithful transport.
-impl Tamper for () {}
-
 /// Hand a message the MLB routed to a cell to that cell's emulator.
 pub fn to_cell(emu: &mut EnbEmulator, msg: WireMsg) {
     match msg {
