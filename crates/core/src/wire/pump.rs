@@ -116,10 +116,12 @@ pub struct Pump {
 }
 
 impl Pump {
-    /// The deployment of `topo` with `cells`: every worker up, and each
-    /// cell in turn set up, started and drained onto its uplink.
+    /// The deployment of `topo` with `cells` (one per eNB, in index
+    /// order): every worker up, and each cell in turn set up, started
+    /// and drained onto its uplink.
     #[must_use]
     pub fn new(topo: &WireTopo, cells: Vec<EnbEmulator>) -> Pump {
+        assert_eq!(cells.len(), topo.n_enbs, "one cell per eNB of the topology");
         let mut pump = Pump {
             topo: topo.clone(),
             mlb: MlbState::new(topo),
