@@ -28,6 +28,8 @@ pub mod avp_code {
     pub const VISITED_PLMN_ID: u32 = 1407;
     pub const REQUESTED_EUTRAN_AUTH_INFO: u32 = 1408;
     pub const NUMBER_OF_REQUESTED_VECTORS: u32 = 1410;
+    /// RAND ‖ AUTS of a USIM's synchronisation failure.
+    pub const RE_SYNCHRONIZATION_INFO: u32 = 1411;
     pub const AUTHENTICATION_INFO: u32 = 1413;
     pub const EUTRAN_VECTOR: u32 = 1414;
     pub const RAND: u32 = 1447;
@@ -46,6 +48,9 @@ pub mod result_code {
     pub const UNABLE_TO_COMPLY: u32 = 5012;
     /// TS 29.272: subscriber unknown in HSS.
     pub const USER_UNKNOWN: u32 = 5001;
+    /// TS 29.272 experimental result: no vector can be produced (here:
+    /// a Re-Synchronization-Info whose MAC-S does not verify).
+    pub const AUTHENTICATION_DATA_UNAVAILABLE: u32 = 4181;
 }
 
 /// Decode failure for Diameter PDUs.

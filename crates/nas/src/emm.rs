@@ -26,6 +26,10 @@ pub mod emm_cause {
     pub const SYNCH_FAILURE: u8 = 21;
 }
 
+/// IEI of the Authentication failure parameter (AUTS) in an
+/// Authentication Failure (TS 24.301 §8.2.5).
+const AUTH_FAILURE_PARAM_IEI: u8 = 0x30;
+
 /// EMM message type codes (TS 24.301 table 9.8.1).
 pub mod msg_type {
     pub const ATTACH_REQUEST: u8 = 0x41;
@@ -107,8 +111,12 @@ pub enum EmmMessage {
         res: [u8; 8],
     },
     AuthenticationReject,
+    /// UE → MME: the USIM refused the challenge. A synch failure (#21)
+    /// carries the Authentication failure parameter, AUTS =
+    /// (SQN_MS ⊕ AK*) ‖ MAC-S (TS 24.301 §9.9.3.15, TS 33.102 §6.3.3).
     AuthenticationFailure {
         cause: u8,
+        auts: Option<[u8; 14]>,
     },
     /// MME → UE: selects EEA/EIA algorithms, activates security context.
     SecurityModeCommand {
@@ -250,8 +258,14 @@ impl EmmMessage {
             | EmmMessage::SecurityModeComplete
             | EmmMessage::TauComplete
             | EmmMessage::DetachAccept => {}
+            EmmMessage::AuthenticationFailure { cause, auts } => {
+                w.u8(*cause);
+                if let Some(auts) = auts {
+                    w.u8(AUTH_FAILURE_PARAM_IEI);
+                    w.lv(auts);
+                }
+            }
             EmmMessage::AttachReject { cause }
-            | EmmMessage::AuthenticationFailure { cause }
             | EmmMessage::SecurityModeReject { cause }
             | EmmMessage::TauReject { cause }
             | EmmMessage::ServiceReject { cause }
@@ -360,9 +374,28 @@ impl EmmMessage {
                 res: r.array("res")?,
             },
             AUTHENTICATION_REJECT => EmmMessage::AuthenticationReject,
-            AUTHENTICATION_FAILURE => EmmMessage::AuthenticationFailure {
-                cause: r.u8("cause")?,
-            },
+            AUTHENTICATION_FAILURE => {
+                let cause = r.u8("cause")?;
+                let auts = match r.remaining() {
+                    0 => None,
+                    _ => match r.u8("auth failure parameter iei")? {
+                        AUTH_FAILURE_PARAM_IEI => {
+                            let auts = r.lv("auts")?;
+                            Some(auts[..].try_into().map_err(|_| NasError::Invalid {
+                                what: "auts length",
+                                value: auts.len() as u64,
+                            })?)
+                        }
+                        iei => {
+                            return Err(NasError::Invalid {
+                                what: "authentication failure iei",
+                                value: iei as u64,
+                            })
+                        }
+                    },
+                };
+                EmmMessage::AuthenticationFailure { cause, auts }
+            }
             SECURITY_MODE_COMMAND => EmmMessage::SecurityModeCommand {
                 ksi: r.u8("ksi")?,
                 eea: r.u8("eea")?,
@@ -464,7 +497,11 @@ mod tests {
             EmmMessage::AuthenticationRequest { ksi: 1, rand: [1; 16], autn: [2; 16] },
             EmmMessage::AuthenticationResponse { res: [3; 8] },
             EmmMessage::AuthenticationReject,
-            EmmMessage::AuthenticationFailure { cause: emm_cause::MAC_FAILURE },
+            EmmMessage::AuthenticationFailure { cause: emm_cause::MAC_FAILURE, auts: None },
+            EmmMessage::AuthenticationFailure {
+                cause: emm_cause::SYNCH_FAILURE,
+                auts: Some([9; 14]),
+            },
             EmmMessage::SecurityModeCommand { ksi: 1, eea: 2, eia: 2 },
             EmmMessage::SecurityModeComplete,
             EmmMessage::SecurityModeReject { cause: 23 },
@@ -499,9 +536,10 @@ mod tests {
         for msg in all_messages() {
             seen.insert(msg.msg_type());
         }
-        // TauAccept appears twice (with/without GUTI) and AttachRequest
-        // twice (IMSI/GUTI), so unique codes = messages - 2.
-        assert_eq!(seen.len(), all_messages().len() - 2);
+        // TauAccept appears twice (with/without GUTI), AttachRequest
+        // twice (IMSI/GUTI) and AuthenticationFailure twice (with and
+        // without AUTS), so unique codes = messages - 3.
+        assert_eq!(seen.len(), all_messages().len() - 3);
     }
 
     #[test]
