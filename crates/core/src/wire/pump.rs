@@ -13,7 +13,7 @@
 use super::{Dest, MlbOut, MlbState, MmpNode, Relay, WireMsg, WireRole, WireTopo};
 use crate::failover::{HealthConfig, HealthTracker};
 use bytes::Bytes;
-use scale_epc::{EmuEvent, EnbEmulator, ENB_BASE};
+use scale_epc::{EmuEvent, EnbEmulator, SeqClock, ENB_BASE};
 use scale_nas::{NasError, Writer};
 use scale_s1ap::S1apPdu;
 use std::collections::VecDeque;
@@ -69,6 +69,12 @@ pub trait Tamper {
     fn reconnects(&mut self) -> bool {
         true
     }
+
+    /// The incarnation a worker restarted for the `restarts`-th time is
+    /// built with: its HSS's SEQ clock ([`SeqClock::Restarts`]).
+    fn incarnation(&mut self, restarts: u64) -> u64 {
+        restarts
+    }
 }
 
 /// Hand a message the MLB routed to a cell to that cell's emulator.
@@ -104,6 +110,8 @@ pub struct Pump {
     /// The workers, by index; `None` while crashed.
     pub workers: Vec<Option<MmpNode>>,
     status: Vec<WorkerStatus>,
+    /// Restarts per worker: the clock of its HSS.
+    restarts: Vec<u64>,
     /// The MLB's failure detector: one missed heartbeat is a death.
     health: HealthTracker,
     /// Every cell's uplink, every worker's inbound link, every worker's
@@ -129,6 +137,7 @@ impl Pump {
                 .map(|i| Some(MmpNode::new(topo, i)))
                 .collect(),
             status: vec![WorkerStatus::Up; topo.n_mmps],
+            restarts: vec![0; topo.n_mmps],
             health: HealthTracker::new(HealthConfig {
                 miss_threshold: 1,
                 error_threshold: u32::MAX,
@@ -303,10 +312,13 @@ impl Pump {
         self.status[worker] = WorkerStatus::CrashedDetected;
     }
 
-    /// Crashed worker `worker` restarts empty and reconnects; the MLB
-    /// marks its VMs up and tells the other workers.
+    /// Crashed worker `worker` restarts empty, its HSS's clock one
+    /// restart on, and reconnects; the MLB marks its VMs up and tells the
+    /// other workers.
     pub fn restart(&mut self, worker: usize, tamper: &mut impl Tamper) {
-        self.workers[worker] = Some(MmpNode::new(&self.topo, worker));
+        self.restarts[worker] += 1;
+        let clock = SeqClock::Restarts(tamper.incarnation(self.restarts[worker]));
+        self.workers[worker] = Some(MmpNode::with_clock(&self.topo, worker, clock));
         self.health.mark_up(worker as u32);
         self.status[worker] = WorkerStatus::Up;
         if tamper.reconnects() {

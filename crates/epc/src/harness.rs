@@ -545,6 +545,24 @@ mod tests {
         assert_eq!(net.ues[0].state, UeState::Active);
     }
 
+    /// The HSS restarts with its SEQ over (a fresh instance at the same
+    /// clock): the re-attach's vector repeats one the USIM accepted, the
+    /// USIM reports a synch failure, and the MME's resynchronising AIR
+    /// gets a vector it accepts — the attach completes.
+    #[test]
+    fn a_stale_vector_is_resynchronised_and_the_attach_completes() {
+        let mut net = network(1);
+        assert!(net.attach(0));
+        assert!(net.detach(0, false), "errors: {:?}", net.errors);
+        net.hss = Hss::new(7);
+        net.hss.provision(&net.ues[0].imsi);
+        assert!(net.attach(0), "errors: {:?}", net.errors);
+        assert!(net.errors.is_empty(), "{:?}", net.errors);
+        assert_eq!(net.cp.stats.resyncs, 1);
+        assert_eq!(net.cp.stats.auth_failures, 0);
+        assert_eq!(net.cp.stats.attaches_completed, 2);
+    }
+
     #[test]
     fn detach_cleans_everything() {
         let mut net = network(1);

@@ -44,7 +44,9 @@ use scale_core::wire::{
     WireMsg, WireRole, WireTopo, WireView, WorkerStatus,
 };
 use scale_core::{BackoffPolicy, HealthTracker, ShardStatsSnapshot};
-use scale_epc::{home_cell, DriveMode, EmuCounts, EmuEvent, EmulatorConfig, EnbEmulator, ProcKind};
+use scale_epc::{
+    home_cell, DriveMode, EmuCounts, EmuEvent, EmulatorConfig, EnbEmulator, ProcKind, SeqClock,
+};
 use scale_nas::{NasError, Writer};
 use scale_sctplite::{
     ppid, BatchItem, EgressUnit, SctpListener, SctpRecvHalf, SctpSendHalf, SctpStream,
@@ -704,7 +706,7 @@ impl MmpLoop {
 /// the MLB closes the association, then prints one `REPORT` line.
 pub fn run_mmp(cfg: &WireRunConfig, index: usize, addr: &str) -> i32 {
     let topo = cfg.topo();
-    let node = MmpNode::new(&topo, index);
+    let node = MmpNode::with_clock(&topo, index, SeqClock::Wall);
     let stream = match connect_retry(addr, 0x4D4D_0000 + index as u32) {
         Ok(s) => s,
         Err(e) => {

@@ -9,7 +9,10 @@
 //! MLB sent them; the reference cluster (`ScaleDc`) runs inside the
 //! EPC harness. Each population is measured after its attach and
 //! first release, and again after it has also run 32 Idle-mode
-//! procedures; what a device holds may grow by at most 5 %.
+//! procedures; what a device holds may grow by at most 5 %. A worker's
+//! bytes per device are also held to an absolute bound: its HSS front
+//! end keeps nothing per subscriber, so they are the device's contexts
+//! and the engines' indexes alone.
 
 use scale_core::cluster::{ScaleConfig, ScaleDc};
 use scale_core::wire::{MmpNode, WireMsg};
@@ -67,6 +70,11 @@ const OPS: usize = 32;
 /// Allowed growth of a device's bytes over `OPS` procedures.
 const FLAT: f64 = 1.05;
 
+/// Heap a worker may hold per device, after any number of procedures:
+/// 589 B after none and 606 B after 32 with a stateless HSS front end;
+/// an HSS that kept a record per subscriber held 663 B and 681 B.
+const WORKER_BYTES_PER_DEVICE: f64 = 620.0;
+
 /// `engine_idle_churn`'s fleet (16 VMs, R = 2) on two workers and two
 /// cells, at a population a debug build replays in seconds.
 fn fleet(ops_per_ue: usize) -> WireRunConfig {
@@ -116,7 +124,8 @@ fn worker_bytes_per_device(cfg: &WireRunConfig) -> f64 {
 }
 
 /// The workers' heap per device after 32 Idle-mode procedures is within
-/// 5 % of what it is after none. (Before every S11 response retired its
+/// 5 % of what it is after none, and both are within
+/// [`WORKER_BYTES_PER_DEVICE`]. (Before every S11 response retired its
 /// transaction, each S1 release left an entry behind: +52 % here.)
 #[test]
 fn a_workers_bytes_per_device_do_not_grow_with_its_procedures() {
@@ -126,6 +135,10 @@ fn a_workers_bytes_per_device_do_not_grow_with_its_procedures() {
     assert!(
         cycled <= settled * FLAT,
         "{settled:.0} → {cycled:.0} B per device over {OPS} procedures"
+    );
+    assert!(
+        settled.max(cycled) <= WORKER_BYTES_PER_DEVICE,
+        "{settled:.0} B and {cycled:.0} B per device, over {WORKER_BYTES_PER_DEVICE} B"
     );
 }
 
