@@ -212,7 +212,7 @@ impl<F: Fn(&Terminal<'_>) -> Result<(), String>> Dfs<'_, F> {
 /// reduction), so keep programs small: total step count ≤ ~16 across
 /// 2–3 threads explores in well under a second.
 pub fn explore(
-    initial: ShimState,
+    initial: &ShimState,
     threads: &[Vec<Instr>],
     check: impl Fn(&Terminal<'_>) -> Result<(), String>,
 ) -> Report {
@@ -262,7 +262,7 @@ mod tests {
             vec![Instr::Add { cell: 0, k: 1 }, Instr::Add { cell: 0, k: 1 }],
             vec![Instr::Add { cell: 0, k: 1 }, Instr::Add { cell: 0, k: 1 }],
         ];
-        let report = explore(ShimState { cells: vec![0] }, &threads, |t| {
+        let report = explore(&ShimState { cells: vec![0] }, &threads, |t| {
             if t.cells[0] == 4 {
                 Ok(())
             } else {
@@ -288,7 +288,7 @@ mod tests {
         // A correct atomic counter would end at 2; the non-atomic
         // version ends at 1 whenever the loads interleave. The checker
         // demands 2, so the explorer must report violations.
-        let report = explore(ShimState { cells: vec![0] }, &threads, |t| {
+        let report = explore(&ShimState { cells: vec![0] }, &threads, |t| {
             if t.cells[0] == 2 {
                 Ok(())
             } else {
@@ -321,7 +321,7 @@ mod tests {
                 Instr::Unlock { cell: 1 },
             ],
         ];
-        let report = explore(ShimState { cells: vec![0, 0] }, &threads, |_| Ok(()));
+        let report = explore(&ShimState { cells: vec![0, 0] }, &threads, |_| Ok(()));
         assert!(
             report.deadlocks > 0,
             "explorer failed to detect the seeded lock-order deadlock"
@@ -343,7 +343,7 @@ mod tests {
             ];
             2
         ];
-        let report = explore(ShimState { cells: vec![0, 0, 0] }, &threads, |t| {
+        let report = explore(&ShimState { cells: vec![0, 0, 0] }, &threads, |t| {
             if t.cells[2] == 2 {
                 Ok(())
             } else {

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! The full run explores the clean suite at the release budget
-//! (≥ 10⁵ distinct states summed) and then the eight-bug mutation
+//! (≥ 10⁵ distinct states summed) and then the ten-bug mutation
 //! matrix; it exits nonzero if any clean scenario violates an
 //! invariant or any seeded bug escapes. The smoke run uses a small
 //! state budget and additionally re-runs the whole suite a second
@@ -173,7 +173,7 @@ fn write_report(
     s.push_str("  \"check\": \"protocol\",\n");
     s.push_str("  \"explorer\": \"replay-based DFS, fingerprint-deduplicated, deterministic\",\n");
     s.push_str(&format!("  \"total_distinct_states\": {total},\n"));
-    s.push_str("  \"invariants\": [\"I1 identity consistency\", \"I2 epoch monotonicity\", \"I3 session safety\", \"I4 replica contract\", \"I5 liveness-map coherence\", \"I6 no transaction outlives its message\", \"I7 no per-device state at the MLB\", \"convergence\", \"zero unexplained errors\"],\n");
+    s.push_str("  \"invariants\": [\"I1 identity consistency\", \"I2 epoch monotonicity\", \"I3 session safety\", \"I4 replica contract\", \"I5 liveness-map coherence\", \"I6 no transaction outlives its message\", \"I7 no per-device state at the MLB\", \"I8 fresh vectors\", \"convergence\", \"zero unexplained errors\"],\n");
     s.push_str("  \"scenarios\": [\n");
     for (i, r) in reports.iter().enumerate() {
         s.push_str(&format!(

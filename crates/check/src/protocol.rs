@@ -50,13 +50,17 @@
 //! * **I1 identity consistency** — every resident `UeContext` holds the
 //!   IMSI the identity scheme assigns its GUTI's M-TMSI.
 //! * **I2 epoch monotonicity** — no plane reader observes the routing
-//!   epoch move backwards along an execution path.
+//!   epoch move backwards along an execution path (its ghost is updated
+//!   after every step of the path, so a regression inside a prefix
+//!   counts too).
 //! * **I3 session safety** — an attach-acknowledged device that has
 //!   completed an Idle edge loses its GUTI only after a crash (the §4.6
 //!   cause-#9 re-attach).
 //! * **I6 no transaction outlives its message** — between any two
 //!   messages no engine holds an open S11 or S6a transaction (checked
 //!   in the adversarial-transport scenario too).
+//! * **I8 fresh vectors** — outside the adversarial-transport scenario
+//!   no USIM refuses a vector as stale: no worker resynchronises.
 //! * **zero unexplained errors** — outside the adversarial-transport
 //!   scenario, no emulator, worker or router error counter moves, no
 //!   message is refused on the wire, and without a crash no worker
@@ -81,7 +85,7 @@
 //! ## Mutation testing
 //!
 //! A green checker is only as good as the bugs it would catch, so
-//! [`Mutation`] seeds eight real protocol bugs at the checker's
+//! [`Mutation`] seeds ten real protocol bugs at the checker's
 //! transport layer (production code is untouched) and
 //! [`mutation_catches`] asserts each one trips an invariant. The
 //! matrix lands in `results/CHECK_protocol.json`.
@@ -90,7 +94,7 @@ use bytes::Bytes;
 use scale_core::wire::{
     shard_of, to_cell, Link, MmpNode, Pump, Tamper, WireMsg, WireTopo, WireView, WorkerStatus,
 };
-use scale_core::{RoutePlane, VmId};
+use scale_core::{RoutePlane, RouteSnapshot, VmId};
 use scale_epc::{imsi_of, DriveMode, EmulatorConfig, EnbEmulator, SlotView, MTMSI_BASE};
 use scale_nas::{emm_cause, EmmMessage, Imsi};
 use scale_s1ap::S1apPdu;
@@ -167,6 +171,15 @@ pub enum Mutation {
     /// refuses a peer's broken one. Caught by the **zero-error**
     /// invariant through the byte path (`Pump::wire_errors`).
     TruncatedUplink,
+    /// A worker's plane, having marked a VM down and up again,
+    /// re-publishes the snapshot it held before the VM went down: the
+    /// same membership and liveness, an older epoch. Routing is
+    /// unchanged, so only **I2** can see it.
+    StaleSnapshot,
+    /// A restarted worker's HSS starts its SEQ clock over, as its first
+    /// incarnation did: it re-issues SEQs a device already accepted.
+    /// Caught by **I8** (the device's USIM reports a synch failure).
+    SeqReuse,
 }
 
 impl Mutation {
@@ -183,12 +196,14 @@ impl Mutation {
             Mutation::RejectWithoutCause => "reject_without_cause",
             Mutation::TauKeepsS1apId => "tau_keeps_s1ap_id",
             Mutation::TruncatedUplink => "truncated_uplink",
+            Mutation::StaleSnapshot => "stale_snapshot",
+            Mutation::SeqReuse => "seq_reuse",
         }
     }
 
     /// Every seeded bug, in report order.
     #[must_use]
-    pub fn all() -> [Mutation; 8] {
+    pub fn all() -> [Mutation; 10] {
         [
             Mutation::DropReplicate,
             Mutation::AckBeforeReplicate,
@@ -198,6 +213,8 @@ impl Mutation {
             Mutation::RejectWithoutCause,
             Mutation::TauKeepsS1apId,
             Mutation::TruncatedUplink,
+            Mutation::StaleSnapshot,
+            Mutation::SeqReuse,
         ]
     }
 }
@@ -262,7 +279,7 @@ impl Scenario {
 /// Why an exploration stopped at a state.
 #[derive(Debug, Clone)]
 pub struct CheckViolation {
-    /// Which invariant tripped (`I1`…`I7`, `convergence`, `errors`).
+    /// Which invariant tripped (`I1`…`I8`, `convergence`, `errors`).
     pub invariant: &'static str,
     /// Human-readable description of the violating state.
     pub detail: String,
@@ -293,6 +310,9 @@ struct Mutator {
     mutation: Mutation,
     /// [`Mutation::TruncatedUplink`] has cut its uplink.
     cut: bool,
+    /// [`Mutation::StaleSnapshot`]: the snapshot a worker's plane held
+    /// before a VM went down.
+    stale: Option<Arc<RouteSnapshot>>,
 }
 
 impl Tamper for Mutator {
@@ -331,7 +351,16 @@ impl Tamper for Mutator {
 
     fn at_worker(&mut self, node: &mut MmpNode, msg: WireMsg, out: &mut Vec<WireMsg>) {
         let kept = id_a_tau_keeps(self.mutation, node, &msg);
+        let stale_snapshot = self.mutation == Mutation::StaleSnapshot;
+        let comes_up = matches!(msg, WireMsg::VmUp { .. });
+        if stale_snapshot && matches!(msg, WireMsg::VmDown { .. }) {
+            self.stale = Some(node.plane().snapshot());
+        }
         node.handle(msg, out);
+        let stale = if comes_up { self.stale.take() } else { None };
+        if let Some(old) = stale {
+            node.plane().republish(old);
+        }
         if let Some((enb_ue_id, old)) = kept {
             keep_s1ap_id(out, enb_ue_id, old);
         }
@@ -363,6 +392,14 @@ impl Tamper for Mutator {
     fn reconnects(&mut self) -> bool {
         self.mutation != Mutation::MissedReconnectMarkUp
     }
+
+    fn incarnation(&mut self, restarts: u64) -> u64 {
+        if self.mutation == Mutation::SeqReuse {
+            0
+        } else {
+            restarts
+        }
+    }
 }
 
 /// The composed deployment under exploration: the [`Pump`] over the
@@ -375,9 +412,11 @@ struct World<'s> {
     crashes_done: u32,
     dupdrops_done: u32,
     /// I2 ghost: last epoch observed per plane (index 0 = MLB, then
-    /// one per worker). Reset on restart (a fresh plane restarts its
-    /// epoch sequence).
+    /// one per worker), after every step. Reset on restart (a fresh
+    /// plane restarts its epoch sequence).
     last_epoch: Vec<u64>,
+    /// I2: the first regression the ghost saw on this path.
+    epoch_regression: Option<String>,
     /// I3 ghost: slots observed to have completed an Idle edge.
     idled_ghost: Vec<Vec<bool>>,
 }
@@ -398,7 +437,7 @@ impl<'s> World<'s> {
             })
             .collect();
         let pump = Pump::new(topo, cells);
-        World {
+        let mut world = World {
             sc,
             idled_ghost: pump
                 .cells
@@ -409,10 +448,27 @@ impl<'s> World<'s> {
             transport: Mutator {
                 mutation: sc.mutation,
                 cut: false,
+                stale: None,
             },
             crashes_done: 0,
             dupdrops_done: 0,
             last_epoch: vec![0; 1 + topo.n_mmps],
+            epoch_regression: None,
+        };
+        world.observe_epochs();
+        world
+    }
+
+    /// I2 ghost: read every live plane's epoch, and keep the first one
+    /// seen to move backwards.
+    fn observe_epochs(&mut self) {
+        for (at, name, plane) in self.planes() {
+            let e = plane.snapshot().epoch;
+            let last = self.last_epoch[at];
+            if e < last && self.epoch_regression.is_none() {
+                self.epoch_regression = Some(format!("{name} plane epoch moved backwards: {last} → {e}"));
+            }
+            self.last_epoch[at] = e;
         }
     }
 
@@ -441,6 +497,7 @@ impl<'s> World<'s> {
                 self.dupdrops_done += 1;
             }
         }
+        self.observe_epochs();
     }
 
     /// Enabled choices, in a deterministic order: every ready link,
@@ -473,14 +530,17 @@ impl<'s> World<'s> {
 
     /// Deterministic state fingerprint: the pump's, the fault budgets
     /// spent, which gate which choices remain, and whether an error was
-    /// counted — so that a state with one is never merged into one
-    /// without and left unchecked.
+    /// counted or an epoch regressed — so that a state with one is never
+    /// merged into one without and left unchecked.
     fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.pump.fingerprint(&mut h);
         (self.crashes_done, self.dupdrops_done).hash(&mut h);
         if self.first_error().is_some() {
             true.hash(&mut h);
+        }
+        if self.epoch_regression.is_some() {
+            2u8.hash(&mut h);
         }
         h.finish()
     }
@@ -513,17 +573,9 @@ impl<'s> World<'s> {
                 }
             }
         }
-        // I2: epoch monotonicity per plane reader.
-        for (at, name, plane) in self.planes() {
-            let e = plane.snapshot().epoch;
-            if e < self.last_epoch[at] {
-                let last = self.last_epoch[at];
-                return Some((
-                    "I2",
-                    format!("{name} plane epoch moved backwards: {last} → {e}"),
-                ));
-            }
-            self.last_epoch[at] = e;
+        // I2: epoch monotonicity per plane reader, along the whole path.
+        if let Some(regression) = &self.epoch_regression {
+            return Some(("I2", regression.clone()));
         }
         // I6: every S11/S6a transaction a worker opened while handling
         // a message was retired before that `handle` returned.
@@ -538,6 +590,16 @@ impl<'s> World<'s> {
         }
         if adversarial {
             return None;
+        }
+        // I8: every vector a worker's HSS issued was fresh to the USIM.
+        for (worker, node) in self.pump.live_workers() {
+            let resyncs = node.resyncs();
+            if resyncs > 0 {
+                return Some((
+                    "I8",
+                    format!("worker {worker}: {resyncs} USIM synch failure(s): a stale SEQ was issued"),
+                ));
+            }
         }
         // I3: session-safety ghost — an acknowledged, Idle-edged device
         // only loses its GUTI through the cause-#9 path, which requires
@@ -883,7 +945,10 @@ pub fn suite(budget: u64) -> Vec<Scenario> {
 
 /// The scenario used to demonstrate that a given seeded bug is caught.
 /// Replica-path bugs use a fault-free run (the contract is exact
-/// there); routing/liveness bugs need a crash episode to arm them.
+/// there); routing/liveness bugs need a crash episode to arm them. A
+/// reused SEQ shows only when the device attaches again at the worker
+/// that restarted, so that bug runs on one worker with the device's
+/// only copy.
 #[must_use]
 pub fn mutation_scenario(m: Mutation, budget: u64) -> Scenario {
     let (name, ops_per_ue, max_crashes) = match m {
@@ -895,7 +960,9 @@ pub fn mutation_scenario(m: Mutation, budget: u64) -> Scenario {
         Mutation::StaleEpochRoute
         | Mutation::MissedReconnectMarkUp
         | Mutation::RejectWithoutCause
-        | Mutation::TauKeepsS1apId => ("mutation_crash_restart", 2, 1),
+        | Mutation::TauKeepsS1apId
+        | Mutation::StaleSnapshot => ("mutation_crash_restart", 2, 1),
+        Mutation::SeqReuse => ("mutation_restart_attach", 0, 1),
     };
     Scenario {
         max_crashes,

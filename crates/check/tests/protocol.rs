@@ -181,3 +181,18 @@ fn catches_truncated_uplink() {
     let v = explore_protocol(&sc).violation.expect("caught");
     assert!(v.detail.contains("EnbToMlb(0) refused"), "{}", v.detail);
 }
+
+/// A worker's plane goes back to an older snapshot with the same
+/// membership and liveness: nothing routes differently, and only the
+/// epoch ghost, read after every step of a path, sees it.
+#[test]
+fn catches_stale_snapshot() {
+    assert_caught(Mutation::StaleSnapshot, &["I2"]);
+}
+
+/// A restarted worker's HSS re-issues a SEQ a device accepted from its
+/// first incarnation; the USIM refuses it and the attach resynchronises.
+#[test]
+fn catches_seq_reuse() {
+    assert_caught(Mutation::SeqReuse, &["I8"]);
+}

@@ -95,7 +95,7 @@ fn publish_then_version_never_tears() {
         Instr::Store { cell: VERSION, v: 2 },
     ];
     let threads = vec![writer, snapshot_reader(), snapshot_reader()];
-    let report = explore(initial, &threads, |t| {
+    let report = explore(&initial, &threads, |t| {
         for (tid, locals) in t.locals.iter().enumerate().skip(1) {
             let (epoch, payload) = selected(locals);
             if epoch != locals[0] {
@@ -129,7 +129,7 @@ fn version_then_publish_tears_and_is_detected() {
         Instr::Store { cell: S2_PAYLOAD, v: 200 },
     ];
     let threads = vec![writer, snapshot_reader()];
-    let report = explore(initial, &threads, |t| {
+    let report = explore(&initial, &threads, |t| {
         let (epoch, payload) = selected(&t.locals[1]);
         if epoch == t.locals[1][0] && payload == 100 * epoch {
             Ok(())
@@ -198,7 +198,7 @@ fn no_route_to_removed_vm_after_epoch_retires() {
         routing_reader(ANNOUNCE_B),
         decommissioner,
     ];
-    let report = explore(initial, &threads, |t| {
+    let report = explore(&initial, &threads, |t| {
         // Torn-bitmap check, as in scenario 1.
         for (tid, locals) in t.locals.iter().enumerate().take(3).skip(1) {
             if locals[0] >= 2 && locals[2] != 1 {
@@ -232,7 +232,7 @@ fn retiring_without_epoch_gate_is_detected() {
         Instr::Store { cell: DVERSION, v: 2 },
     ];
     let threads = vec![writer, routing_reader(ANNOUNCE_A)];
-    let report = explore(initial, &threads, |t| {
+    let report = explore(&initial, &threads, |t| {
         // No gate: claim the VM is retired as soon as the publish
         // lands. Any reader still pinned to the old snapshot disproves
         // the claim.
@@ -273,7 +273,7 @@ fn serialized_publishes_advance_epoch_monotonically() {
         Instr::Load { cell: EVERSION, reg: 2 },
     ];
     let threads = vec![publisher.clone(), publisher, reader.clone(), reader];
-    let report = explore(ShimState { cells: vec![1, 0] }, &threads, |t| {
+    let report = explore(&ShimState { cells: vec![1, 0] }, &threads, |t| {
         if t.cells[EVERSION] != 3 {
             return Err(format!("final epoch {} != 3: a publish was lost", t.cells[EVERSION]));
         }

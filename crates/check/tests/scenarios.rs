@@ -52,7 +52,7 @@ fn counter_concurrent_adds_linearize() {
             ]
         })
         .collect();
-    let report = explore(ShimState { cells: vec![0] }, &threads, |t| {
+    let report = explore(&ShimState { cells: vec![0] }, &threads, |t| {
         if t.cells[COUNT] != 6 {
             return Err(format!("final count {} != 6: an add was lost", t.cells[COUNT]));
         }
@@ -121,7 +121,7 @@ fn gauge_concurrent_stores_last_write_wins() {
         .collect();
     let written: Vec<u64> = vec![10, 11, 20, 21, 30, 31];
     let finals: Vec<u64> = vec![11, 21, 31]; // a thread's last store
-    let report = explore(ShimState { cells: vec![0] }, &threads, |t| {
+    let report = explore(&ShimState { cells: vec![0] }, &threads, |t| {
         if !finals.contains(&t.cells[G]) {
             return Err(format!(
                 "terminal gauge {} is not any thread's final store",
@@ -197,7 +197,7 @@ fn histogram_record_vs_snapshot() {
         Instr::Load { cell: COUNT, reg: 4 },
     ];
     let report = explore(
-        ShimState { cells: vec![0; 4] },
+        &ShimState { cells: vec![0; 4] },
         &[recorder, reader],
         |t| {
             // Terminal state is exact: both records fully applied.
@@ -299,7 +299,7 @@ fn registry_concurrent_registration_is_idempotent() {
             ]
         })
         .collect();
-    let report = explore(ShimState { cells: vec![0; 3] }, &threads, |t| {
+    let report = explore(&ShimState { cells: vec![0; 3] }, &threads, |t| {
         let creators: u64 = t.locals.iter().map(|l| l[CREATED]).sum();
         if creators != 1 {
             return Err(format!("{creators} threads created the entry (want exactly 1)"));

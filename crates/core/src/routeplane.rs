@@ -211,6 +211,14 @@ impl RoutePlane {
         self.snap.store(Arc::new(next));
     }
 
+    /// Put back `snap`, a snapshot this plane published before, as the
+    /// current one, whatever its epoch. Nothing in the deployment does
+    /// this: it is the stale-publish bug the protocol model checker
+    /// seeds, which only its epoch-monotonicity invariant can see.
+    pub fn republish(&self, snap: Arc<RouteSnapshot>) {
+        self.snap.store(snap);
+    }
+
     /// Add a VM to the ring (epoch bump).
     pub fn add_vm(&self, vm: VmId) {
         self.publish(|s| {
