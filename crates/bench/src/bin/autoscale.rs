@@ -107,6 +107,14 @@ fn run_epoch_sim(
 /// artificial cold start no real deployment experiences.
 const WARMUP_EPOCHS: u32 = 4;
 
+/// The closed loop's observation side: the registry the simulation
+/// publishes into, the controller reading it, and the last snapshot.
+struct Observer {
+    reg: Registry,
+    ctl: Autoscaler,
+    prev: Option<Snapshot>,
+}
+
 /// The closed loop's per-epoch pipeline: simulate the epoch on the
 /// current fleet, publish arrivals/delays into the registry, read the
 /// [`Snapshot`] delta back as an [`EpochObservation`], and let the
@@ -118,9 +126,7 @@ fn observe_epoch(
     series_name: &str,
     n_devices: usize,
     vms: u32,
-    reg: &Registry,
-    ctl: &mut Autoscaler,
-    prev: &mut Option<Snapshot>,
+    Observer { reg, ctl, prev }: &mut Observer,
 ) -> (f64, u32) {
     let sink = reg.series(series_name, "per-epoch request sojourn");
     let (counts, _) = run_epoch_sim(trace, epoch, n_devices, vms as usize, Some(sink));
@@ -157,20 +163,19 @@ fn closed_loop(
     let reg = Registry::new();
     let mut ctl = Autoscaler::new(controller_config(), calibrate_sim_demands());
     ctl.attach_observability(&reg);
-    let mut prev: Option<Snapshot> = None;
     let mut vms = ctl.config().min_vms;
+    let mut observer = Observer { reg, ctl, prev: None };
     let mut violations = 0;
     let mut vm_hours = 0.0;
     for k in 0..WARMUP_EPOCHS {
         let e = trace.epochs - WARMUP_EPOCHS + k;
         let name = format!("scale_sim_autoscale_warmup{k}_delay_seconds");
-        (_, vms) = observe_epoch(trace, e, &name, n_devices, vms, &reg, &mut ctl, &mut prev);
+        (_, vms) = observe_epoch(trace, e, &name, n_devices, vms, &mut observer);
     }
     for e in 0..trace.epochs {
         let name = format!("scale_sim_autoscale_epoch{e}_delay_seconds");
         let serving = vms;
-        let (p99, next) =
-            observe_epoch(trace, e, &name, n_devices, serving, &reg, &mut ctl, &mut prev);
+        let (p99, next) = observe_epoch(trace, e, &name, n_devices, serving, &mut observer);
         vm_hours += f64::from(serving) * trace.epoch_s / 3600.0;
         if p99 > SLA_P99_S {
             violations += 1;
@@ -284,8 +289,12 @@ fn scaledc_trajectory(epochs: u32, rows: &mut Vec<Row>) {
     }
 }
 
+/// Per trace shape: the closed loop's day, the static fleet's day, and
+/// the static fleet's size.
+type Outcome = (TraceShape, DayResult, DayResult, u32);
+
 /// One full experiment pass; pure function of its arguments.
-fn experiment(epochs: u32, n_devices: usize) -> (Vec<Row>, Vec<(TraceShape, DayResult, DayResult, u32)>) {
+fn experiment(epochs: u32, n_devices: usize) -> (Vec<Row>, Vec<Outcome>) {
     let mut rows = Vec::new();
     let mut outcomes = Vec::new();
     for shape in TraceShape::all() {

@@ -5,6 +5,7 @@
 //!    (pays propagation even at LOW);
 //!  * SCALE — geo-replicated high-activity devices, offloaded only under
 //!    local overload, remote DC chosen by budget + delay.
+//!
 //! Reports mean ± std of the 99th percentile over seeds.
 
 use scale_bench::{emit, ms, Row};

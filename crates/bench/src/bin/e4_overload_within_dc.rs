@@ -1,6 +1,6 @@
 //! E4-i / Fig 8(a–c): VM overload inside one DC. The legacy system
 //! reacts by reassigning devices (extra signaling on both MMPs, 99th
-//! > 1 s); SCALE's proactive replication lets the MLB spill each
+//! above 1 s); SCALE's proactive replication lets the MLB spill each
 //! Idle→Active request to the lighter replica holder (99th ≈ 250 ms).
 
 use scale_bench::{emit, ms, Row};

@@ -94,19 +94,20 @@ impl ClassResult {
     }
 }
 
-/// Run one simulator configuration and fold per-class delays.
+/// Delays measured per procedure class, and each class's arrival rate.
+type PerClass = (Vec<(Procedure, Samples)>, Vec<(Procedure, f64)>);
+
+/// Run `n_devices` devices offering `total_rps` of `mix` for
+/// `duration_s` through `dc`, and fold per-class delays.
 fn simulate(
     seed: u64,
-    n_vms: usize,
-    assignment: Assignment,
-    holders: Vec<Vec<usize>>,
+    mut dc: DcSim,
     n_devices: usize,
     total_rps: f64,
     mix: ProcedureMix,
     duration_s: f64,
-) -> (Vec<(Procedure, Samples)>, Vec<(Procedure, f64)>) {
+) -> PerClass {
     let stream = device_stream(seed, &uniform_rates(n_devices, total_rps), mix, duration_s);
-    let mut dc = DcSim::new(n_vms, assignment, duration_s).with_holders(holders);
     let mut per_class: Vec<(Procedure, Samples)> = Vec::new();
     for r in &stream {
         let delay = dc.submit(*r);
@@ -178,11 +179,10 @@ fn single_vm(demands: &ServiceDemands, rows: &mut Vec<Row>) {
         let rps = rho / service;
         // Enough virtual time for a stable p99 at every offered load.
         let duration = (40_000.0 / rps).clamp(60.0, 600.0);
+        let dc = DcSim::new(1, Assignment::Pinned, duration).with_holders(placement::pinned(200, 1));
         let (per_class, rates) = simulate(
             0x5CA1E + i as u64,
-            1,
-            Assignment::Pinned,
-            placement::pinned(200, 1),
+            dc,
             200,
             rps,
             ProcedureMix::only(procedure),
@@ -233,11 +233,10 @@ fn fleet(demands: &ServiceDemands, rows: &mut Vec<Row>) {
         } else {
             (Assignment::LeastLoaded, placement::ring(N_DEV, N_VMS, 5, 2))
         };
+        let dc = DcSim::new(N_VMS, assignment, duration).with_holders(holders);
         let (per_class, rates) = simulate(
             0xF1EE7 + i as u64,
-            N_VMS,
-            assignment,
-            holders,
+            dc,
             N_DEV,
             rps,
             mix,

@@ -75,8 +75,8 @@ fn run(strategy: Strategy, seed: u64) -> Vec<f64> {
     // Merge the four homes' streams into one time-ordered sequence so
     // backlog-based offload decisions see the true global state.
     let mut merged: Vec<(usize, scale_sim::Request)> = Vec::new();
-    for home in 0..4 {
-        let rates = scale_sim::uniform_rates(DEV_PER_DC, home_rates[home]);
+    for (home, &rate) in home_rates.iter().enumerate() {
+        let rates = scale_sim::uniform_rates(DEV_PER_DC, rate);
         let stream = scale_sim::device_stream(
             seed + home as u64,
             &rates,

@@ -728,7 +728,7 @@ mod tests {
             assert_ne!(chosen, 2, "m_tmsi {m}: routed to removed VM");
             assert!(!uncached.contains(&2), "m_tmsi {m}: removed VM still held");
             assert!(
-                fresh.mmps().iter().any(|vm| *vm == chosen),
+                fresh.mmps().contains(&chosen),
                 "m_tmsi {m}: routed outside the surviving pool"
             );
         }
@@ -865,7 +865,7 @@ mod proptests {
                 prop_assert!(r.mmps().contains(h));
             }
             // Adding a VM may only insert the new VM into the holder set.
-            let before = holders.clone();
+            let before = holders;
             r.add_mmp(n_vms + 1);
             let after = r.holders(m_tmsi);
             for h in &after {

@@ -36,7 +36,7 @@ mod proptests {
         fn vector_roundtrip(rand in any::<[u8; 16]>(), xres in any::<[u8; 8]>(),
                             autn in any::<[u8; 16]>(), seed in any::<u8>()) {
             let v = EutranVector { rand, xres, autn, kasme: [seed; 32] };
-            let s6a = S6a::AuthInfoAnswer { result: result_code::SUCCESS, vectors: vec![v.clone()] };
+            let s6a = S6a::AuthInfoAnswer { result: result_code::SUCCESS, vectors: vec![v] };
             let msg = s6a.clone().into_msg(1, 2);
             let back = S6a::from_msg(&DiameterMsg::decode(msg.encode()).unwrap()).unwrap();
             prop_assert_eq!(back, s6a);

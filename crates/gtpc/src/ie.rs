@@ -350,7 +350,7 @@ pub fn decode_all(r: &mut Reader) -> Result<Vec<Ie>, DecodeError> {
 mod tests {
     use super::*;
 
-    fn roundtrip(ie: Ie) -> Ie {
+    fn roundtrip(ie: &Ie) -> Ie {
         let mut w = Writer::new();
         ie.encode(&mut w);
         let mut r = Reader::new(w.finish());
@@ -362,9 +362,9 @@ mod tests {
     #[test]
     fn imsi_tbcd_roundtrip() {
         // Odd digit count exercises the 0xf filler nibble.
-        let back = roundtrip(Ie::Imsi("310170123456789".into()));
+        let back = roundtrip(&Ie::Imsi("310170123456789".into()));
         assert_eq!(back, Ie::Imsi("310170123456789".into()));
-        let back = roundtrip(Ie::Imsi("1234".into()));
+        let back = roundtrip(&Ie::Imsi("1234".into()));
         assert_eq!(back, Ie::Imsi("1234".into()));
     }
 
@@ -375,7 +375,7 @@ mod tests {
         assert_eq!(Cause::from_code(16), Cause::RequestAccepted);
         assert_eq!(Cause::from_code(99), Cause::Other(99));
         assert_eq!(Cause::Other(99).code(), 99);
-        assert_eq!(roundtrip(Ie::Cause(Cause::SystemFailure)), Ie::Cause(Cause::SystemFailure));
+        assert_eq!(roundtrip(&Ie::Cause(Cause::SystemFailure)), Ie::Cause(Cause::SystemFailure));
     }
 
     #[test]
@@ -389,7 +389,7 @@ mod tests {
                     ipv4: [10, 0, 0, 1],
                 },
             };
-            assert_eq!(roundtrip(ie.clone()), ie);
+            assert_eq!(roundtrip(&ie), ie);
         }
     }
 
@@ -410,7 +410,7 @@ mod tests {
             qos: Some(BearerQos { qci: 9, arp_priority: 8 }),
             cause: Some(Cause::RequestAccepted),
         };
-        assert_eq!(roundtrip(Ie::BearerContext(bc.clone())), Ie::BearerContext(bc));
+        assert_eq!(roundtrip(&Ie::BearerContext(bc.clone())), Ie::BearerContext(bc));
     }
 
     #[test]
@@ -434,7 +434,7 @@ mod tests {
             instance: 3,
             data: Bytes::from_static(&[1, 2, 3]),
         };
-        assert_eq!(roundtrip(ie.clone()), ie);
+        assert_eq!(roundtrip(&ie), ie);
     }
 
     #[test]

@@ -338,10 +338,10 @@ mod tests {
     use super::*;
     use crate::ie::{iface_type, BearerQos};
 
-    fn roundtrip(msg: Message) {
+    fn roundtrip(msg: &Message) {
         let bytes = msg.encode();
         let back = Message::decode(bytes).unwrap();
-        assert_eq!(back, msg);
+        assert_eq!(&back, msg);
     }
 
     fn sample_bearer() -> BearerContext {
@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn create_session_roundtrip() {
-        roundtrip(Message {
+        roundtrip(&Message {
             teid: 0,
             sequence: 77,
             body: Body::CreateSessionRequest {
@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn create_session_response_roundtrip() {
-        roundtrip(Message {
+        roundtrip(&Message {
             teid: 0x0100_0007,
             sequence: 77,
             body: Body::CreateSessionResponse {
@@ -426,7 +426,7 @@ mod tests {
                 cause: Cause::RequestAccepted,
             },
         ] {
-            roundtrip(Message {
+            roundtrip(&Message {
                 teid: 1,
                 sequence: 2,
                 body,

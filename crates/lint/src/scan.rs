@@ -106,9 +106,7 @@ pub fn scan(src: &str) -> Scanned {
                         j += 1;
                     }
                     if bytes.get(j) == Some(&b'"') && (b == b'r' || j > i + 1) {
-                        for _ in i..=j {
-                            masked.push(b' ');
-                        }
+                        masked.resize(masked.len() + (j + 1 - i), b' ');
                         lit.clear();
                         state = State::RawStr { start: line, offset: i, hashes };
                         i = j;
@@ -204,9 +202,7 @@ pub fn scan(src: &str) -> Scanned {
                     }
                     if seen == hashes {
                         strings.push(StringLit { line: start, offset, text: std::mem::take(&mut lit) });
-                        for _ in i..j {
-                            masked.push(b' ');
-                        }
+                        masked.resize(masked.len() + (j - i), b' ');
                         i = j - 1;
                         state = State::Code;
                     } else {
@@ -370,11 +366,9 @@ pub fn scopes(scanned: &Scanned) -> Scopes {
                         open.pop();
                     }
                 }
-                ';' => {
-                    // An item ended without a block: markers bind to nothing.
-                    if depth == 0 || open.last().map(|r| r.start_depth < depth).unwrap_or(true) {
-                        pending.clear();
-                    }
+                // An item ended without a block: markers bind to nothing.
+                ';' if depth == 0 || open.last().map(|r| r.start_depth < depth).unwrap_or(true) => {
+                    pending.clear();
                 }
                 _ => {}
             }

@@ -629,7 +629,7 @@ mod tests {
         );
         // At the limit exactly, the frame must round-trip.
         let max = Bytes::from(vec![0u8; crate::chunk::MAX_PAYLOAD]);
-        c.send(0, 18, max.clone()).unwrap();
+        c.send(0, 18, max).unwrap();
         let frame = c.poll_egress().unwrap();
         assert_eq!(Frame::decode(frame.encode()).unwrap(), frame);
     }

@@ -20,12 +20,7 @@ async fn mmp_task(mut listener: SctpListener, echoes: usize) {
     }
     // Keep answering heartbeats until the client disconnects or shuts
     // the association down.
-    loop {
-        match s.next_event().await {
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
+    while s.next_event().await.is_ok() {}
 }
 
 #[tokio::test]

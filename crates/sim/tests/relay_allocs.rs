@@ -69,25 +69,26 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, u64, usize) {
 /// short message.
 #[test]
 fn a_length_field_never_sizes_an_allocation_beyond_the_input() {
-    let mut hostile: Vec<(&str, Vec<u8>)> = Vec::new();
     // WireMsg blobs: Replicate and the three PDU-bearing envelopes, each
     // announcing 4 GiB - 1 and carrying four bytes.
-    hostile.push((
-        "replicate blob",
-        [&[6, 0, 0, 0, 1][..], &[0xFF; 4], &[0; 4]].concat(),
-    ));
-    hostile.push((
-        "uplink pdu",
-        [&[2, 0, 0, 0, 1, 0][..], &[0xFF; 4], &[0; 4]].concat(),
-    ));
-    hostile.push((
-        "deliver pdu",
-        [&[3, 0, 0, 0, 1, 0, 0, 0, 0, 1][..], &[0xFF; 4], &[0; 4]].concat(),
-    ));
-    hostile.push((
-        "to-enb pdu",
-        [&[4, 0, 0, 0, 1][..], &[0xFF; 4], &[0; 4]].concat(),
-    ));
+    let hostile: Vec<(&str, Vec<u8>)> = vec![
+        (
+            "replicate blob",
+            [&[6, 0, 0, 0, 1][..], &[0xFF; 4], &[0; 4]].concat(),
+        ),
+        (
+            "uplink pdu",
+            [&[2, 0, 0, 0, 1, 0][..], &[0xFF; 4], &[0; 4]].concat(),
+        ),
+        (
+            "deliver pdu",
+            [&[3, 0, 0, 0, 1, 0, 0, 0, 0, 1][..], &[0xFF; 4], &[0; 4]].concat(),
+        ),
+        (
+            "to-enb pdu",
+            [&[4, 0, 0, 0, 1][..], &[0xFF; 4], &[0; 4]].concat(),
+        ),
+    ];
     for (what, bytes) in &hostile {
         let (res, _, largest) = measured(|| WireMsg::decode(Bytes::from(bytes.clone())));
         assert!(res.is_err(), "{what}: decoded");
