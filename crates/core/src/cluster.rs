@@ -508,6 +508,28 @@ impl ScaleDc {
             .map(|(v, _)| *v)
     }
 
+    /// Pick the VM for a Downlink Data Notification. Its S11 TEID is the
+    /// device's M-TMSI, so it goes to the device's master on the ring:
+    /// the MMP that served the attach, which the TEID's VM byte named
+    /// when the engines minted TEIDs from their S1AP ids (§4.6: the
+    /// S-GW keeps addressing the master). A crashed master is left to
+    /// the failover in [`Self::handle`], which promotes a surviving
+    /// replica; a live master without the state (the ring moved under
+    /// it) hands the DDN to a holder, as an Idle-mode request.
+    fn route_ddn(&mut self, m_tmsi: u32) -> Result<VmId, MmeError> {
+        let master = self
+            .mlb
+            .master(m_tmsi)
+            .ok_or(MmeError::BadState("no MMPs".into()))?;
+        let guti = self.mlb.guti(m_tmsi);
+        match self.mmps.get(&master) {
+            Some(engine) if !engine.holds(&guti) => self
+                .route_with_state(m_tmsi)
+                .ok_or(MmeError::UnknownUe("no state holder")),
+            _ => Ok(master),
+        }
+    }
+
     /// Route one inbound event to `(vm, guti_hint)`.
     fn route(&mut self, ev: &Incoming) -> Result<(VmId, Option<u32>), MmeError> {
         match ev {
@@ -613,11 +635,11 @@ impl ScaleDc {
                 },
             },
             Incoming::S11(msg) => {
-                // Responses route by the sequence's VM byte; requests
-                // (DDN) by the TEID's VM byte.
+                // Responses route by the sequence's VM byte; a request
+                // (DDN) by the M-TMSI its TEID is.
                 use scale_gtpc::Body;
                 let vm = match msg.body {
-                    Body::DownlinkDataNotification { .. } => self.mlb.route_active(msg.teid),
+                    Body::DownlinkDataNotification { .. } => self.route_ddn(msg.teid)?,
                     _ => ((msg.sequence >> 16) & 0xff) as VmId,
                 };
                 Ok((vm, None))
@@ -629,7 +651,7 @@ impl ScaleDc {
     /// Find a live replica able to serve an Active-mode event whose
     /// embedded VM crashed — the explicit state-promotion of §4.6. The
     /// replica is located through the engines' id indices: the S11
-    /// TEID is minted once per session and indexes every copy, so DDN
+    /// TEID is the M-TMSI, which every copy is held under, so DDN
     /// failover always resolves; an MME-UE-S1AP-ID indexes only a copy
     /// decoded for a connection, so unless another VM serves the device
     /// the request is lost (the UE recovers by re-attaching).
@@ -1227,8 +1249,8 @@ mod tests {
 
     #[test]
     fn ddn_fails_over_with_state_promotion() {
-        // The S11 TEID embeds the VM that minted it at attach. Crash
-        // that VM: the DDN must be promoted to a surviving replica,
+        // A DDN goes to the device's master, which served its attach.
+        // Crash that VM: the DDN must be promoted to a surviving replica,
         // which pages the device and serves the whole wake-up.
         let mut net = scale_net(4, 8);
         for ue in 0..8 {

@@ -575,6 +575,9 @@ pub struct MmpNode {
     /// (which also counts in `stats().errors`).
     pub errors: u64,
     error_samples: Vec<String>,
+    /// Events delivered since the engines' last index audit.
+    #[cfg(feature = "verify")]
+    unaudited: usize,
 }
 
 /// What one [`MmpNode::handle`] call writes: what goes to other
@@ -642,6 +645,8 @@ impl MmpNode {
             stats: ShardStatsSnapshot::default(),
             errors: 0,
             error_samples: Vec::new(),
+            #[cfg(feature = "verify")]
+            unaudited: 0,
         }
     }
 
@@ -857,6 +862,26 @@ impl MmpNode {
                     Outgoing::UeDetached { guti } => self.drop_other_holders(vm, guti, emit),
                 }
             }
+        }
+        #[cfg(feature = "verify")]
+        self.audit();
+    }
+
+    /// Audit every engine's id indices ([`MmeCore::check_invariants`])
+    /// once as many events have been delivered as this node holds
+    /// copies: after every event while the node is small, as in the
+    /// model checker, and in time linear in the events on a large one.
+    /// (After every event on a large node, a debug build's worker slowed
+    /// until a socket deployment missed its deadline.)
+    #[cfg(feature = "verify")]
+    fn audit(&mut self) {
+        self.unaudited += 1;
+        if self.unaudited < self.contexts_held() {
+            return;
+        }
+        self.unaudited = 0;
+        for engine in self.engines.values() {
+            engine.check_invariants();
         }
     }
 

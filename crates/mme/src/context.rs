@@ -71,7 +71,9 @@ pub enum Procedure {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BearerState {
     pub ebi: u8,
-    /// Our S11 TEID (embeds the MMP VM id under SCALE).
+    /// Our S11 TEID: the device's M-TMSI once a session exists (`ebi`
+    /// non-zero), 0 before. A DDN resolves through the map the copy
+    /// already lives in, and the replica blob need not carry it.
     pub s11_mme_teid: u32,
     /// S-GW's S11 TEID.
     pub s11_sgw_teid: u32,
@@ -244,16 +246,14 @@ impl UeContext {
 
     /// How many bytes [`Self::to_bytes`] writes.
     fn blob_len(&self) -> usize {
-        let security = if self.security.is_some() { 1 + 32 + 16 + 16 + 4 + 4 + 1 } else { 1 };
+        let security = if self.security.is_some() { 1 + 32 + 16 + 16 + 3 + 3 } else { 1 };
         let external = if self.external_replica_dc.is_some() { 3 } else { 1 };
-        1 + self.imsi.digit_count()
-            + 10
+        8 + Guti::WIRE_LEN
             + 1
-            + 4
             + Tai::WIRE_LEN * (1 + self.tai_list.len())
             + 1
             + 1
-            + 4 * 3
+            + 4 * 2
             + 4 * 2
             + security
             + 8
@@ -263,17 +263,20 @@ impl UeContext {
     /// What [`Self::to_bytes`] writes, appended to `out`. It runs on
     /// every Idle edge, so it writes into the `Vec` itself rather than
     /// through `Writer`, each of whose puts is a call across crates.
+    ///
+    /// Every field at its spec width, and nothing the record can
+    /// rebuild: the IMSI packed (8 bytes), each NAS COUNT in its 24
+    /// bits, the 3-bit KSI in the security presence byte (0 absent, else
+    /// KSI + 1). Neither the MME-UE-S1AP-ID, which every wake mints
+    /// afresh, nor the S11 TEID, which is the M-TMSI, is written.
     fn encode(&self, out: &mut Vec<u8>) {
-        let digits = self.imsi.digit_count();
-        out.push(digits as u8);
-        out.extend_from_slice(&self.imsi.to_ascii()[..digits]);
+        out.extend_from_slice(&self.imsi.packed().to_be_bytes());
         out.extend_from_slice(&self.guti.to_bytes());
         out.push(match self.emm {
             EmmState::Deregistered => 0,
             EmmState::Registering => 1,
             EmmState::Registered => 2,
         });
-        out.extend_from_slice(&self.mme_ue_id.to_be_bytes());
         let put_tai = |out: &mut Vec<u8>, t: &Tai| {
             out.extend_from_slice(&t.plmn.0);
             out.extend_from_slice(&t.tac.to_be_bytes());
@@ -286,7 +289,7 @@ impl UeContext {
         // Bearer.
         let b = &self.bearer;
         out.push(b.ebi);
-        for teid in [b.s11_mme_teid, b.s11_sgw_teid, b.s1u_sgw_teid] {
+        for teid in [b.s11_sgw_teid, b.s1u_sgw_teid] {
             out.extend_from_slice(&teid.to_be_bytes());
         }
         out.extend_from_slice(&b.s1u_sgw_addr);
@@ -295,13 +298,12 @@ impl UeContext {
         match &self.security {
             None => out.push(0),
             Some(sec) => {
-                out.push(1);
+                out.push(1 + (sec.ksi & KSI_MASK));
                 out.extend_from_slice(&sec.keys.kasme);
                 out.extend_from_slice(&sec.keys.k_nas_enc);
                 out.extend_from_slice(&sec.keys.k_nas_int);
-                out.extend_from_slice(&sec.ul_count.to_be_bytes());
-                out.extend_from_slice(&sec.dl_count.to_be_bytes());
-                out.push(sec.ksi);
+                out.extend_from_slice(&sec.ul_count.to_be_bytes()[1..]);
+                out.extend_from_slice(&sec.dl_count.to_be_bytes()[1..]);
             }
         }
         out.extend_from_slice(&self.access_freq.to_bits().to_be_bytes());
@@ -315,10 +317,12 @@ impl UeContext {
     }
 
     /// Inverse of [`Self::to_bytes`]. Restored contexts come back Idle
-    /// with no procedure in flight. Only the encoding `to_bytes` writes
-    /// is accepted: an IMSI of 1–15 ASCII digits, presence bytes of 0 or
-    /// 1 and nothing behind the last field — so a blob that decodes
-    /// encodes back to itself.
+    /// with no procedure in flight and no connection, so no
+    /// MME-UE-S1AP-ID; the S11 TEID is the M-TMSI when a bearer exists.
+    /// Only the encoding `to_bytes` writes is accepted: a canonical
+    /// packed IMSI, a security byte of 0–8, presence bytes of 0 or 1 and
+    /// nothing behind the last field — so a blob that decodes encodes
+    /// back to itself.
     pub fn from_bytes(blob: impl AsRef<[u8]>) -> Result<UeContext, MmeError> {
         let mut tai_list = TaiList::empty();
         let f = read_blob(blob.as_ref(), |tai| tai_list.push(tai))?;
@@ -328,7 +332,7 @@ impl UeContext {
             emm: f.emm,
             ecm: EcmState::Idle,
             procedure: Procedure::None,
-            mme_ue_id: f.keys.mme_ue_id,
+            mme_ue_id: 0,
             enb_ue_id: 0,
             enb_id: 0,
             tai: f.tai,
@@ -362,8 +366,6 @@ impl UeContext {
 pub struct BlobKeys {
     pub imsi: Imsi,
     pub guti: Guti,
-    pub mme_ue_id: u32,
-    pub s11_mme_teid: u32,
     /// The access frequency w_i (§4.5) the epoch's replica allocation
     /// weighs.
     pub access_freq: f64,
@@ -386,11 +388,10 @@ struct BlobFields {
 /// one by one, so a caller after the keys builds nothing.
 fn read_blob(blob: &[u8], mut tai_entry: impl FnMut(Tai)) -> Result<BlobFields, MmeError> {
     let mut r = Cursor(blob);
-    let len = r.u8("imsi")?;
-    let digits = r.take("imsi", usize::from(len))?;
-    let imsi = Imsi::from_ascii(digits).ok_or(NasError::Invalid {
+    let packed = u64::from_be_bytes(r.array("imsi")?);
+    let imsi = Imsi::from_packed(packed).ok_or(NasError::Invalid {
         what: "imsi",
-        value: digits.len() as u64,
+        value: packed,
     })?;
     let guti = Guti::from_bytes(&r.array("guti")?);
     let emm = match r.u8("emm state")? {
@@ -401,40 +402,47 @@ fn read_blob(blob: &[u8], mut tai_entry: impl FnMut(Tai)) -> Result<BlobFields, 
             return Err(MmeError::BadState(format!("emm state {v}")));
         }
     };
-    let mme_ue_id = r.u32("mme ue id")?;
     let tai = read_tai(&mut r)?;
     // The count sizes nothing: each entry is read before it is kept.
     for _ in 0..r.u8("tai list len")? {
         tai_entry(read_tai(&mut r)?);
     }
+    let ebi = r.u8("ebi")?;
     let bearer = BearerState {
-        ebi: r.u8("ebi")?,
-        s11_mme_teid: r.u32("s11 mme teid")?,
+        ebi,
+        s11_mme_teid: if ebi == 0 { 0 } else { guti.m_tmsi },
         s11_sgw_teid: r.u32("s11 sgw teid")?,
         s1u_sgw_teid: r.u32("s1u teid")?,
         s1u_sgw_addr: r.array("s1u addr")?,
         pdn_addr: r.array("pdn addr")?,
     };
-    let security = if present(&mut r, "security present")? {
-        let kasme: [u8; 32] = r.array("kasme")?;
-        let k_nas_enc: [u8; 16] = r.array("k_nas_enc")?;
-        let k_nas_int: [u8; 16] = r.array("k_nas_int")?;
-        let ul_count = r.u32("ul count")?;
-        let dl_count = r.u32("dl count")?;
-        let ksi = r.u8("ksi")?;
-        let mut ctx = NasSecurityContext::new(
-            NasSecurityKeys {
-                kasme,
-                k_nas_enc,
-                k_nas_int,
-            },
-            ksi,
-        );
-        ctx.ul_count = ul_count;
-        ctx.dl_count = dl_count;
-        Some(ctx)
-    } else {
-        None
+    let security = match r.u8("security")? {
+        0 => None,
+        ksi_1 @ 1..=KSI_PRESENT_MAX => {
+            let kasme: [u8; 32] = r.array("kasme")?;
+            let k_nas_enc: [u8; 16] = r.array("k_nas_enc")?;
+            let k_nas_int: [u8; 16] = r.array("k_nas_int")?;
+            let ul_count = r.u24("ul count")?;
+            let dl_count = r.u24("dl count")?;
+            let mut ctx = NasSecurityContext::new(
+                NasSecurityKeys {
+                    kasme,
+                    k_nas_enc,
+                    k_nas_int,
+                },
+                ksi_1 - 1,
+            );
+            ctx.ul_count = ul_count;
+            ctx.dl_count = dl_count;
+            Some(ctx)
+        }
+        v => {
+            return Err(NasError::Invalid {
+                what: "security",
+                value: u64::from(v),
+            }
+            .into())
+        }
     };
     let access_freq_at = blob.len() - r.remaining();
     let access_freq = f64::from_bits(u64::from_be_bytes(r.array("access freq")?));
@@ -454,8 +462,6 @@ fn read_blob(blob: &[u8], mut tai_entry: impl FnMut(Tai)) -> Result<BlobFields, 
         keys: BlobKeys {
             imsi,
             guti,
-            mme_ue_id,
-            s11_mme_teid: bearer.s11_mme_teid,
             access_freq,
             access_freq_at,
         },
@@ -506,6 +512,12 @@ impl<'a> Cursor<'a> {
     fn u32(&mut self, what: &'static str) -> Result<u32, NasError> {
         self.array(what).map(u32::from_be_bytes)
     }
+
+    /// A NAS COUNT: three bytes, read as one array.
+    fn u24(&mut self, what: &'static str) -> Result<u32, NasError> {
+        let [a, b, c] = self.array(what)?;
+        Ok(u32::from_be_bytes([0, a, b, c]))
+    }
 }
 
 /// A [`Tai`] as [`Tai::encode`] writes it.
@@ -513,6 +525,11 @@ fn read_tai(r: &mut Cursor<'_>) -> Result<Tai, NasError> {
     let plmn: [u8; 3] = r.array("tai plmn")?;
     Ok(Tai::new(Plmn(plmn), r.u16("tac")?))
 }
+
+/// The KSI is three bits (TS 24.301 §9.9.3.21); the blob's security
+/// byte is 0 for no context, else KSI + 1.
+const KSI_MASK: u8 = 0x7;
+const KSI_PRESENT_MAX: u8 = KSI_MASK + 1;
 
 /// A presence byte as [`UeContext::to_bytes`] writes it: 0 or 1.
 fn present(r: &mut Cursor<'_>, what: &'static str) -> Result<bool, NasError> {
@@ -525,6 +542,12 @@ fn present(r: &mut Cursor<'_>, what: &'static str) -> Result<bool, NasError> {
         }),
     }
 }
+
+/// Where a blob keeps the GUTI's M-TMSI (its last four bytes, behind the
+/// packed IMSI), and its TAI list's count: behind the GUTI, the EMM
+/// state and the serving TAI.
+const M_TMSI_AT: usize = 8 + Guti::WIRE_LEN - 4;
+const TAI_COUNT_AT: usize = 8 + Guti::WIRE_LEN + 1 + Tai::WIRE_LEN;
 
 /// An Idle copy at rest: the replica blob [`UeContext::to_bytes`]
 /// wrote, followed in the same allocation by the two fields of the Idle
@@ -606,6 +629,22 @@ impl AtRest {
         (word(0), word(4))
     }
 
+    /// The packed IMSI, the M-TMSI and the S11 TEID of the record this
+    /// copy stands for, read where [`UeContext::to_bytes`] puts them —
+    /// the first two at fixed offsets, the EBI that decides the TEID
+    /// right behind the TAI list — without a decode: a DDN asks it of
+    /// one copy, the index audit of every copy. `None` only for bytes
+    /// the encoder did not write.
+    pub(crate) fn ids(&self) -> Option<(u64, u32, u32)> {
+        let b = self.blob();
+        let packed = u64::from_be_bytes(b.get(..8)?.try_into().ok()?);
+        let m_tmsi = u32::from_be_bytes(b.get(M_TMSI_AT..M_TMSI_AT + 4)?.try_into().ok()?);
+        let tais = usize::from(*b.get(TAI_COUNT_AT)?);
+        let ebi = *b.get(TAI_COUNT_AT + 1 + Tai::WIRE_LEN * tais)?;
+        let teid = if ebi == 0 { 0 } else { m_tmsi };
+        Some((packed, m_tmsi, teid))
+    }
+
     /// The Idle record this copy stands for.
     pub(crate) fn decode(&self) -> Result<UeContext, MmeError> {
         let mut ctx = UeContext::from_bytes(self.blob())?;
@@ -651,10 +690,9 @@ mod tests {
         let imsi = Imsi::from_ascii(b"001010000000001").unwrap();
         let mut ctx = UeContext::new(imsi, guti, Tai::new(Plmn::test(), 5));
         ctx.emm = EmmState::Registered;
-        ctx.mme_ue_id = 0x0200_0001;
         ctx.bearer = BearerState {
             ebi: 5,
-            s11_mme_teid: 0x0200_0001,
+            s11_mme_teid: 1234,
             s11_sgw_teid: 99,
             s1u_sgw_teid: 100,
             s1u_sgw_addr: [10, 0, 0, 2],
@@ -673,7 +711,9 @@ mod tests {
     #[test]
     fn serialization_roundtrip() {
         let ctx = sample();
+        assert_eq!(ctx.to_bytes().len(), 127 + 2);
         let back = UeContext::from_bytes(ctx.to_bytes()).unwrap();
+        assert_eq!(back, ctx);
         assert_eq!(back.imsi, ctx.imsi);
         assert_eq!(back.guti, ctx.guti);
         assert_eq!(back.emm, ctx.emm);
@@ -736,6 +776,22 @@ mod tests {
             let want: Vec<Tai> = (1..=tac).map(tai).collect();
             assert_eq!(list.as_slice(), &want[..]);
             assert_eq!(matches!(list.0, Tais::Heap(_)), tac > 3);
+        }
+    }
+
+    #[test]
+    fn a_copy_at_rest_reads_its_ids_where_the_decoder_does() {
+        let mut ctx = sample();
+        for n in 1..=6 {
+            for ebi in [0, 5] {
+                ctx.bearer.ebi = ebi;
+                ctx.bearer.s11_mme_teid = if ebi == 0 { 0 } else { ctx.guti.m_tmsi };
+                let rest = AtRest::import(&ctx.to_bytes());
+                assert_eq!(rest.decode().unwrap(), ctx, "{n} TAIs");
+                let want = (ctx.imsi.packed(), ctx.guti.m_tmsi, ctx.bearer.s11_mme_teid);
+                assert_eq!(rest.ids(), Some(want), "{n} TAIs, EBI {ebi}");
+            }
+            ctx.tai_list.push(Tai::new(Plmn::test(), 0x100 + n));
         }
     }
 

@@ -5,9 +5,11 @@
 //!
 //! The same engine backs every deployment in this reproduction: the
 //! legacy-pool baseline MME, SCALE's MMP VMs (which set `vm_id` so their
-//! identity is embedded in every MME-UE-S1AP-ID and S11 TEID they mint —
-//! the routing trick of §5 "Load Balancing"), the discrete-event
-//! simulator and the tokio prototype.
+//! identity is embedded in every MME-UE-S1AP-ID they mint — the routing
+//! trick of §5 "Load Balancing"), the discrete-event simulator and the
+//! tokio prototype. The S11 TEID is the device's M-TMSI: an engine that
+//! mints M-TMSIs itself embeds its `vm_id` in them, and under SCALE the
+//! MLB assigns them and routes a Downlink Data Notification by the ring.
 
 use crate::context::{AtRest, EcmState, EmmState, Procedure, UeContext};
 use bytes::Bytes;
@@ -211,11 +213,8 @@ pub struct MmeCore {
     by_imsi: HashMap<Imsi, u32>,
     /// Decoded records only: an Active-mode message names the
     /// connection's id, and only a Connected copy has a connection.
+    /// (The S11 TEID needs no map: it is the M-TMSI.)
     by_mme_ue_id: HashMap<u32, u32>,
-    /// S11 MME-TEID → M-TMSI: the TEID is minted once at session
-    /// creation and survives re-mints of the S1AP id, so DDNs always
-    /// resolve (§4.6: the S-GW keeps addressing the master MMP).
-    by_s11_teid: HashMap<u32, u32>,
     next_m_tmsi: u32,
     next_local_id: u32,
     s11_seq: u32,
@@ -248,7 +247,6 @@ impl MmeCore {
             snapshot: OnceLock::new(),
             by_imsi: HashMap::new(),
             by_mme_ue_id: HashMap::new(),
-            by_s11_teid: HashMap::new(),
             next_m_tmsi: 1,
             next_local_id: 1,
             s11_seq,
@@ -348,7 +346,7 @@ impl MmeCore {
     /// counters are excluded: they never steer future message handling,
     /// and folding monotone counters in would defeat the protocol model
     /// checker's visited-set dedup. A copy hashes the same at rest as
-    /// decoded.
+    /// decoded: at rest it has no connection, so no MME-UE-S1AP-ID.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
         let mut keys: Vec<u32> = self.contexts.keys().chain(self.at_rest.keys()).copied().collect();
@@ -360,11 +358,11 @@ impl MmeCore {
                 // Transient fields absent from the replication
                 // serialization still steer the live engine.
                 (ctx.ecm as u8, ctx.procedure as u8).hash(h);
-                (ctx.enb_ue_id, ctx.enb_id).hash(h);
+                (ctx.mme_ue_id, ctx.enb_ue_id, ctx.enb_id).hash(h);
             } else if let Some(rest) = self.at_rest.get(&m_tmsi) {
                 rest.blob().hash(h);
                 (EcmState::Idle as u8, Procedure::None as u8).hash(h);
-                (0u32, rest.tail().0).hash(h);
+                (0u32, 0u32, rest.tail().0).hash(h);
             }
             let aka = self.in_flight.get(&m_tmsi).copied().unwrap_or_default();
             aka.xres.hash(h);
@@ -392,6 +390,73 @@ impl MmeCore {
         self.guti_hint.hash(h);
     }
 
+    /// Audit the id indices against the copies, panicking on the first
+    /// incoherence: no M-TMSI is held both decoded and at rest;
+    /// `by_imsi` and the copies are a bijection; `by_mme_ue_id` names
+    /// decoded records only, each under the id it carries; and every
+    /// copy with a session resolves by its S11 TEID, its M-TMSI.
+    ///
+    /// A worker runs it as often as once per event, so it makes no
+    /// lookup per copy at rest (most of an engine): the pairs (IMSI,
+    /// M-TMSI) of all copies and of `by_imsi`'s entries are compared as
+    /// multisets, by count and by a sum of mixed pairs. `by_imsi` being
+    /// a map, equal multisets are the bijection.
+    #[cfg(feature = "verify")]
+    pub fn check_invariants(&self) {
+        // A sum of well-mixed pairs: equal multisets give equal sums,
+        // and unequal ones collide with odds of about 2^-64.
+        let mix = |packed: u64, m_tmsi: u32| {
+            let mut z = packed ^ u64::from(m_tmsi).rotate_left(32) ^ 0x9e37_79b9_7f4a_7c15;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let resolves = |m_tmsi: u32, teid: u32| {
+            // `m_tmsi_by_s11_teid` looks a TEID up as an M-TMSI and asks
+            // that copy's TEID back: a copy resolves by its TEID exactly
+            // when the TEID is its own key.
+            assert!(
+                teid == 0 || teid == m_tmsi,
+                "M-TMSI {m_tmsi:#x} does not resolve by its S11 TEID {teid:#x}"
+            );
+        };
+        let mut copies = 0u64;
+        for (&m_tmsi, ctx) in &self.contexts {
+            assert!(
+                !self.at_rest.contains_key(&m_tmsi),
+                "M-TMSI {m_tmsi:#x} held both decoded and at rest"
+            );
+            assert_eq!(ctx.guti.m_tmsi, m_tmsi, "a record held under another M-TMSI");
+            resolves(m_tmsi, ctx.bearer.s11_mme_teid);
+            copies = copies.wrapping_add(mix(ctx.imsi.packed(), m_tmsi));
+        }
+        for (&m_tmsi, rest) in &self.at_rest {
+            let Some((packed, guti_m_tmsi, teid)) = rest.ids() else {
+                panic!("M-TMSI {m_tmsi:#x}: a copy at rest that is no blob");
+            };
+            assert_eq!(guti_m_tmsi, m_tmsi, "a copy at rest held under another M-TMSI");
+            resolves(m_tmsi, teid);
+            copies = copies.wrapping_add(mix(packed, m_tmsi));
+        }
+        let indexed = self
+            .by_imsi
+            .iter()
+            .fold(0u64, |sum, (imsi, &m_tmsi)| sum.wrapping_add(mix(imsi.packed(), m_tmsi)));
+        assert_eq!(
+            (self.by_imsi.len(), indexed),
+            (self.contexts.len() + self.at_rest.len(), copies),
+            "by_imsi (entries, pair sum) differs from the copies'"
+        );
+        for (&id, m_tmsi) in &self.by_mme_ue_id {
+            let carried = self.contexts.get(m_tmsi).map(|ctx| ctx.mme_ue_id);
+            assert_eq!(
+                carried,
+                Some(id),
+                "MME-UE-S1AP-ID {id:#x} names M-TMSI {m_tmsi:#x}, which is not decoded under it"
+            );
+        }
+    }
+
     /// S11 and S6a requests sent and not yet answered. A worker answers
     /// both inline, so this is zero between the events it handles.
     pub fn open_transactions(&self) -> usize {
@@ -406,11 +471,15 @@ impl MmeCore {
         self.by_mme_ue_id.get(&id).copied()
     }
 
-    /// Same, by S11 TEID (Downlink Data Notification failover: the
-    /// TEID is minted once at session creation, so replica copies keep
-    /// it indexed across Idle/Active cycles).
+    /// Same, by S11 TEID (Downlink Data Notification failover): the
+    /// TEID is the M-TMSI of a copy with a session, at rest or decoded,
+    /// so every copy resolves by it through the map it lives in.
     pub fn m_tmsi_by_s11_teid(&self, teid: u32) -> Option<u32> {
-        self.by_s11_teid.get(&teid).copied()
+        let held = match self.contexts.get(&teid) {
+            Some(ctx) => ctx.bearer.s11_mme_teid,
+            None => self.at_rest.get(&teid)?.ids()?.2,
+        };
+        (teid != 0 && held == teid).then_some(teid)
     }
 
     /// Export a device's state for replication/transfer.
@@ -427,34 +496,20 @@ impl MmeCore {
     /// Import a replicated/transferred device state, at rest: the bytes
     /// are copied as they came, and only their index keys are read
     /// ([`UeContext::peek`]). Overwrites any existing copy of the same
-    /// M-TMSI (replica refresh), and with it the ids only the replaced
-    /// copy was indexed under: the serving engine mints a fresh
-    /// MME-UE-S1AP-ID per signalling connection, so a holder that kept
-    /// the old entries would grow by one per Service Request its
-    /// devices ever make.
+    /// M-TMSI (replica refresh), and with it the connection id only a
+    /// replaced decoded copy was indexed under: the serving engine
+    /// mints a fresh MME-UE-S1AP-ID per signalling connection, so a
+    /// holder that kept the old entries would grow by one per Service
+    /// Request its devices ever make.
     pub fn import_state(&mut self, blob: impl AsRef<[u8]>) -> Result<Guti, MmeError> {
         self.drop_snapshot();
         let blob = blob.as_ref();
         let keys = UeContext::peek(blob)?;
-        let (m_tmsi, s11_teid) = (keys.guti.m_tmsi, keys.s11_mme_teid);
-        let old_teid = match self.contexts.remove(&m_tmsi) {
-            Some(old) => {
-                unindex(&mut self.by_mme_ue_id, old.mme_ue_id, m_tmsi);
-                Some(old.bearer.s11_mme_teid)
-            }
-            None => self
-                .at_rest
-                .get(&m_tmsi)
-                .and_then(|old| UeContext::peek(old.blob()).ok())
-                .map(|old| old.s11_mme_teid),
-        };
-        if let Some(old) = old_teid.filter(|&old| old != s11_teid) {
-            unindex(&mut self.by_s11_teid, old, m_tmsi);
+        let m_tmsi = keys.guti.m_tmsi;
+        if let Some(old) = self.contexts.remove(&m_tmsi) {
+            unindex(&mut self.by_mme_ue_id, old.mme_ue_id, m_tmsi);
         }
         self.by_imsi.insert(keys.imsi, m_tmsi);
-        if s11_teid != 0 {
-            self.by_s11_teid.insert(s11_teid, m_tmsi);
-        }
         // A copy arrives with no procedure in flight.
         if let Some(f) = self.in_flight.get_mut(&m_tmsi) {
             f.end_aka();
@@ -477,7 +532,6 @@ impl MmeCore {
         };
         if let Ok(keys) = UeContext::peek(rest.blob()) {
             self.by_imsi.remove(&keys.imsi);
-            self.by_s11_teid.remove(&keys.s11_mme_teid);
         }
         self.pending_ho.remove(&m_tmsi);
         self.in_flight.remove(&m_tmsi);
@@ -490,7 +544,6 @@ impl MmeCore {
         let ctx = self.contexts.remove(&m_tmsi)?;
         self.by_imsi.remove(&ctx.imsi);
         unindex(&mut self.by_mme_ue_id, ctx.mme_ue_id, m_tmsi);
-        self.by_s11_teid.remove(&ctx.bearer.s11_mme_teid);
         self.pending_ho.remove(&m_tmsi);
         self.in_flight.remove(&m_tmsi);
         Some(ctx)
@@ -577,22 +630,26 @@ impl MmeCore {
     pub fn allocate_m_tmsi(&mut self) -> u32 {
         self.drop_snapshot();
         loop {
-            let m = self.next_m_tmsi;
-            self.next_m_tmsi += 1;
+            let m = self.mint_m_tmsi();
             if !self.contexts.contains_key(&m) && !self.at_rest.contains_key(&m) {
                 return m;
             }
         }
     }
 
+    /// The next M-TMSI of this engine's own space, with its VM id in the
+    /// top byte: the M-TMSI is the S11 TEID, and a pool that routes a
+    /// DDN by the TEID's top byte finds the engine that minted it.
+    fn mint_m_tmsi(&mut self) -> u32 {
+        let m = compose_id(self.config.vm_id, self.next_m_tmsi);
+        self.next_m_tmsi += 1;
+        m
+    }
+
     fn alloc_guti(&mut self) -> Guti {
         let m_tmsi = match self.guti_hint.take() {
             Some(m) => m,
-            None => {
-                let m = self.next_m_tmsi;
-                self.next_m_tmsi += 1;
-                m
-            }
+            None => self.mint_m_tmsi(),
         };
         Guti {
             plmn: self.config.plmn,
@@ -781,7 +838,7 @@ impl MmeCore {
     }
 
     /// Decoded record by M-TMSI. The id maps (`by_mme_ue_id`,
-    /// `by_s11_teid`, `by_imsi`) are kept in sync with the copies, so a
+    /// `by_imsi`) are kept in sync with the copies, so a
     /// resolved id normally has one — but a purge racing a resolved id
     /// must surface as a protocol error, not a panic.
     fn ctx(&self, m_tmsi: u32) -> Result<&UeContext, MmeError> {
@@ -962,15 +1019,11 @@ impl MmeCore {
 
     fn create_session(&mut self, m_tmsi: u32, imsi: Imsi) -> Result<Outgoing, MmeError> {
         let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
-        // A re-attach re-mints the TEID: the old one's entry goes, as
-        // in `import_state`, if it still names this device.
-        let (old, teid) = (ctx.bearer.s11_mme_teid, ctx.mme_ue_id);
+        // The TEID is the M-TMSI, so it resolves through `contexts` and
+        // `at_rest` like the device's other ids.
+        let teid = m_tmsi;
         ctx.bearer.s11_mme_teid = teid;
         ctx.bearer.ebi = 5;
-        if old != teid {
-            unindex(&mut self.by_s11_teid, old, m_tmsi);
-        }
-        self.by_s11_teid.insert(teid, m_tmsi);
         let msg = gtpc::Message {
             teid: 0,
             sequence: self.next_s11_seq(m_tmsi),
@@ -1197,7 +1250,9 @@ impl MmeCore {
     /// The USIM refused the challenge. A synch failure (#21) with its
     /// AUTS, on the first vector of this attach, asks the HSS for a
     /// fresh vector with RAND ‖ AUTS as Re-Synchronization-Info (TS
-    /// 33.102 §6.3.5); anything else ends the attach.
+    /// 33.102 §6.3.5); anything else — a MAC failure (#20), a second
+    /// synch failure — ends the attach with Authentication Reject
+    /// ([`Self::reject_authentication`]).
     fn auth_failure(
         &mut self,
         m_tmsi: u32,
@@ -1213,10 +1268,7 @@ impl MmeCore {
             && ctx.procedure == Procedure::AwaitAuthResponse
             && !resynced;
         let (Some(auts), Some(rand), true) = (auts, rand, resync) else {
-            self.stats.auth_failures += 1;
-            ctx.procedure = Procedure::None;
-            ctx.emm = EmmState::Deregistered;
-            return Ok(vec![]);
+            return self.reject_authentication(m_tmsi);
         };
         ctx.procedure = Procedure::AwaitAuthVector;
         let imsi = ctx.imsi.to_string();
@@ -1253,19 +1305,10 @@ impl MmeCore {
         aka.end_aka();
         self.settle(m_tmsi);
         let xres = xres.ok_or(MmeError::BadState("no XRES".into()))?;
-        let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
         if res != xres {
-            self.stats.auth_failures += 1;
-            ctx.emm = EmmState::Deregistered;
-            ctx.procedure = Procedure::None;
-            let out = S1apPdu::DownlinkNasTransport {
-                mme_ue_id: ctx.mme_ue_id,
-                enb_ue_id: ctx.enb_ue_id,
-                nas_pdu: EmmMessage::AuthenticationReject.encode(),
-            };
-            let enb_id = ctx.enb_id;
-            return Ok(vec![Outgoing::S1ap { enb_id, pdu: out }]);
+            return self.reject_authentication(m_tmsi);
         }
+        let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
         // Derive the NAS security context from the vector's K_ASME.
         let kasme = kasme.ok_or(MmeError::BadState("no K_ASME".into()))?;
         let keys = NasSecurityKeys::from_kasme(kasme);
@@ -1285,6 +1328,37 @@ impl MmeCore {
             nas_pdu: wire,
         };
         Ok(vec![Outgoing::S1ap { enb_id, pdu }])
+    }
+
+    /// Authentication failed (TS 24.301 §5.4.2.5–5.4.2.7): Authentication
+    /// Reject, then a UE Context Release Command. The device is
+    /// deregistered; its Release Complete puts the copy to rest like any
+    /// release, so the connection's S1AP id leaves the index and the
+    /// procedure is no longer in flight anywhere.
+    fn reject_authentication(&mut self, m_tmsi: u32) -> Result<Vec<Outgoing>, MmeError> {
+        self.stats.auth_failures += 1;
+        let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
+        ctx.emm = EmmState::Deregistered;
+        ctx.procedure = Procedure::AwaitReleaseComplete;
+        let (enb_id, mme_ue_id, enb_ue_id) = (ctx.enb_id, ctx.mme_ue_id, ctx.enb_ue_id);
+        Ok(vec![
+            Outgoing::S1ap {
+                enb_id,
+                pdu: S1apPdu::DownlinkNasTransport {
+                    mme_ue_id,
+                    enb_ue_id,
+                    nas_pdu: EmmMessage::AuthenticationReject.encode(),
+                },
+            },
+            Outgoing::S1ap {
+                enb_id,
+                pdu: S1apPdu::UeContextReleaseCommand {
+                    mme_ue_id,
+                    enb_ue_id,
+                    cause: s1_cause::NAS_AUTHENTICATION_FAILURE,
+                },
+            },
+        ])
     }
 
     fn smc_complete(&mut self, m_tmsi: u32) -> Result<Vec<Outgoing>, MmeError> {
@@ -1698,9 +1772,8 @@ impl MmeCore {
             gtpc::Body::ReleaseAccessBearersResponse { .. } => Ok(vec![]),
             gtpc::Body::DownlinkDataNotification { .. } => {
                 // TEID addresses the UE's MME-side S11 endpoint.
-                let m_tmsi = *self
-                    .by_s11_teid
-                    .get(&msg.teid)
+                let m_tmsi = self
+                    .m_tmsi_by_s11_teid(msg.teid)
                     .ok_or(MmeError::UnknownUe("s11 teid"))?;
                 self.wake(m_tmsi)?;
                 let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
@@ -1828,7 +1901,7 @@ mod tests {
     use super::*;
     use scale_nas::{Plmn, Tai};
 
-    fn replica(m_tmsi: u32, mme_ue_id: u32, s11_teid: u32) -> Bytes {
+    fn replica(m_tmsi: u32, mme_ue_id: u32, ebi: u8) -> Bytes {
         let guti = Guti {
             plmn: Plmn::test(),
             mme_group_id: 0x8001,
@@ -1839,7 +1912,8 @@ mod tests {
         let mut ctx = UeContext::new(imsi, guti, Tai::new(Plmn::test(), 7));
         ctx.emm = EmmState::Registered;
         ctx.mme_ue_id = mme_ue_id;
-        ctx.bearer.s11_mme_teid = s11_teid;
+        ctx.bearer.ebi = ebi;
+        ctx.bearer.s11_mme_teid = if ebi == 0 { 0 } else { m_tmsi };
         ctx.to_bytes()
     }
 
@@ -1847,45 +1921,38 @@ mod tests {
     fn a_refreshed_replica_is_indexed_under_its_newest_ids_only() {
         // One device, refreshed a thousand times, each copy minted under
         // a fresh MME-UE-S1AP-ID by its serving engine (one per Service
-        // Request); every tenth refresh the S11 TEID moves as well. A
-        // copy at rest is indexed by IMSI and S11 TEID, never by the
-        // S1AP id of a connection it does not have.
+        // Request). A copy at rest is indexed by IMSI and found by its
+        // S11 TEID, its M-TMSI, never by the S1AP id of a connection it
+        // does not have.
         let mut holder = MmeCore::new(MmeConfig::default());
         let m_tmsi = 0x0100_0007;
-        let (id_of, teid_of) = (|k: u32| 0x0200_0000 + k, |k: u32| 0x0300_0000 + k / 10);
+        let id_of = |k: u32| 0x0200_0000 + k;
         let mut guti = None;
         for k in 0..1000 {
-            guti = Some(holder.import_state(replica(m_tmsi, id_of(k), teid_of(k))).unwrap());
+            guti = Some(holder.import_state(replica(m_tmsi, id_of(k), 5)).unwrap());
         }
         assert_eq!(holder.context_count(), 1);
         for k in 0..1000 {
             assert_eq!(holder.m_tmsi_by_mme_ue_id(id_of(k)), None, "id of refresh {k} indexed");
         }
-        for k in (0..990).step_by(10) {
-            assert_eq!(holder.m_tmsi_by_s11_teid(teid_of(k)), None, "TEID of refresh {k} left behind");
-        }
-        assert_eq!(holder.m_tmsi_by_s11_teid(teid_of(999)), Some(m_tmsi));
-        assert_eq!(
-            (holder.by_mme_ue_id.len(), holder.by_s11_teid.len(), holder.by_imsi.len()),
-            (0, 1, 1)
-        );
+        assert_eq!(holder.m_tmsi_by_s11_teid(m_tmsi), Some(m_tmsi));
+        assert_eq!((holder.by_mme_ue_id.len(), holder.by_imsi.len()), (0, 1));
 
         assert!(holder.remove_context(&guti.unwrap()));
         assert_eq!(holder.context_count(), 0);
         assert!(holder.by_imsi.is_empty() && holder.by_mme_ue_id.is_empty());
-        assert!(holder.by_s11_teid.is_empty());
+        assert_eq!(holder.m_tmsi_by_s11_teid(m_tmsi), None);
     }
 
     #[test]
-    fn a_refresh_leaves_an_id_another_device_has_since_taken() {
-        // Ids are minted per serving engine, so two devices' copies can
-        // carry the same one on a holder; the later import owns it.
+    fn the_s11_teid_resolves_only_for_a_copy_with_a_session() {
         let mut holder = MmeCore::new(MmeConfig::default());
-        holder.import_state(replica(1, 0x55, 0x66)).unwrap();
-        holder.import_state(replica(2, 0x55, 0x66)).unwrap();
-        holder.import_state(replica(1, 0x77, 0x88)).unwrap();
-        assert_eq!(holder.m_tmsi_by_s11_teid(0x66), Some(2));
-        assert_eq!(holder.m_tmsi_by_s11_teid(0x88), Some(1));
+        holder.import_state(replica(1, 0x55, 5)).unwrap();
+        holder.import_state(replica(2, 0x55, 0)).unwrap();
+        assert_eq!(holder.m_tmsi_by_s11_teid(1), Some(1));
+        assert_eq!(holder.m_tmsi_by_s11_teid(2), None, "no bearer, no TEID");
+        assert_eq!(holder.m_tmsi_by_s11_teid(0), None);
+        assert_eq!(holder.m_tmsi_by_s11_teid(3), None);
         assert!(holder.by_mme_ue_id.is_empty());
     }
 
@@ -2062,19 +2129,175 @@ mod tests {
     }
 
     #[test]
-    fn a_re_attach_leaves_only_its_newest_s11_teid_indexed() {
-        let mut engine = MmeCore::new(MmeConfig::default());
+    fn the_s11_teid_is_the_m_tmsi_across_re_attaches() {
+        let mut engine = MmeCore::new(MmeConfig {
+            vm_id: 4,
+            ..MmeConfig::default()
+        });
         let mut guti = None;
         for k in 0..10 {
             guti = Some(crate::flow_tests::run_attach(&mut engine, "001010000000001", k + 1).0);
         }
-        let ctx = engine.context(&guti.unwrap()).unwrap();
-        let teid = ctx.bearer.s11_mme_teid;
-        assert_eq!(
-            engine.by_s11_teid.iter().collect::<Vec<_>>(),
-            vec![(&teid, &ctx.guti.m_tmsi)],
-            "ten attaches of one device"
-        );
+        let guti = guti.unwrap();
+        // Minted here, so the M-TMSI (and with it the TEID) names VM 4.
+        assert_eq!(vm_of_id(guti.m_tmsi), 4);
+        assert_eq!(engine.context(&guti).unwrap().bearer.s11_mme_teid, guti.m_tmsi);
+        assert_eq!(engine.m_tmsi_by_s11_teid(guti.m_tmsi), Some(guti.m_tmsi));
+        assert_eq!(engine.context_count(), 1, "ten attaches of one device");
+    }
+
+    /// An IMSI attach on `engine` up to the Authentication Request:
+    /// the M-TMSI and MME-UE-S1AP-ID it runs under.
+    fn challenged(engine: &mut MmeCore, enb_ue_id: u32) -> (u32, u32) {
+        let attach = EmmMessage::AttachRequest {
+            attach_type: 1,
+            id: MobileId::Imsi("001010000000031".into()),
+            tai: Tai::new(Plmn::test(), 7),
+        };
+        let out = engine
+            .handle(Incoming::S1ap {
+                enb_id: crate::flow_tests::ENB,
+                pdu: S1apPdu::InitialUeMessage {
+                    enb_ue_id,
+                    nas_pdu: attach.encode(),
+                    tai: Tai::new(Plmn::test(), 7),
+                    establishment_cause: 3,
+                    s_tmsi: None,
+                },
+            })
+            .unwrap();
+        let [Outgoing::S6a(air)] = &out[..] else {
+            panic!("expected AIR, got {out:?}");
+        };
+        answer_air(engine, air)
+    }
+
+    /// Answer `air` with one vector: the Authentication Request's ids.
+    fn answer_air(engine: &mut MmeCore, air: &DiameterMsg) -> (u32, u32) {
+        let aia = S6a::AuthInfoAnswer {
+            result: result_code::SUCCESS,
+            vectors: vec![EutranVector {
+                rand: [1; 16],
+                xres: [7; 8],
+                autn: [2; 16],
+                kasme: [9; 32],
+            }],
+        }
+        .into_msg(air.hop_by_hop, air.end_to_end);
+        let out = engine.handle(Incoming::S6a(aia)).unwrap();
+        let [Outgoing::S1ap {
+            pdu: S1apPdu::DownlinkNasTransport { mme_ue_id, .. },
+            ..
+        }] = &out[..]
+        else {
+            panic!("expected an Authentication Request, got {out:?}");
+        };
+        (engine.tmsi_of(*mme_ue_id).unwrap(), *mme_ue_id)
+    }
+
+    fn uplink(engine: &mut MmeCore, mme_ue_id: u32, enb_ue_id: u32, msg: &EmmMessage) -> Vec<Outgoing> {
+        engine
+            .handle(Incoming::S1ap {
+                enb_id: crate::flow_tests::ENB,
+                pdu: S1apPdu::UplinkNasTransport {
+                    mme_ue_id,
+                    enb_ue_id,
+                    nas_pdu: msg.encode(),
+                    tai: Tai::new(Plmn::test(), 7),
+                },
+            })
+            .unwrap()
+    }
+
+    /// `out` is Authentication Reject and then the release of the same
+    /// connection (TS 24.301 §5.4.2.5–5.4.2.7); the Release Complete
+    /// that answers it leaves no S1AP id indexed and nothing in flight.
+    fn assert_rejected_and_released(engine: &mut MmeCore, m_tmsi: u32, out: &[Outgoing]) {
+        let [Outgoing::S1ap {
+            enb_id,
+            pdu: S1apPdu::DownlinkNasTransport { nas_pdu, mme_ue_id, enb_ue_id },
+        }, Outgoing::S1ap {
+            enb_id: release_enb,
+            pdu: S1apPdu::UeContextReleaseCommand {
+                mme_ue_id: release_id,
+                enb_ue_id: release_enb_ue_id,
+                cause,
+            },
+        }] = out
+        else {
+            panic!("expected Authentication Reject + UE Context Release Command, got {out:?}");
+        };
+        assert_eq!(EmmMessage::decode(nas_pdu.clone()).unwrap(), EmmMessage::AuthenticationReject);
+        assert_eq!((release_enb, release_id, release_enb_ue_id), (enb_id, mme_ue_id, enb_ue_id));
+        assert_eq!(*cause, s1_cause::NAS_AUTHENTICATION_FAILURE);
+        let done = engine
+            .handle(Incoming::S1ap {
+                enb_id: *enb_id,
+                pdu: S1apPdu::UeContextReleaseComplete {
+                    mme_ue_id: *mme_ue_id,
+                    enb_ue_id: *enb_ue_id,
+                },
+            })
+            .unwrap();
+        assert!(matches!(&done[..], [Outgoing::UeIdle { guti }] if guti.m_tmsi == m_tmsi), "{done:?}");
+        assert!(engine.by_mme_ue_id.is_empty(), "{:?}", engine.by_mme_ue_id);
+        assert!(engine.in_flight.is_empty(), "{:?}", engine.in_flight);
+        assert_eq!(engine.open_transactions(), 0);
+        assert_eq!(engine.stats.auth_failures, 1);
+        assert_eq!(engine.ecm(&guti_of(m_tmsi)), Some(EcmState::Idle));
+    }
+
+    /// The GUTI a default-configured engine allocates with `m_tmsi`.
+    fn guti_of(m_tmsi: u32) -> Guti {
+        let config = MmeConfig::default();
+        Guti {
+            plmn: config.plmn,
+            mme_group_id: config.mme_group_id,
+            mme_code: config.mme_code,
+            m_tmsi,
+        }
+    }
+
+    #[test]
+    fn a_wrong_res_is_rejected_and_its_connection_released() {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let (m_tmsi, mme_ue_id) = challenged(&mut engine, 4);
+        let out = uplink(&mut engine, mme_ue_id, 4, &EmmMessage::AuthenticationResponse { res: [0; 8] });
+        assert_rejected_and_released(&mut engine, m_tmsi, &out);
+        let ctx = engine.context(&guti_of(m_tmsi)).unwrap();
+        assert_eq!((ctx.emm, ctx.procedure), (EmmState::Deregistered, Procedure::None));
+    }
+
+    #[test]
+    fn a_mac_failure_is_rejected_and_its_connection_released() {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let (m_tmsi, mme_ue_id) = challenged(&mut engine, 5);
+        let failure = EmmMessage::AuthenticationFailure {
+            cause: scale_nas::emm_cause::MAC_FAILURE,
+            auts: None,
+        };
+        let out = uplink(&mut engine, mme_ue_id, 5, &failure);
+        assert_rejected_and_released(&mut engine, m_tmsi, &out);
+    }
+
+    #[test]
+    fn a_second_synch_failure_is_rejected_and_its_connection_released() {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let (m_tmsi, mme_ue_id) = challenged(&mut engine, 6);
+        let failure = EmmMessage::AuthenticationFailure {
+            cause: scale_nas::emm_cause::SYNCH_FAILURE,
+            auts: Some([3; 14]),
+        };
+        // The first asks the HSS to resynchronise …
+        let out = uplink(&mut engine, mme_ue_id, 6, &failure);
+        let [Outgoing::S6a(air)] = &out[..] else {
+            panic!("expected a resynchronising AIR, got {out:?}");
+        };
+        assert_eq!(answer_air(&mut engine, air), (m_tmsi, mme_ue_id));
+        // … the second ends the attach.
+        let out = uplink(&mut engine, mme_ue_id, 6, &failure);
+        assert_rejected_and_released(&mut engine, m_tmsi, &out);
+        assert_eq!(engine.stats.resyncs, 1);
     }
 
     #[test]
@@ -2121,6 +2344,67 @@ mod tests {
             );
         }
         assert_eq!((engine.context_count(), engine.stats.rejects), (0, 3));
+    }
+
+    /// An engine with a device at rest, one Connected, and a replica.
+    #[cfg(feature = "verify")]
+    fn audited() -> MmeCore {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let (_, mme_ue_id, _) = crate::flow_tests::run_attach(&mut engine, "001010000000001", 1);
+        crate::flow_tests::run_idle(&mut engine, mme_ue_id, 1);
+        crate::flow_tests::run_attach(&mut engine, "001010000000002", 2);
+        engine.import_state(replica(0x0100_0007, 0x55, 5)).unwrap();
+        engine.check_invariants();
+        engine
+    }
+
+    #[cfg(feature = "verify")]
+    #[test]
+    #[should_panic(expected = "by_imsi")]
+    fn the_audit_catches_an_imsi_entry_left_behind() {
+        let mut engine = audited();
+        engine.by_imsi.insert(Imsi::from_ascii(b"001019999").unwrap(), 0x0100_0007);
+        engine.check_invariants();
+    }
+
+    #[cfg(feature = "verify")]
+    #[test]
+    #[should_panic(expected = "by_imsi")]
+    fn the_audit_catches_an_imsi_indexed_to_another_copy() {
+        let mut engine = audited();
+        let imsi = Imsi::from_ascii(b"001010000000001").unwrap();
+        let other = *engine.by_imsi.get(&Imsi::from_ascii(b"001010000000002").unwrap()).unwrap();
+        engine.by_imsi.insert(imsi, other);
+        engine.check_invariants();
+    }
+
+    #[cfg(feature = "verify")]
+    #[test]
+    #[should_panic(expected = "both decoded and at rest")]
+    fn the_audit_catches_a_copy_in_both_forms() {
+        let mut engine = audited();
+        let (&m_tmsi, ctx) = engine.contexts.iter().next().unwrap();
+        let rest = AtRest::import(&ctx.to_bytes());
+        engine.at_rest.insert(m_tmsi, rest);
+        engine.check_invariants();
+    }
+
+    #[cfg(feature = "verify")]
+    #[test]
+    #[should_panic(expected = "not decoded under it")]
+    fn the_audit_catches_a_connection_id_naming_a_copy_at_rest() {
+        let mut engine = audited();
+        engine.by_mme_ue_id.insert(0x0100_0099, 0x0100_0007);
+        engine.check_invariants();
+    }
+
+    #[cfg(feature = "verify")]
+    #[test]
+    #[should_panic(expected = "does not resolve by its S11 TEID")]
+    fn the_audit_catches_a_teid_that_is_not_the_m_tmsi() {
+        let mut engine = audited();
+        engine.contexts.values_mut().next().unwrap().bearer.s11_mme_teid = 0x0100_0001;
+        engine.check_invariants();
     }
 
     #[test]

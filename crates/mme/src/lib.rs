@@ -162,7 +162,6 @@ mod flow_tests {
             gtpc::Body::CreateSessionRequest { sender_fteid, .. } => sender_fteid.teid,
             other => panic!("wrong S11 body {other:?}"),
         };
-        assert_eq!(mme_s11_teid, mme_ue_id, "S11 TEID mirrors the S1AP id");
 
         // 6. CS Response → Attach Accept + Initial Context Setup.
         let cs_resp = gtpc::Message {
@@ -201,6 +200,7 @@ mod flow_tests {
             EmmMessage::AttachAccept { guti, .. } => guti,
             other => panic!("expected AttachAccept, got {other:?}"),
         };
+        assert_eq!(mme_s11_teid, guti.m_tmsi, "the S11 TEID is the M-TMSI");
         assert!(matches!(
             &out[1],
             Outgoing::S1ap {
@@ -409,7 +409,7 @@ mod flow_tests {
 
         let out = mme
             .handle(Incoming::S11(gtpc::Message {
-                teid: mme_ue_id, // DDN addresses the MME's S11 TEID
+                teid: guti.m_tmsi, // DDN addresses the MME's S11 TEID
                 sequence: 900,
                 body: gtpc::Body::DownlinkDataNotification { ebi: 5 },
             }))
@@ -593,6 +593,9 @@ mod flow_tests {
         match &out[..] {
             [Outgoing::S1ap {
                 pdu: S1apPdu::DownlinkNasTransport { nas_pdu, .. },
+                ..
+            }, Outgoing::S1ap {
+                pdu: S1apPdu::UeContextReleaseCommand { .. },
                 ..
             }] => {
                 assert!(matches!(
@@ -800,7 +803,10 @@ mod flow_tests {
             vm_id: 9,
             ..MmeConfig::default()
         });
-        let (_guti, mme_ue_id, _sec) = run_attach(&mut mme, "001010000000010", 20);
+        let (guti, mme_ue_id, _sec) = run_attach(&mut mme, "001010000000010", 20);
         assert_eq!(vm_of_id(mme_ue_id), 9);
+        // The M-TMSI it minted, and so the S11 TEID, names it too.
+        assert_eq!(vm_of_id(guti.m_tmsi), 9);
+        assert_eq!(mme.context(&guti).unwrap().bearer.s11_mme_teid, guti.m_tmsi);
     }
 }

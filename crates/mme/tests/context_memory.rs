@@ -5,13 +5,13 @@
 //!
 //! The copies are imported as replica blobs, the way a holder receives
 //! them on every Idle edge: a registered device with a security context
-//! and one TAI, 146 bytes on the wire. An imported copy stays at rest as
+//! and one TAI, 127 bytes on the wire. An imported copy stays at rest as
 //! those bytes; a TAU wakes it into a decoded record, and the release
 //! that ends the TAU puts it back to rest.
 
 use bytes::Bytes;
 use scale_mme::{Incoming, MmeConfig, MmeCore, Outgoing};
-use scale_nas::{EmmMessage, Guti, Plmn, Tai};
+use scale_nas::{EmmMessage, Guti, Imsi, Plmn, Tai};
 use scale_s1ap::S1apPdu;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,31 +59,28 @@ fn live() -> isize {
 
 /// A registered, Idle device after attach: the reference image of
 /// `context_blob_images.rs`, VM 5's engine.
-const TEMPLATE: &str = "0f30303130313031323334353637383900f11080010100000001020500000100\
-f11000010100f1100001050500000100000001000000020a000002644000010111d31f4cc7a9dd4d4b7de38698c0\
-6544c04f7edb0807141e9e14f2043460f22ac6c56cb701e2279f8fa703a91ce9a2651e4fa1c3b4b58aa31b2ccfe0\
-7bb3cb93000000020000000201000000000000000000";
+const TEMPLATE: &str = "f98765432101010000f110800101050000010200f11000010100f1100001\
+0500000001000000020a0000026440000102b0fc28d2e768b9795a26ae37f5b1f75da912e0a157f82a6b2a\
+14eaa073dcc2a69a687f86956f17e6cffa0bca72560dc0cf3eb26fe4701a4b265aa16f870c1a6e00000200\
+0002000000000000000000";
 
-/// Where the template keeps what differs per device.
-const IMSI_AT: usize = 1;
-const M_TMSI_AT: usize = 22;
-const MME_UE_ID_AT: usize = 27;
-const S11_TEID_AT: usize = 43;
+/// Where the template keeps what differs per device: the packed IMSI
+/// and the GUTI's M-TMSI (which is the S11 TEID as well).
+const IMSI_AT: usize = 0;
+const M_TMSI_AT: usize = 14;
 
 const BASE: u32 = 0x0100_0000;
 
-/// Device `i`'s replica blob, built fresh: IMSI 00101‖i, M-TMSI and
-/// S1AP/S11 ids of its own.
+/// Device `i`'s replica blob, built fresh: IMSI 00101‖i and an M-TMSI of
+/// its own.
 fn blob(i: u32) -> Bytes {
     let mut b: Vec<u8> = (0..TEMPLATE.len())
         .step_by(2)
         .map(|k| u8::from_str_radix(&TEMPLATE[k..k + 2], 16).expect("hex"))
         .collect();
-    b[IMSI_AT..IMSI_AT + 15].copy_from_slice(format!("00101{i:010}").as_bytes());
+    let imsi = Imsi::from_ascii(format!("00101{i:010}").as_bytes()).expect("15 digits");
+    b[IMSI_AT..IMSI_AT + 8].copy_from_slice(&imsi.packed().to_be_bytes());
     b[M_TMSI_AT..M_TMSI_AT + 4].copy_from_slice(&(BASE + i).to_be_bytes());
-    let id = 0x0500_0000 | i;
-    b[MME_UE_ID_AT..MME_UE_ID_AT + 4].copy_from_slice(&id.to_be_bytes());
-    b[S11_TEID_AT..S11_TEID_AT + 4].copy_from_slice(&id.to_be_bytes());
     Bytes::from(b)
 }
 
@@ -149,36 +146,39 @@ fn release(engine: &mut MmeCore, mme_ue_id: u32) {
     assert!(matches!(&out[..], [Outgoing::UeIdle { .. }]), "{out:?}");
 }
 
-/// A copy at rest costs at most 265 heap bytes: the 146-byte blob and
-/// its one-byte tail in one allocation, and the M-TMSI, IMSI and
-/// S11-TEID index entries. Measured at `wire_saturate`'s load per
-/// engine (30,000 devices × R = 2 over 16 VMs) and at ten times that.
+/// A copy at rest costs at most 226 heap bytes: the 127-byte blob and
+/// its one-byte tail in one allocation, and the M-TMSI and IMSI index
+/// entries (the S11 TEID is the M-TMSI: no entry of its own). Measured
+/// at `wire_saturate`'s load per engine (30,000 devices × R = 2 over 16
+/// VMs), where it reads 219.8, and at ten times that.
 #[test]
-fn an_at_rest_copy_costs_at_most_265_heap_bytes() {
-    assert_eq!(blob(0).len(), 146);
+fn an_at_rest_copy_costs_at_most_226_heap_bytes() {
+    assert_eq!(blob(0).len(), 127);
     for n in [3_750u32, 37_500] {
         let mut engine = MmeCore::new(MmeConfig::default());
         let held = import(&mut engine, 0..n);
         assert_eq!(engine.context_count(), n as usize);
         let per_ctx = held as f64 / f64::from(n);
         println!("{n} contexts at rest: {per_ctx:.1} heap bytes per context");
-        assert!(per_ctx <= 265.0, "{per_ctx:.1} bytes per context at {n}");
+        assert!(per_ctx <= 226.0, "{per_ctx:.1} bytes per context at {n}");
     }
 }
 
-/// One copy costs at most 350 heap bytes: the bound from when every
-/// copy was a boxed 192-byte record and four index entries, kept beside
-/// the tighter one above. Measured at the same two loads.
+/// One copy costs at most 312 heap bytes: the bound from when every
+/// copy was a boxed 192-byte record and four index entries (350), less
+/// the 38 bytes this layout saves per copy at rest — 19 of blob, and
+/// the S11-TEID entry. Kept beside the tighter one above; measured at
+/// the same two loads.
 #[test]
-fn a_replica_copy_costs_at_most_350_heap_bytes() {
-    assert_eq!(blob(0).len(), 146);
+fn a_replica_copy_costs_at_most_312_heap_bytes() {
+    assert_eq!(blob(0).len(), 127);
     for n in [3_750u32, 37_500] {
         let mut engine = MmeCore::new(MmeConfig::default());
         let held = import(&mut engine, 0..n);
         assert_eq!(engine.context_count(), n as usize);
         let per_ctx = held as f64 / f64::from(n);
         println!("{n} contexts: {per_ctx:.1} heap bytes per context");
-        assert!(per_ctx <= 350.0, "{per_ctx:.1} bytes per context at {n}");
+        assert!(per_ctx <= 312.0, "{per_ctx:.1} bytes per context at {n}");
     }
 }
 
@@ -199,7 +199,7 @@ fn an_imported_copy_does_not_keep_its_read_buffer_alive() {
     }
     let held = live() - before;
     println!("one copy imported from a 64 KiB read: {held} heap bytes held");
-    assert!(held < 1024, "{held} bytes held for one 146-byte copy");
+    assert!(held < 1024, "{held} bytes held for one 127-byte copy");
 }
 
 /// Devices come and go, and wake and rest; the engine's footprint

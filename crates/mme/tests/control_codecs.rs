@@ -307,8 +307,11 @@ fn every_s6a() -> impl Strategy<Value = (Vec<S6a>, u32, u32)> {
         )
 }
 
-/// A context as a replica blob carries it: Idle, no procedure in flight,
-/// every replicated field drawn at random, one to six TAIs.
+/// A context as a replica blob carries it: Idle, no procedure in flight
+/// and so no connection id, every replicated field drawn at random, one
+/// to six TAIs. What the blob rebuilds rather than carries is as the
+/// engine keeps it: the S11 TEID is the M-TMSI once a bearer exists, the
+/// NAS COUNTs are 24 bits and the KSI three.
 fn arb_context() -> impl Strategy<Value = UeContext> {
     let emm = prop_oneof![
         Just(EmmState::Deregistered),
@@ -316,39 +319,40 @@ fn arb_context() -> impl Strategy<Value = UeContext> {
         Just(EmmState::Registered),
     ];
     let bearer = (
-        any::<u8>(),
-        (any::<u32>(), any::<u32>(), any::<u32>()),
+        prop_oneof![Just(0u8), any::<u8>()],
+        (any::<u32>(), any::<u32>()),
         any::<[u8; 4]>(),
         any::<[u8; 4]>(),
     )
         .prop_map(
-            |(ebi, (s11_mme_teid, s11_sgw_teid, s1u_sgw_teid), s1u_sgw_addr, pdn_addr)| {
-                BearerState {
-                    ebi,
-                    s11_mme_teid,
-                    s11_sgw_teid,
-                    s1u_sgw_teid,
-                    s1u_sgw_addr,
-                    pdn_addr,
-                }
+            |(ebi, (s11_sgw_teid, s1u_sgw_teid), s1u_sgw_addr, pdn_addr)| BearerState {
+                ebi,
+                s11_mme_teid: 0,
+                s11_sgw_teid,
+                s1u_sgw_teid,
+                s1u_sgw_addr,
+                pdn_addr,
             },
         );
+    let count = 0u32..=0x00ff_ffff;
     (
-        ("[0-9]{1,15}", arb_guti(), emm, any::<u32>()),
+        ("[0-9]{1,15}", arb_guti(), emm),
         (arb_tai(), vec(arb_tai(), 0..6)),
         bearer,
-        proptest::option::of((arb_keys(), (any::<u32>(), any::<u32>(), any::<u8>()))),
+        proptest::option::of((arb_keys(), (count.clone(), count, 0u8..=7))),
         (any::<u64>(), proptest::option::of(any::<u16>())),
     )
         .prop_map(
-            |((imsi, guti, emm, mme_ue_id), (tai, more_tais), bearer, security, (freq, dc))| {
+            |((imsi, guti, emm), (tai, more_tais), mut bearer, security, (freq, dc))| {
                 let imsi = Imsi::from_ascii(imsi.as_bytes()).expect("1-15 digits");
                 let mut ctx = UeContext::new(imsi, guti, tai);
                 for t in more_tais {
                     ctx.tai_list.push(t);
                 }
                 ctx.emm = emm;
-                ctx.mme_ue_id = mme_ue_id;
+                if bearer.ebi != 0 {
+                    bearer.s11_mme_teid = guti.m_tmsi;
+                }
                 ctx.bearer = bearer;
                 ctx.security = security.map(|(keys, (ul_count, dl_count, ksi))| {
                     let mut sec = NasSecurityContext::new(keys, ksi);
@@ -360,6 +364,33 @@ fn arb_context() -> impl Strategy<Value = UeContext> {
                 ctx
             },
         )
+}
+
+/// A `u64` that is no packed IMSI: a count of zero, a digit above 9, or
+/// a bit set above the last digit. (The count is four bits: it cannot
+/// say more than fifteen.)
+fn arb_non_canonical_imsi() -> impl Strategy<Value = u64> {
+    // `n` digits, each a nibble of `seed` taken mod 10.
+    let packed = |n: u64, seed: u64| {
+        (0..n).fold(n << 60, |v, i| v | ((((seed >> (4 * i)) & 0xf) % 10) << (4 * i)))
+    };
+    prop_oneof![
+        any::<u64>().prop_map(|low| low & ((1 << 60) - 1)),
+        (1u64..=15, any::<u64>(), any::<u64>(), 0xau64..=0xf).prop_map(
+            move |(n, seed, at, nibble)| {
+                let at = 4 * (at % n);
+                (packed(n, seed) & !(0xf << at)) | (nibble << at)
+            }
+        ),
+        (1u64..=14, any::<u64>(), any::<u64>())
+            .prop_map(move |(n, seed, bit)| packed(n, seed) | (1 << (4 * n + bit % (60 - 4 * n)))),
+    ]
+}
+
+/// Where the security byte sits in `ctx`'s blob: behind the packed IMSI,
+/// the GUTI, the EMM state, the TAI and its list, and the bearer.
+fn security_byte_at(ctx: &UeContext) -> usize {
+    8 + Guti::WIRE_LEN + 1 + Tai::WIRE_LEN * (1 + ctx.tai_list.len()) + 1 + 1 + 16
 }
 
 fn arb_keys() -> impl Strategy<Value = NasSecurityKeys> {
@@ -438,8 +469,8 @@ fn arb_flip() -> impl Strategy<Value = Option<(usize, u8)>> {
 fn peek_agrees(blob: &Bytes) -> Result<(), String> {
     match (UeContext::peek(blob), UeContext::from_bytes(blob.clone())) {
         (Ok(keys), Ok(ctx)) => {
-            let read = (keys.imsi, keys.guti, keys.mme_ue_id, keys.s11_mme_teid, keys.access_freq.to_bits());
-            let want = (ctx.imsi, ctx.guti, ctx.mme_ue_id, ctx.bearer.s11_mme_teid, ctx.access_freq.to_bits());
+            let read = (keys.imsi, keys.guti, keys.access_freq.to_bits());
+            let want = (ctx.imsi, ctx.guti, ctx.access_freq.to_bits());
             if read == want {
                 Ok(())
             } else {
@@ -574,19 +605,37 @@ proptest! {
     }
 
     #[test]
-    fn a_replica_blob_whose_imsi_is_not_1_to_15_digits_is_refused(
-        ctx in arb_context(),
-        bad in prop_oneof![
-            Just(String::new()),
-            "[0-9]{16,40}",
-            "[0-9]{0,7}[a-z:;/ é]{1}[0-9]{0,7}",
-        ],
+    fn a_replica_blob_whose_packed_imsi_is_not_canonical_is_refused(
+        ctx in arb_context(), bad in arb_non_canonical_imsi(),
     ) {
-        let blob = ctx.to_bytes();
-        let behind_imsi = &blob[1 + usize::from(blob[0])..];
-        let forged = [&[bad.len() as u8][..], bad.as_bytes(), behind_imsi].concat();
+        let mut forged = ctx.to_bytes().to_vec();
+        forged[..8].copy_from_slice(&bad.to_be_bytes());
         let forged = Bytes::from(forged);
-        prop_assert!(UeContext::from_bytes(forged.clone()).is_err(), "IMSI {:?}", bad);
+        prop_assert!(UeContext::from_bytes(forged.clone()).is_err(), "IMSI {:#018x}", bad);
+        peek_agrees(&forged)?;
+    }
+
+    #[test]
+    fn a_replica_blob_whose_security_byte_is_above_8_is_refused(
+        ctx in arb_context(), keys in arb_keys(), byte in 9u8..=255,
+    ) {
+        let mut ctx = ctx;
+        ctx.security.get_or_insert_with(|| NasSecurityContext::new(keys, 7));
+        let mut forged = ctx.to_bytes().to_vec();
+        let at = security_byte_at(&ctx);
+        prop_assert!((1..=8).contains(&forged[at]), "security byte {}", forged[at]);
+        forged[at] = byte;
+        let forged = Bytes::from(forged);
+        prop_assert!(UeContext::from_bytes(forged.clone()).is_err(), "security byte {}", byte);
+        peek_agrees(&forged)?;
+    }
+
+    #[test]
+    fn a_replica_blob_with_bytes_behind_it_is_refused(
+        ctx in arb_context(), tail in vec(any::<u8>(), 1..16),
+    ) {
+        let forged = Bytes::from([&ctx.to_bytes()[..], &tail[..]].concat());
+        prop_assert!(UeContext::from_bytes(forged.clone()).is_err(), "{} bytes behind", tail.len());
         peek_agrees(&forged)?;
     }
 

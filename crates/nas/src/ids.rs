@@ -145,6 +145,31 @@ impl Imsi {
         (self.0 >> 60) as usize
     }
 
+    /// The packed form itself: the digit count in the top four bits and
+    /// the digits below, four bits each, low digit first. Eight bytes
+    /// where the ASCII form takes up to sixteen, so the replica blob
+    /// carries this.
+    pub fn packed(self) -> u64 {
+        self.0
+    }
+
+    /// Inverse of [`Imsi::packed`], for canonical values only: a count
+    /// of 1–15, every digit at most 9 and nothing but zeros above the
+    /// last digit. So an IMSI read back this way writes back the same
+    /// eight bytes, and equal IMSIs are equal `u64`s.
+    pub fn from_packed(packed: u64) -> Option<Imsi> {
+        let count = (packed >> 60) as usize;
+        if count == 0 || count > Self::MAX_DIGITS {
+            return None;
+        }
+        let digits = packed & ((1u64 << (4 * count)) - 1);
+        if packed & ((1u64 << 60) - 1) != digits {
+            return None;
+        }
+        let any_above_nine = (0..count).any(|i| (digits >> (4 * i)) & 0xf > 9);
+        (!any_above_nine).then_some(Imsi(packed))
+    }
+
     /// The digits as ASCII: the first [`Imsi::digit_count`] bytes of the
     /// array.
     pub fn to_ascii(self) -> [u8; Self::MAX_DIGITS] {
@@ -339,6 +364,27 @@ mod tests {
             assert_eq!(Imsi::from_ascii(bad.as_bytes()), None, "{bad:?}");
         }
         assert_eq!(std::mem::size_of::<Imsi>(), 8);
+    }
+
+    #[test]
+    fn a_packed_imsi_reads_back_only_in_canonical_form() {
+        for digits in ["0", "001010000000001", "999999999999999", "12345678901234"] {
+            let imsi = Imsi::from_ascii(digits.as_bytes()).unwrap();
+            assert_eq!(Imsi::from_packed(imsi.packed()), Some(imsi));
+        }
+        let one = Imsi::from_ascii(b"7").unwrap().packed();
+        assert_eq!(one, (1 << 60) | 7);
+        for bad in [
+            0,                                  // no digits
+            7,                                  // a digit, count 0
+            (1 << 60) | 0xa,                    // a nibble above 9
+            (1 << 60) | 0x17,                   // a bit above the last digit
+            (1 << 60) | (1 << 59),              // the bit below the count
+            (15 << 60) | 0x0fff_ffff_ffff_ffff, // fifteen nibbles of f
+            u64::MAX,                           // a count of 15, then f
+        ] {
+            assert_eq!(Imsi::from_packed(bad), None, "{bad:#018x}");
+        }
     }
 
     #[test]

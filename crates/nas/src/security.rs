@@ -8,8 +8,8 @@
 //! ```
 //!
 //! The MAC covers `SEQ || inner` keyed by K_NASint with the full NAS
-//! COUNT (we track the 24-bit overflow counter internally; only the low
-//! 8 bits travel on the wire, exactly as in LTE).
+//! COUNT (24 bits, tracked here; only the low 8 bits travel on the wire,
+//! exactly as in LTE).
 //!
 //! Every procedure passes through here several times, so neither
 //! direction builds intermediate copies, and no expanded AES schedule or
@@ -78,13 +78,17 @@ pub enum Direction {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NasSecurityContext {
     pub keys: NasSecurityKeys,
-    /// Next uplink NAS COUNT (24-bit, low 8 bits are the wire SEQ).
+    /// Next uplink NAS COUNT: 24 bits, an 8-bit wire SEQ under a 16-bit
+    /// overflow counter (TS 24.301 §4.4.3.1), wrapping at 2^24.
     pub ul_count: u32,
-    /// Next downlink NAS COUNT.
+    /// Next downlink NAS COUNT, likewise.
     pub dl_count: u32,
     /// Key set identifier bound to this context.
     pub ksi: u8,
 }
+
+/// A NAS COUNT is 24 bits; EIA2 and EEA2 take it as 0x00 ‖ COUNT.
+const COUNT_MASK: u32 = 0x00ff_ffff;
 
 /// NAS bearer id used for EIA2/EEA2 (always 0 for NAS signalling).
 const NAS_BEARER: u8 = 0;
@@ -146,7 +150,7 @@ impl NasSecurityContext {
     /// full COUNT) is written back into the header.
     pub fn protect(&mut self, msg: &EmmMessage, dir: Direction, header: SecurityHeader) -> Bytes {
         let count = *self.count_mut(dir);
-        *self.count_mut(dir) += 1;
+        *self.count_mut(dir) = (count + 1) & COUNT_MASK;
 
         let mut w = Writer::new();
         w.u8((header.code() << 4) | PD_EMM);
@@ -187,18 +191,13 @@ impl NasSecurityContext {
         let seq = seq_and_inner[0];
 
         // Reconstruct COUNT: local expectation with the wire SEQ spliced
-        // into the low byte, bumping the overflow counter on wrap.
+        // into the low byte, bumping the overflow counter on wrap — and
+        // the COUNT itself wrapping at 2^24.
         let expected = *self.count_mut(dir);
         let mut count = (expected & 0xffff_ff00) | seq as u32;
         if count < expected {
             // 8-bit SEQ wrapped relative to our expectation.
-            count = count.wrapping_add(0x100);
-        }
-        if count < expected {
-            return Err(NasError::Replay {
-                got: seq,
-                expected: (expected & 0xff) as u8,
-            });
+            count = (count + 0x100) & COUNT_MASK;
         }
 
         if self.mac(count, dir, &seq_and_inner) != mac {
@@ -212,7 +211,7 @@ impl NasSecurityContext {
         } else {
             seq_and_inner.slice(1..)
         };
-        *self.count_mut(dir) = count + 1;
+        *self.count_mut(dir) = (count + 1) & COUNT_MASK;
         EmmMessage::decode(inner)
     }
 
@@ -366,6 +365,40 @@ mod tests {
         assert_eq!(w[5], 0x00, "wire SEQ wraps to 0");
         receiver.unprotect(w, Direction::Uplink).unwrap();
         assert_eq!(receiver.ul_count, 257);
+    }
+
+    #[test]
+    fn counts_wrap_at_two_to_the_twenty_four_in_both_directions() {
+        for dir in [Direction::Uplink, Direction::Downlink] {
+            let mut sender = test_ctx();
+            let mut receiver = test_ctx();
+            *sender.count_mut(dir) = 0xff_fffe;
+            *receiver.count_mut(dir) = 0xff_fffe;
+            let (mut counts, mut wires) = (Vec::new(), Vec::new());
+            for _ in 0..3 {
+                let w = sender.protect(&sample_msg(), dir, SecurityHeader::IntegrityCiphered);
+                assert_eq!(receiver.unprotect(w.clone(), dir).unwrap(), sample_msg());
+                counts.push((*sender.count_mut(dir), *receiver.count_mut(dir)));
+                wires.push(w);
+            }
+            // COUNTs 0xff_fffe and 0xff_ffff are used, then 0.
+            assert_eq!(counts, [(0xff_ffff, 0xff_ffff), (0, 0), (1, 1)], "{dir:?}");
+            // The MAC and the keystream took 0x00 ‖ COUNT: the message
+            // after the wrap is the one a fresh context sends first.
+            let first = test_ctx().protect(&sample_msg(), dir, SecurityHeader::IntegrityCiphered);
+            assert_eq!(wires[2], first, "{dir:?}");
+        }
+        // A receiver that missed the last messages before the wrap
+        // still finds the COUNT past it.
+        let mut sender = test_ctx();
+        let mut receiver = test_ctx();
+        sender.ul_count = 0xff_ffff;
+        receiver.ul_count = 0xff_fff0;
+        let _lost = sender.protect(&sample_msg(), Direction::Uplink, SecurityHeader::Integrity);
+        let w = sender.protect(&sample_msg(), Direction::Uplink, SecurityHeader::Integrity);
+        assert_eq!(w[SEQ_AT], 0x00);
+        assert_eq!(receiver.unprotect(w, Direction::Uplink).unwrap(), sample_msg());
+        assert_eq!(receiver.ul_count, 1);
     }
 
     #[test]

@@ -11,8 +11,6 @@ pub enum NasError {
     Invalid { what: &'static str, value: u64 },
     /// Integrity check failed on a security-protected message.
     BadMac,
-    /// NAS sequence number replayed or regressed.
-    Replay { got: u8, expected: u8 },
     /// Message requires a security context that is not established.
     NoSecurityContext,
 }
@@ -25,9 +23,6 @@ impl fmt::Display for NasError {
             }
             NasError::Invalid { what, value } => write!(f, "invalid {what}: {value:#x}"),
             NasError::BadMac => write!(f, "NAS integrity check failed"),
-            NasError::Replay { got, expected } => {
-                write!(f, "NAS sequence replay: got {got}, expected >= {expected}")
-            }
             NasError::NoSecurityContext => write!(f, "no NAS security context established"),
         }
     }

@@ -66,6 +66,9 @@ pub mod cause {
     pub const CONTROL_PROCESSING_OVERLOAD: u8 = 40;
     /// NAS: detach.
     pub const NAS_DETACH: u8 = 51;
+    /// NAS: authentication failure — the release after an
+    /// Authentication Reject.
+    pub const NAS_AUTHENTICATION_FAILURE: u8 = 52;
     /// Transport: unspecified failure.
     pub const TRANSPORT_FAILURE: u8 = 60;
 }

@@ -71,9 +71,10 @@ const OPS: usize = 32;
 const FLAT: f64 = 1.05;
 
 /// Heap a worker may hold per device, after any number of procedures:
-/// 589 B after none and 606 B after 32 with a stateless HSS front end;
-/// an HSS that kept a record per subscriber held 663 B and 681 B.
-const WORKER_BYTES_PER_DEVICE: f64 = 620.0;
+/// 526 B after none and 542 B after 32 with the 127-byte replica blob
+/// and no S11-TEID index; the 146-byte blob and the index held 589 B and
+/// 606 B, and an HSS that kept a record per subscriber 663 B and 681 B.
+const WORKER_BYTES_PER_DEVICE: f64 = 560.0;
 
 /// `engine_idle_churn`'s fleet (16 VMs, R = 2) on two workers and two
 /// cells, at a population a debug build replays in seconds.
