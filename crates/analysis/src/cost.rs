@@ -18,15 +18,15 @@
 //! Fig 6(a)/6(b) and the F6a/F6b experiment binaries evaluate exactly
 //! these functions.
 //!
-//! All inputs are validated with `debug_assert!` so a miscalibrated
-//! caller fails loudly in debug/test builds instead of silently
-//! producing NaN costs.
+//! All inputs are validated with `assert!` so a miscalibrated caller
+//! fails loudly, in release builds as in debug ones, instead of
+//! silently producing NaN costs.
 
 /// Parameters of the appendix model (A1/A2).
 ///
 /// Units are part of the contract: see each field. Construction is
 /// cheap and `Copy`; [`validate`](ModelParams::validate) is invoked by
-/// every model entry point under `debug_assertions`.
+/// by every model entry point.
 #[derive(Debug, Clone, Copy)]
 pub struct ModelParams {
     /// Per-VM serving capacity N — unit: **requests per epoch**
@@ -51,21 +51,22 @@ impl Default for ModelParams {
 }
 
 impl ModelParams {
-    /// Debug-assert the parameter invariants: `capacity_n ≥ 1`,
+    /// Assert the parameter invariants: `capacity_n ≥ 1`,
     /// `epoch_t` finite and positive, `cost_c` finite and non-negative.
     ///
     /// A violation indicates miscalibration at the call site (e.g. an
     /// epoch length of 0 would divide by zero inside Eq 8); failing
     /// here names the bad field instead of surfacing as a NaN cost
-    /// three calls later. Release builds skip the checks.
+    /// three calls later. The checks hold in release builds too: they
+    /// guard what the caller passes in.
     pub fn validate(&self) {
-        debug_assert!(self.capacity_n >= 1, "capacity_n must be >= 1 request/epoch");
-        debug_assert!(
+        assert!(self.capacity_n >= 1, "capacity_n must be >= 1 request/epoch");
+        assert!(
             self.epoch_t.is_finite() && self.epoch_t > 0.0,
             "epoch_t must be a positive number of seconds (got {})",
             self.epoch_t
         );
-        debug_assert!(
+        assert!(
             self.cost_c.is_finite() && self.cost_c >= 0.0,
             "cost_c must be a finite non-negative cost (got {})",
             self.cost_c
@@ -114,11 +115,11 @@ fn ln_factor_series(r: u32, upto: usize) -> Vec<f64> {
 pub fn expected_cost(lambda: f64, w_i: f64, r: u32, params: ModelParams) -> f64 {
     assert!(r >= 1, "replication factor must be >= 1");
     params.validate();
-    debug_assert!(
+    assert!(
         lambda.is_finite() && lambda >= 0.0,
         "lambda must be a finite non-negative rate in requests/second (got {lambda})"
     );
-    debug_assert!(
+    assert!(
         w_i.is_finite() && (0.0..=1.0).contains(&w_i),
         "w_i is an access probability and must lie in [0, 1] (got {w_i})"
     );
@@ -178,8 +179,7 @@ pub enum ReplicaStrategy {
 /// Memory configuration for the A2 model.
 ///
 /// Units are part of the contract: see each field.
-/// [`validate`](MemoryParams::validate) runs under `debug_assertions`
-/// in every method.
+/// [`validate`](MemoryParams::validate) runs in every method.
 #[derive(Debug, Clone, Copy)]
 pub struct MemoryParams {
     /// Number of VMs, V — unit: **VMs** (dimensionless count ≥ 1).
@@ -193,18 +193,18 @@ pub struct MemoryParams {
 }
 
 impl MemoryParams {
-    /// Debug-assert the parameter invariants: `vms ≥ 1`, `slots_per_vm`
+    /// Assert the parameter invariants: `vms ≥ 1`, `slots_per_vm`
     /// finite and non-negative, `desired_r ≥ 1`. Same rationale as
     /// [`ModelParams::validate`]: fail at the miscalibrated field, not
     /// at a NaN cost downstream.
     pub fn validate(&self) {
-        debug_assert!(self.vms >= 1, "vms must be >= 1");
-        debug_assert!(
+        assert!(self.vms >= 1, "vms must be >= 1");
+        assert!(
             self.slots_per_vm.is_finite() && self.slots_per_vm >= 0.0,
             "slots_per_vm must be a finite non-negative state count (got {})",
             self.slots_per_vm
         );
-        debug_assert!(self.desired_r >= 1, "desired_r must be >= 1 replica");
+        assert!(self.desired_r >= 1, "desired_r must be >= 1 replica");
     }
 
     /// R' = ⌊V·S'/K⌋: replicas affordable for everyone.
@@ -368,7 +368,7 @@ mod tests {
     fn zero_epoch_fails_loudly() {
         // The satellite fix: a zero epoch used to reach the w_i/(λT)
         // division and come back as a silent 0/NaN; now it trips the
-        // debug assertion naming the field.
+        // assertion naming the field.
         let p = ModelParams { epoch_t: 0.0, ..P };
         let _ = expected_cost(1.0, 1.0, 2, p);
     }

@@ -37,7 +37,6 @@
 use crate::{EnbEvent, EnodeB, Ue, UeEvent};
 use scale_nas::{Plmn, Tai};
 use scale_s1ap::S1apPdu;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// First M-TMSI handed out; global UE `u` gets `MTMSI_BASE + u`.
@@ -242,9 +241,6 @@ pub struct EnbEmulator {
     plmn: Plmn,
     enb: EnodeB,
     slots: Vec<UeSlot>,
-    /// eNodeB connection id → local UE index (the eNodeB only keeps
-    /// the reverse map).
-    conn_ue: HashMap<u32, usize>,
     out: Vec<EmuEvent>,
     next_unstarted: usize,
     in_flight: usize,
@@ -282,7 +278,6 @@ impl EnbEmulator {
                 vec![base_tai, Tai::new(plmn, 2), Tai::new(plmn, 3)],
             ),
             slots,
-            conn_ue: HashMap::new(),
             out: Vec::new(),
             next_unstarted: 0,
             in_flight: 0,
@@ -401,9 +396,6 @@ impl EnbEmulator {
             };
             (phase, slot.enb_ue_id, slot.ops_done, slot.has_idled).hash(h);
         }
-        let mut conns: Vec<(u32, usize)> = self.conn_ue.iter().map(|(&k, &v)| (k, v)).collect();
-        conns.sort_unstable();
-        conns.hash(h);
         (self.next_unstarted, self.in_flight, self.out.len()).hash(h);
         self.enb.fingerprint(h);
     }
@@ -428,11 +420,9 @@ impl EnbEmulator {
         }
     }
 
-    /// Register the new RRC connection of `local` and remember it.
+    /// Remember the RRC connection `local`'s Initial UE Message opened.
     fn track_conn(&mut self, local: usize, pdu: &S1apPdu) {
         if let S1apPdu::InitialUeMessage { enb_ue_id, .. } = pdu {
-            self.conn_ue.remove(&self.slots[local].enb_ue_id);
-            self.conn_ue.insert(*enb_ue_id, local);
             self.slots[local].enb_ue_id = *enb_ue_id;
         }
     }
@@ -623,9 +613,6 @@ impl EnbEmulator {
     /// Process one downlink PDU from the MLB.
     pub fn handle_downlink(&mut self, pdu: S1apPdu) {
         let events = self.enb.handle_from_mme(pdu);
-        // Route MME-bound responses before applying connection
-        // teardowns: a ReleaseComplete needs the conn → UE mapping
-        // that the teardown in the same batch retires.
         for ev in &events {
             if let EnbEvent::ToMme(p) = ev {
                 self.check_uplink_conn(p);
@@ -648,21 +635,22 @@ impl EnbEmulator {
         }
     }
 
-    /// Flag eNodeB-originated uplinks whose connection we no longer
-    /// track.
+    /// Flag eNodeB-originated uplinks on a connection the eNodeB does
+    /// not hold.
     fn check_uplink_conn(&mut self, pdu: &S1apPdu) {
         // Error Indication is exempt: it is exactly the eNodeB's "this
         // connection is unknown" signal, sent in reply to downlinks on
-        // a connection the UE has already replaced.
+        // a connection the UE has already replaced. So is Release
+        // Complete: the eNodeB answers every Release Command with one,
+        // after the connection it names is gone.
         let enb_ue_id = match pdu {
             S1apPdu::InitialContextSetupResponse { enb_ue_id, .. }
             | S1apPdu::InitialContextSetupFailure { enb_ue_id, .. }
-            | S1apPdu::UeContextReleaseComplete { enb_ue_id, .. }
             | S1apPdu::UplinkNasTransport { enb_ue_id, .. } => Some(*enb_ue_id),
             _ => None,
         };
         if let Some(id) = enb_ue_id {
-            if !self.conn_ue.contains_key(&id) {
+            if !self.enb.holds_connection(id) {
                 self.fail(format!("uplink on untracked connection {id}"));
             }
         }

@@ -134,6 +134,11 @@ impl EnodeB {
         (self.next_enb_ue_id, self.next_s1u_teid).hash(h);
     }
 
+    /// Whether `enb_ue_id` names a live connection.
+    pub fn holds_connection(&self, enb_ue_id: u32) -> bool {
+        self.conns.contains_key(&enb_ue_id)
+    }
+
     /// Find the live connection for a UE handle.
     pub fn enb_ue_id_of(&self, ue: usize) -> Option<u32> {
         self.conns

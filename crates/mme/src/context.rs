@@ -13,7 +13,9 @@ use scale_crypto::kdf::NasSecurityKeys;
 use scale_nas::security::NasSecurityContext;
 use scale_nas::wire::NasError;
 use scale_nas::{Guti, Imsi, Plmn, Tai};
+use std::borrow::Borrow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// EMM registration state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -556,7 +558,14 @@ const TAI_COUNT_AT: usize = 8 + Guti::WIRE_LEN + 1 + Tai::WIRE_LEN;
 /// the accesses of the current epoch, which `close_epoch` folds. A copy
 /// with both zero, as every imported replica is, keeps a one-byte tail
 /// (`0`); any other keeps both, big-endian, and then a `1`.
+///
+/// A copy is its own key: it hashes and compares as the four M-TMSI
+/// bytes its blob carries ([`AtRest::key`]), and lends them out through
+/// `Borrow<[u8; 4]>`, so a set of copies is looked up by
+/// `m_tmsi.to_be_bytes()` and keeps no key beside each 16-byte box.
 pub(crate) struct AtRest(Box<[u8]>);
+
+const _: () = assert!(std::mem::size_of::<AtRest>() == 16);
 
 impl AtRest {
     /// The two tail fields and the byte that says they are there.
@@ -603,6 +612,23 @@ impl AtRest {
         AtRest(buf.into_boxed_slice())
     }
 
+    /// The GUTI's M-TMSI, big-endian, where the blob keeps it. Every
+    /// copy holds one (`of` encodes a whole record, `import` takes only
+    /// bytes that [`UeContext::peek`] read); bytes too short for it
+    /// would key as zero.
+    fn key(&self) -> &[u8; 4] {
+        const NONE: &[u8; 4] = &[0; 4];
+        self.0
+            .get(M_TMSI_AT..M_TMSI_AT + 4)
+            .and_then(|b| b.try_into().ok())
+            .unwrap_or(NONE)
+    }
+
+    /// The M-TMSI this copy is held under: its GUTI's.
+    pub(crate) fn m_tmsi(&self) -> u32 {
+        u32::from_be_bytes(*self.key())
+    }
+
     /// The replica blob, as [`UeContext::to_bytes`] would write it.
     pub(crate) fn blob(&self) -> &[u8] {
         &self.0[..self.0.len() - self.tail_len()]
@@ -638,7 +664,7 @@ impl AtRest {
     pub(crate) fn ids(&self) -> Option<(u64, u32, u32)> {
         let b = self.blob();
         let packed = u64::from_be_bytes(b.get(..8)?.try_into().ok()?);
-        let m_tmsi = u32::from_be_bytes(b.get(M_TMSI_AT..M_TMSI_AT + 4)?.try_into().ok()?);
+        let m_tmsi = self.m_tmsi();
         let tais = usize::from(*b.get(TAI_COUNT_AT)?);
         let ebi = *b.get(TAI_COUNT_AT + 1 + Tai::WIRE_LEN * tais)?;
         let teid = if ebi == 0 { 0 } else { m_tmsi };
@@ -666,6 +692,26 @@ impl AtRest {
             let at = self.0.len() - Self::TAIL + 4;
             self.0[at..at + 4].fill(0);
         }
+    }
+}
+
+impl Borrow<[u8; 4]> for AtRest {
+    fn borrow(&self) -> &[u8; 4] {
+        self.key()
+    }
+}
+
+impl PartialEq for AtRest {
+    fn eq(&self, other: &AtRest) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for AtRest {}
+
+impl Hash for AtRest {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.key().hash(h);
     }
 }
 

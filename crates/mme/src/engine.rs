@@ -22,7 +22,7 @@ use scale_nas::{
     is_protected, EmmMessage, Guti, Imsi, MobileId, NasError, NasSecurityContext, Plmn, Tai,
 };
 use scale_s1ap::{cause as s1_cause, ErabSetup, Gummei, S1apPdu};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -196,6 +196,10 @@ impl InFlight {
 /// is at rest in `at_rest`: the replica blob it would be exported as,
 /// which is all any holder of an Idle copy needs until the device next
 /// wakes there (`MmeCore::wake`).
+///
+/// Every index entry holds only what it must: an at-rest bucket is the
+/// copy's 16-byte box, keyed by the M-TMSI bytes inside its blob, and a
+/// `by_imsi` bucket is 12 bytes ([`Imsi`] is 4-byte aligned).
 pub struct MmeCore {
     pub config: MmeConfig,
     /// Each record boxed, so the table holds 16-byte entries and a
@@ -203,13 +207,15 @@ pub struct MmeCore {
     /// maps name M-TMSIs and resolve through this one or `at_rest`.
     contexts: HashMap<u32, Box<UeContext>>,
     /// Idle copies: imported replicas, and the serving copy from its
-    /// Idle edge on.
-    at_rest: HashMap<u32, AtRest>,
+    /// Idle edge on. Each is its own key ([`AtRest`]): looked up by
+    /// `m_tmsi.to_be_bytes()`, and stored with `replace`, which, unlike
+    /// `insert`, puts a fresher copy in the place of a held one.
+    at_rest: HashSet<AtRest>,
     /// The at-rest copies decoded, for the read-only views
     /// ([`MmeCore::contexts`], [`MmeCore::context`]) only: built on the
     /// first call and dropped by every `&mut self` entry point.
     snapshot: OnceLock<HashMap<u32, UeContext>>,
-    /// Every copy, in either form, by IMSI.
+    /// Every copy, in either form, by IMSI: 12-byte buckets.
     by_imsi: HashMap<Imsi, u32>,
     /// Decoded records only: an Active-mode message names the
     /// connection's id, and only a Connected copy has a connection.
@@ -243,7 +249,7 @@ impl MmeCore {
         MmeCore {
             config,
             contexts: HashMap::new(),
-            at_rest: HashMap::new(),
+            at_rest: HashSet::new(),
             snapshot: OnceLock::new(),
             by_imsi: HashMap::new(),
             by_mme_ue_id: HashMap::new(),
@@ -268,7 +274,8 @@ impl MmeCore {
     /// Whether a copy of `guti`'s context is held here, in either form.
     /// Decodes nothing: the presence check for the event path.
     pub fn holds(&self, guti: &Guti) -> bool {
-        self.contexts.contains_key(&guti.m_tmsi) || self.at_rest.contains_key(&guti.m_tmsi)
+        self.contexts.contains_key(&guti.m_tmsi)
+            || self.at_rest.contains(&guti.m_tmsi.to_be_bytes())
     }
 
     /// The ECM state of the copy of `guti`'s context held here, if any.
@@ -276,7 +283,10 @@ impl MmeCore {
     pub fn ecm(&self, guti: &Guti) -> Option<EcmState> {
         match self.contexts.get(&guti.m_tmsi) {
             Some(ctx) => Some(ctx.ecm),
-            None => self.at_rest.contains_key(&guti.m_tmsi).then_some(EcmState::Idle),
+            None => self
+                .at_rest
+                .contains(&guti.m_tmsi.to_be_bytes())
+                .then_some(EcmState::Idle),
         }
     }
 
@@ -284,8 +294,8 @@ impl MmeCore {
     /// epoch's replica allocation weighs — read without a decode.
     pub fn access_freqs(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
         let decoded = self.contexts.iter().map(|(&m, c)| (m, c.access_freq));
-        let at_rest = self.at_rest.iter().filter_map(|(&m, rest)| {
-            UeContext::peek(rest.blob()).ok().map(|k| (m, k.access_freq))
+        let at_rest = self.at_rest.iter().filter_map(|rest| {
+            UeContext::peek(rest.blob()).ok().map(|k| (rest.m_tmsi(), k.access_freq))
         });
         decoded.chain(at_rest)
     }
@@ -305,7 +315,9 @@ impl MmeCore {
     pub fn context(&self, guti: &Guti) -> Option<&UeContext> {
         match self.contexts.get(&guti.m_tmsi) {
             Some(ctx) => Some(&**ctx),
-            None if self.at_rest.contains_key(&guti.m_tmsi) => self.snapshot().get(&guti.m_tmsi),
+            None if self.at_rest.contains(&guti.m_tmsi.to_be_bytes()) => {
+                self.snapshot().get(&guti.m_tmsi)
+            }
             None => None,
         }
     }
@@ -314,7 +326,7 @@ impl MmeCore {
         self.snapshot.get_or_init(|| {
             self.at_rest
                 .iter()
-                .filter_map(|(&m, rest)| rest.decode().ok().map(|ctx| (m, ctx)))
+                .filter_map(|rest| rest.decode().ok().map(|ctx| (rest.m_tmsi(), ctx)))
                 .collect()
         })
     }
@@ -328,15 +340,20 @@ impl MmeCore {
     }
 
     /// Fold every copy's epoch activity into its access frequency
-    /// ([`UeContext::close_epoch`]), at rest in place.
+    /// ([`UeContext::close_epoch`]), at rest on the bytes. A set lends
+    /// its copies out only shared, so they leave it and come back into
+    /// the same table, whose capacity stays; the fold never touches the
+    /// M-TMSI they are keyed by.
     pub fn close_epoch(&mut self, alpha: f64) {
         self.drop_snapshot();
         for ctx in self.contexts.values_mut() {
             ctx.close_epoch(alpha);
         }
-        for rest in self.at_rest.values_mut() {
+        let rested: Vec<AtRest> = self.at_rest.drain().collect();
+        self.at_rest.extend(rested.into_iter().map(|mut rest| {
             rest.close_epoch(alpha);
-        }
+            rest
+        }));
     }
 
     /// Hash the engine's behavior-relevant state into `h` — every
@@ -349,7 +366,12 @@ impl MmeCore {
     /// decoded: at rest it has no connection, so no MME-UE-S1AP-ID.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
-        let mut keys: Vec<u32> = self.contexts.keys().chain(self.at_rest.keys()).copied().collect();
+        let mut keys: Vec<u32> = self
+            .contexts
+            .keys()
+            .copied()
+            .chain(self.at_rest.iter().map(AtRest::m_tmsi))
+            .collect();
         keys.sort_unstable();
         for m_tmsi in keys {
             m_tmsi.hash(h);
@@ -359,7 +381,7 @@ impl MmeCore {
                 // serialization still steer the live engine.
                 (ctx.ecm as u8, ctx.procedure as u8).hash(h);
                 (ctx.mme_ue_id, ctx.enb_ue_id, ctx.enb_id).hash(h);
-            } else if let Some(rest) = self.at_rest.get(&m_tmsi) {
+            } else if let Some(rest) = self.at_rest.get(&m_tmsi.to_be_bytes()) {
                 rest.blob().hash(h);
                 (EcmState::Idle as u8, Procedure::None as u8).hash(h);
                 (0u32, 0u32, rest.tail().0).hash(h);
@@ -423,18 +445,17 @@ impl MmeCore {
         let mut copies = 0u64;
         for (&m_tmsi, ctx) in &self.contexts {
             assert!(
-                !self.at_rest.contains_key(&m_tmsi),
+                !self.at_rest.contains(&m_tmsi.to_be_bytes()),
                 "M-TMSI {m_tmsi:#x} held both decoded and at rest"
             );
             assert_eq!(ctx.guti.m_tmsi, m_tmsi, "a record held under another M-TMSI");
             resolves(m_tmsi, ctx.bearer.s11_mme_teid);
             copies = copies.wrapping_add(mix(ctx.imsi.packed(), m_tmsi));
         }
-        for (&m_tmsi, rest) in &self.at_rest {
-            let Some((packed, guti_m_tmsi, teid)) = rest.ids() else {
-                panic!("M-TMSI {m_tmsi:#x}: a copy at rest that is no blob");
+        for rest in &self.at_rest {
+            let Some((packed, m_tmsi, teid)) = rest.ids() else {
+                panic!("M-TMSI {:#x}: a copy at rest that is no blob", rest.m_tmsi());
             };
-            assert_eq!(guti_m_tmsi, m_tmsi, "a copy at rest held under another M-TMSI");
             resolves(m_tmsi, teid);
             copies = copies.wrapping_add(mix(packed, m_tmsi));
         }
@@ -477,7 +498,7 @@ impl MmeCore {
     pub fn m_tmsi_by_s11_teid(&self, teid: u32) -> Option<u32> {
         let held = match self.contexts.get(&teid) {
             Some(ctx) => ctx.bearer.s11_mme_teid,
-            None => self.at_rest.get(&teid)?.ids()?.2,
+            None => self.at_rest.get(&teid.to_be_bytes())?.ids()?.2,
         };
         (teid != 0 && held == teid).then_some(teid)
     }
@@ -488,7 +509,7 @@ impl MmeCore {
             Some(ctx) => Some(ctx.to_bytes()),
             None => self
                 .at_rest
-                .get(&guti.m_tmsi)
+                .get(&guti.m_tmsi.to_be_bytes())
                 .map(|rest| Bytes::copy_from_slice(rest.blob())),
         }
     }
@@ -515,7 +536,7 @@ impl MmeCore {
             f.end_aka();
             self.settle(m_tmsi);
         }
-        self.at_rest.insert(m_tmsi, AtRest::import(blob));
+        self.at_rest.replace(AtRest::import(blob));
         Ok(keys.guti)
     }
 
@@ -527,7 +548,7 @@ impl MmeCore {
         if self.take(m_tmsi).is_some() {
             return true;
         }
-        let Some(rest) = self.at_rest.remove(&m_tmsi) else {
+        let Some(rest) = self.at_rest.take(&m_tmsi.to_be_bytes()) else {
             return false;
         };
         if let Ok(keys) = UeContext::peek(rest.blob()) {
@@ -557,7 +578,7 @@ impl MmeCore {
     /// once, on the holder that serves. An S11 or S6a answer never
     /// does: it answers a procedure in flight, whose record is decoded.
     fn wake(&mut self, m_tmsi: u32) -> Result<(), MmeError> {
-        let Some(rest) = self.at_rest.remove(&m_tmsi) else {
+        let Some(rest) = self.at_rest.take(&m_tmsi.to_be_bytes()) else {
             return Ok(());
         };
         match rest.decode() {
@@ -566,7 +587,7 @@ impl MmeCore {
                 Ok(())
             }
             Err(e) => {
-                self.at_rest.insert(m_tmsi, rest);
+                self.at_rest.replace(rest);
                 Err(e)
             }
         }
@@ -579,7 +600,7 @@ impl MmeCore {
             return;
         };
         unindex(&mut self.by_mme_ue_id, ctx.mme_ue_id, m_tmsi);
-        self.at_rest.insert(m_tmsi, AtRest::of(&ctx));
+        self.at_rest.replace(AtRest::of(&ctx));
     }
 
     /// Forget `m_tmsi`'s in-flight entry once nothing is left in it.
@@ -631,7 +652,7 @@ impl MmeCore {
         self.drop_snapshot();
         loop {
             let m = self.mint_m_tmsi();
-            if !self.contexts.contains_key(&m) && !self.at_rest.contains_key(&m) {
+            if !self.contexts.contains_key(&m) && !self.at_rest.contains(&m.to_be_bytes()) {
                 return m;
             }
         }
@@ -1331,23 +1352,54 @@ impl MmeCore {
     }
 
     /// Authentication failed (TS 24.301 §5.4.2.5–5.4.2.7): Authentication
-    /// Reject, then a UE Context Release Command. The device is
-    /// deregistered; its Release Complete puts the copy to rest like any
-    /// release, so the connection's S1AP id leaves the index and the
-    /// procedure is no longer in flight anywhere.
+    /// Reject, then a UE Context Release Command ([`Self::end_attach`]).
     fn reject_authentication(&mut self, m_tmsi: u32) -> Result<Vec<Outgoing>, MmeError> {
         self.stats.auth_failures += 1;
+        self.end_attach(
+            m_tmsi,
+            &EmmMessage::AuthenticationReject,
+            s1_cause::NAS_AUTHENTICATION_FAILURE,
+        )
+    }
+
+    /// The HSS or the S-GW refused the attach (TS 24.301 §5.5.1.2.5):
+    /// Attach Reject with `cause`, then a UE Context Release Command
+    /// ([`Self::end_attach`]).
+    fn reject_attach(&mut self, m_tmsi: u32, cause: u8) -> Result<Vec<Outgoing>, MmeError> {
+        self.stats.rejects += 1;
+        self.end_attach(
+            m_tmsi,
+            &EmmMessage::AttachReject { cause },
+            s1_cause::NAS_NORMAL_RELEASE,
+        )
+    }
+
+    /// End a failed attach on its connection: `reject` to the device,
+    /// then the connection's release with `release_cause`. The device is
+    /// deregistered and nothing of the attach stays in flight; its
+    /// Release Complete puts the copy to rest like any release, so the
+    /// connection's S1AP id leaves the index.
+    fn end_attach(
+        &mut self,
+        m_tmsi: u32,
+        reject: &EmmMessage,
+        release_cause: u8,
+    ) -> Result<Vec<Outgoing>, MmeError> {
         let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
         ctx.emm = EmmState::Deregistered;
         ctx.procedure = Procedure::AwaitReleaseComplete;
         let (enb_id, mme_ue_id, enb_ue_id) = (ctx.enb_id, ctx.mme_ue_id, ctx.enb_ue_id);
+        if let Some(f) = self.in_flight.get_mut(&m_tmsi) {
+            f.end_aka();
+            self.settle(m_tmsi);
+        }
         Ok(vec![
             Outgoing::S1ap {
                 enb_id,
                 pdu: S1apPdu::DownlinkNasTransport {
                     mme_ue_id,
                     enb_ue_id,
-                    nas_pdu: EmmMessage::AuthenticationReject.encode(),
+                    nas_pdu: reject.encode(),
                 },
             },
             Outgoing::S1ap {
@@ -1355,7 +1407,7 @@ impl MmeCore {
                 pdu: S1apPdu::UeContextReleaseCommand {
                     mme_ue_id,
                     enb_ue_id,
-                    cause: s1_cause::NAS_AUTHENTICATION_FAILURE,
+                    cause: release_cause,
                 },
             },
         ])
@@ -1624,20 +1676,7 @@ impl MmeCore {
             } => {
                 let m_tmsi = opener("unmatched CS response")?;
                 if !cause.is_accepted() {
-                    self.stats.rejects += 1;
-                    let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
-                    ctx.procedure = Procedure::None;
-                    ctx.emm = EmmState::Deregistered;
-                    let enb_id = ctx.enb_id;
-                    let pdu = S1apPdu::DownlinkNasTransport {
-                        mme_ue_id: ctx.mme_ue_id,
-                        enb_ue_id: ctx.enb_ue_id,
-                        nas_pdu: EmmMessage::AttachReject {
-                            cause: scale_nas::emm_cause::NETWORK_FAILURE,
-                        }
-                        .encode(),
-                    };
-                    return Ok(vec![Outgoing::S1ap { enb_id, pdu }]);
+                    return self.reject_attach(m_tmsi, scale_nas::emm_cause::NETWORK_FAILURE);
                 }
                 let t3412 = self.config.t3412_s;
                 let apn = self.config.apn.clone();
@@ -1825,19 +1864,7 @@ impl MmeCore {
                     return Err(MmeError::BadState("AIA out of sequence".into()));
                 }
                 if result != result_code::SUCCESS || vectors.is_empty() {
-                    self.stats.rejects += 1;
-                    ctx.emm = EmmState::Deregistered;
-                    ctx.procedure = Procedure::None;
-                    let enb_id = ctx.enb_id;
-                    let pdu = S1apPdu::DownlinkNasTransport {
-                        mme_ue_id: ctx.mme_ue_id,
-                        enb_ue_id: ctx.enb_ue_id,
-                        nas_pdu: EmmMessage::AttachReject {
-                            cause: scale_nas::emm_cause::IMSI_UNKNOWN_IN_HSS,
-                        }
-                        .encode(),
-                    };
-                    return Ok(vec![Outgoing::S1ap { enb_id, pdu }]);
+                    return self.reject_attach(m_tmsi, scale_nas::emm_cause::IMSI_UNKNOWN_IN_HSS);
                 }
                 let EutranVector {
                     rand,
@@ -1862,20 +1889,15 @@ impl MmeCore {
                 Ok(vec![Outgoing::S1ap { enb_id, pdu }])
             }
             S6a::UpdateLocationAnswer { result, .. } => {
-                let imsi = {
-                    let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
-                    if ctx.procedure != Procedure::AwaitUpdateLocation {
-                        return Err(MmeError::BadState("ULA out of sequence".into()));
-                    }
-                    if result != result_code::SUCCESS {
-                        self.stats.rejects += 1;
-                        ctx.emm = EmmState::Deregistered;
-                        ctx.procedure = Procedure::None;
-                        return Ok(vec![]);
-                    }
-                    ctx.procedure = Procedure::AwaitCreateSession;
-                    ctx.imsi
-                };
+                let ctx = Self::ctx_mut_in(&mut self.contexts, m_tmsi)?;
+                if ctx.procedure != Procedure::AwaitUpdateLocation {
+                    return Err(MmeError::BadState("ULA out of sequence".into()));
+                }
+                if result != result_code::SUCCESS {
+                    return self.reject_attach(m_tmsi, scale_nas::emm_cause::EPS_NOT_ALLOWED);
+                }
+                ctx.procedure = Procedure::AwaitCreateSession;
+                let imsi = ctx.imsi;
                 Ok(vec![self.create_session(m_tmsi, imsi)?])
             }
             other => Err(MmeError::BadState(format!(
@@ -1923,25 +1945,48 @@ mod tests {
         // a fresh MME-UE-S1AP-ID by its serving engine (one per Service
         // Request). A copy at rest is indexed by IMSI and found by its
         // S11 TEID, its M-TMSI, never by the S1AP id of a connection it
-        // does not have.
+        // does not have. The refreshes alternate between a copy with a
+        // session and one without, and the newest (with) is what stays.
         let mut holder = MmeCore::new(MmeConfig::default());
         let m_tmsi = 0x0100_0007;
         let id_of = |k: u32| 0x0200_0000 + k;
+        let ebi_of = |k: u32| if k.is_multiple_of(2) { 0 } else { 5 };
         let mut guti = None;
         for k in 0..1000 {
-            guti = Some(holder.import_state(replica(m_tmsi, id_of(k), 5)).unwrap());
+            guti = Some(holder.import_state(replica(m_tmsi, id_of(k), ebi_of(k))).unwrap());
         }
+        let guti = guti.unwrap();
         assert_eq!(holder.context_count(), 1);
+        assert_eq!(holder.at_rest.len(), 1);
+        assert_eq!(holder.export_state(&guti).unwrap(), replica(m_tmsi, 0, 5));
         for k in 0..1000 {
             assert_eq!(holder.m_tmsi_by_mme_ue_id(id_of(k)), None, "id of refresh {k} indexed");
         }
         assert_eq!(holder.m_tmsi_by_s11_teid(m_tmsi), Some(m_tmsi));
         assert_eq!((holder.by_mme_ue_id.len(), holder.by_imsi.len()), (0, 1));
 
-        assert!(holder.remove_context(&guti.unwrap()));
-        assert_eq!(holder.context_count(), 0);
-        assert!(holder.by_imsi.is_empty() && holder.by_mme_ue_id.is_empty());
+        // A second device, and the first woken, refreshed while decoded
+        // and put back to rest: one copy per M-TMSI throughout.
+        let other = holder.import_state(replica(m_tmsi + 1, 0, 5)).unwrap();
+        let copies = |h: &MmeCore| (h.contexts.len(), h.at_rest.len(), h.by_imsi.len());
+        assert_eq!(copies(&holder), (0, 2, 2));
+        holder.wake(m_tmsi).unwrap();
+        assert_eq!(copies(&holder), (1, 1, 2));
+        holder.import_state(replica(m_tmsi, 0, 0)).unwrap();
+        assert_eq!(copies(&holder), (0, 2, 2));
+        assert_eq!(holder.m_tmsi_by_s11_teid(m_tmsi), None, "the newest copy has no session");
+        holder.wake(m_tmsi).unwrap();
+        holder.rest(m_tmsi);
+        assert_eq!(copies(&holder), (0, 2, 2));
+        assert_eq!(holder.export_state(&guti).unwrap(), replica(m_tmsi, 0, 0));
+
+        assert!(holder.remove_context(&guti));
+        assert!(!holder.remove_context(&guti), "removed once");
+        assert_eq!(copies(&holder), (0, 1, 1));
+        assert!(holder.holds(&other) && !holder.holds(&guti));
+        assert!(holder.by_mme_ue_id.is_empty());
         assert_eq!(holder.m_tmsi_by_s11_teid(m_tmsi), None);
+        assert_eq!(holder.m_tmsi_by_s11_teid(m_tmsi + 1), Some(m_tmsi + 1));
     }
 
     #[test]
@@ -2149,6 +2194,12 @@ mod tests {
     /// An IMSI attach on `engine` up to the Authentication Request:
     /// the M-TMSI and MME-UE-S1AP-ID it runs under.
     fn challenged(engine: &mut MmeCore, enb_ue_id: u32) -> (u32, u32) {
+        let air = attach(engine, enb_ue_id);
+        answer_air(engine, &air)
+    }
+
+    /// An attach by IMSI on connection `enb_ue_id`: the AIR it sends.
+    fn attach(engine: &mut MmeCore, enb_ue_id: u32) -> DiameterMsg {
         let attach = EmmMessage::AttachRequest {
             attach_type: 1,
             id: MobileId::Imsi("001010000000031".into()),
@@ -2169,7 +2220,55 @@ mod tests {
         let [Outgoing::S6a(air)] = &out[..] else {
             panic!("expected AIR, got {out:?}");
         };
-        answer_air(engine, air)
+        air.clone()
+    }
+
+    /// Answer the challenge `challenged` sent, and the Security Mode
+    /// Command that follows: the Update Location Request the attach
+    /// sends next.
+    fn secured(engine: &mut MmeCore, mme_ue_id: u32, enb_ue_id: u32) -> DiameterMsg {
+        let response = EmmMessage::AuthenticationResponse { res: [7; 8] };
+        let out = uplink(engine, mme_ue_id, enb_ue_id, &response);
+        let [Outgoing::S1ap {
+            pdu: S1apPdu::DownlinkNasTransport { nas_pdu, .. },
+            ..
+        }] = &out[..]
+        else {
+            panic!("expected a Security Mode Command, got {out:?}");
+        };
+        let mut ue_sec = NasSecurityContext::new(NasSecurityKeys::from_kasme([9; 32]), 1);
+        ue_sec.unprotect(nas_pdu.clone(), Direction::Downlink).unwrap();
+        let done = ue_sec.protect(
+            &EmmMessage::SecurityModeComplete,
+            Direction::Uplink,
+            SecurityHeader::Integrity,
+        );
+        let out = engine
+            .handle(Incoming::S1ap {
+                enb_id: crate::flow_tests::ENB,
+                pdu: S1apPdu::UplinkNasTransport {
+                    mme_ue_id,
+                    enb_ue_id,
+                    nas_pdu: done,
+                    tai: Tai::new(Plmn::test(), 7),
+                },
+            })
+            .unwrap();
+        let [Outgoing::S6a(ulr)] = &out[..] else {
+            panic!("expected ULR, got {out:?}");
+        };
+        ulr.clone()
+    }
+
+    /// An Update Location Answer to `ulr` with `result`.
+    fn answer_ulr(engine: &mut MmeCore, ulr: &DiameterMsg, result: u32) -> Vec<Outgoing> {
+        let ula = S6a::UpdateLocationAnswer {
+            result,
+            ambr_ul_kbps: 50_000,
+            ambr_dl_kbps: 150_000,
+        }
+        .into_msg(ulr.hop_by_hop, ulr.end_to_end);
+        engine.handle(Incoming::S6a(ula)).unwrap()
     }
 
     /// Answer `air` with one vector: the Authentication Request's ids.
@@ -2210,9 +2309,29 @@ mod tests {
     }
 
     /// `out` is Authentication Reject and then the release of the same
-    /// connection (TS 24.301 §5.4.2.5–5.4.2.7); the Release Complete
-    /// that answers it leaves no S1AP id indexed and nothing in flight.
+    /// connection (TS 24.301 §5.4.2.5–5.4.2.7), as
+    /// [`assert_ended_and_released`] checks.
     fn assert_rejected_and_released(engine: &mut MmeCore, m_tmsi: u32, out: &[Outgoing]) {
+        assert_ended_and_released(
+            engine,
+            m_tmsi,
+            out,
+            &EmmMessage::AuthenticationReject,
+            s1_cause::NAS_AUTHENTICATION_FAILURE,
+        );
+        assert_eq!(engine.stats.auth_failures, 1);
+    }
+
+    /// `out` is `reject` and then the release of the same connection
+    /// with `cause`; the Release Complete that answers it leaves no S1AP
+    /// id indexed, nothing in flight and no transaction open.
+    fn assert_ended_and_released(
+        engine: &mut MmeCore,
+        m_tmsi: u32,
+        out: &[Outgoing],
+        reject: &EmmMessage,
+        release_cause: u8,
+    ) {
         let [Outgoing::S1ap {
             enb_id,
             pdu: S1apPdu::DownlinkNasTransport { nas_pdu, mme_ue_id, enb_ue_id },
@@ -2225,11 +2344,11 @@ mod tests {
             },
         }] = out
         else {
-            panic!("expected Authentication Reject + UE Context Release Command, got {out:?}");
+            panic!("expected {reject:?} + UE Context Release Command, got {out:?}");
         };
-        assert_eq!(EmmMessage::decode(nas_pdu.clone()).unwrap(), EmmMessage::AuthenticationReject);
+        assert_eq!(&EmmMessage::decode(nas_pdu.clone()).unwrap(), reject);
         assert_eq!((release_enb, release_id, release_enb_ue_id), (enb_id, mme_ue_id, enb_ue_id));
-        assert_eq!(*cause, s1_cause::NAS_AUTHENTICATION_FAILURE);
+        assert_eq!(*cause, release_cause);
         let done = engine
             .handle(Incoming::S1ap {
                 enb_id: *enb_id,
@@ -2243,8 +2362,9 @@ mod tests {
         assert!(engine.by_mme_ue_id.is_empty(), "{:?}", engine.by_mme_ue_id);
         assert!(engine.in_flight.is_empty(), "{:?}", engine.in_flight);
         assert_eq!(engine.open_transactions(), 0);
-        assert_eq!(engine.stats.auth_failures, 1);
         assert_eq!(engine.ecm(&guti_of(m_tmsi)), Some(EcmState::Idle));
+        let ctx = engine.context(&guti_of(m_tmsi)).unwrap();
+        assert_eq!((ctx.emm, ctx.procedure), (EmmState::Deregistered, Procedure::None));
     }
 
     /// The GUTI a default-configured engine allocates with `m_tmsi`.
@@ -2264,8 +2384,6 @@ mod tests {
         let (m_tmsi, mme_ue_id) = challenged(&mut engine, 4);
         let out = uplink(&mut engine, mme_ue_id, 4, &EmmMessage::AuthenticationResponse { res: [0; 8] });
         assert_rejected_and_released(&mut engine, m_tmsi, &out);
-        let ctx = engine.context(&guti_of(m_tmsi)).unwrap();
-        assert_eq!((ctx.emm, ctx.procedure), (EmmState::Deregistered, Procedure::None));
     }
 
     #[test]
@@ -2298,6 +2416,71 @@ mod tests {
         let out = uplink(&mut engine, mme_ue_id, 6, &failure);
         assert_rejected_and_released(&mut engine, m_tmsi, &out);
         assert_eq!(engine.stats.resyncs, 1);
+    }
+
+    #[test]
+    fn a_failed_auth_info_answer_is_rejected_and_its_connection_released() {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let air = attach(&mut engine, 7);
+        let aia = S6a::AuthInfoAnswer {
+            result: result_code::USER_UNKNOWN,
+            vectors: vec![],
+        }
+        .into_msg(air.hop_by_hop, air.end_to_end);
+        let out = engine.handle(Incoming::S6a(aia)).unwrap();
+        let Some(Outgoing::S1ap {
+            pdu: S1apPdu::DownlinkNasTransport { mme_ue_id, .. },
+            ..
+        }) = out.first()
+        else {
+            panic!("expected an Attach Reject first, got {out:?}");
+        };
+        let m_tmsi = engine.tmsi_of(*mme_ue_id).unwrap();
+        let reject = EmmMessage::AttachReject {
+            cause: scale_nas::emm_cause::IMSI_UNKNOWN_IN_HSS,
+        };
+        assert_ended_and_released(&mut engine, m_tmsi, &out, &reject, s1_cause::NAS_NORMAL_RELEASE);
+        assert_eq!(engine.stats.rejects, 1);
+    }
+
+    #[test]
+    fn a_refused_update_location_is_rejected_and_its_connection_released() {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let (m_tmsi, mme_ue_id) = challenged(&mut engine, 8);
+        let ulr = secured(&mut engine, mme_ue_id, 8);
+        let out = answer_ulr(&mut engine, &ulr, result_code::UNABLE_TO_COMPLY);
+        let reject = EmmMessage::AttachReject {
+            cause: scale_nas::emm_cause::EPS_NOT_ALLOWED,
+        };
+        assert_ended_and_released(&mut engine, m_tmsi, &out, &reject, s1_cause::NAS_NORMAL_RELEASE);
+        assert_eq!(engine.stats.rejects, 1);
+    }
+
+    #[test]
+    fn a_rejected_create_session_is_rejected_and_its_connection_released() {
+        let mut engine = MmeCore::new(MmeConfig::default());
+        let (m_tmsi, mme_ue_id) = challenged(&mut engine, 9);
+        let ulr = secured(&mut engine, mme_ue_id, 9);
+        let out = answer_ulr(&mut engine, &ulr, result_code::SUCCESS);
+        let [Outgoing::S11(cs)] = &out[..] else {
+            panic!("expected a Create Session Request, got {out:?}");
+        };
+        let refused = gtpc::Message {
+            teid: m_tmsi,
+            sequence: cs.sequence,
+            body: gtpc::Body::CreateSessionResponse {
+                cause: Cause::NoResourcesAvailable,
+                sender_fteid: None,
+                paa: None,
+                bearer: None,
+            },
+        };
+        let out = engine.handle(Incoming::S11(refused)).unwrap();
+        let reject = EmmMessage::AttachReject {
+            cause: scale_nas::emm_cause::NETWORK_FAILURE,
+        };
+        assert_ended_and_released(&mut engine, m_tmsi, &out, &reject, s1_cause::NAS_NORMAL_RELEASE);
+        assert_eq!(engine.stats.rejects, 1);
     }
 
     #[test]
@@ -2383,9 +2566,9 @@ mod tests {
     #[should_panic(expected = "both decoded and at rest")]
     fn the_audit_catches_a_copy_in_both_forms() {
         let mut engine = audited();
-        let (&m_tmsi, ctx) = engine.contexts.iter().next().unwrap();
+        let ctx = engine.contexts.values().next().unwrap();
         let rest = AtRest::import(&ctx.to_bytes());
-        engine.at_rest.insert(m_tmsi, rest);
+        engine.at_rest.replace(rest);
         engine.check_invariants();
     }
 

@@ -7,6 +7,7 @@
 
 use crate::wire::{NasError, Reader, Writer};
 use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
 
 /// A PLMN identity (MCC + MNC), stored in its 3-byte BCD wire form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -118,8 +119,22 @@ impl Tai {
 /// each, low digit first, with the digit count in the top four bits so
 /// that leading zeros survive. Eight bytes and `Copy`, it keys a table
 /// without a heap string behind it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Imsi(u64);
+///
+/// The packed `u64` is kept as its high and low `u32` words, so the type
+/// is 4-byte aligned: an entry `(Imsi, u32)` takes 12 bytes, where a
+/// `u64` field would pad it to 16. Equality is the `u64`'s, and a value
+/// hashes as its packed `u64`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Imsi([u32; 2]);
+
+const _: () = assert!(std::mem::size_of::<Imsi>() == 8 && std::mem::align_of::<Imsi>() == 4);
+const _: () = assert!(std::mem::size_of::<(Imsi, u32)>() == 12);
+
+impl Hash for Imsi {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_u64(self.packed());
+    }
+}
 
 impl Imsi {
     /// The longest IMSI, in digits (TS 23.003 §2.2).
@@ -137,12 +152,16 @@ impl Imsi {
             }
             packed |= u64::from(d - b'0') << (4 * i);
         }
-        Some(Imsi(packed))
+        Some(Imsi::of(packed))
+    }
+
+    fn of(packed: u64) -> Imsi {
+        Imsi([(packed >> 32) as u32, packed as u32])
     }
 
     /// Number of digits, 1–15.
     pub fn digit_count(self) -> usize {
-        (self.0 >> 60) as usize
+        (self.packed() >> 60) as usize
     }
 
     /// The packed form itself: the digit count in the top four bits and
@@ -150,7 +169,7 @@ impl Imsi {
     /// where the ASCII form takes up to sixteen, so the replica blob
     /// carries this.
     pub fn packed(self) -> u64 {
-        self.0
+        (u64::from(self.0[0]) << 32) | u64::from(self.0[1])
     }
 
     /// Inverse of [`Imsi::packed`], for canonical values only: a count
@@ -167,15 +186,16 @@ impl Imsi {
             return None;
         }
         let any_above_nine = (0..count).any(|i| (digits >> (4 * i)) & 0xf > 9);
-        (!any_above_nine).then_some(Imsi(packed))
+        (!any_above_nine).then_some(Imsi::of(packed))
     }
 
     /// The digits as ASCII: the first [`Imsi::digit_count`] bytes of the
     /// array.
     pub fn to_ascii(self) -> [u8; Self::MAX_DIGITS] {
+        let packed = self.packed();
         let mut out = [0u8; Self::MAX_DIGITS];
         for (i, d) in out.iter_mut().enumerate().take(self.digit_count()) {
-            *d = b'0' + ((self.0 >> (4 * i)) & 0xf) as u8;
+            *d = b'0' + ((packed >> (4 * i)) & 0xf) as u8;
         }
         out
     }

@@ -64,6 +64,8 @@ pub mod cause {
     pub const UNKNOWN_PAIR_UE_S1AP_ID: u8 = 15;
     /// Misc: control processing overload.
     pub const CONTROL_PROCESSING_OVERLOAD: u8 = 40;
+    /// NAS: normal release — the release after an Attach Reject.
+    pub const NAS_NORMAL_RELEASE: u8 = 50;
     /// NAS: detach.
     pub const NAS_DETACH: u8 = 51;
     /// NAS: authentication failure — the release after an
