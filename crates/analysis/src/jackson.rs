@@ -53,14 +53,14 @@ pub struct ClassLoad {
 }
 
 impl ClassLoad {
-    /// Build a class load, debug-asserting the unit invariants
-    /// (non-negative finite rate, positive finite demand).
+    /// Build a class load, asserting the unit invariants (non-negative
+    /// finite rate, positive finite demand) in release builds too.
     pub fn new(name: &str, arrival_rps: f64, service_s: f64) -> ClassLoad {
-        debug_assert!(
+        assert!(
             arrival_rps.is_finite() && arrival_rps >= 0.0,
             "{name}: arrival_rps must be a finite non-negative rate (got {arrival_rps})"
         );
-        debug_assert!(
+        assert!(
             service_s.is_finite() && service_s > 0.0,
             "{name}: service_s must be a finite positive demand in seconds (got {service_s})"
         );
@@ -177,10 +177,10 @@ pub struct FleetModel {
 impl FleetModel {
     /// Build a model of `vms` workers under the given per-class load.
     ///
-    /// `vms` must be ≥ 1 (debug-asserted); class invariants are checked
+    /// `vms` must be ≥ 1 (asserted); class invariants are checked
     /// by [`ClassLoad::new`].
     pub fn new(vms: u32, classes: Vec<ClassLoad>) -> FleetModel {
-        debug_assert!(vms >= 1, "a fleet has at least one worker");
+        assert!(vms >= 1, "a fleet has at least one worker");
         FleetModel { vms, classes }
     }
 
@@ -295,11 +295,11 @@ impl FleetModel {
         min_vms: u32,
         max_vms: u32,
     ) -> u32 {
-        debug_assert!(
+        assert!(
             sla_p99_s.is_finite() && sla_p99_s > 0.0,
             "sla_p99_s must be a positive latency bound in seconds (got {sla_p99_s})"
         );
-        debug_assert!(
+        assert!(
             (0.0..1.0).contains(&rho_cap) || rho_cap == 1.0,
             "rho_cap must lie in (0, 1] (got {rho_cap})"
         );
@@ -358,11 +358,11 @@ impl WaitingCdf {
     /// [`RHO_SATURATION`] — callers are expected to gate on ρ first, as
     /// [`FleetModel::predict`] does.
     pub fn solve(lambda_rps: f64, atoms: &[(f64, f64)]) -> WaitingCdf {
-        debug_assert!(
+        assert!(
             lambda_rps.is_finite() && lambda_rps > 0.0,
             "lambda_rps must be a finite positive rate (got {lambda_rps})"
         );
-        debug_assert!(
+        assert!(
             atoms.iter().all(|&(p, s)| p >= 0.0 && s > 0.0),
             "service atoms must have non-negative probability and positive demand"
         );
@@ -469,7 +469,7 @@ impl WaitingCdf {
     /// values below the idle probability 1 − ρ return 0 (the atom at
     /// zero wait).
     pub fn quantile(&self, q: f64) -> f64 {
-        debug_assert!((0.0..1.0).contains(&q), "quantile q must be in [0,1)");
+        assert!((0.0..1.0).contains(&q), "quantile q must be in [0,1)");
         if q <= self.values[0] {
             return 0.0;
         }
@@ -524,6 +524,60 @@ impl WaitingCdf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The model's parameter checks hold in release builds, where the
+    // `autoscale` and `model_validation` bins run: CI runs these with
+    // debug assertions off.
+
+    #[test]
+    #[should_panic(expected = "arrival_rps")]
+    fn a_negative_arrival_rate_fails_loudly() {
+        let _ = ClassLoad::new("attach", -1.0, 1e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "service_s")]
+    fn a_nan_service_demand_fails_loudly() {
+        let _ = ClassLoad::new("attach", 100.0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn an_empty_fleet_fails_loudly() {
+        let _ = FleetModel::new(0, vec![ClassLoad::new("attach", 100.0, 1e-3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sla_p99_s")]
+    fn a_zero_sla_fails_loudly() {
+        let _ = FleetModel::min_vms(&[ClassLoad::new("attach", 100.0, 1e-3)], 0.0, 0.8, 1, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "rho_cap")]
+    fn a_rho_cap_above_one_fails_loudly() {
+        let _ = FleetModel::min_vms(&[ClassLoad::new("attach", 100.0, 1e-3)], 0.1, 1.5, 1, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "lambda_rps")]
+    fn solving_with_no_arrivals_fails_loudly() {
+        let _ = WaitingCdf::solve(0.0, &typical_atoms());
+    }
+
+    #[test]
+    #[should_panic(expected = "service atoms")]
+    fn a_zero_service_atom_fails_loudly() {
+        let _ = WaitingCdf::solve(10.0, &[(1.0, 0.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile q")]
+    fn the_quantile_at_one_fails_loudly() {
+        let atoms = typical_atoms();
+        let cdf = WaitingCdf::solve(rate_for_rho(0.5, &atoms), &atoms);
+        let _ = cdf.quantile(1.0);
+    }
 
     fn typical_atoms() -> Vec<(f64, f64)> {
         vec![

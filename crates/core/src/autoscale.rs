@@ -107,46 +107,47 @@ impl Default for AutoscaleConfig {
 }
 
 impl AutoscaleConfig {
-    /// Debug-assert the configuration is coherent, naming the bad
-    /// field. Miscontrolled autoscaling should fail loudly in tests,
-    /// not silently thrash a fleet.
+    /// Assert the configuration is coherent, naming the bad field.
+    /// Miscontrolled autoscaling should fail loudly, not silently thrash
+    /// a fleet — in release builds too, where the `autoscale` bin runs
+    /// ([`Autoscaler::new`] calls this).
     pub fn validate(&self) {
-        debug_assert!(
+        assert!(
             self.sla_p99_s.is_finite() && self.sla_p99_s > 0.0,
             "sla_p99_s must be a positive latency bound in seconds (got {})",
             self.sla_p99_s
         );
-        debug_assert!(
+        assert!(
             self.rho_cap > 0.0 && self.rho_cap <= 1.0,
             "rho_cap must lie in (0, 1] (got {})",
             self.rho_cap
         );
-        debug_assert!(
+        assert!(
             self.min_vms >= 1 && self.max_vms >= self.min_vms,
             "fleet bounds must satisfy 1 <= min_vms <= max_vms (got {}..={})",
             self.min_vms,
             self.max_vms
         );
-        debug_assert!(
+        assert!(
             self.headroom.is_finite() && self.headroom >= 1.0,
             "headroom must be a finite factor >= 1 (got {})",
             self.headroom
         );
-        debug_assert!(
+        assert!(
             (0.0..=1.0).contains(&self.forecast_alpha),
             "forecast_alpha must lie in [0, 1] (got {})",
             self.forecast_alpha
         );
-        debug_assert!(
+        assert!(
             self.max_step_up >= 1 && self.max_step_down >= 1,
             "step limits must allow at least one VM per epoch"
         );
-        debug_assert!(
+        assert!(
             self.replication >= 1,
             "replication must be at least 1 (got {})",
             self.replication
         );
-        debug_assert!(
+        assert!(
             self.beta > 0.0 && self.beta <= 1.0,
             "beta must lie in (0, 1] (got {})",
             self.beta
@@ -551,6 +552,87 @@ mod tests {
 
     fn controller() -> Autoscaler {
         Autoscaler::new(AutoscaleConfig::default(), demands())
+    }
+
+    /// A controller over `config`, which [`Autoscaler::new`] checks.
+    fn controller_with(config: AutoscaleConfig) -> Autoscaler {
+        Autoscaler::new(config, demands())
+    }
+
+    // The checks hold in release builds, where the `autoscale` bin
+    // runs: CI runs these with debug assertions off.
+
+    #[test]
+    #[should_panic(expected = "sla_p99_s")]
+    fn a_nan_sla_fails_loudly() {
+        let _ = controller_with(AutoscaleConfig {
+            sla_p99_s: f64::NAN,
+            ..AutoscaleConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rho_cap")]
+    fn a_zero_rho_cap_fails_loudly() {
+        let _ = controller_with(AutoscaleConfig {
+            rho_cap: 0.0,
+            ..AutoscaleConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet bounds")]
+    fn an_inverted_fleet_bound_fails_loudly() {
+        let _ = controller_with(AutoscaleConfig {
+            min_vms: 8,
+            max_vms: 4,
+            ..AutoscaleConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "headroom")]
+    fn headroom_below_one_fails_loudly() {
+        let _ = controller_with(AutoscaleConfig {
+            headroom: 0.5,
+            ..AutoscaleConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "forecast_alpha")]
+    fn a_forecast_alpha_above_one_fails_loudly() {
+        let _ = controller_with(AutoscaleConfig {
+            forecast_alpha: 2.0,
+            ..AutoscaleConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "step limits")]
+    fn a_zero_step_fails_loudly() {
+        let _ = controller_with(AutoscaleConfig {
+            max_step_up: 0,
+            ..AutoscaleConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "replication")]
+    fn zero_replication_fails_loudly() {
+        let _ = controller_with(AutoscaleConfig {
+            replication: 0,
+            ..AutoscaleConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "beta")]
+    fn a_zero_beta_fails_loudly() {
+        let _ = controller_with(AutoscaleConfig {
+            beta: 0.0,
+            ..AutoscaleConfig::default()
+        });
     }
 
     #[test]

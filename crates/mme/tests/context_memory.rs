@@ -146,16 +146,17 @@ fn release(engine: &mut MmeCore, mme_ue_id: u32) {
     assert!(matches!(&out[..], [Outgoing::UeIdle { .. }]), "{out:?}");
 }
 
-/// A copy at rest costs at most 200 heap bytes: the 127-byte blob and
-/// its one-byte tail in one allocation, and two index buckets — the
+/// A copy at rest costs at most 170 heap bytes: the 127-byte blob and
+/// its one-byte tail in one allocation, and one index bucket — the
 /// copy's own 16-byte box in the at-rest set, keyed by the M-TMSI inside
-/// its blob, and a 12-byte IMSI entry (the S11 TEID is the M-TMSI: no
-/// entry of its own). Measured at `wire_saturate`'s load per engine
-/// (30,000 devices × R = 2 over 16 VMs), where it reads 193.5, and at
-/// ten times that (180.4). With a 24-byte at-rest entry keyed by a `u32`
-/// and a 16-byte IMSI entry it read 219.8 and 201.4.
+/// its blob (the S11 TEID is the M-TMSI, and no table is keyed by IMSI).
+/// Measured at `wire_saturate`'s load per engine (30,000 devices × R = 2
+/// over 16 VMs), where it reads 165.1, and at ten times that (157.7).
+/// With a 12-byte IMSI entry beside it, it read 193.5 and 180.4; with a
+/// 24-byte at-rest entry keyed by a `u32` and a 16-byte IMSI entry,
+/// 219.8 and 201.4.
 #[test]
-fn an_at_rest_copy_costs_at_most_200_heap_bytes() {
+fn an_at_rest_copy_costs_at_most_170_heap_bytes() {
     assert_eq!(blob(0).len(), 127);
     for n in [3_750u32, 37_500] {
         let mut engine = MmeCore::new(MmeConfig::default());
@@ -163,18 +164,18 @@ fn an_at_rest_copy_costs_at_most_200_heap_bytes() {
         assert_eq!(engine.context_count(), n as usize);
         let per_ctx = held as f64 / f64::from(n);
         println!("{n} contexts at rest: {per_ctx:.1} heap bytes per context");
-        assert!(per_ctx <= 200.0, "{per_ctx:.1} bytes per context at {n}");
+        assert!(per_ctx <= 170.0, "{per_ctx:.1} bytes per context at {n}");
     }
 }
 
 /// The same copies, split into the blob's allocation (128 bytes with its
-/// tail) and what the indices add: at most 70 bytes. A table's buckets
-/// hold 16 + 1 and 12 + 1 bytes (entry and control byte), 30 in all, at
-/// a load between 46 % (3,750 copies in 8,192 buckets: 65.5 bytes) and
-/// 57 % (37,500 in 65,536: 52.4); the wider entries came to 91.7 and
-/// 73.4.
+/// tail) and what the index adds: at most 40 bytes. The set's buckets
+/// hold 16 + 1 bytes (entry and control byte) at a load between 46 %
+/// (3,750 copies in 8,192 buckets: 37.1 bytes) and 57 % (37,500 in
+/// 65,536: 29.7); with a 12-byte IMSI entry as well they came to 65.5
+/// and 52.4, and with the wider entries before that to 91.7 and 73.4.
 #[test]
-fn a_replica_copy_costs_its_blob_and_at_most_70_bytes_of_index() {
+fn a_replica_copy_costs_its_blob_and_at_most_40_bytes_of_index() {
     const BLOB_ALLOCATION: f64 = 128.0;
     for n in [3_750u32, 37_500] {
         let mut engine = MmeCore::new(MmeConfig::default());
@@ -182,7 +183,7 @@ fn a_replica_copy_costs_its_blob_and_at_most_70_bytes_of_index() {
         assert_eq!(engine.context_count(), n as usize);
         let index = held as f64 / f64::from(n) - BLOB_ALLOCATION;
         println!("{n} contexts: {index:.1} index bytes per context");
-        assert!(index <= 70.0, "{index:.1} index bytes per context at {n}");
+        assert!(index <= 40.0, "{index:.1} index bytes per context at {n}");
     }
 }
 

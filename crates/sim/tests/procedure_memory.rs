@@ -71,12 +71,13 @@ const OPS: usize = 32;
 const FLAT: f64 = 1.05;
 
 /// Heap a worker may hold per device, after any number of procedures:
-/// 493 B after none and 509 B after 32 with at-rest copies keyed by
-/// their own M-TMSI bytes and 12-byte IMSI entries; a `u32`-keyed
-/// at-rest map and 16-byte IMSI entries held 526 B and 542 B, the
-/// 146-byte blob and an S11-TEID index 589 B and 606 B, and an HSS that
-/// kept a record per subscriber 663 B and 681 B.
-const WORKER_BYTES_PER_DEVICE: f64 = 515.0;
+/// 457 B after none and 473 B after 32 with at-rest copies keyed by
+/// their own M-TMSI bytes and no IMSI index; 12-byte IMSI entries as
+/// well held 493 B and 509 B, a `u32`-keyed at-rest map and 16-byte
+/// IMSI entries 526 B and 542 B, the 146-byte blob and an S11-TEID
+/// index 589 B and 606 B, and an HSS that kept a record per subscriber
+/// 663 B and 681 B.
+const WORKER_BYTES_PER_DEVICE: f64 = 480.0;
 
 /// `engine_idle_churn`'s fleet (16 VMs, R = 2) on two workers and two
 /// cells, at a population a debug build replays in seconds.
