@@ -760,6 +760,10 @@ impl ScaleDc {
                     self.sync_holders(*guti, Some(vm));
                     result.push(out);
                 }
+                // The release of a refused attach: the copy it names is
+                // another device's, and nothing of that device ended.
+                Outgoing::UeDetached { guti }
+                    if self.mmps.get(&vm).is_some_and(|e| e.holds(guti)) => {}
                 Outgoing::UeDetached { guti } => {
                     let g = *guti;
                     for v in self.vm_ids() {
@@ -980,7 +984,7 @@ impl ControlPlane for ScaleDc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scale_epc::{Network, UeState};
+    use scale_epc::{Lifecycle, Network, UeState};
 
     fn scale_net(vms: u32, n_ues: usize) -> Network<ScaleDc> {
         let dc = ScaleDc::new(ScaleConfig {
@@ -1103,6 +1107,32 @@ mod tests {
         }
         let total: usize = net.cp.vm_ids().iter().map(|&v| net.cp.states_on(v)).sum();
         assert_eq!(total, 0);
+    }
+
+    #[test]
+    fn a_refused_attach_leaves_the_copies_its_m_tmsi_names() {
+        // Another device's copy, on every VM, under the M-TMSI the MLB
+        // hands the next IMSI attach (its first): the attach is refused,
+        // its release leaves every copy as it was, and nothing reports
+        // that device detached.
+        let mut net = scale_net(3, 1);
+        let guti = net.cp.mlb.guti(1);
+        let imsi = scale_nas::Imsi::from_ascii(b"001019999999990").unwrap();
+        let mut other = scale_mme::UeContext::new(imsi, guti, scale_nas::Tai::new(Plmn::test(), 1));
+        other.emm = scale_mme::EmmState::Registered;
+        let blob = other.to_bytes();
+        for engine in net.cp.mmps.values_mut() {
+            engine.import_state(blob.clone()).unwrap();
+        }
+        // The device tries again, and is handed the next M-TMSI.
+        assert!(net.attach(0), "{:?}", net.errors);
+        let events = &net.events;
+        assert!(matches!(events[0], Lifecycle::Rejected { ue: 0, cause: 17 }), "{events:?}");
+        assert!(!events.iter().any(|e| matches!(e, Lifecycle::Detached { .. })), "{events:?}");
+        assert_eq!(net.ues[0].guti.map(|g| g.m_tmsi), Some(2));
+        for engine in net.cp.mmps.values() {
+            assert_eq!(engine.export_state(&guti), Some(blob.clone()));
+        }
     }
 
     #[test]
