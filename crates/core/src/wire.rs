@@ -7,13 +7,16 @@
 //!   (EnbEmulator)             (MlbState, this module)         (MmpNode, this module)
 //! ```
 //!
-//! Everything here is sans-IO: [`MlbState`] and [`MmpNode`] consume
-//! decoded [`WireMsg`] values (the MLB also their bytes,
-//! [`MlbState::relay`]) and emit outputs into caller-provided vectors,
-//! so the same logic is driven by real sockets in the deployment
-//! binaries, by worker threads in `scale-sim`'s scale-out driver, and
-//! by the single-threaded [`Pump`] that `scale-sim`'s shuttle and the
-//! protocol model checker schedule. The transport carries
+//! Everything here is sans-IO: [`MlbState`] routes the bytes a link
+//! delivered ([`MlbState::relay`]), [`MmpNode`] consumes decoded
+//! [`WireMsg`] values, and both emit outputs into caller-provided
+//! vectors, so the same logic is driven by real sockets in the
+//! deployment binaries and by the [`Pump`]: whole on one thread in
+//! `scale-sim`'s shuttle and the protocol model checker, one part per
+//! worker thread in `scale-sim`'s scale-out driver. The MLB's typed
+//! entry points ([`MlbState::on_enb`], [`MlbState::on_mmp`]) now serve
+//! only the repo benchmark's engine pump, the relay's reference
+//! replay and unit tests. The transport carries
 //! each encoded message as one `sctplite` DATA chunk (ppid
 //! [`scale_sctplite::ppid::SCALE_STATE`] for control, `S1AP` for
 //! PDU-bearing messages); ordering guarantees are exactly the
@@ -44,7 +47,9 @@
 //! (`S1apPdu::peek`), asks the same routing decisions
 //! [`MlbState::on_enb`] and [`MlbState::on_mmp`] ask, and answers with
 //! a new envelope and the place in the received bytes where the body
-//! to put behind it begins.
+//! to put behind it begins. Every deployment's MLB relays; the typed
+//! pair is the reference the relay is held to, and goes when the
+//! benchmark's engine pump relays too.
 
 use crate::mlb::VmId;
 use crate::routeplane::{RoutePlane, RouteReader, RouteSnapshot};

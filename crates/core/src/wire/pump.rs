@@ -9,15 +9,27 @@
 //! The in-process shuttle delivers in send order ([`Pump::next_fifo`]);
 //! the protocol model checker tries every ready link ([`Pump::ready`])
 //! and tampers with messages on their way ([`Tamper`]).
+//!
+//! ## Parts
+//!
+//! A pump may hold one part of a deployment ([`Pump::part`]): of
+//! `parts`, part *p* holds cell *c* and worker *w* where
+//! `c % parts == p` and `w % parts == p`, and an MLB of its own. A
+//! cell's uplinks go to its own part's MLB, and a worker answers the MLB
+//! that delivered the message it is handling. What is for a machine on
+//! another part leaves through [`Pump::outbox`], and the driver hands
+//! it, in order, to that part's [`Pump::accept`] (DESIGN.md §12.3).
+//! [`Pump::new`] is the one-part case.
 
 use super::{Dest, MlbOut, MlbState, MmpNode, Relay, WireMsg, WireRole, WireTopo};
 use crate::failover::{HealthConfig, HealthTracker};
 use bytes::Bytes;
-use scale_epc::{EmuEvent, EnbEmulator, SeqClock, ENB_BASE};
+use scale_epc::{EmuEvent, EnbEmulator, ProcKind, SeqClock, ENB_BASE};
 use scale_nas::{NasError, Writer};
 use scale_s1ap::S1apPdu;
 use std::collections::VecDeque;
 use std::hash::Hash;
+use std::time::Duration;
 
 /// One FIFO link of the MLB's star, and the cell or worker at its far
 /// end.
@@ -75,7 +87,15 @@ pub trait Tamper {
     fn incarnation(&mut self, restarts: u64) -> u64 {
         restarts
     }
+
+    /// A cell finished a `kind` procedure `elapsed` after starting it.
+    fn completed(&mut self, _kind: ProcKind, _elapsed: Duration) {}
 }
+
+/// The faithful transport: every default.
+struct Faithful;
+
+impl Tamper for Faithful {}
 
 /// Hand a message the MLB routed to a cell to that cell's emulator.
 pub fn to_cell(emu: &mut EnbEmulator, msg: WireMsg) {
@@ -96,18 +116,22 @@ pub fn to_cell(emu: &mut EnbEmulator, msg: WireMsg) {
     }
 }
 
-/// A link's messages, each stamped with the pump-wide order it was sent
-/// in.
-type Queue = VecDeque<(u64, Bytes)>;
+/// A link's messages, each stamped with the pump-wide order it was
+/// queued in and with the part that sent it.
+type Queue = VecDeque<(u64, usize, Bytes)>;
 
 /// The deployment's machines and the links between them (module docs).
 pub struct Pump {
     topo: WireTopo,
-    /// The cells, by index.
+    /// This pump's part, and how many parts the deployment has (module
+    /// docs).
+    part: usize,
+    parts: usize,
+    /// This part's cells, by index: cell `part + i * parts` at `i`.
     pub cells: Vec<EnbEmulator>,
-    /// The MLB.
+    /// This part's MLB.
     pub mlb: MlbState,
-    /// The workers, by index; `None` while crashed.
+    /// The workers, by index; `None` while crashed or on another part.
     pub workers: Vec<Option<MmpNode>>,
     status: Vec<WorkerStatus>,
     /// Restarts per worker: the clock of its HSS.
@@ -118,6 +142,9 @@ pub struct Pump {
     /// outbound link, every cell's downlink ([`Pump::slot`]).
     queues: Vec<Queue>,
     sent: u64,
+    /// What this part has sent to machines on other parts, in the order
+    /// sent: `(part, link, bytes)`, for that part's [`Pump::accept`].
+    pub outbox: Vec<(usize, Link, Bytes)>,
     /// Every message its receiver could not take — the MLB's `relay`
     /// refused it, or a worker or cell could not decode it — described.
     pub wire_errors: Vec<String>,
@@ -129,12 +156,25 @@ impl Pump {
     /// and drained onto its uplink.
     #[must_use]
     pub fn new(topo: &WireTopo, cells: Vec<EnbEmulator>) -> Pump {
-        assert_eq!(cells.len(), topo.n_enbs, "one cell per eNB of the topology");
+        Pump::part(topo, 0, 1, cells)
+    }
+
+    /// Part `part` of `parts` of the deployment of `topo` (module docs),
+    /// with `cells` (this part's, in index order): its workers up, and
+    /// each of its cells in turn set up, started and drained onto its
+    /// uplink.
+    #[must_use]
+    pub fn part(topo: &WireTopo, part: usize, parts: usize, cells: Vec<EnbEmulator>) -> Pump {
+        assert!(part < parts, "part {part} of {parts}");
+        let local = (part..topo.n_enbs).step_by(parts).count();
+        assert_eq!(cells.len(), local, "one cell per eNB of the part");
         let mut pump = Pump {
             topo: topo.clone(),
+            part,
+            parts,
             mlb: MlbState::new(topo),
             workers: (0..topo.n_mmps)
-                .map(|i| Some(MmpNode::new(topo, i)))
+                .map(|i| (i % parts == part).then(|| MmpNode::new(topo, i)))
                 .collect(),
             status: vec![WorkerStatus::Up; topo.n_mmps],
             restarts: vec![0; topo.n_mmps],
@@ -142,18 +182,27 @@ impl Pump {
                 miss_threshold: 1,
                 error_threshold: u32::MAX,
             }),
-            queues: vec![Queue::new(); 2 * (cells.len() + topo.n_mmps)],
+            queues: vec![Queue::new(); 2 * (topo.n_enbs + topo.n_mmps)],
             cells,
             sent: 0,
+            outbox: Vec::new(),
             wire_errors: Vec::new(),
         };
-        for cell in 0..pump.cells.len() {
-            let setup = pump.cells[cell].s1_setup_request();
+        for cell in (part..topo.n_enbs).step_by(parts) {
+            let setup = pump.cell(cell).s1_setup_request();
             pump.uplink(cell, None, setup);
-            pump.cells[cell].start();
-            pump.drain_cell(cell);
+            pump.cell(cell).start();
+            // A cell that has just started has completed nothing.
+            pump.drain_cell(cell, &mut Faithful);
         }
         pump
+    }
+
+    /// Cell `cell`, which is on this part.
+    fn cell(&mut self, cell: usize) -> &mut EnbEmulator {
+        // No division on a one-part pump: the checker's hot path.
+        let at = if self.parts == 1 { cell } else { cell / self.parts };
+        &mut self.cells[at]
     }
 
     /// Every worker's status, by index.
@@ -170,7 +219,7 @@ impl Pump {
 
     /// Where `link`'s queue is in `queues`.
     fn slot(&self, link: Link) -> usize {
-        let (cells, workers) = (self.cells.len(), self.workers.len());
+        let (cells, workers) = (self.topo.n_enbs, self.topo.n_mmps);
         match link {
             Link::EnbToMlb(c) => c,
             Link::MlbToMmp(w) => cells + w,
@@ -183,7 +232,7 @@ impl Pump {
     /// worker its inbound link (while it is up) and its outbound one,
     /// then every cell's downlink.
     pub fn ready(&self) -> impl Iterator<Item = Link> + '_ {
-        let (cells, workers) = (self.cells.len(), self.workers.len());
+        let (cells, workers) = (self.topo.n_enbs, self.topo.n_mmps);
         (0..cells)
             .map(Link::EnbToMlb)
             .chain((0..workers).flat_map(|w| [Link::MlbToMmp(w), Link::MmpToMlb(w)]))
@@ -194,14 +243,14 @@ impl Pump {
             })
     }
 
-    /// The ready link whose head was sent first: one queue for the
-    /// whole deployment.
+    /// The ready link whose head was queued first: one queue for the
+    /// whole part.
     #[must_use]
     pub fn next_fifo(&self) -> Option<Link> {
         self.ready().min_by_key(|&link| {
             self.queues[self.slot(link)]
                 .front()
-                .map(|(stamp, _)| *stamp)
+                .map(|&(stamp, ..)| stamp)
         })
     }
 
@@ -214,7 +263,7 @@ impl Pump {
 
     /// Hash the behaviour-relevant state into `h`: each machine's own
     /// fingerprint, every worker's status and every queued message's
-    /// bytes. Counters and send stamps are left out.
+    /// bytes. Counters, send stamps and senders are left out.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
         self.mlb.fingerprint(h);
         for (worker, node) in self.workers.iter().enumerate() {
@@ -228,17 +277,17 @@ impl Pump {
         }
         for q in &self.queues {
             q.len().hash(h);
-            for (_, msg) in q {
+            for (_, _, msg) in q {
                 msg.as_ref().hash(h);
             }
         }
     }
 
-    /// Deliver the head of `link` to its receiver, and queue what that
+    /// Deliver the head of `link` to its receiver, and send on what that
     /// produces.
     pub fn deliver(&mut self, link: Link, tamper: &mut impl Tamper) {
         let at = self.slot(link);
-        let Some((_, mut msg)) = self.queues[at].pop_front() else {
+        let Some((_, from, mut msg)) = self.queues[at].pop_front() else {
             return;
         };
         match link {
@@ -274,18 +323,28 @@ impl Pump {
                     Ok(msg) => tamper.at_worker(node, msg, &mut out),
                     Err(e) => self.refuse(link, &e),
                 }
+                // To the MLB that delivered what the worker handled.
                 for m in out {
-                    self.send(Link::MmpToMlb(worker), m.encode());
+                    self.send(from, Link::MmpToMlb(worker), m.encode());
                 }
             }
             Link::MlbToEnb(cell) => {
                 match WireMsg::decode(msg) {
-                    Ok(msg) => tamper.at_cell(&mut self.cells[cell], msg),
+                    Ok(msg) => tamper.at_cell(self.cell(cell), msg),
                     Err(e) => self.refuse(link, &e),
                 }
-                self.drain_cell(cell);
+                self.drain_cell(cell, tamper);
             }
         }
+    }
+
+    /// Queue `msg`, which part `from` sent, on `link`, whose receiver is
+    /// on this part: how a driver hands over another part's
+    /// [`Pump::outbox`].
+    pub fn accept(&mut self, from: usize, link: Link, msg: Bytes) {
+        self.sent += 1;
+        let at = self.slot(link);
+        self.queues[at].push_back((self.sent, from, msg));
     }
 
     /// Worker `worker` crashes: its state vanishes, and what was on its
@@ -347,10 +406,13 @@ impl Pump {
         self.wire_errors.push(format!("{link:?} refused: {e}"));
     }
 
-    fn send(&mut self, link: Link, msg: Bytes) {
-        self.sent += 1;
-        let at = self.slot(link);
-        self.queues[at].push_back((self.sent, msg));
+    /// Send `msg` on `link` to its receiver on part `to`.
+    fn send(&mut self, to: usize, link: Link, msg: Bytes) {
+        if to == self.part {
+            self.accept(to, link, msg);
+        } else {
+            self.outbox.push((to, link, msg));
+        }
     }
 
     /// The MLB sends `msg` on `link`. A message for a worker that is
@@ -359,7 +421,12 @@ impl Pump {
         if tamper.at_mlb(&mut link, &mut msg, &self.status)
             && !matches!(link, Link::MlbToMmp(w) if self.status[w] != WorkerStatus::Up)
         {
-            self.send(link, msg);
+            let (Link::MlbToMmp(end)
+            | Link::MlbToEnb(end)
+            | Link::EnbToMlb(end)
+            | Link::MmpToMlb(end)) = link;
+            let to = if self.parts == 1 { 0 } else { end % self.parts };
+            self.send(to, link, msg);
         }
     }
 
@@ -379,15 +446,16 @@ impl Pump {
             attach_hint,
             pdu,
         };
-        self.send(Link::EnbToMlb(cell), msg.encode());
+        self.send(self.part, Link::EnbToMlb(cell), msg.encode());
     }
 
-    /// Move cell `cell`'s pending uplinks onto its link.
-    fn drain_cell(&mut self, cell: usize) {
-        for ev in self.cells[cell].drain() {
+    /// Move cell `cell`'s pending uplinks onto its link, and its
+    /// completions to `tamper`.
+    fn drain_cell(&mut self, cell: usize, tamper: &mut impl Tamper) {
+        for ev in self.cell(cell).drain() {
             match ev {
                 EmuEvent::Uplink { attach_hint, pdu } => self.uplink(cell, attach_hint, pdu),
-                EmuEvent::Completed { .. } => {}
+                EmuEvent::Completed { kind, elapsed } => tamper.completed(kind, elapsed),
             }
         }
     }

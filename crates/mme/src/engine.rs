@@ -698,13 +698,18 @@ impl MmeCore {
         }
     }
 
-    /// Pre-assign the M-TMSI the next IMSI attach runs under (used by
-    /// SCALE's MLB, which allocates GUTIs so devices hash where it
-    /// routed them). That attach consumes the hint, and its record is
-    /// the copy held here under the hinted M-TMSI, if it is a copy of
-    /// the same IMSI; a copy of another IMSI there refuses the attach.
-    /// A hint is the only way an IMSI attach meets a copy it did not
-    /// mint: an engine given none derives the M-TMSI from the IMSI.
+    /// Pre-assign the M-TMSI the next IMSI attach runs under, so that
+    /// the device hashes where it was routed. `ScaleDc`'s router
+    /// allocates that M-TMSI itself (`MlbRouter::assign_guti`). On the
+    /// machines (the shuttle, `scale_out`, the protocol checker,
+    /// `scale_wired`) the cell picks it, `MTMSI_BASE` plus the device's
+    /// index (`EnbEmulator`), and the MLB routes the attach by it and
+    /// passes it on as its `Deliver`'s `guti_hint`. That attach
+    /// consumes the hint, and its record is the copy held here under
+    /// the hinted M-TMSI, if it is a copy of the same IMSI; a copy of
+    /// another IMSI there refuses the attach. A hint is the only way an
+    /// IMSI attach meets a copy it did not mint: an engine given none
+    /// mints the M-TMSI from the IMSI and a key of its own.
     pub fn set_guti_hint(&mut self, m_tmsi: u32) {
         self.drop_snapshot();
         self.guti_hint = Some(m_tmsi);

@@ -27,9 +27,11 @@
 //!   parent-side topology orchestration, and the in-process shuttle
 //!   parity oracle (the `wire_load` mega-bench);
 //! * [`shard_driver`] — the *multi-core* scale-out driver: the same
-//!   eNodeB, MLB and MMP machines, one of each per worker thread,
-//!   passing `WireMsg`s through bounded mailboxes (the `scale_out`
-//!   mega-bench);
+//!   eNodeB, MLB and MMP machines, one of each per worker thread on
+//!   that thread's part of the shuttle's pump, passing encoded bytes
+//!   through bounded mailboxes (the `scale_out` mega-bench). No driver
+//!   here calls the MLB's typed `on_enb`/`on_mmp` any more but
+//!   [`replay`]'s reference (`MlbReplay::typed_read`) and unit tests;
 //! * [`replay`] — recorded MLB traffic replayed through the
 //!   deployment's own receive → route → send loops, sans-IO (the relay
 //!   suites and `bench_summary`'s relay section);

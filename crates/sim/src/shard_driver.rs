@@ -1,46 +1,37 @@
-//! The multi-core scale-out driver: the deployment's own sans-IO
-//! machines on worker threads, joined by bounded mailboxes.
+//! The multi-core scale-out driver: a deployment's own sans-IO
+//! machines on worker threads, one part of it on each thread's [`Pump`],
+//! joined by bounded mailboxes.
 //!
-//! Worker thread *s* hosts three machines of a deployment with
-//! `n_enbs = n_mmps = n_shards`: cell *s* ([`EnbEmulator`]), one MLB
-//! ([`MlbState`]) and MMP worker *s* ([`MmpNode`]) — the machines the
-//! wire deployment runs as processes and the shuttle runs off one queue.
-//! What one machine emits for another crosses as a typed [`WireMsg`]:
-//! through a thread-local queue when both are on the same thread,
-//! through the other thread's mailbox when not. Three rules route it:
+//! Worker thread *s* runs part *s* of a deployment with
+//! `n_enbs = n_mmps = n_shards` ([`Pump::part`]): cell *s*
+//! ([`EnbEmulator`](scale_epc::EnbEmulator)), an MLB of its own and MMP
+//! worker *s* — the machines the wire deployment runs as processes and
+//! the shuttle runs on one pump. Every hop crosses as bytes, as on the shuttle: into an
+//! MLB through its relay, into a cell or a worker through a decode. A
+//! message for a machine on another thread leaves through the pump's
+//! outbox and arrives through that thread's mailbox. The pump's one
+//! rule picks the MLB: a cell's uplinks go to its own thread's, and a
+//! worker answers the MLB that delivered the message it is handling.
+//! Each MLB balances on its own load view, like a deployment with one
+//! MLB per cell group.
 //!
-//! * A cell's uplinks go to the MLB on its own thread, which routes
-//!   them and charges the load of the procedures they open. Each MLB
-//!   balances on its own load view, like a deployment with one MLB per
-//!   cell group.
-//! * A worker's `Settled` goes to the MLB on the thread of the device's
-//!   [`home_cell`]: that MLB routed the procedure, and holds the
-//!   in-flight entry and the load charge the Idle edge releases.
-//! * Everything else a worker emits (`ToEnb`, `Replicate`, `DropCtx`) is
-//!   routed by the MLB on the worker's own thread.
+//! ## Happens-before across threads
 //!
-//! ## Happens-before for cross-shard replication
-//!
-//! A worker emits an Idle edge's `Replicate`s before its `Settled`, and
-//! its thread sends each message on as it is routed, so the
-//! `Replicate`s are in their holders' mailboxes before the `Settled` is
-//! in the home thread's. The home cell starts the device's next
-//! procedure only after the `Settled`, so a `Deliver` to a holder is
-//! queued behind the `Replicate` — the holder has imported the state
-//! before the Service Request arrives. (A replica for an engine on the
-//! worker's own thread never leaves [`MmpNode::handle`].) The same
-//! argument makes the `Stop` broadcast safe: it is enqueued after every
-//! other message of the run.
+//! A thread moves its outbox into the mailboxes in send order, and each
+//! mailbox is one FIFO, so every hop between two threads keeps its order
+//! and DESIGN.md §12.2's one-FIFO argument holds (§12.3). So is `Stop`
+//! safe: a thread moves its outbox before it counts its cell's finished
+//! sessions, so what the last session waited on is queued ahead of it.
 
-use crate::wire_run::{WireCounts, WireMmpTotals, WireMode, WireRunConfig, PROC_KINDS};
-use scale_core::wire::{to_cell, MlbOut, MlbState, MmpNode, WireMsg};
-use scale_epc::{home_cell, EmuEvent, EnbEmulator, MTMSI_BASE};
+use crate::wire_run::{assert_settled, WireCounts, WireMode, WireRunConfig, PROC_KINDS};
+use bytes::Bytes;
+use scale_core::wire::{Link, Pump, Tamper};
+use scale_epc::{ProcKind, MTMSI_BASE};
 use scale_obs::Histogram;
 use serde::Serialize;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Mailbox capacity. In-flight work is bounded by `window` UEs per
 /// cell, each contributing a handful of queued messages, so queues
@@ -200,43 +191,19 @@ pub struct ScaleOutReport {
     pub latency: Vec<(String, LatencySummary)>,
 }
 
-/// One message between machines, named by the machine it is for.
-enum Hop {
-    /// For the thread's MMP worker: `Deliver`, `Replicate`, `DropCtx`.
-    Mmp(WireMsg),
-    /// A worker's `Settled`, for the MLB on the thread of the device's
-    /// home cell, which holds its in-flight entry and load charge.
-    Mlb(WireMsg),
-    /// For the thread's cell: `ToEnb`, `Settled`, `ProcFailed`.
-    Enb(WireMsg),
-    /// Run over (mailboxes only).
-    Stop,
-}
+/// What one thread's mailbox carries: bytes that part `.0` sent on link
+/// `.1`, or `None`, the run is over.
+type Mail = Option<(usize, Link, Bytes)>;
 
-/// One worker thread: its three machines and how it reaches the others.
-struct Worker<'a> {
-    index: usize,
-    cell: EnbEmulator,
-    mlb: MlbState,
-    node: MmpNode,
-    mailboxes: Vec<SyncSender<Hop>>,
-    /// Hops for this thread's own machines.
-    local: VecDeque<Hop>,
-    mlb_out: Vec<MlbOut>,
-    node_out: Vec<WireMsg>,
-    /// The cell's `sessions_done` already taken off `remaining`.
-    sessions_done: u64,
-    remaining: &'a AtomicUsize,
-    /// Latency per [`ProcKind`](scale_epc::ProcKind), indexed by its
-    /// discriminant (`PROC_KINDS` order), shared by all threads.
-    hists: &'a [Histogram; 4],
-}
+/// The scale-out driver's transport: faithful, and it records every
+/// completion's latency per [`ProcKind`], indexed by its discriminant
+/// (`PROC_KINDS` order), for all threads.
+struct Clocked<'a>(&'a [Histogram; 4]);
 
-/// What one worker hands back at join time.
-struct WorkerOut {
-    counts: WireCounts,
-    cpu_ms: u64,
-    error_samples: Vec<String>,
+impl Tamper for Clocked<'_> {
+    fn completed(&mut self, kind: ProcKind, elapsed: Duration) {
+        self.0[kind as usize].record_duration(elapsed);
+    }
 }
 
 /// CPU time this thread has consumed, from the scheduler's own
@@ -254,119 +221,48 @@ fn thread_cpu_ms() -> u64 {
         .map_or(0, |ns| ns / 1_000_000)
 }
 
-impl Worker<'_> {
-    /// Set the cell up and prime its window, then serve the local queue
-    /// and the mailbox until `Stop`. A cell with no UE at all
-    /// (population smaller than the fleet) still serves its worker.
-    fn run(mut self, rx: &Receiver<Hop>) -> WorkerOut {
-        let setup = self.cell.s1_setup_request();
-        self.mlb
-            .on_enb(self.cell.enb_id(), None, setup, &mut self.mlb_out);
-        self.dispatch();
-        self.cell.start();
-        self.drain_cell();
-        loop {
-            while let Some(hop) = self.local.pop_front() {
-                self.handle(hop);
-            }
-            match rx.recv() {
-                Ok(Hop::Stop) | Err(_) => break,
-                Ok(hop) => self.handle(hop),
-            }
-        }
-        let mut error_samples = self.cell.error_samples().to_vec();
-        error_samples.extend_from_slice(self.node.error_samples());
-        WorkerOut {
-            counts: WireCounts {
-                enb: self.cell.counts,
-                mmp: WireMmpTotals {
-                    stats: self.node.stats(),
-                    contexts_held: self.node.contexts_held() as u64,
-                    wire_errors: self.node.errors,
-                },
-                mlb: self.mlb.stats,
-                reconnects: 0,
-            },
-            cpu_ms: thread_cpu_ms(),
-            error_samples,
-        }
+fn post(mailbox: &SyncSender<Mail>, mail: Mail) {
+    if mailbox.send(mail).is_err() {
+        panic!("a mailbox closed mid-run");
     }
+}
 
-    fn send(&mut self, thread: usize, hop: Hop) {
-        if thread == self.index {
-            self.local.push_back(hop);
-        } else if self.mailboxes[thread].send(hop).is_err() {
-            panic!("thread {thread}'s mailbox closed mid-run");
+/// Run `pump`, part `part`, until the run is over: deliver its ready
+/// messages in the order they were queued, move its outbox into the
+/// other threads' mailboxes, broadcast the end once the *global*
+/// population is done, and wait for mail. Hands back the pump and the
+/// thread's CPU time.
+fn run_part(
+    mut pump: Pump,
+    part: usize,
+    rx: &Receiver<Mail>,
+    mailboxes: &[SyncSender<Mail>],
+    remaining: &AtomicUsize,
+    hists: &[Histogram; 4],
+) -> (Pump, u64) {
+    let mut clocked = Clocked(hists);
+    let mut sessions_done = 0;
+    loop {
+        while let Some(link) = pump.next_fifo() {
+            pump.deliver(link, &mut clocked);
+        }
+        for (to, link, msg) in pump.outbox.drain(..) {
+            post(&mailboxes[to], Some((part, link, msg)));
+        }
+        let done: u64 = pump.cells.iter().map(|c| c.counts.sessions_done).sum();
+        let finished = (done - sessions_done) as usize;
+        sessions_done = done;
+        if finished > 0 && remaining.fetch_sub(finished, Ordering::AcqRel) == finished {
+            for mailbox in mailboxes {
+                post(mailbox, None);
+            }
+        }
+        match rx.recv() {
+            Ok(Some((from, link, msg))) => pump.accept(from, link, msg),
+            Ok(None) | Err(_) => break,
         }
     }
-
-    fn handle(&mut self, hop: Hop) {
-        match hop {
-            Hop::Mmp(msg) => {
-                self.node.handle(msg, &mut self.node_out);
-                // In the order the worker emitted them: a `Replicate`
-                // leaves before the `Settled` behind it (module docs).
-                let mut out = std::mem::take(&mut self.node_out);
-                for msg in out.drain(..) {
-                    if let WireMsg::Settled { m_tmsi, .. } = msg {
-                        let home = home_cell(m_tmsi, self.mailboxes.len()).unwrap_or(self.index);
-                        self.send(home, Hop::Mlb(msg));
-                    } else {
-                        self.mlb.on_mmp(msg, &mut self.mlb_out);
-                        self.dispatch();
-                    }
-                }
-                self.node_out = out;
-            }
-            Hop::Mlb(msg) => {
-                self.mlb.on_mmp(msg, &mut self.mlb_out);
-                self.dispatch();
-            }
-            Hop::Enb(msg) => {
-                to_cell(&mut self.cell, msg);
-                self.drain_cell();
-            }
-            Hop::Stop => {}
-        }
-    }
-
-    /// Send what the MLB routed where it goes.
-    fn dispatch(&mut self) {
-        let mut out = std::mem::take(&mut self.mlb_out);
-        for o in out.drain(..) {
-            match o {
-                MlbOut::Mmp { mmp, msg } => self.send(mmp, Hop::Mmp(msg)),
-                MlbOut::Enb { enb, msg } => self.send(enb, Hop::Enb(msg)),
-            }
-        }
-        self.mlb_out = out;
-    }
-
-    /// Route the cell's uplinks, record its completions, and broadcast
-    /// `Stop` once the *global* population is done.
-    fn drain_cell(&mut self) {
-        for ev in self.cell.drain() {
-            match ev {
-                EmuEvent::Uplink { attach_hint, pdu } => {
-                    self.mlb
-                        .on_enb(self.cell.enb_id(), attach_hint, pdu, &mut self.mlb_out);
-                    self.dispatch();
-                }
-                EmuEvent::Completed { kind, elapsed } => {
-                    self.hists[kind as usize].record_duration(elapsed);
-                }
-            }
-        }
-        let finished = (self.cell.counts.sessions_done - self.sessions_done) as usize;
-        self.sessions_done = self.cell.counts.sessions_done;
-        if finished > 0 && self.remaining.fetch_sub(finished, Ordering::AcqRel) == finished {
-            for mailbox in &self.mailboxes {
-                if mailbox.send(Hop::Stop).is_err() {
-                    panic!("a mailbox closed before Stop");
-                }
-            }
-        }
-    }
+    (pump, thread_cpu_ms())
 }
 
 /// Run one sharded scale-out configuration to completion and report.
@@ -393,31 +289,23 @@ pub fn run_threads(cfg: &ScaleOutConfig) -> (ScaleOutReport, WireCounts) {
     let hists: [Histogram; 4] = Default::default();
     let remaining = AtomicUsize::new(cfg.n_ues);
 
-    let (mailboxes, receivers): (Vec<SyncSender<Hop>>, Vec<Receiver<Hop>>) =
+    let (mailboxes, receivers): (Vec<SyncSender<Mail>>, Vec<Receiver<Mail>>) =
         (0..cfg.n_shards).map(|_| sync_channel(MAILBOX)).unzip();
-    let workers: Vec<Worker<'_>> = (0..cfg.n_shards)
-        .map(|s| Worker {
-            index: s,
-            cell: deployment.emulator(s),
-            mlb: MlbState::new(&topo),
-            node: MmpNode::new(&topo, s),
-            mailboxes: mailboxes.clone(),
-            local: VecDeque::new(),
-            mlb_out: Vec::new(),
-            node_out: Vec::new(),
-            sessions_done: 0,
-            remaining: &remaining,
-            hists: &hists,
-        })
-        .collect();
-    drop(mailboxes);
 
     let started = Instant::now();
-    let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
+    let outs: Vec<(Pump, u64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = receivers
             .into_iter()
-            .zip(receivers)
-            .map(|(worker, rx)| scope.spawn(move || worker.run(&rx)))
+            .enumerate()
+            .map(|(s, rx)| {
+                let (deployment, topo, mailboxes) = (&deployment, &topo, &mailboxes);
+                let (remaining, hists) = (&remaining, &hists);
+                scope.spawn(move || {
+                    let cells = vec![deployment.emulator(s)];
+                    let pump = Pump::part(topo, s, cfg.n_shards, cells);
+                    run_part(pump, s, &rx, mailboxes, remaining, hists)
+                })
+            })
             .collect();
         handles
             .into_iter()
@@ -431,13 +319,22 @@ pub fn run_threads(cfg: &ScaleOutConfig) -> (ScaleOutReport, WireCounts) {
 
     let mut total = WireCounts::default();
     let mut cpu_ms_per_shard = Vec::with_capacity(outs.len());
-    let mut samples = Vec::new();
-    for out in &outs {
-        total.add(&out.counts);
-        cpu_ms_per_shard.push(out.cpu_ms);
-        samples.extend(out.error_samples.iter().cloned());
+    let (mut samples, mut wire_errors) = (Vec::new(), 0);
+    for (pump, cpu_ms) in &outs {
+        assert_settled(&pump.mlb);
+        total.add(&WireCounts::of_pump(pump));
+        cpu_ms_per_shard.push(*cpu_ms);
+        wire_errors += pump.wire_errors.len() as u64;
+        samples.extend(pump.wire_errors.iter().cloned());
+        for emu in &pump.cells {
+            samples.extend(emu.error_samples().iter().cloned());
+        }
+        for (_, node) in pump.live_workers() {
+            samples.extend(node.error_samples().iter().cloned());
+        }
     }
-    let counts = ScaleOutCounts::of(&total);
+    let mut counts = ScaleOutCounts::of(&total);
+    counts.errors += wire_errors;
     if !samples.is_empty() {
         eprintln!(
             "scale_out: {} error(s); first: {}",
@@ -498,5 +395,20 @@ mod tests {
             report.counts.replicas_imported,
             (cfg.replication as u64 - 1) * report.counts.idles
         );
+    }
+
+    #[test]
+    fn every_mlb_settles_what_it_routed() {
+        // `run_threads` asserts that each thread's MLB ends with nothing
+        // in flight and no VM charged: a `Settled` that reaches another
+        // MLB than the one that routed its procedure leaves both.
+        for n in 1..=4 {
+            let mut cfg = ScaleOutConfig::smoke(n);
+            cfg.n_ues = 256;
+            cfg.window = 16;
+            let report = run_scale_out(&cfg);
+            assert_eq!(report.counts.errors, 0, "n = {n}");
+            assert_eq!(report.counts.attaches, 256, "n = {n}");
+        }
     }
 }

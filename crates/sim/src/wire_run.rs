@@ -319,6 +319,23 @@ fn add_emu(a: &mut EmuCounts, b: &EmuCounts) {
 }
 
 impl WireCounts {
+    /// What the machines on `pump` counted.
+    pub(crate) fn of_pump(pump: &Pump) -> WireCounts {
+        let mut counts = WireCounts {
+            mlb: pump.mlb.stats,
+            ..WireCounts::default()
+        };
+        for emu in &pump.cells {
+            add_emu(&mut counts.enb, &emu.counts);
+        }
+        for (_, node) in pump.live_workers() {
+            counts.mmp.stats.merge(&node.stats());
+            counts.mmp.contexts_held += node.contexts_held() as u64;
+            counts.mmp.wire_errors += node.errors;
+        }
+        counts
+    }
+
     /// Add the counts of more machines (the in-process driver sums one
     /// cell, MLB and worker per thread).
     pub(crate) fn add(&mut self, other: &WireCounts) {
@@ -1695,24 +1712,27 @@ pub fn run_shuttle_tapped(
         "shuttle wire errors: {:?}",
         pump.wire_errors
     );
-
-    let mut counts = WireCounts {
-        mlb: pump.mlb.stats,
-        ..WireCounts::default()
-    };
+    assert_settled(&pump.mlb);
     for emu in &pump.cells {
         assert!(emu.done(), "shuttle quiesced with sessions outstanding");
-        add_emu(&mut counts.enb, &emu.counts);
     }
     for (i, node) in pump.live_workers() {
         for e in node.error_samples() {
             eprintln!("shuttle mmp {i}: {e}");
         }
-        counts.mmp.stats.merge(&node.stats());
-        counts.mmp.contexts_held += node.contexts_held() as u64;
-        counts.mmp.wire_errors += node.errors;
     }
-    counts
+    WireCounts::of_pump(&pump)
+}
+
+/// Every procedure `mlb` routed has settled: none is in flight, and no
+/// VM is charged. A `Settled` that reached another MLB than the one
+/// that routed its procedure leaves both behind.
+pub(crate) fn assert_settled(mlb: &MlbState) {
+    assert_eq!(mlb.inflight_len(), 0, "procedures in flight at quiescence");
+    let plane = mlb.plane();
+    for &vm in plane.snapshot().ring.nodes() {
+        assert_eq!(plane.loads.load(vm), 0, "VM {vm} charged at quiescence");
+    }
 }
 
 #[cfg(test)]
